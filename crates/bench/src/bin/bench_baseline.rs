@@ -4,11 +4,10 @@
 //! throughput data (the paper's whole premise — Eqs. 6/9 — is that these
 //! two numbers are linked by memory bandwidth).
 //!
-//! Beyond the headline solver number, the baseline now sweeps every
-//! runtime kernel configuration of the sparse solver (AB/AA × AoS/SoA)
-//! crossed with three traversal configurations (natural, morton, tuned)
-//! at f64, plus the four f32-storage configs at natural order, and
-//! records, per row: the resolved SIMD instruction path (`"avx2"`,
+//! Beyond the headline solver number, the baseline sweeps every runtime
+//! kernel configuration of the sparse solver (AB/AA × AoS/SoA × f64/f32)
+//! with software prefetch off and on, and records, per row: the resolved
+//! SIMD instruction path (`"avx2"`,
 //! `"scalar-lanes"`, or `"scalar"` — `RT_SIMD` overrides it
 //! process-wide), best-of-3 measured MFLUPS, the Eq. 9 *modeled* bytes
 //! per update, the *implied* bytes per update (measured update time ×
@@ -16,15 +15,14 @@
 //! Triad for AB pull, the Copy/Triad mean for AA's alternating pair),
 //! and their ratio `measured_over_modeled`, computed once and reused
 //! everywhere — so the committed JSON shows the AB→AA speedup, the
-//! traversal effect, the vectorization effect, and how tight the byte
-//! model tracks the machine (`"best"` ranks the f64 rows only, keeping
-//! the headline comparable across baselines). It also runs the AA/AB
+//! prefetch effect, the precision effect, and how tight the byte model
+//! tracks the machine (`"best"` ranks the f64 rows only, keeping the
+//! headline comparable across baselines). It also runs the AA/AB
 //! moment-equivalence smoke (AA natural-order moments vs AB post-stream
-//! moments), a bitwise default-vs-tuned-traversal equality check, a
-//! bitwise forced-scalar-vs-forced-vector equality check over every
-//! kernel config, an f32-vs-f64 macroscopic accuracy bound, and a
-//! `KernelSelect::Auto` provenance sweep — and refuses to write a
-//! baseline where any disagrees.
+//! moments), a bitwise prefetch-on-vs-off equality check, a bitwise
+//! forced-scalar-vs-forced-vector equality check over every kernel
+//! config, and an f32-vs-f64 macroscopic accuracy bound — and refuses to
+//! write a baseline where any disagrees.
 //!
 //! * `RT_BENCH_FAST=1` shrinks the mesh, array sizes, and sample counts
 //!   so CI can smoke-run it in seconds (`scripts/verify.sh` does).
@@ -45,12 +43,11 @@ use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_lbm::access_profile::{average_solid_links, AccessProfile};
 use hemocloud_lbm::kernel::{
-    KernelConfig, KernelSelect, Layout, Precision, Propagation, SimdPath, StreamReference,
+    KernelConfig, Layout, Precision, Propagation, SimdPath, StreamReference,
 };
 use hemocloud_lbm::mesh::FluidMesh;
 use hemocloud_lbm::ranked::{RankAssignment, RankedSolver};
-use hemocloud_lbm::solver::{AutotuneReport, Solver, SolverConfig};
-use hemocloud_lbm::traversal::TraversalConfig;
+use hemocloud_lbm::solver::{Solver, SolverConfig};
 use hemocloud_microbench::stream::{stream_kernel, StreamKernel, StreamMeasurement};
 use hemocloud_rt::bench::sample_stats;
 use hemocloud_rt::{par, pool};
@@ -59,10 +56,10 @@ fn fast_mode() -> bool {
     std::env::var("RT_BENCH_FAST").is_ok_and(|v| v != "0")
 }
 
-/// One measured (kernel × traversal) configuration of the sparse solver.
+/// One measured (kernel × prefetch) configuration of the sparse solver.
 struct KernelRow {
     config: KernelConfig,
-    traversal: TraversalConfig,
+    prefetch: bool,
     /// Instruction path the dispatcher resolved for this row
     /// (`"avx2"`, `"scalar-lanes"`, or `"scalar"`) — provenance for the
     /// committed numbers; overridable process-wide via `RT_SIMD`.
@@ -92,10 +89,9 @@ struct Baseline {
     /// Max component-wise moment difference between the AA solver's
     /// natural-order readout and the AB solver's post-stream readout.
     aa_ab_moment_max_diff: f64,
-    /// Whether the tuned-traversal solver (morton + blocking + prefetch +
-    /// stealing) produced bit-identical distributions to the default
-    /// natural-order solver over the instrumented pass.
-    traversal_bitwise_equal: bool,
+    /// Whether the prefetching solver produced bit-identical distributions
+    /// to the default solver over the instrumented pass.
+    prefetch_bitwise_equal: bool,
     /// Whether the forced-vector solver produced bit-identical f64
     /// distributions to the forced-scalar solver, for every kernel
     /// configuration — the vectorization contract, witnessed in the
@@ -105,9 +101,6 @@ struct Baseline {
     /// and its f64 twin after the fixed check run — the single-precision
     /// accuracy witness.
     f32_f64_moment_max_diff: f64,
-    /// Construction-time autotune sweep of the default kernel
-    /// (`KernelSelect::Auto`): every timed candidate plus the winner.
-    autotune: Option<AutotuneReport>,
     pool_spawned: usize,
     pool_jobs: u64,
     /// Global-registry snapshot captured after the fixed-step instrumented
@@ -231,30 +224,25 @@ fn measure() -> Baseline {
     // here, from this fixed workload, before anything adaptive touches the
     // registry — which is what makes `OBS_OUT` byte-identical across two
     // identical runs at the same `RT_POOL_THREADS`.
-    let (obs, traversal_bitwise_equal) = {
+    let (obs, prefetch_bitwise_equal) = {
         let obs_steps = if fast { 12 } else { 32 };
-        let mut solver = Solver::new(
-            mesh.clone(),
-            SolverConfig {
-                parallel_threshold: 0, // always exercise the pool path
-                ..Default::default()
-            },
-        );
-        solver.run(obs_steps);
-        // Same workload under the full locality package (morton + blocks +
-        // prefetch + stealing): must be bit-identical — the traversal
-        // knobs reorder work, never arithmetic. Stealing also puts the
-        // deterministic `pool.chunks` counter into the snapshot.
-        let mut tuned = Solver::new(
-            mesh.clone(),
-            SolverConfig {
-                parallel_threshold: 0,
-                traversal: TraversalConfig::tuned(),
-                ..Default::default()
-            },
-        );
-        tuned.run(obs_steps);
-        let bitwise_equal = solver.distributions() == tuned.distributions();
+        // Always exercise the pool path, whatever the mesh size.
+        let workers = pool::global().threads();
+        let run = |prefetch| {
+            let mut solver = Solver::new(
+                mesh.clone(),
+                SolverConfig {
+                    prefetch,
+                    ..Default::default()
+                },
+            );
+            for _ in 0..obs_steps {
+                solver.step_with_workers(workers);
+            }
+            solver
+        };
+        // Prefetch only issues hints: same workload, same bits.
+        let bitwise_equal = run(false).distributions() == run(true).distributions();
         // Contiguous 4-slab ownership: fixed halo traffic per step, so the
         // lbm.ranked.* byte/message counters land in the snapshot too.
         let ranks = 4usize;
@@ -282,46 +270,40 @@ fn measure() -> Baseline {
     let copy_gb_s = stream[0].bandwidth_mb_s / 1e3;
     let triad_gb_s = stream[1].bandwidth_mb_s / 1e3;
 
-    // Sweep every runtime kernel config × three traversal configs at f64,
-    // plus the four f32-storage configs at natural order. Steps are timed
+    // Sweep every runtime kernel config (f64, then f32 storage) with
+    // prefetch off and on. Steps are timed
     // in pairs so AA (whose even/odd steps do different work and must end
     // in natural order) is measured over a full cycle, and AB identically
     // for fairness. Each row is best-of-3: after the warm-up pass, the
     // timed sampling repeats three times and the fastest attempt wins —
     // the minimum is the attempt least disturbed by the host, which is
     // the right statistic for a bandwidth-bound kernel on a shared box.
-    // Row 0 stays the HARVEY default (AB/AoS/natural) so the headline is
-    // comparable across baselines.
-    let traversals = [
-        TraversalConfig::natural(),
-        TraversalConfig::morton(),
-        TraversalConfig::tuned(),
-    ];
-    let mut rows: Vec<(KernelConfig, TraversalConfig)> = Vec::new();
-    for config in sparse_configs() {
-        for traversal in traversals {
-            rows.push((config, traversal));
+    // Row 0 stays the HARVEY default (AB/AoS/f64, no prefetch) so the
+    // headline is comparable across baselines.
+    let mut rows: Vec<(KernelConfig, bool)> = Vec::new();
+    for precision in [Precision::Double, Precision::Single] {
+        for config in sparse_configs() {
+            for prefetch in [false, true] {
+                rows.push((
+                    KernelConfig::sparse_with_precision(
+                        config.propagation,
+                        config.layout,
+                        precision,
+                    ),
+                    prefetch,
+                ));
+            }
         }
-    }
-    for config in sparse_configs() {
-        rows.push((
-            KernelConfig::sparse_with_precision(
-                config.propagation,
-                config.layout,
-                Precision::Single,
-            ),
-            TraversalConfig::natural(),
-        ));
     }
     let attempts = 3; // best-of-3 per row
     let samples = if fast { 2 } else { 4 };
     let mut kernels: Vec<KernelRow> = Vec::new();
-    for (config, traversal) in rows {
+    for (config, prefetch) in rows {
         let mut solver = Solver::new(
             mesh.clone(),
             SolverConfig {
                 kernel: config,
-                traversal,
+                prefetch,
                 ..Default::default()
             },
         );
@@ -344,7 +326,7 @@ fn measure() -> Baseline {
         let implied_bytes_per_update = stream_ref.gb_s(copy_gb_s, triad_gb_s) * ns_per_update;
         kernels.push(KernelRow {
             config,
-            traversal,
+            prefetch,
             simd,
             mflups: 1e3 / ns_per_update,
             ns_per_update,
@@ -364,20 +346,6 @@ fn measure() -> Baseline {
     let simd_equal = simd_bitwise_equal(&mesh, if fast { 6 } else { 12 });
     let f32_diff = f32_f64_moment_max_diff(&mesh, if fast { 20 } else { 50 });
 
-    // Autotune provenance: a `KernelSelect::Auto` construction on the
-    // default kernel, recording every timed `simd × traversal` candidate
-    // and the winner. The choice is wall-clock only — all candidates
-    // compute identical bits — so this is provenance, not physics.
-    let autotune = Solver::new(
-        mesh.clone(),
-        SolverConfig {
-            select: KernelSelect::Auto,
-            ..Default::default()
-        },
-    )
-    .autotune_report()
-    .cloned();
-
     let pool = pool::global();
     Baseline {
         threads,
@@ -387,10 +355,9 @@ fn measure() -> Baseline {
         stream,
         kernels,
         aa_ab_moment_max_diff: moment_diff,
-        traversal_bitwise_equal,
+        prefetch_bitwise_equal,
         simd_bitwise_equal: simd_equal,
         f32_f64_moment_max_diff: f32_diff,
-        autotune,
         pool_spawned: pool.spawned_threads(),
         pool_jobs: pool.jobs_run(),
         obs,
@@ -418,9 +385,9 @@ fn to_json(b: &Baseline) -> String {
     for (i, k) in b.kernels.iter().enumerate() {
         let comma = if i + 1 < b.kernels.len() { "," } else { "" };
         s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"traversal\": \"{}\", \"simd\": \"{}\", \"mflups\": {:.3}, \"ns_per_update\": {:.3}, \"modeled_bytes_per_update\": {:.3}, \"stream_ref\": \"{}\", \"implied_bytes_per_update\": {:.3}, \"measured_over_modeled\": {:.4}}}{comma}\n",
+            "    {{\"config\": \"{}\", \"prefetch\": {}, \"simd\": \"{}\", \"mflups\": {:.3}, \"ns_per_update\": {:.3}, \"modeled_bytes_per_update\": {:.3}, \"stream_ref\": \"{}\", \"implied_bytes_per_update\": {:.3}, \"measured_over_modeled\": {:.4}}}{comma}\n",
             k.config.name(),
-            k.traversal.name(),
+            k.prefetch,
             k.simd,
             k.mflups,
             k.ns_per_update,
@@ -441,38 +408,17 @@ fn to_json(b: &Baseline) -> String {
         .max_by(|a, c| a.mflups.total_cmp(&c.mflups))
     {
         s.push_str(&format!(
-            "  \"best\": {{\"config\": \"{}\", \"traversal\": \"{}\", \"simd\": \"{}\", \"stealing\": {}, \"mflups\": {:.3}, \"measured_over_modeled\": {:.4}}},\n",
+            "  \"best\": {{\"config\": \"{}\", \"prefetch\": {}, \"simd\": \"{}\", \"mflups\": {:.3}, \"measured_over_modeled\": {:.4}}},\n",
             best.config.name(),
-            best.traversal.name(),
+            best.prefetch,
             best.simd,
-            best.traversal.stealing,
             best.mflups,
             best.measured_over_modeled,
         ));
     }
-    if let Some(auto) = &b.autotune {
-        s.push_str("  \"autotune\": {\n");
-        s.push_str(&format!(
-            "    \"simd\": \"{}\", \"traversal\": \"{}\",\n",
-            auto.simd.label(),
-            auto.traversal.name(),
-        ));
-        s.push_str("    \"candidates\": [\n");
-        for (i, c) in auto.candidates.iter().enumerate() {
-            let comma = if i + 1 < auto.candidates.len() { "," } else { "" };
-            s.push_str(&format!(
-                "      {{\"simd\": \"{}\", \"traversal\": \"{}\", \"seconds\": {:.6}}}{comma}\n",
-                c.simd.label(),
-                c.traversal,
-                c.seconds,
-            ));
-        }
-        s.push_str("    ]\n");
-        s.push_str("  },\n");
-    }
     s.push_str(&format!(
-        "  \"traversal_bitwise_equal\": {},\n",
-        b.traversal_bitwise_equal
+        "  \"prefetch_bitwise_equal\": {},\n",
+        b.prefetch_bitwise_equal
     ));
     s.push_str(&format!(
         "  \"simd_bitwise_equal\": {},\n",
@@ -525,9 +471,9 @@ fn main() {
             || !(k.measured_over_modeled.is_finite() && k.measured_over_modeled > 0.0)
         {
             failures.push(format!(
-                "kernel row {} ({}) has bad numbers",
+                "kernel row {} (prefetch {}) has bad numbers",
                 k.config.name(),
-                k.traversal.name()
+                k.prefetch
             ));
         }
     }
@@ -537,10 +483,8 @@ fn main() {
             baseline.aa_ab_moment_max_diff
         ));
     }
-    if !baseline.traversal_bitwise_equal {
-        failures.push(
-            "tuned traversal diverged bitwise from the default-order solver".to_string(),
-        );
+    if !baseline.prefetch_bitwise_equal {
+        failures.push("prefetching solver diverged bitwise from the default solver".to_string());
     }
     if !baseline.simd_bitwise_equal {
         failures.push(
@@ -553,15 +497,6 @@ fn main() {
             baseline.f32_f64_moment_max_diff
         ));
     }
-    match &baseline.autotune {
-        Some(auto) if auto.candidates.len() >= 4 => {}
-        Some(auto) => failures.push(format!(
-            "autotune sweep timed only {} candidates",
-            auto.candidates.len()
-        )),
-        None => failures.push("autotune sweep produced no report".to_string()),
-    }
-
     let json = to_json(&baseline);
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_lbm.json".to_string());
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -580,9 +515,9 @@ fn main() {
     );
     for k in &baseline.kernels {
         println!(
-            "bench_baseline: {:<22} {:<24} {:<12} {:>8.2} MFLUPS  modeled {:>6.1} B/update  implied {:>6.1} B/update vs {} (x{:.2})",
+            "bench_baseline: {:<22} {:<12} {:<12} {:>8.2} MFLUPS  modeled {:>6.1} B/update  implied {:>6.1} B/update vs {} (x{:.2})",
             k.config.name(),
-            k.traversal.name(),
+            if k.prefetch { "prefetch" } else { "no-prefetch" },
             k.simd,
             k.mflups,
             k.modeled_bytes_per_update,
@@ -591,17 +526,9 @@ fn main() {
             k.measured_over_modeled,
         );
     }
-    if let Some(auto) = &baseline.autotune {
-        println!(
-            "bench_baseline: autotune picked {} / {} from {} candidates",
-            auto.simd.label(),
-            auto.traversal.name(),
-            auto.candidates.len(),
-        );
-    }
     println!(
-        "bench_baseline: AA/AB moment max diff {:.2e}; tuned traversal bitwise equal: {}",
-        baseline.aa_ab_moment_max_diff, baseline.traversal_bitwise_equal
+        "bench_baseline: AA/AB moment max diff {:.2e}; prefetch bitwise equal: {}",
+        baseline.aa_ab_moment_max_diff, baseline.prefetch_bitwise_equal
     );
     println!(
         "bench_baseline: SIMD bitwise equal: {}; f32 vs f64 moment max diff {:.2e}",

@@ -12,9 +12,9 @@
 //! tree shortens the critical path to ⌈log₂ 19⌉ levels and exposes the
 //! independent partial sums to SIMD. The order is deterministic — every
 //! call sums in exactly the same association — so all the solver's
-//! bit-identity guarantees (serial vs parallel, AA vs AB, traversal
-//! permutations) are unaffected; only the fixed association itself differs
-//! from the historical left-to-right fold.
+//! bit-identity guarantees (serial vs parallel, scalar vs wide lanes, AA
+//! vs AB) are unaffected; only the fixed association itself differs from
+//! the historical left-to-right fold.
 
 use crate::lattice::Q19;
 use crate::real::Real;

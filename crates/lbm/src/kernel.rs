@@ -149,18 +149,18 @@ impl LayoutIdx for AosIdx {
     }
 }
 
-/// Whether the sparse solvers run the explicitly vectorized collide-stream
-/// path or the one-cell-at-a-time scalar loop. Both produce bitwise
-/// identical distributions (the vector path runs the exact per-cell
-/// expression tree, one cell per lane); the knob exists for A/B timing,
-/// for the benchmark's equivalence oracle, and as the autotuner's search
-/// axis. The `RT_SIMD` environment variable further selects *which* lane
-/// backend the vector path uses (AVX2 vs portable arrays).
+/// Whether the sparse solvers run their collide-stream body on wide lanes
+/// or at `WIDTH = 1`. Both produce bitwise identical distributions (the
+/// wide path runs the exact per-cell expression tree, one cell per lane);
+/// `Scalar` exists as the reference the equivalence oracles — in the tests
+/// and in the benchmark — hold the wide lanes against. The `RT_SIMD`
+/// environment variable further selects *which* lane backend the wide
+/// path uses (AVX2 vs portable arrays).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPath {
-    /// One cell at a time through the scalar kernel body.
+    /// One cell at a time: the `V = R` instantiation of the kernel body.
     Scalar,
-    /// Lane-width cells at a time through the fused vector kernel.
+    /// Lane-width cells at a time through the same body.
     #[default]
     Vector,
 }
@@ -171,30 +171,6 @@ impl SimdPath {
         match self {
             SimdPath::Scalar => "scalar",
             SimdPath::Vector => "vector",
-        }
-    }
-}
-
-/// How the solver picks its execution strategy at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelSelect {
-    /// Run exactly what the config says ([`SimdPath`] + traversal).
-    #[default]
-    Fixed,
-    /// Time a short calibration burst over `simd × traversal` candidates
-    /// at construction and keep the fastest. Deterministic in *results*
-    /// (every candidate computes identical bits) but not in wall-clock,
-    /// so the choice is recorded in the solver's observability registry
-    /// and benchmark provenance rather than silently applied.
-    Auto,
-}
-
-impl KernelSelect {
-    /// Short label for provenance, e.g. `"auto"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelSelect::Fixed => "fixed",
-            KernelSelect::Auto => "auto",
         }
     }
 }
@@ -441,13 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_select_labels() {
+    fn simd_labels() {
         assert_eq!(SimdPath::default(), SimdPath::Vector);
-        assert_eq!(KernelSelect::default(), KernelSelect::Fixed);
         assert_eq!(SimdPath::Scalar.label(), "scalar");
         assert_eq!(SimdPath::Vector.label(), "vector");
-        assert_eq!(KernelSelect::Fixed.label(), "fixed");
-        assert_eq!(KernelSelect::Auto.label(), "auto");
     }
 
     #[test]

@@ -22,22 +22,24 @@
 //!   (see `crate::solver` module docs), so no rank can observe another
 //!   rank's current-step writes through its own reads.
 //!
-//! The ranked solver must produce the *same physics* as the global
-//! [`crate::solver::Solver`]; the equivalence tests at the bottom are the
-//! core integration check between the LBM and decomposition machinery.
+//! This type is a thin shell: the ownership assignment, the receive sets,
+//! the halo snapshot, the ledgers and `exchange()`. The update itself is
+//! the global solver's one collide–stream body
+//! (`crate::solver::Sweep`) walking the same per-kind cell lists, with
+//! one difference — its `Remote` policy routes every cross-rank read
+//! through the snapshot. That routing is what makes "ranked == global,
+//! bit for bit" (the oracle test at the bottom) a real check of the
+//! receive sets: a cell missing from one reads a stale snapshot slot and
+//! the bits diverge.
 
-use crate::kernel::{AosIdx, Layout, LayoutIdx, Precision, Propagation, SoaIdx};
-use crate::lattice::{opposite, Q19};
+use crate::kernel::{KernelConfig, Precision, Propagation};
+use crate::lattice::Q19;
 use crate::mesh::{FluidMesh, SOLID};
 use crate::solver::{
-    bulk_out, collide_bulk_group, dispatch_owner, flat_index, inlet_out, outlet_out, resolve_exec,
-    rest_distributions, ExecKind, VEC_MAXW,
+    default_workers, flat_index, poiseuille_profile_for, resolve_exec, rest_distributions,
+    ExecKind, KindLists, Remote, SolverConfig, Sweep,
 };
-use crate::traversal::{self, TraversalConfig};
-use hemocloud_geometry::voxel::CellType;
 use hemocloud_obs::{Counter, Registry};
-use hemocloud_rt::pool::{self, DisjointMut};
-use hemocloud_rt::simd::{Element, Lane};
 use std::sync::Arc;
 
 /// Assignment of fluid cells to ranks: `owner[cell]` is the rank index.
@@ -82,13 +84,29 @@ pub struct CommLedger {
     pub messages_sent: u64,
 }
 
+/// The ranked solver's remote-read policy: a slot owned by another rank is
+/// read from the exchange-phase snapshot, never from the live array — so a
+/// rank cannot observe another rank's *current-step* writes.
+struct Halo<'a> {
+    owner: &'a [u32],
+    /// Indexed like the distribution array; valid only for cells in some
+    /// rank's receive set.
+    snapshot: &'a [f64],
+}
+
+impl Remote<f64> for Halo<'_> {
+    #[inline(always)]
+    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<f64> {
+        (self.owner[from] != self.owner[cell]).then(|| self.snapshot[idx])
+    }
+}
+
 /// A rank-decomposed solver over a shared mesh.
 ///
 /// Implementation note: distributions live in one global array (we are one
 /// process), but every cross-rank read goes through `halo`, a snapshot of
 /// boundary values taken during the exchange phase — so the information
-/// flow is exactly MPI-like: a rank never observes another rank's
-/// *current-step* writes.
+/// flow is exactly MPI-like.
 pub struct RankedSolver {
     mesh: FluidMesh,
     assignment: RankAssignment,
@@ -106,23 +124,14 @@ pub struct RankedSolver {
     omega: f64,
     inlet_slot: Vec<u32>,
     inlet_vel: Vec<[f64; 3]>,
-    /// Update cells on the shared worker pool (same gating as
-    /// [`crate::solver::SolverConfig::parallel`]). Race-free: AB writes
-    /// only the destination cell's slots; AA touches only per-cell
-    /// disjoint slot sets (module docs).
+    /// Cells by update kind — the lists the shared body walks.
+    kinds: KindLists,
+    /// Same meaning as the [`SolverConfig`] fields of the same names.
     parallel: bool,
-    parallel_threshold: usize,
-    kernel: crate::kernel::KernelConfig,
-    traversal: TraversalConfig,
-    /// Resolved execution strategy (scalar / portable lanes / AVX2 lanes),
-    /// same resolution as the global solver; bit-neutral either way.
+    prefetch: bool,
+    kernel: KernelConfig,
+    /// Resolved lane type, same resolution as the global solver.
     exec: ExecKind,
-    /// Traversal permutation: `order[p]` is the cell visited at position
-    /// `p`. The per-rank sweep iterates positions, so ranks inherit the
-    /// configured space-filling-curve order; the exchange schedule (and
-    /// therefore the halo ledgers) is a pure function of mesh and
-    /// assignment, untouched by the permutation.
-    order: Vec<u32>,
     steps_taken: u64,
     ledgers: Vec<CommLedger>,
     /// Cumulative halo traffic across all ranks and steps (the per-step
@@ -137,12 +146,8 @@ pub struct RankedSolver {
 
 impl RankedSolver {
     /// Build from a mesh, an ownership assignment, and the same physical
-    /// configuration as [`crate::solver::SolverConfig`].
-    pub fn new(
-        mesh: FluidMesh,
-        assignment: RankAssignment,
-        config: crate::solver::SolverConfig,
-    ) -> Self {
+    /// configuration as the global solver.
+    pub fn new(mesh: FluidMesh, assignment: RankAssignment, config: SolverConfig) -> Self {
         assert_eq!(assignment.owner.len(), mesh.len(), "assignment size");
         assert!(config.tau > 0.5, "tau must exceed 1/2 for stability");
         assert!(
@@ -184,15 +189,15 @@ impl RankedSolver {
             .collect();
 
         // Identical inlet boundary data to the global solver.
-        let (inlet_slot, inlet_vel) = crate::solver::poiseuille_profile_for(&mesh, &config);
+        let (inlet_slot, inlet_vel) = poiseuille_profile_for(&mesh, &config);
 
         let ledgers = vec![CommLedger::default(); assignment.n_ranks];
-        let order = traversal::permutation(&mesh, config.traversal.order);
         let reg = hemocloud_obs::global();
         Self {
             f_tmp,
             halo: vec![0.0; n * Q19],
             f,
+            kinds: KindLists::build(&mesh),
             mesh,
             assignment,
             recv_sets,
@@ -200,11 +205,9 @@ impl RankedSolver {
             inlet_slot,
             inlet_vel,
             parallel: config.parallel,
-            parallel_threshold: config.parallel_threshold,
+            prefetch: config.prefetch,
             kernel: config.kernel,
-            traversal: config.traversal,
             exec: resolve_exec(config.simd),
-            order,
             steps_taken: 0,
             ledgers,
             obs_halo_bytes: reg.counter("lbm.ranked.halo_bytes"),
@@ -254,431 +257,45 @@ impl RankedSolver {
         }
     }
 
-    /// AB pull-scheme gather for destination cell `cell`, reading remote
-    /// neighbors only from the halo snapshot.
-    #[inline]
-    fn ab_gather<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        src: &[f64],
-        halo: &[f64],
-        cell: usize,
-    ) -> [f64; Q19] {
-        let n = mesh.len();
-        let me = owner[cell];
-        let mut fin = [0.0f64; Q19];
-        let row = mesh.neighbor_row(cell);
-        for q in 0..Q19 {
-            let nb = row[opposite(q)];
-            fin[q] = if nb == SOLID {
-                src[L::at(cell, opposite(q), n)]
-            } else if owner[nb as usize] != me {
-                halo[L::at(nb as usize, q, n)]
-            } else {
-                src[L::at(nb as usize, q, n)]
-            };
-        }
-        fin
-    }
-
-    /// One AB pull-scheme update for destination cell `cell`. Pure in its
-    /// inputs, so the serial and pool-parallel sweeps are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn ab_update_cell<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        src: &[f64],
-        halo: &[f64],
-        omega: f64,
-        inlet_slot: &[u32],
-        inlet_vel: &[[f64; 3]],
-        cell: usize,
-        out: &DisjointMut<'_, f64>,
-    ) {
-        let n = mesh.len();
-        let fin = Self::ab_gather::<L>(mesh, owner, src, halo, cell);
-        let fout = match mesh.cell_type(cell) {
-            CellType::Inlet => inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            CellType::Outlet => outlet_out(&fin),
-            _ => bulk_out(&fin, omega),
-        };
-        for q in 0..Q19 {
-            // Safety: slot (cell, q) of the destination array belongs to
-            // `cell` alone.
-            unsafe { out.write(L::at(cell, q, n), fout[q]) };
-        }
-    }
-
-    /// Vectorized AB sweep over a position range: bulk cells buffer into
-    /// lane groups for the fused collide ([`collide_bulk_group`]);
-    /// inlet/outlet cells and the trailing partial group run scalar.
-    /// Deferring a buffered cell's write is safe — AB writes only the
-    /// destination array, which no gather reads — and bit-neutral: each
-    /// lane computes exactly the scalar expression tree.
-    #[allow(clippy::too_many_arguments)]
-    fn ab_range_vec<L: LayoutIdx, V: Lane<f64>>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        src: &[f64],
-        halo: &[f64],
-        omega: f64,
-        inlet_slot: &[u32],
-        inlet_vel: &[[f64; 3]],
-        order: &[u32],
-        positions: std::ops::Range<usize>,
-        out: &DisjointMut<'_, f64>,
-    ) {
-        let n = mesh.len();
-        let w = V::WIDTH;
-        debug_assert!(w <= VEC_MAXW);
-        let mut cells = [0usize; VEC_MAXW];
-        let mut fin = [[0.0f64; VEC_MAXW]; Q19];
-        let mut filled = 0usize;
-        for p in positions {
-            let cell = order[p] as usize;
-            match mesh.cell_type(cell) {
-                CellType::Inlet | CellType::Outlet => {
-                    Self::ab_update_cell::<L>(
-                        mesh, owner, src, halo, omega, inlet_slot, inlet_vel, cell, out,
-                    );
-                }
-                _ => {
-                    let g = Self::ab_gather::<L>(mesh, owner, src, halo, cell);
-                    for q in 0..Q19 {
-                        fin[q][filled] = g[q];
-                    }
-                    cells[filled] = cell;
-                    filled += 1;
-                    if filled == w {
-                        let rows = collide_bulk_group::<f64, V>(&fin, omega);
-                        for (lane, &cell) in cells.iter().enumerate().take(w) {
-                            for q in 0..Q19 {
-                                // Safety: slot (cell, q) belongs to `cell`.
-                                unsafe { out.write(L::at(cell, q, n), rows[q][lane]) };
-                            }
-                        }
-                        filled = 0;
-                    }
-                }
-            }
-        }
-        for lane in 0..filled {
-            let mut row = [0.0f64; Q19];
-            for q in 0..Q19 {
-                row[q] = fin[q][lane];
-            }
-            let fout = bulk_out(&row, omega);
-            for q in 0..Q19 {
-                // Safety: slot (cells[lane], q) belongs to that cell.
-                unsafe { out.write(L::at(cells[lane], q, n), fout[q]) };
-            }
-        }
-    }
-
-    /// One AA even-step update: purely cell-local (read own row, collide,
-    /// write the opposite slots). No halo, no index, no cross-rank data.
-    #[inline]
-    fn aa_even_cell<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        omega: f64,
-        inlet_slot: &[u32],
-        inlet_vel: &[[f64; 3]],
-        cell: usize,
-        f: &DisjointMut<'_, f64>,
-    ) {
-        let n = mesh.len();
-        let mut fin = [0.0f64; Q19];
-        for (q, v) in fin.iter_mut().enumerate() {
-            // Safety: slot (cell, q) belongs to `cell` alone this step.
-            *v = unsafe { f.read(L::at(cell, q, n)) };
-        }
-        let fout = match mesh.cell_type(cell) {
-            CellType::Inlet => inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            CellType::Outlet => outlet_out(&fin),
-            _ => bulk_out(&fin, omega),
-        };
-        for q in 0..Q19 {
-            // Safety: same per-cell slot set; fully read before writing.
-            unsafe { f.write(L::at(cell, opposite(q), n), fout[q]) };
-        }
-    }
-
-    /// AA odd-step gather: arriving values from `-c_q` neighbors' opposite
-    /// slots (remote neighbors via the halo snapshot).
-    #[inline]
-    fn aa_odd_gather<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        halo: &[f64],
-        cell: usize,
-        f: &DisjointMut<'_, f64>,
-    ) -> [f64; Q19] {
-        let n = mesh.len();
-        let me = owner[cell];
-        let row = mesh.neighbor_row(cell);
-        let mut fin = [0.0f64; Q19];
-        for q in 0..Q19 {
-            let nb = row[opposite(q)];
-            fin[q] = if nb == SOLID {
-                // Safety: (cell, q) is in this cell's AA-odd slot set.
-                unsafe { f.read(L::at(cell, q, n)) }
-            } else if owner[nb as usize] != me {
-                halo[L::at(nb as usize, opposite(q), n)]
-            } else {
-                // Safety: (nb, opp(q)) is claimed by `cell` alone — the
-                // streaming index is reciprocal (solver module docs).
-                unsafe { f.read(L::at(nb as usize, opposite(q), n)) }
-            };
-        }
-        fin
-    }
-
-    /// AA odd-step scatter: forward into `+c_q` neighbors' slots —
-    /// including remote ones, the push half of the exchange. The touched
-    /// slot set is exactly this cell's AA-odd set, disjoint from every
-    /// other cell's.
-    #[inline]
-    fn aa_odd_scatter<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        cell: usize,
-        fout: &[f64; Q19],
-        f: &DisjointMut<'_, f64>,
-    ) {
-        let n = mesh.len();
-        let row = mesh.neighbor_row(cell);
-        for q in 0..Q19 {
-            let nb = row[q];
-            // Safety: identical slot set as the gather, read before write.
-            if nb == SOLID {
-                unsafe { f.write(L::at(cell, opposite(q), n), fout[q]) };
-            } else {
-                unsafe { f.write(L::at(nb as usize, q, n), fout[q]) };
-            }
-        }
-    }
-
-    /// One AA odd-step update: gather, collide, scatter.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn aa_odd_cell<L: LayoutIdx>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        halo: &[f64],
-        omega: f64,
-        inlet_slot: &[u32],
-        inlet_vel: &[[f64; 3]],
-        cell: usize,
-        f: &DisjointMut<'_, f64>,
-    ) {
-        let fin = Self::aa_odd_gather::<L>(mesh, owner, halo, cell, f);
-        let fout = match mesh.cell_type(cell) {
-            CellType::Inlet => inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            CellType::Outlet => outlet_out(&fin),
-            _ => bulk_out(&fin, omega),
-        };
-        Self::aa_odd_scatter::<L>(mesh, cell, &fout, f);
-    }
-
-    /// Vectorized AA sweep (either parity) over a position range: bulk
-    /// cells buffer into lane groups, boundary cells and the trailing
-    /// partial group run scalar. Deferring a buffered cell's writes past
-    /// later cells' gathers is safe because distinct cells' AA slot sets
-    /// are pairwise disjoint (solver module docs) — no gather can observe
-    /// a deferred write. Bit-neutral for the same reason as the global
-    /// solver's vector path.
-    #[allow(clippy::too_many_arguments)]
-    fn aa_range_vec<L: LayoutIdx, V: Lane<f64>>(
-        mesh: &FluidMesh,
-        owner: &[u32],
-        halo: &[f64],
-        even: bool,
-        omega: f64,
-        inlet_slot: &[u32],
-        inlet_vel: &[[f64; 3]],
-        order: &[u32],
-        positions: std::ops::Range<usize>,
-        f: &DisjointMut<'_, f64>,
-    ) {
-        let n = mesh.len();
-        let w = V::WIDTH;
-        debug_assert!(w <= VEC_MAXW);
-        let gather = |cell: usize| -> [f64; Q19] {
-            if even {
-                let mut fin = [0.0f64; Q19];
-                for (q, v) in fin.iter_mut().enumerate() {
-                    // Safety: slot (cell, q) belongs to `cell` this step.
-                    *v = unsafe { f.read(L::at(cell, q, n)) };
-                }
-                fin
-            } else {
-                Self::aa_odd_gather::<L>(mesh, owner, halo, cell, f)
-            }
-        };
-        let scatter = |cell: usize, fout: &[f64; Q19]| {
-            if even {
-                for q in 0..Q19 {
-                    // Safety: same per-cell slot set the reads used.
-                    unsafe { f.write(L::at(cell, opposite(q), n), fout[q]) };
-                }
-            } else {
-                Self::aa_odd_scatter::<L>(mesh, cell, fout, f);
-            }
-        };
-        let mut cells = [0usize; VEC_MAXW];
-        let mut fin = [[0.0f64; VEC_MAXW]; Q19];
-        let mut filled = 0usize;
-        for p in positions {
-            let cell = order[p] as usize;
-            match mesh.cell_type(cell) {
-                CellType::Inlet => {
-                    let g = gather(cell);
-                    scatter(cell, &inlet_out(&g, inlet_vel[inlet_slot[cell] as usize]));
-                }
-                CellType::Outlet => {
-                    let g = gather(cell);
-                    scatter(cell, &outlet_out(&g));
-                }
-                _ => {
-                    let g = gather(cell);
-                    for q in 0..Q19 {
-                        fin[q][filled] = g[q];
-                    }
-                    cells[filled] = cell;
-                    filled += 1;
-                    if filled == w {
-                        let rows = collide_bulk_group::<f64, V>(&fin, omega);
-                        for (lane, &cell) in cells.iter().enumerate().take(w) {
-                            let mut fout = [0.0f64; Q19];
-                            for q in 0..Q19 {
-                                fout[q] = rows[q][lane];
-                            }
-                            scatter(cell, &fout);
-                        }
-                        filled = 0;
-                    }
-                }
-            }
-        }
-        for lane in 0..filled {
-            let mut row = [0.0f64; Q19];
-            for q in 0..Q19 {
-                row[q] = fin[q][lane];
-            }
-            scatter(cells[lane], &bulk_out(&row, omega));
-        }
-    }
-
-    fn workers(&self) -> usize {
-        if self.parallel && self.mesh.len() >= self.parallel_threshold {
-            pool::global().threads()
-        } else {
-            1
-        }
-    }
-
-    fn step_ab<L: LayoutIdx>(&mut self, workers: usize) {
-        let trav = self.traversal;
-        let mesh = &self.mesh;
-        let owner = &self.assignment.owner;
-        let src = &self.f;
-        let halo = &self.halo;
-        let omega = self.omega;
-        let inlet_slot = &self.inlet_slot;
-        let inlet_vel = &self.inlet_vel;
-        let order = &self.order;
-        let exec = self.exec;
-        let n = mesh.len();
-        dispatch_owner(&trav, &mut self.f_tmp, n, workers, |positions, out| {
-            match exec {
-                ExecKind::Scalar => {
-                    for p in positions {
-                        let cell = order[p] as usize;
-                        Self::ab_update_cell::<L>(
-                            mesh, owner, src, halo, omega, inlet_slot, inlet_vel, cell, out,
-                        );
-                    }
-                }
-                ExecKind::VectorWide => Self::ab_range_vec::<L, <f64 as Element>::Wide>(
-                    mesh, owner, src, halo, omega, inlet_slot, inlet_vel, order, positions, out,
-                ),
-                ExecKind::VectorAccel => Self::ab_range_vec::<L, <f64 as Element>::Accel>(
-                    mesh, owner, src, halo, omega, inlet_slot, inlet_vel, order, positions, out,
-                ),
-            }
-        });
-        std::mem::swap(&mut self.f, &mut self.f_tmp);
-    }
-
-    fn step_aa<L: LayoutIdx>(&mut self, even: bool, workers: usize) {
-        let trav = self.traversal;
-        let mesh = &self.mesh;
-        let owner = &self.assignment.owner;
-        let halo = &self.halo;
-        let omega = self.omega;
-        let inlet_slot = &self.inlet_slot;
-        let inlet_vel = &self.inlet_vel;
-        let order = &self.order;
-        let exec = self.exec;
-        let n = mesh.len();
-        dispatch_owner(&trav, &mut self.f, n, workers, |positions, f| {
-            match exec {
-                ExecKind::Scalar => {
-                    for p in positions {
-                        let cell = order[p] as usize;
-                        if even {
-                            Self::aa_even_cell::<L>(mesh, omega, inlet_slot, inlet_vel, cell, f);
-                        } else {
-                            Self::aa_odd_cell::<L>(
-                                mesh, owner, halo, omega, inlet_slot, inlet_vel, cell, f,
-                            );
-                        }
-                    }
-                }
-                ExecKind::VectorWide => Self::aa_range_vec::<L, <f64 as Element>::Wide>(
-                    mesh, owner, halo, even, omega, inlet_slot, inlet_vel, order, positions, f,
-                ),
-                ExecKind::VectorAccel => Self::aa_range_vec::<L, <f64 as Element>::Accel>(
-                    mesh, owner, halo, even, omega, inlet_slot, inlet_vel, order, positions, f,
-                ),
-            }
-        });
-    }
-
     /// Advance one timestep. AB exchanges every step; AA exchanges only
     /// before odd steps (the even step is cell-local — the ledgers record
     /// genuinely zero traffic for it). Like the global solver, the sweep
     /// runs on the persistent shared worker pool when the mesh is large
     /// enough — no OS threads are spawned per step.
     pub fn step(&mut self) {
-        self.step_with_workers(self.workers());
+        self.step_with_workers(default_workers(self.parallel, self.mesh.len()));
     }
 
     /// Advance one timestep with an explicit logical worker count (≥ 1).
     /// Bit-identical for every count — same guarantee, and same test
     /// purpose, as [`crate::solver::Solver::step_with_workers`].
     pub fn step_with_workers(&mut self, workers: usize) {
-        match self.kernel.propagation {
-            Propagation::Ab => {
-                self.exchange();
-                match self.kernel.layout {
-                    Layout::Aos => self.step_ab::<AosIdx>(workers),
-                    Layout::Soa => self.step_ab::<SoaIdx>(workers),
-                }
-            }
-            Propagation::Aa => {
-                let even = self.steps_taken.is_multiple_of(2);
-                if even {
-                    self.clear_ledgers();
-                } else {
-                    self.exchange();
-                }
-                match self.kernel.layout {
-                    Layout::Aos => self.step_aa::<AosIdx>(even, workers),
-                    Layout::Soa => self.step_aa::<SoaIdx>(even, workers),
-                }
-            }
+        let even = self.steps_taken.is_multiple_of(2);
+        if even && self.kernel.propagation == Propagation::Aa {
+            self.clear_ledgers();
+        } else {
+            self.exchange();
         }
+        Sweep {
+            mesh: &self.mesh,
+            kinds: &self.kinds,
+            omega: self.omega,
+            inlet_slot: &self.inlet_slot,
+            inlet_vel: &self.inlet_vel,
+            prefetch: self.prefetch,
+            remote: Halo {
+                owner: &self.assignment.owner,
+                snapshot: &self.halo,
+            },
+        }
+        .advance(
+            &self.kernel,
+            even,
+            self.exec,
+            &mut self.f,
+            &mut self.f_tmp,
+            workers,
+        );
         self.steps_taken += 1;
         self.obs_steps.inc();
     }
@@ -730,8 +347,9 @@ impl RankedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelConfig;
-    use crate::solver::{Solver, SolverConfig};
+    use crate::kernel::{Layout, SimdPath};
+    use crate::solver::tests::{oracle_execs, oracle_meshes, ORACLE_STEPS};
+    use crate::solver::Solver;
     use hemocloud_geometry::anatomy::CylinderSpec;
 
     fn cylinder_mesh() -> FluidMesh {
@@ -750,204 +368,58 @@ mod tests {
     }
 
     #[test]
-    fn ranked_matches_global_solver_bitwise() {
-        let mesh = cylinder_mesh();
-        let config = SolverConfig {
-            parallel: false,
-            ..Default::default()
-        };
-        let mut global = Solver::new(mesh.clone(), config);
-        let assignment = slab_assignment(mesh.len(), 4);
-        let mut ranked = RankedSolver::new(mesh, assignment, config);
-        for _ in 0..25 {
-            global.step();
-            ranked.step();
-        }
-        for (a, b) in global.distributions().iter().zip(ranked.distributions()) {
-            assert_eq!(a, b, "ranked execution diverged from global");
-        }
-    }
-
-    #[test]
-    fn ranked_matches_global_solver_bitwise_for_every_kernel_config() {
-        // The tentpole equivalence: halo-mediated AA/SoA execution is
-        // bit-identical to the global in-place solver — remote reads from
-        // the snapshot see exactly the pre-step values the global solver
-        // reads in place (25 steps covers both parities).
-        let mesh = cylinder_mesh();
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let config = SolverConfig {
-                    parallel: false,
-                    kernel: KernelConfig::sparse(prop, layout),
-                    ..Default::default()
-                };
-                let mut global = Solver::new(mesh.clone(), config);
-                let assignment = slab_assignment(mesh.len(), 4);
-                let mut ranked = RankedSolver::new(mesh.clone(), assignment, config);
-                for _ in 0..25 {
-                    global.step();
-                    ranked.step();
-                }
-                for (a, b) in global.distributions().iter().zip(ranked.distributions()) {
-                    assert_eq!(a, b, "{prop:?}/{layout:?} ranked diverged from global");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ranked_traversal_configs_preserve_distributions_and_halo_ledgers() {
-        // The ranked half of the traversal oracle: permuting, blocking,
-        // prefetching, or stealing the per-rank sweep changes neither the
-        // distributions nor the halo-byte ledgers — the exchange schedule
-        // is a pure function of mesh and assignment, so the ledgers must
-        // be *equal*, not merely equivalent. 13 steps covers both AA
-        // parities; `steal_chunk: 16` forces many chunks per worker so
-        // stealing genuinely engages on this small mesh.
-        let mesh = cylinder_mesh();
-        let traversals = [
-            TraversalConfig::morton(),
-            TraversalConfig {
-                stealing: true,
-                steal_chunk: 16,
-                ..TraversalConfig::natural()
-            },
-            TraversalConfig {
-                steal_chunk: 16,
-                ..TraversalConfig::tuned()
-            },
-        ];
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse(prop, layout);
-                let config = SolverConfig {
-                    parallel: false,
-                    kernel,
-                    ..Default::default()
-                };
-                let assignment = slab_assignment(mesh.len(), 4);
-                let mut reference =
-                    RankedSolver::new(mesh.clone(), assignment.clone(), config);
-                for _ in 0..13 {
-                    reference.step_with_workers(1);
-                }
-                for trav in traversals {
-                    for workers in [1usize, 2, 3, 8] {
-                        let mut ranked = RankedSolver::new(
-                            mesh.clone(),
-                            assignment.clone(),
-                            SolverConfig {
-                                traversal: trav,
-                                ..config
-                            },
-                        );
-                        for _ in 0..13 {
-                            ranked.step_with_workers(workers);
-                        }
-                        assert_eq!(
-                            reference.distributions(),
-                            ranked.distributions(),
-                            "{prop:?}/{layout:?} distributions diverged under {} at {workers} workers",
-                            trav.name()
-                        );
-                        assert_eq!(
-                            reference.ledgers(),
-                            ranked.ledgers(),
-                            "{prop:?}/{layout:?} halo ledgers diverged under {} at {workers} workers",
-                            trav.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ranked_pool_path_matches_serial_bitwise() {
-        // parallel_threshold: 0 forces the per-rank update through the
-        // shared worker pool; the sweep must stay bit-identical to the
-        // serial one — for the AB default and the AA in-place kernels.
-        let mesh = cylinder_mesh();
-        let assignment = slab_assignment(mesh.len(), 4);
-        for kernel in [
-            KernelConfig::harvey(),
-            KernelConfig::sparse(Propagation::Aa, Layout::Aos),
-            KernelConfig::sparse(Propagation::Aa, Layout::Soa),
-        ] {
-            let mut serial = RankedSolver::new(
-                mesh.clone(),
-                assignment.clone(),
-                SolverConfig {
-                    parallel: false,
-                    kernel,
-                    ..Default::default()
-                },
-            );
-            let mut pooled = RankedSolver::new(
-                mesh.clone(),
-                assignment.clone(),
-                SolverConfig {
-                    parallel: true,
-                    parallel_threshold: 0,
-                    kernel,
-                    ..Default::default()
-                },
-            );
-            for _ in 0..20 {
-                serial.step();
-                pooled.step();
-            }
-            for (a, b) in serial.distributions().iter().zip(pooled.distributions()) {
-                assert_eq!(a, b, "pool-path ranked update diverged from serial");
-            }
-        }
-    }
-
-    #[test]
-    fn ranked_vector_path_is_bitwise_identical_to_scalar_for_every_kernel_config() {
-        // The ranked half of the vectorization oracle: buffered lane-group
-        // execution with halo-mediated gathers must reproduce the scalar
-        // per-cell sweep bit for bit — 13 steps covers both AA parities,
-        // multiple worker counts exercise partial groups at range edges.
-        use crate::kernel::SimdPath;
-        let mesh = cylinder_mesh();
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse(prop, layout);
-                let assignment = slab_assignment(mesh.len(), 4);
-                let mut scalar = RankedSolver::new(
-                    mesh.clone(),
-                    assignment.clone(),
-                    SolverConfig {
+    fn ranked_matches_the_global_solver_bitwise_for_every_exec_worker_count_and_prefetch_setting() {
+        // The ranked half of the execution oracle, and the integration
+        // check between the LBM and decomposition machinery: for the four
+        // f64 kernel configs, halo-mediated execution at every lane type,
+        // 1/2/3/8 logical workers and prefetch off/on stores exactly the
+        // bits of the global scalar, one-worker, no-prefetch solver —
+        // remote reads from the snapshot see the pre-step values the
+        // global solver reads in place. The halo ledgers are a pure
+        // function of mesh, assignment and kernel, so they must be *equal*
+        // across all of those, not merely equivalent.
+        for (name, mesh) in oracle_meshes() {
+            let assignment = slab_assignment(mesh.len(), 4);
+            for prop in [Propagation::Ab, Propagation::Aa] {
+                for layout in [Layout::Aos, Layout::Soa] {
+                    let config = SolverConfig {
                         parallel: false,
                         simd: SimdPath::Scalar,
-                        kernel,
+                        kernel: KernelConfig::sparse(prop, layout),
                         ..Default::default()
-                    },
-                );
-                for _ in 0..13 {
-                    scalar.step_with_workers(1);
-                }
-                for workers in [1usize, 2, 8] {
-                    let mut vector = RankedSolver::new(
-                        mesh.clone(),
-                        assignment.clone(),
-                        SolverConfig {
-                            parallel: false,
-                            simd: SimdPath::Vector,
-                            kernel,
-                            ..Default::default()
-                        },
-                    );
-                    for _ in 0..13 {
-                        vector.step_with_workers(workers);
+                    };
+                    let mut global = Solver::new(mesh.clone(), config);
+                    global.bump_first_cell(0.01);
+                    for _ in 0..ORACLE_STEPS {
+                        global.step_with_workers(1);
                     }
-                    assert_eq!(
-                        scalar.distributions(),
-                        vector.distributions(),
-                        "{prop:?}/{layout:?} ranked vector diverged at {workers} workers"
-                    );
+                    let mut ledgers: Option<Vec<CommLedger>> = None;
+                    for exec in oracle_execs() {
+                        for workers in [1usize, 2, 3, 8] {
+                            for prefetch in [false, true] {
+                                let what = format!(
+                                    "{} on the {name}: {exec:?}, {workers} workers, prefetch {prefetch}",
+                                    config.kernel.name()
+                                );
+                                let mut ranked = RankedSolver::new(
+                                    mesh.clone(),
+                                    assignment.clone(),
+                                    SolverConfig { prefetch, ..config },
+                                );
+                                ranked.exec = exec;
+                                ranked.f[0] += 0.01; // the same bump as the global solver's
+                                for _ in 0..ORACLE_STEPS {
+                                    ranked.step_with_workers(workers);
+                                }
+                                assert!(
+                                    global.distributions() == ranked.distributions(),
+                                    "ranked diverged from global: {what}"
+                                );
+                                let reference = ledgers.get_or_insert_with(|| ranked.ledgers.clone());
+                                assert_eq!(reference, &ranked.ledgers, "halo ledgers moved: {what}");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -32,6 +32,22 @@
 //!   monomorphized through [`LayoutIdx`] so the hot loop carries no
 //!   layout branch.
 //!
+//! ## One collide–stream body
+//!
+//! Every configuration above, at every lane width, on the global solver
+//! and on [`crate::ranked::RankedSolver`], runs the same function
+//! (`Sweep`'s `sweep`): gather a row per cell, collide `WIDTH` rows at
+//! once, scatter them. It is generic over three small things:
+//!
+//! * a `Stream` (`AbPull`, `AaEven`, `AaOdd`) — *where* the value
+//!   arriving along `q` lives; that one function also fixes where an
+//!   in-place stream scatters and what the prefetcher touches;
+//! * a lane type `V: Lane<R>` — `R` itself (`WIDTH = 1`) is the scalar
+//!   kernel, so remainder cells and the few inlet/outlet cells simply run
+//!   the `V = R` instantiation of the same code;
+//! * a `Remote` policy — `NoRemote` for the global solver (compiles
+//!   to nothing), a halo snapshot for the ranked one.
+//!
 //! ## AA in-place safety (and why the parallel sweep is race-free)
 //!
 //! Let `S(c)` be the set of flat slots cell `c` touches in one AA step.
@@ -44,45 +60,44 @@
 //! so the update is in-place safe serially and race-free under any
 //! partition of the cell range — the owner-computes contract of
 //! [`hemocloud_rt::pool::Pool::par_owner_mut`], the primitive every
-//! parallel path here runs on. Within a run cells are visited in
-//! ascending order and each cell's arithmetic is a pure function of the
-//! pre-step state, so parallel and serial steps are bit-identical at any
-//! logical worker count.
+//! parallel path here runs on. AB writes only the destination array's
+//! own row `(c, q)`, disjoint for the same reason. Within a run cells are
+//! visited in ascending order and each cell's arithmetic is a pure
+//! function of the pre-step state, so parallel and serial steps are
+//! bit-identical at any logical worker count.
 //!
-//! ## Explicit vectorization (and why it is bit-neutral too)
+//! ## Wide lanes are bit-neutral too
 //!
-//! [`SolverConfig::simd`] selects between the historical one-cell-at-a-time
-//! scalar loop and a fused gather–collide–scatter vector path that packs
-//! `WIDTH` consecutive bulk cells of the per-kind index list into the lanes
-//! of a [`hemocloud_rt::simd::Lane`] (4 × f64 or 8 × f32 under AVX2,
-//! portable arrays elsewhere; `RT_SIMD` overrides the backend). The vector
-//! path is **bitwise identical** to the scalar kernel by construction:
+//! [`SolverConfig::simd`] selects the lane type: [`SimdPath::Vector`]
+//! packs `WIDTH` consecutive bulk cells of the per-kind index list into a
+//! [`hemocloud_rt::simd::Lane`] (4 × f64 or 8 × f32 under AVX2, portable
+//! arrays elsewhere; `RT_SIMD` overrides the backend);
+//! [`SimdPath::Scalar`] runs everything at `WIDTH = 1` and exists as the
+//! reference the oracle tests hold the wide lanes against. The two agree
+//! **bitwise** by construction:
 //!
 //! 1. each cell's update is a pure function of its own gathered row, so
 //!    which lane (or loop iteration) computes it cannot matter;
 //! 2. the lane ops map 1:1 onto scalar IEEE-754 ops (`vaddpd` rounds each
 //!    lane exactly like scalar `addsd`; no FMA contraction, no
 //!    reassociation — the lane layer exposes only `+ - * /`);
-//! 3. the collision body is the *same lane-generic code*
-//!    (`equilibrium_v` and friends in [`crate::equilibrium`]) instantiated at
-//!    `V = f64` for the scalar path and a wide `V` for the vector path —
-//!    there is no second transcription to drift;
+//! 3. there is no second transcription of the collision to drift: scalar
+//!    and wide are instantiations of one generic function;
 //! 4. gathering lanes into buffers and scattering them back is pure data
 //!    movement.
 //!
-//! Remainder cells (list length mod `WIDTH`) and the few inlet/outlet
-//! cells fall through to the scalar loop. The equivalence is enforced by
-//! oracle tests over every kernel config × traversal × worker count.
+//! Software prefetch ([`SolverConfig::prefetch`]) only issues hints, so it
+//! is bit-neutral as well. One table-driven oracle test per solver holds
+//! every kernel config × lane type × worker count × prefetch setting to
+//! the scalar, one-worker, no-prefetch run.
 
 use crate::equilibrium::{equilibrium_v, macroscopics_d3q19, macroscopics_v};
 use crate::kernel::{
-    AosIdx, KernelConfig, KernelSelect, Layout, LayoutIdx, Precision, Propagation, SimdPath,
-    SoaIdx,
+    AosIdx, KernelConfig, Layout, LayoutIdx, Precision, Propagation, SimdPath, SoaIdx,
 };
 use crate::lattice::{opposite, Q19};
 use crate::mesh::{FluidMesh, SOLID};
 use crate::real::Real;
-use crate::traversal::{self, prefetch_read, TraversalConfig};
 use hemocloud_geometry::voxel::CellType;
 use hemocloud_obs::{Counter, Histogram, HistogramKind, Registry};
 use hemocloud_rt::pool::{self, DisjointMut};
@@ -99,12 +114,10 @@ pub struct SolverConfig {
     pub u_max: f64,
     /// Unit vector of the inlet flow direction.
     pub flow_dir: (f64, f64, f64),
-    /// Update cells in parallel (persistent worker pool) when the mesh
-    /// has at least [`SolverConfig::parallel_threshold`] cells.
+    /// Let [`Solver::step`] update cells in parallel (persistent worker
+    /// pool) once the mesh is large enough for threads to pay for
+    /// themselves. [`Solver::step_with_workers`] pins the count instead.
     pub parallel: bool,
-    /// Minimum mesh size before parallelism pays for itself. Lower it to
-    /// force the parallel path on small meshes (equivalence tests do).
-    pub parallel_threshold: usize,
     /// Kernel variant to execute: `propagation`, `layout`, and `precision`
     /// are honored at runtime (`addressing` is always indirect on the
     /// sparse mesh; `Precision::Single` stores f32 distributions, `Quad`
@@ -112,17 +125,14 @@ pub struct SolverConfig {
     /// the performance model's byte accounting, so modeled and executed
     /// kernels can no longer diverge silently.
     pub kernel: KernelConfig,
-    /// Traversal variant to execute: cell-visit order, cache blocking,
-    /// software prefetch, and the parallel schedule. Bit-neutral by
-    /// construction (see [`crate::traversal`]), so it can be swept freely
-    /// without invalidating any physics result.
-    pub traversal: TraversalConfig,
-    /// Scalar loop vs explicitly vectorized collide-stream (module docs).
+    /// Issue software prefetches for the neighbor rows and distribution
+    /// slots of bulk cells a few list entries ahead. A hint, never an
+    /// access, so bit-neutral. Off by default: measured alone it wins
+    /// beyond L3 for f64 and loses in cache and for f32 (DESIGN.md §13).
+    pub prefetch: bool,
+    /// Wide lanes vs the `WIDTH = 1` scalar reference (module docs).
     /// Bit-neutral by construction, so the default is the fast path.
     pub simd: SimdPath,
-    /// Fixed execution vs a construction-time autotune over
-    /// `simd × traversal` candidates (see [`Solver::autotune_report`]).
-    pub select: KernelSelect,
 }
 
 impl Default for SolverConfig {
@@ -132,11 +142,9 @@ impl Default for SolverConfig {
             u_max: 0.05,
             flow_dir: (0.0, 0.0, 1.0),
             parallel: true,
-            parallel_threshold: PARALLEL_THRESHOLD,
             kernel: KernelConfig::harvey(),
-            traversal: TraversalConfig::natural(),
+            prefetch: false,
             simd: SimdPath::default(),
-            select: KernelSelect::default(),
         }
     }
 }
@@ -170,13 +178,13 @@ impl Store {
     }
 }
 
-/// The execution strategy resolved once at construction from
+/// The lane type resolved once at construction from
 /// [`SolverConfig::simd`] and the process-wide lane backend
 /// ([`hemocloud_rt::simd::backend`], overridable via `RT_SIMD`). All three
 /// produce identical bits; they differ only in instruction selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecKind {
-    /// One cell at a time, `V = R` (the historical loop).
+    /// One cell at a time, `V = R` — the reference.
     Scalar,
     /// Lane-grouped cells through the portable array lanes.
     VectorWide,
@@ -205,31 +213,6 @@ impl ExecKind {
     }
 }
 
-/// One timed candidate from the construction-time autotune sweep.
-#[derive(Debug, Clone)]
-pub struct AutotuneCandidate {
-    /// The SIMD path the candidate ran.
-    pub simd: SimdPath,
-    /// The traversal the candidate ran ([`TraversalConfig::name`]).
-    pub traversal: String,
-    /// Wall-clock seconds for the timed burst (lower is better).
-    pub seconds: f64,
-}
-
-/// Outcome of [`KernelSelect::Auto`]: every candidate timed, plus the
-/// winning combination the solver was configured with. The choice affects
-/// wall-clock only — every candidate computes identical bits — so the
-/// report is provenance, not physics.
-#[derive(Debug, Clone)]
-pub struct AutotuneReport {
-    /// All timed candidates, in sweep order.
-    pub candidates: Vec<AutotuneCandidate>,
-    /// Winning SIMD path.
-    pub simd: SimdPath,
-    /// Winning traversal.
-    pub traversal: TraversalConfig,
-}
-
 /// The flow solver.
 pub struct Solver {
     mesh: FluidMesh,
@@ -237,7 +220,7 @@ pub struct Solver {
     store: Store,
     omega: f64,
     config: SolverConfig,
-    /// Resolved execution strategy (scalar / portable lanes / AVX2 lanes).
+    /// Resolved lane type (scalar / portable lanes / AVX2 lanes).
     exec: ExecKind,
     /// Per-cell slot into `inlet_vel` (`u32::MAX` for non-inlet cells).
     inlet_slot: Vec<u32>,
@@ -249,8 +232,6 @@ pub struct Solver {
     /// not re-dispatch on `mesh.cell_type(cell)` every step.
     kinds: KindLists,
     steps_taken: u64,
-    /// Present when construction ran the [`KernelSelect::Auto`] sweep.
-    autotune: Option<AutotuneReport>,
     obs: SolverObs,
 }
 
@@ -304,16 +285,10 @@ impl SolverObs {
     }
 }
 
-/// One kind's cells in **traversal order**, paired with each cell's
-/// traversal *position* so contiguous position ranges (the unit the
-/// parallel partition and cache blocking slice by) map back to a
-/// contiguous sub-slice of the list.
+/// One kind's cell ids, ascending — so the cells of a contiguous id range
+/// (the unit the parallel partition slices by) are a contiguous sub-slice.
 pub(crate) struct KindList {
-    /// Cell ids, ordered by traversal position.
     pub(crate) cells: Vec<u32>,
-    /// Traversal position of `cells[i]` — strictly ascending, so
-    /// [`KindList::in_range`] is two binary searches.
-    pub(crate) pos: Vec<u32>,
 }
 
 impl KindList {
@@ -322,21 +297,18 @@ impl KindList {
         self.cells.len()
     }
 
-    /// The cells whose traversal positions fall in `[first, end)`, in
-    /// traversal order.
+    /// The cells with ids in `[first, end)`, ascending: two binary
+    /// searches.
     pub(crate) fn in_range(&self, first: usize, end: usize) -> &[u32] {
-        let lo = self.pos.partition_point(|&p| (p as usize) < first);
-        let hi = self.pos.partition_point(|&p| (p as usize) < end);
+        let lo = self.cells.partition_point(|&c| (c as usize) < first);
+        let hi = self.cells.partition_point(|&c| (c as usize) < end);
         &self.cells[lo..hi]
     }
 }
 
-/// Per-kind cell lists in traversal order. `bulk` holds every cell that
-/// takes the plain BGK collide path (bulk *and* wall fluid — bounce-back
-/// is handled in the gather, exactly as the old `_ =>` match arm did);
-/// `inlet` and `outlet` hold the Dirichlet/zero-pressure cells. Under the
-/// natural traversal `pos == cells` and this degenerates to the historical
-/// ascending-id lists.
+/// Per-kind cell lists. `bulk` holds every cell that takes the plain BGK
+/// collide path (bulk *and* wall fluid — bounce-back is handled in the
+/// gather); `inlet` and `outlet` hold the Dirichlet/zero-pressure cells.
 pub(crate) struct KindLists {
     pub(crate) bulk: KindList,
     pub(crate) inlet: KindList,
@@ -344,145 +316,33 @@ pub(crate) struct KindLists {
 }
 
 impl KindLists {
-    /// Sort the mesh's cells into kind lists along `order`, where
-    /// `order[p]` is the cell visited at traversal position `p` (a
-    /// permutation of the cell ids — see [`traversal::permutation`]).
-    pub(crate) fn build(mesh: &FluidMesh, order: &[u32]) -> Self {
-        debug_assert_eq!(order.len(), mesh.len());
-        let mut lists = [(); 3].map(|_| KindList {
-            cells: Vec::new(),
-            pos: Vec::new(),
-        });
-        for (p, &cell) in order.iter().enumerate() {
-            let k = match mesh.cell_type(cell as usize) {
+    /// Sort the mesh's cells into kind lists, ascending by cell id.
+    pub(crate) fn build(mesh: &FluidMesh) -> Self {
+        let mut lists = [(); 3].map(|_| KindList { cells: Vec::new() });
+        for cell in 0..mesh.len() {
+            let k = match mesh.cell_type(cell) {
                 CellType::Inlet => 1,
                 CellType::Outlet => 2,
                 _ => 0,
             };
-            lists[k].cells.push(cell);
-            lists[k].pos.push(p as u32);
+            lists[k].cells.push(cell as u32);
         }
         let [bulk, inlet, outlet] = lists;
         Self { bulk, inlet, outlet }
     }
 }
 
-/// Default minimum mesh size before thread parallelism pays for itself.
+/// Minimum mesh size before thread parallelism pays for itself.
 const PARALLEL_THRESHOLD: usize = 8192;
 
-/// Prefetch lookahead (in list entries) for neighbor-index rows. The row
-/// is a dependent load feeding 19 further loads, so it wants the longest
-/// lead time.
-const PF_IDX_AHEAD: usize = 24;
-/// Prefetch lookahead (in list entries) for the 19 gather/scatter
-/// distribution slots, which require the neighbor row to already be
-/// resolvable — hence the shorter distance.
-const PF_F_AHEAD: usize = 6;
-
-/// Issue software prefetches for the AB pull-gather working set of cells
-/// a few list entries ahead of `i`: the neighbor-index row at long range
-/// and the 19 gather-source slots at short range. Pure scheduling hints —
-/// no loads, no stores — so bit-neutral by construction.
-#[inline(always)]
-fn prefetch_ab_gather<L: LayoutIdx, R>(
-    mesh: &FluidMesh,
-    src: *const R,
-    n: usize,
-    list: &[u32],
-    i: usize,
-) {
-    if let Some(&c) = list.get(i + PF_IDX_AHEAD) {
-        prefetch_read(mesh.neighbor_row(c as usize).as_ptr());
-    }
-    if let Some(&c) = list.get(i + PF_F_AHEAD) {
-        let cell = c as usize;
-        let row = mesh.neighbor_row(cell);
-        for q in 0..Q19 {
-            let nb = row[opposite(q)];
-            let idx = if nb == SOLID {
-                L::at(cell, opposite(q), n)
-            } else {
-                L::at(nb as usize, q, n)
-            };
-            prefetch_read(src.wrapping_add(idx));
-        }
-    }
-}
-
-/// Issue software prefetches for the AA odd-step working set of cells
-/// ahead of `i`. The odd step's scatter set equals its gather set
-/// (module docs), so one pass covers both directions of the traffic.
-#[inline(always)]
-fn prefetch_aa_odd<L: LayoutIdx, R>(
-    mesh: &FluidMesh,
-    f: *const R,
-    n: usize,
-    list: &[u32],
-    i: usize,
-) {
-    if let Some(&c) = list.get(i + PF_IDX_AHEAD) {
-        prefetch_read(mesh.neighbor_row(c as usize).as_ptr());
-    }
-    if let Some(&c) = list.get(i + PF_F_AHEAD) {
-        let cell = c as usize;
-        let row = mesh.neighbor_row(cell);
-        for q in 0..Q19 {
-            let nb = row[opposite(q)];
-            let idx = if nb == SOLID {
-                L::at(cell, q, n)
-            } else {
-                L::at(nb as usize, opposite(q), n)
-            };
-            prefetch_read(f.wrapping_add(idx));
-        }
-    }
-}
-
-/// Dispatch one owner-computes job over `n` traversal positions onto
-/// either the static balanced partition or the work-stealing scheduler,
-/// per the traversal config. Both produce identical bits — the schedule
-/// only decides which worker visits which position range — and a single
-/// logical worker always takes the static path, so `RT_POOL_THREADS=1`
-/// provably bypasses stealing. Shared by [`Solver`] and
-/// [`crate::ranked::RankedSolver`].
-pub(crate) fn dispatch_owner<T, F>(
-    trav: &TraversalConfig,
-    data: &mut [T],
-    n: usize,
-    workers: usize,
-    body: F,
-) where
-    T: Copy + Send,
-    F: Fn(std::ops::Range<usize>, &DisjointMut<'_, T>) + Sync,
-{
-    if trav.stealing && workers > 1 {
-        let chunk = trav.steal_chunk_for(n, workers);
-        pool::global().par_owner_mut_stealing_workers(data, n, chunk, workers, body);
+/// The logical worker count `step()` uses on both solvers: the pool's
+/// width when parallelism is enabled and the mesh is large enough to
+/// amortize the dispatch, else one.
+pub(crate) fn default_workers(parallel: bool, cells: usize) -> usize {
+    if parallel && cells >= PARALLEL_THRESHOLD {
+        pool::global().threads()
     } else {
-        pool::global().par_owner_mut_workers(data, n, workers, body);
-    }
-}
-
-/// Run `body(first, end)` over `[positions.start, positions.end)` in
-/// cache blocks of `block` traversal positions (one call for the whole
-/// range when blocking is off). Blocking only re-cuts the iteration
-/// space — each position is still visited exactly once, in ascending
-/// order — so it is bit-neutral for the per-cell-pure kernels here.
-#[inline(always)]
-fn for_each_block(
-    positions: std::ops::Range<usize>,
-    block: usize,
-    mut body: impl FnMut(usize, usize),
-) {
-    if block == 0 {
-        body(positions.start, positions.end);
-        return;
-    }
-    let mut bs = positions.start;
-    while bs < positions.end {
-        let be = (bs + block).min(positions.end);
-        body(bs, be);
-        bs = be;
+        1
     }
 }
 
@@ -510,122 +370,409 @@ pub(crate) fn rest_distributions<R: Real>(layout: Layout, n: usize) -> Vec<R> {
     f
 }
 
-/// Lane-generic post-collision row of a bulk (or wall) fluid cell: plain
-/// BGK, the exact expression tree of the historical scalar kernel per
-/// lane. This is the *only* collision body — the scalar path is its
-/// `V = R` instantiation, so scalar and vector cannot drift.
-#[inline(always)]
-pub(crate) fn bulk_out_v<R: Real, V: Lane<R>>(fin: &[V; Q19], omega: V) -> [V; Q19] {
-    let (rho, ux, uy, uz) = macroscopics_v::<R, V>(fin);
-    let mut feq = [V::splat(R::ZERO); Q19];
-    equilibrium_v::<R, V>(rho, ux, uy, uz, &mut feq);
-    let mut out = [V::splat(R::ZERO); Q19];
-    for q in 0..Q19 {
-        out[q] = fin[q] - omega * (fin[q] - feq[q]);
+/// Where one propagation step finds the value arriving at a cell — the
+/// whole difference between AB, AA-even and AA-odd.
+pub(crate) trait Stream {
+    /// The step updates the one resident array in place (AA) instead of
+    /// pulling from a source array into the cell's own row of a
+    /// destination array (AB). An in-place step scatters direction `q` to
+    /// the slot it gathered `opposite(q)` from: per cell the write set
+    /// *is* the read set (module docs).
+    const IN_PLACE: bool;
+    /// The step touches only the cell's own row, so the index list itself
+    /// is the access stream — the hardware prefetcher's easiest case, and
+    /// nothing for a software prefetch to add.
+    const CELL_LOCAL: bool;
+    /// `(cell, direction)` of the slot holding the value that arrives at
+    /// `cell` along `q`, given the cell's neighbor row.
+    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize);
+}
+
+/// AB pull: the value arriving along `q` sits in the `-c_q` neighbor's
+/// slot `q`; a solid link reflects the cell's own opposite-direction
+/// value from the previous step.
+pub(crate) struct AbPull;
+impl Stream for AbPull {
+    const IN_PLACE: bool = false;
+    const CELL_LOCAL: bool = false;
+    #[inline(always)]
+    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
+        match row[opposite(q)] {
+            SOLID => (cell, opposite(q)),
+            nb => (nb as usize, q),
+        }
     }
-    out
 }
 
-/// Post-collision row of a bulk (or wall) fluid cell: plain BGK.
-#[inline]
-pub(crate) fn bulk_out<R: Real>(fin: &[R; Q19], omega: R) -> [R; Q19] {
-    bulk_out_v::<R, R>(fin, omega)
+/// AA even step: the cell's own row, written back to the opposite slots.
+pub(crate) struct AaEven;
+impl Stream for AaEven {
+    const IN_PLACE: bool = true;
+    const CELL_LOCAL: bool = true;
+    #[inline(always)]
+    fn source(_row: &[u32], cell: usize, q: usize) -> (usize, usize) {
+        (cell, q)
+    }
 }
 
-/// Post-update row of a Dirichlet velocity inlet: equilibrium at the
-/// prescribed profile velocity and the gathered density.
-#[inline]
-pub(crate) fn inlet_out<R: Real>(fin: &[R; Q19], v: [R; 3]) -> [R; Q19] {
-    let (rho, _, _, _) = macroscopics_v::<R, R>(fin);
-    let mut feq = [R::ZERO; Q19];
-    equilibrium_v::<R, R>(rho, v[0], v[1], v[2], &mut feq);
-    feq
+/// AA odd step: the value arriving along `q` sits in the `-c_q` neighbor's
+/// *opposite* slot (where the even step left it); bounce-back folds onto
+/// the cell's own slot `q`.
+pub(crate) struct AaOdd;
+impl Stream for AaOdd {
+    const IN_PLACE: bool = true;
+    const CELL_LOCAL: bool = false;
+    #[inline(always)]
+    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
+        match row[opposite(q)] {
+            SOLID => (cell, q),
+            nb => (nb as usize, opposite(q)),
+        }
+    }
 }
 
-/// Post-update row of a zero-pressure outlet: equilibrium at unit density
-/// and the gathered velocity.
-#[inline]
-pub(crate) fn outlet_out<R: Real>(fin: &[R; Q19]) -> [R; Q19] {
-    let (_, ux, uy, uz) = macroscopics_v::<R, R>(fin);
-    let mut feq = [R::ZERO; Q19];
-    equilibrium_v::<R, R>(R::ONE, ux, uy, uz, &mut feq);
-    feq
+/// Which gathered slots a cell may not read from the live array.
+pub(crate) trait Remote<R>: Sync {
+    /// `Some(value)` when `cell` must take slot `idx` of cell `from` out
+    /// of a snapshot; `None` reads the live array.
+    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<R>;
+}
+
+/// The global solver's policy: every read is live. Monomorphizes away.
+pub(crate) struct NoRemote;
+impl<R> Remote<R> for NoRemote {
+    #[inline(always)]
+    fn fetch(&self, _cell: usize, _from: usize, _idx: usize) -> Option<R> {
+        None
+    }
+}
+
+/// What a cell does with its gathered row.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Bulk and wall fluid: BGK relaxation toward equilibrium.
+    Bulk,
+    /// Dirichlet velocity inlet: equilibrium at the gathered density and
+    /// the prescribed profile velocity.
+    Inlet,
+    /// Zero-pressure outlet: equilibrium at unit density and the gathered
+    /// velocity.
+    Outlet,
+}
+
+/// The distribution arrays of one sweep: [`AbPull`] reads `src` and writes
+/// `dst`; the in-place streams read and write `dst` and get an empty `src`.
+struct Arrays<'a, R> {
+    src: &'a [R],
+    dst: &'a DisjointMut<'a, R>,
+}
+
+impl<R: Real> Arrays<'_, R> {
+    #[inline(always)]
+    fn read<S: Stream>(&self, idx: usize) -> R {
+        if S::IN_PLACE {
+            // SAFETY: `idx` is a slot of the gathering cell's own slot set,
+            // which no other cell reads or writes this step (module docs).
+            unsafe { self.dst.read(idx) }
+        } else {
+            self.src[idx]
+        }
+    }
+
+    /// Base address of the array `read` reads — for prefetch address
+    /// computation only.
+    #[inline(always)]
+    fn read_base<S: Stream>(&self) -> *const R {
+        if S::IN_PLACE {
+            self.dst.as_ptr()
+        } else {
+            self.src.as_ptr()
+        }
+    }
 }
 
 /// Widest lane any element exposes (f32 × AVX2 = 8); the lane staging
-/// buffers are sized to it and vector loops use the first `V::WIDTH`
-/// entries.
-pub(crate) const VEC_MAXW: usize = 8;
+/// buffers are sized to it and use the first `V::WIDTH` entries.
+const VEC_MAXW: usize = 8;
 
-/// Fused vector collision of up to [`VEC_MAXW`] bulk cells staged
-/// lane-outer in `fin` (`fin[q][lane]` is lane `lane`'s direction `q`):
-/// load each direction across lanes, run the lane-generic BGK body once,
-/// store back. The staging moves bytes, never arithmetic, so each lane's
-/// result is bitwise the scalar [`bulk_out`] of that cell.
+/// Prefetch lookahead (in list entries) for neighbor-index rows. The row
+/// is a dependent load feeding 19 further loads, so it wants the longest
+/// lead time.
+const PF_IDX_AHEAD: usize = 24;
+/// Prefetch lookahead (in list entries) for the 19 gather/scatter
+/// distribution slots, which require the neighbor row to already be
+/// resolvable — hence the shorter distance.
+const PF_F_AHEAD: usize = 6;
+
+/// Software-prefetch the cache line holding `ptr` into all cache levels.
+/// A scheduling hint only — never a memory access — so it is safe on any
+/// address and a no-op on non-x86 targets.
 #[inline(always)]
-pub(crate) fn collide_bulk_group<R: Real, V: Lane<R>>(
-    fin: &[[R; VEC_MAXW]; Q19],
-    omega: R,
-) -> [[R; VEC_MAXW]; Q19] {
-    let mut vin = [V::splat(R::ZERO); Q19];
-    for q in 0..Q19 {
-        vin[q] = V::load(&fin[q]);
+fn prefetch_read<T>(ptr: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint; it never faults or accesses memory.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch(ptr as *const i8, _MM_HINT_T0);
     }
-    let vout = bulk_out_v::<R, V>(&vin, V::splat(omega));
-    let mut rows = [[R::ZERO; VEC_MAXW]; Q19];
-    for q in 0..Q19 {
-        vout[q].store(&mut rows[q]);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
+
+/// Everything one collide–stream sweep reads besides the distribution
+/// arrays — the state [`Solver`] and [`crate::ranked::RankedSolver`] both
+/// hold — plus the remote-read policy that tells them apart.
+pub(crate) struct Sweep<'a, R, Rm> {
+    pub(crate) mesh: &'a FluidMesh,
+    pub(crate) kinds: &'a KindLists,
+    pub(crate) omega: R,
+    pub(crate) inlet_slot: &'a [u32],
+    pub(crate) inlet_vel: &'a [[R; 3]],
+    pub(crate) prefetch: bool,
+    pub(crate) remote: Rm,
+}
+
+impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
+    /// The row arriving at `cell`: one [`Stream::source`] slot per
+    /// direction, remote ones through the [`Remote`] policy.
+    #[inline(always)]
+    fn gather<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, cell: usize) -> [R; Q19] {
+        let n = self.mesh.len();
+        let row = self.mesh.neighbor_row(cell);
+        let mut fin = [R::ZERO; Q19];
+        for (q, v) in fin.iter_mut().enumerate() {
+            let (from, fq) = S::source(row, cell, q);
+            let idx = L::at(from, fq, n);
+            *v = match self.remote.fetch(cell, from, idx) {
+                Some(snapshot) => snapshot,
+                None => a.read::<S>(idx),
+            };
+        }
+        fin
     }
-    rows
+
+    /// Store `cell`'s post-update row: AB into its own row of the
+    /// destination array, in-place streams forward into the slots the
+    /// gather read (fully read before the first write).
+    #[inline(always)]
+    fn scatter<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, cell: usize, out: &[R; Q19]) {
+        let n = self.mesh.len();
+        let row = self.mesh.neighbor_row(cell);
+        for q in 0..Q19 {
+            let (to, tq) = if S::IN_PLACE {
+                S::source(row, cell, opposite(q))
+            } else {
+                (cell, q)
+            };
+            // SAFETY: the slot belongs to `cell`'s slot set alone — its own
+            // destination row for AB, its gather set for AA (module docs).
+            unsafe { a.dst.write(L::at(to, tq, n), out[q]) };
+        }
+    }
+
+    /// Hint the gather working set of the cells a few `list` entries
+    /// ahead of `i`: the neighbor-index row at long range, its 19 source
+    /// slots at short range. In-place streams scatter to the same slots,
+    /// so one pass covers both directions of the traffic.
+    #[inline(always)]
+    fn prefetch_ahead<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, list: &[u32], i: usize) {
+        if let Some(&c) = list.get(i + PF_IDX_AHEAD) {
+            prefetch_read(self.mesh.neighbor_row(c as usize).as_ptr());
+        }
+        if let Some(&c) = list.get(i + PF_F_AHEAD) {
+            let (cell, n) = (c as usize, self.mesh.len());
+            let row = self.mesh.neighbor_row(cell);
+            for q in 0..Q19 {
+                let (from, fq) = S::source(row, cell, q);
+                prefetch_read(a.read_base::<S>().wrapping_add(L::at(from, fq, n)));
+            }
+        }
+    }
+
+    /// Post-update rows of the `V::WIDTH` cells in `cells`, one per lane.
+    /// The only collision code there is: every op is `Lane`'s elementwise
+    /// IEEE arithmetic, so each lane holds the bits `V = R` would compute.
+    #[inline(always)]
+    fn collide<V: Lane<R>>(&self, kind: Kind, cells: &[u32], fin: &[V; Q19]) -> [V; Q19] {
+        let (rho, ux, uy, uz) = macroscopics_v::<R, V>(fin);
+        let mut out = [V::splat(R::ZERO); Q19];
+        match kind {
+            Kind::Bulk => {
+                equilibrium_v::<R, V>(rho, ux, uy, uz, &mut out);
+                let omega = V::splat(self.omega);
+                for (o, &f) in out.iter_mut().zip(fin) {
+                    *o = f - omega * (f - *o);
+                }
+            }
+            Kind::Inlet => {
+                let mut u = [[R::ZERO; VEC_MAXW]; 3];
+                for (lane, &cell) in cells.iter().enumerate() {
+                    let v = self.inlet_vel[self.inlet_slot[cell as usize] as usize];
+                    for axis in 0..3 {
+                        u[axis][lane] = v[axis];
+                    }
+                }
+                let [ux, uy, uz] = u.map(|lanes| V::load(&lanes));
+                equilibrium_v::<R, V>(rho, ux, uy, uz, &mut out);
+            }
+            Kind::Outlet => equilibrium_v::<R, V>(V::splat(R::ONE), ux, uy, uz, &mut out),
+        }
+        out
+    }
+
+    /// **The** collide–stream body: from `list[start..]`, take `V::WIDTH`
+    /// cells at a time — gather each cell's row into a lane, collide the
+    /// lanes together, scatter each lane — and return the index of the
+    /// first cell left over (fewer than `WIDTH` remain).
+    ///
+    /// Deferring a lane's scatter past another lane's gather cannot change
+    /// what either observes: AB gathers never read the destination array,
+    /// and distinct cells' AA slot sets are pairwise disjoint.
+    #[inline(always)]
+    fn sweep<V: Lane<R>, S: Stream, L: LayoutIdx>(
+        &self,
+        a: &Arrays<'_, R>,
+        kind: Kind,
+        list: &[u32],
+        start: usize,
+    ) -> usize {
+        let w = V::WIDTH;
+        debug_assert!(w <= VEC_MAXW);
+        // Bulk lists only: the inlet/outlet lists are a few hundred cells.
+        let prefetch = self.prefetch && !S::CELL_LOCAL && matches!(kind, Kind::Bulk);
+        let mut i = start;
+        while i + w <= list.len() {
+            let cells = &list[i..i + w];
+            // Staged lane-outer: `staged[q][lane]` is lane `lane`'s direction
+            // `q`. Staging moves bytes, never arithmetic. Transposing while
+            // gathering is deliberate: staging whole rows per lane and
+            // transposing at `V::load` measured −30% on the 8-lane f32 rows.
+            let mut staged = [[R::ZERO; VEC_MAXW]; Q19];
+            for (lane, &cell) in cells.iter().enumerate() {
+                if prefetch {
+                    self.prefetch_ahead::<S, L>(a, list, i + lane);
+                }
+                let row = self.gather::<S, L>(a, cell as usize);
+                for q in 0..Q19 {
+                    staged[q][lane] = row[q];
+                }
+            }
+            let mut fin = [V::splat(R::ZERO); Q19];
+            for q in 0..Q19 {
+                fin[q] = V::load(&staged[q]);
+            }
+            let fout = self.collide::<V>(kind, cells, &fin);
+            let mut staged = [[R::ZERO; VEC_MAXW]; Q19];
+            for q in 0..Q19 {
+                fout[q].store(&mut staged[q]);
+            }
+            for (lane, &cell) in cells.iter().enumerate() {
+                let mut row = [R::ZERO; Q19];
+                for q in 0..Q19 {
+                    row[q] = staged[q][lane];
+                }
+                self.scatter::<S, L>(a, cell as usize, &row);
+            }
+            i += w;
+        }
+        i
+    }
+
+    /// Update every cell with id in `cells`: bulk cells `V::WIDTH` at a
+    /// time, then the bulk remainder and the few inlet/outlet cells through
+    /// the `V = R` instantiation of the same body.
+    fn update_range<V: Lane<R>, S: Stream, L: LayoutIdx>(
+        &self,
+        a: &Arrays<'_, R>,
+        cells: std::ops::Range<usize>,
+    ) {
+        let kinds = self.kinds;
+        let bulk = kinds.bulk.in_range(cells.start, cells.end);
+        let rest = self.sweep::<V, S, L>(a, Kind::Bulk, bulk, 0);
+        self.sweep::<R, S, L>(a, Kind::Bulk, bulk, rest);
+        let inlet = kinds.inlet.in_range(cells.start, cells.end);
+        self.sweep::<R, S, L>(a, Kind::Inlet, inlet, 0);
+        let outlet = kinds.outlet.in_range(cells.start, cells.end);
+        self.sweep::<R, S, L>(a, Kind::Outlet, outlet, 0);
+    }
+
+    /// One sweep of stream `S` over the whole mesh, on `workers` logical
+    /// workers of the shared pool. Any partition of the cell range is
+    /// race-free and bit-identical to serial (module docs).
+    fn run<S: Stream, L: LayoutIdx>(
+        &self,
+        exec: ExecKind,
+        src: &[R],
+        dst: &mut [R],
+        workers: usize,
+    ) {
+        pool::global().par_owner_mut_workers(dst, self.mesh.len(), workers, |cells, dst| {
+            let a = Arrays { src, dst };
+            match exec {
+                ExecKind::Scalar => self.update_range::<R, S, L>(&a, cells),
+                ExecKind::VectorWide => self.update_range::<R::Wide, S, L>(&a, cells),
+                ExecKind::VectorAccel => self.update_range::<R::Accel, S, L>(&a, cells),
+            }
+        });
+    }
+
+    fn advance_in<L: LayoutIdx>(
+        &self,
+        propagation: Propagation,
+        even: bool,
+        exec: ExecKind,
+        f: &mut Vec<R>,
+        f_tmp: &mut Vec<R>,
+        workers: usize,
+    ) {
+        match propagation {
+            Propagation::Ab => {
+                self.run::<AbPull, L>(exec, f, f_tmp, workers);
+                std::mem::swap(f, f_tmp);
+            }
+            Propagation::Aa if even => self.run::<AaEven, L>(exec, &[], f, workers),
+            Propagation::Aa => self.run::<AaOdd, L>(exec, &[], f, workers),
+        }
+    }
+
+    /// Advance `f` one timestep of `kernel`: AB pulls `f` into `f_tmp` and
+    /// swaps them; AA updates `f` in place, the cell-local step when
+    /// `even` steps have been taken so far, else the streaming step.
+    pub(crate) fn advance(
+        &self,
+        kernel: &KernelConfig,
+        even: bool,
+        exec: ExecKind,
+        f: &mut Vec<R>,
+        f_tmp: &mut Vec<R>,
+        workers: usize,
+    ) {
+        match kernel.layout {
+            Layout::Aos => {
+                self.advance_in::<AosIdx>(kernel.propagation, even, exec, f, f_tmp, workers)
+            }
+            Layout::Soa => {
+                self.advance_in::<SoaIdx>(kernel.propagation, even, exec, f, f_tmp, workers)
+            }
+        }
+    }
 }
 
 impl Solver {
     /// Initialize the solver at rest (`ρ = 1`, `u = 0`) and precompute the
     /// inlet Poiseuille profile. Metrics bind to the global registry; use
-    /// [`Solver::new_in`] to bind elsewhere (and to keep the
-    /// [`KernelSelect::Auto`] calibration burst out of the global
-    /// counters).
+    /// [`Solver::new_in`] to bind elsewhere.
     pub fn new(mesh: FluidMesh, config: SolverConfig) -> Self {
         Self::new_in(mesh, config, hemocloud_obs::global())
     }
 
-    /// [`Solver::new`] with an explicit metrics registry. When
-    /// [`SolverConfig::select`] is [`KernelSelect::Auto`], a short
-    /// calibration burst is timed here (on scratch solvers bound to a
-    /// private registry, so no calibration steps leak into `registry`) and
-    /// the winning `simd × traversal` combination replaces the configured
-    /// one; the full sweep is kept in [`Solver::autotune_report`].
+    /// [`Solver::new`] with an explicit metrics registry.
     pub fn new_in(mesh: FluidMesh, config: SolverConfig, registry: &Registry) -> Self {
         assert!(config.tau > 0.5, "tau must exceed 1/2 for stability");
         assert!(
             config.kernel.precision != Precision::Quad,
             "Quad precision is model-only; runtime storage is f32 or f64"
         );
-        let (config, autotune) = if config.select == KernelSelect::Auto {
-            let report = autotune_sweep(&mesh, &config);
-            // Record the choice: a counter keyed by the winning combo, so
-            // a snapshot shows *what* was selected, not just that a sweep
-            // ran. The key is wall-clock-dependent (that is the point of
-            // autotuning) — deterministic-snapshot consumers construct
-            // `Auto` solvers outside their capture window, as
-            // `bench_baseline` does.
-            registry
-                .counter(&format!(
-                    "lbm.autotune.selected.{}.{}",
-                    report.simd.label(),
-                    report.traversal.name()
-                ))
-                .inc();
-            let tuned = SolverConfig {
-                simd: report.simd,
-                traversal: report.traversal,
-                select: KernelSelect::Fixed,
-                ..config
-            };
-            (tuned, Some(report))
-        } else {
-            (config, None)
-        };
         let n = mesh.len();
         // AA streams in place: the scratch array is never allocated.
         let ab = matches!(config.kernel.propagation, Propagation::Ab);
@@ -642,18 +789,14 @@ impl Solver {
             }
         };
 
-        // NOTE: the profile folds inlet centroids in ascending cell-id
-        // order; it must be computed before (and independently of) the
-        // traversal permutation, or reordering would reassociate its
-        // floating-point sums and change the boundary data bits. The f32
-        // copy is the f64 profile rounded once, not a re-derivation.
-        let (inlet_slot, inlet_vel) = Self::poiseuille_profile(&mesh, &config);
+        // The f32 copy is the f64 profile rounded once, not a
+        // re-derivation.
+        let (inlet_slot, inlet_vel) = poiseuille_profile_for(&mesh, &config);
         let inlet_vel_f32 = inlet_vel
             .iter()
             .map(|v| [v[0] as f32, v[1] as f32, v[2] as f32])
             .collect();
-        let order = traversal::permutation(&mesh, config.traversal.order);
-        let kinds = KindLists::build(&mesh, &order);
+        let kinds = KindLists::build(&mesh);
 
         Self {
             mesh,
@@ -666,7 +809,6 @@ impl Solver {
             inlet_vel_f32,
             kinds,
             steps_taken: 0,
-            autotune,
             obs: SolverObs::from_registry(registry),
         }
     }
@@ -676,74 +818,6 @@ impl Solver {
     /// process-level parallelism cannot cross-pollute their counters.
     pub fn use_registry(&mut self, registry: &Registry) {
         self.obs = SolverObs::from_registry(registry);
-    }
-
-    /// Compute the prescribed inlet velocities: a parabolic profile over
-    /// the inlet cross-section, `u(r) = u_max (1 - (r/R)²)` along the flow
-    /// direction.
-    fn poiseuille_profile(mesh: &FluidMesh, config: &SolverConfig) -> (Vec<u32>, Vec<[f64; 3]>) {
-        poiseuille_profile_for(mesh, config)
-    }
-}
-
-/// The [`KernelSelect::Auto`] calibration sweep: time each
-/// `simd × traversal` candidate on a scratch solver (warmup then a short
-/// timed burst) and keep the fastest. Candidates compute identical bits —
-/// only wall-clock differs — and the scratch solvers bind to a throwaway
-/// registry, so the sweep perturbs neither physics nor the caller's
-/// metrics. The winner is decided by strict `<` in sweep order, making
-/// tie-breaks deterministic even if the timings are not.
-fn autotune_sweep(mesh: &FluidMesh, config: &SolverConfig) -> AutotuneReport {
-    const WARMUP_STEPS: u64 = 2;
-    const TIMED_STEPS: u64 = 4;
-    let mut traversals: Vec<TraversalConfig> = Vec::new();
-    for cand in [
-        config.traversal,
-        TraversalConfig::natural(),
-        TraversalConfig::tuned(),
-    ] {
-        if traversals.iter().all(|t| t.name() != cand.name()) {
-            traversals.push(cand);
-        }
-    }
-    let scratch = Registry::new();
-    let mut candidates = Vec::new();
-    let mut best: Option<(f64, SimdPath, TraversalConfig)> = None;
-    for simd in [SimdPath::Scalar, SimdPath::Vector] {
-        for &trav in &traversals {
-            let mut s = Solver::new_in(
-                mesh.clone(),
-                SolverConfig {
-                    simd,
-                    traversal: trav,
-                    select: KernelSelect::Fixed,
-                    ..*config
-                },
-                &scratch,
-            );
-            for _ in 0..WARMUP_STEPS {
-                s.step();
-            }
-            let t0 = std::time::Instant::now();
-            for _ in 0..TIMED_STEPS {
-                s.step();
-            }
-            let seconds = t0.elapsed().as_secs_f64();
-            candidates.push(AutotuneCandidate {
-                simd,
-                traversal: trav.name(),
-                seconds,
-            });
-            if best.is_none_or(|(b, _, _)| seconds < b) {
-                best = Some((seconds, simd, trav));
-            }
-        }
-    }
-    let (_, simd, traversal) = best.expect("autotune sweep has at least one candidate");
-    AutotuneReport {
-        candidates,
-        simd,
-        traversal,
     }
 }
 
@@ -810,530 +884,6 @@ pub fn poiseuille_profile_for(
     }
 }
 
-/// AB pull-scheme gather: the value arriving along `q` comes from the
-/// neighbor opposite `q`; a solid link reflects this cell's own
-/// opposite-direction value from the previous step.
-#[inline]
-fn gather_ab<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    src: &[R],
-    n: usize,
-    cell: usize,
-) -> [R; Q19] {
-    let mut fin = [R::ZERO; Q19];
-    let row = mesh.neighbor_row(cell);
-    for q in 0..Q19 {
-        let nb = row[opposite(q)];
-        fin[q] = if nb == SOLID {
-            src[L::at(cell, opposite(q), n)]
-        } else {
-            src[L::at(nb as usize, q, n)]
-        };
-    }
-    fin
-}
-
-/// AA even-step read: the cell's own row, in place.
-#[inline]
-fn read_own_row<L: LayoutIdx, R: Real>(f: &DisjointMut<'_, R>, n: usize, cell: usize) -> [R; Q19] {
-    let mut fin = [R::ZERO; Q19];
-    for (q, v) in fin.iter_mut().enumerate() {
-        // Safety: slot (cell, q) belongs to `cell` alone this step.
-        *v = unsafe { f.read(L::at(cell, q, n)) };
-    }
-    fin
-}
-
-/// AA even-step write: the cell's opposite slots, in place. The row was
-/// fully read before the first write.
-#[inline]
-fn write_opposite_row<L: LayoutIdx, R: Real>(
-    f: &DisjointMut<'_, R>,
-    n: usize,
-    cell: usize,
-    row: &[R; Q19],
-) {
-    for q in 0..Q19 {
-        // Safety: same per-cell slot set the reads used.
-        unsafe { f.write(L::at(cell, opposite(q), n), row[q]) };
-    }
-}
-
-/// AA odd-step gather: each arriving value from the `-c_q` neighbor's
-/// opposite slot; bounce-back folds onto the cell's own slot.
-#[inline]
-fn gather_aa_odd<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    f: &DisjointMut<'_, R>,
-    n: usize,
-    cell: usize,
-) -> [R; Q19] {
-    let mut fin = [R::ZERO; Q19];
-    let row = mesh.neighbor_row(cell);
-    for q in 0..Q19 {
-        let nb = row[opposite(q)];
-        // Safety: slot belongs to `cell`'s AA-odd slot set.
-        fin[q] = if nb == SOLID {
-            unsafe { f.read(L::at(cell, q, n)) }
-        } else {
-            unsafe { f.read(L::at(nb as usize, opposite(q), n)) }
-        };
-    }
-    fin
-}
-
-/// AA odd-step scatter: forward into the `+c_q` neighbors' slots — the
-/// identical slot set the gather read, fully read before the first write.
-#[inline]
-fn scatter_aa_odd<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    f: &DisjointMut<'_, R>,
-    n: usize,
-    cell: usize,
-    out: &[R; Q19],
-) {
-    let row = mesh.neighbor_row(cell);
-    for q in 0..Q19 {
-        let nb = row[q];
-        // Safety: identical slot set as the gather above.
-        if nb == SOLID {
-            unsafe { f.write(L::at(cell, opposite(q), n), out[q]) };
-        } else {
-            unsafe { f.write(L::at(nb as usize, q, n), out[q]) };
-        }
-    }
-}
-
-/// AB update of every destination cell whose traversal position falls
-/// in `positions`: gather from `src`, collide/apply boundary
-/// conditions, write the destination view. Each cell's 19 values are a
-/// pure function of `src` and the write slots of distinct cells are
-/// disjoint (`LayoutIdx::at` is injective), so any partition of the
-/// position range is race-free and bit-identical to serial — and any
-/// traversal permutation, blocking, or prefetch setting leaves the
-/// bits unchanged too.
-#[allow(clippy::too_many_arguments)]
-fn ab_update_range<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    src: &[R],
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    out: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    let pf = trav.prefetch;
-    let write = |cell: usize, row: &[R; Q19]| {
-        for q in 0..Q19 {
-            // Safety: slot (cell, q) belongs to `cell` alone.
-            unsafe { out.write(L::at(cell, q, n), row[q]) };
-        }
-    };
-    for_each_block(positions, trav.block, |first, end| {
-        let list = kinds.bulk.in_range(first, end);
-        for (i, &cell) in list.iter().enumerate() {
-            if pf {
-                prefetch_ab_gather::<L, R>(mesh, src.as_ptr(), n, list, i);
-            }
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]));
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// Vectorized AB update: lane-width groups of bulk cells go through the
-/// fused gather–collide–scatter ([`collide_bulk_group`]); remainder
-/// lanes and the few inlet/outlet cells fall through to the scalar
-/// path. Bitwise identical to [`ab_update_range`] — module docs.
-#[allow(clippy::too_many_arguments)]
-fn ab_update_range_vec<L: LayoutIdx, R: Real, V: Lane<R>>(
-    mesh: &FluidMesh,
-    src: &[R],
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    out: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    let pf = trav.prefetch;
-    let w = V::WIDTH;
-    debug_assert!(w <= VEC_MAXW);
-    let write = |cell: usize, row: &[R; Q19]| {
-        for q in 0..Q19 {
-            // Safety: slot (cell, q) belongs to `cell` alone.
-            unsafe { out.write(L::at(cell, q, n), row[q]) };
-        }
-    };
-    for_each_block(positions, trav.block, |first, end| {
-        let list = kinds.bulk.in_range(first, end);
-        let mut i = 0;
-        while i + w <= list.len() {
-            let mut fin = [[R::ZERO; VEC_MAXW]; Q19];
-            for lane in 0..w {
-                if pf {
-                    prefetch_ab_gather::<L, R>(mesh, src.as_ptr(), n, list, i + lane);
-                }
-                let g = gather_ab::<L, R>(mesh, src, n, list[i + lane] as usize);
-                for q in 0..Q19 {
-                    fin[q][lane] = g[q];
-                }
-            }
-            let rows = collide_bulk_group::<R, V>(&fin, omega);
-            for lane in 0..w {
-                let cell = list[i + lane] as usize;
-                for q in 0..Q19 {
-                    // Safety: slot (cell, q) belongs to `cell` alone.
-                    unsafe { out.write(L::at(cell, q, n), rows[q][lane]) };
-                }
-            }
-            i += w;
-        }
-        for (j, &cell) in list.iter().enumerate().skip(i) {
-            if pf {
-                prefetch_ab_gather::<L, R>(mesh, src.as_ptr(), n, list, j);
-            }
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]));
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_ab::<L, R>(mesh, src, n, cell);
-            write(cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// AA even step over `cells`: purely cell-local — read the cell's own
-/// row, collide, write the opposite slots in place. No streaming-index
-/// traffic, no scratch array.
-#[allow(clippy::too_many_arguments)]
-fn aa_even_range<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    f: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    // No prefetch here: the even step is purely cell-local, so its
-    // access stream is the list itself — the hardware prefetcher's
-    // easiest case.
-    for_each_block(positions, trav.block, |first, end| {
-        for &cell in kinds.bulk.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(f, n, cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(
-                f,
-                n,
-                cell,
-                &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            );
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(f, n, cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// Vectorized AA even step: lane-width groups of bulk cells through the
-/// fused in-place collide; remainder and boundary cells scalar. Bitwise
-/// identical to [`aa_even_range`].
-#[allow(clippy::too_many_arguments)]
-fn aa_even_range_vec<L: LayoutIdx, R: Real, V: Lane<R>>(
-    mesh: &FluidMesh,
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    f: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    let w = V::WIDTH;
-    debug_assert!(w <= VEC_MAXW);
-    for_each_block(positions, trav.block, |first, end| {
-        let list = kinds.bulk.in_range(first, end);
-        let mut i = 0;
-        while i + w <= list.len() {
-            let mut fin = [[R::ZERO; VEC_MAXW]; Q19];
-            for lane in 0..w {
-                let g = read_own_row::<L, R>(f, n, list[i + lane] as usize);
-                for q in 0..Q19 {
-                    fin[q][lane] = g[q];
-                }
-            }
-            let rows = collide_bulk_group::<R, V>(&fin, omega);
-            for lane in 0..w {
-                let cell = list[i + lane] as usize;
-                for q in 0..Q19 {
-                    // Safety: same per-cell slot set the reads used.
-                    unsafe { f.write(L::at(cell, opposite(q), n), rows[q][lane]) };
-                }
-            }
-            i += w;
-        }
-        for &cell in &list[i..] {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(f, n, cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(
-                f,
-                n,
-                cell,
-                &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            );
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = read_own_row::<L, R>(f, n, cell);
-            write_opposite_row::<L, R>(f, n, cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// AA odd step over `cells`: gather each arriving value from the
-/// `-c_q` neighbor's opposite slot (bounce-back folds onto the cell's
-/// own slot), collide, scatter forward into the `+c_q` neighbors'
-/// slots. Per cell the write set equals the read set and the sets of
-/// distinct cells are disjoint (module docs), so the scattered writes
-/// are race-free under any cell partition.
-#[allow(clippy::too_many_arguments)]
-fn aa_odd_range<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    f: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    let pf = trav.prefetch;
-    for_each_block(positions, trav.block, |first, end| {
-        let list = kinds.bulk.in_range(first, end);
-        for (i, &cell) in list.iter().enumerate() {
-            if pf {
-                prefetch_aa_odd::<L, R>(mesh, f.as_ptr(), n, list, i);
-            }
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(mesh, f, n, cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(
-                mesh,
-                f,
-                n,
-                cell,
-                &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            );
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(mesh, f, n, cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// Vectorized AA odd step: lane-width groups of bulk cells through the
-/// fused gather–collide–scatter; remainder and boundary cells scalar.
-/// Grouping is safe because distinct cells' AA-odd slot sets are
-/// pairwise disjoint (module docs) — deferring a lane's scatter past
-/// another lane's gather cannot change what either observes. Bitwise
-/// identical to [`aa_odd_range`].
-#[allow(clippy::too_many_arguments)]
-fn aa_odd_range_vec<L: LayoutIdx, R: Real, V: Lane<R>>(
-    mesh: &FluidMesh,
-    omega: R,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    positions: std::ops::Range<usize>,
-    f: &DisjointMut<'_, R>,
-) {
-    let n = mesh.len();
-    let pf = trav.prefetch;
-    let w = V::WIDTH;
-    debug_assert!(w <= VEC_MAXW);
-    for_each_block(positions, trav.block, |first, end| {
-        let list = kinds.bulk.in_range(first, end);
-        let mut i = 0;
-        while i + w <= list.len() {
-            let mut fin = [[R::ZERO; VEC_MAXW]; Q19];
-            for lane in 0..w {
-                if pf {
-                    prefetch_aa_odd::<L, R>(mesh, f.as_ptr(), n, list, i + lane);
-                }
-                let g = gather_aa_odd::<L, R>(mesh, f, n, list[i + lane] as usize);
-                for q in 0..Q19 {
-                    fin[q][lane] = g[q];
-                }
-            }
-            let rows = collide_bulk_group::<R, V>(&fin, omega);
-            for lane in 0..w {
-                let cell = list[i + lane] as usize;
-                let mut out = [R::ZERO; Q19];
-                for q in 0..Q19 {
-                    out[q] = rows[q][lane];
-                }
-                scatter_aa_odd::<L, R>(mesh, f, n, cell, &out);
-            }
-            i += w;
-        }
-        for (j, &cell) in list.iter().enumerate().skip(i) {
-            if pf {
-                prefetch_aa_odd::<L, R>(mesh, f.as_ptr(), n, list, j);
-            }
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(mesh, f, n, cell, &bulk_out(&fin, omega));
-        }
-        for &cell in kinds.inlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(
-                mesh,
-                f,
-                n,
-                cell,
-                &inlet_out(&fin, inlet_vel[inlet_slot[cell] as usize]),
-            );
-        }
-        for &cell in kinds.outlet.in_range(first, end) {
-            let cell = cell as usize;
-            let fin = gather_aa_odd::<L, R>(mesh, f, n, cell);
-            scatter_aa_odd::<L, R>(mesh, f, n, cell, &outlet_out(&fin));
-        }
-    });
-}
-
-/// One AB step at element precision `R`, dispatching the resolved
-/// execution strategy onto the owner-computes scheduler.
-#[allow(clippy::too_many_arguments)]
-fn run_ab<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    src: &[R],
-    dst: &mut [R],
-    omega: f64,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    exec: ExecKind,
-    workers: usize,
-) {
-    let n = mesh.len();
-    let om = R::from_f64(omega);
-    match exec {
-        ExecKind::Scalar => dispatch_owner(trav, dst, n, workers, |cells, out| {
-            ab_update_range::<L, R>(mesh, src, om, inlet_slot, inlet_vel, kinds, trav, cells, out)
-        }),
-        ExecKind::VectorWide => dispatch_owner(trav, dst, n, workers, |cells, out| {
-            ab_update_range_vec::<L, R, R::Wide>(
-                mesh, src, om, inlet_slot, inlet_vel, kinds, trav, cells, out,
-            )
-        }),
-        ExecKind::VectorAccel => dispatch_owner(trav, dst, n, workers, |cells, out| {
-            ab_update_range_vec::<L, R, R::Accel>(
-                mesh, src, om, inlet_slot, inlet_vel, kinds, trav, cells, out,
-            )
-        }),
-    }
-}
-
-/// One AA step (either parity) at element precision `R`, dispatching
-/// the resolved execution strategy onto the owner-computes scheduler.
-#[allow(clippy::too_many_arguments)]
-fn run_aa<L: LayoutIdx, R: Real>(
-    mesh: &FluidMesh,
-    f: &mut [R],
-    even: bool,
-    omega: f64,
-    inlet_slot: &[u32],
-    inlet_vel: &[[R; 3]],
-    kinds: &KindLists,
-    trav: &TraversalConfig,
-    exec: ExecKind,
-    workers: usize,
-) {
-    let n = mesh.len();
-    let om = R::from_f64(omega);
-    match exec {
-        ExecKind::Scalar => dispatch_owner(trav, f, n, workers, |cells, f| {
-            if even {
-                aa_even_range::<L, R>(mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f);
-            } else {
-                aa_odd_range::<L, R>(mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f);
-            }
-        }),
-        ExecKind::VectorWide => dispatch_owner(trav, f, n, workers, |cells, f| {
-            if even {
-                aa_even_range_vec::<L, R, R::Wide>(
-                    mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f,
-                );
-            } else {
-                aa_odd_range_vec::<L, R, R::Wide>(
-                    mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f,
-                );
-            }
-        }),
-        ExecKind::VectorAccel => dispatch_owner(trav, f, n, workers, |cells, f| {
-            if even {
-                aa_even_range_vec::<L, R, R::Accel>(
-                    mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f,
-                );
-            } else {
-                aa_odd_range_vec::<L, R, R::Accel>(
-                    mesh, om, inlet_slot, inlet_vel, kinds, trav, cells, f,
-                );
-            }
-        }),
-    }
-}
-
 impl Solver {
     /// The mesh being simulated.
     pub fn mesh(&self) -> &FluidMesh {
@@ -1376,98 +926,9 @@ impl Solver {
         self.exec.label()
     }
 
-    /// The calibration sweep report, when this solver was built with
-    /// [`KernelSelect::Auto`].
-    pub fn autotune_report(&self) -> Option<&AutotuneReport> {
-        self.autotune.as_ref()
-    }
-
-    fn step_ab<L: LayoutIdx>(&mut self, workers: usize) {
-        let mesh = &self.mesh;
-        let omega = self.omega;
-        let inlet_slot = &self.inlet_slot;
-        let kinds = &self.kinds;
-        let trav = self.config.traversal;
-        let exec = self.exec;
-        match &mut self.store {
-            Store::F64 { f, f_tmp } => {
-                run_ab::<L, f64>(
-                    mesh,
-                    f,
-                    f_tmp,
-                    omega,
-                    inlet_slot,
-                    &self.inlet_vel,
-                    kinds,
-                    &trav,
-                    exec,
-                    workers,
-                );
-                std::mem::swap(f, f_tmp);
-            }
-            Store::F32 { f, f_tmp } => {
-                run_ab::<L, f32>(
-                    mesh,
-                    f,
-                    f_tmp,
-                    omega,
-                    inlet_slot,
-                    &self.inlet_vel_f32,
-                    kinds,
-                    &trav,
-                    exec,
-                    workers,
-                );
-                std::mem::swap(f, f_tmp);
-            }
-        }
-    }
-
-    fn step_aa<L: LayoutIdx>(&mut self, workers: usize) {
-        let even = self.steps_taken.is_multiple_of(2);
-        let mesh = &self.mesh;
-        let omega = self.omega;
-        let inlet_slot = &self.inlet_slot;
-        let kinds = &self.kinds;
-        let trav = self.config.traversal;
-        let exec = self.exec;
-        match &mut self.store {
-            Store::F64 { f, .. } => run_aa::<L, f64>(
-                mesh,
-                f,
-                even,
-                omega,
-                inlet_slot,
-                &self.inlet_vel,
-                kinds,
-                &trav,
-                exec,
-                workers,
-            ),
-            Store::F32 { f, .. } => run_aa::<L, f32>(
-                mesh,
-                f,
-                even,
-                omega,
-                inlet_slot,
-                &self.inlet_vel_f32,
-                kinds,
-                &trav,
-                exec,
-                workers,
-            ),
-        }
-    }
-
     /// Advance one timestep.
     pub fn step(&mut self) {
-        let workers = if self.config.parallel && self.mesh.len() >= self.config.parallel_threshold
-        {
-            pool::global().threads()
-        } else {
-            1
-        };
-        self.step_with_workers(workers);
+        self.step_with_workers(default_workers(self.config.parallel, self.mesh.len()));
     }
 
     /// Advance one timestep with an explicit logical worker count (≥ 1).
@@ -1476,11 +937,31 @@ impl Solver {
     /// tests can pin the schedule without a host-width pool.
     pub fn step_with_workers(&mut self, workers: usize) {
         let start = std::time::Instant::now();
-        match (self.config.kernel.propagation, self.config.kernel.layout) {
-            (Propagation::Ab, Layout::Aos) => self.step_ab::<AosIdx>(workers),
-            (Propagation::Ab, Layout::Soa) => self.step_ab::<SoaIdx>(workers),
-            (Propagation::Aa, Layout::Aos) => self.step_aa::<AosIdx>(workers),
-            (Propagation::Aa, Layout::Soa) => self.step_aa::<SoaIdx>(workers),
+        let even = self.steps_taken.is_multiple_of(2);
+        let kernel = &self.config.kernel;
+        let (mesh, kinds, inlet_slot) = (&self.mesh, &self.kinds, &self.inlet_slot[..]);
+        let (prefetch, remote) = (self.config.prefetch, NoRemote);
+        match &mut self.store {
+            Store::F64 { f, f_tmp } => Sweep {
+                mesh,
+                kinds,
+                omega: self.omega,
+                inlet_slot,
+                inlet_vel: &self.inlet_vel,
+                prefetch,
+                remote,
+            }
+            .advance(kernel, even, self.exec, f, f_tmp, workers),
+            Store::F32 { f, f_tmp } => Sweep {
+                mesh,
+                kinds,
+                omega: self.omega as f32,
+                inlet_slot,
+                inlet_vel: &self.inlet_vel_f32,
+                prefetch,
+                remote,
+            }
+            .advance(kernel, even, self.exec, f, f_tmp, workers),
         }
         self.steps_taken += 1;
         self.obs.record_step(&self.kinds, start.elapsed().as_secs_f64());
@@ -1635,19 +1116,14 @@ fn widen_gather<R: Real>(
     let row = mesh.neighbor_row(cell);
     let mut fin = [0.0f64; Q19];
     for (q, v) in fin.iter_mut().enumerate() {
-        let nb = row[opposite(q)];
-        *v = if nb == SOLID {
-            f[flat_index(layout, cell, opposite(q), n)]
-        } else {
-            f[flat_index(layout, nb as usize, q, n)]
-        }
-        .to_f64();
+        let (from, fq) = AbPull::source(row, cell, q);
+        *v = f[flat_index(layout, from, fq, n)].to_f64();
     }
     fin
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hemocloud_geometry::anatomy::CylinderSpec;
     use hemocloud_geometry::classify::classify_walls;
@@ -1794,61 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree_bitwise() {
-        // parallel_threshold: 0 forces the threaded path on this small
-        // cylinder, so the test genuinely compares the two schedules.
-        let mesh = cylinder_mesh();
-        let mut a = Solver::new(
-            mesh.clone(),
-            SolverConfig {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let mut b = Solver::new(
-            mesh,
-            SolverConfig {
-                parallel: true,
-                parallel_threshold: 0,
-                ..Default::default()
-            },
-        );
-        for _ in 0..20 {
-            a.step();
-            b.step();
-        }
-        for (x, y) in a.distributions().iter().zip(b.distributions()) {
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise_for_every_kernel_config() {
-        // The acceptance bar for the owner-computes primitive: AA (both
-        // layouts) and AB/SoA must be bit-identical to serial at 1, 2, 3,
-        // and 8 logical workers — including mid-pair (odd) AA states.
-        let mesh = cylinder_mesh();
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse(prop, layout);
-                let mut reference = Solver::new(mesh.clone(), config_for(kernel));
-                for _ in 0..21 {
-                    reference.step_with_workers(1);
-                }
-                for workers in [1usize, 2, 3, 8] {
-                    let mut s = Solver::new(mesh.clone(), config_for(kernel));
-                    for _ in 0..21 {
-                        s.step_with_workers(workers);
-                    }
-                    for (a, b) in reference.distributions().iter().zip(s.distributions()) {
-                        assert_eq!(a, b, "{prop:?}/{layout:?} diverged at {workers} workers");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn aa_moments_match_ab_post_stream_on_the_sparse_mesh() {
         // The sparse-mesh twin of the proxy's AA/AB equivalence: from the
         // shared rest start, after an even number of steps the AA state is
@@ -1958,14 +1379,12 @@ mod tests {
             let mut s = Solver::new(
                 FluidMesh::build(&g),
                 SolverConfig {
-                    parallel: true,
-                    parallel_threshold: 0,
                     kernel,
                     ..Default::default()
                 },
             );
             for _ in 0..100 {
-                s.step();
+                s.step_with_workers(pool.threads());
             }
             assert!(s.distributions().iter().all(|v| v.is_finite()));
         }
@@ -2010,11 +1429,9 @@ mod tests {
 
     // ---- KindList::in_range --------------------------------------------
 
-    /// A kind list under the natural traversal: positions equal cell ids.
     fn identity_list(cells: &[u32]) -> KindList {
         KindList {
             cells: cells.to_vec(),
-            pos: cells.to_vec(),
         }
     }
 
@@ -2046,44 +1463,19 @@ mod tests {
     }
 
     #[test]
-    fn in_range_slices_by_position_not_cell_id() {
-        // A permuted traversal: positions ascend while cell ids do not —
-        // in_range must cut by position and return cells in visit order.
-        let list = KindList {
-            cells: vec![9, 2, 5],
-            pos: vec![1, 4, 6],
-        };
-        assert_eq!(list.in_range(0, 2), &[9]);
-        assert_eq!(list.in_range(2, 5), &[2]);
-        assert_eq!(list.in_range(0, 7), &[9, 2, 5]);
-        assert_eq!(list.in_range(5, 100), &[5]);
-    }
-
-    #[test]
     fn in_range_subranges_partition_each_kind_list_exactly() {
-        // Property: for any random kind partition of 0..n, any random
-        // traversal permutation, and any random chunk partition of the
-        // position range, concatenating the per-chunk sub-ranges
-        // reproduces each kind list exactly — the invariant the parallel
-        // sweep relies on for full, duplicate-free coverage.
+        // Property: for any random kind partition of 0..n and any random
+        // chunk partition of the cell range, concatenating the per-chunk
+        // sub-ranges reproduces each kind list exactly — the invariant the
+        // parallel sweep relies on for full, duplicate-free coverage.
         check::run(
             "in_range_subranges_partition_each_kind_list_exactly",
             Config::cases(32),
             |rng| {
                 let n = rng.range_usize(1, 400);
-                // A random permutation as the traversal order.
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                for p in (1..n).rev() {
-                    order.swap(p, rng.range_usize(0, p + 1));
-                }
-                let mut lists = [(); 3].map(|_| KindList {
-                    cells: Vec::new(),
-                    pos: Vec::new(),
-                });
-                for (p, &cell) in order.iter().enumerate() {
-                    let k = rng.range_usize(0, 3);
-                    lists[k].cells.push(cell);
-                    lists[k].pos.push(p as u32);
+                let mut lists = [(); 3].map(|_| identity_list(&[]));
+                for cell in 0..n as u32 {
+                    lists[rng.range_usize(0, 3)].cells.push(cell);
                 }
                 // Random ascending chunk boundaries over [0, n].
                 let mut cuts = vec![0usize, n];
@@ -2102,194 +1494,93 @@ mod tests {
         );
     }
 
-    // ---- traversal-permutation oracle ----------------------------------
+    // ---- the execution oracle -------------------------------------------
 
-    #[test]
-    fn kind_lists_under_permuted_order_cover_the_mesh_in_visit_order() {
-        let mesh = cylinder_mesh();
-        let order = crate::traversal::permutation(&mesh, crate::traversal::TraversalOrder::Morton);
-        let kinds = KindLists::build(&mesh, &order);
-        assert_eq!(
-            kinds.bulk.len() + kinds.inlet.len() + kinds.outlet.len(),
-            mesh.len()
-        );
-        // Reassembling the three lists by position reproduces the order.
-        let mut by_pos = vec![u32::MAX; mesh.len()];
-        for list in [&kinds.bulk, &kinds.inlet, &kinds.outlet] {
-            for (&cell, &p) in list.cells.iter().zip(&list.pos) {
-                assert_eq!(by_pos[p as usize], u32::MAX, "position {p} claimed twice");
-                by_pos[p as usize] = cell;
-            }
-        }
-        assert_eq!(by_pos, order);
-    }
-
-    #[test]
-    fn every_traversal_config_is_bitwise_identical_to_the_default_order() {
-        // The oracle the tentpole rests on: traversal order, cache
-        // blocking, prefetch, and the stealing schedule are all
-        // bit-neutral, for every kernel config, at logical worker counts
-        // 1/2/3/8, with stealing on and off. `steal_chunk: 16` forces
-        // many chunks per worker so the stealing machinery genuinely
-        // engages on this small mesh.
-        let mesh = cylinder_mesh();
-        let traversals = [
-            TraversalConfig::natural(),
-            TraversalConfig::morton(),
-            TraversalConfig {
-                block: 64,
-                prefetch: true,
-                ..TraversalConfig::natural()
-            },
-            TraversalConfig {
-                stealing: true,
-                steal_chunk: 16,
-                ..TraversalConfig::natural()
-            },
-            TraversalConfig {
-                steal_chunk: 16,
-                ..TraversalConfig::tuned()
-            },
-        ];
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse(prop, layout);
-                let mut reference = Solver::new(mesh.clone(), config_for(kernel));
-                for _ in 0..13 {
-                    reference.step_with_workers(1);
-                }
-                for trav in traversals {
-                    for workers in [1usize, 2, 3, 8] {
-                        let mut s = Solver::new(
-                            mesh.clone(),
-                            SolverConfig {
-                                traversal: trav,
-                                ..config_for(kernel)
-                            },
-                        );
-                        for _ in 0..13 {
-                            s.step_with_workers(workers);
-                        }
-                        assert_eq!(
-                            reference.distributions(),
-                            s.distributions(),
-                            "{prop:?}/{layout:?} diverged under {} at {workers} workers",
-                            trav.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- explicit-vectorization oracles --------------------------------
-
-    #[test]
-    fn vector_path_is_bitwise_identical_to_scalar_for_every_kernel_config() {
-        // The tentpole's acceptance oracle: the fused vector collide-stream
-        // must reproduce the scalar kernel bit for bit, for every
-        // propagation × layout, across traversals and worker counts —
-        // including mid-pair (odd) AA states, hence 13 steps.
-        let mesh = cylinder_mesh();
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse(prop, layout);
-                let mut scalar = Solver::new(
-                    mesh.clone(),
-                    SolverConfig {
-                        simd: SimdPath::Scalar,
-                        ..config_for(kernel)
-                    },
-                );
-                for _ in 0..13 {
-                    scalar.step_with_workers(1);
-                }
-                for trav in [TraversalConfig::natural(), TraversalConfig::tuned()] {
-                    for workers in [1usize, 2, 8] {
-                        let mut v = Solver::new(
-                            mesh.clone(),
-                            SolverConfig {
-                                simd: SimdPath::Vector,
-                                traversal: trav,
-                                ..config_for(kernel)
-                            },
-                        );
-                        for _ in 0..13 {
-                            v.step_with_workers(workers);
-                        }
-                        assert_eq!(
-                            scalar.distributions(),
-                            v.distributions(),
-                            "{prop:?}/{layout:?} vector diverged under {} at {workers} workers",
-                            trav.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vector_remainder_lanes_match_scalar_on_awkward_mesh_sizes() {
-        // Meshes whose bulk lists are not multiples of the lane width (4
-        // for f64, 8 for f32 on AVX2) exercise the scalar remainder loop
-        // after every lane group. Perturb so the fields are not at rest.
+    /// The meshes the oracles run on: the inlet/outlet cylinder plus sealed
+    /// boxes whose bulk lists are not multiples of any lane width (4 for
+    /// f64, 8 for f32 on AVX2), so every sweep ends in remainder cells.
+    pub(crate) fn oracle_meshes() -> Vec<(String, FluidMesh)> {
+        let mut meshes = vec![("cylinder".to_string(), cylinder_mesh())];
         for (nx, ny, nz) in [(3usize, 3, 3), (4, 3, 5), (5, 5, 2), (6, 5, 4)] {
             let mut g = VoxelGrid::filled(nx, ny, nz, 1.0, CellType::Bulk);
             classify_walls(&mut g);
-            let mesh = FluidMesh::build(&g);
-            for prop in [Propagation::Ab, Propagation::Aa] {
-                let kernel = KernelConfig::sparse(prop, Layout::Soa);
-                let mut scalar = Solver::new(
-                    mesh.clone(),
-                    SolverConfig {
-                        simd: SimdPath::Scalar,
-                        ..config_for(kernel)
-                    },
-                );
-                let mut vector = Solver::new(mesh.clone(), config_for(kernel));
-                scalar.bump_first_cell(0.01);
-                vector.bump_first_cell(0.01);
-                for _ in 0..6 {
-                    scalar.step();
-                    vector.step();
+            meshes.push((format!("{nx}x{ny}x{nz} box"), FluidMesh::build(&g)));
+        }
+        meshes
+    }
+
+    /// Every lane type this process can run: the scalar reference, the
+    /// portable wide lanes, and the AVX2 lanes when the backend has them.
+    pub(crate) fn oracle_execs() -> Vec<ExecKind> {
+        let mut execs = vec![ExecKind::Scalar, ExecKind::VectorWide];
+        if hemocloud_rt::simd::backend() == Backend::Avx2 {
+            execs.push(ExecKind::VectorAccel);
+        }
+        execs
+    }
+
+    /// Steps every oracle run takes: odd, so AA is compared mid-pair too.
+    pub(crate) const ORACLE_STEPS: usize = 13;
+
+    /// The raw stored distributions, whatever the precision.
+    fn stored_bits(s: &Solver) -> Vec<u64> {
+        match &s.store {
+            Store::F64 { f, .. } => f.iter().map(|v| v.to_bits()).collect(),
+            Store::F32 { f, .. } => f.iter().map(|v| u64::from(v.to_bits())).collect(),
+        }
+    }
+
+    #[test]
+    fn every_exec_worker_count_and_prefetch_setting_matches_the_scalar_reference_bitwise() {
+        // The one oracle the single collide–stream body rests on: for
+        // every propagation × layout × precision, every lane type, 1/2/3/8
+        // logical workers and prefetch off/on store exactly the bits of
+        // the scalar, one-worker, no-prefetch run — on the cylinder (inlet
+        // and outlet cells) and on awkward-size boxes (remainder lanes),
+        // perturbed so the fields are not at rest.
+        let run = |mesh: &FluidMesh, kernel, exec, workers, prefetch| {
+            let config = SolverConfig {
+                prefetch,
+                ..config_for(kernel)
+            };
+            let mut s = Solver::new(mesh.clone(), config);
+            s.exec = exec;
+            s.bump_first_cell(0.01);
+            for _ in 0..ORACLE_STEPS {
+                s.step_with_workers(workers);
+            }
+            stored_bits(&s)
+        };
+        for (name, mesh) in oracle_meshes() {
+            for precision in [Precision::Double, Precision::Single] {
+                for prop in [Propagation::Ab, Propagation::Aa] {
+                    for layout in [Layout::Aos, Layout::Soa] {
+                        let kernel = KernelConfig::sparse_with_precision(prop, layout, precision);
+                        let reference = run(&mesh, kernel, ExecKind::Scalar, 1, false);
+                        for exec in oracle_execs() {
+                            for workers in [1usize, 2, 3, 8] {
+                                for prefetch in [false, true] {
+                                    assert!(
+                                        reference == run(&mesh, kernel, exec, workers, prefetch),
+                                        "{} diverged on the {name}: {exec:?}, {workers} workers, \
+                                         prefetch {prefetch}",
+                                        kernel.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
-                assert_eq!(
-                    scalar.distributions(),
-                    vector.distributions(),
-                    "{prop:?} remainder diverged on {nx}x{ny}x{nz}"
-                );
             }
         }
     }
 
     #[test]
-    fn f32_vector_path_is_bitwise_identical_to_f32_scalar() {
-        // Same oracle at single precision: 8 f32 lanes per AVX2 vector,
-        // same lane-op-equals-scalar-op argument.
-        let mesh = cylinder_mesh();
-        for prop in [Propagation::Ab, Propagation::Aa] {
-            for layout in [Layout::Aos, Layout::Soa] {
-                let kernel = KernelConfig::sparse_with_precision(prop, layout, Precision::Single);
-                let mut scalar = Solver::new(
-                    mesh.clone(),
-                    SolverConfig {
-                        simd: SimdPath::Scalar,
-                        ..config_for(kernel)
-                    },
-                );
-                let mut vector = Solver::new(mesh.clone(), config_for(kernel));
-                for _ in 0..13 {
-                    scalar.step();
-                    vector.step_with_workers(2);
-                }
-                assert_eq!(
-                    scalar.distributions_f32(),
-                    vector.distributions_f32(),
-                    "{prop:?}/{layout:?} f32 vector diverged"
-                );
-            }
-        }
+    fn prefetch_is_a_safe_hint_on_any_address() {
+        let data = [1.0f64; 8];
+        prefetch_read(data.as_ptr());
+        prefetch_read(std::ptr::null::<f64>());
+        // Reaching here is the assertion: prefetch never faults.
     }
 
     #[test]
@@ -2352,48 +1643,6 @@ mod tests {
             assert_eq!(f32b, arrays * n * Q19 * 4, "{prop:?} f32");
             assert_eq!(f64b, 2 * f32b, "{prop:?} halving");
         }
-    }
-
-    #[test]
-    fn autotune_picks_a_candidate_and_preserves_bits() {
-        // KernelSelect::Auto may pick any simd × traversal combination —
-        // all compute identical bits, so the tuned solver must match the
-        // fixed scalar reference exactly, and the report must cover the
-        // full sweep (2 simd paths × deduplicated traversal candidates).
-        let mesh = cylinder_mesh();
-        let reg = Registry::new();
-        let mut auto = Solver::new_in(
-            mesh.clone(),
-            SolverConfig {
-                select: KernelSelect::Auto,
-                ..config_for(KernelConfig::harvey())
-            },
-            &reg,
-        );
-        let report = auto.autotune_report().expect("auto solver keeps a report");
-        assert!(report.candidates.len() >= 4, "sweep too small");
-        // The choice lands in the registry as a combo-keyed counter.
-        let selected = format!(
-            "lbm.autotune.selected.{}.{}",
-            report.simd.label(),
-            report.traversal.name()
-        );
-        assert_eq!(reg.snapshot().counter(&selected), Some(1));
-        assert_eq!(auto.config().select, KernelSelect::Fixed);
-        assert_eq!(auto.config().simd, report.simd);
-        assert_eq!(auto.steps_taken(), 0, "calibration must not advance state");
-        let mut fixed = Solver::new(
-            mesh,
-            SolverConfig {
-                simd: SimdPath::Scalar,
-                ..config_for(KernelConfig::harvey())
-            },
-        );
-        for _ in 0..10 {
-            auto.step();
-            fixed.step();
-        }
-        assert_eq!(auto.distributions(), fixed.distributions());
     }
 
     #[test]

@@ -189,12 +189,6 @@ struct PoolMetrics {
     runs: Arc<Counter>,
     panics: Arc<Counter>,
     spawned: Arc<Counter>,
-    /// Chunks enumerated by the stealing scheduler. Deterministic: the
-    /// chunk count is a pure function of `(n_items, chunk_items)`, so it
-    /// is safe to snapshot — unlike *steal* counts, which depend on the
-    /// OS schedule and are therefore reported per-call via [`StealStats`]
-    /// and never registered.
-    chunks: Arc<Counter>,
     queue_wait_s: Arc<Histogram>,
     run_s: Arc<Histogram>,
 }
@@ -207,7 +201,6 @@ impl PoolMetrics {
             runs: reg.counter("pool.runs"),
             panics: reg.counter("pool.panics"),
             spawned: reg.counter("pool.spawned_threads"),
-            chunks: reg.counter("pool.chunks"),
             queue_wait_s: reg.histogram(
                 "pool.queue_wait_seconds",
                 HistogramKind::WallTime,
@@ -571,176 +564,6 @@ impl Pool {
         };
         self.run(workers, &task);
     }
-
-    /// Owner-computes parallel-for with **chunk-granular work stealing**:
-    /// the item range is cut into `chunk_items`-sized chunks, each logical
-    /// worker starts with its [`balanced_runs`] interval of chunks, and a
-    /// worker whose interval drains steals the upper half of another
-    /// worker's remaining interval instead of idling. This is what keeps
-    /// irregular per-item costs (sparse-mesh bulk/inlet/outlet loops) from
-    /// round-robin-idling workers.
-    ///
-    /// **Determinism.** Results are bit-identical to the serial loop at
-    /// any worker count, on any schedule, because the schedule only decides
-    /// *which worker* executes a chunk, never *what* a chunk computes:
-    /// chunks are disjoint contiguous item ranges, each visited internally
-    /// in ascending serial order, and `f` must compute every item purely
-    /// from pre-job state and the item's own (pairwise-disjoint) slots —
-    /// the same contract as [`Pool::par_owner_mut`]. Under that contract
-    /// every execution order of the chunks stores the same bits.
-    ///
-    /// **Serial bypass.** With `workers <= 1` (e.g. `RT_POOL_THREADS=1`)
-    /// or a single chunk, the call degenerates to a plain ascending chunk
-    /// loop on the caller: no job submission, no atomics, zero steals —
-    /// the provably-serial reference order.
-    ///
-    /// Returns [`StealStats`]; the chunk count also lands on the
-    /// deterministic `pool.chunks` counter, while steal counts are
-    /// schedule-dependent and deliberately kept out of the registry.
-    pub fn par_owner_mut_stealing_workers<T, F>(
-        &self,
-        data: &mut [T],
-        n_items: usize,
-        chunk_items: usize,
-        workers: usize,
-        f: F,
-    ) -> StealStats
-    where
-        T: Copy + Send,
-        F: Fn(std::ops::Range<usize>, &DisjointMut<'_, T>) + Sync,
-    {
-        assert!(chunk_items > 0, "chunk_items must be positive");
-        assert!(workers > 0, "worker count must be positive");
-        if n_items == 0 {
-            return StealStats { chunks: 0, steals: 0 };
-        }
-        let n_chunks = n_items.div_ceil(chunk_items);
-        assert!(
-            n_chunks <= u32::MAX as usize,
-            "chunk count must fit the packed u32 deque representation"
-        );
-        let workers = workers.min(n_chunks);
-        self.shared.metrics.chunks.add(n_chunks as u64);
-        let view = DisjointMut::new(data);
-        let run_chunk = |c: usize, view: &DisjointMut<'_, T>| {
-            let start = c * chunk_items;
-            let end = (start + chunk_items).min(n_items);
-            f(start..end, view);
-        };
-        if workers <= 1 {
-            for c in 0..n_chunks {
-                run_chunk(c, &view);
-            }
-            return StealStats {
-                chunks: n_chunks as u64,
-                steals: 0,
-            };
-        }
-
-        // One packed interval slot per logical worker: bits 63..32 hold the
-        // first unexecuted chunk, bits 31..0 one past the last. The slot is
-        // empty when start >= end. Invariants that make every chunk run
-        // exactly once:
-        //  * at all times the live intervals are pairwise disjoint and,
-        //    together with chunks already popped, tile `0..n_chunks`;
-        //  * only the *owner* pops the front (CAS `(s,e) -> (s+1,e)`);
-        //  * a thief removes the upper half (CAS `(s,e) -> (s,mid)`) and
-        //    the interval `[mid,e)` travels to the thief's own — empty —
-        //    slot via a plain store (nobody else ever writes a slot whose
-        //    owner has drained it, and thieves skip empty slots);
-        //  * no ABA: a successful CAS on the full packed value is always a
-        //    valid split, because a drained chunk index can never re-enter
-        //    any interval (intervals only ever shrink or move whole).
-        // A worker retires when its own slot is empty and a full scan of
-        // the others finds nothing to steal; slots of retired workers stay
-        // empty forever, so no chunk is orphaned.
-        let slots: Vec<AtomicU64> = (0..workers)
-            .map(|w| {
-                let (first, count) = balanced_runs(n_chunks, workers, w);
-                AtomicU64::new(pack_interval(first as u32, (first + count) as u32))
-            })
-            .collect();
-        let steals = AtomicU64::new(0);
-        let task = |w: usize| {
-            'work: loop {
-                // Pop the front of our own interval.
-                let mut cur = slots[w].load(Ordering::Acquire);
-                loop {
-                    let (s, e) = unpack_interval(cur);
-                    if s >= e {
-                        break;
-                    }
-                    match slots[w].compare_exchange_weak(
-                        cur,
-                        pack_interval(s + 1, e),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            run_chunk(s as usize, &view);
-                            continue 'work;
-                        }
-                        Err(actual) => cur = actual,
-                    }
-                }
-                // Own interval drained: scan the other slots for work.
-                for off in 1..workers {
-                    let v = (w + off) % workers;
-                    let mut cur = slots[v].load(Ordering::Acquire);
-                    loop {
-                        let (s, e) = unpack_interval(cur);
-                        if s >= e {
-                            break;
-                        }
-                        // Upper half; a lone remaining chunk moves whole.
-                        let mid = s + (e - s) / 2;
-                        match slots[v].compare_exchange_weak(
-                            cur,
-                            pack_interval(s, mid),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                slots[w].store(pack_interval(mid, e), Ordering::Release);
-                                steals.fetch_add(1, Ordering::Relaxed);
-                                continue 'work;
-                            }
-                            Err(actual) => cur = actual,
-                        }
-                    }
-                }
-                // Nothing owned, nothing stealable: retire.
-                return;
-            }
-        };
-        self.run(workers, &task);
-        StealStats {
-            chunks: n_chunks as u64,
-            steals: steals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-call report from [`Pool::par_owner_mut_stealing_workers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealStats {
-    /// Chunks the item range was cut into (pure function of the inputs,
-    /// hence deterministic).
-    pub chunks: u64,
-    /// Successful steals. Schedule-dependent — zero on the serial bypass,
-    /// nondeterministic under real concurrency, which is why this lives in
-    /// the return value and not the metrics registry.
-    pub steals: u64,
-}
-
-#[inline(always)]
-fn pack_interval(start: u32, end: u32) -> u64 {
-    (u64::from(start) << 32) | u64::from(end)
-}
-
-#[inline(always)]
-fn unpack_interval(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
 }
 
 impl Drop for Pool {
@@ -1002,141 +825,5 @@ mod tests {
         let p = global();
         assert_eq!(p.threads(), crate::par::max_threads());
         assert!(std::ptr::eq(p, global()));
-    }
-
-    #[test]
-    fn stealing_matches_serial_for_many_worker_counts() {
-        let n = 1000;
-        let mut serial = vec![0.5f64; 3 * n];
-        {
-            let view = DisjointMut::new(&mut serial);
-            strided_fill(&view, 0..n, n);
-        }
-        let pool = Pool::new(3);
-        for workers in [1usize, 2, 3, 8, 64] {
-            for chunk_items in [1usize, 7, 64, 333, 1000, 5000] {
-                let mut parallel = vec![0.5f64; 3 * n];
-                let stats = pool.par_owner_mut_stealing_workers(
-                    &mut parallel,
-                    n,
-                    chunk_items,
-                    workers,
-                    |items, view| strided_fill(view, items, n),
-                );
-                assert_eq!(
-                    serial, parallel,
-                    "diverged at {workers} workers, chunk {chunk_items}"
-                );
-                assert_eq!(stats.chunks, n.div_ceil(chunk_items) as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_single_worker_is_a_pure_serial_bypass() {
-        // The RT_POOL_THREADS=1 guarantee: one logical worker must visit
-        // the chunks in ascending contiguous order on the caller thread,
-        // with no job submission and no steals.
-        let pool = Pool::new(4);
-        let jobs_before = pool.jobs_run();
-        let mut data = vec![0u32; 103];
-        let order = Mutex::new(Vec::new());
-        let stats = pool.par_owner_mut_stealing_workers(&mut data, 103, 10, 1, |items, view| {
-            order.lock().unwrap().push(items.clone());
-            for i in items {
-                unsafe { view.write(i, i as u32 + 1) };
-            }
-        });
-        assert_eq!(stats, StealStats { chunks: 11, steals: 0 });
-        assert_eq!(pool.jobs_run(), jobs_before, "serial bypass must not submit a job");
-        let order = order.into_inner().unwrap();
-        assert_eq!(order.len(), 11);
-        let mut next = 0usize;
-        for (c, items) in order.iter().enumerate() {
-            assert_eq!(items.start, next, "chunk {c} out of serial order");
-            assert_eq!(items.len(), if c < 10 { 10 } else { 3 });
-            next = items.end;
-        }
-        assert_eq!(next, 103);
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-    }
-
-    #[test]
-    fn stealing_chunk_larger_than_slice_degenerates_to_one_serial_chunk() {
-        // chunk_items > n_items: one chunk, workers clamp to 1, and the
-        // whole range arrives as a single serial call.
-        let pool = Pool::new(3);
-        let mut data = vec![0u8; 5];
-        let calls = Mutex::new(Vec::new());
-        let stats = pool.par_owner_mut_stealing_workers(&mut data, 5, 1000, 8, |items, view| {
-            calls.lock().unwrap().push(items.clone());
-            for i in items {
-                unsafe { view.write(i, 7) };
-            }
-        });
-        assert_eq!(stats, StealStats { chunks: 1, steals: 0 });
-        assert_eq!(calls.into_inner().unwrap(), vec![0..5]);
-        assert_eq!(data, vec![7u8; 5]);
-    }
-
-    #[test]
-    fn stealing_zero_remainder_and_empty_inputs_partition_exactly() {
-        let pool = Pool::new(3);
-        // n_items divisible by chunk_items: every chunk is full-size.
-        let n = 96usize;
-        let mut data = vec![0u32; n];
-        let sizes = Mutex::new(Vec::new());
-        let stats = pool.par_owner_mut_stealing_workers(&mut data, n, 8, 4, |items, view| {
-            sizes.lock().unwrap().push(items.len());
-            for i in items {
-                unsafe { view.write(i, 1) };
-            }
-        });
-        assert_eq!(stats.chunks, 12);
-        let sizes = sizes.into_inner().unwrap();
-        assert_eq!(sizes.len(), 12);
-        assert!(sizes.iter().all(|&s| s == 8), "zero-remainder chunks must all be full");
-        assert!(data.iter().all(|&v| v == 1), "some item never visited");
-        // Empty input: no chunks, no calls.
-        let mut empty: Vec<u32> = Vec::new();
-        let stats = pool.par_owner_mut_stealing_workers(&mut empty, 0, 8, 4, |_, _| {
-            panic!("no items, no calls")
-        });
-        assert_eq!(stats, StealStats { chunks: 0, steals: 0 });
-    }
-
-    #[test]
-    fn stealing_runs_every_chunk_exactly_once_under_contention() {
-        // Scattered-but-disjoint writes (as in the AA odd step) with many
-        // more chunks than workers, on a pool with real background
-        // threads: every slot must be written exactly once no matter how
-        // the intervals get split and re-split.
-        let n = 1021; // prime, so i * 17 % n is a permutation
-        let pool = Pool::new(4);
-        for trial in 0..8 {
-            let mut data = vec![0u64; n];
-            let stats =
-                pool.par_owner_mut_stealing_workers(&mut data, n, 3, 8, |items, view| {
-                    for i in items {
-                        unsafe { view.write(i * 17 % n, i as u64 + 1) };
-                    }
-                });
-            assert_eq!(stats.chunks, n.div_ceil(3) as u64);
-            let mut seen = vec![false; n];
-            for (slot, &v) in data.iter().enumerate() {
-                assert!(v > 0, "trial {trial}: slot {slot} never written");
-                let i = (v - 1) as usize;
-                assert_eq!(i * 17 % n, slot, "trial {trial}");
-                assert!(!seen[i], "trial {trial}: item {i} executed twice");
-                seen[i] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn interval_packing_roundtrips() {
-        for &(s, e) in &[(0u32, 0u32), (0, 1), (3, 17), (u32::MAX - 1, u32::MAX)] {
-            assert_eq!(unpack_interval(pack_interval(s, e)), (s, e));
-        }
     }
 }

@@ -25,20 +25,22 @@
 //! write a baseline where any disagrees.
 //!
 //! * `RT_BENCH_FAST=1` shrinks the mesh, array sizes, and sample counts
-//!   so CI can smoke-run it in seconds (`scripts/verify.sh` does).
-//! * `BENCH_OUT=<path>` redirects the JSON (default: `BENCH_lbm.json` in
-//!   the current directory).
-//! * `OBS_OUT=<path>` additionally writes the metrics snapshot of a
-//!   fixed-step instrumented pass (pool + solver + ranked-halo counters)
-//!   as deterministic JSON — byte-identical across two identical runs at
-//!   the same `RT_POOL_THREADS`, which `scripts/verify.sh` diffs. The
-//!   snapshot is captured before the auto-calibrated timing sweeps so
-//!   their wall-clock-dependent iteration counts cannot leak into it.
+//!   so CI can smoke-run it in seconds (the `check` binary does).
+//! * `OUT_DIR=<dir>` is where `BENCH_lbm.json` and `OBS_bench.json` go
+//!   (default: the current directory). The latter is the metrics snapshot
+//!   of a fixed-step instrumented pass (pool + solver + ranked-halo
+//!   counters) as deterministic JSON — byte-identical across two
+//!   identical runs at the same `RT_POOL_THREADS`, which `check`
+//!   compares. The snapshot is captured before the auto-calibrated timing
+//!   sweeps so their wall-clock-dependent iteration counts cannot leak
+//!   into it.
 //!
-//! The binary exits non-zero if any throughput it measured is non-finite
-//! or non-positive, so the verify gate cannot silently record garbage.
+//! The binary runs `gates::gate_bench_lbm` on the record it writes and
+//! exits non-zero on any failure (a non-finite or non-positive
+//! throughput, a broken bitwise witness, …), so a broken baseline is
+//! never recorded silently.
 
-use hemocloud_bench::provenance;
+use hemocloud_bench::{gates, provenance};
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_lbm::access_profile::{average_solid_links, AccessProfile};
@@ -49,12 +51,9 @@ use hemocloud_lbm::mesh::FluidMesh;
 use hemocloud_lbm::ranked::{RankAssignment, RankedSolver};
 use hemocloud_lbm::solver::{Solver, SolverConfig};
 use hemocloud_microbench::stream::{stream_kernel, StreamKernel, StreamMeasurement};
-use hemocloud_rt::bench::sample_stats;
+use hemocloud_obs::json::{self, Value, Writer};
+use hemocloud_rt::bench::{fast_mode, sample_stats};
 use hemocloud_rt::{par, pool};
-
-fn fast_mode() -> bool {
-    std::env::var("RT_BENCH_FAST").is_ok_and(|v| v != "0")
-}
 
 /// One measured (kernel × prefetch) configuration of the sparse solver.
 struct KernelRow {
@@ -95,7 +94,7 @@ struct Baseline {
     /// Whether the forced-vector solver produced bit-identical f64
     /// distributions to the forced-scalar solver, for every kernel
     /// configuration — the vectorization contract, witnessed in the
-    /// committed record and grep-gated by `scripts/verify.sh`.
+    /// committed record and gated by `gates::gate_bench_lbm`.
     simd_bitwise_equal: bool,
     /// Max macroscopic-moment difference between the f32-storage solver
     /// and its f64 twin after the fixed check run — the single-precision
@@ -365,39 +364,37 @@ fn measure() -> Baseline {
 }
 
 fn to_json(b: &Baseline) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"lbm_baseline\",\n");
-    s.push_str(&format!(
-        "  \"provenance\": {{\"git_rev\": \"{}\", \"rustc\": \"{}\", \"kernel_config\": \"{}\"}},\n",
-        provenance::json_escape(&provenance::git_rev()),
-        provenance::json_escape(&provenance::rustc_version()),
-        provenance::json_escape(&KernelConfig::harvey().name()),
-    ));
-    s.push_str(&format!("  \"fast_mode\": {},\n", fast_mode()));
-    s.push_str(&format!("  \"threads\": {},\n", b.threads));
-    s.push_str(&format!("  \"mesh_cells\": {},\n", b.mesh_cells));
-    s.push_str("  \"solver\": {\n");
-    s.push_str(&format!("    \"mflups\": {:.3},\n", b.mflups));
-    s.push_str(&format!("    \"ns_per_step\": {:.1}\n", b.ns_per_step));
-    s.push_str("  },\n");
-    s.push_str("  \"kernels\": [\n");
-    for (i, k) in b.kernels.iter().enumerate() {
-        let comma = if i + 1 < b.kernels.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"prefetch\": {}, \"simd\": \"{}\", \"mflups\": {:.3}, \"ns_per_update\": {:.3}, \"modeled_bytes_per_update\": {:.3}, \"stream_ref\": \"{}\", \"implied_bytes_per_update\": {:.3}, \"measured_over_modeled\": {:.4}}}{comma}\n",
-            k.config.name(),
-            k.prefetch,
-            k.simd,
-            k.mflups,
-            k.ns_per_update,
-            k.modeled_bytes_per_update,
-            k.stream_ref.label(),
-            k.implied_bytes_per_update,
-            k.measured_over_modeled,
-        ));
+    let mut w = Writer::new();
+    w.begin_object(json::Layout::Block);
+    w.key("bench").string("lbm_baseline");
+    let mut stamp = provenance::stamp();
+    stamp.push(("kernel_config", Value::Str(KernelConfig::harvey().name())));
+    w.key("provenance").members(&stamp);
+    w.key("fast_mode").bool(fast_mode());
+    w.key("threads").uint(b.threads as u64);
+    w.key("mesh_cells").uint(b.mesh_cells as u64);
+    w.key("solver").begin_object(json::Layout::Block);
+    w.key("mflups").fixed(b.mflups, 3);
+    w.key("ns_per_step").fixed(b.ns_per_step, 1);
+    w.end();
+    let row_head = |w: &mut Writer, k: &KernelRow| {
+        w.key("config").string(&k.config.name());
+        w.key("prefetch").bool(k.prefetch);
+        w.key("simd").string(k.simd);
+        w.key("mflups").fixed(k.mflups, 3);
+    };
+    w.key("kernels").begin_array(json::Layout::Block);
+    for k in &b.kernels {
+        w.begin_object(json::Layout::Inline);
+        row_head(&mut w, k);
+        w.key("ns_per_update").fixed(k.ns_per_update, 3);
+        w.key("modeled_bytes_per_update").fixed(k.modeled_bytes_per_update, 3);
+        w.key("stream_ref").string(k.stream_ref.label());
+        w.key("implied_bytes_per_update").fixed(k.implied_bytes_per_update, 3);
+        w.key("measured_over_modeled").fixed(k.measured_over_modeled, 4);
+        w.end();
     }
-    s.push_str("  ],\n");
+    w.end();
     // `best` ranks the f64 rows only: the f32 rows trade precision for
     // bandwidth and would otherwise win by construction, breaking the
     // cross-baseline comparability of the headline ratio.
@@ -407,99 +404,37 @@ fn to_json(b: &Baseline) -> String {
         .filter(|k| k.config.precision == Precision::Double)
         .max_by(|a, c| a.mflups.total_cmp(&c.mflups))
     {
-        s.push_str(&format!(
-            "  \"best\": {{\"config\": \"{}\", \"prefetch\": {}, \"simd\": \"{}\", \"mflups\": {:.3}, \"measured_over_modeled\": {:.4}}},\n",
-            best.config.name(),
-            best.prefetch,
-            best.simd,
-            best.mflups,
-            best.measured_over_modeled,
-        ));
+        w.key("best").begin_object(json::Layout::Inline);
+        row_head(&mut w, best);
+        w.key("measured_over_modeled").fixed(best.measured_over_modeled, 4);
+        w.end();
     }
-    s.push_str(&format!(
-        "  \"prefetch_bitwise_equal\": {},\n",
-        b.prefetch_bitwise_equal
-    ));
-    s.push_str(&format!(
-        "  \"simd_bitwise_equal\": {},\n",
-        b.simd_bitwise_equal
-    ));
-    s.push_str(&format!(
-        "  \"aa_ab_moment_max_diff\": {:e},\n",
-        b.aa_ab_moment_max_diff
-    ));
-    s.push_str(&format!(
-        "  \"f32_f64_moment_max_diff\": {:e},\n",
-        b.f32_f64_moment_max_diff
-    ));
-    s.push_str("  \"stream\": [\n");
-    for (i, m) in b.stream.iter().enumerate() {
-        let comma = if i + 1 < b.stream.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"elements\": {}, \"gb_s\": {:.3}}}{comma}\n",
-            m.kernel.name(),
-            m.threads,
-            m.elements,
-            m.bandwidth_mb_s / 1e3,
-        ));
+    w.key("prefetch_bitwise_equal").bool(b.prefetch_bitwise_equal);
+    w.key("simd_bitwise_equal").bool(b.simd_bitwise_equal);
+    w.key("aa_ab_moment_max_diff").float(b.aa_ab_moment_max_diff);
+    w.key("f32_f64_moment_max_diff").float(b.f32_f64_moment_max_diff);
+    w.key("stream").begin_array(json::Layout::Block);
+    for m in &b.stream {
+        w.begin_object(json::Layout::Inline);
+        w.key("kernel").string(m.kernel.name());
+        w.key("threads").uint(m.threads as u64);
+        w.key("elements").uint(m.elements as u64);
+        w.key("gb_s").fixed(m.bandwidth_mb_s / 1e3, 3);
+        w.end();
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"pool\": {\n");
-    s.push_str(&format!("    \"spawned_threads\": {},\n", b.pool_spawned));
-    s.push_str(&format!("    \"jobs_run\": {}\n", b.pool_jobs));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
+    w.end();
+    w.key("pool").begin_object(json::Layout::Block);
+    w.key("spawned_threads").uint(b.pool_spawned as u64);
+    w.key("jobs_run").uint(b.pool_jobs);
+    w.end();
+    w.end();
+    w.finish()
 }
 
 fn main() {
     let baseline = measure();
-
-    let mut failures = Vec::new();
-    if !(baseline.mflups.is_finite() && baseline.mflups > 0.0) {
-        failures.push(format!("solver mflups {}", baseline.mflups));
-    }
-    for m in &baseline.stream {
-        if !(m.bandwidth_mb_s.is_finite() && m.bandwidth_mb_s > 0.0) {
-            failures.push(format!("stream {} {}", m.kernel.name(), m.bandwidth_mb_s));
-        }
-    }
-    for k in &baseline.kernels {
-        if !(k.mflups.is_finite() && k.mflups > 0.0)
-            || !(k.modeled_bytes_per_update.is_finite() && k.modeled_bytes_per_update > 0.0)
-            || !(k.implied_bytes_per_update.is_finite() && k.implied_bytes_per_update > 0.0)
-            || !(k.measured_over_modeled.is_finite() && k.measured_over_modeled > 0.0)
-        {
-            failures.push(format!(
-                "kernel row {} (prefetch {}) has bad numbers",
-                k.config.name(),
-                k.prefetch
-            ));
-        }
-    }
-    if !(baseline.aa_ab_moment_max_diff <= 1e-12) {
-        failures.push(format!(
-            "AA/AB moment divergence {} exceeds 1e-12",
-            baseline.aa_ab_moment_max_diff
-        ));
-    }
-    if !baseline.prefetch_bitwise_equal {
-        failures.push("prefetching solver diverged bitwise from the default solver".to_string());
-    }
-    if !baseline.simd_bitwise_equal {
-        failures.push(
-            "vectorized solver diverged bitwise from the scalar solver".to_string(),
-        );
-    }
-    if !(baseline.f32_f64_moment_max_diff <= 1e-3) {
-        failures.push(format!(
-            "f32 storage diverged from f64 by {} (bound 1e-3)",
-            baseline.f32_f64_moment_max_diff
-        ));
-    }
     let json = to_json(&baseline);
-    let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_lbm.json".to_string());
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    let failures = gates::gate_text(&json, gates::gate_bench_lbm);
 
     println!(
         "bench_baseline: {} cells, {} threads -> {:.2} MFLUPS; STREAM {}",
@@ -534,7 +469,7 @@ fn main() {
         "bench_baseline: SIMD bitwise equal: {}; f32 vs f64 moment max diff {:.2e}",
         baseline.simd_bitwise_equal, baseline.f32_f64_moment_max_diff
     );
-    println!("bench_baseline: wrote {path}");
+    provenance::write_artifact("BENCH_lbm.json", &json);
 
     // Deterministic metrics snapshot: counters and sample counts from the
     // fixed-step instrumented pass (wall-clock sample values are demoted
@@ -547,16 +482,10 @@ fn main() {
         snapshot.entries().len()
     );
     print!("{}", snapshot.to_text(hemocloud_obs::Render::Deterministic));
-    if let Ok(obs_path) = std::env::var("OBS_OUT") {
-        let obs_json = snapshot.to_json(hemocloud_obs::Render::Deterministic);
-        std::fs::write(&obs_path, &obs_json).unwrap_or_else(|e| panic!("writing {obs_path}: {e}"));
-        println!("bench_baseline: wrote {obs_path}");
-    }
+    provenance::write_artifact(
+        "OBS_bench.json",
+        &snapshot.to_json(hemocloud_obs::Render::Deterministic),
+    );
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("bench_baseline: ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    gates::exit_on_failures(&failures);
 }

@@ -15,33 +15,31 @@
 //!
 //! Besides timing, the binary *proves* the tentpole determinism claim on
 //! every run: a smoke-sized subset is re-run at shard counts 1, 2, and 4
-//! and the three reports must be byte-identical — the binary exits
-//! non-zero (and refuses to write a baseline) otherwise.
+//! and the three reports must be byte-identical — `gates::gate_bench_sched`
+//! fails on the record otherwise, and the binary exits non-zero and
+//! refuses to write a baseline.
 //!
 //! * `SCHED_JOBS=<n>` overrides the job count (default 1,000,000; with
 //!   `RT_BENCH_FAST=1`, 20,000 so CI can smoke-run it in seconds).
 //! * `SCHED_SHARDS=<n>` sets the headline run's shard count (default 4).
 //! * `SCHED_SEED=<u64>` picks the campaign seed (default 42).
-//! * `SCHED_OUT=<path>` redirects the JSON (default `BENCH_sched.json`).
-//! * `SCHED_REPORT_OUT_PREFIX=<path>` additionally writes the per-shard
-//!   determinism reports as `<prefix>.shard<N>.json` so `scripts/verify.sh`
-//!   can `cmp` them independently.
+//! * `OUT_DIR=<dir>` is where `BENCH_sched.json` and the per-shard
+//!   determinism reports `SCHED_det.shard<N>.json` go (default: the
+//!   current directory); `check` byte-compares the latter independently.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use hemocloud_bench::provenance;
+use hemocloud_bench::{gates, provenance};
 use hemocloud_cluster::exec::Overheads;
 use hemocloud_cluster::platform::Platform;
 use hemocloud_core::dashboard::Objective;
 use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::{AortaSpec, CerebralSpec, CylinderSpec};
+use hemocloud_obs::json::{Layout, Writer};
+use hemocloud_rt::bench::fast_mode;
 use hemocloud_rt::rng::SplitMix64;
 use hemocloud_sched::{Campaign, CampaignConfig, CampaignReport, JobSpec, PoolSpec};
-
-fn fast_mode() -> bool {
-    std::env::var("RT_BENCH_FAST").is_ok_and(|v| v != "0")
-}
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -205,7 +203,6 @@ fn main() {
     let default_jobs = if fast_mode() { 20_000 } else { 1_000_000 };
     let n_jobs = env_usize("SCHED_JOBS", default_jobs);
     let shards = env_usize("SCHED_SHARDS", 4).max(1);
-    let out = std::env::var("SCHED_OUT").unwrap_or_else(|_| "BENCH_sched.json".to_string());
 
     // Headline run first (the biggest allocation), so the recorded VmHWM
     // is the campaign's and the later smoke-sized determinism runs cannot
@@ -250,98 +247,51 @@ fn main() {
         "  shard determinism ({det_jobs_n} jobs @ shards {shard_counts:?}): {}",
         if identical { "byte-identical" } else { "DIVERGED" }
     );
-    if let Ok(prefix) = std::env::var("SCHED_REPORT_OUT_PREFIX") {
-        for (s, render) in shard_counts.iter().zip(&renders) {
-            let path = format!("{prefix}.shard{s}.json");
-            std::fs::write(&path, render).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("  wrote {path}");
-        }
+    for (s, render) in shard_counts.iter().zip(&renders) {
+        provenance::write_artifact(&format!("SCHED_det.shard{s}.json"), render);
     }
 
-    let mut failures = Vec::new();
-    if !(events_per_sec.is_finite() && events_per_sec > 0.0) {
-        failures.push(format!("non-finite or non-positive events/sec {events_per_sec}"));
-    }
-    if report.events_processed == 0 {
-        failures.push("campaign processed zero events".to_string());
-    }
-    if !(report.makespan_s.is_finite() && report.makespan_s > 0.0) {
-        failures.push(format!("non-finite or non-positive makespan {}", report.makespan_s));
-    }
-    if report.completed + report.guard_kills + report.failed + report.rejected != report.jobs {
-        failures.push("job outcomes do not sum to the job count".to_string());
-    }
-    if report.completed == 0 {
-        failures.push("no job completed".to_string());
-    }
-    if n_jobs >= 1_000 {
-        // The mix plants a runaway every 211 jobs and a doomed-budget job
-        // every 503: at this scale the guard and admission paths must fire.
-        if report.guard_kills == 0 {
-            failures.push("no guard kills despite planted runaways".to_string());
-        }
-        if report.rejected == 0 {
-            failures.push("no rejections despite planted doomed-budget jobs".to_string());
-        }
-    }
-    if !identical {
-        failures.push(format!(
-            "reports diverged across shard counts {shard_counts:?}"
-        ));
-    }
+    let mut w = Writer::new();
+    w.begin_object(Layout::Block);
+    w.key("report").string("hemocloud_bench_sched");
+    w.key("provenance").members(&provenance::stamp());
+    w.key("seed").uint(seed);
+    w.key("jobs").uint(report.jobs as u64);
+    w.key("shards").uint(shards as u64);
+    w.key("events_processed").uint(report.events_processed);
+    w.key("elapsed_s").fixed(elapsed, 3);
+    w.key("events_per_sec").fixed(events_per_sec, 1);
+    w.key("jobs_per_sec").fixed(jobs_per_sec, 1);
+    w.key("peak_rss_mib").opt_fixed(peak_rss, 1);
+    w.key("makespan_s").fixed(report.makespan_s, 3);
+    w.key("total_cost_dollars").fixed(report.total_cost_dollars, 6);
+    w.key("outcomes").begin_object(Layout::Inline);
+    w.key("completed").uint(report.completed as u64);
+    w.key("guard_kills").uint(report.guard_kills as u64);
+    w.key("failed").uint(report.failed as u64);
+    w.key("rejected").uint(report.rejected as u64);
+    w.end();
+    w.key("faults").uint(report.faults as u64);
+    w.key("retries").uint(report.retries as u64);
+    w.key("placements_total").uint(report.placements_total as u64);
+    w.key("refinement").begin_object(Layout::Inline);
+    w.key("mape_first_quartile_uncalibrated_pct")
+        .opt_fixed(report.mape_first_quartile_uncalibrated_pct, 4);
+    w.key("mape_calibrated_pct").opt_fixed(report.mape_calibrated_pct, 4);
+    w.key("error_p50_pct").opt_fixed(report.error_p50_pct, 4);
+    w.key("error_p99_pct").opt_fixed(report.error_p99_pct, 4);
+    w.end();
+    w.key("shard_determinism").begin_object(Layout::Inline);
+    w.key("jobs").uint(det_jobs_n as u64);
+    w.key("shard_counts").begin_array(Layout::Inline);
+    shard_counts.iter().for_each(|&s| w.uint(s as u64));
+    w.end();
+    w.key("reports_identical").bool(identical);
+    w.end();
+    w.end();
+    let json = w.finish();
 
-    let git_rev = provenance::json_escape(&provenance::git_rev());
-    let rustc = provenance::json_escape(&provenance::rustc_version());
-    let opt = |v: Option<f64>, decimals: usize| {
-        v.filter(|v| v.is_finite())
-            .map_or("null".to_string(), |v| format!("{v:.decimals$}"))
-    };
-    let mut s = String::with_capacity(2048);
-    s.push_str("{\n");
-    s.push_str("  \"report\": \"hemocloud_bench_sched\",\n");
-    s.push_str(&format!(
-        "  \"provenance\": {{\"git_rev\": \"{git_rev}\", \"rustc\": \"{rustc}\"}},\n"
-    ));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"jobs\": {},\n", report.jobs));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str(&format!("  \"events_processed\": {},\n", report.events_processed));
-    s.push_str(&format!("  \"elapsed_s\": {elapsed:.3},\n"));
-    s.push_str(&format!("  \"events_per_sec\": {events_per_sec:.1},\n"));
-    s.push_str(&format!("  \"jobs_per_sec\": {jobs_per_sec:.1},\n"));
-    s.push_str(&format!("  \"peak_rss_mib\": {},\n", opt(peak_rss, 1)));
-    s.push_str(&format!("  \"makespan_s\": {:.3},\n", report.makespan_s));
-    s.push_str(&format!(
-        "  \"total_cost_dollars\": {:.6},\n",
-        report.total_cost_dollars
-    ));
-    s.push_str(&format!(
-        "  \"outcomes\": {{\"completed\": {}, \"guard_kills\": {}, \"failed\": {}, \"rejected\": {}}},\n",
-        report.completed, report.guard_kills, report.failed, report.rejected
-    ));
-    s.push_str(&format!(
-        "  \"faults\": {}, \"retries\": {},\n",
-        report.faults, report.retries
-    ));
-    s.push_str(&format!("  \"placements_total\": {},\n", report.placements_total));
-    s.push_str(&format!(
-        "  \"refinement\": {{\"mape_first_quartile_uncalibrated_pct\": {}, \"mape_calibrated_pct\": {}, \"error_p50_pct\": {}, \"error_p99_pct\": {}}},\n",
-        opt(report.mape_first_quartile_uncalibrated_pct, 4),
-        opt(report.mape_calibrated_pct, 4),
-        opt(report.error_p50_pct, 4),
-        opt(report.error_p99_pct, 4),
-    ));
-    s.push_str(&format!(
-        "  \"shard_determinism\": {{\"jobs\": {det_jobs_n}, \"shard_counts\": [1, 2, 4], \"reports_identical\": {identical}}}\n"
-    ));
-    s.push_str("}\n");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("BENCH_SCHED INVARIANT VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
-    std::fs::write(&out, &s).expect("write bench_sched JSON");
-    println!("  wrote {out}");
+    // A record that fails its gate is never written.
+    gates::exit_on_failures(&gates::gate_text(&json, gates::gate_bench_sched));
+    provenance::write_artifact("BENCH_sched.json", &json);
 }

@@ -5,22 +5,21 @@
 //!
 //! * `CAMPAIGN_SEED=<u64>` picks the campaign seed (default 42 — the
 //!   committed `CAMPAIGN_sched.json` uses this).
-//! * `CAMPAIGN_OUT=<path>` redirects the JSON (default:
-//!   `CAMPAIGN_sched.json` in the current directory).
-//! * `OBS_OUT=<path>` writes the campaign's metrics snapshot (its private
-//!   virtual-clock registry merged with the process-global one) as
-//!   deterministic JSON — byte-identical per seed, which
-//!   `scripts/verify.sh` diffs across two runs.
+//! * `OUT_DIR=<dir>` is where `CAMPAIGN_sched.json` and
+//!   `OBS_campaign.json` go (default: the current directory). The latter
+//!   is the campaign's metrics snapshot (its private virtual-clock
+//!   registry merged with the process-global one) as deterministic JSON —
+//!   byte-identical per seed, which `check` compares across two runs.
 //!
-//! The binary exits non-zero if the report violates the campaign's
-//! operational invariants (non-finite cost/makespan, empty placement log,
-//! jobs unaccounted for, or — at the default seed — a refinement loop
-//! that failed to reduce placement error), so the verify gate cannot
-//! record a broken campaign.
+//! The binary runs `gates::gate_campaign` on the report it writes and
+//! exits non-zero if it violates the campaign's operational invariants
+//! (non-finite cost/makespan, empty placement log, jobs unaccounted for,
+//! or — at the default seed — a refinement loop that failed to reduce
+//! placement error), so a broken campaign is never recorded silently.
 //!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
-use hemocloud_bench::provenance;
+use hemocloud_bench::{gates, provenance};
 use hemocloud_sched::run_demo_with_obs;
 
 fn main() {
@@ -28,54 +27,11 @@ fn main() {
         .ok()
         .map(|v| v.parse().expect("CAMPAIGN_SEED must be a u64"))
         .unwrap_or(42);
-    let out = std::env::var("CAMPAIGN_OUT").unwrap_or_else(|_| "CAMPAIGN_sched.json".to_string());
 
     let (report, obs) = run_demo_with_obs(seed);
-    let git_rev = provenance::json_escape(&provenance::git_rev());
-    let rustc = provenance::json_escape(&provenance::rustc_version());
-    let json = report.to_json_with_provenance(&[("git_rev", &git_rev), ("rustc", &rustc)]);
+    let json = report.to_json_stamped(&provenance::stamp());
+    let failures = gates::gate_text(&json, gates::gate_campaign);
 
-    let mut failures = Vec::new();
-    if !(report.makespan_s.is_finite() && report.makespan_s > 0.0) {
-        failures.push(format!("non-finite or non-positive makespan {}", report.makespan_s));
-    }
-    if !(report.total_cost_dollars.is_finite() && report.total_cost_dollars > 0.0) {
-        failures.push(format!(
-            "non-finite or non-positive total cost {}",
-            report.total_cost_dollars
-        ));
-    }
-    if report.placements.is_empty() {
-        failures.push("empty placement log".to_string());
-    }
-    if report.completed + report.guard_kills + report.failed + report.rejected != report.jobs {
-        failures.push("job outcomes do not sum to the job count".to_string());
-    }
-    for p in &report.platforms {
-        if !(p.utilization.is_finite() && p.utilization <= 1.0 + 1e-9) {
-            failures.push(format!("{}: utilization {} out of range", p.platform, p.utilization));
-        }
-    }
-    if seed == 42 {
-        // The committed demo seed must demonstrate the full loop.
-        if report.guard_kills < 1 {
-            failures.push("demo seed produced no guard kills".to_string());
-        }
-        if report.retried_jobs_completed < 1 {
-            failures.push("demo seed produced no successful fault retry".to_string());
-        }
-        match (
-            report.mape_calibrated_pct,
-            report.mape_first_quartile_uncalibrated_pct,
-        ) {
-            (Some(cal), Some(uncal)) if cal < uncal => {}
-            (cal, uncal) => failures.push(format!(
-                "refinement failed: calibrated MAPE {cal:?} !< uncalibrated Q1 MAPE {uncal:?}"
-            )),
-        }
-    }
-
-    std::fs::write(&out, &json).expect("write campaign JSON");
     println!(
         "campaign seed {seed}: {} jobs -> {} completed, {} guard-killed, {} failed, {} rejected",
         report.jobs, report.completed, report.guard_kills, report.failed, report.rejected
@@ -90,7 +46,7 @@ fn main() {
         mape(report.mape_first_quartile_uncalibrated_pct),
         mape(report.mape_calibrated_pct)
     );
-    println!("  wrote {out}");
+    provenance::write_artifact("CAMPAIGN_sched.json", &json);
 
     // The campaign's private virtual-clock metrics, merged with anything
     // the process-global registry collected along the way (disjoint name
@@ -98,16 +54,10 @@ fn main() {
     let snapshot = obs.merged_with(hemocloud_obs::global().snapshot());
     println!("  metrics snapshot ({} entries):", snapshot.entries().len());
     print!("{}", snapshot.to_text(hemocloud_obs::Render::Deterministic));
-    if let Ok(obs_path) = std::env::var("OBS_OUT") {
-        let obs_json = snapshot.to_json(hemocloud_obs::Render::Deterministic);
-        std::fs::write(&obs_path, &obs_json).unwrap_or_else(|e| panic!("writing {obs_path}: {e}"));
-        println!("  wrote {obs_path}");
-    }
+    provenance::write_artifact(
+        "OBS_campaign.json",
+        &snapshot.to_json(hemocloud_obs::Render::Deterministic),
+    );
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("CAMPAIGN INVARIANT VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    gates::exit_on_failures(&failures);
 }

@@ -1,0 +1,206 @@
+//! The artifact gate `scripts/verify.sh` runs: generate smoke-sized
+//! artifacts, judge them and the committed ones with `gates::*`, and
+//! byte-compare every pair the determinism contract says must agree.
+//! Run it from the repository root.
+//!
+//! * `check` — spawns the five generators (`bench_baseline`, `campaign`,
+//!   `fabric_demo`, `bench_sched`, `eval_campaign`) with `OUT_DIR` set to
+//!   `target/check/<run>/`, at `RT_BENCH_FAST=1` and the worker counts /
+//!   SIMD backends of the table in `SMOKE_RUNS`; then gates the five
+//!   committed artifacts in the current directory, including the
+//!   one-revision stamp gate and the fresh-vs-committed perf gate.
+//! * `check --regen` — runs the five generators full-size into the
+//!   current directory in one sitting (`BENCH_lbm.json` at
+//!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
+//!   mesh the perf gate holds against it), then gates the result.
+//!
+//! Exits non-zero listing every failure; each names its gate.
+
+use std::path::Path;
+use std::process::{Command, Stdio};
+
+use hemocloud_bench::gates::*;
+use hemocloud_obs::json::{self, Value};
+
+type GateFn = fn(&Value) -> Vec<String>;
+
+/// `(run directory under target/check, generator, environment)`.
+#[rustfmt::skip]
+const SMOKE_RUNS: &[(&str, &str, &str)] = &[
+    ("bench_w1_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
+    ("bench_w1_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
+    ("bench_w8_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
+    ("bench_w8_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
+    ("bench_scalar", "bench_baseline", "RT_BENCH_FAST=1 RT_SIMD=scalar"),
+    ("campaign_a", "campaign", ""),
+    ("campaign_b", "campaign", ""),
+    ("fabric_t1", "fabric_demo", "RT_POOL_THREADS=1"),
+    ("fabric_t8", "fabric_demo", "RT_POOL_THREADS=8"),
+    ("sched", "bench_sched", "RT_BENCH_FAST=1"),
+    ("eval_t1", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
+    ("eval_t8", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
+];
+
+/// The smoke `BENCH_lbm.json` that is also the fresh side of the perf gate.
+const FRESH_BENCH: &str = "bench_w1_a/BENCH_lbm.json";
+
+/// What each other smoke artifact must satisfy.
+#[rustfmt::skip]
+const SMOKE_GATES: &[(&str, &[GateFn])] = &[
+    ("bench_scalar/BENCH_lbm.json", &[gate_bench_lbm, gate_forced_scalar]),
+    ("bench_w1_a/OBS_bench.json", &[gate_obs]),
+    ("bench_w8_a/OBS_bench.json", &[gate_obs]),
+    ("campaign_a/CAMPAIGN_sched.json", &[gate_campaign]),
+    ("campaign_a/OBS_campaign.json", &[gate_obs]),
+    ("fabric_t1/CAMPAIGN_fabric.json", &[gate_fabric]),
+    ("fabric_t1/OBS_fabric.json", &[gate_obs]),
+    ("sched/BENCH_sched.json", &[gate_bench_sched]),
+    ("sched/SCHED_det.shard1.json", &[gate_finite]),
+    ("eval_t1/EVAL_campaign.json", &[gate_eval]),
+];
+
+/// Smoke artifacts that must agree byte for byte: reruns at the same
+/// settings (`_a`/`_b`), worker counts 1 and 8 (`_t1`/`_t8`), and event
+/// shard counts 1, 2 and 4.
+#[rustfmt::skip]
+const SMOKE_PAIRS: &[(&str, &str)] = &[
+    ("bench_w1_a/OBS_bench.json", "bench_w1_b/OBS_bench.json"),
+    ("bench_w8_a/OBS_bench.json", "bench_w8_b/OBS_bench.json"),
+    ("campaign_a/OBS_campaign.json", "campaign_b/OBS_campaign.json"),
+    ("campaign_a/CAMPAIGN_sched.json", "campaign_b/CAMPAIGN_sched.json"),
+    ("fabric_t1/OBS_fabric.json", "fabric_t8/OBS_fabric.json"),
+    ("fabric_t1/CAMPAIGN_fabric.json", "fabric_t8/CAMPAIGN_fabric.json"),
+    ("eval_t1/EVAL_campaign.json", "eval_t8/EVAL_campaign.json"),
+    ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard2.json"),
+    ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard4.json"),
+];
+
+/// The committed artifacts (in the current directory), their gates, and
+/// the environment `--regen` runs their generators with. `BENCH_lbm.json`
+/// first: it is the committed side of the perf gate.
+#[rustfmt::skip]
+const COMMITTED: [(&str, GateFn, &str, &str); 5] = [
+    ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
+    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
+    ("CAMPAIGN_sched.json", gate_campaign, "campaign", ""),
+    ("CAMPAIGN_fabric.json", gate_fabric, "fabric_demo", ""),
+    ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
+];
+
+struct Check {
+    failures: Vec<String>,
+}
+
+impl Check {
+    /// Run one generator with exactly `env` (`KEY=value` words) plus
+    /// `OUT_DIR` from the knobs the generators read — whatever seed or
+    /// size the caller's shell exports, the run gated is the default one.
+    /// A non-zero exit is a failure (its stderr, passed through, names
+    /// the gate).
+    fn generate(&mut self, bin: &str, out_dir: &Path, env: &str) {
+        println!("check: {env} OUT_DIR={} {bin}", out_dir.display());
+        let mut cmd = Command::new("cargo");
+        cmd.args([
+            "run",
+            "-q",
+            "--release",
+            "--offline",
+            "-p",
+            "hemocloud-bench",
+            "--bin",
+            bin,
+        ]);
+        for knob in "RT_BENCH_FAST RT_POOL_THREADS RT_SIMD CAMPAIGN_SEED FABRIC_SEED \
+                     SCHED_SEED SCHED_JOBS SCHED_SHARDS"
+            .split_whitespace()
+        {
+            cmd.env_remove(knob);
+        }
+        cmd.envs(env.split_whitespace().filter_map(|kv| kv.split_once('=')));
+        let status = cmd.env("OUT_DIR", out_dir).stdout(Stdio::null()).status();
+        if !status.as_ref().is_ok_and(|s| s.success()) {
+            self.failures
+                .push(format!("{bin} -> {}: {status:?}", out_dir.display()));
+        }
+    }
+
+    /// Parse the artifact at `path` and run `gates` on it, tagging each
+    /// failure with the path. Unreadable or invalid JSON is a failure too
+    /// (and gates as `Null`).
+    fn gated(&mut self, path: &Path, gates: &[GateFn]) -> Value {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+        let doc = text.and_then(|text| json::parse(&text).map_err(|e| e.to_string()));
+        let doc = doc.unwrap_or_else(|e| {
+            self.failures.push(format!("{}: {e}", path.display()));
+            Value::Null
+        });
+        let failures = gates.iter().flat_map(|gate| gate(&doc));
+        self.failures
+            .extend(failures.map(|f| format!("{}: {f}", path.display())));
+        doc
+    }
+
+    fn same_bytes(&mut self, a: &Path, b: &Path) {
+        let (x, y) = (std::fs::read(a).ok(), std::fs::read(b).ok());
+        if x.is_none() || x != y {
+            let (a, b) = (a.display(), b.display());
+            self.failures.push(format!(
+                "byte_identity: {a} and {b} differ or are unreadable"
+            ));
+        }
+    }
+
+    /// Spawn every smoke run, gate and compare what they wrote, and
+    /// return the fresh `BENCH_lbm.json` for the perf gate.
+    fn smoke(&mut self) -> Value {
+        let root = Path::new("target/check");
+        let _ = std::fs::remove_dir_all(root);
+        for (run, bin, env) in SMOKE_RUNS {
+            self.generate(bin, &root.join(run), env);
+        }
+        for (a, b) in SMOKE_PAIRS {
+            self.same_bytes(&root.join(a), &root.join(b));
+        }
+        for (file, gates) in SMOKE_GATES {
+            self.gated(&root.join(file), gates);
+        }
+        self.gated(&root.join(FRESH_BENCH), &[gate_bench_lbm])
+    }
+
+    /// Gate the five committed artifacts, one by one and as a set.
+    fn committed(&mut self, fresh_bench: Option<&Value>) {
+        let docs = COMMITTED.map(|(file, gate, ..)| self.gated(Path::new(file), &[gate]));
+        let set: Vec<(&str, &Value)> = COMMITTED.iter().map(|c| c.0).zip(&docs).collect();
+        self.failures.extend(gate_committed_set(&set));
+        if let Some(fresh) = fresh_bench {
+            self.failures
+                .extend(gate_perf_vs_committed(fresh, &docs[0]));
+        }
+    }
+}
+
+fn main() {
+    let mut check = Check {
+        failures: Vec::new(),
+    };
+    match std::env::args().nth(1).as_deref() {
+        None => {
+            let fresh = check.smoke();
+            check.committed(Some(&fresh));
+        }
+        Some("--regen") => {
+            for (_, _, bin, env) in COMMITTED {
+                check.generate(bin, Path::new("."), env);
+            }
+            check.committed(None);
+        }
+        Some(other) => {
+            eprintln!("usage: check [--regen]   (unknown argument {other:?})");
+            std::process::exit(2);
+        }
+    }
+    if check.failures.is_empty() {
+        println!("check: OK");
+    }
+    exit_on_failures(&check.failures);
+}

@@ -5,13 +5,14 @@
 //! the committed evidence that the control loop's budget, SLO, billing,
 //! guard and Eq. 9 promises hold everywhere in the swept space.
 //!
-//! * `EVAL_OUT=<path>` redirects the JSON (default: `EVAL_campaign.json`
-//!   in the current directory).
+//! * `OUT_DIR=<dir>` is where `EVAL_campaign.json` goes (default: the
+//!   current directory).
 //! * `RT_BENCH_FAST=1` runs the 16-cell smoke grid instead of the full
 //!   120-cell grid — the CI gate; the committed artifact uses the full
 //!   grid.
 //!
-//! The binary exits non-zero unless every acceptance property holds:
+//! The binary runs `gates::gate_eval` on the report it writes and exits
+//! non-zero unless every acceptance property holds:
 //!
 //! 1. zero invariant violations across every cell (budget ceilings, SLO
 //!    books, billed ≥ busy, guard-kill exactness, Eq. 9 byte equality,
@@ -23,121 +24,57 @@
 //!    actually ran (non-vacuous evaluation);
 //! 4. the headline statistics — p50/p99 placement error, mean cost
 //!    regret vs the noise-free oracle, utilization — exist and are
-//!    finite;
-//! 5. the rendered JSON carries no `nan`/`inf` token anywhere.
+//!    finite (a non-finite one renders as `null`, which the gate
+//!    rejects).
 //!
 //! [`SweepReport`]: hemocloud_sched::SweepReport
 
-use hemocloud_bench::provenance;
+use hemocloud_bench::{gates, provenance};
+use hemocloud_obs::json::Value;
+use hemocloud_rt::bench::fast_mode;
 use hemocloud_sched::{run_sweep, SweepGrid};
 
 fn main() {
-    let fast = std::env::var("RT_BENCH_FAST").is_ok();
-    let out = std::env::var("EVAL_OUT").unwrap_or_else(|_| "EVAL_campaign.json".to_string());
-    let (grid, grid_name) = if fast {
+    let (grid, grid_name) = if fast_mode() {
         (SweepGrid::smoke(), "smoke")
     } else {
         (SweepGrid::full(), "full")
     };
 
     let report = run_sweep(&grid);
-    let mut failures = Vec::new();
-
-    // 1. Zero violations, with each one surfaced for the log.
-    for v in &report.violations {
-        failures.push(format!("invariant violation: {v}"));
-    }
-
-    // 2. Grid floor (the full grid must stay a real sweep).
+    let mut stamp = provenance::stamp();
+    stamp.push(("grid", Value::Str(grid_name.into())));
+    let json = report.to_json_stamped(&stamp);
+    let mut failures = gates::gate_text(&json, gates::gate_eval);
+    // The two properties the artifact cannot witness about itself: the
+    // declared cell count, and — a present-but-non-finite `Option`
+    // statistic being written as the same `null` as an absent one — the
+    // finiteness of every per-axis and per-cell error/regret statistic.
     if report.cells.len() != grid.cell_count() {
         failures.push(format!(
-            "ran {} cells, grid declares {}",
+            "eval_campaign: ran {} cells, grid declares {}",
             report.cells.len(),
             grid.cell_count()
         ));
     }
-    if !fast {
-        if report.cells.len() < 48 {
-            failures.push(format!("full grid shrank to {} cells (< 48)", report.cells.len()));
-        }
-        if grid.seeds.len() < 2 || grid.geometries.len() < 4 || grid.mixes.len() < 2 {
-            failures.push("full grid lost an axis (seeds/geometries/mixes floor)".to_string());
-        }
-        for required in ["sten8", "aneu8"] {
-            if !grid.geometries.iter().any(|g| g.key == required) {
-                failures.push(format!("full grid dropped required geometry {required}"));
-            }
+    let per_axis = report.by_axis.iter().map(|a| {
+        let stats = [a.error_p50_pct, a.error_p99_pct, a.mean_regret_pct];
+        (format!("axis {}={}", a.axis, a.value), stats)
+    });
+    let per_cell = report.cells.iter().map(|c| {
+        let stats = [c.error_p50_pct, c.error_p99_pct, c.mean_regret_pct];
+        (format!("cell {}", c.key()), stats)
+    });
+    for (what, stats) in per_axis.chain(per_cell) {
+        if stats.iter().flatten().any(|v| !v.is_finite()) {
+            failures.push(format!(
+                "eval_campaign: {what} has a non-finite error or regret statistic"
+            ));
         }
     }
-    if grid.fault_rates.len() < 2 {
-        failures.push("grid needs at least two fault rates".to_string());
-    }
+    provenance::write_artifact("EVAL_campaign.json", &json);
 
-    // 3. Non-vacuous checkers.
-    if report.eq9_cells_checked == 0 {
-        failures.push("Eq. 9 reconciliation never armed".to_string());
-    }
-    if report.guard_exact_checks == 0 {
-        failures.push("guard-exactness rebuild never ran".to_string());
-    }
-
-    // 4. Headline statistics exist and are finite.
-    let headline = [
-        ("error_p50_pct", report.overall.error_p50_pct),
-        ("error_p99_pct", report.overall.error_p99_pct),
-        ("mean_regret_pct", report.overall.mean_regret_pct),
-        ("mean_utilization", Some(report.overall.mean_utilization)),
-    ];
-    for (name, v) in headline {
-        match v {
-            Some(v) if v.is_finite() => {}
-            other => failures.push(format!("overall {name} is {other:?}")),
-        }
-    }
-    for a in &report.by_axis {
-        for (name, v) in [
-            ("error_p50_pct", a.error_p50_pct),
-            ("error_p99_pct", a.error_p99_pct),
-            ("mean_regret_pct", a.mean_regret_pct),
-        ] {
-            if let Some(v) = v {
-                if !v.is_finite() {
-                    failures.push(format!("axis {}={} {name} non-finite", a.axis, a.value));
-                }
-            }
-        }
-    }
-
-    let git_rev = provenance::json_escape(&provenance::git_rev());
-    let rustc = provenance::json_escape(&provenance::rustc_version());
     let fmt_opt = |v: Option<f64>| v.map_or("n/a".to_string(), |v| format!("{v:.4}"));
-    let json = report.to_json_with_provenance(&[
-        ("git_rev", &git_rev),
-        ("rustc", &rustc),
-        ("grid", grid_name),
-        ("cells", &report.cells.len().to_string()),
-        ("violations", &report.violations.len().to_string()),
-        ("eq9_cells_checked", &report.eq9_cells_checked.to_string()),
-        ("guard_exact_checks", &report.guard_exact_checks.to_string()),
-        ("overall_error_p50_pct", &fmt_opt(report.overall.error_p50_pct)),
-        ("overall_error_p99_pct", &fmt_opt(report.overall.error_p99_pct)),
-        ("overall_mean_regret_pct", &fmt_opt(report.overall.mean_regret_pct)),
-        (
-            "overall_mean_utilization",
-            &format!("{:.6}", report.overall.mean_utilization),
-        ),
-    ]);
-
-    // 5. The artifact itself must be nan/inf-free.
-    let lower = json.to_lowercase();
-    for token in [": nan", ": -nan", ": inf", ": -inf"] {
-        if lower.contains(token) {
-            failures.push(format!("artifact contains '{token}'"));
-        }
-    }
-
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-
     println!(
         "eval campaign ({grid_name} grid): {} cells, {} jobs, {} completed, {} violations",
         report.cells.len(),
@@ -156,12 +93,5 @@ fn main() {
         "  Eq. 9 reconciled on {} cells, guard limits rebuilt for {} kills",
         report.eq9_cells_checked, report.guard_exact_checks
     );
-    println!("  wrote {out}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("EVAL INVARIANT VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    gates::exit_on_failures(&failures);
 }

@@ -6,13 +6,15 @@
 //!
 //! * `FABRIC_SEED=<u64>` picks the campaign seed (default 42 — the
 //!   committed `CAMPAIGN_fabric.json` uses this).
-//! * `FABRIC_OUT=<path>` redirects the JSON (default:
-//!   `CAMPAIGN_fabric.json` in the current directory).
-//! * `OBS_OUT=<path>` writes the campaign's metrics snapshot — including
-//!   the `fabric.pool0.link.*` per-link byte counter families — as
-//!   deterministic JSON, which `scripts/verify.sh` diffs across runs.
+//! * `OUT_DIR=<dir>` is where `CAMPAIGN_fabric.json` and
+//!   `OBS_fabric.json` go (default: the current directory). The latter is
+//!   the campaign's metrics snapshot — including the
+//!   `fabric.pool0.link.*` per-link byte counter families — as
+//!   deterministic JSON, which `check` compares across worker counts.
 //!
-//! The binary exits non-zero unless every acceptance property holds:
+//! The binary exits non-zero unless every acceptance property holds
+//! (all but 3 are `gates::gate_fabric`, run on the record it writes; the
+//! shard comparison is not serialized, so it stays here):
 //!
 //! 1. every job completes fault-free (the byte reconciliation needs
 //!    uncut slices);
@@ -26,12 +28,13 @@
 //!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
-use hemocloud_bench::provenance;
+use hemocloud_bench::{gates, provenance};
 use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::topology::{CommModel, TopologyVariant};
 use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
+use hemocloud_obs::json::Value;
 use hemocloud_obs::{Render, Sample, Snapshot};
 use hemocloud_sched::{
     fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo, Campaign,
@@ -53,27 +56,11 @@ fn main() {
         .ok()
         .map(|v| v.parse().expect("FABRIC_SEED must be a u64"))
         .unwrap_or(42);
-    let out = std::env::var("FABRIC_OUT").unwrap_or_else(|_| "CAMPAIGN_fabric.json".to_string());
 
     let (report, obs) = run_fabric_demo(seed);
-    let mut failures = Vec::new();
 
-    // 1. Clean completion: honest jobs, faults off, so the byte ledger
-    //    covers every declared step.
-    if report.completed != report.jobs || report.faults != 0 || report.retries != 0 {
-        failures.push(format!(
-            "expected {} clean completions, got {} completed / {} faults / {} retries",
-            report.jobs, report.completed, report.faults, report.retries
-        ));
-    }
-    for rec in &report.placements {
-        if rec.topology != "spread" {
-            failures.push(format!("placement {} ran '{}', not 'spread'", rec.job, rec.topology));
-        }
-    }
-
-    // 2. Exact Eq. 9 reconciliation: rebuild the demo's one prepared
-    //    shape and price a single step's internodal flows independently.
+    // Exact Eq. 9 reconciliation: rebuild the demo's one prepared shape
+    // and price a single step's internodal flows independently.
     let grid = CylinderSpec::default().with_resolution(10).build();
     let workload = Workload::harvey(&grid, 1);
     let prepared = PreparedRun::new_with_comm(
@@ -92,19 +79,9 @@ fn main() {
         .sum();
     let delivered = link_family_total(&obs, "fabric.pool0.link.delivered_bytes");
     let forwarded = link_family_total(&obs, "fabric.pool0.link.forwarded_bytes");
-    if delivered != eq9_bytes {
-        failures.push(format!(
-            "per-link delivered bytes {delivered} != Eq. 9 total {eq9_bytes}"
-        ));
-    }
-    if forwarded <= delivered {
-        failures.push(format!(
-            "forwarded {forwarded} not > delivered {delivered}: cross-rack hops missing"
-        ));
-    }
 
-    // 3. Shard invariance: the shared-fabric contention context must not
-    //    observe event-queue layout.
+    // Shard invariance: the shared-fabric contention context must not
+    // observe event-queue layout.
     let run_sharded = |shards: usize| {
         let mut config = fabric_demo_config(seed);
         config.shards = shards;
@@ -115,15 +92,15 @@ fn main() {
         campaign.run().to_json()
     };
     let reference = report.to_json();
-    for shards in [2usize, 4] {
-        if run_sharded(shards) != reference {
-            failures.push(format!("report changed at {shards} shards"));
-        }
-    }
+    let mut failures: Vec<String> = [2usize, 4]
+        .into_iter()
+        .filter(|&shards| run_sharded(shards) != reference)
+        .map(|shards| format!("fabric_demo: report changed at {shards} shards"))
+        .collect();
 
-    // 4. Contention slowdown: the same first job, alone on the same pool
-    //    at the same seed, shares its noise stream — any difference is
-    //    trunk contention.
+    // Contention slowdown: the same first job, alone on the same pool at
+    // the same seed, shares its noise stream — any difference is trunk
+    // contention.
     let mut solo = Campaign::new(fabric_demo_config(seed), fabric_demo_pools());
     solo.submit(fabric_demo_jobs().remove(0));
     let solo_report = solo.run();
@@ -134,39 +111,19 @@ fn main() {
         .find(|j| j.name == solo_job.name)
         .expect("job 0 present in demo report");
     let slowdown = demo_job.run_seconds / solo_job.run_seconds;
-    if !(slowdown > 1.01) {
-        failures.push(format!(
-            "co-scheduled run {:.3} s vs isolated {:.3} s: slowdown {slowdown:.4} not > 1.01",
-            demo_job.run_seconds, solo_job.run_seconds
-        ));
-    }
 
-    // 5. Refinement under contention.
-    let (cal, uncal) = (
-        report.mape_calibrated_pct,
-        report.mape_first_quartile_uncalibrated_pct,
-    );
-    match (cal, uncal) {
-        (Some(c), Some(u)) if c < u => {}
-        _ => failures.push(format!(
-            "refinement failed under contention: calibrated MAPE {cal:?} !< uncalibrated {uncal:?}"
-        )),
-    }
-
-    let git_rev = provenance::json_escape(&provenance::git_rev());
-    let rustc = provenance::json_escape(&provenance::rustc_version());
-    let json = report.to_json_with_provenance(&[
-        ("git_rev", &git_rev),
-        ("rustc", &rustc),
-        ("fabric_topology", "spread"),
-        ("fabric_eq9_bytes", &eq9_bytes.to_string()),
-        ("fabric_delivered_bytes", &delivered.to_string()),
-        ("fabric_forwarded_bytes", &forwarded.to_string()),
-        ("fabric_isolated_run_s", &format!("{:.6}", solo_job.run_seconds)),
-        ("fabric_contended_run_s", &format!("{:.6}", demo_job.run_seconds)),
-        ("fabric_contention_slowdown", &format!("{slowdown:.6}")),
+    let mut stamp = provenance::stamp();
+    stamp.extend([
+        ("fabric_topology", Value::Str("spread".into())),
+        ("fabric_eq9_bytes", Value::UInt(eq9_bytes)),
+        ("fabric_delivered_bytes", Value::UInt(delivered)),
+        ("fabric_forwarded_bytes", Value::UInt(forwarded)),
+        ("fabric_isolated_run_s", Value::Float(solo_job.run_seconds)),
+        ("fabric_contended_run_s", Value::Float(demo_job.run_seconds)),
+        ("fabric_contention_slowdown", Value::Float(slowdown)),
     ]);
-    std::fs::write(&out, &json).expect("write fabric campaign JSON");
+    let json = report.to_json_stamped(&stamp);
+    failures.extend(gates::gate_text(&json, gates::gate_fabric));
 
     println!(
         "fabric demo seed {seed}: {} jobs -> {} completed on '{}' topology",
@@ -181,21 +138,11 @@ fn main() {
     let mape = |v: Option<f64>| v.map_or("n/a".to_string(), |v| format!("{v:.1}%"));
     println!(
         "  placement MAPE under contention: uncalibrated Q1 {} -> calibrated {}",
-        mape(uncal),
-        mape(cal)
+        mape(report.mape_first_quartile_uncalibrated_pct),
+        mape(report.mape_calibrated_pct)
     );
-    println!("  wrote {out}");
+    provenance::write_artifact("CAMPAIGN_fabric.json", &json);
+    provenance::write_artifact("OBS_fabric.json", &obs.to_json(Render::Deterministic));
 
-    if let Ok(obs_path) = std::env::var("OBS_OUT") {
-        let obs_json = obs.to_json(Render::Deterministic);
-        std::fs::write(&obs_path, &obs_json).unwrap_or_else(|e| panic!("writing {obs_path}: {e}"));
-        println!("  wrote {obs_path}");
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FABRIC INVARIANT VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    gates::exit_on_failures(&failures);
 }

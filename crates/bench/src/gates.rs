@@ -1,0 +1,908 @@
+//! The verify gates: one function per artifact kind, each taking the
+//! parsed artifact and returning the invariants it breaks (empty = pass).
+//!
+//! Every failure message starts with the gate's name and names the field.
+//! A generator binary runs its gate on the document it is about to write;
+//! the `check` binary runs the same functions on fresh smoke output and on
+//! the committed artifacts (DESIGN.md §18 has the gate → invariant table).
+//!
+//! The writer renders a non-finite float as `null`, so "no NaN/inf
+//! anywhere" is `Gate::finite`: every artifact gate walks its whole
+//! document and fails on a `null` under any key but the few `Option`
+//! statistics (`optional`). There a `Some(NaN)` is indistinguishable
+//! from `None` once written; the gates that need such a statistic name it
+//! as a required number, and `eval_campaign` checks the rest in-struct.
+
+use hemocloud_obs::json::{self, Value};
+
+/// Parse `text` and run `gate` on it; text that is not JSON is the one
+/// failure.
+pub fn gate_text(text: &str, gate: impl Fn(&Value) -> Vec<String>) -> Vec<String> {
+    match json::parse(text) {
+        Ok(doc) => gate(&doc),
+        Err(e) => vec![e.to_string()],
+    }
+}
+
+/// A binary's last step: print every failure and exit non-zero if there
+/// is one.
+pub fn exit_on_failures(failures: &[String]) {
+    for f in failures {
+        eprintln!("ERROR: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Op {
+    Gt,
+    Ge,
+    Lt,
+    Le,
+    Eq,
+}
+use Op::*;
+
+impl Op {
+    fn holds(self, a: &Value, b: &Value) -> bool {
+        // Two integers compare exactly; anything else as f64.
+        let ordering = match (a, b) {
+            (Value::UInt(x), Value::UInt(y)) => Some(x.cmp(y)),
+            _ => a
+                .as_f64()
+                .zip(b.as_f64())
+                .and_then(|(x, y)| x.partial_cmp(&y)),
+        };
+        ordering.is_some_and(|o| match self {
+            Gt => o.is_gt(),
+            Ge => o.is_ge(),
+            Lt => o.is_lt(),
+            Le => o.is_le(),
+            Eq => o.is_eq(),
+        })
+    }
+
+    fn symbol(self) -> &'static str {
+        ["is not >", "is not >=", "is not <", "is not <=", "!="][self as usize]
+    }
+}
+
+struct Gate {
+    name: &'static str,
+    failures: Vec<String>,
+}
+
+/// Record a failure, `format!`-style, under the gate's name.
+macro_rules! fail {
+    ($gate:expr, $($msg:tt)+) => {{
+        let failure = format!("{}: {}", $gate.name, format_args!($($msg)+));
+        if !$gate.failures.contains(&failure) {
+            $gate.failures.push(failure);
+        }
+    }};
+}
+
+/// Keys the writers render as `null` when the `Option` behind them is
+/// `None`; under every other key a `null` is a non-finite float.
+fn optional(key: &str) -> bool {
+    key.ends_with("_pct") || ["measured_step_s", "slo_met", "peak_rss_mib"].contains(&key)
+}
+
+impl Gate {
+    fn new(name: &'static str) -> Self {
+        let failures = Vec::new();
+        Self { name, failures }
+    }
+
+    /// A gate over `doc`, which must be `finite` throughout.
+    fn over(name: &'static str, doc: &Value) -> Self {
+        let mut g = Self::new(name);
+        g.finite(doc, "");
+        g
+    }
+
+    /// No `null` anywhere under `v` (found at `path`) outside the
+    /// `optional` statistics — the old `grep ': nan|inf'` over the file.
+    fn finite(&mut self, v: &Value, path: &str) {
+        let under = |key: &str| format!("{path}{}{key}", if path.is_empty() { "" } else { "." });
+        match v {
+            Value::Null if !optional(path.rsplit('.').next().unwrap_or("")) => {
+                fail!(self, "{path} is null, expected a finite number");
+            }
+            Value::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    self.finite(item, &under(&i.to_string()));
+                }
+            }
+            Value::Object(members) => {
+                for (key, item) in members {
+                    self.finite(item, &under(key));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The number at `path`; a missing or `null` (non-finite) one fails.
+    fn number<'a>(&mut self, v: &'a Value, path: &str) -> Option<&'a Value> {
+        let found = v.at(path).filter(|n| n.as_f64().is_some());
+        if found.is_none() {
+            let what = v.at(path).map_or("missing".into(), Value::to_string);
+            fail!(self, "{path} is {what}, expected a finite number");
+        }
+        found
+    }
+
+    /// `path <op> limit` must hold.
+    fn limit(&mut self, v: &Value, path: &str, op: Op, limit: f64) {
+        if let Some(n) = self
+            .number(v, path)
+            .filter(|n| !op.holds(n, &Value::Float(limit)))
+        {
+            fail!(self, "{path} ({n}) {} {limit}", op.symbol());
+        }
+    }
+
+    /// `a <op> b` must hold between two fields.
+    fn relate(&mut self, v: &Value, a: &str, op: Op, b: &str) {
+        if let (Some(x), Some(y)) = (self.number(v, a), self.number(v, b)) {
+            if !op.holds(x, y) {
+                fail!(self, "{a} ({x}) {} {b} ({y})", op.symbol());
+            }
+        }
+    }
+
+    /// `path <op> limit` for `field` of every row of the array at `path`;
+    /// returns the rows.
+    fn rows<'a>(&mut self, v: &'a Value, path: &str, checks: &[(&str, Op, f64)]) -> &'a [Value] {
+        let rows = v.at(path).and_then(Value::as_array);
+        if rows.is_none() {
+            fail!(self, "{path} is not an array");
+        }
+        for i in 0..rows.map_or(0, <[Value]>::len) {
+            for (field, op, limit) in checks {
+                self.limit(v, &format!("{path}.{i}.{field}"), *op, *limit);
+            }
+        }
+        rows.unwrap_or(&[])
+    }
+
+    /// The flag at `path` must be `true`.
+    fn flag(&mut self, v: &Value, path: &str) {
+        if v.at(path) != Some(&Value::Bool(true)) {
+            let what = v.at(path).map_or("missing".into(), Value::to_string);
+            fail!(self, "{path} is {what}, expected true");
+        }
+    }
+
+    /// The four outcome counts under `prefix` must account for every job.
+    fn outcomes_sum_to_jobs(&mut self, doc: &Value, prefix: &str) {
+        let count = |path: String| doc.at(&path).and_then(Value::as_u64);
+        let outcomes = ["completed", "guard_kills", "failed", "rejected"];
+        let sum: Option<u64> = outcomes.iter().map(|o| count(format!("{prefix}{o}"))).sum();
+        let jobs = count("jobs".into());
+        if sum.is_none() || sum != jobs {
+            let sum_of = outcomes.join(" + ");
+            fail!(self, "{prefix}{sum_of} is {sum:?}, but jobs is {jobs:?}");
+        }
+    }
+
+    /// All four `refinement` statistics must exist: `Option`s, but never
+    /// `None` on a campaign that measured placements in every quartile.
+    fn refinement_stats(&mut self, doc: &Value) {
+        for stat in [
+            "mape_first_quartile_uncalibrated_pct",
+            "mape_calibrated_pct",
+            "error_p50_pct",
+            "error_p99_pct",
+        ] {
+            self.number(doc, &format!("refinement.{stat}"));
+        }
+    }
+
+    /// The refinement loop must have reduced placement error.
+    fn calibration_wins(&mut self, doc: &Value) {
+        self.refinement_stats(doc);
+        let uncalibrated = "refinement.mape_first_quartile_uncalibrated_pct";
+        self.relate(doc, "refinement.mape_calibrated_pct", Lt, uncalibrated);
+    }
+}
+
+fn text<'a>(v: &'a Value, path: &str) -> &'a str {
+    v.at(path).and_then(Value::as_str).unwrap_or("")
+}
+
+/// `BENCH_lbm.json`: positive finite throughputs on every row, the
+/// bitwise witnesses, the f32 rows and their accuracy bound, and — on a
+/// full-size record — the AB→AA speedup the sweep exists to show.
+pub fn gate_bench_lbm(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("bench_lbm", doc);
+    g.limit(doc, "solver.mflups", Gt, 0.0);
+    let stream = g.rows(doc, "stream", &[("gb_s", Gt, 0.0)]);
+    if stream.len() < 2 {
+        fail!(g, "stream has fewer than two rows (Copy, Triad)");
+    }
+    let positive = [
+        ("mflups", Gt, 0.0),
+        ("modeled_bytes_per_update", Gt, 0.0),
+        ("implied_bytes_per_update", Gt, 0.0),
+        ("measured_over_modeled", Gt, 0.0),
+    ];
+    let kernels = g.rows(doc, "kernels", &positive);
+    g.limit(doc, "best.measured_over_modeled", Gt, 0.0);
+    g.flag(doc, "prefetch_bitwise_equal");
+    g.flag(doc, "simd_bitwise_equal");
+    g.limit(doc, "aa_ab_moment_max_diff", Le, 1e-12);
+    g.limit(doc, "f32_f64_moment_max_diff", Le, 1e-3);
+    if !kernels
+        .iter()
+        .any(|row| text(row, "config") == "AA/SOA/indirect/f32")
+    {
+        fail!(g, "kernels has no f32 rows (AA/SOA/indirect/f32 missing)");
+    }
+    if doc.get("fast_mode") == Some(&Value::Bool(false)) {
+        // f64 rows only: the f32 rows are faster by construction.
+        let f64_mflups = |propagation: &'static str| {
+            let of_kind = move |row: &&Value| {
+                text(row, "config").starts_with(propagation)
+                    && text(row, "config").ends_with("/f64")
+            };
+            kernels
+                .iter()
+                .filter(of_kind)
+                .filter_map(|row| row.get("mflups")?.as_f64())
+        };
+        let ab = f64_mflups("AB/AOS/").next().unwrap_or(f64::NAN);
+        let best_aa = f64_mflups("AA/").fold(f64::NAN, f64::max);
+        let aa_wins = best_aa >= ab;
+        if !aa_wins {
+            fail!(
+                g,
+                "best f64 AA row ({best_aa} MFLUPS) is slower than AB/AOS ({ab})"
+            );
+        }
+    }
+    g.failures
+}
+
+/// A `BENCH_lbm.json` produced under `RT_SIMD=scalar`: no row may have
+/// taken the AVX2 path, so `simd_bitwise_equal` there pits the portable
+/// wide lanes against the scalar loop.
+pub fn gate_forced_scalar(doc: &Value) -> Vec<String> {
+    let mut g = Gate::new("forced_scalar");
+    for row in g.rows(doc, "kernels", &[]) {
+        if text(row, "simd") == "avx2" {
+            fail!(g, "{} ran avx2 despite RT_SIMD=scalar", text(row, "config"));
+        }
+    }
+    g.failures
+}
+
+/// Fresh fast-mode `BENCH_lbm.json` against the committed full-size one.
+/// The meshes differ, so the bounds are loose: a healthy checkout lands
+/// well within 2x. Catches a hot-path regression that halves throughput,
+/// or one that doubles the update time while STREAM stays flat (fast
+/// mode's cache-resident STREAM arrays already inflate the ratio, hence
+/// 2.5x).
+pub fn gate_perf_vs_committed(fresh: &Value, committed: &Value) -> Vec<String> {
+    let mut g = Gate::new("perf_vs_committed");
+    for (path, op, factor) in [
+        ("solver.mflups", Ge, 0.5),
+        ("stream.0.gb_s", Ge, 0.5),
+        ("stream.1.gb_s", Ge, 0.5),
+        ("best.measured_over_modeled", Le, 2.5),
+    ] {
+        let (Some(f), Some(c)) = (g.number(fresh, path), g.number(committed, path)) else {
+            continue;
+        };
+        let bound = factor * c.as_f64().unwrap_or(f64::NAN);
+        if !op.holds(f, &Value::Float(bound)) {
+            fail!(
+                g,
+                "fresh {path} ({f}) {} {factor} x committed ({c})",
+                op.symbol()
+            );
+        }
+    }
+    g.failures
+}
+
+fn campaign_report(g: &mut Gate, doc: &Value) {
+    g.limit(doc, "makespan_s", Gt, 0.0);
+    g.limit(doc, "total_cost_dollars", Gt, 0.0);
+    if g.rows(doc, "placements", &[]).is_empty() {
+        fail!(g, "placements is empty");
+    }
+    g.outcomes_sum_to_jobs(doc, "");
+    g.rows(doc, "platforms", &[("utilization", Le, 1.0 + 1e-9)]);
+}
+
+/// Any other document the generators write (the per-shard campaign
+/// reports): no `null` outside the `Option` statistics, nothing else.
+pub fn gate_finite(doc: &Value) -> Vec<String> {
+    Gate::over("finite", doc).failures
+}
+
+/// `CAMPAIGN_sched.json`: finite positive economics, a non-empty
+/// placement log, outcomes that account for every job, utilizations
+/// within capacity, plus — at the committed demo seed 42 — the full
+/// control loop: a guard kill, a successful fault retry, and calibration
+/// reducing placement error.
+pub fn gate_campaign(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("campaign", doc);
+    campaign_report(&mut g, doc);
+    if doc.get("seed") == Some(&Value::UInt(42)) {
+        g.limit(doc, "guard_kills", Ge, 1.0);
+        g.limit(doc, "retried_jobs_completed", Ge, 1.0);
+        g.calibration_wins(doc);
+    }
+    g.failures
+}
+
+/// `CAMPAIGN_fabric.json`: clean completion on the spread topology,
+/// per-link delivered bytes equal to the Eq. 9 total *exactly*, a real
+/// (> 1%) contention slowdown, and calibration closing the gap.
+pub fn gate_fabric(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("fabric", doc);
+    campaign_report(&mut g, doc);
+    g.relate(doc, "completed", Eq, "jobs");
+    g.limit(doc, "faults", Eq, 0.0);
+    g.limit(doc, "retries", Eq, 0.0);
+    for p in g.rows(doc, "placements", &[]) {
+        if text(p, "topology") != "spread" {
+            fail!(
+                g,
+                "placement of {:?} ran {:?}, not \"spread\"",
+                text(p, "name"),
+                text(p, "topology")
+            );
+        }
+    }
+    let witness = doc.get("provenance").unwrap_or(&Value::Null);
+    g.relate(witness, "fabric_delivered_bytes", Eq, "fabric_eq9_bytes");
+    g.relate(
+        witness,
+        "fabric_forwarded_bytes",
+        Gt,
+        "fabric_delivered_bytes",
+    );
+    g.limit(witness, "fabric_contention_slowdown", Gt, 1.01);
+    g.calibration_wins(doc);
+    g.failures
+}
+
+/// `BENCH_sched.json`: positive event throughput, outcomes that account
+/// for every job, the planted runaways and doomed budgets caught, and
+/// the shard-determinism witness.
+pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("bench_sched", doc);
+    g.limit(doc, "events_per_sec", Gt, 0.0);
+    g.limit(doc, "makespan_s", Gt, 0.0);
+    g.limit(doc, "events_processed", Gt, 0.0);
+    g.outcomes_sum_to_jobs(doc, "outcomes.");
+    g.limit(doc, "outcomes.completed", Gt, 0.0);
+    if doc.get("jobs").and_then(Value::as_u64) >= Some(1_000) {
+        // A runaway every 211 jobs and a doomed budget every 503: at
+        // this scale the guard and admission paths must fire.
+        g.limit(doc, "outcomes.guard_kills", Gt, 0.0);
+        g.limit(doc, "outcomes.rejected", Gt, 0.0);
+        g.refinement_stats(doc);
+    }
+    g.flag(doc, "shard_determinism.reports_identical");
+    g.failures
+}
+
+/// `EVAL_campaign.json`: zero invariant violations, non-vacuous Eq. 9 and
+/// guard-exactness checkers, finite headline statistics, at least two
+/// fault rates — and on the full grid the ≥ 48-cell floor with every
+/// axis (stenosis and aneurysm included) still swept.
+pub fn gate_eval(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("eval", doc);
+    g.limit(doc, "violations", Eq, 0.0);
+    for v in g.rows(doc, "violation_list", &[]) {
+        fail!(g, "invariant violation: {v}");
+    }
+    g.limit(doc, "eq9_cells_checked", Gt, 0.0);
+    g.limit(doc, "guard_exact_checks", Gt, 0.0);
+    for stat in [
+        "error_p50_pct",
+        "error_p99_pct",
+        "mean_regret_pct",
+        "mean_utilization",
+    ] {
+        g.number(doc, &format!("overall.{stat}"));
+    }
+    let rendered = g.rows(doc, "cell_results", &[]).len();
+    g.limit(doc, "cells", Eq, rendered as f64);
+    let by_axis = g.rows(doc, "by_axis", &[]);
+    let values_of = |axis: &str| -> Vec<&str> {
+        let on_axis = by_axis.iter().filter(|a| text(a, "axis") == axis);
+        on_axis.map(|a| text(a, "value")).collect()
+    };
+    let mut floors = vec![("fault_rate", 2)];
+    if text(doc, "provenance.grid") == "full" {
+        g.limit(doc, "cells", Ge, 48.0);
+        floors.extend([("seed", 2), ("geometry", 4), ("mix", 2)]);
+        for required in ["sten8", "aneu8"] {
+            if !values_of("geometry").contains(&required) {
+                fail!(g, "by_axis lacks the {required} geometry on the full grid");
+            }
+        }
+    }
+    for (axis, floor) in floors {
+        let n = values_of(axis).len();
+        if n < floor {
+            fail!(g, "by_axis has {n} {axis} values, expected >= {floor}");
+        }
+    }
+    g.failures
+}
+
+/// An obs snapshot: the deterministic render, a non-empty metric map, and
+/// (as in every gate) no `null`, i.e. non-finite, statistic.
+pub fn gate_obs(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("obs", doc);
+    if text(doc, "render") != "deterministic" {
+        fail!(
+            g,
+            "render is {:?}, expected \"deterministic\"",
+            text(doc, "render")
+        );
+    }
+    let metrics = doc.get("metrics").and_then(Value::as_object);
+    if metrics.unwrap_or(&[]).is_empty() {
+        fail!(g, "metrics is empty");
+    }
+    g.failures
+}
+
+/// The five committed artifacts as a set: all stamped at one revision
+/// (regenerate with `check --regen`), and the two that have a smoke
+/// size committed at full size.
+pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
+    let mut g = Gate::new("committed_set");
+    let revs: Vec<&str> = artifacts
+        .iter()
+        .map(|(_, doc)| text(doc, "provenance.git_rev"))
+        .collect();
+    if revs.iter().any(|r| r.is_empty() || *r != revs[0]) {
+        let stamps: Vec<String> = artifacts
+            .iter()
+            .zip(&revs)
+            .map(|((file, _), r)| format!("{file} @ {r:?}"))
+            .collect();
+        fail!(
+            g,
+            "provenance.git_rev stamps disagree: {}",
+            stamps.join(", ")
+        );
+    }
+    for (file, doc) in artifacts {
+        if doc.get("fast_mode") == Some(&Value::Bool(true)) {
+            fail!(g, "{file} was produced in fast mode, not full size");
+        }
+        let grid = doc.at("provenance.grid").and_then(Value::as_str);
+        if grid.is_some_and(|grid| grid != "full") {
+            fail!(
+                g,
+                "{file} was produced by the {grid:?} grid, not the full one"
+            );
+        }
+    }
+    g.failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hemocloud_obs::{Registry, Render};
+
+    /// The committed artifacts are the passing fixtures: each negative
+    /// test breaks exactly one invariant of one of them.
+    fn committed(text: &str) -> Value {
+        json::parse(text).expect("committed artifact is valid JSON")
+    }
+    fn bench_lbm() -> Value {
+        committed(include_str!("../../../BENCH_lbm.json"))
+    }
+    fn bench_sched() -> Value {
+        committed(include_str!("../../../BENCH_sched.json"))
+    }
+    fn campaign() -> Value {
+        committed(include_str!("../../../CAMPAIGN_sched.json"))
+    }
+    fn fabric() -> Value {
+        committed(include_str!("../../../CAMPAIGN_fabric.json"))
+    }
+    fn eval() -> Value {
+        committed(include_str!("../../../EVAL_campaign.json"))
+    }
+    fn obs() -> Value {
+        let r = Registry::new();
+        r.counter("pool.jobs").add(3);
+        r.gauge("sched.mape_pct").set(12.5);
+        committed(&r.snapshot().to_json(Render::Deterministic))
+    }
+
+    /// `doc` with the value at `path` replaced.
+    fn with(mut doc: Value, path: &str, new: Value) -> Value {
+        let mut slot = &mut doc;
+        for key in path.split('.') {
+            slot = match slot {
+                Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+                Value::Object(members) => members
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v)
+                    .unwrap_or_else(|| panic!("no key {key} on {path}")),
+                other => panic!("{path}: cannot descend into {other:?}"),
+            };
+        }
+        *slot = new;
+        doc
+    }
+
+    /// Exactly one failure, from `gate`, mentioning `needle`.
+    fn assert_only_failure(failures: &[String], gate: &str, needle: &str) {
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with(&format!("{gate}: ")),
+            "{failures:?}"
+        );
+        assert!(failures[0].contains(needle), "{failures:?}");
+    }
+
+    #[test]
+    fn committed_artifacts_pass_every_gate() {
+        assert_eq!(gate_bench_lbm(&bench_lbm()), Vec::<String>::new());
+        assert_eq!(
+            gate_perf_vs_committed(&bench_lbm(), &bench_lbm()),
+            Vec::<String>::new()
+        );
+        assert_eq!(gate_bench_sched(&bench_sched()), Vec::<String>::new());
+        assert_eq!(gate_campaign(&campaign()), Vec::<String>::new());
+        assert_eq!(gate_finite(&fabric()), Vec::<String>::new());
+        assert_eq!(gate_fabric(&fabric()), Vec::<String>::new());
+        assert_eq!(gate_eval(&eval()), Vec::<String>::new());
+        assert_eq!(gate_obs(&obs()), Vec::<String>::new());
+        let (a, b, c, d, e) = (bench_lbm(), bench_sched(), campaign(), fabric(), eval());
+        let set = [("a", &a), ("b", &b), ("c", &c), ("d", &d), ("e", &e)];
+        assert_eq!(gate_committed_set(&set), Vec::<String>::new());
+    }
+
+    #[test]
+    fn bench_lbm_gate_names_each_broken_witness() {
+        let broken = with(bench_lbm(), "simd_bitwise_equal", Value::Bool(false));
+        assert_only_failure(&gate_bench_lbm(&broken), "bench_lbm", "simd_bitwise_equal");
+        let broken = with(bench_lbm(), "prefetch_bitwise_equal", Value::Bool(false));
+        assert_only_failure(
+            &gate_bench_lbm(&broken),
+            "bench_lbm",
+            "prefetch_bitwise_equal",
+        );
+        // A non-finite throughput is written as null.
+        let broken = with(bench_lbm(), "kernels.3.mflups", Value::Null);
+        assert_only_failure(
+            &gate_bench_lbm(&broken),
+            "bench_lbm",
+            "kernels.3.mflups is null",
+        );
+        let broken = with(bench_lbm(), "stream.1.gb_s", Value::Float(0.0));
+        assert_only_failure(
+            &gate_bench_lbm(&broken),
+            "bench_lbm",
+            "stream.1.gb_s (0.0) is not > 0",
+        );
+        let broken = with(bench_lbm(), "f32_f64_moment_max_diff", Value::Float(0.5));
+        assert_only_failure(
+            &gate_bench_lbm(&broken),
+            "bench_lbm",
+            "f32_f64_moment_max_diff",
+        );
+        // Best AA slower than AB: raise the AB/AOS row above every AA row.
+        let broken = with(bench_lbm(), "kernels.0.mflups", Value::Float(1e6));
+        assert_only_failure(&gate_bench_lbm(&broken), "bench_lbm", "slower than AB");
+        // … which a fast-mode record is allowed (its mesh is too small to tell).
+        let fast = with(broken, "fast_mode", Value::Bool(true));
+        assert_eq!(gate_bench_lbm(&fast), Vec::<String>::new());
+        // Dropping the f32 rows (keep the eight f64 ones).
+        let f64_rows = bench_lbm().at("kernels").and_then(Value::as_array).unwrap()[..8].to_vec();
+        let broken = with(bench_lbm(), "kernels", Value::Array(f64_rows));
+        assert_only_failure(&gate_bench_lbm(&broken), "bench_lbm", "no f32 rows");
+    }
+
+    #[test]
+    fn forced_scalar_gate_rejects_an_avx2_row() {
+        let scalar = with(
+            bench_lbm(),
+            "kernels.0.simd",
+            Value::Str("scalar-lanes".into()),
+        );
+        let rows = scalar.at("kernels").and_then(Value::as_array).unwrap()[..1].to_vec();
+        let scalar = with(scalar, "kernels", Value::Array(rows));
+        assert_eq!(gate_forced_scalar(&scalar), Vec::<String>::new());
+        let broken = with(scalar, "kernels.0.simd", Value::Str("avx2".into()));
+        assert_only_failure(&gate_forced_scalar(&broken), "forced_scalar", "ran avx2");
+    }
+
+    #[test]
+    fn perf_gate_trips_below_half_the_committed_throughput_and_above_2_5x_the_ratio() {
+        let committed = bench_lbm();
+        let mflups = committed
+            .at("solver.mflups")
+            .and_then(Value::as_f64)
+            .unwrap();
+        let slow = with(bench_lbm(), "solver.mflups", Value::Float(0.49 * mflups));
+        assert_only_failure(
+            &gate_perf_vs_committed(&slow, &committed),
+            "perf_vs_committed",
+            "fresh solver.mflups (",
+        );
+        let ok = with(bench_lbm(), "solver.mflups", Value::Float(0.51 * mflups));
+        assert_eq!(
+            gate_perf_vs_committed(&ok, &committed),
+            Vec::<String>::new()
+        );
+        let triad = committed
+            .at("stream.1.gb_s")
+            .and_then(Value::as_f64)
+            .unwrap();
+        let slow = with(bench_lbm(), "stream.1.gb_s", Value::Float(0.4 * triad));
+        assert_only_failure(
+            &gate_perf_vs_committed(&slow, &committed),
+            "perf_vs_committed",
+            "fresh stream.1.gb_s",
+        );
+        let ratio = committed
+            .at("best.measured_over_modeled")
+            .and_then(Value::as_f64)
+            .unwrap();
+        let drifted = with(
+            bench_lbm(),
+            "best.measured_over_modeled",
+            Value::Float(2.6 * ratio),
+        );
+        assert_only_failure(
+            &gate_perf_vs_committed(&drifted, &committed),
+            "perf_vs_committed",
+            "best.measured_over_modeled",
+        );
+    }
+
+    #[test]
+    fn campaign_gate_names_broken_economics_and_a_failed_refinement_loop() {
+        let broken = with(campaign(), "total_cost_dollars", Value::Null);
+        assert_only_failure(&gate_campaign(&broken), "campaign", "total_cost_dollars");
+        let broken = with(campaign(), "makespan_s", Value::Float(0.0));
+        assert_only_failure(
+            &gate_campaign(&broken),
+            "campaign",
+            "makespan_s (0.0) is not > 0",
+        );
+        let broken = with(campaign(), "placements", Value::Array(vec![]));
+        assert_only_failure(&gate_campaign(&broken), "campaign", "placements is empty");
+        let broken = with(campaign(), "completed", Value::UInt(0));
+        assert_only_failure(&gate_campaign(&broken), "campaign", "but jobs is Some(26)");
+        let broken = with(campaign(), "platforms.0.utilization", Value::Float(1.5));
+        assert_only_failure(
+            &gate_campaign(&broken),
+            "campaign",
+            "platforms.0.utilization (1.5) is not <= 1",
+        );
+        let broken = with(
+            campaign(),
+            "refinement.mape_calibrated_pct",
+            Value::Float(99.0),
+        );
+        assert_only_failure(
+            &gate_campaign(&broken),
+            "campaign",
+            "mape_calibrated_pct (99.0) is not < refinement.mape_first",
+        );
+        let broken = with(campaign(), "retried_jobs_completed", Value::UInt(0));
+        assert_only_failure(
+            &gate_campaign(&broken),
+            "campaign",
+            "retried_jobs_completed (0) is not >= 1",
+        );
+        // Another seed owes only the report invariants.
+        let other = with(broken, "seed", Value::UInt(7));
+        assert_eq!(gate_campaign(&other), Vec::<String>::new());
+    }
+
+    #[test]
+    fn fabric_gate_names_a_byte_mismatch_a_missing_slowdown_and_a_scalar_placement() {
+        let eq9 = fabric()
+            .at("provenance.fabric_eq9_bytes")
+            .and_then(Value::as_u64)
+            .unwrap();
+        let broken = with(
+            fabric(),
+            "provenance.fabric_delivered_bytes",
+            Value::UInt(eq9 - 1),
+        );
+        assert_only_failure(
+            &gate_fabric(&broken),
+            "fabric",
+            "fabric_delivered_bytes (11155199999999) != fabric_eq9_bytes (11155200000000)",
+        );
+        let broken = with(
+            fabric(),
+            "provenance.fabric_contention_slowdown",
+            Value::Float(1.005),
+        );
+        assert_only_failure(
+            &gate_fabric(&broken),
+            "fabric",
+            "fabric_contention_slowdown (1.005) is not > 1.01",
+        );
+        let broken = with(
+            fabric(),
+            "placements.2.topology",
+            Value::Str("scalar".into()),
+        );
+        assert_only_failure(&gate_fabric(&broken), "fabric", "not \"spread\"");
+        let broken = with(fabric(), "faults", Value::UInt(1));
+        assert_only_failure(&gate_fabric(&broken), "fabric", "faults (1) != 0");
+    }
+
+    #[test]
+    fn bench_sched_gate_names_a_diverged_shard_render_and_missing_outcomes() {
+        let broken = with(
+            bench_sched(),
+            "shard_determinism.reports_identical",
+            Value::Bool(false),
+        );
+        assert_only_failure(
+            &gate_bench_sched(&broken),
+            "bench_sched",
+            "reports_identical",
+        );
+        let broken = with(bench_sched(), "events_per_sec", Value::Null);
+        assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "events_per_sec");
+        let jobs = bench_sched().get("jobs").and_then(Value::as_u64).unwrap();
+        let broken = with(bench_sched(), "jobs", Value::UInt(jobs + 1));
+        assert_only_failure(
+            &gate_bench_sched(&broken),
+            "bench_sched",
+            "but jobs is Some(1000001)",
+        );
+    }
+
+    #[test]
+    fn eval_gate_names_a_violation_a_vacuous_checker_and_a_lost_axis() {
+        let broken = with(eval(), "violations", Value::UInt(1));
+        assert_only_failure(&gate_eval(&broken), "eval", "violations (1) != 0");
+        let broken = with(eval(), "eq9_cells_checked", Value::UInt(0));
+        assert_only_failure(
+            &gate_eval(&broken),
+            "eval",
+            "eq9_cells_checked (0) is not > 0",
+        );
+        let broken = with(eval(), "guard_exact_checks", Value::UInt(0));
+        assert_only_failure(
+            &gate_eval(&broken),
+            "eval",
+            "guard_exact_checks (0) is not > 0",
+        );
+        let broken = with(eval(), "overall.error_p99_pct", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "overall.error_p99_pct");
+        // Rename the stenosis axis away: the full grid must still sweep it.
+        let by_axis = eval()
+            .get("by_axis")
+            .and_then(Value::as_array)
+            .unwrap()
+            .to_vec();
+        let sten = by_axis
+            .iter()
+            .position(|a| a.get("value") == Some(&Value::Str("sten8".into())))
+            .expect("sten8 axis present");
+        let broken = with(
+            eval(),
+            &format!("by_axis.{sten}.value"),
+            Value::Str("cyl9".into()),
+        );
+        assert_only_failure(&gate_eval(&broken), "eval", "lacks the sten8 geometry");
+        // The same document stamped as a smoke grid owes no axis floor.
+        let smoke = with(broken, "provenance.grid", Value::Str("smoke".into()));
+        assert_eq!(gate_eval(&smoke), Vec::<String>::new());
+    }
+
+    #[test]
+    fn obs_gate_rejects_a_null_metric_and_a_full_render() {
+        let broken = with(obs(), "render", Value::Str("full".into()));
+        assert_only_failure(&gate_obs(&broken), "obs", "render is");
+        // Metric names contain dots, so rebuild the map instead of a path.
+        let r = Registry::new();
+        r.gauge("sched.mape_pct").set(f64::NAN);
+        let broken = committed(&r.snapshot().to_json(Render::Deterministic));
+        assert_only_failure(
+            &gate_obs(&broken),
+            "obs",
+            "metrics.sched.mape_pct.value is null",
+        );
+    }
+
+    #[test]
+    fn committed_set_gate_names_mismatched_stamps_and_smoke_sized_records() {
+        let (a, b) = (bench_lbm(), eval());
+        let stale = with(
+            eval(),
+            "provenance.git_rev",
+            Value::Str("f6312ea8bd42".into()),
+        );
+        let failures =
+            gate_committed_set(&[("BENCH_lbm.json", &a), ("EVAL_campaign.json", &stale)]);
+        assert_only_failure(&failures, "committed_set", "git_rev stamps disagree");
+        assert!(
+            failures[0].contains("EVAL_campaign.json @ \"f6312ea8bd42\""),
+            "{failures:?}"
+        );
+        let smoke = with(eval(), "provenance.grid", Value::Str("smoke".into()));
+        let failures =
+            gate_committed_set(&[("BENCH_lbm.json", &a), ("EVAL_campaign.json", &smoke)]);
+        assert_only_failure(&failures, "committed_set", "\"smoke\"");
+        let fast = with(bench_lbm(), "fast_mode", Value::Bool(true));
+        let failures = gate_committed_set(&[("BENCH_lbm.json", &fast), ("EVAL_campaign.json", &b)]);
+        assert_only_failure(&failures, "committed_set", "fast mode");
+    }
+
+    /// What the old `grep ': nan|inf'` caught: a non-finite number in a
+    /// field no gate names, now a `null` there.
+    #[test]
+    fn every_gate_rejects_a_null_outside_the_optional_statistics() {
+        let broken = with(eval(), "cell_results.0.makespan_s", Value::Null);
+        assert_only_failure(
+            &gate_eval(&broken),
+            "eval",
+            "cell_results.0.makespan_s is null",
+        );
+        let broken = with(eval(), "by_axis.3.mean_utilization", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "by_axis.3.mean_utilization");
+        let broken = with(campaign(), "job_reports.0.cost_dollars", Value::Null);
+        assert_only_failure(
+            &gate_campaign(&broken),
+            "campaign",
+            "job_reports.0.cost_dollars",
+        );
+        let broken = with(fabric(), "placements.1.predicted_step_s", Value::Null);
+        assert_only_failure(
+            &gate_fabric(&broken),
+            "fabric",
+            "placements.1.predicted_step_s",
+        );
+        let broken = with(fabric(), "platforms.0.cost_dollars", Value::Null);
+        assert_only_failure(&gate_finite(&broken), "finite", "platforms.0.cost_dollars");
+        let broken = with(bench_sched(), "elapsed_s", Value::Null);
+        assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "elapsed_s");
+        let broken = with(bench_sched(), "refinement.error_p99_pct", Value::Null);
+        assert_only_failure(
+            &gate_bench_sched(&broken),
+            "bench_sched",
+            "refinement.error_p99_pct is null",
+        );
+        let broken = with(bench_lbm(), "kernels.2.ns_per_update", Value::Null);
+        assert_only_failure(
+            &gate_bench_lbm(&broken),
+            "bench_lbm",
+            "kernels.2.ns_per_update",
+        );
+        // An absent Option statistic is not a failure …
+        let absent = with(campaign(), "placements.0.measured_step_s", Value::Null);
+        assert_eq!(gate_campaign(&absent), Vec::<String>::new());
+        let absent = with(eval(), "cell_results.0.error_p50_pct", Value::Null);
+        assert_eq!(gate_eval(&absent), Vec::<String>::new());
+        // … unless the gate requires that one.
+        let broken = with(eval(), "overall.mean_regret_pct", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "overall.mean_regret_pct");
+    }
+
+    #[test]
+    fn text_that_is_not_json_fails_before_any_gate_runs() {
+        let failures = gate_text("{\"violations\": NaN}", gate_eval);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("invalid JSON"), "{failures:?}");
+    }
+}

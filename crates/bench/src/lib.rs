@@ -4,6 +4,7 @@
 //! paper's evaluation (see DESIGN.md §4 for the index); this library holds
 //! the formatting and workload plumbing they share.
 
+pub mod gates;
 pub mod provenance;
 pub mod report;
 pub mod workloads;

@@ -1,4 +1,4 @@
-//! Run provenance for persisted benchmark artifacts.
+//! Run provenance for persisted benchmark artifacts, and where they go.
 //!
 //! `BENCH_lbm.json` and `CAMPAIGN_sched.json` are committed and compared
 //! across PRs; a number without the commit and toolchain that produced it
@@ -6,7 +6,10 @@
 //! to `"unknown"` when either is unavailable (e.g. an unpacked source
 //! tarball), so the benches never fail on missing provenance.
 
+use std::path::PathBuf;
 use std::process::Command;
+
+use hemocloud_obs::json::{self, Value};
 
 fn first_line_of(cmd: &str, args: &[&str]) -> Option<String> {
     let out = Command::new(cmd).args(args).output().ok()?;
@@ -36,18 +39,37 @@ pub fn rustc_version() -> String {
 /// Escape a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json::escape_into(&mut out, s);
     out
+}
+
+/// The `git_rev` + `rustc` fields every artifact's `"provenance"` object
+/// starts with; callers append their own typed fields.
+pub fn stamp() -> Vec<(&'static str, Value)> {
+    vec![
+        ("git_rev", Value::Str(git_rev())),
+        ("rustc", Value::Str(rustc_version())),
+    ]
+}
+
+/// Write `contents` to `$OUT_DIR/<file>` (`OUT_DIR` defaults to the
+/// current directory, i.e. the committed artifacts when run from the repo
+/// root; `check` points it at `target/check/<run>/`). Returns the path.
+///
+/// Hazard: `OUT_DIR` is also the variable Cargo sets for `cargo run` of a
+/// package with a build script. No workspace crate has a `build.rs`; the
+/// day one does, this knob needs a non-reserved name, or the generators
+/// will silently write under `target/.../out`.
+///
+/// # Panics
+/// When the directory cannot be created or the file cannot be written.
+pub fn write_artifact(file: &str, contents: &str) -> PathBuf {
+    let dir = PathBuf::from(std::env::var_os("OUT_DIR").unwrap_or_else(|| ".".into()));
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    let path = dir.join(file);
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    println!("  wrote {}", path.display());
+    path
 }
 
 #[cfg(test)]

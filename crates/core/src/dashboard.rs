@@ -17,6 +17,7 @@ use hemocloud_cluster::topology::{build_topology, routed_task_comm, TopologyVari
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::placement::Placement;
 use hemocloud_decomp::rcb::RcbPartition;
+use hemocloud_obs::json::{Layout, Writer};
 
 /// The user's optimization objective.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,31 +146,26 @@ impl Dashboard {
     /// float precision, entries in build order. Byte-identical across
     /// reruns, thread counts and machines.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024 + 256 * self.entries.len());
-        s.push_str("{\n");
-        s.push_str("  \"report\": \"hemocloud_dashboard\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {:?},\n",
-            self.workload_name
-        ));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"platform\": {:?}, \"topology\": {:?}, \"ranks\": {}, \"nodes\": {}, \"predicted_mflups\": {:.6}, \"time_to_solution_s\": {:.6}, \"cost_dollars\": {:.6}, \"updates_per_dollar\": {:.3}}}{comma}\n",
-                e.platform,
-                e.topology,
-                e.ranks,
-                e.nodes,
-                e.predicted_mflups,
-                e.time_to_solution_s,
-                e.cost_dollars,
-                e.updates_per_dollar,
-            ));
+        let mut w = Writer::new();
+        w.begin_object(Layout::Block);
+        w.key("report").string("hemocloud_dashboard");
+        w.key("workload").string(&self.workload_name);
+        w.key("entries").begin_array(Layout::Block);
+        for e in &self.entries {
+            w.begin_object(Layout::Inline);
+            w.key("platform").string(&e.platform);
+            w.key("topology").string(&e.topology);
+            w.key("ranks").uint(e.ranks as u64);
+            w.key("nodes").uint(e.nodes as u64);
+            w.key("predicted_mflups").fixed(e.predicted_mflups, 6);
+            w.key("time_to_solution_s").fixed(e.time_to_solution_s, 6);
+            w.key("cost_dollars").fixed(e.cost_dollars, 6);
+            w.key("updates_per_dollar").fixed(e.updates_per_dollar, 3);
+            w.end();
         }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// Recommend an option under an objective. Returns `None` when no
@@ -459,5 +455,25 @@ mod tests {
         // Entry count: one line per entry between the brackets.
         let rows = a.matches("\"platform\": ").count();
         assert_eq!(rows, d.entries.len());
+    }
+
+    #[test]
+    fn hostile_names_and_non_finite_predictions_render_valid_json() {
+        use hemocloud_obs::json::{parse, Value};
+        let hostile = "sten\"8\\\u{1}\n";
+        let mut d = routed_dashboard();
+        d.workload_name = hostile.into();
+        d.entries[0].platform = hostile.into();
+        d.entries[0].topology = hostile.into();
+        d.entries[0].predicted_mflups = f64::NAN;
+        d.entries[0].time_to_solution_s = f64::INFINITY;
+        let doc = parse(&d.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("workload").and_then(Value::as_str), Some(hostile));
+        let rows = doc.get("entries").and_then(Value::as_array).unwrap();
+        assert_eq!(rows.len(), d.entries.len());
+        assert_eq!(rows[0].get("platform").and_then(Value::as_str), Some(hostile));
+        assert_eq!(rows[0].get("topology").and_then(Value::as_str), Some(hostile));
+        assert_eq!(rows[0].get("predicted_mflups"), Some(&Value::Null));
+        assert_eq!(rows[0].get("time_to_solution_s"), Some(&Value::Null));
     }
 }

@@ -48,6 +48,7 @@
 //! unless the caller injects it.
 
 pub mod clock;
+pub mod json;
 pub mod metric;
 pub mod registry;
 pub mod snapshot;

@@ -4,14 +4,15 @@
 //! [`Render::Deterministic`] mode.
 //!
 //! Floats render with Rust's shortest-roundtrip `{:?}` formatting,
-//! which is fully determined by the value's bits. Non-finite values
-//! render as `NaN`/`inf` on purpose: the verify gate greps snapshots
-//! for exactly those tokens, so a non-finite metric fails loudly
-//! instead of being silently prettified.
+//! which is fully determined by the value's bits. A non-finite value is
+//! `NaN`/`inf` in the text form and `null` in JSON (which has no other
+//! spelling for it); the `obs` gate fails on a `null` metric, so a
+//! non-finite metric still fails loudly.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{Layout, Writer};
 use crate::metric::HistogramKind;
 
 /// How much of a snapshot to export.
@@ -72,21 +73,6 @@ pub enum Sample {
     },
 }
 
-/// Shortest-roundtrip float formatting — deterministic for given bits.
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-fn fmt_f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| fmt_f64(v)).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn fmt_u64_list(vs: &[u64]) -> String {
-    let items: Vec<String> = vs.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
 /// A point-in-time copy of a [`Registry`](crate::registry::Registry),
 /// sorted by instrument name.
 #[derive(Debug, Clone, Default)]
@@ -141,7 +127,7 @@ impl Snapshot {
                     let _ = writeln!(out, "counter {name} {v}");
                 }
                 Sample::Gauge(v) => {
-                    let _ = writeln!(out, "gauge {name} {}", fmt_f64(*v));
+                    let _ = writeln!(out, "gauge {name} {v:?}");
                 }
                 Sample::Histogram {
                     kind,
@@ -161,17 +147,12 @@ impl Snapshot {
                     let _ = write!(out, "{tag} {name} count={count}");
                     if *count > counts[bounds.len()] {
                         // At least one finite sample: min/max are real.
-                        let _ = write!(out, " min={} max={}", fmt_f64(*min), fmt_f64(*max));
+                        let _ = write!(out, " min={min:?} max={max:?}");
                     }
                     if render == Render::Full {
-                        let _ = write!(out, " sum={}", fmt_f64(*sum));
+                        let _ = write!(out, " sum={sum:?}");
                     }
-                    let _ = writeln!(
-                        out,
-                        " bounds={} counts={}",
-                        fmt_f64_list(bounds),
-                        fmt_u64_list(counts)
-                    );
+                    let _ = writeln!(out, " bounds={bounds:?} counts={counts:?}");
                 }
                 Sample::Span {
                     deterministic,
@@ -182,11 +163,7 @@ impl Snapshot {
                         let _ = writeln!(out, "span(wall) {name} count={count}");
                     } else {
                         let tag = if *deterministic { "span" } else { "span(wall)" };
-                        let _ = writeln!(
-                            out,
-                            "{tag} {name} count={count} total_s={}",
-                            fmt_f64(*total_s)
-                        );
+                        let _ = writeln!(out, "{tag} {name} count={count} total_s={total_s:?}");
                     }
                 }
             }
@@ -194,22 +171,22 @@ impl Snapshot {
         out
     }
 
-    /// Render as a JSON object with sorted keys — the same hand-rolled
-    /// deterministic style the bench and campaign records use.
+    /// Render as a JSON object with sorted keys, one metric per line.
     pub fn to_json(&self, render: Render) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"render\": \"{}\",", render.label());
-        out.push_str("  \"metrics\": {\n");
-        let last = self.entries.len().saturating_sub(1);
-        for (i, (name, sample)) in self.entries.iter().enumerate() {
-            let _ = write!(out, "    \"{name}\": ");
+        let mut w = Writer::new();
+        w.begin_object(Layout::Block);
+        w.key("render").string(render.label());
+        w.key("metrics").begin_object(Layout::Block);
+        for (name, sample) in &self.entries {
+            w.key(name).begin_object(Layout::Inline);
             match sample {
                 Sample::Counter(v) => {
-                    let _ = write!(out, "{{\"type\": \"counter\", \"value\": {v}}}");
+                    w.key("type").string("counter");
+                    w.key("value").uint(*v);
                 }
                 Sample::Gauge(v) => {
-                    let _ = write!(out, "{{\"type\": \"gauge\", \"value\": {}}}", fmt_f64(*v));
+                    w.key("type").string("gauge");
+                    w.key("value").float(*v);
                 }
                 Sample::Histogram {
                     kind,
@@ -221,57 +198,50 @@ impl Snapshot {
                     sum,
                 } => {
                     let wall = *kind == HistogramKind::WallTime;
-                    let kind_label = if wall { "wall_time" } else { "value" };
-                    let _ = write!(
-                        out,
-                        "{{\"type\": \"histogram\", \"kind\": \"{kind_label}\", \"count\": {count}"
-                    );
+                    w.key("type").string("histogram");
+                    w.key("kind").string(if wall { "wall_time" } else { "value" });
+                    w.key("count").uint(*count);
                     if !(wall && render == Render::Deterministic) {
                         if *count > counts[bounds.len()] {
-                            let _ = write!(
-                                out,
-                                ", \"min\": {}, \"max\": {}",
-                                fmt_f64(*min),
-                                fmt_f64(*max)
-                            );
+                            w.key("min").float(*min);
+                            w.key("max").float(*max);
                         }
                         if render == Render::Full {
-                            let _ = write!(out, ", \"sum\": {}", fmt_f64(*sum));
+                            w.key("sum").float(*sum);
                         }
-                        let _ = write!(
-                            out,
-                            ", \"bounds\": {}, \"counts\": {}",
-                            fmt_f64_list(bounds),
-                            fmt_u64_list(counts)
-                        );
+                        w.key("bounds").begin_array(Layout::Inline);
+                        bounds.iter().for_each(|&b| w.float(b));
+                        w.end();
+                        w.key("counts").begin_array(Layout::Inline);
+                        counts.iter().for_each(|&c| w.uint(c));
+                        w.end();
                     }
-                    out.push('}');
                 }
                 Sample::Span {
                     deterministic,
                     count,
                     total_s,
                 } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\": \"span\", \"deterministic\": {deterministic}, \"count\": {count}"
-                    );
+                    w.key("type").string("span");
+                    w.key("deterministic").bool(*deterministic);
+                    w.key("count").uint(*count);
                     if *deterministic || render == Render::Full {
-                        let _ = write!(out, ", \"total_s\": {}", fmt_f64(*total_s));
+                        w.key("total_s").float(*total_s);
                     }
-                    out.push('}');
                 }
             }
-            out.push_str(if i == last { "\n" } else { ",\n" });
+            w.end();
         }
-        out.push_str("  }\n}\n");
-        out
+        w.end();
+        w.end();
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Value};
     use crate::metric::HistogramKind;
     use crate::registry::Registry;
 
@@ -315,12 +285,17 @@ mod tests {
     #[test]
     fn json_is_sorted_and_parsable_shape() {
         let json = sample_registry().snapshot().to_json(Render::Deterministic);
-        let lbm = json.find("lbm.halo_bytes").unwrap();
-        let pool = json.find("pool.jobs").unwrap();
-        let sched = json.find("sched.event.arrive").unwrap();
-        assert!(lbm < pool && pool < sched, "keys must be sorted");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"render\": \"deterministic\""));
+        let doc = parse(&json).expect("snapshot renders valid JSON");
+        assert_eq!(doc.at("render").and_then(Value::as_str), Some("deterministic"));
+        let names: Vec<&str> = doc
+            .get("metrics")
+            .and_then(Value::as_object)
+            .expect("metrics object")
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(names.len(), 6);
+        assert!(names.is_sorted(), "keys must be sorted: {names:?}");
     }
 
     #[test]
@@ -328,8 +303,24 @@ mod tests {
         let r = Registry::new();
         r.histogram("empty", HistogramKind::Value, &[1.0]);
         let json = r.snapshot().to_json(Render::Deterministic);
-        assert!(json.contains("\"count\": 0"));
-        assert!(!json.contains("inf"));
+        let doc = parse(&json).expect("valid JSON");
+        let empty = doc.get("metrics").and_then(|m| m.get("empty")).unwrap();
+        assert_eq!(empty.get("count"), Some(&Value::UInt(0)));
+        assert!(empty.get("min").is_none() && empty.get("max").is_none());
+    }
+
+    #[test]
+    fn hostile_names_and_non_finite_gauges_still_render_valid_json() {
+        let name = "a\"b\\c\u{1}\n";
+        let r = Registry::new();
+        r.counter(name).inc();
+        r.gauge("g.nan").set(f64::NAN);
+        r.gauge("g.inf").set(f64::NEG_INFINITY);
+        let doc = parse(&r.snapshot().to_json(Render::Full)).expect("valid JSON");
+        let metrics = doc.get("metrics").unwrap();
+        assert_eq!(metrics.get(name).and_then(|m| m.get("value")), Some(&Value::UInt(1)));
+        assert_eq!(metrics.get("g.nan").and_then(|m| m.get("value")), Some(&Value::Null));
+        assert_eq!(metrics.get("g.inf").and_then(|m| m.get("value")), Some(&Value::Null));
     }
 
     #[test]

@@ -179,7 +179,8 @@ pub struct Stats {
     pub samples: usize,
 }
 
-fn fast_mode() -> bool {
+/// Whether `RT_BENCH_FAST` asks for smoke-sized runs: set, and not `0`.
+pub fn fast_mode() -> bool {
     std::env::var("RT_BENCH_FAST").is_ok_and(|v| v != "0")
 }
 

@@ -3,14 +3,16 @@
 //! attainment, guard activity, retry accounting, and the model-refinement
 //! trajectory (placement MAPE dropping as observations accumulate).
 //!
-//! [`CampaignReport::to_json`] renders a stable, hand-rolled JSON
-//! document (the workspace is dependency-free — no serde): same campaign
+//! [`CampaignReport::to_json`] renders a stable JSON document through
+//! the workspace's one writer (`hemocloud_obs::json`): same campaign
 //! seed, same bytes. Statistics that have no defined value on a
 //! degenerate campaign — a MAPE with zero measured placements, a
 //! percentile over an empty error set — are `Option`s rendered as JSON
 //! `null`, never `NaN` (which is not valid JSON at all); each MAPE
 //! carries its sample count so a consumer can tell "no data" from
 //! "averaged over two placements".
+
+use hemocloud_obs::json::{Layout, Value, Writer};
 
 /// One placement decision and how reality answered it.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,151 +251,111 @@ impl CampaignReport {
 
     /// Render the report as deterministic JSON.
     pub fn to_json(&self) -> String {
-        // An undefined statistic renders as JSON null; a non-finite one
-        // would not be JSON at all, so it is defensively nulled too (the
-        // verify gate greps artifacts for nan/inf).
-        fn opt(v: Option<f64>, decimals: usize) -> String {
-            match v.filter(|v| v.is_finite()) {
-                None => "null".to_string(),
-                Some(v) => format!("{v:.decimals$}"),
-            }
-        }
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str("  \"report\": \"hemocloud_campaign\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed));
-        s.push_str(&format!("  \"guard_kills\": {},\n", self.guard_kills));
-        s.push_str(&format!("  \"failed\": {},\n", self.failed));
-        s.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        s.push_str(&format!("  \"faults\": {},\n", self.faults));
-        s.push_str(&format!("  \"retries\": {},\n", self.retries));
-        s.push_str(&format!(
-            "  \"retried_jobs_completed\": {},\n",
-            self.retried_jobs_completed
-        ));
-        s.push_str(&format!("  \"makespan_s\": {:.3},\n", self.makespan_s));
-        s.push_str(&format!(
-            "  \"total_cost_dollars\": {:.6},\n",
-            self.total_cost_dollars
-        ));
-        s.push_str(&format!("  \"wasted_steps\": {},\n", self.wasted_steps));
-        s.push_str(&format!(
-            "  \"slo\": {{\"attained\": {}, \"total\": {}}},\n",
-            self.slo_attained, self.slo_total
-        ));
-        s.push_str(&format!(
-            "  \"refinement\": {{\"mape_first_quartile_uncalibrated_pct\": {}, \"mape_first_quartile_uncalibrated_count\": {}, \"mape_calibrated_pct\": {}, \"mape_calibrated_count\": {}, \"error_p50_pct\": {}, \"error_p99_pct\": {}}},\n",
-            opt(self.mape_first_quartile_uncalibrated_pct, 4),
-            self.mape_first_quartile_uncalibrated_count,
-            opt(self.mape_calibrated_pct, 4),
-            self.mape_calibrated_count,
-            opt(self.error_p50_pct, 4),
-            opt(self.error_p99_pct, 4),
-        ));
-        s.push_str(&format!(
-            "  \"placements_total\": {},\n",
-            self.placements_total
-        ));
-        s.push_str(&format!(
-            "  \"events_processed\": {},\n",
-            self.events_processed
-        ));
-        s.push_str("  \"platforms\": [\n");
-        for (i, p) in self.platforms.iter().enumerate() {
-            let comma = if i + 1 < self.platforms.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"platform\": \"{}\", \"nodes_total\": {}, \"peak_nodes_busy\": {}, \"attempts\": {}, \"faults\": {}, \"guard_kills\": {}, \"cost_dollars\": {:.6}, \"busy_node_seconds\": {:.3}, \"billed_node_seconds\": {}, \"utilization\": {:.6}}}{comma}\n",
-                p.platform,
-                p.nodes_total,
-                p.peak_nodes_busy,
-                p.attempts,
-                p.faults,
-                p.guard_kills,
-                p.cost_dollars,
-                p.busy_node_seconds,
-                p.billed_node_seconds,
-                p.utilization,
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"job_reports\": [\n");
-        for (i, j) in self.job_reports.iter().enumerate() {
-            let comma = if i + 1 < self.job_reports.len() { "," } else { "" };
-            let slo = match j.slo_met {
-                None => "null".to_string(),
-                Some(b) => b.to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"outcome\": \"{}\", \"cost_dollars\": {:.6}, \"run_seconds\": {:.3}, \"attempts\": {}, \"faults\": {}, \"wasted_steps\": {}, \"finish_s\": {:.3}, \"slo_met\": {slo}}}{comma}\n",
-                j.name,
-                j.outcome,
-                j.cost_dollars,
-                j.run_seconds,
-                j.attempts,
-                j.faults,
-                j.wasted_steps,
-                j.finish_s,
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"placements\": [\n");
-        for (i, r) in self.placements.iter().enumerate() {
-            let comma = if i + 1 < self.placements.len() { "," } else { "" };
-            let measured = match r.measured_step_s {
-                None => "null".to_string(),
-                Some(m) => format!("{m:.9}"),
-            };
-            s.push_str(&format!(
-                "    {{\"job\": {}, \"name\": \"{}\", \"attempt\": {}, \"platform\": \"{}\", \"topology\": \"{}\", \"ranks\": {}, \"nodes\": {}, \"calibrated\": {}, \"predicted_step_s\": {:.9}, \"measured_step_s\": {measured}, \"time_s\": {:.3}}}{comma}\n",
-                r.job,
-                r.job_name,
-                r.attempt,
-                r.platform,
-                r.topology,
-                r.ranks,
-                r.nodes,
-                r.calibrated,
-                r.predicted_step_s,
-                r.time_s,
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        self.to_json_stamped(&[])
     }
 
-    /// Render as deterministic JSON with a leading `"provenance"` object
-    /// built from `(key, value)` string fields (e.g. the git revision and
-    /// `rustc -V` of the run that produced the report). Values must
-    /// already be JSON-escaped; with no fields this is exactly
-    /// [`CampaignReport::to_json`], so committed artifacts only change
-    /// when a caller opts in.
-    pub fn to_json_with_provenance(&self, fields: &[(&str, &str)]) -> String {
-        let base = self.to_json();
-        if fields.is_empty() {
-            return base;
+    /// [`CampaignReport::to_json`] with a leading `"provenance"` object
+    /// of typed `(key, value)` fields (e.g. the git revision and
+    /// `rustc -V` of the run that produced the report, or a binary's
+    /// witness values). With no fields the rendering is exactly
+    /// `to_json`'s, so an artifact only changes when a caller opts in.
+    pub fn to_json_stamped(&self, provenance: &[(&str, Value)]) -> String {
+        // An undefined statistic renders as JSON null, and so does a
+        // non-finite one (`Writer::fixed`): NaN is not JSON at all.
+        let mut w = Writer::new();
+        w.begin_object(Layout::Block);
+        if !provenance.is_empty() {
+            w.key("provenance").members(provenance);
         }
-        let head_end = base.find('\n').map_or(0, |i| i + 1);
-        let mut s = String::with_capacity(base.len() + 128);
-        s.push_str(&base[..head_end]);
-        s.push_str("  \"provenance\": {");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+        w.key("report").string("hemocloud_campaign");
+        w.key("seed").uint(self.seed);
+        w.key("jobs").uint(self.jobs as u64);
+        w.key("completed").uint(self.completed as u64);
+        w.key("guard_kills").uint(self.guard_kills as u64);
+        w.key("failed").uint(self.failed as u64);
+        w.key("rejected").uint(self.rejected as u64);
+        w.key("faults").uint(self.faults as u64);
+        w.key("retries").uint(self.retries as u64);
+        w.key("retried_jobs_completed").uint(self.retried_jobs_completed as u64);
+        w.key("makespan_s").fixed(self.makespan_s, 3);
+        w.key("total_cost_dollars").fixed(self.total_cost_dollars, 6);
+        w.key("wasted_steps").uint(self.wasted_steps);
+        w.key("slo").begin_object(Layout::Inline);
+        w.key("attained").uint(self.slo_attained as u64);
+        w.key("total").uint(self.slo_total as u64);
+        w.end();
+        w.key("refinement").begin_object(Layout::Inline);
+        w.key("mape_first_quartile_uncalibrated_pct")
+            .opt_fixed(self.mape_first_quartile_uncalibrated_pct, 4);
+        w.key("mape_first_quartile_uncalibrated_count")
+            .uint(self.mape_first_quartile_uncalibrated_count as u64);
+        w.key("mape_calibrated_pct").opt_fixed(self.mape_calibrated_pct, 4);
+        w.key("mape_calibrated_count").uint(self.mape_calibrated_count as u64);
+        w.key("error_p50_pct").opt_fixed(self.error_p50_pct, 4);
+        w.key("error_p99_pct").opt_fixed(self.error_p99_pct, 4);
+        w.end();
+        w.key("placements_total").uint(self.placements_total as u64);
+        w.key("events_processed").uint(self.events_processed);
+        w.key("platforms").begin_array(Layout::Block);
+        for p in &self.platforms {
+            w.begin_object(Layout::Inline);
+            w.key("platform").string(&p.platform);
+            w.key("nodes_total").uint(p.nodes_total as u64);
+            w.key("peak_nodes_busy").uint(p.peak_nodes_busy as u64);
+            w.key("attempts").uint(p.attempts as u64);
+            w.key("faults").uint(p.faults as u64);
+            w.key("guard_kills").uint(p.guard_kills as u64);
+            w.key("cost_dollars").fixed(p.cost_dollars, 6);
+            w.key("busy_node_seconds").fixed(p.busy_node_seconds, 3);
+            w.key("billed_node_seconds").uint(p.billed_node_seconds);
+            w.key("utilization").fixed(p.utilization, 6);
+            w.end();
+        }
+        w.end();
+        w.key("job_reports").begin_array(Layout::Block);
+        for j in &self.job_reports {
+            w.begin_object(Layout::Inline);
+            w.key("name").string(&j.name);
+            w.key("outcome").string(&j.outcome);
+            w.key("cost_dollars").fixed(j.cost_dollars, 6);
+            w.key("run_seconds").fixed(j.run_seconds, 3);
+            w.key("attempts").uint(j.attempts.into());
+            w.key("faults").uint(j.faults.into());
+            w.key("wasted_steps").uint(j.wasted_steps);
+            w.key("finish_s").fixed(j.finish_s, 3);
+            match j.slo_met {
+                None => w.key("slo_met").null(),
+                Some(met) => w.key("slo_met").bool(met),
             }
-            s.push_str(&format!("\"{k}\": \"{v}\""));
+            w.end();
         }
-        s.push_str("},\n");
-        s.push_str(&base[head_end..]);
-        s
+        w.end();
+        w.key("placements").begin_array(Layout::Block);
+        for r in &self.placements {
+            w.begin_object(Layout::Inline);
+            w.key("job").uint(r.job as u64);
+            w.key("name").string(&r.job_name);
+            w.key("attempt").uint(r.attempt.into());
+            w.key("platform").string(&r.platform);
+            w.key("topology").string(&r.topology);
+            w.key("ranks").uint(r.ranks as u64);
+            w.key("nodes").uint(r.nodes as u64);
+            w.key("calibrated").bool(r.calibrated);
+            w.key("predicted_step_s").fixed(r.predicted_step_s, 9);
+            w.key("measured_step_s").opt_fixed(r.measured_step_s, 9);
+            w.key("time_s").fixed(r.time_s, 3);
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemocloud_obs::json::parse;
 
     fn record(order: usize, calibrated: bool, pred: f64, meas: Option<f64>) -> PlacementRecord {
         PlacementRecord {
@@ -484,13 +446,20 @@ mod tests {
         report.compute_error_percentiles();
         assert!(report.error_p50_pct.is_none() && report.error_p99_pct.is_none());
 
-        // The rendered JSON must carry null, never nan/inf tokens.
-        let json = report.to_json();
-        assert!(json.contains("\"mape_first_quartile_uncalibrated_pct\": null"));
-        assert!(json.contains("\"mape_calibrated_pct\": null"));
-        assert!(json.contains("\"error_p50_pct\": null"));
-        let lower = json.to_lowercase();
-        assert!(!lower.contains("nan") && !lower.contains("inf"), "{json}");
+        // The rendered JSON must carry null, and parse: a NaN or inf
+        // token anywhere would not.
+        let doc = parse(&report.to_json()).expect("valid JSON");
+        for stat in [
+            "mape_first_quartile_uncalibrated_pct",
+            "mape_calibrated_pct",
+            "error_p50_pct",
+        ] {
+            assert_eq!(doc.at(&format!("refinement.{stat}")), Some(&Value::Null));
+        }
+        assert_eq!(
+            doc.get("placements").and_then(Value::as_array).unwrap()[0].get("measured_step_s"),
+            Some(&Value::Null)
+        );
     }
 
     #[test]
@@ -582,10 +551,47 @@ mod tests {
 
         // Provenance prepends one object right after the opening brace and
         // leaves the rest of the rendering byte-identical.
-        assert_eq!(report.to_json_with_provenance(&[]), a);
-        let p = report.to_json_with_provenance(&[("git_rev", "abc123"), ("rustc", "rustc 1.0")]);
-        let expected_head = "{\n  \"provenance\": {\"git_rev\": \"abc123\", \"rustc\": \"rustc 1.0\"},\n";
+        assert_eq!(report.to_json_stamped(&[]), a);
+        let p = report.to_json_stamped(&[
+            ("git_rev", Value::Str("abc123".into())),
+            ("bytes", Value::UInt(u64::MAX)),
+        ]);
+        let expected_head =
+            "{\n  \"provenance\": {\"git_rev\": \"abc123\", \"bytes\": 18446744073709551615},\n";
         assert!(p.starts_with(expected_head), "got head: {}", &p[..120.min(p.len())]);
         assert_eq!(&p[expected_head.len()..], &a[2..]);
+    }
+    #[test]
+    fn hostile_strings_and_non_finite_numbers_render_valid_json() {
+        let hostile = "a\"b\\\u{1}\n";
+        let mut rec = record(0, false, f64::NAN, Some(f64::INFINITY));
+        rec.job_name = hostile.into();
+        rec.platform = hostile.into();
+        rec.topology = hostile.into();
+        let mut report = empty_report(vec![rec]);
+        report.makespan_s = f64::NEG_INFINITY;
+        report.job_reports.push(JobReport {
+            name: hostile.into(),
+            outcome: hostile.into(),
+            cost_dollars: f64::NAN,
+            run_seconds: 1.0,
+            attempts: 1,
+            faults: 0,
+            wasted_steps: 0,
+            finish_s: 1.0,
+            slo_met: Some(true),
+        });
+        let doc = parse(&report.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("makespan_s"), Some(&Value::Null));
+        let job = &doc.get("job_reports").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(job.get("name").and_then(Value::as_str), Some(hostile));
+        assert_eq!(job.get("outcome").and_then(Value::as_str), Some(hostile));
+        assert_eq!(job.get("cost_dollars"), Some(&Value::Null));
+        let placed = &doc.get("placements").and_then(Value::as_array).unwrap()[0];
+        for key in ["name", "platform", "topology"] {
+            assert_eq!(placed.get(key).and_then(Value::as_str), Some(hostile), "{key}");
+        }
+        assert_eq!(placed.get("predicted_step_s"), Some(&Value::Null));
+        assert_eq!(placed.get("measured_step_s"), Some(&Value::Null));
     }
 }

@@ -40,6 +40,7 @@ use hemocloud_geometry::anatomy::{
 };
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::kernel::{KernelConfig, Layout, Propagation};
+use hemocloud_obs::json::{self, Value, Writer};
 use hemocloud_obs::{Sample, Snapshot};
 
 use crate::job::JobSpec;
@@ -968,108 +969,77 @@ fn aggregate_axes(grid: &SweepGrid, cells: &[CellResult]) -> Vec<AxisAggregate> 
 
 // ---- JSON -------------------------------------------------------------
 
-fn opt_json(v: Option<f64>, decimals: usize) -> String {
-    match v.filter(|v| v.is_finite()) {
-        None => "null".to_string(),
-        Some(v) => format!("{v:.decimals$}"),
-    }
-}
-
 impl AxisAggregate {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"axis\": \"{}\", \"value\": \"{}\", \"cells\": {}, \"jobs\": {}, \"completed\": {}, \"measured_placements\": {}, \"error_p50_pct\": {}, \"error_p99_pct\": {}, \"mean_regret_pct\": {}, \"mean_utilization\": {:.6}}}",
-            self.axis,
-            self.value,
-            self.cells,
-            self.jobs,
-            self.completed,
-            self.measured_placements,
-            opt_json(self.error_p50_pct, 4),
-            opt_json(self.error_p99_pct, 4),
-            opt_json(self.mean_regret_pct, 4),
-            self.mean_utilization,
-        )
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object(json::Layout::Inline);
+        w.key("axis").string(self.axis);
+        w.key("value").string(&self.value);
+        w.key("cells").uint(self.cells as u64);
+        w.key("jobs").uint(self.jobs as u64);
+        w.key("completed").uint(self.completed as u64);
+        w.key("measured_placements").uint(self.measured_placements as u64);
+        w.key("error_p50_pct").opt_fixed(self.error_p50_pct, 4);
+        w.key("error_p99_pct").opt_fixed(self.error_p99_pct, 4);
+        w.key("mean_regret_pct").opt_fixed(self.mean_regret_pct, 4);
+        w.key("mean_utilization").fixed(self.mean_utilization, 6);
+        w.end();
     }
 }
 
 impl SweepReport {
     /// Render the report as deterministic JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(16384);
-        s.push_str("{\n");
-        s.push_str("  \"report\": \"hemocloud_eval_campaign\",\n");
-        s.push_str(&format!("  \"cells\": {},\n", self.cells.len()));
-        s.push_str(&format!("  \"violations\": {},\n", self.violations.len()));
-        s.push_str(&format!(
-            "  \"eq9_cells_checked\": {},\n",
-            self.eq9_cells_checked
-        ));
-        s.push_str(&format!(
-            "  \"guard_exact_checks\": {},\n",
-            self.guard_exact_checks
-        ));
-        s.push_str(&format!("  \"overall\": {},\n", self.overall.to_json()));
-        s.push_str("  \"violation_list\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            let comma = if i + 1 < self.violations.len() { "," } else { "" };
-            s.push_str(&format!("    \"{}\"{comma}\n", v.replace('"', "'")));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"by_axis\": [\n");
-        for (i, a) in self.by_axis.iter().enumerate() {
-            let comma = if i + 1 < self.by_axis.len() { "," } else { "" };
-            s.push_str(&format!("    {}{comma}\n", a.to_json()));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"cell_results\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"jobs\": {}, \"completed\": {}, \"guard_kills\": {}, \"failed\": {}, \"rejected\": {}, \"faults\": {}, \"makespan_s\": {:.3}, \"total_cost_dollars\": {:.6}, \"utilization\": {:.6}, \"error_p50_pct\": {}, \"error_p99_pct\": {}, \"mean_regret_pct\": {}, \"eq9_checked\": {}, \"eq9_delivered_bytes\": {}, \"eq9_expected_bytes\": {}}}{comma}\n",
-                c.key(),
-                c.jobs,
-                c.completed,
-                c.guard_kills,
-                c.failed,
-                c.rejected,
-                c.faults,
-                c.makespan_s,
-                c.total_cost_dollars,
-                c.utilization,
-                opt_json(c.error_p50_pct, 4),
-                opt_json(c.error_p99_pct, 4),
-                opt_json(c.mean_regret_pct, 4),
-                c.eq9_checked,
-                c.eq9_delivered_bytes,
-                c.eq9_expected_bytes,
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        self.to_json_stamped(&[])
     }
 
     /// [`SweepReport::to_json`] with a leading `"provenance"` object of
-    /// pre-escaped `(key, value)` string fields.
-    pub fn to_json_with_provenance(&self, fields: &[(&str, &str)]) -> String {
-        let base = self.to_json();
-        if fields.is_empty() {
-            return base;
+    /// typed `(key, value)` fields.
+    pub fn to_json_stamped(&self, provenance: &[(&str, Value)]) -> String {
+        let mut w = Writer::new();
+        w.begin_object(json::Layout::Block);
+        if !provenance.is_empty() {
+            w.key("provenance").members(provenance);
         }
-        let head_end = base.find('\n').map_or(0, |i| i + 1);
-        let mut s = String::with_capacity(base.len() + 128);
-        s.push_str(&base[..head_end]);
-        s.push_str("  \"provenance\": {");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{k}\": \"{v}\""));
+        w.key("report").string("hemocloud_eval_campaign");
+        w.key("cells").uint(self.cells.len() as u64);
+        w.key("violations").uint(self.violations.len() as u64);
+        w.key("eq9_cells_checked").uint(self.eq9_cells_checked as u64);
+        w.key("guard_exact_checks").uint(self.guard_exact_checks as u64);
+        self.overall.write_json(w.key("overall"));
+        w.key("violation_list").begin_array(json::Layout::Block);
+        for v in &self.violations {
+            w.string(v);
         }
-        s.push_str("},\n");
-        s.push_str(&base[head_end..]);
-        s
+        w.end();
+        w.key("by_axis").begin_array(json::Layout::Block);
+        for a in &self.by_axis {
+            a.write_json(&mut w);
+        }
+        w.end();
+        w.key("cell_results").begin_array(json::Layout::Block);
+        for c in &self.cells {
+            w.begin_object(json::Layout::Inline);
+            w.key("cell").string(&c.key());
+            w.key("jobs").uint(c.jobs as u64);
+            w.key("completed").uint(c.completed as u64);
+            w.key("guard_kills").uint(c.guard_kills as u64);
+            w.key("failed").uint(c.failed as u64);
+            w.key("rejected").uint(c.rejected as u64);
+            w.key("faults").uint(c.faults as u64);
+            w.key("makespan_s").fixed(c.makespan_s, 3);
+            w.key("total_cost_dollars").fixed(c.total_cost_dollars, 6);
+            w.key("utilization").fixed(c.utilization, 6);
+            w.key("error_p50_pct").opt_fixed(c.error_p50_pct, 4);
+            w.key("error_p99_pct").opt_fixed(c.error_p99_pct, 4);
+            w.key("mean_regret_pct").opt_fixed(c.mean_regret_pct, 4);
+            w.key("eq9_checked").bool(c.eq9_checked);
+            w.key("eq9_delivered_bytes").uint(c.eq9_delivered_bytes);
+            w.key("eq9_expected_bytes").uint(c.eq9_expected_bytes);
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.finish()
     }
 }
 
@@ -1119,8 +1089,20 @@ mod tests {
         assert!(cell.guard_kills >= 1, "runaway is guard-killed");
         assert!(report.guard_exact_checks >= 1);
         assert!(!cell.eq9_checked, "scalar mix has no fabric to reconcile");
-        let json = report.to_json();
-        let lower = json.to_lowercase();
-        assert!(!lower.contains("nan") && !lower.contains("inf"), "{json}");
+        let doc = json::parse(&report.to_json()).expect("valid JSON: no NaN/inf token");
+        assert_eq!(doc.get("violations"), Some(&Value::UInt(0)));
+    }
+
+    #[test]
+    fn violation_text_round_trips_through_the_writer_unaltered() {
+        let grid = micro_grid("scalar", 0.0, 0);
+        let mut report = run_sweep(&grid);
+        let hostile = "cell \"x\": budget\\overrun\u{1}\n";
+        report.violations.push(hostile.to_string());
+        report.overall.mean_utilization = f64::NAN;
+        let doc = json::parse(&report.to_json()).expect("valid JSON");
+        let listed = doc.get("violation_list").and_then(Value::as_array).unwrap();
+        assert_eq!(listed.last().and_then(Value::as_str), Some(hostile));
+        assert_eq!(doc.at("overall.mean_utilization"), Some(&Value::Null));
     }
 }

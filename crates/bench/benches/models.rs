@@ -4,8 +4,11 @@
 //! these.)
 
 use hemocloud_cluster::platform::Platform;
+use hemocloud_cluster::pricing::PriceSheet;
 use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
-use hemocloud_core::characterize::characterize;
+use hemocloud_cluster::topology::TopologyVariant;
+use hemocloud_core::characterize::{characterize, characterize_all};
+use hemocloud_core::dashboard::Dashboard;
 use hemocloud_core::direct::DirectModel;
 use hemocloud_core::general::GeneralModel;
 use hemocloud_core::workload::Workload;
@@ -51,6 +54,31 @@ fn decomposition(h: &mut Harness) {
             b.iter(|| DecompAnalysis::analyze(&grid, &p))
         });
     }
+    // The calibration fit and the routed dashboard read the workload's
+    // census: cold rows describe a workload per iteration (the census is
+    // filled inside the timing, `Workload::new` included), the warm row
+    // refits a workload whose census is already there.
+    let character = characterize(&Platform::csp2(), 7);
+    group.bench_function("general_fit_cold", |b| {
+        b.iter(|| GeneralModel::from_characterization(&character, &Workload::harvey(&grid, 100)))
+    });
+    let warm = Workload::harvey(&grid, 100);
+    group.bench_function("general_fit_warm", |b| {
+        b.iter(|| GeneralModel::from_characterization(&character, &warm))
+    });
+    let characters = characterize_all(7);
+    let prices = PriceSheet::default();
+    group.bench_function("dashboard_build_routed", |b| {
+        b.iter(|| {
+            Dashboard::build_routed(
+                &characters,
+                &Workload::harvey(&grid, 100),
+                &[16, 64, 128],
+                &prices,
+                &[TopologyVariant::FatTree, TopologyVariant::Spread],
+            )
+        })
+    });
     group.finish();
 }
 
@@ -62,8 +90,9 @@ fn predictions(h: &mut Harness) {
     let general = GeneralModel::from_characterization(&character, &workload);
     let mut group = h.group("predict");
     group.sample_size(10);
-    // The direct model re-decomposes per rank count; the general model is
-    // closed-form — the cost gap is the ablation's "price of accuracy".
+    // The direct model walks the rank count's census (taken once, on the
+    // first call); the general model is closed-form — the cost gap is the
+    // ablation's "price of accuracy".
     group.bench_function("direct_72", |b| b.iter(|| direct.predict(72).unwrap()));
     group.bench_function("general_72", |b| b.iter(|| general.predict(72)));
     group.finish();

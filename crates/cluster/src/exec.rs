@@ -25,13 +25,15 @@ use crate::network::{message_time_s, LinkKind};
 use crate::noise::NoiseProcess;
 use crate::platform::Platform;
 use crate::topology::{build_topology, routed_task_comm, CommModel, PlatformTopology};
-use hemocloud_decomp::halo::{bytes_per_task, DecompAnalysis};
+use hemocloud_decomp::census::CensusEntry;
+use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_fabric::Flow;
 use hemocloud_decomp::placement::Placement;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::access_profile::AccessProfile;
 use hemocloud_lbm::kernel::KernelConfig;
+use std::sync::Arc;
 
 /// Real-machine effects the performance model does not know about.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,9 +279,9 @@ fn simulate_with_comm(
 #[derive(Debug, Clone)]
 pub struct PreparedRun {
     platform: Platform,
-    analysis: DecompAnalysis,
+    /// Halo analysis and per-task Eq. 9 bytes of the decomposition.
+    census: Arc<CensusEntry>,
     placement: Placement,
-    task_bytes: Vec<f64>,
     comm_bytes_per_point: f64,
     /// Effective overheads with the kernel variant's CPU efficiency
     /// already folded in.
@@ -311,12 +313,10 @@ impl PreparedRun {
         Self::new_with_comm(platform, grid, config, ranks, overheads, CommModel::Scalar)
     }
 
-    /// [`PreparedRun::new`] with an explicit communication model. With
-    /// [`CommModel::Routed`], the run owns a topology of `variant` sized
-    /// to its own node count (identity node map) and caches its isolated
-    /// per-task internodal comm; a campaign that wants cross-job
-    /// contention instead calls [`PreparedRun::run_slice_contended`]
-    /// against a shared pool topology.
+    /// [`PreparedRun::new`] with an explicit communication model: takes
+    /// the grid's census at `ranks` and hands it to
+    /// [`PreparedRun::from_census`]. A caller that holds the census
+    /// already (a workload's, shared with its models) calls that instead.
     pub fn new_with_comm(
         platform: &Platform,
         grid: &VoxelGrid,
@@ -325,16 +325,40 @@ impl PreparedRun {
         overheads: &Overheads,
         comm: CommModel,
     ) -> Option<Self> {
-        if ranks == 0 || ranks > platform.total_cores || ranks > grid.fluid_count() {
+        if ranks > platform.total_cores {
+            return None; // before paying for a decomposition
+        }
+        let partition = RcbPartition::try_new(grid, ranks).ok()?;
+        let profile = AccessProfile::for_kernel(config, measured_avg_solid_links(grid));
+        let (bulk, wall) = (profile.bulk_bytes, profile.wall_bytes);
+        let census = Arc::new(CensusEntry::take(grid, &partition, bulk, wall));
+        let comm_bytes = profile.boundary_point_bytes;
+        Self::from_census(platform, census, config, comm_bytes, overheads, comm)
+    }
+
+    /// Pin an already-taken decomposition census (its task count is the
+    /// rank count; its byte sums must be `config`'s) to `platform`.
+    /// `comm_bytes_per_point` is the kernel's boundary-point message size.
+    /// With [`CommModel::Routed`], the run owns a topology of `variant`
+    /// sized to its own node count (identity node map) and caches its
+    /// isolated per-task internodal comm; a campaign that wants cross-job
+    /// contention instead calls [`PreparedRun::run_slice_contended`]
+    /// against a shared pool topology.
+    ///
+    /// Returns `None` when the rank count exceeds the platform's cores.
+    pub fn from_census(
+        platform: &Platform,
+        census: Arc<CensusEntry>,
+        config: &KernelConfig,
+        comm_bytes_per_point: f64,
+        overheads: &Overheads,
+        comm: CommModel,
+    ) -> Option<Self> {
+        let ranks = census.analysis.n_tasks;
+        if ranks > platform.total_cores {
             return None;
         }
-        let partition = RcbPartition::new(grid, ranks);
-        let analysis = DecompAnalysis::analyze(grid, &partition);
         let placement = Placement::contiguous(ranks, platform.cores_per_node);
-        let avg_links = measured_avg_solid_links(grid);
-        let profile = AccessProfile::for_kernel(config, avg_links);
-        let task_bytes =
-            bytes_per_task(grid, &partition, profile.bulk_bytes, profile.wall_bytes);
         let overheads = Overheads {
             lbm_bandwidth_efficiency: overheads.lbm_bandwidth_efficiency
                 * kernel_cpu_efficiency(config),
@@ -347,10 +371,10 @@ impl PreparedRun {
                 let node_map: Vec<usize> = (0..placement.n_nodes()).collect();
                 let routed = routed_task_comm(
                     &topology,
-                    &analysis,
+                    &census.analysis,
                     &placement,
                     &node_map,
-                    profile.boundary_point_bytes,
+                    comm_bytes_per_point,
                     overheads.message_software_overhead_us,
                     &[],
                 );
@@ -359,10 +383,9 @@ impl PreparedRun {
         };
         Some(Self {
             platform: platform.clone(),
-            analysis,
+            census,
             placement,
-            task_bytes,
-            comm_bytes_per_point: profile.boundary_point_bytes,
+            comm_bytes_per_point,
             overheads,
             comm,
             topology,
@@ -377,12 +400,12 @@ impl PreparedRun {
 
     /// Ranks (tasks) the run uses.
     pub fn ranks(&self) -> usize {
-        self.analysis.n_tasks
+        self.census.analysis.n_tasks
     }
 
     /// Fluid points updated per timestep.
     pub fn fluid_points(&self) -> usize {
-        self.analysis.total_points
+        self.census.analysis.total_points
     }
 
     /// The communication model this run prices messages with.
@@ -402,7 +425,7 @@ impl PreparedRun {
     /// fabric.
     pub fn flows(&self, node_map: &[usize], tag_base: u64) -> Vec<Flow> {
         crate::topology::job_flows(
-            &self.analysis,
+            &self.census.analysis,
             &self.placement,
             node_map,
             self.comm_bytes_per_point,
@@ -417,9 +440,9 @@ impl PreparedRun {
     /// the same variability a monolithic run would have seen.
     pub fn run_slice(&self, steps: u64, seed: u64, time_h: f64) -> SimulatedRun {
         let workload = WorkloadTiming {
-            analysis: &self.analysis,
+            analysis: &self.census.analysis,
             placement: &self.placement,
-            task_bytes: &self.task_bytes,
+            task_bytes: &self.census.task_bytes,
             comm_bytes_per_point: self.comm_bytes_per_point,
             steps,
         };
@@ -456,7 +479,7 @@ impl PreparedRun {
         );
         let routed = routed_task_comm(
             topology,
-            &self.analysis,
+            &self.census.analysis,
             &self.placement,
             node_map,
             self.comm_bytes_per_point,
@@ -464,9 +487,9 @@ impl PreparedRun {
             background,
         );
         let workload = WorkloadTiming {
-            analysis: &self.analysis,
+            analysis: &self.census.analysis,
             placement: &self.placement,
-            task_bytes: &self.task_bytes,
+            task_bytes: &self.census.task_bytes,
             comm_bytes_per_point: self.comm_bytes_per_point,
             steps,
         };

@@ -14,9 +14,7 @@ use crate::workload::Workload;
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pricing::PriceSheet;
 use hemocloud_cluster::topology::{build_topology, routed_task_comm, TopologyVariant};
-use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::placement::Placement;
-use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_obs::json::{Layout, Writer};
 
 /// The user's optimization objective.
@@ -212,14 +210,14 @@ impl Dashboard {
     }
 }
 
-/// Reprice `base`'s communication under a routed fabric: decompose the
-/// workload's retained grid exactly (the direct model's Eq. 9 analysis),
-/// route every internodal halo message through `variant`'s topology, and
-/// substitute the resulting worst-task delivery time for the general
-/// model's Eq. 13-16 comm terms. The memory side is untouched. `None`
-/// when the grid cannot host `ranks` subdomains (the scaled-census
-/// workloads keep their original grid, so they fall back to scalar rows
-/// once ranks outgrow it).
+/// Reprice `base`'s communication under a routed fabric: take the
+/// workload's exact decomposition census (the direct model's Eq. 9
+/// analysis), route every internodal halo message through `variant`'s
+/// topology, and substitute the resulting worst-task delivery time for
+/// the general model's Eq. 13-16 comm terms. The memory side is
+/// untouched. `None` when the grid cannot host `ranks` subdomains (the
+/// scaled-census workloads keep their original grid, so they fall back
+/// to scalar rows once ranks outgrow it).
 fn routed_prediction(
     platform: &Platform,
     workload: &Workload,
@@ -227,17 +225,13 @@ fn routed_prediction(
     base: &Prediction,
     variant: TopologyVariant,
 ) -> Option<Prediction> {
-    if ranks > workload.grid.fluid_count() {
-        return None;
-    }
-    let partition = RcbPartition::new(&workload.grid, ranks);
-    let analysis = DecompAnalysis::analyze(&workload.grid, &partition);
+    let census = workload.census(ranks).ok()?;
     let placement = Placement::contiguous(ranks, platform.cores_per_node);
     let topology = build_topology(platform, variant, placement.n_nodes());
     let node_map: Vec<usize> = (0..placement.n_nodes()).collect();
     let routed = routed_task_comm(
         &topology,
-        &analysis,
+        &census.analysis,
         &placement,
         &node_map,
         workload.profile.boundary_point_bytes,

@@ -21,9 +21,10 @@ use crate::characterize::PlatformCharacterization;
 use crate::composition::{Composition, Prediction};
 use crate::workload::Workload;
 use hemocloud_cluster::network::LinkKind;
-use hemocloud_decomp::halo::{bytes_per_task, resident_bytes_per_task, DecompAnalysis};
+use hemocloud_decomp::census::CensusEntry;
+use hemocloud_decomp::halo::resident_bytes_per_task;
 use hemocloud_decomp::placement::Placement;
-use hemocloud_decomp::rcb::RcbPartition;
+use std::sync::Arc;
 
 /// The direct model: a characterization plus a workload.
 #[derive(Debug, Clone)]
@@ -51,27 +52,24 @@ impl DirectModel {
         &self.character
     }
 
+    /// The workload's census at `ranks`, or `None` when the rank count is
+    /// zero, exceeds the platform allocation, or the grid cannot be split
+    /// that far.
+    fn census(&self, ranks: usize) -> Option<Arc<CensusEntry>> {
+        if ranks > self.character.platform.total_cores {
+            return None;
+        }
+        self.workload.census(ranks).ok()
+    }
+
     /// Predict performance at `ranks` tasks (one per core, contiguous
     /// node placement), decomposing exactly as the execution engine does
     /// (fluid-balanced RCB). Returns `None` when the rank count exceeds
     /// the platform allocation or the fluid-point count.
     pub fn predict(&self, ranks: usize) -> Option<Prediction> {
-        let grid = &self.workload.grid;
-        if ranks == 0
-            || ranks > self.character.platform.total_cores
-            || ranks > grid.fluid_count()
-        {
-            return None;
-        }
-        let partition = RcbPartition::new(grid, ranks);
-        let analysis = DecompAnalysis::analyze(grid, &partition);
+        let census = self.census(ranks)?;
+        let (analysis, task_bytes) = (&census.analysis, &census.task_bytes);
         let placement = Placement::contiguous(ranks, self.character.platform.cores_per_node);
-        let task_bytes = bytes_per_task(
-            grid,
-            &partition,
-            self.workload.profile.bulk_bytes,
-            self.workload.profile.wall_bytes,
-        );
 
         let tasks_per_node = placement.tasks_per_node();
 
@@ -135,17 +133,8 @@ impl DirectModel {
     /// footprint that decides whether a subdomain fits in a node's memory.
     /// Returns `None` for the same infeasible rank counts as `predict`.
     pub fn resident_task_bytes(&self, ranks: usize) -> Option<Vec<f64>> {
-        let grid = &self.workload.grid;
-        if ranks == 0
-            || ranks > self.character.platform.total_cores
-            || ranks > grid.fluid_count()
-        {
-            return None;
-        }
-        let partition = RcbPartition::new(grid, ranks);
         Some(resident_bytes_per_task(
-            grid,
-            &partition,
+            &self.census(ranks)?.analysis,
             self.workload.kernel.resident_bytes_per_point(),
         ))
     }

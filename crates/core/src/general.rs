@@ -28,8 +28,9 @@
 use crate::characterize::PlatformCharacterization;
 use crate::composition::{Composition, Prediction};
 use crate::workload::Workload;
-use hemocloud_decomp::events::{event_sweep_rcb, fit_event_sweep};
-use hemocloud_decomp::imbalance::{fit_sweep, imbalance_sweep_rcb};
+use hemocloud_decomp::census::CALIBRATION_COUNTS;
+use hemocloud_decomp::events::{fit_event_sweep, EventSample};
+use hemocloud_decomp::imbalance::{fit_sweep, ImbalanceSample};
 use hemocloud_fitting::models::{EventModel, ImbalanceModel};
 
 /// The generalized model.
@@ -48,26 +49,29 @@ pub struct GeneralModel {
     events: EventModel,
 }
 
-/// Task counts used when calibrating the empirical fits against a grid.
-fn calibration_counts() -> Vec<usize> {
-    vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
-}
-
 impl GeneralModel {
-    /// Build the model, calibrating `c1, c2, k1, k2` by sweeping the
-    /// workload's own grid (the "prior HARVEY decomposition data" role).
+    /// Build the model, calibrating `c1, c2, k1, k2` against the
+    /// workload's own decomposition census (the "prior HARVEY
+    /// decomposition data" role). The census is a property of the
+    /// geometry; only the contiguous placement at `cores_per_node` behind
+    /// the event samples is this platform's.
     pub fn from_characterization(
         character: &PlatformCharacterization,
         workload: &Workload,
     ) -> Self {
-        let counts = calibration_counts();
-        let imb_samples = imbalance_sweep_rcb(&workload.grid, &counts);
+        let entries: Vec<_> = CALIBRATION_COUNTS
+            .iter()
+            .filter_map(|&n| workload.census(n).ok())
+            .collect();
+        let imb_samples: Vec<_> = entries
+            .iter()
+            .map(|e| ImbalanceSample::of(&e.analysis))
+            .collect();
         let imbalance = fit_sweep(&imb_samples).unwrap_or_else(ImbalanceModel::perfect);
-        let ev_samples = event_sweep_rcb(
-            &workload.grid,
-            &counts,
-            character.platform.cores_per_node,
-        );
+        let ev_samples: Vec<_> = entries
+            .iter()
+            .map(|e| EventSample::of(&e.analysis, character.platform.cores_per_node))
+            .collect();
         let events = fit_event_sweep(&ev_samples).unwrap_or(EventModel {
             k1: 0.0,
             k2: 1.0,
@@ -251,6 +255,54 @@ mod tests {
                 g.mflups,
                 d.mflups
             );
+        }
+    }
+
+    #[test]
+    fn cold_warm_and_grid_sweep_calibrations_agree_bitwise() {
+        use hemocloud_decomp::census::CALIBRATION_COUNTS;
+        use hemocloud_decomp::events::{event_sweep_rcb, fit_event_sweep};
+        use hemocloud_decomp::imbalance::{fit_sweep, imbalance_sweep_rcb};
+
+        let grid = CylinderSpec::default().with_resolution(12).build();
+        for platform in [Platform::csp2(), Platform::csp2_small(), Platform::trc()] {
+            let character = characterize(&platform, 42);
+            let cold = Workload::harvey(&grid, 100);
+            let warm = Workload::harvey(&grid, 100);
+            // Warm the census out of calibration order, through the other
+            // readers, before the fit sees it.
+            let direct = DirectModel::new(character.clone(), warm.clone());
+            for ranks in [64usize, 36, 1, 256] {
+                let _ = direct.predict(ranks);
+            }
+            let from_cold = GeneralModel::from_characterization(&character, &cold);
+            let from_warm = GeneralModel::from_characterization(&character, &warm);
+            let from_grid = GeneralModel::with_models(
+                &character,
+                &cold,
+                fit_sweep(&imbalance_sweep_rcb(&grid, &CALIBRATION_COUNTS)).unwrap(),
+                fit_event_sweep(&event_sweep_rcb(
+                    &grid,
+                    &CALIBRATION_COUNTS,
+                    platform.cores_per_node,
+                ))
+                .unwrap(),
+            );
+            let constants = |m: &GeneralModel| {
+                let (imb, ev) = (m.imbalance_model(), m.event_model());
+                [imb.c1, imb.c2, ev.k1, ev.k2].map(f64::to_bits)
+            };
+            for other in [&from_warm, &from_grid] {
+                assert_eq!(constants(&from_cold), constants(other));
+                for ranks in [1usize, 16, 36, 144, 2048] {
+                    assert_eq!(
+                        from_cold.predict(ranks).step_time_s.to_bits(),
+                        other.predict(ranks).step_time_s.to_bits(),
+                        "{} at {ranks} ranks",
+                        platform.abbrev
+                    );
+                }
+            }
         }
     }
 

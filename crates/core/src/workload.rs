@@ -1,10 +1,13 @@
 //! Workload descriptors: everything a performance model needs to know
 //! about a simulation before it runs.
 
+use hemocloud_decomp::census::{Census, CensusEntry};
+use hemocloud_decomp::rcb::RcbError;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::access_profile::AccessProfile;
 use hemocloud_lbm::kernel::KernelConfig;
+use std::sync::Arc;
 
 /// A fully described LBM simulation campaign input.
 #[derive(Debug, Clone)]
@@ -22,9 +25,13 @@ pub struct Workload {
     /// Total bytes a serial run accesses per timestep — the
     /// `n_bytes_serial` of paper Eq. 10.
     pub serial_bytes: f64,
-    /// The voxel grid, retained for the direct model's exact
-    /// decomposition analysis.
-    pub grid: VoxelGrid,
+    /// The voxel grid, retained for exact decomposition analysis. Shared
+    /// and immutable: clones of a workload cost nothing, and the grid
+    /// cannot change under a filled census.
+    pub grid: Arc<VoxelGrid>,
+    /// Every RCB decomposition of `grid` anyone has asked for, shared by
+    /// all clones of this workload (including [`Workload::scaled`] ones).
+    census: Arc<Census>,
 }
 
 impl Workload {
@@ -39,6 +46,8 @@ impl Workload {
         let avg_links = hemocloud_cluster::exec::measured_avg_solid_links(grid);
         let profile = AccessProfile::for_kernel(&kernel, avg_links);
         let serial_bytes = profile.mesh_bytes(&stats);
+        let grid = Arc::new(grid.clone());
+        let census = Census::new(Arc::clone(&grid), profile.bulk_bytes, profile.wall_bytes);
         Self {
             name: name.into(),
             stats,
@@ -46,8 +55,24 @@ impl Workload {
             profile,
             steps,
             serial_bytes,
-            grid: grid.clone(),
+            grid,
+            census: Arc::new(census),
         }
+    }
+
+    /// The decomposition census of the grid at `ranks` fluid-balanced RCB
+    /// subdomains, or why the grid cannot be split that far. Taken on
+    /// first request, then shared: both models, the routed dashboard and
+    /// the campaign's prepared runs get their decomposition here.
+    ///
+    /// # Panics
+    /// Panics if `grid` was replaced after construction.
+    pub fn census(&self, ranks: usize) -> Result<Arc<CensusEntry>, RcbError> {
+        assert!(
+            Arc::ptr_eq(&self.grid, self.census.grid()),
+            "workload grid replaced under its census; build a new Workload"
+        );
+        self.census.entry(ranks)
     }
 
     /// A HARVEY-style workload (indirect AoS/AB, double precision).

@@ -1,0 +1,95 @@
+//! One decomposition census per geometry, taken once per rank count.
+//!
+//! `c1, c2` (Eq. 11) and the message graph behind `k1, k2` (Eq. 15) are
+//! properties of the geometry, not of the platform: every model, dashboard
+//! row and prepared run that asks how a grid splits into `n` ranks must
+//! get the same answer, so they all read it from a [`Census`] that
+//! computes it on first request and keeps it. An entry keeps what the
+//! consumers read — the halo census and the per-task byte sums — and not
+//! the partition: its owner array is the size of the bounding box (14 MB
+//! for a 3.5M-voxel cerebral box), nine of them would dwarf the geometry.
+
+use crate::halo::{bytes_per_task, DecompAnalysis};
+use crate::rcb::{self, RcbError, RcbPartition};
+use hemocloud_geometry::voxel::VoxelGrid;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+/// Task counts the generalized model calibrates against. They are powers
+/// of two, so one bisection tree yields all nine partitions.
+pub const CALIBRATION_COUNTS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
+
+/// What one rank count's decomposition leaves behind.
+#[derive(Debug, Clone)]
+pub struct CensusEntry {
+    /// Points, boundary points and the message graph per task.
+    pub analysis: DecompAnalysis,
+    /// Per-task memory-access bytes per step (the Eq. 9 sums).
+    pub task_bytes: Vec<f64>,
+}
+
+impl CensusEntry {
+    /// Take the census of `grid` under `partition`, weighting bulk points
+    /// by `bulk_bytes` and wall, inlet and outlet points by `wall_bytes`.
+    pub fn take(
+        grid: &VoxelGrid,
+        partition: &RcbPartition,
+        bulk_bytes: f64,
+        wall_bytes: f64,
+    ) -> Self {
+        Self {
+            analysis: DecompAnalysis::analyze(grid, partition),
+            task_bytes: bytes_per_task(grid, partition, bulk_bytes, wall_bytes),
+        }
+    }
+}
+
+type Entry = Result<Arc<CensusEntry>, RcbError>;
+
+/// The lazily filled, thread-safe `ranks → entry` map of one geometry
+/// under one kernel's Eq. 9 byte weights. A slot is filled under the map's lock
+/// by whichever thread asks first, so it is filled once.
+#[derive(Debug)]
+pub struct Census {
+    grid: Arc<VoxelGrid>,
+    bulk_bytes: f64,
+    wall_bytes: f64,
+    slots: Mutex<BTreeMap<usize, Entry>>,
+}
+
+impl Census {
+    /// An empty census of `grid`; nothing is decomposed until asked for.
+    pub fn new(grid: Arc<VoxelGrid>, bulk_bytes: f64, wall_bytes: f64) -> Self {
+        Self {
+            grid,
+            bulk_bytes,
+            wall_bytes,
+            slots: Mutex::default(),
+        }
+    }
+
+    /// The grid the census decomposes.
+    pub fn grid(&self) -> &Arc<VoxelGrid> {
+        &self.grid
+    }
+
+    /// The entry for `ranks` RCB subdomains, or why the grid cannot be
+    /// split that far. The first request for any of
+    /// [`CALIBRATION_COUNTS`] fills all nine from one bisection tree.
+    pub fn entry(&self, ranks: usize) -> Entry {
+        let mut slots = self.slots.lock().expect("a census fill panicked");
+        if !slots.contains_key(&ranks) {
+            let counts = if CALIBRATION_COUNTS.contains(&ranks) {
+                &CALIBRATION_COUNTS[..]
+            } else {
+                std::slice::from_ref(&ranks)
+            };
+            for (&n, partition) in counts.iter().zip(rcb::sweep(&self.grid, counts)) {
+                let taken = partition
+                    .map(|p| CensusEntry::take(&self.grid, &p, self.bulk_bytes, self.wall_bytes));
+                slots.insert(n, taken.map(Arc::new));
+            }
+        }
+        slots[&ranks].clone()
+    }
+}

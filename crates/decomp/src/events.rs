@@ -3,11 +3,10 @@
 //! The generalized model needs the maximum number of *internodal* messages
 //! a task participates in per step, as a function of task and node counts.
 //! [`count_max_events`] measures it for a real decomposition+placement;
-//! [`event_sweep`] collects the `(n_tasks, n_nodes, events)` samples the
+//! [`event_sweep_rcb`] collects the `(n_tasks, n_nodes, events)` samples the
 //! paper fits Eq. 15 against.
 
 use crate::halo::DecompAnalysis;
-use crate::partition::BlockPartition;
 use crate::placement::Placement;
 use hemocloud_fitting::models::{fit_events, EventModel};
 use hemocloud_geometry::voxel::VoxelGrid;
@@ -41,55 +40,32 @@ pub struct EventSample {
     pub max_events: usize,
 }
 
-/// Measure maximum event counts over task-count sweeps at a fixed
-/// tasks-per-node, using block partitions and contiguous placement.
-pub fn event_sweep(
-    grid: &VoxelGrid,
-    task_counts: &[usize],
-    tasks_per_node: usize,
-) -> Vec<EventSample> {
-    let dims = grid.dims();
-    task_counts
-        .iter()
-        .filter_map(|&n| {
-            let (a, b, c) = crate::partition::factorize3(n, dims);
-            if a > dims.0 || b > dims.1 || c > dims.2 {
-                return None;
-            }
-            let p = BlockPartition::new(dims, n);
-            let analysis = DecompAnalysis::analyze(grid, &p);
-            let placement = Placement::contiguous(n, tasks_per_node);
-            Some(EventSample {
-                n_tasks: n,
-                n_nodes: placement.n_nodes(),
-                max_events: count_max_events(&analysis, &placement),
-            })
-        })
-        .collect()
+impl EventSample {
+    /// The sample one decomposition's census yields under contiguous
+    /// placement at `tasks_per_node` — the only per-platform input.
+    pub fn of(analysis: &DecompAnalysis, tasks_per_node: usize) -> Self {
+        let placement = Placement::contiguous(analysis.n_tasks, tasks_per_node);
+        Self {
+            n_tasks: analysis.n_tasks,
+            n_nodes: placement.n_nodes(),
+            max_events: count_max_events(analysis, &placement),
+        }
+    }
 }
 
 /// Measure maximum event counts over task-count sweeps using RCB
 /// partitions and contiguous placement — matching the decomposition the
-/// solver and timing engine use.
+/// solver and timing engine use. Task counts the grid cannot host are
+/// skipped.
 pub fn event_sweep_rcb(
     grid: &VoxelGrid,
     task_counts: &[usize],
     tasks_per_node: usize,
 ) -> Vec<EventSample> {
-    let fluid = grid.fluid_count();
-    task_counts
+    crate::rcb::sweep(grid, task_counts)
         .iter()
-        .filter(|&&n| n >= 1 && n <= fluid)
-        .map(|&n| {
-            let p = crate::rcb::RcbPartition::new(grid, n);
-            let analysis = DecompAnalysis::analyze(grid, &p);
-            let placement = Placement::contiguous(n, tasks_per_node);
-            EventSample {
-                n_tasks: n,
-                n_nodes: placement.n_nodes(),
-                max_events: count_max_events(&analysis, &placement),
-            }
-        })
+        .flatten()
+        .map(|p| EventSample::of(&DecompAnalysis::analyze(grid, p), tasks_per_node))
         .collect()
 }
 
@@ -105,6 +81,7 @@ pub fn fit_event_sweep(samples: &[EventSample]) -> Option<EventModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::BlockPartition;
     use hemocloud_geometry::anatomy::CylinderSpec;
     use hemocloud_geometry::voxel::{CellType, VoxelGrid};
 
@@ -131,7 +108,7 @@ mod tests {
     #[test]
     fn sweep_monotone_in_tasks_at_fixed_node_size() {
         let g = CylinderSpec::default().with_resolution(10).build();
-        let samples = event_sweep(&g, &[4, 16, 64], 4);
+        let samples = event_sweep_rcb(&g, &[4, 16, 64], 4);
         assert_eq!(samples.len(), 3);
         assert!(samples[2].max_events >= samples[0].max_events);
         assert!(samples[2].max_events > 0);
@@ -140,7 +117,7 @@ mod tests {
     #[test]
     fn fit_reproduces_sweep_shape() {
         let g = CylinderSpec::default().with_resolution(10).build();
-        let samples = event_sweep(&g, &[2, 4, 8, 16, 32, 64], 4);
+        let samples = event_sweep_rcb(&g, &[2, 4, 8, 16, 32, 64], 4);
         let model = fit_event_sweep(&samples).expect("fit");
         // The fitted curve must grow with task count like the measurements.
         let lo = model.eval(4, 1);

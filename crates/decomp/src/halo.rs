@@ -38,6 +38,7 @@ pub struct DecompAnalysis {
 impl DecompAnalysis {
     /// Analyze `grid` under `partition`.
     pub fn analyze<P: Ownership>(grid: &VoxelGrid, partition: &P) -> Self {
+        crate::censuses().inc();
         let n_tasks = partition.task_count();
         let mut points = vec![0usize; n_tasks];
         let mut boundary = vec![0usize; n_tasks];
@@ -97,11 +98,7 @@ impl DecompAnalysis {
 
     /// Maximum number of boundary points on any task.
     pub fn max_boundary_points(&self) -> usize {
-        *self
-            .boundary_points_per_task
-            .iter()
-            .max()
-            .unwrap_or(&0)
+        *self.boundary_points_per_task.iter().max().unwrap_or(&0)
     }
 
     /// Maximum number of messages sent by any task (its neighbor count).
@@ -166,20 +163,14 @@ pub fn bytes_per_task<P: Ownership>(
 /// node's memory, and it depends on the propagation pattern: AA kernels
 /// never allocate the second distribution array, so their footprint is
 /// computed from a smaller `point_bytes` than AB's — the accounting can no
-/// longer silently assume two arrays.
-pub fn resident_bytes_per_task<P: Ownership>(
-    grid: &VoxelGrid,
-    partition: &P,
-    point_bytes: f64,
-) -> Vec<f64> {
-    let mut bytes = vec![0.0; partition.task_count()];
-    for (x, y, z, c) in grid.iter_cells() {
-        if !c.is_fluid() {
-            continue;
-        }
-        bytes[partition.owner(x, y, z)] += point_bytes;
-    }
-    bytes
+/// longer silently assume two arrays. A product, not a per-point sum: byte
+/// counts are whole numbers, so the two agree to the last bit.
+pub fn resident_bytes_per_task(analysis: &DecompAnalysis, point_bytes: f64) -> Vec<f64> {
+    analysis
+        .points_per_task
+        .iter()
+        .map(|&points| points as f64 * point_bytes)
+        .collect()
 }
 
 #[cfg(test)]
@@ -300,7 +291,7 @@ mod tests {
         let g = CylinderSpec::default().with_resolution(10).build();
         let p = BlockPartition::new(g.dims(), 8);
         let a = DecompAnalysis::analyze(&g, &p);
-        let resident = resident_bytes_per_task(&g, &p, 228.0);
+        let resident = resident_bytes_per_task(&a, 228.0);
         assert_eq!(resident.len(), 8);
         let total: f64 = resident.iter().sum();
         assert!((total - a.total_points as f64 * 228.0).abs() < 1e-6);
@@ -317,8 +308,9 @@ mod tests {
         // scaled by the same ratio on every task.
         let g = CylinderSpec::default().with_resolution(10).build();
         let p = BlockPartition::new(g.dims(), 4);
-        let ab = resident_bytes_per_task(&g, &p, 380.0);
-        let aa = resident_bytes_per_task(&g, &p, 228.0);
+        let a = DecompAnalysis::analyze(&g, &p);
+        let ab = resident_bytes_per_task(&a, 380.0);
+        let aa = resident_bytes_per_task(&a, 228.0);
         for (a, b) in ab.iter().zip(&aa) {
             assert!((b / a - 228.0 / 380.0).abs() < 1e-12);
         }
@@ -333,14 +325,15 @@ mod tests {
         // them as plain numbers, so pin the end-to-end totals here.)
         let g = full_box(6);
         let p = BlockPartition::new(g.dims(), 2);
-        let ab_f32 = resident_bytes_per_task(&g, &p, 228.0);
-        let aa_f32 = resident_bytes_per_task(&g, &p, 152.0);
+        let a = DecompAnalysis::analyze(&g, &p);
+        let ab_f32 = resident_bytes_per_task(&a, 228.0);
+        let aa_f32 = resident_bytes_per_task(&a, 152.0);
         let points = 6.0 * 6.0 * 6.0;
         assert_eq!(ab_f32.iter().sum::<f64>(), points * 228.0);
         assert_eq!(aa_f32.iter().sum::<f64>(), points * 152.0);
         // Same byte totals as AA/AB double scaled by 4/8 on the array
         // part: AB f32 == AA f64 (228), and AA f32 sits strictly below.
-        let aa_f64 = resident_bytes_per_task(&g, &p, 228.0);
+        let aa_f64 = resident_bytes_per_task(&a, 228.0);
         assert_eq!(ab_f32, aa_f64);
         for (s, d) in aa_f32.iter().zip(&aa_f64) {
             assert!(s < d);

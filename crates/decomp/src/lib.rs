@@ -14,7 +14,12 @@
 //!   sweeps and their Eq. 15 fits.
 //! * [`placement`] — mapping tasks onto nodes, which splits messages into
 //!   intranodal and internodal.
+//! * [`rcb`] — fluid-balanced recursive coordinate bisection, the
+//!   decomposition the solver and the timing engine use.
+//! * [`census`] — one lazily filled `ranks → census` map per geometry,
+//!   shared by every model, dashboard and prepared run of a workload.
 
+pub mod census;
 pub mod events;
 pub mod halo;
 pub mod imbalance;
@@ -22,7 +27,25 @@ pub mod partition;
 pub mod placement;
 pub mod rcb;
 
+pub use census::{Census, CensusEntry};
 pub use halo::DecompAnalysis;
 pub use partition::{BlockPartition, BoxRegion, SlabPartition};
 pub use placement::Placement;
 pub use rcb::RcbPartition;
+
+use hemocloud_obs::Counter;
+use std::sync::{Arc, OnceLock};
+
+/// RCB bisection trees built in this process (`decomp.rcb_trees` in the
+/// global [`hemocloud_obs`] registry).
+pub fn rcb_trees() -> &'static Counter {
+    static TREES: OnceLock<Arc<Counter>> = OnceLock::new();
+    TREES.get_or_init(|| hemocloud_obs::global().counter("decomp.rcb_trees"))
+}
+
+/// Halo censuses taken in this process ([`DecompAnalysis::analyze`] calls;
+/// `decomp.censuses` in the global registry).
+pub fn censuses() -> &'static Counter {
+    static CENSUSES: OnceLock<Arc<Counter>> = OnceLock::new();
+    CENSUSES.get_or_init(|| hemocloud_obs::global().counter("decomp.censuses"))
+}

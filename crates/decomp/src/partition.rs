@@ -58,6 +58,18 @@ impl BoxRegion {
         (self.x1 - self.x0) * (self.y1 - self.y0) * (self.z1 - self.z0)
     }
 
+    /// The smallest box containing both regions.
+    pub fn hull(&self, other: &BoxRegion) -> BoxRegion {
+        BoxRegion {
+            x0: self.x0.min(other.x0),
+            x1: self.x1.max(other.x1),
+            y0: self.y0.min(other.y0),
+            y1: self.y1.max(other.y1),
+            z0: self.z0.min(other.z0),
+            z1: self.z1.max(other.z1),
+        }
+    }
+
     /// Whether the region contains `(x, y, z)`.
     #[inline]
     pub fn contains(&self, x: usize, y: usize, z: usize) -> bool {

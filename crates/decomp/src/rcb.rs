@@ -13,13 +13,53 @@
 
 use crate::partition::{BoxRegion, Ownership};
 use hemocloud_geometry::voxel::VoxelGrid;
+use std::fmt;
+use std::sync::Arc;
+
+/// Why a grid cannot be cut into the requested number of tasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RcbError {
+    /// Zero tasks were requested.
+    ZeroTasks,
+    /// More tasks than fluid points: some task would own nothing.
+    TooManyTasks { n_tasks: usize, fluid_points: usize },
+    /// A lumpy cut left the one-voxel `region` with more than one task.
+    Unsplittable { region: BoxRegion, n_tasks: usize },
+}
+
+impl fmt::Display for RcbError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::ZeroTasks => write!(f, "zero tasks"),
+            Self::TooManyTasks {
+                n_tasks,
+                fluid_points,
+            } => {
+                write!(
+                    f,
+                    "more tasks than fluid points ({n_tasks} > {fluid_points})"
+                )
+            }
+            Self::Unsplittable { region, n_tasks } => {
+                write!(f, "one-voxel region {region:?} was handed {n_tasks} tasks")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RcbError {}
 
 /// A fluid-balanced RCB partition. Ownership is materialized per voxel for
 /// O(1) queries.
 #[derive(Debug, Clone)]
 pub struct RcbPartition {
     dims: (usize, usize, usize),
-    owner: Vec<u32>,
+    /// Leaf task of every voxel in the bisection tree this partition was
+    /// cut from; [`RcbPartition::coarsened`] views share it.
+    owner: Arc<Vec<u32>>,
+    /// Tree levels between this partition and the leaves: the task of
+    /// voxel `i` is `owner[i] >> shift`.
+    shift: u32,
     n_tasks: usize,
     regions: Vec<BoxRegion>,
 }
@@ -28,26 +68,43 @@ impl RcbPartition {
     /// Partition `grid` into `n_tasks` fluid-balanced boxes.
     ///
     /// # Panics
-    /// Panics when `n_tasks` is 0 or exceeds the fluid-point count.
+    /// Panics where [`RcbPartition::try_new`] returns an error.
     pub fn new(grid: &VoxelGrid, n_tasks: usize) -> Self {
-        assert!(n_tasks > 0, "zero tasks");
-        assert!(
-            n_tasks <= grid.fluid_count(),
-            "more tasks than fluid points"
-        );
+        Self::try_new(grid, n_tasks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Partition `grid` into `n_tasks` fluid-balanced boxes, or say why it
+    /// cannot be done.
+    pub fn try_new(grid: &VoxelGrid, n_tasks: usize) -> Result<Self, RcbError> {
+        if n_tasks == 0 {
+            return Err(RcbError::ZeroTasks);
+        }
         let dims = grid.dims();
-        let mut owner = vec![0u32; grid.len()];
-        let mut regions = vec![
-            BoxRegion {
-                x0: 0,
-                x1: 0,
-                y0: 0,
-                y1: 0,
-                z0: 0,
-                z1: 0,
-            };
-            n_tasks
-        ];
+        assert!(
+            u32::try_from(grid.len()).is_ok(),
+            "grid exceeds 32-bit coordinates"
+        );
+        // The fluid cells, permuted in place so that every tree node owns
+        // a contiguous run: a bisection level costs one pass over the
+        // fluid points, not three scans of the bounding box.
+        let mut cells = Vec::new();
+        for z in 0..dims.2 {
+            for y in 0..dims.1 {
+                let row = &grid.cells()[dims.0 * (y + dims.1 * z)..][..dims.0];
+                for (x, c) in row.iter().enumerate() {
+                    if c.is_fluid() {
+                        cells.push([x as u32, y as u32, z as u32]);
+                    }
+                }
+            }
+        }
+        if n_tasks > cells.len() {
+            return Err(RcbError::TooManyTasks {
+                n_tasks,
+                fluid_points: cells.len(),
+            });
+        }
+        crate::rcb_trees().inc();
         let whole = BoxRegion {
             x0: 0,
             x1: dims.0,
@@ -56,11 +113,55 @@ impl RcbPartition {
             z0: 0,
             z1: dims.2,
         };
-        bisect(grid, whole, 0, n_tasks, &mut owner, &mut regions);
-        Self {
+        let mut owner = vec![0u32; grid.len()];
+        let mut regions = vec![whole; n_tasks];
+        bisect(
             dims,
-            owner,
+            whole,
+            &mut cells,
+            0,
             n_tasks,
+            &mut owner,
+            &mut regions,
+        )?;
+        Ok(Self {
+            dims,
+            owner: Arc::new(owner),
+            shift: 0,
+            n_tasks,
+            regions,
+        })
+    }
+
+    /// The partition `halvings` levels up this one's bisection tree:
+    /// exactly what [`RcbPartition::new`] builds for `n_tasks >> halvings`
+    /// tasks (a power-of-two count asks every node for exactly half its
+    /// fluid, so the smaller tree is the larger one truncated — DESIGN.md
+    /// §19), as a view sharing this partition's owner array.
+    ///
+    /// # Panics
+    /// Panics unless the task count is a power of two with at least
+    /// `halvings` levels.
+    pub fn coarsened(&self, halvings: u32) -> Self {
+        assert!(
+            self.n_tasks.is_power_of_two() && halvings <= self.n_tasks.trailing_zeros(),
+            "cannot halve {} tasks {halvings} times",
+            self.n_tasks
+        );
+        let regions = self
+            .regions
+            .chunks(1 << halvings)
+            .map(|leaves| {
+                leaves[1..]
+                    .iter()
+                    .fold(leaves[0], |hull, leaf| hull.hull(leaf))
+            })
+            .collect();
+        Self {
+            dims: self.dims,
+            owner: Arc::clone(&self.owner),
+            shift: self.shift + halvings,
+            n_tasks: self.n_tasks >> halvings,
             regions,
         }
     }
@@ -78,7 +179,7 @@ impl RcbPartition {
     /// Task owning voxel `(x, y, z)`.
     #[inline]
     pub fn owner_of(&self, x: usize, y: usize, z: usize) -> usize {
-        self.owner[x + self.dims.0 * (y + self.dims.1 * z)] as usize
+        (self.owner[x + self.dims.0 * (y + self.dims.1 * z)] >> self.shift) as usize
     }
 
     /// Ownership of each fluid cell, in fluid-compaction order (the order
@@ -88,7 +189,7 @@ impl RcbPartition {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.is_fluid())
-            .map(|(i, _)| self.owner[i])
+            .map(|(i, _)| self.owner[i] >> self.shift)
             .collect()
     }
 }
@@ -102,51 +203,53 @@ impl Ownership for RcbPartition {
     }
 }
 
-/// Fluid counts per slice of `region` along `axis`.
-fn slice_counts(grid: &VoxelGrid, region: &BoxRegion, axis: usize) -> Vec<usize> {
-    let len = match axis {
-        0 => region.x1 - region.x0,
-        1 => region.y1 - region.y0,
-        _ => region.z1 - region.z0,
-    };
-    let mut counts = vec![0usize; len];
-    for z in region.z0..region.z1 {
-        for y in region.y0..region.y1 {
-            for x in region.x0..region.x1 {
-                if grid.get(x, y, z).is_fluid() {
-                    let s = match axis {
-                        0 => x - region.x0,
-                        1 => y - region.y0,
-                        _ => z - region.z0,
-                    };
-                    counts[s] += 1;
-                }
+/// The partition of `grid` at each of `task_counts`, in order, with a
+/// typed error where the grid cannot host the count. All power-of-two
+/// counts are views ([`RcbPartition::coarsened`]) of **one** bisection
+/// tree, built at the largest of them the grid can host; every other
+/// count builds its own.
+pub fn sweep(grid: &VoxelGrid, task_counts: &[usize]) -> Vec<Result<RcbPartition, RcbError>> {
+    let mut pow2: Vec<usize> = task_counts
+        .iter()
+        .copied()
+        .filter(|n| n.is_power_of_two())
+        .collect();
+    pow2.sort_unstable();
+    let tree = pow2
+        .iter()
+        .rev()
+        .find_map(|&n| RcbPartition::try_new(grid, n).ok());
+    task_counts
+        .iter()
+        .map(|&n| match &tree {
+            Some(t) if n.is_power_of_two() && n <= t.n_tasks => {
+                Ok(t.coarsened((t.n_tasks / n).trailing_zeros()))
             }
-        }
-    }
-    counts
+            _ => RcbPartition::try_new(grid, n),
+        })
+        .collect()
 }
 
-/// Recursively assign `[task0, task0 + n_tasks)` within `region`.
+/// Recursively assign `[task0, task0 + n_tasks)` within `region`, whose
+/// fluid cells are `cells`.
 fn bisect(
-    grid: &VoxelGrid,
+    dims: (usize, usize, usize),
     region: BoxRegion,
+    cells: &mut [[u32; 3]],
     task0: usize,
     n_tasks: usize,
     owner: &mut [u32],
     regions: &mut [BoxRegion],
-) {
+) -> Result<(), RcbError> {
     if n_tasks == 1 {
-        let (nx, ny) = (grid.nx(), grid.ny());
         for z in region.z0..region.z1 {
             for y in region.y0..region.y1 {
-                for x in region.x0..region.x1 {
-                    owner[x + nx * (y + ny * z)] = task0 as u32;
-                }
+                let row = dims.0 * (y + dims.1 * z);
+                owner[row + region.x0..row + region.x1].fill(task0 as u32);
             }
         }
         regions[task0] = region;
-        return;
+        return Ok(());
     }
 
     let n_left = n_tasks / 2;
@@ -157,20 +260,21 @@ fn bisect(
     // Slice granularity makes long axes usually — but not always — best,
     // so measuring beats the classic longest-axis heuristic on lumpy
     // anatomies.
+    let lo = [region.x0, region.y0, region.z0];
     let extents = [
         region.x1 - region.x0,
         region.y1 - region.y0,
         region.z1 - region.z0,
     ];
-    let mut best: Option<(usize, usize, f64)> = None; // (axis, cut, error)
-    #[allow(clippy::needless_range_loop)] // `axis` doubles as the result value
-    for axis in 0..3 {
-        if extents[axis] < 2 {
-            continue;
+    let mut counts = extents.map(|len| vec![0usize; len]);
+    for cell in cells.iter() {
+        for axis in 0..3 {
+            counts[axis][cell[axis] as usize - lo[axis]] += 1;
         }
-        let counts = slice_counts(grid, &region, axis);
-        let total: usize = counts.iter().sum();
-        let want = total as f64 * n_left as f64 / n_tasks as f64;
+    }
+    let want = cells.len() as f64 * n_left as f64 / n_tasks as f64;
+    let mut best: Option<(usize, usize, f64)> = None; // (axis, cut, error)
+    for (axis, counts) in counts.iter().enumerate() {
         let mut acc = 0usize;
         for (i, &c) in counts.iter().enumerate().take(counts.len() - 1) {
             acc += c;
@@ -180,7 +284,7 @@ fn bisect(
             }
         }
     }
-    let (axis, cut, _) = best.expect("splittable region");
+    let (axis, cut, _) = best.ok_or(RcbError::Unsplittable { region, n_tasks })?;
 
     let (mut left, mut right) = (region, region);
     match axis {
@@ -197,8 +301,17 @@ fn bisect(
             right.z0 = region.z0 + cut;
         }
     }
-    bisect(grid, left, task0, n_left, owner, regions);
-    bisect(grid, right, task0 + n_left, n_right, owner, regions);
+    let plane = (lo[axis] + cut) as u32;
+    let mut n_below = 0;
+    for i in 0..cells.len() {
+        if cells[i][axis] < plane {
+            cells.swap(i, n_below);
+            n_below += 1;
+        }
+    }
+    let (below, above) = cells.split_at_mut(n_below);
+    bisect(dims, left, below, task0, n_left, owner, regions)?;
+    bisect(dims, right, above, task0 + n_left, n_right, owner, regions)
 }
 
 #[cfg(test)]
@@ -273,6 +386,149 @@ mod tests {
         let owner = p.assign_fluid_cells(&g);
         assert_eq!(owner.len(), 63);
         assert_eq!(owner[0] as usize, p.owner_of(1, 0, 0));
+    }
+
+    /// The box-scanning bisection this module used before slice counts
+    /// came from the fluid-cell list — kept as the oracle for the cuts.
+    fn reference(
+        grid: &VoxelGrid,
+        region: BoxRegion,
+        task0: usize,
+        n_tasks: usize,
+        out: &mut [BoxRegion],
+    ) {
+        if n_tasks == 1 {
+            out[task0] = region;
+            return;
+        }
+        let n_left = n_tasks / 2;
+        let lo = [region.x0, region.y0, region.z0];
+        let hi = [region.x1, region.y1, region.z1];
+        let mut best: Option<(usize, usize, f64)> = None;
+        for axis in 0..3 {
+            let mut counts = vec![0usize; hi[axis] - lo[axis]];
+            for z in region.z0..region.z1 {
+                for y in region.y0..region.y1 {
+                    for x in region.x0..region.x1 {
+                        if grid.get(x, y, z).is_fluid() {
+                            counts[[x, y, z][axis] - lo[axis]] += 1;
+                        }
+                    }
+                }
+            }
+            let total: usize = counts.iter().sum();
+            let want = total as f64 * n_left as f64 / n_tasks as f64;
+            let mut acc = 0usize;
+            for (i, &c) in counts.iter().enumerate().take(counts.len() - 1) {
+                acc += c;
+                let err = (acc as f64 - want).abs();
+                if best.as_ref().is_none_or(|&(_, _, e)| err < e) {
+                    best = Some((axis, lo[axis] + i + 1, err));
+                }
+            }
+        }
+        let (axis, plane, _) = best.expect("splittable region");
+        let (mut left, mut right) = (region, region);
+        match axis {
+            0 => (left.x1, right.x0) = (plane, plane),
+            1 => (left.y1, right.y0) = (plane, plane),
+            _ => (left.z1, right.z0) = (plane, plane),
+        }
+        reference(grid, left, task0, n_left, out);
+        reference(grid, right, task0 + n_left, n_tasks - n_left, out);
+    }
+
+    fn assert_matches_reference(g: &VoxelGrid, n: usize) {
+        let p = RcbPartition::new(g, n);
+        let whole = p
+            .regions
+            .iter()
+            .skip(1)
+            .fold(p.regions[0], |h, r| h.hull(r));
+        assert_eq!(whole.volume(), g.len());
+        let mut expect = vec![whole; n];
+        reference(g, whole, 0, n, &mut expect);
+        assert_eq!(p.regions, expect, "{n} tasks");
+        for (i, &task) in p.owner.iter().enumerate() {
+            let (x, y, z) = g.coords(i);
+            assert!(expect[task as usize].contains(x, y, z));
+        }
+    }
+
+    #[test]
+    fn fluid_indexed_cuts_match_the_box_scanning_reference() {
+        let cyl = CylinderSpec::default().with_resolution(8).build();
+        let tree = CerebralSpec::default()
+            .with_generations(3)
+            .with_resolution(5)
+            .build();
+        for g in [&cyl, &tree] {
+            for n in [1usize, 2, 3, 7, 16, 36, 64] {
+                assert_matches_reference(g, n);
+            }
+        }
+    }
+
+    #[test]
+    fn coarsened_view_is_the_smaller_tree() {
+        let g = CylinderSpec::default().with_resolution(8).build();
+        let fine = RcbPartition::new(&g, 64);
+        for k in 0..=6u32 {
+            let view = fine.coarsened(6 - k);
+            let direct = RcbPartition::new(&g, 1 << k);
+            assert_eq!(view.n_tasks(), 1 << k);
+            assert_eq!(view.regions, direct.regions);
+            assert_eq!(view.assign_fluid_cells(&g), direct.assign_fluid_cells(&g));
+        }
+    }
+
+    #[test]
+    fn sweep_builds_one_tree_for_the_powers_of_two_and_keeps_request_order() {
+        let g = CylinderSpec::default().with_resolution(8).build();
+        let counts = [4usize, 0, 6, 64, 1, 1 << 30, 16];
+        let swept = sweep(&g, &counts);
+        assert_eq!(swept.len(), counts.len());
+        for (&n, p) in counts.iter().zip(&swept) {
+            match p {
+                Ok(p) => {
+                    assert_eq!(p.n_tasks(), n);
+                    assert_eq!(p.regions, RcbPartition::new(&g, n).regions);
+                }
+                Err(e) => assert_eq!(Some(*e), RcbPartition::try_new(&g, n).err()),
+            }
+        }
+        assert_eq!(swept[1].as_ref().err(), Some(&RcbError::ZeroTasks));
+        assert!(matches!(swept[5], Err(RcbError::TooManyTasks { .. })));
+        // 4, 1 and 16 are views of the 64-task tree.
+        for i in [0, 4, 6] {
+            let view = swept[i].as_ref().unwrap();
+            assert!(Arc::ptr_eq(&view.owner, &swept[3].as_ref().unwrap().owner));
+        }
+    }
+
+    #[test]
+    fn one_voxel_handed_two_tasks_is_a_typed_error() {
+        // Five fluid points, five tasks — but the 2|3 task split meets a
+        // 2|3 fluid cut only on paper: the z cut gives the lower slab one
+        // point and two tasks (found by the `try_new` property test).
+        let mut g = VoxelGrid::filled(2, 1, 3, 1.0, CellType::Bulk);
+        g.set(1, 0, 0, CellType::Solid);
+        assert!(matches!(
+            RcbPartition::try_new(&g, 5),
+            Err(RcbError::Unsplittable { n_tasks: 2, region }) if region.volume() == 1
+        ));
+        assert!(RcbPartition::try_new(&g, 4).is_ok());
+        assert_eq!(
+            RcbPartition::try_new(&g, 6).err(),
+            Some(RcbError::TooManyTasks {
+                n_tasks: 6,
+                fluid_points: 5
+            })
+        );
+        assert_eq!(
+            RcbPartition::try_new(&g, 0).err(),
+            Some(RcbError::ZeroTasks)
+        );
     }
 
     #[test]

@@ -80,6 +80,7 @@ use hemocloud_core::dashboard::{Dashboard, DashboardEntry};
 use hemocloud_core::general::GeneralModel;
 use hemocloud_core::guard::JobGuard;
 use hemocloud_core::refine::ModelCalibrator;
+use hemocloud_core::workload::Workload;
 use hemocloud_obs::{Counter, Registry, Snapshot};
 use hemocloud_rt::rng::{Rng, SplitMix64};
 
@@ -486,6 +487,10 @@ pub struct Campaign {
     global_calibrator: ModelCalibrator,
     /// `model_key|kernel` strings interned to dense ids at submit.
     model_key_ids: BTreeMap<String, u32>,
+    /// The first workload submitted under each model id. Jobs of one
+    /// model share a grid and a kernel, so this one's decomposition
+    /// census serves all of them — fits and prepared runs alike.
+    model_workloads: Vec<Arc<Workload>>,
     /// Statically feasible rank options with raw predictions, per
     /// (pool, model id) — built once, reused by every placement attempt.
     pool_options: BTreeMap<(usize, u32), Vec<OptionSpec>>,
@@ -574,6 +579,7 @@ impl Campaign {
             clock_s: 0.0,
             global_calibrator: ModelCalibrator::bounded(CALIBRATOR_WINDOW),
             model_key_ids: BTreeMap::new(),
+            model_workloads: Vec::new(),
             pool_options: BTreeMap::new(),
             prepared: BTreeMap::new(),
             ready: BTreeSet::new(),
@@ -625,6 +631,9 @@ impl Campaign {
         let key = format!("{}|{}", spec.model_key, spec.workload.kernel.name());
         let next_id = self.model_key_ids.len() as u32;
         let model_id = *self.model_key_ids.entry(key).or_insert(next_id);
+        if model_id == next_id {
+            self.model_workloads.push(Arc::clone(&spec.workload));
+        }
         let idx = self.jobs.len();
         self.jobs.push(JobState::new(spec, model_id));
         self.obs.submitted.inc();
@@ -767,15 +776,15 @@ impl Campaign {
             if self.pool_options.contains_key(&(pool_idx, model_id)) {
                 continue;
             }
-            let spec = &self.jobs[job_idx].spec;
+            let workload = &self.model_workloads[model_id as usize];
             let state = &self.pools[pool_idx];
             let platform = &state.pool.platform;
-            let model = GeneralModel::from_characterization(&state.character, &spec.workload);
+            let model = GeneralModel::from_characterization(&state.character, workload);
             let mut opts = Vec::new();
             for &ranks in &self.config.rank_options {
                 if ranks == 0
                     || ranks > platform.total_cores
-                    || ranks > spec.workload.grid.fluid_count()
+                    || ranks > workload.grid.fluid_count()
                 {
                     continue;
                 }
@@ -902,12 +911,15 @@ impl Campaign {
 
         let prep_key = (chosen.pool_idx, self.jobs[job_idx].model_id, chosen.ranks);
         if !self.prepared.contains_key(&prep_key) {
-            let spec = &self.jobs[job_idx].spec;
-            let built = PreparedRun::new_with_comm(
+            let workload = &self.model_workloads[prep_key.1 as usize];
+            let census = workload
+                .census(chosen.ranks)
+                .expect("candidate was validated feasible");
+            let built = PreparedRun::from_census(
                 &platform,
-                &spec.workload.grid,
-                &spec.workload.kernel,
-                chosen.ranks,
+                census,
+                &workload.kernel,
+                workload.profile.boundary_point_bytes,
                 &overheads,
                 comm,
             )

@@ -448,8 +448,7 @@ fn oracle_option<'c>(
     pool: &PoolSpec,
     model_key: &str,
     ranks: usize,
-    grid: &VoxelGrid,
-    kernel: &KernelConfig,
+    workload: &Workload,
 ) -> &'c Option<OracleOption> {
     let key = (mix.to_string(), pool_idx, model_key.to_string(), ranks);
     cache.entry(key).or_insert_with(|| {
@@ -457,8 +456,14 @@ fn oracle_option<'c>(
             Some(variant) => CommModel::Routed(variant),
             None => CommModel::Scalar,
         };
-        let prepared =
-            PreparedRun::new_with_comm(&pool.platform, grid, kernel, ranks, &pool.overheads, comm)?;
+        let prepared = PreparedRun::from_census(
+            &pool.platform,
+            workload.census(ranks).ok()?,
+            &workload.kernel,
+            workload.profile.boundary_point_bytes,
+            &pool.overheads,
+            comm,
+        )?;
         let nodes = prepared.nodes();
         let pool_nodes = pool.nodes.min(pool.platform.max_nodes());
         if nodes > pool_nodes {
@@ -755,8 +760,7 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
                                         pool,
                                         &model_key,
                                         ranks,
-                                        &geom.grid,
-                                        &wk.kernel,
+                                        &spec.workload,
                                     );
                                     if let Some(o) = opt {
                                         let seconds = o.step_nf_s * spec.true_steps() as f64;
@@ -807,8 +811,7 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
                                         &pools[pool_idx],
                                         &model_key,
                                         rec.ranks,
-                                        &geom.grid,
-                                        &wk.kernel,
+                                        &spec.workload,
                                     );
                                     if let Some(o) = opt {
                                         *eq9_expected.entry(pool_idx).or_insert(0) +=

@@ -3,13 +3,13 @@
 //! byte-compare every pair the determinism contract says must agree.
 //! Run it from the repository root.
 //!
-//! * `check` — spawns the five generators (`bench_baseline`, `campaign`,
-//!   `fabric_demo`, `bench_sched`, `eval_campaign`) with `OUT_DIR` set to
-//!   `target/check/<run>/`, at `RT_BENCH_FAST=1` and the worker counts /
-//!   SIMD backends of the table in `SMOKE_RUNS`; then gates the five
-//!   committed artifacts in the current directory, including the
-//!   one-revision stamp gate and the fresh-vs-committed perf gate.
-//! * `check --regen` — runs the five generators full-size into the
+//! * `check` — spawns the six generators (`bench_baseline`, `campaign`,
+//!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
+//!   `OUT_DIR` set to `target/check/<run>/`, at `RT_BENCH_FAST=1` and the
+//!   worker counts / SIMD backends of the table in `SMOKE_RUNS`; then
+//!   gates the six committed artifacts in the current directory, including
+//!   the one-revision stamp gate and the fresh-vs-committed perf gate.
+//! * `check --regen` — runs the six generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
 //!   mesh the perf gate holds against it), then gates the result.
@@ -39,6 +39,8 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("sched", "bench_sched", "RT_BENCH_FAST=1"),
     ("eval_t1", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
     ("eval_t8", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
+    ("repro_t1", "repro", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
+    ("repro_t8", "repro", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
 ];
 
 /// The smoke `BENCH_lbm.json` that is also the fresh side of the perf gate.
@@ -57,6 +59,7 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
     ("sched/SCHED_det.shard1.json", &[gate_finite]),
     ("eval_t1/EVAL_campaign.json", &[gate_eval]),
+    ("repro_t1/REPRO.json", &[gate_repro]),
 ];
 
 /// Smoke artifacts that must agree byte for byte: reruns at the same
@@ -71,6 +74,7 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
     ("fabric_t1/OBS_fabric.json", "fabric_t8/OBS_fabric.json"),
     ("fabric_t1/CAMPAIGN_fabric.json", "fabric_t8/CAMPAIGN_fabric.json"),
     ("eval_t1/EVAL_campaign.json", "eval_t8/EVAL_campaign.json"),
+    ("repro_t1/REPRO.json", "repro_t8/REPRO.json"),
     ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard2.json"),
     ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard4.json"),
 ];
@@ -79,12 +83,13 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
 /// the environment `--regen` runs their generators with. `BENCH_lbm.json`
 /// first: it is the committed side of the perf gate.
 #[rustfmt::skip]
-const COMMITTED: [(&str, GateFn, &str, &str); 5] = [
+const COMMITTED: [(&str, GateFn, &str, &str); 6] = [
     ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
     ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("CAMPAIGN_sched.json", gate_campaign, "campaign", ""),
     ("CAMPAIGN_fabric.json", gate_fabric, "fabric_demo", ""),
     ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
+    ("REPRO.json", gate_repro, "repro", ""),
 ];
 
 struct Check {
@@ -167,7 +172,7 @@ impl Check {
         self.gated(&root.join(FRESH_BENCH), &[gate_bench_lbm])
     }
 
-    /// Gate the five committed artifacts, one by one and as a set.
+    /// Gate the six committed artifacts, one by one and as a set.
     fn committed(&mut self, fresh_bench: Option<&Value>) {
         let docs = COMMITTED.map(|(file, gate, ..)| self.gated(Path::new(file), &[gate]));
         let set: Vec<(&str, &Value)> = COMMITTED.iter().map(|c| c.0).zip(&docs).collect();

@@ -440,6 +440,57 @@ pub fn gate_eval(doc: &Value) -> Vec<String> {
     g.failures
 }
 
+/// `REPRO.json`: every experiment of the table present with something
+/// to show, every shape check holding, every toleranced comparison inside
+/// its tolerance. There is no waiver: a claim the data stops supporting
+/// fails here until the defect is fixed or the claim reworded (DESIGN.md
+/// §20).
+pub fn gate_repro(doc: &Value) -> Vec<String> {
+    let mut g = Gate::over("repro", doc);
+    let experiments = g.rows(doc, "experiments", &[]);
+    for expected in &crate::experiments::EXPERIMENTS {
+        if !experiments.iter().any(|e| text(e, "id") == expected.id) {
+            fail!(g, "experiments lacks {:?}", expected.id);
+        }
+    }
+    for (i, e) in experiments.iter().enumerate() {
+        let (id, at) = (text(e, "id"), format!("experiments.{i}"));
+        if g.rows(doc, &format!("{at}.blocks"), &[]).is_empty() {
+            fail!(g, "{at}.blocks ({id}) is empty");
+        }
+        let checks = g.rows(doc, &format!("{at}.checks"), &[]);
+        for (j, check) in checks.iter().enumerate() {
+            if check.get("holds") != Some(&Value::Bool(true)) {
+                let (name, detail) = (text(check, "name"), text(check, "detail"));
+                fail!(
+                    g,
+                    "{at}.checks.{j}.holds is not true: {id}: {name} ({detail})"
+                );
+            }
+        }
+        let comparisons = g.rows(doc, &format!("{at}.comparisons"), &[]);
+        for (j, c) in comparisons.iter().enumerate() {
+            let at = format!("{at}.comparisons.{j}");
+            let mut number = |key: &str| g.number(doc, &format!("{at}.{key}"))?.as_f64();
+            let (Some(paper), Some(ours)) = (number("paper"), number("ours")) else {
+                continue;
+            };
+            let distance = (ours - paper).abs();
+            let bound = |key: &str| c.get(key).and_then(Value::as_f64);
+            let outside = bound("rel_tol").is_some_and(|tol| distance / paper.abs() > tol)
+                || bound("abs_tol").is_some_and(|tol| distance > tol);
+            if outside {
+                let what = text(c, "what");
+                fail!(
+                    g,
+                    "{at}.ours ({ours}) is outside its tolerance of paper ({paper}): {id}: {what}"
+                );
+            }
+        }
+    }
+    g.failures
+}
+
 /// An obs snapshot: the deterministic render, a non-empty metric map, and
 /// (as in every gate) no `null`, i.e. non-finite, statistic.
 pub fn gate_obs(doc: &Value) -> Vec<String> {
@@ -458,8 +509,8 @@ pub fn gate_obs(doc: &Value) -> Vec<String> {
     g.failures
 }
 
-/// The five committed artifacts as a set: all stamped at one revision
-/// (regenerate with `check --regen`), and the two that have a smoke
+/// The six committed artifacts as a set: all stamped at one revision
+/// (regenerate with `check --regen`), and the three that have a smoke
 /// size committed at full size.
 pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
     let mut g = Gate::new("committed_set");
@@ -519,6 +570,9 @@ mod tests {
     fn eval() -> Value {
         committed(include_str!("../../../EVAL_campaign.json"))
     }
+    fn repro() -> Value {
+        committed(include_str!("../../../REPRO.json"))
+    }
     fn obs() -> Value {
         let r = Registry::new();
         r.counter("pool.jobs").add(3);
@@ -566,9 +620,24 @@ mod tests {
         assert_eq!(gate_finite(&fabric()), Vec::<String>::new());
         assert_eq!(gate_fabric(&fabric()), Vec::<String>::new());
         assert_eq!(gate_eval(&eval()), Vec::<String>::new());
+        assert_eq!(gate_repro(&repro()), Vec::<String>::new());
         assert_eq!(gate_obs(&obs()), Vec::<String>::new());
-        let (a, b, c, d, e) = (bench_lbm(), bench_sched(), campaign(), fabric(), eval());
-        let set = [("a", &a), ("b", &b), ("c", &c), ("d", &d), ("e", &e)];
+        let (a, b, c, d, e, f) = (
+            bench_lbm(),
+            bench_sched(),
+            campaign(),
+            fabric(),
+            eval(),
+            repro(),
+        );
+        let set = [
+            ("a", &a),
+            ("b", &b),
+            ("c", &c),
+            ("d", &d),
+            ("e", &e),
+            ("f", &f),
+        ];
         assert_eq!(gate_committed_set(&set), Vec::<String>::new());
     }
 
@@ -808,6 +877,54 @@ mod tests {
         // The same document stamped as a smoke grid owes no axis floor.
         let smoke = with(broken, "provenance.grid", Value::Str("smoke".into()));
         assert_eq!(gate_eval(&smoke), Vec::<String>::new());
+    }
+
+    #[test]
+    fn repro_gate_names_a_failed_check_a_drifted_comparison_a_lost_experiment_and_a_null() {
+        // table3 is experiment 7; its first comparison is TRC a1 (15% band)
+        // and its third TRC a3 (±3).
+        let broken = with(repro(), "experiments.7.checks.1.holds", Value::Bool(false));
+        let needle = "experiments.7.checks.1.holds is not true: table3: CSP-1's bandwidth is flat";
+        assert_only_failure(&gate_repro(&broken), "repro", needle);
+        let drifted = |ours| {
+            let ours = Value::Float(ours);
+            with(repro(), "experiments.7.comparisons.0.ours", ours)
+        };
+        let needle = "comparisons.0.ours (5750) is outside its tolerance of paper (6768.24)";
+        assert_only_failure(&gate_repro(&drifted(5750.0)), "repro", needle);
+        assert_eq!(gate_repro(&drifted(5760.0)), Vec::<String>::new());
+        let broken = with(
+            repro(),
+            "experiments.7.comparisons.2.ours",
+            Value::Float(9.5),
+        );
+        assert_only_failure(
+            &gate_repro(&broken),
+            "repro",
+            "comparisons.2.ours (9.5) is outside",
+        );
+        // An un-toleranced comparison (CSP-1 a2) may sit anywhere.
+        let free = with(
+            repro(),
+            "experiments.7.comparisons.19.ours",
+            Value::Float(1e6),
+        );
+        assert_eq!(gate_repro(&free), Vec::<String>::new());
+        let broken = with(repro(), "experiments.13.id", Value::Str("fig12".into()));
+        assert_only_failure(&gate_repro(&broken), "repro", "experiments lacks \"fig11\"");
+        let broken = with(
+            repro(),
+            "experiments.2.blocks.0.series.0.points.3.1",
+            Value::Null,
+        );
+        let needle = "experiments.2.blocks.0.series.0.points.3.1 is null";
+        assert_only_failure(&gate_repro(&broken), "repro", needle);
+        let broken = with(repro(), "experiments.4.blocks", Value::Array(vec![]));
+        assert_only_failure(
+            &gate_repro(&broken),
+            "repro",
+            "experiments.4.blocks (fig5) is empty",
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Shared helpers for the per-table/figure regeneration binaries.
+//! The paper's evaluation as one gated record, and the artifact gates.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index); this library holds
-//! the formatting and workload plumbing they share.
+//! `repro <id>|all` runs the table of [`experiments`] (one per table or
+//! figure of the paper, index in DESIGN.md §4) against one shared
+//! [`repro::Lab`] and writes `REPRO.json`; [`gates`] judges it and the
+//! other committed artifacts; [`provenance`] stamps them.
 
+pub mod experiments;
 pub mod gates;
 pub mod provenance;
 pub mod report;
-pub mod workloads;
-
-pub use report::{print_series, print_table, Series};
+pub mod repro;

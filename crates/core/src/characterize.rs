@@ -123,6 +123,27 @@ mod tests {
         );
     }
 
+    /// Table III has two negative `a2` rows. On the hyperthreaded CSP-2
+    /// (paper −93.43 on an `a1` of 8,629, fitted over some 60 post-knee points)
+    /// every seed recovers the sign. On CSP-1 (paper −62.79 on an `a1` of
+    /// 18,093, fitted over the 12 points a 16-core node has past its knee)
+    /// the sign is seed luck: what the data supports there is a *flat*
+    /// post-knee slope — which is what `repro table3` checks, with `a1`
+    /// and `a3` in their bands — not a declining one.
+    #[test]
+    fn a_negative_a2_keeps_its_sign_on_every_seed_only_on_the_hyperthreaded_curve() {
+        let fits = |p: Platform| (0..40).map(move |seed| characterize(&p, seed).memory_fit);
+        let declining = |p: Platform| fits(p).filter(|fit| fit.a2 < 0.0).count();
+        assert_eq!(declining(Platform::csp2_hyperthreaded()), 40);
+        assert_eq!(declining(Platform::csp1()), 27);
+        let truth = Platform::csp1().memory; // seeded from the paper's row
+        for fit in fits(Platform::csp1()) {
+            assert!(fit.a2.abs() / fit.a1 < 0.02, "not flat: {fit:?}");
+            assert!((fit.a1 - truth.a1).abs() / truth.a1 < 0.15, "{fit:?}");
+            assert!((fit.a3 - truth.a3).abs() < 3.0, "{fit:?}");
+        }
+    }
+
     #[test]
     fn per_task_bandwidth_shrinks_with_contention() {
         let c = characterize(&Platform::trc(), 7);

@@ -1,10 +1,9 @@
 //! Lattice velocity sets.
 //!
 //! HARVEY and the proxy app use the standard **D3Q19** discretization
-//! (paper §II-C); its tables are the ones the kernels hardcode. D3Q15 and
-//! D3Q27 descriptors are provided as well — they are exercised by the
-//! performance model's byte counting (the number of distributions per point
-//! is a first-order term in Eq. 9) and by the extension examples.
+//! (paper §II-C); its tables are the ones the kernels hardcode. The number
+//! of distributions per point, a first-order term of Eq. 9, is
+//! [`crate::kernel::KernelConfig::q`].
 
 /// Number of discrete velocities in D3Q19.
 pub const Q19: usize = 19;
@@ -118,99 +117,6 @@ pub const fn opposite(q: usize) -> usize {
 /// all DdQq models used here.
 pub const CS2: f64 = 1.0 / 3.0;
 
-/// A generic velocity-set descriptor, used by the performance model for
-/// byte counting and by generic (non-hot-path) routines.
-#[derive(Debug, Clone)]
-pub struct VelocitySet {
-    /// Human-readable name, e.g. `"D3Q19"`.
-    pub name: &'static str,
-    /// Velocity vectors.
-    pub velocities: Vec<(i32, i32, i32)>,
-    /// Quadrature weights (sum to 1).
-    pub weights: Vec<f64>,
-}
-
-impl VelocitySet {
-    /// The D3Q19 set.
-    pub fn d3q19() -> Self {
-        Self {
-            name: "D3Q19",
-            velocities: C19.to_vec(),
-            weights: W19.to_vec(),
-        }
-    }
-
-    /// The D3Q15 set (6 axis + 8 corner directions).
-    pub fn d3q15() -> Self {
-        let mut velocities = vec![(0, 0, 0)];
-        let mut weights = vec![2.0 / 9.0];
-        for &v in &[
-            (1, 0, 0),
-            (-1, 0, 0),
-            (0, 1, 0),
-            (0, -1, 0),
-            (0, 0, 1),
-            (0, 0, -1),
-        ] {
-            velocities.push(v);
-            weights.push(1.0 / 9.0);
-        }
-        for sx in [1, -1] {
-            for sy in [1, -1] {
-                for sz in [1, -1] {
-                    velocities.push((sx, sy, sz));
-                    weights.push(1.0 / 72.0);
-                }
-            }
-        }
-        Self {
-            name: "D3Q15",
-            velocities,
-            weights,
-        }
-    }
-
-    /// The D3Q27 set (full 3×3×3 stencil).
-    pub fn d3q27() -> Self {
-        let mut velocities = Vec::with_capacity(27);
-        let mut weights = Vec::with_capacity(27);
-        for z in [0i32, 1, -1] {
-            for y in [0i32, 1, -1] {
-                for x in [0i32, 1, -1] {
-                    let nnz = (x != 0) as u32 + (y != 0) as u32 + (z != 0) as u32;
-                    velocities.push((x, y, z));
-                    weights.push(match nnz {
-                        0 => 8.0 / 27.0,
-                        1 => 2.0 / 27.0,
-                        2 => 1.0 / 54.0,
-                        _ => 1.0 / 216.0,
-                    });
-                }
-            }
-        }
-        Self {
-            name: "D3Q27",
-            velocities,
-            weights,
-        }
-    }
-
-    /// Number of discrete velocities.
-    pub fn q(&self) -> usize {
-        self.velocities.len()
-    }
-
-    /// Index of the opposite of direction `q` (by table search; the hot
-    /// kernels use the closed-form [`opposite`] instead).
-    pub fn opposite_of(&self, q: usize) -> usize {
-        let (x, y, z) = self.velocities[q];
-        self.velocities
-            .iter()
-            .position(|&(a, b, c)| (a, b, c) == (-x, -y, -z))
-            .expect("velocity set is symmetric")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,43 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_sets_are_consistent() {
-        for set in [VelocitySet::d3q15(), VelocitySet::d3q19(), VelocitySet::d3q27()] {
-            assert_eq!(
-                set.q(),
-                set.weights.len(),
-                "{}: weight count mismatch",
-                set.name
-            );
-            let s: f64 = set.weights.iter().sum();
-            assert!((s - 1.0).abs() < 1e-12, "{}: weights sum to {s}", set.name);
-            for q in 0..set.q() {
-                assert_eq!(set.opposite_of(set.opposite_of(q)), q, "{}", set.name);
-            }
-            // Isotropy of the second moment for all sets.
-            for alpha in 0..3 {
-                for beta in 0..3 {
-                    let m: f64 = set
-                        .velocities
-                        .iter()
-                        .zip(&set.weights)
-                        .map(|(&c, &w)| {
-                            let c = [c.0 as f64, c.1 as f64, c.2 as f64];
-                            w * c[alpha] * c[beta]
-                        })
-                        .sum();
-                    let expect = if alpha == beta { CS2 } else { 0.0 };
-                    assert!(
-                        (m - expect).abs() < 1e-12,
-                        "{}: moment[{alpha}][{beta}] = {m}",
-                        set.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)] // `q` indexes four parallel tables
     fn f64_component_tables_match_c19_exactly() {
         for q in 0..Q19 {
@@ -318,12 +187,5 @@ mod tests {
         let lbm: std::collections::HashSet<_> =
             C19.iter().skip(1).map(|&(x, y, z)| (x, y, z)).collect();
         assert_eq!(geo, lbm);
-    }
-
-    #[test]
-    fn q_counts() {
-        assert_eq!(VelocitySet::d3q15().q(), 15);
-        assert_eq!(VelocitySet::d3q19().q(), 19);
-        assert_eq!(VelocitySet::d3q27().q(), 27);
     }
 }

@@ -17,10 +17,11 @@ cargo test -q --offline --workspace
 
 echo "== check: smoke artifacts, byte-identity pairs, committed artifacts"
 # Every artifact invariant lives in crates/bench/src/gates.rs (DESIGN.md
-# §18 has the table); `check` spawns the generators at RT_BENCH_FAST=1
-# into target/check/<run>/, gates what they wrote and the committed
-# BENCH_*/CAMPAIGN_*/EVAL_* files, and compares the pairs that must agree
-# byte for byte. Regenerate the committed set with `... --bin check -- --regen`.
+# §18 has the table); `check` spawns the generators (`repro`, the paper's
+# evaluation, among them) at RT_BENCH_FAST=1 into target/check/<run>/,
+# gates what they wrote and the committed BENCH_*/CAMPAIGN_*/EVAL_*/REPRO
+# files, and compares the pairs that must agree byte for byte. Regenerate
+# the committed set with `... --bin check -- --regen`.
 cargo run -q --release --offline -p hemocloud-bench --bin check
 
 echo "== cargo doc --no-deps --offline"

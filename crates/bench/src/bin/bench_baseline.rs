@@ -6,10 +6,9 @@
 //!
 //! Beyond the headline solver number, the baseline sweeps every runtime
 //! kernel configuration of the sparse solver (AB/AA × AoS/SoA × f64/f32)
-//! with software prefetch off and on, and records, per row: the resolved
-//! SIMD instruction path (`"avx2"`,
-//! `"scalar-lanes"`, or `"scalar"` — `RT_SIMD` overrides it
-//! process-wide), best-of-3 measured MFLUPS, the Eq. 9 *modeled* bytes
+//! with software prefetch off and on, and records, per row: the SIMD
+//! instruction path the build compiled the wide lanes to (`"avx2"` or
+//! `"scalar"`), best-of-3 measured MFLUPS, the Eq. 9 *modeled* bytes
 //! per update, the *implied* bytes per update (measured update time ×
 //! the STREAM bandwidth whose shape matches the propagation pattern —
 //! Triad for AB pull, the Copy/Triad mean for AA's alternating pair),
@@ -22,7 +21,9 @@
 //! moments), a bitwise prefetch-on-vs-off equality check, a bitwise
 //! forced-scalar-vs-forced-vector equality check over every kernel
 //! config, and an f32-vs-f64 macroscopic accuracy bound — and refuses to
-//! write a baseline where any disagrees.
+//! write a baseline where any disagrees. The scalar/vector pair is also
+//! *timed* on AA/AoS f64 (`vector_over_scalar`): the wide lanes are plain
+//! arrays, so that ratio is the record that the compiler vectorized them.
 //!
 //! * `RT_BENCH_FAST=1` shrinks the mesh, array sizes, and sample counts
 //!   so CI can smoke-run it in seconds (the `check` binary does).
@@ -59,9 +60,8 @@ use hemocloud_rt::{par, pool};
 struct KernelRow {
     config: KernelConfig,
     prefetch: bool,
-    /// Instruction path the dispatcher resolved for this row
-    /// (`"avx2"`, `"scalar-lanes"`, or `"scalar"`) — provenance for the
-    /// committed numbers; overridable process-wide via `RT_SIMD`.
+    /// Instruction path this row ran (`"avx2"` or `"scalar"`) —
+    /// provenance for the committed numbers.
     simd: &'static str,
     mflups: f64,
     ns_per_update: f64,
@@ -96,6 +96,10 @@ struct Baseline {
     /// configuration — the vectorization contract, witnessed in the
     /// committed record and gated by `gates::gate_bench_lbm`.
     simd_bitwise_equal: bool,
+    /// Step time under `SimdPath::Scalar` over step time under
+    /// `SimdPath::Vector`, AA/AoS f64 on the bench mesh — what the wide
+    /// lanes buy, and the guard that they still compile to vector code.
+    vector_over_scalar: f64,
     /// Max macroscopic-moment difference between the f32-storage solver
     /// and its f64 twin after the fixed check run — the single-precision
     /// accuracy witness.
@@ -170,6 +174,44 @@ fn simd_bitwise_equal(mesh: &FluidMesh, steps: u64) -> bool {
         let vector = run(SimdPath::Vector);
         scalar.distributions() == vector.distributions()
     })
+}
+
+/// Best-of-3 time of one step pair, in ns: after a warm-up pair the timed
+/// sampling repeats three times and the fastest attempt wins — the minimum
+/// is the attempt least disturbed by the host, which is the right statistic
+/// for a bandwidth-bound kernel on a shared box. Steps are timed in pairs so
+/// AA (whose even/odd steps do different work and must end in natural
+/// order) is measured over a full cycle, and AB identically for fairness.
+fn best_pair_ns(solver: &mut Solver, samples: usize) -> f64 {
+    solver.run(2); // warm: touch every resident array
+    let mut best_ns = f64::INFINITY;
+    for _ in 0..3 {
+        let st = sample_stats(samples, |b| {
+            b.iter(|| {
+                solver.step();
+                solver.step();
+            })
+        });
+        best_ns = best_ns.min(st.median_ns);
+    }
+    best_ns
+}
+
+/// Scalar step time over wide-lane step time on AA/AoS f64 — the pair
+/// [`simd_bitwise_equal`] compares, timed like a kernel row.
+fn vector_over_scalar(mesh: &FluidMesh, samples: usize) -> f64 {
+    let time = |simd: SimdPath| {
+        let mut solver = Solver::new(
+            mesh.clone(),
+            SolverConfig {
+                kernel: KernelConfig::sparse(Propagation::Aa, Layout::Aos),
+                simd,
+                ..Default::default()
+            },
+        );
+        best_pair_ns(&mut solver, samples)
+    };
+    time(SimdPath::Scalar) / time(SimdPath::Vector)
 }
 
 /// Max component-wise macroscopic difference between an f32-storage solver
@@ -270,15 +312,9 @@ fn measure() -> Baseline {
     let triad_gb_s = stream[1].bandwidth_mb_s / 1e3;
 
     // Sweep every runtime kernel config (f64, then f32 storage) with
-    // prefetch off and on. Steps are timed
-    // in pairs so AA (whose even/odd steps do different work and must end
-    // in natural order) is measured over a full cycle, and AB identically
-    // for fairness. Each row is best-of-3: after the warm-up pass, the
-    // timed sampling repeats three times and the fastest attempt wins —
-    // the minimum is the attempt least disturbed by the host, which is
-    // the right statistic for a bandwidth-bound kernel on a shared box.
-    // Row 0 stays the HARVEY default (AB/AoS/f64, no prefetch) so the
-    // headline is comparable across baselines.
+    // prefetch off and on, each row timed by `best_pair_ns`. Row 0 stays
+    // the HARVEY default (AB/AoS/f64, no prefetch) so the headline is
+    // comparable across baselines.
     let mut rows: Vec<(KernelConfig, bool)> = Vec::new();
     for precision in [Precision::Double, Precision::Single] {
         for config in sparse_configs() {
@@ -294,7 +330,6 @@ fn measure() -> Baseline {
             }
         }
     }
-    let attempts = 3; // best-of-3 per row
     let samples = if fast { 2 } else { 4 };
     let mut kernels: Vec<KernelRow> = Vec::new();
     for (config, prefetch) in rows {
@@ -307,18 +342,7 @@ fn measure() -> Baseline {
             },
         );
         let simd = solver.simd_label();
-        solver.run(2); // warm: touch every resident array
-        let mut best_ns = f64::INFINITY;
-        for _ in 0..attempts {
-            let st = sample_stats(samples, |b| {
-                b.iter(|| {
-                    solver.step();
-                    solver.step();
-                })
-            });
-            best_ns = best_ns.min(st.median_ns);
-        }
-        let ns_per_update = best_ns / 2.0 / mesh_cells as f64;
+        let ns_per_update = best_pair_ns(&mut solver, samples) / 2.0 / mesh_cells as f64;
         let profile = AccessProfile::for_kernel(&config, avg_links);
         let modeled_bytes_per_update = profile.bytes_per_point(&stats);
         let stream_ref = config.propagation.stream_reference();
@@ -343,6 +367,7 @@ fn measure() -> Baseline {
 
     let moment_diff = aa_ab_moment_max_diff(&mesh, 8);
     let simd_equal = simd_bitwise_equal(&mesh, if fast { 6 } else { 12 });
+    let vector_over_scalar = vector_over_scalar(&mesh, samples);
     let f32_diff = f32_f64_moment_max_diff(&mesh, if fast { 20 } else { 50 });
 
     let pool = pool::global();
@@ -356,6 +381,7 @@ fn measure() -> Baseline {
         aa_ab_moment_max_diff: moment_diff,
         prefetch_bitwise_equal,
         simd_bitwise_equal: simd_equal,
+        vector_over_scalar,
         f32_f64_moment_max_diff: f32_diff,
         pool_spawned: pool.spawned_threads(),
         pool_jobs: pool.jobs_run(),
@@ -411,6 +437,7 @@ fn to_json(b: &Baseline) -> String {
     }
     w.key("prefetch_bitwise_equal").bool(b.prefetch_bitwise_equal);
     w.key("simd_bitwise_equal").bool(b.simd_bitwise_equal);
+    w.key("vector_over_scalar").fixed(b.vector_over_scalar, 3);
     w.key("aa_ab_moment_max_diff").float(b.aa_ab_moment_max_diff);
     w.key("f32_f64_moment_max_diff").float(b.f32_f64_moment_max_diff);
     w.key("stream").begin_array(json::Layout::Block);
@@ -466,8 +493,9 @@ fn main() {
         baseline.aa_ab_moment_max_diff, baseline.prefetch_bitwise_equal
     );
     println!(
-        "bench_baseline: SIMD bitwise equal: {}; f32 vs f64 moment max diff {:.2e}",
-        baseline.simd_bitwise_equal, baseline.f32_f64_moment_max_diff
+        "bench_baseline: SIMD bitwise equal: {}, vector x{:.2} scalar (AA/AoS f64); \
+         f32 vs f64 moment max diff {:.2e}",
+        baseline.simd_bitwise_equal, baseline.vector_over_scalar, baseline.f32_f64_moment_max_diff
     );
     provenance::write_artifact("BENCH_lbm.json", &json);
 

@@ -6,7 +6,7 @@
 //! * `check` — spawns the six generators (`bench_baseline`, `campaign`,
 //!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
 //!   `OUT_DIR` set to `target/check/<run>/`, at `RT_BENCH_FAST=1` and the
-//!   worker counts / SIMD backends of the table in `SMOKE_RUNS`; then
+//!   worker counts of the table in `SMOKE_RUNS`; then
 //!   gates the six committed artifacts in the current directory, including
 //!   the one-revision stamp gate and the fresh-vs-committed perf gate.
 //! * `check --regen` — runs the six generators full-size into the
@@ -31,7 +31,6 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("bench_w1_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
     ("bench_w8_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
     ("bench_w8_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
-    ("bench_scalar", "bench_baseline", "RT_BENCH_FAST=1 RT_SIMD=scalar"),
     ("campaign_a", "campaign", ""),
     ("campaign_b", "campaign", ""),
     ("fabric_t1", "fabric_demo", "RT_POOL_THREADS=1"),
@@ -49,7 +48,7 @@ const FRESH_BENCH: &str = "bench_w1_a/BENCH_lbm.json";
 /// What each other smoke artifact must satisfy.
 #[rustfmt::skip]
 const SMOKE_GATES: &[(&str, &[GateFn])] = &[
-    ("bench_scalar/BENCH_lbm.json", &[gate_bench_lbm, gate_forced_scalar]),
+    ("bench_w8_a/BENCH_lbm.json", &[gate_bench_lbm]),
     ("bench_w1_a/OBS_bench.json", &[gate_obs]),
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
     ("campaign_a/CAMPAIGN_sched.json", &[gate_campaign]),
@@ -115,7 +114,7 @@ impl Check {
             "--bin",
             bin,
         ]);
-        for knob in "RT_BENCH_FAST RT_POOL_THREADS RT_SIMD CAMPAIGN_SEED FABRIC_SEED \
+        for knob in "RT_BENCH_FAST RT_POOL_THREADS CAMPAIGN_SEED FABRIC_SEED \
                      SCHED_SEED SCHED_JOBS SCHED_SHARDS"
             .split_whitespace()
         {

@@ -203,9 +203,8 @@ mod tests {
     #[test]
     fn wide_lanes_match_scalar_bitwise_per_lane() {
         // Four cells with different states through the vector equilibrium +
-        // moments: each lane must carry exactly the scalar result — for the
-        // portable array lane AND the accelerated lane.
-        use hemocloud_rt::simd::{ArrLane, F64x4};
+        // moments: each lane must carry exactly the scalar result.
+        use hemocloud_rt::simd::Element;
         let rho = [1.0f64, 1.05, 0.97, 1.101];
         let ux = [0.01f64, -0.03, 0.05, 0.0];
         let uy = [0.0f64, 0.02, -0.01, 0.04];
@@ -236,7 +235,6 @@ mod tests {
                 }
             }
         }
-        check::<ArrLane<f64, 4>>(&rho, &ux, &uy, &uz);
-        check::<F64x4>(&rho, &ux, &uy, &uz);
+        check::<<f64 as Element>::Wide>(&rho, &ux, &uy, &uz);
     }
 }

@@ -153,24 +153,26 @@ impl LayoutIdx for AosIdx {
 /// or at `WIDTH = 1`. Both produce bitwise identical distributions (the
 /// wide path runs the exact per-cell expression tree, one cell per lane);
 /// `Scalar` exists as the reference the equivalence oracles — in the tests
-/// and in the benchmark — hold the wide lanes against. The `RT_SIMD`
-/// environment variable further selects *which* lane backend the wide
-/// path uses (AVX2 vs portable arrays).
+/// and in the benchmark — hold the wide lanes against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPath {
     /// One cell at a time: the `V = R` instantiation of the kernel body.
     Scalar,
-    /// Lane-width cells at a time through the same body.
+    /// Lane-width cells at a time through the same body: the element's
+    /// `Wide` lane ([`hemocloud_rt::simd::Element`]).
     #[default]
     Vector,
 }
 
 impl SimdPath {
-    /// Short label for provenance, e.g. `"vector"`.
+    /// Provenance label of the instructions this path runs: `"scalar"` for
+    /// the reference, else what the build compiled the wide lanes to
+    /// (`"avx2"` under the pinned `target-cpu=native`, `"scalar"` on a
+    /// baseline build).
     pub fn label(self) -> &'static str {
         match self {
             SimdPath::Scalar => "scalar",
-            SimdPath::Vector => "vector",
+            SimdPath::Vector => hemocloud_rt::simd::backend().label(),
         }
     }
 }
@@ -420,7 +422,7 @@ mod tests {
     fn simd_labels() {
         assert_eq!(SimdPath::default(), SimdPath::Vector);
         assert_eq!(SimdPath::Scalar.label(), "scalar");
-        assert_eq!(SimdPath::Vector.label(), "vector");
+        assert_eq!(SimdPath::Vector.label(), hemocloud_rt::simd::backend().label());
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! receive sets: a cell missing from one reads a stale snapshot slot and
 //! the bits diverge.
 
-use crate::kernel::{KernelConfig, Precision, Propagation};
+use crate::kernel::{KernelConfig, Precision, Propagation, SimdPath};
 use crate::lattice::Q19;
 use crate::mesh::{FluidMesh, SOLID};
 use crate::solver::{
-    default_workers, flat_index, poiseuille_profile_for, resolve_exec, rest_distributions,
-    ExecKind, KindLists, Remote, SolverConfig, Sweep,
+    default_workers, flat_index, poiseuille_profile_for, rest_distributions, KindLists, Remote,
+    SolverConfig, Sweep,
 };
 use hemocloud_obs::{Counter, Registry};
 use std::sync::Arc;
@@ -130,8 +130,7 @@ pub struct RankedSolver {
     parallel: bool,
     prefetch: bool,
     kernel: KernelConfig,
-    /// Resolved lane type, same resolution as the global solver.
-    exec: ExecKind,
+    simd: SimdPath,
     steps_taken: u64,
     ledgers: Vec<CommLedger>,
     /// Cumulative halo traffic across all ranks and steps (the per-step
@@ -207,7 +206,7 @@ impl RankedSolver {
             parallel: config.parallel,
             prefetch: config.prefetch,
             kernel: config.kernel,
-            exec: resolve_exec(config.simd),
+            simd: config.simd,
             steps_taken: 0,
             ledgers,
             obs_halo_bytes: reg.counter("lbm.ranked.halo_bytes"),
@@ -291,7 +290,7 @@ impl RankedSolver {
         .advance(
             &self.kernel,
             even,
-            self.exec,
+            self.simd,
             &mut self.f,
             &mut self.f_tmp,
             workers,
@@ -316,11 +315,10 @@ impl RankedSolver {
         &self.assignment
     }
 
-    /// The instruction path the per-rank sweeps execute (`"scalar"`,
-    /// `"scalar-lanes"`, or `"avx2"`) — same labels as
+    /// The instruction path the per-rank sweeps execute — same labels as
     /// [`crate::solver::Solver::simd_label`].
     pub fn simd_label(&self) -> &'static str {
-        self.exec.label()
+        self.simd.label()
     }
 
     /// Bytes resident in distribution arrays (`f` plus `f_tmp` when
@@ -347,7 +345,7 @@ impl RankedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Layout, SimdPath};
+    use crate::kernel::Layout;
     use crate::solver::tests::{oracle_execs, oracle_meshes, ORACLE_STEPS};
     use crate::solver::Solver;
     use hemocloud_geometry::anatomy::CylinderSpec;
@@ -394,19 +392,18 @@ mod tests {
                         global.step_with_workers(1);
                     }
                     let mut ledgers: Option<Vec<CommLedger>> = None;
-                    for exec in oracle_execs() {
+                    for simd in oracle_execs() {
                         for workers in [1usize, 2, 3, 8] {
                             for prefetch in [false, true] {
                                 let what = format!(
-                                    "{} on the {name}: {exec:?}, {workers} workers, prefetch {prefetch}",
+                                    "{} on the {name}: {simd:?}, {workers} workers, prefetch {prefetch}",
                                     config.kernel.name()
                                 );
                                 let mut ranked = RankedSolver::new(
                                     mesh.clone(),
                                     assignment.clone(),
-                                    SolverConfig { prefetch, ..config },
+                                    SolverConfig { prefetch, simd, ..config },
                                 );
-                                ranked.exec = exec;
                                 ranked.f[0] += 0.01; // the same bump as the global solver's
                                 for _ in 0..ORACLE_STEPS {
                                     ranked.step_with_workers(workers);

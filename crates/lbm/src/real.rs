@@ -2,11 +2,11 @@
 //!
 //! [`Real`] bundles what a distribution element must provide — the D3Q19
 //! constant tables at its own precision, widening/narrowing conversions,
-//! and (via the [`hemocloud_rt::simd::Element`] supertrait) its portable
-//! and accelerated SIMD lane types. Because every scalar float is itself a
-//! `WIDTH = 1` [`hemocloud_rt::simd::Lane`], one lane-generic kernel body
-//! serves the scalar f64 path (bit-for-bit the historical kernel), the
-//! scalar f32 path, and all vector paths.
+//! and (via the [`hemocloud_rt::simd::Element`] supertrait) its wide SIMD
+//! lane type. Because every scalar float is itself a `WIDTH = 1`
+//! [`hemocloud_rt::simd::Lane`], one lane-generic kernel body serves the
+//! scalar f64 path (bit-for-bit the historical kernel), the scalar f32
+//! path, and both vector paths.
 //!
 //! The f32 tables are the f64 tables rounded once (round-to-nearest) at
 //! compile time; the velocity components are small integers, so only the

@@ -59,7 +59,7 @@
 //! streaming index is reciprocal: `(c + c_q, q)` is claimed only by `c`),
 //! so the update is in-place safe serially and race-free under any
 //! partition of the cell range — the owner-computes contract of
-//! [`hemocloud_rt::pool::Pool::par_owner_mut`], the primitive every
+//! [`hemocloud_rt::pool::Pool::par_owner_mut_workers`], the primitive every
 //! parallel path here runs on. AB writes only the destination array's
 //! own row `(c, q)`, disjoint for the same reason. Within a run cells are
 //! visited in ascending order and each cell's arithmetic is a pure
@@ -70,17 +70,19 @@
 //!
 //! [`SolverConfig::simd`] selects the lane type: [`SimdPath::Vector`]
 //! packs `WIDTH` consecutive bulk cells of the per-kind index list into a
-//! [`hemocloud_rt::simd::Lane`] (4 × f64 or 8 × f32 under AVX2, portable
-//! arrays elsewhere; `RT_SIMD` overrides the backend);
+//! [`hemocloud_rt::simd::Lane`] (4 × f64 or 8 × f32: the element's
+//! `Wide` array lane, which the compiler turns into AVX2 registers under
+//! the pinned `target-cpu=native`);
 //! [`SimdPath::Scalar`] runs everything at `WIDTH = 1` and exists as the
 //! reference the oracle tests hold the wide lanes against. The two agree
 //! **bitwise** by construction:
 //!
 //! 1. each cell's update is a pure function of its own gathered row, so
 //!    which lane (or loop iteration) computes it cannot matter;
-//! 2. the lane ops map 1:1 onto scalar IEEE-754 ops (`vaddpd` rounds each
-//!    lane exactly like scalar `addsd`; no FMA contraction, no
-//!    reassociation — the lane layer exposes only `+ - * /`);
+//! 2. the lane ops *are* the scalar IEEE-754 ops applied per element
+//!    (`vaddpd` rounds each lane exactly like scalar `addsd`; no FMA
+//!    contraction, no reassociation — the lane layer exposes only
+//!    `+ - * /`);
 //! 3. there is no second transcription of the collision to drift: scalar
 //!    and wide are instantiations of one generic function;
 //! 4. gathering lanes into buffers and scattering them back is pure data
@@ -101,7 +103,7 @@ use crate::real::Real;
 use hemocloud_geometry::voxel::CellType;
 use hemocloud_obs::{Counter, Histogram, HistogramKind, Registry};
 use hemocloud_rt::pool::{self, DisjointMut};
-use hemocloud_rt::simd::{Backend, Lane};
+use hemocloud_rt::simd::Lane;
 use std::sync::Arc;
 
 /// Tunable parameters of a simulation.
@@ -178,41 +180,6 @@ impl Store {
     }
 }
 
-/// The lane type resolved once at construction from
-/// [`SolverConfig::simd`] and the process-wide lane backend
-/// ([`hemocloud_rt::simd::backend`], overridable via `RT_SIMD`). All three
-/// produce identical bits; they differ only in instruction selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExecKind {
-    /// One cell at a time, `V = R` — the reference.
-    Scalar,
-    /// Lane-grouped cells through the portable array lanes.
-    VectorWide,
-    /// Lane-grouped cells through the AVX2-accelerated lanes.
-    VectorAccel,
-}
-
-pub(crate) fn resolve_exec(simd: SimdPath) -> ExecKind {
-    match simd {
-        SimdPath::Scalar => ExecKind::Scalar,
-        SimdPath::Vector => match hemocloud_rt::simd::backend() {
-            Backend::Avx2 => ExecKind::VectorAccel,
-            Backend::Scalar => ExecKind::VectorWide,
-        },
-    }
-}
-
-impl ExecKind {
-    /// Provenance label: which instruction path actually runs.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            ExecKind::Scalar => "scalar",
-            ExecKind::VectorWide => "scalar-lanes",
-            ExecKind::VectorAccel => "avx2",
-        }
-    }
-}
-
 /// The flow solver.
 pub struct Solver {
     mesh: FluidMesh,
@@ -220,8 +187,6 @@ pub struct Solver {
     store: Store,
     omega: f64,
     config: SolverConfig,
-    /// Resolved lane type (scalar / portable lanes / AVX2 lanes).
-    exec: ExecKind,
     /// Per-cell slot into `inlet_vel` (`u32::MAX` for non-inlet cells).
     inlet_slot: Vec<u32>,
     /// Prescribed velocity for each inlet cell (f64 master copy).
@@ -491,8 +456,8 @@ impl<R: Real> Arrays<'_, R> {
     }
 }
 
-/// Widest lane any element exposes (f32 × AVX2 = 8); the lane staging
-/// buffers are sized to it and use the first `V::WIDTH` entries.
+/// Widest lane any element exposes (`<f32 as Element>::Wide` = 8); the lane
+/// staging buffers are sized to it and use the first `V::WIDTH` entries.
 const VEC_MAXW: usize = 8;
 
 /// Prefetch lookahead (in list entries) for neighbor-index rows. The row
@@ -701,17 +666,16 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
     /// race-free and bit-identical to serial (module docs).
     fn run<S: Stream, L: LayoutIdx>(
         &self,
-        exec: ExecKind,
+        simd: SimdPath,
         src: &[R],
         dst: &mut [R],
         workers: usize,
     ) {
         pool::global().par_owner_mut_workers(dst, self.mesh.len(), workers, |cells, dst| {
             let a = Arrays { src, dst };
-            match exec {
-                ExecKind::Scalar => self.update_range::<R, S, L>(&a, cells),
-                ExecKind::VectorWide => self.update_range::<R::Wide, S, L>(&a, cells),
-                ExecKind::VectorAccel => self.update_range::<R::Accel, S, L>(&a, cells),
+            match simd {
+                SimdPath::Scalar => self.update_range::<R, S, L>(&a, cells),
+                SimdPath::Vector => self.update_range::<R::Wide, S, L>(&a, cells),
             }
         });
     }
@@ -720,18 +684,18 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
         &self,
         propagation: Propagation,
         even: bool,
-        exec: ExecKind,
+        simd: SimdPath,
         f: &mut Vec<R>,
         f_tmp: &mut Vec<R>,
         workers: usize,
     ) {
         match propagation {
             Propagation::Ab => {
-                self.run::<AbPull, L>(exec, f, f_tmp, workers);
+                self.run::<AbPull, L>(simd, f, f_tmp, workers);
                 std::mem::swap(f, f_tmp);
             }
-            Propagation::Aa if even => self.run::<AaEven, L>(exec, &[], f, workers),
-            Propagation::Aa => self.run::<AaOdd, L>(exec, &[], f, workers),
+            Propagation::Aa if even => self.run::<AaEven, L>(simd, &[], f, workers),
+            Propagation::Aa => self.run::<AaOdd, L>(simd, &[], f, workers),
         }
     }
 
@@ -742,17 +706,17 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
         &self,
         kernel: &KernelConfig,
         even: bool,
-        exec: ExecKind,
+        simd: SimdPath,
         f: &mut Vec<R>,
         f_tmp: &mut Vec<R>,
         workers: usize,
     ) {
         match kernel.layout {
             Layout::Aos => {
-                self.advance_in::<AosIdx>(kernel.propagation, even, exec, f, f_tmp, workers)
+                self.advance_in::<AosIdx>(kernel.propagation, even, simd, f, f_tmp, workers)
             }
             Layout::Soa => {
-                self.advance_in::<SoaIdx>(kernel.propagation, even, exec, f, f_tmp, workers)
+                self.advance_in::<SoaIdx>(kernel.propagation, even, simd, f, f_tmp, workers)
             }
         }
     }
@@ -802,7 +766,6 @@ impl Solver {
             mesh,
             store,
             omega: 1.0 / config.tau,
-            exec: resolve_exec(config.simd),
             config,
             inlet_slot,
             inlet_vel,
@@ -919,11 +882,10 @@ impl Solver {
         self.store.len() * self.config.kernel.precision.bytes()
     }
 
-    /// The instruction path the hot loops execute: `"scalar"`,
-    /// `"scalar-lanes"` (vector structure on the portable array lanes),
-    /// or `"avx2"`. Benchmark provenance records this per row.
+    /// The instruction path the hot loops execute ([`SimdPath::label`]):
+    /// `"avx2"` or `"scalar"`. Benchmark provenance records this per row.
     pub fn simd_label(&self) -> &'static str {
-        self.exec.label()
+        self.config.simd.label()
     }
 
     /// Advance one timestep.
@@ -938,7 +900,7 @@ impl Solver {
     pub fn step_with_workers(&mut self, workers: usize) {
         let start = std::time::Instant::now();
         let even = self.steps_taken.is_multiple_of(2);
-        let kernel = &self.config.kernel;
+        let (kernel, simd) = (&self.config.kernel, self.config.simd);
         let (mesh, kinds, inlet_slot) = (&self.mesh, &self.kinds, &self.inlet_slot[..]);
         let (prefetch, remote) = (self.config.prefetch, NoRemote);
         match &mut self.store {
@@ -951,7 +913,7 @@ impl Solver {
                 prefetch,
                 remote,
             }
-            .advance(kernel, even, self.exec, f, f_tmp, workers),
+            .advance(kernel, even, simd, f, f_tmp, workers),
             Store::F32 { f, f_tmp } => Sweep {
                 mesh,
                 kinds,
@@ -961,7 +923,7 @@ impl Solver {
                 prefetch,
                 remote,
             }
-            .advance(kernel, even, self.exec, f, f_tmp, workers),
+            .advance(kernel, even, simd, f, f_tmp, workers),
         }
         self.steps_taken += 1;
         self.obs.record_step(&self.kinds, start.elapsed().as_secs_f64());
@@ -1498,7 +1460,7 @@ pub(crate) mod tests {
 
     /// The meshes the oracles run on: the inlet/outlet cylinder plus sealed
     /// boxes whose bulk lists are not multiples of any lane width (4 for
-    /// f64, 8 for f32 on AVX2), so every sweep ends in remainder cells.
+    /// f64, 8 for f32), so every sweep ends in remainder cells.
     pub(crate) fn oracle_meshes() -> Vec<(String, FluidMesh)> {
         let mut meshes = vec![("cylinder".to_string(), cylinder_mesh())];
         for (nx, ny, nz) in [(3usize, 3, 3), (4, 3, 5), (5, 5, 2), (6, 5, 4)] {
@@ -1509,14 +1471,9 @@ pub(crate) mod tests {
         meshes
     }
 
-    /// Every lane type this process can run: the scalar reference, the
-    /// portable wide lanes, and the AVX2 lanes when the backend has them.
-    pub(crate) fn oracle_execs() -> Vec<ExecKind> {
-        let mut execs = vec![ExecKind::Scalar, ExecKind::VectorWide];
-        if hemocloud_rt::simd::backend() == Backend::Avx2 {
-            execs.push(ExecKind::VectorAccel);
-        }
-        execs
+    /// Both lane types: the scalar reference and the wide lanes.
+    pub(crate) fn oracle_execs() -> [SimdPath; 2] {
+        [SimdPath::Scalar, SimdPath::Vector]
     }
 
     /// Steps every oracle run takes: odd, so AA is compared mid-pair too.
@@ -1538,13 +1495,13 @@ pub(crate) mod tests {
         // the scalar, one-worker, no-prefetch run — on the cylinder (inlet
         // and outlet cells) and on awkward-size boxes (remainder lanes),
         // perturbed so the fields are not at rest.
-        let run = |mesh: &FluidMesh, kernel, exec, workers, prefetch| {
+        let run = |mesh: &FluidMesh, kernel, simd, workers, prefetch| {
             let config = SolverConfig {
                 prefetch,
+                simd,
                 ..config_for(kernel)
             };
             let mut s = Solver::new(mesh.clone(), config);
-            s.exec = exec;
             s.bump_first_cell(0.01);
             for _ in 0..ORACLE_STEPS {
                 s.step_with_workers(workers);
@@ -1556,7 +1513,7 @@ pub(crate) mod tests {
                 for prop in [Propagation::Ab, Propagation::Aa] {
                     for layout in [Layout::Aos, Layout::Soa] {
                         let kernel = KernelConfig::sparse_with_precision(prop, layout, precision);
-                        let reference = run(&mesh, kernel, ExecKind::Scalar, 1, false);
+                        let reference = run(&mesh, kernel, SimdPath::Scalar, 1, false);
                         for exec in oracle_execs() {
                             for workers in [1usize, 2, 3, 8] {
                                 for prefetch in [false, true] {

@@ -107,7 +107,7 @@ pub fn stream_kernel(
             let extra = elements % threads;
             let start = w * base + w.min(extra);
             let len = base + usize::from(w < extra);
-            // Safety: worker ranges tile `0..elements` disjointly, and
+            // SAFETY: worker ranges tile `0..elements` disjointly, and
             // `pool.run` blocks until every worker finishes, keeping the
             // arrays' borrows alive for the duration.
             let (ca, cb, cc) = unsafe {

@@ -1,86 +1,75 @@
-//! Chunked data-parallelism — compatibility wrappers over [`crate::pool`].
+//! The logical width of the process-wide [`crate::pool`].
 //!
-//! [`par_chunks_mut`] is the replacement for rayon's
-//! `par_chunks_mut(..).enumerate().for_each(..)` in the LBM
-//! collide-stream: the destination array is split into contiguous,
-//! non-overlapping chunks, each worker owns a disjoint run of whole
-//! chunks, and the closure sees `(chunk_index, chunk)` exactly as the
-//! serial loop would. Because the pull-scheme update writes only its own
-//! chunk and reads only the (shared, immutable) source array, the
-//! parallel schedule is race-free by construction and bit-identical to
-//! the serial one — there is no floating-point reassociation anywhere.
-//!
-//! Historically these functions spawned fresh scoped threads per call;
-//! they now delegate to the process-wide persistent [`crate::pool`], so a
-//! run of thousands of `Solver::step()` calls costs at most
-//! `max_threads() - 1` thread spawns total. `threads` arguments denote
-//! *logical* workers (chunk-run partitions), which the pool executes on
-//! however many OS threads it owns — the partition, enumeration order,
-//! and results are unchanged.
+//! `RT_POOL_THREADS` is input from outside the program, so it is checked
+//! where it enters ([`threads_from_env`]) and a value that fails the check
+//! costs one warning line, never a panic.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
+/// Largest `RT_POOL_THREADS` accepted. Workers are *logical* — the `check`
+/// gate runs 8 on a 2-core host to pin the partition — so the limit is not
+/// the host width; it only keeps a typo from asking the OS for more threads
+/// than it will spawn.
+pub const MAX_POOL_THREADS: usize = 256;
+
+/// Why an `RT_POOL_THREADS` value was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ThreadsError {
+    /// Not a non-negative integer (or too large for one).
+    NotAnInteger(String),
+    /// `0`: a pool has at least the submitting caller.
+    Zero,
+    /// Above [`MAX_POOL_THREADS`].
+    AboveCap(usize),
+}
+
+impl std::fmt::Display for ThreadsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "RT_POOL_THREADS must be an integer in 1..={MAX_POOL_THREADS}, got "
+        )?;
+        match self {
+            ThreadsError::NotAnInteger(v) => write!(f, "{v:?}"),
+            ThreadsError::Zero => write!(f, "0"),
+            ThreadsError::AboveCap(n) => write!(f, "{n}"),
+        }
+    }
+}
+
+/// The pool width for an `RT_POOL_THREADS` value (`None`: unset) on a host
+/// of `host` hardware threads: the value when it is an integer in
+/// `1..=MAX_POOL_THREADS`, `host` when unset.
+pub fn threads_from_env(value: Option<&str>, host: usize) -> Result<usize, ThreadsError> {
+    let Some(value) = value else {
+        return Ok(host);
+    };
+    match value.parse::<usize>() {
+        Err(_) => Err(ThreadsError::NotAnInteger(value.to_string())),
+        Ok(0) => Err(ThreadsError::Zero),
+        Ok(n) if n > MAX_POOL_THREADS => Err(ThreadsError::AboveCap(n)),
+        Ok(n) => Ok(n),
+    }
+}
+
 /// Number of worker threads a parallel region will use: the host's
-/// available parallelism, unless `RT_POOL_THREADS=<n>` (n ≥ 1) pins the
-/// logical width of the process-wide pool — the verify gate uses this
-/// to reproduce runs at fixed worker counts. Read once and cached (the
-/// global pool is sized from it exactly once anyway).
-///
-/// # Panics
-/// If `RT_POOL_THREADS` is set to anything but a positive integer.
+/// available parallelism, unless `RT_POOL_THREADS=<n>` pins the logical
+/// width of the process-wide pool — the verify gate uses this to reproduce
+/// runs at fixed worker counts. Read once and cached (the global pool is
+/// sized from it exactly once anyway). A value [`threads_from_env`] refuses
+/// is reported once on stderr and the host width is used.
 pub fn max_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| match std::env::var("RT_POOL_THREADS") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("RT_POOL_THREADS must be a positive integer, got {v:?}")),
-        Err(_) => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
+    *THREADS.get_or_init(|| {
+        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let value = std::env::var_os("RT_POOL_THREADS");
+        let value = value.as_deref().map(std::ffi::OsStr::to_string_lossy);
+        threads_from_env(value.as_deref(), host).unwrap_or_else(|error| {
+            eprintln!("warning: {error}; using the host width {host}");
+            host
+        })
     })
-}
-
-/// Apply `f(chunk_index, chunk)` to every `chunk_size`-sized chunk of
-/// `data` (the last chunk may be shorter), distributing chunks over up to
-/// [`max_threads`] scoped threads.
-///
-/// Guarantees:
-/// * every chunk is processed exactly once;
-/// * `chunk_index` counts chunks from the start of `data`, matching
-///   `data.chunks_mut(chunk_size).enumerate()`;
-/// * results are bitwise identical to the serial loop for any `f` that is
-///   a pure function of its inputs (the schedule only partitions work, it
-///   never reorders arithmetic within a chunk);
-/// * panics in `f` propagate to the caller.
-///
-/// Empty input is a no-op. With one available thread, or when there are
-/// fewer chunks than threads would pay for, the work runs inline on the
-/// caller's thread.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    crate::pool::global().par_chunks_mut(data, chunk_size, f);
-}
-
-/// [`par_chunks_mut`] with an explicit logical worker count (≥ 1).
-/// Exposed so callers (and tests) can pin the schedule regardless of the
-/// host's available parallelism.
-///
-/// Chunk runs are distributed balanced: `n_chunks % threads` workers get
-/// one extra chunk, so every requested worker receives work whenever
-/// `n_chunks >= threads` (the old ceil-based split could leave trailing
-/// workers idle: 5 chunks on 4 threads gave 2+2+1+0).
-pub fn par_chunks_mut_with_threads<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    crate::pool::global().par_chunks_mut_workers(data, chunk_size, threads, f);
 }
 
 #[cfg(test)]
@@ -88,120 +77,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_slice_is_a_noop() {
-        let mut data: Vec<u64> = Vec::new();
-        par_chunks_mut(&mut data, 4, |_, _| panic!("must not be called"));
+    fn unset_means_the_host_width() {
+        assert_eq!(threads_from_env(None, 6), Ok(6));
     }
 
     #[test]
-    fn single_chunk_runs_inline() {
-        let mut data = vec![1u64, 2, 3];
-        par_chunks_mut(&mut data, 8, |i, chunk| {
-            assert_eq!(i, 0);
-            for v in chunk {
-                *v *= 10;
-            }
-        });
-        assert_eq!(data, vec![10, 20, 30]);
+    fn an_integer_within_the_cap_is_taken_whatever_the_host_width() {
+        assert_eq!(threads_from_env(Some("1"), 64), Ok(1));
+        assert_eq!(threads_from_env(Some("8"), 2), Ok(8));
+        assert_eq!(threads_from_env(Some("256"), 2), Ok(MAX_POOL_THREADS));
     }
 
     #[test]
-    fn chunk_indices_match_serial_enumeration() {
-        let chunk = 19;
-        let mut data = vec![0u64; 19 * 1037];
-        par_chunks_mut_with_threads(&mut data, chunk, 4, |i, c| {
-            for v in c {
-                *v = i as u64;
-            }
-        });
-        for (i, c) in data.chunks(chunk).enumerate() {
-            assert!(c.iter().all(|&v| v == i as u64), "chunk {i} mislabeled");
-        }
-    }
-
-    #[test]
-    fn ragged_tail_chunk_is_processed() {
-        let mut data = vec![1u32; 10];
-        let mut sizes = Vec::new();
-        par_chunks_mut(&mut data, 4, |i, c| {
-            let _ = i;
-            c.iter_mut().for_each(|v| *v += 1);
-        });
-        assert!(data.iter().all(|&v| v == 2));
-        // Serial reference enumeration: 4 + 4 + 2.
-        for c in data.chunks(4) {
-            sizes.push(c.len());
-        }
-        assert_eq!(sizes, vec![4, 4, 2]);
-    }
-
-    #[test]
-    fn matches_serial_reference_computation() {
-        let n = 8192;
-        let src: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let work = |i: usize, c: &mut [f64]| {
-            for (j, v) in c.iter_mut().enumerate() {
-                let k = i * 7 + j;
-                *v = src[k % n] * 1.5 + (k as f64).sqrt();
-            }
-        };
-        let mut serial = vec![0.0f64; n];
-        for (i, c) in serial.chunks_mut(7).enumerate() {
-            work(i, c);
-        }
-        for threads in [1, 2, 3, 8] {
-            let mut parallel = vec![0.0f64; n];
-            par_chunks_mut_with_threads(&mut parallel, 7, threads, work);
+    fn garbage_zero_and_above_the_cap_are_typed_errors() {
+        for garbage in ["abc", "", " 4", "-1", "2.5", "99999999999999999999999"] {
             assert_eq!(
-                serial, parallel,
-                "parallel result diverged from serial at {threads} threads"
+                threads_from_env(Some(garbage), 2),
+                Err(ThreadsError::NotAnInteger(garbage.to_string())),
             );
         }
+        assert_eq!(threads_from_env(Some("0"), 2), Err(ThreadsError::Zero));
+        assert_eq!(
+            threads_from_env(Some("257"), 2),
+            Err(ThreadsError::AboveCap(257))
+        );
+        assert_eq!(
+            threads_from_env(Some("100000"), 2),
+            Err(ThreadsError::AboveCap(100_000))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_rejected() {
-        let mut data = vec![0u8; 4];
-        par_chunks_mut(&mut data, 0, |_, _| {});
-    }
-
-    #[test]
-    fn all_requested_workers_receive_work() {
-        // Regression: the old ceil-based split (`chunks_per_worker =
-        // ceil(n_chunks / threads)`) undersubscribed — 5 chunks on 4
-        // threads gave runs of 2+2+1+0, idling the 4th worker. The
-        // balanced partition must feed every requested worker whenever
-        // `n_chunks >= threads`.
-        for (n_chunks, threads) in [(5usize, 4usize), (7, 3), (9, 8), (12, 12), (101, 7)] {
-            for w in 0..threads {
-                let (_, count) = crate::pool::balanced_runs(n_chunks, threads, w);
-                assert!(
-                    count >= 1,
-                    "worker {w} idle with {n_chunks} chunks on {threads} threads"
-                );
-            }
+    fn every_error_names_the_variable_the_range_and_the_value() {
+        for (error, value) in [
+            (ThreadsError::NotAnInteger("abc".into()), "\"abc\""),
+            (ThreadsError::Zero, "0"),
+            (ThreadsError::AboveCap(100_000), "100000"),
+        ] {
+            let line = error.to_string();
+            assert!(line.starts_with("RT_POOL_THREADS must be an integer in 1..=256, got "));
+            assert!(line.ends_with(value), "{line}");
+            assert!(!line.contains('\n'));
         }
-        // And the wrapper still visits every element exactly once under
-        // the balanced schedule of the regression shape (5 chunks / 4
-        // threads).
-        let mut data = vec![0u32; 5 * 3];
-        par_chunks_mut_with_threads(&mut data, 3, 4, |_, c| {
-            c.iter_mut().for_each(|v| *v += 1)
-        });
-        assert!(data.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            let mut data = vec![0u8; 64];
-            par_chunks_mut_with_threads(&mut data, 1, 4, |i, _| {
-                if i == 63 {
-                    panic!("boom");
-                }
-            });
-        });
-        assert!(result.is_err());
     }
 }

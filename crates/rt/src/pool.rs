@@ -3,11 +3,10 @@
 //! The paper's performance model treats the collide-stream kernel as
 //! memory-bandwidth-bound (Eqs. 6/9); that only holds when threading
 //! overhead is amortized. Spawning and joining OS threads inside every
-//! `Solver::step()` — what [`crate::par`] did on scoped threads — costs
-//! tens of microseconds per step and has nothing to do with bandwidth, so
-//! it distorts every MFLUPS number the models are validated against. This
-//! module replaces it with a pool of parked worker threads that is spawned
-//! once and reused for the lifetime of the process.
+//! `Solver::step()` costs tens of microseconds per step and has nothing to
+//! do with bandwidth, so it distorts every MFLUPS number the models are
+//! validated against. This module is a pool of parked worker threads that
+//! is spawned once and reused for the lifetime of the process.
 //!
 //! ## Execution model
 //!
@@ -15,7 +14,7 @@
 //! `0..n_runs`. *Runs* are logical workers: the partition of the data is
 //! decided by the requested worker count, not by how many OS threads the
 //! pool happens to own, so a job asking for 8 workers produces the exact
-//! same 8 contiguous chunk runs — and therefore bit-identical results —
+//! same 8 contiguous item runs — and therefore bit-identical results —
 //! whether the host has 1 core or 64. Pool threads (plus the submitting
 //! caller, which always participates) claim run indices from a shared
 //! counter under the pool mutex and execute them.
@@ -36,12 +35,12 @@
 //!
 //! ## Determinism
 //!
-//! [`Pool::par_chunks_mut`] splits the destination slice into contiguous
-//! runs of whole chunks (balanced: `n_chunks % workers` runs get one
-//! extra chunk) and hands each run to one logical worker. Within a run,
-//! chunks are visited in serial order with their serial `chunk_index`; no
-//! arithmetic is reordered, no partial chunks are created. For any `f`
-//! that is a pure function of `(chunk_index, chunk)`, results are bitwise
+//! [`Pool::par_owner_mut_workers`], the one parallel-for, splits the item
+//! range `0..n_items` into contiguous ascending runs (balanced:
+//! `n_items % workers` runs get one extra item — [`balanced_runs`]) and
+//! hands each run to one logical worker. No arithmetic is reordered within
+//! an item, and distinct items touch disjoint slots, so for any `f` that
+//! computes each item purely from the pre-job state, results are bitwise
 //! identical to the serial loop regardless of worker count or which OS
 //! thread executes which run.
 //!
@@ -61,9 +60,9 @@ use std::time::Instant;
 use hemocloud_obs::{Counter, Histogram, HistogramKind};
 
 /// A raw pointer that may cross thread boundaries. Used to hand disjoint
-/// sub-slices of one allocation to pool workers; the caller is
-/// responsible for ensuring the ranges touched by different workers do
-/// not overlap (the pool's own helpers uphold this by construction).
+/// sub-slices of one allocation to the runs of a [`Pool::run`] job (the
+/// STREAM microbenchmark's arrays); the caller is responsible for ensuring
+/// the ranges touched by different runs do not overlap.
 pub struct SendPtr<T>(pub *mut T);
 
 // Manual impls: the derived ones would needlessly bound `T: Copy`.
@@ -74,10 +73,12 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
-// Safety: SendPtr is a plain address; sending it between threads is safe
-// as long as the *uses* are disjoint, which every constructor in this
-// module guarantees by partitioning index ranges.
+// SAFETY: the one field is a plain address; moving it to another thread
+// touches no `T`. Every dereference is the caller's to justify: they must
+// keep the ranges different threads touch disjoint (type docs). `T: Send`
+// because those threads then write `T`s.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send` — sharing the address shares no `T` either.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// A shared view of one mutable slice that many logical workers may read
@@ -90,8 +91,8 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// scattered but provably disjoint — the AA propagation pattern's odd step
 /// writes each cell's post-collision values into *neighbor* rows, and a
 /// SoA layout strides one cell's 19 values across the whole array, so no
-/// contiguous sub-slice partition exists. [`Pool::par_owner_mut`] hands
-/// every worker the same `DisjointMut` plus a contiguous *item* range;
+/// contiguous sub-slice partition exists. [`Pool::par_owner_mut_workers`]
+/// hands every worker the same `DisjointMut` plus a contiguous *item* range;
 /// disjointness of the per-item slot sets makes that race-free even though
 /// the element ranges interleave.
 ///
@@ -105,10 +106,13 @@ pub struct DisjointMut<'a, T> {
     _marker: PhantomData<&'a mut [T]>,
 }
 
-// Safety: the view is just an address + length; concurrent use is sound
-// under the documented disjointness contract, which every caller of
-// `par_owner_mut` must uphold (and the serial constructor trivially does).
+// SAFETY: the fields are an address, a length and a lifetime marker; moving
+// them to another thread touches no `T`. Every access goes through
+// `read`/`write`, whose callers keep the slots different threads touch
+// disjoint (their `# Safety`); `T: Send` because those threads write `T`s.
 unsafe impl<T: Send> Send for DisjointMut<'_, T> {}
+// SAFETY: as for `Send` — a shared view gives out no `&T`, only the same
+// two accessors under the same contract.
 unsafe impl<T: Send> Sync for DisjointMut<'_, T> {}
 
 impl<'a, T: Copy> DisjointMut<'a, T> {
@@ -143,6 +147,9 @@ impl<'a, T: Copy> DisjointMut<'a, T> {
     #[inline(always)]
     pub unsafe fn read(&self, i: usize) -> T {
         debug_assert!(i < self.len, "DisjointMut read out of bounds: {i}");
+        // SAFETY: `ptr` addresses `len` live `T`s mutably borrowed for `'a`
+        // (`new`), and the caller guarantees `i < len` and that no other
+        // thread writes slot `i` during the job.
         unsafe { *self.ptr.add(i) }
     }
 
@@ -154,6 +161,9 @@ impl<'a, T: Copy> DisjointMut<'a, T> {
     #[inline(always)]
     pub unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.len, "DisjointMut write out of bounds: {i}");
+        // SAFETY: as in `read`, and the caller guarantees no other thread
+        // reads or writes slot `i` during the job; `T: Copy`, so overwriting
+        // without dropping the old value leaks nothing.
         unsafe { self.ptr.add(i).write(value) }
     }
 
@@ -172,9 +182,10 @@ impl<'a, T: Copy> DisjointMut<'a, T> {
 /// enforces by draining the job before returning.
 struct RawTask(*const (dyn Fn(usize) + Sync + 'static));
 
-// Safety: the pointee is `Sync` (shared calls from many threads are fine)
-// and the pointer itself is only dereferenced while the owning borrow is
-// provably alive (see module docs on the wakeup protocol).
+// SAFETY: the one field points at a `Sync` closure, so calling it from the
+// thread the pointer is sent to is fine, and it is only dereferenced while
+// the submitting `run()` is blocked on the job, i.e. while the borrow it was
+// made from is alive (module docs, wakeup protocol).
 unsafe impl Send for RawTask {}
 
 /// Handles into the global [`hemocloud_obs`] registry, fetched once at
@@ -282,7 +293,7 @@ fn timed_run(
     result
 }
 
-/// A persistent pool of parked worker threads executing chunked
+/// A persistent pool of parked worker threads executing partitioned
 /// data-parallel jobs with serial-identical results. See the module docs
 /// for the execution model and determinism argument.
 pub struct Pool {
@@ -381,11 +392,12 @@ impl Pool {
         }
 
         let _submission = lock(&self.submit);
-        // Erase the borrow's lifetime so the task can sit in the shared
-        // slot; sound because this call does not return (and the slot is
-        // cleared) until `pending == 0`.
         let raw: RawTask = {
             let ptr = task as *const (dyn Fn(usize) + Sync);
+            // SAFETY: the transmute only erases the borrow's lifetime (same
+            // fat-pointer layout) so the task can sit in the shared slot;
+            // this call does not return, and the slot is cleared, until
+            // `pending == 0`, so no worker can use it past the borrow.
             RawTask(unsafe {
                 std::mem::transmute::<
                     *const (dyn Fn(usize) + Sync),
@@ -436,80 +448,16 @@ impl Pool {
         }
     }
 
-    /// Apply `f(chunk_index, chunk)` to every `chunk_size`-sized chunk of
-    /// `data` (the last chunk may be shorter), using the pool's full
-    /// logical width. Same guarantees as [`crate::par::par_chunks_mut`]:
-    /// exact serial chunk enumeration, bit-identical results, panics
-    /// propagate.
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk_size: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        self.par_chunks_mut_workers(data, chunk_size, self.threads, f);
-    }
-
-    /// [`Pool::par_chunks_mut`] with an explicit logical worker count
-    /// (≥ 1). The chunk-run partition is a pure function of
-    /// `(data.len(), chunk_size, workers)` — see [`balanced_runs`] — so
-    /// the schedule is reproducible on any host.
-    pub fn par_chunks_mut_workers<T, F>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        workers: usize,
-        f: F,
-    ) where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        assert!(workers > 0, "thread count must be positive");
-        if data.is_empty() {
-            return;
-        }
-        let n_chunks = data.len().div_ceil(chunk_size);
-        let workers = workers.min(n_chunks);
-        if workers <= 1 {
-            for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-                f(i, chunk);
-            }
-            return;
-        }
-
-        let len = data.len();
-        let ptr = SendPtr(data.as_mut_ptr());
-        let task = move |w: usize| {
-            // Rebind the wrapper so the closure captures `SendPtr` itself
-            // (edition-2021 precise capture would otherwise grab the raw
-            // `ptr.0` field, which is not `Sync`).
-            let ptr = ptr;
-            let (first_chunk, n_chunks_here) = balanced_runs(n_chunks, workers, w);
-            let start = first_chunk * chunk_size;
-            let end = ((first_chunk + n_chunks_here) * chunk_size).min(len);
-            // Safety: runs tile `0..n_chunks` disjointly (balanced_runs),
-            // so element ranges of different workers never overlap, and
-            // `run()` keeps `data`'s borrow alive until every worker is
-            // done.
-            let run = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(start), end - start) };
-            for (i, chunk) in run.chunks_mut(chunk_size).enumerate() {
-                f(first_chunk + i, chunk);
-            }
-        };
-        self.run(workers, &task);
-    }
-
     /// Owner-computes parallel-for over `n_items` logical items backed by
     /// one shared slice: item `i`'s computation may read and write
     /// arbitrary slots of `data`, provided the slot sets of distinct items
-    /// are pairwise disjoint. Each logical worker receives a contiguous,
-    /// ascending item range ([`balanced_runs`] over the pool's full width)
-    /// plus a [`DisjointMut`] view of all of `data`.
-    ///
-    /// This is the scatter-capable sibling of [`Pool::par_chunks_mut`]:
-    /// chunked jobs require each worker's *element* range to be
-    /// contiguous, which AA in-place streaming (writes into neighbor rows)
-    /// and SoA layouts (one item strided across the array) cannot satisfy.
+    /// are pairwise disjoint. Each of the `workers` (≥ 1) logical workers
+    /// receives a contiguous, ascending item range ([`balanced_runs`]) plus
+    /// a [`DisjointMut`] view of all of `data`. Partitioning *items*, not
+    /// elements, is what AA in-place streaming (writes into neighbor rows)
+    /// and SoA layouts (one item strided across the array) need. A single
+    /// worker runs inline on the caller without submitting a job — the
+    /// serial reference path tests compare against.
     ///
     /// Guarantees, inherited from [`Pool::run`]:
     /// * **bit-identical to serial** — for an `f` that visits its items in
@@ -526,18 +474,6 @@ impl Pool {
     /// `items`. The per-item slot sets must be pairwise disjoint across
     /// *all* items. Violations are data races (undefined behavior), which
     /// is why [`DisjointMut`]'s accessors are `unsafe`.
-    pub fn par_owner_mut<T, F>(&self, data: &mut [T], n_items: usize, f: F)
-    where
-        T: Copy + Send,
-        F: Fn(std::ops::Range<usize>, &DisjointMut<'_, T>) + Sync,
-    {
-        self.par_owner_mut_workers(data, n_items, self.threads, f);
-    }
-
-    /// [`Pool::par_owner_mut`] with an explicit logical worker count
-    /// (≥ 1). A single worker runs inline on the caller without
-    /// submitting a job — the serial reference path tests compare
-    /// against.
     pub fn par_owner_mut_workers<T, F>(
         &self,
         data: &mut [T],
@@ -591,8 +527,9 @@ fn worker_loop(shared: &Shared) {
             let task = g.task.as_ref().unwrap().0;
             let epoch = g.epoch;
             drop(g);
-            // Safety: the submitting caller blocks until `pending == 0`,
-            // so the pointee outlives this call.
+            // SAFETY: the submitting caller blocks until `pending == 0`, and
+            // this run is counted in `pending` until after the call returns,
+            // so the pointee outlives it.
             let result = timed_run(shared, epoch, || unsafe { (*task)(run) });
             g = lock(&shared.state);
             if let Err(payload) = result {
@@ -610,25 +547,24 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The balanced partition of `n_chunks` chunks over `workers` runs:
-/// returns `(first_chunk, n_chunks)` of run `w`. The first
-/// `n_chunks % workers` runs get one extra chunk, so every run is
-/// non-empty whenever `n_chunks >= workers` — the ceil-based split the
-/// scoped implementation used could leave trailing workers idle (5 chunks
-/// on 4 threads gave runs of 2+2+1+0).
+/// The balanced partition of `n_items` items over `workers` runs:
+/// returns `(first, count)` of run `w`. The first `n_items % workers` runs
+/// get one extra item, so every run is non-empty whenever
+/// `n_items >= workers` (a ceil-based split would idle trailing workers:
+/// 5 items on 4 workers as 2+2+1+0).
 ///
-/// Total on every input: `n_chunks == 0` or `workers == 0` yields the
+/// Total on every input: `n_items == 0` or `workers == 0` yields the
 /// empty run `(0, 0)` (`workers == 0` used to divide by zero), and when
-/// `n_chunks < workers` the first `n_chunks` runs get one chunk each
-/// while the rest get `(n_chunks, 0)` — the runs still tile
-/// `0..n_chunks` exactly.
-pub fn balanced_runs(n_chunks: usize, workers: usize, w: usize) -> (usize, usize) {
-    if n_chunks == 0 || workers == 0 {
+/// `n_items < workers` the first `n_items` runs get one item each
+/// while the rest get `(n_items, 0)` — the runs still tile
+/// `0..n_items` exactly.
+pub fn balanced_runs(n_items: usize, workers: usize, w: usize) -> (usize, usize) {
+    if n_items == 0 || workers == 0 {
         return (0, 0);
     }
     debug_assert!(w < workers);
-    let base = n_chunks / workers;
-    let extra = n_chunks % workers;
+    let base = n_items / workers;
+    let extra = n_items % workers;
     let first = w * base + w.min(extra);
     let count = base + usize::from(w < extra);
     (first, count)
@@ -638,9 +574,8 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide shared pool, lazily initialized at the host's
 /// available parallelism on first use. All hot-path callers
-/// (`Solver::step`, `RankedSolver::step`, the STREAM microbenchmark, the
-/// [`crate::par`] compatibility wrappers) share it, so an entire run
-/// spawns at most `max_threads() - 1` OS threads total.
+/// (`Solver::step`, `RankedSolver::step`, the STREAM microbenchmark) share
+/// it, so an entire run spawns at most `max_threads() - 1` OS threads total.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::new(crate::par::max_threads()))
 }
@@ -702,42 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_width_one_runs_inline() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.spawned_threads(), 0);
-        let mut data = vec![0u64; 17];
-        pool.par_chunks_mut(&mut data, 4, |i, c| c.iter_mut().for_each(|v| *v = i as u64));
-        for (i, c) in data.chunks(4).enumerate() {
-            assert!(c.iter().all(|&v| v == i as u64));
-        }
-        // The single-worker fast path runs serially without submitting a
-        // job at all.
-        assert_eq!(pool.jobs_run(), 0);
-    }
-
-    #[test]
-    fn results_match_serial_for_many_worker_counts() {
-        let n = 4096;
-        let src: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let work = |i: usize, c: &mut [f64]| {
-            for (j, v) in c.iter_mut().enumerate() {
-                let k = i * 11 + j;
-                *v = src[k % n] * 0.75 + (k as f64).sqrt();
-            }
-        };
-        let mut serial = vec![0.0f64; n];
-        for (i, c) in serial.chunks_mut(11).enumerate() {
-            work(i, c);
-        }
-        let pool = Pool::new(3);
-        for workers in [1usize, 2, 3, 8, 64] {
-            let mut parallel = vec![0.0f64; n];
-            pool.par_chunks_mut_workers(&mut parallel, 11, workers, work);
-            assert_eq!(serial, parallel, "diverged at {workers} logical workers");
-        }
-    }
-
-    #[test]
     fn run_invokes_every_index_exactly_once() {
         use std::sync::atomic::AtomicU32;
         let pool = Pool::new(4);
@@ -789,7 +688,7 @@ mod tests {
         let n = 1021; // prime
         let pool = Pool::new(4);
         let mut data = vec![0u64; n];
-        pool.par_owner_mut(&mut data, n, |items, view| {
+        pool.par_owner_mut_workers(&mut data, n, pool.threads(), |items, view| {
             for i in items {
                 unsafe { view.write(i * 17 % n, i as u64 + 1) };
             }
@@ -809,8 +708,9 @@ mod tests {
         let pool = Pool::new(2);
         let jobs_before = pool.jobs_run();
         let mut data = vec![0u8; 4];
-        pool.par_owner_mut(&mut data, 0, |_, _| panic!("no items, no calls"));
-        pool.par_owner_mut(&mut data, 1, |items, view| {
+        let width = pool.threads();
+        pool.par_owner_mut_workers(&mut data, 0, width, |_, _| panic!("no items, no calls"));
+        pool.par_owner_mut_workers(&mut data, 1, width, |items, view| {
             assert_eq!(items, 0..1);
             for i in 0..view.len() {
                 unsafe { view.write(i, 9) };

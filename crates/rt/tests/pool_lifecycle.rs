@@ -3,27 +3,16 @@
 
 use hemocloud_rt::pool::{self, Pool};
 
-fn reference_work(i: usize, c: &mut [f64]) {
-    for (j, v) in c.iter_mut().enumerate() {
-        let k = (i * 13 + j) as f64;
-        *v = (k * 0.01).sin() * 2.5 + k.sqrt();
-    }
-}
-
-#[test]
-fn results_bit_identical_to_serial_across_worker_counts() {
-    let n = 10_000;
-    let chunk = 23;
-    let mut serial = vec![0.0f64; n];
-    for (i, c) in serial.chunks_mut(chunk).enumerate() {
-        reference_work(i, c);
-    }
-    let pool = Pool::new(4);
-    for workers in [1usize, 2, 3, 8] {
-        let mut parallel = vec![0.0f64; n];
-        pool.par_chunks_mut_workers(&mut parallel, chunk, workers, reference_work);
-        assert_eq!(serial, parallel, "diverged at {workers} workers");
-    }
+/// One job at the pool's full width: item `i` owns slot `i` and applies
+/// `f` to it.
+fn map_in_place<T: Copy + Send>(pool: &Pool, data: &mut [T], f: impl Fn(usize, T) -> T + Sync) {
+    let n = data.len();
+    pool.par_owner_mut_workers(data, n, pool.threads(), |items, view| {
+        for i in items {
+            // SAFETY: item `i` owns exactly slot `i < n`.
+            unsafe { view.write(i, f(i, view.read(i))) };
+        }
+    });
 }
 
 #[test]
@@ -34,9 +23,7 @@ fn pool_is_reused_across_many_jobs_without_respawning() {
 
     let mut data = vec![0u64; 1024];
     for _ in 0..120 {
-        pool.par_chunks_mut(&mut data, 16, |_, c| {
-            c.iter_mut().for_each(|v| *v += 1);
-        });
+        map_in_place(&pool, &mut data, |_, v| v + 1);
     }
     assert!(data.iter().all(|&v| v == 120), "a job lost updates");
     assert_eq!(
@@ -48,13 +35,13 @@ fn pool_is_reused_across_many_jobs_without_respawning() {
 }
 
 #[test]
-fn worker_panic_propagates_and_pool_survives() {
+fn run_panic_propagates_and_pool_survives() {
+    // `Pool::run` called directly, as the STREAM microbenchmark does.
     let pool = Pool::new(4);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut data = vec![0u8; 64];
-        pool.par_chunks_mut_workers(&mut data, 1, 8, |i, _| {
-            if i == 63 {
-                panic!("boom in run tail");
+        pool.run(8, &|run| {
+            if run == 7 {
+                panic!("boom in the last run");
             }
         });
     }));
@@ -62,15 +49,33 @@ fn worker_panic_propagates_and_pool_survives() {
 
     // The pool must stay fully usable after the panic drained.
     let mut data = vec![1u32; 512];
-    pool.par_chunks_mut(&mut data, 8, |_, c| {
-        c.iter_mut().for_each(|v| *v *= 3);
-    });
+    map_in_place(&pool, &mut data, |_, v| v * 3);
     assert!(data.iter().all(|&v| v == 3), "pool unusable after a panic");
     assert_eq!(
         pool.spawned_threads(),
         3,
         "panic recovery must not respawn workers"
     );
+}
+
+#[test]
+fn width_one_pool_runs_every_job_inline_on_the_caller() {
+    let pool = Pool::new(1);
+    assert_eq!(pool.spawned_threads(), 0);
+    let caller = std::thread::current().id();
+    // More runs than threads: all eight execute, in order, on the caller.
+    let seen = std::sync::Mutex::new(Vec::new());
+    pool.run(8, &|run| {
+        assert_eq!(std::thread::current().id(), caller);
+        seen.lock().unwrap().push(run);
+    });
+    assert_eq!(seen.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
+    assert_eq!(pool.jobs_run(), 1);
+    // At the pool's own width the parallel-for does not even submit a job.
+    let mut data = vec![0u64; 17];
+    map_in_place(&pool, &mut data, |i, _| i as u64);
+    assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
+    assert_eq!(pool.jobs_run(), 1);
 }
 
 #[test]
@@ -86,14 +91,9 @@ fn owner_mut_panic_propagates_and_pool_survives() {
     }));
     assert!(result.is_err(), "panic did not propagate to the caller");
 
-    // The pool must stay fully usable for both job flavors afterwards.
+    // The pool must stay fully usable afterwards.
     let mut data = vec![1u32; 512];
-    pool.par_owner_mut(&mut data, 512, |items, view| {
-        for i in items {
-            let v = unsafe { view.read(i) };
-            unsafe { view.write(i, v * 3) };
-        }
-    });
+    map_in_place(&pool, &mut data, |_, v| v * 3);
     assert!(data.iter().all(|&v| v == 3), "pool unusable after a panic");
     assert_eq!(pool.spawned_threads(), 3, "panic recovery must not respawn workers");
 }
@@ -133,9 +133,7 @@ fn global_pool_spawns_are_bounded_for_a_whole_run() {
     assert!(spawned < pool.threads(), "background workers exclude the caller");
     let mut data = vec![0.0f64; 4096];
     for _ in 0..150 {
-        pool.par_chunks_mut(&mut data, 19, |i, c| {
-            c.iter_mut().for_each(|v| *v += i as f64);
-        });
+        map_in_place(pool, &mut data, |i, v| v + i as f64);
     }
     assert_eq!(
         pool.spawned_threads(),

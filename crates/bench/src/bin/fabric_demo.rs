@@ -13,8 +13,9 @@
 //!   deterministic JSON, which `check` compares across worker counts.
 //!
 //! The binary exits non-zero unless every acceptance property holds
-//! (all but 3 are `gates::gate_fabric`, run on the record it writes; the
-//! shard comparison is not serialized, so it stays here):
+//! (all but 3 and 6 are `gates::gate_fabric`, run on the record it
+//! writes; the shard comparison is not serialized and the contention
+//! counters live in the obs snapshot, so those two stay here):
 //!
 //! 1. every job completes fault-free (the byte reconciliation needs
 //!    uncut slices);
@@ -24,7 +25,9 @@
 //! 4. a co-scheduled job runs measurably slower than the same job
 //!    isolated on the same pool at the same seed;
 //! 5. the calibrated placement MAPE beats the uncalibrated one — the
-//!    refinement loop closes the contention-induced gap.
+//!    refinement loop closes the contention-induced gap;
+//! 6. contention is priced per distinct active set, not per slice:
+//!    `sched.contention.exchanges` < `sched.contention.slices`.
 //!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
@@ -98,6 +101,16 @@ fn main() {
         .map(|shards| format!("fabric_demo: report changed at {shards} shards"))
         .collect();
 
+    // Set-level pricing: the ten jobs run as recurring pairs, so far
+    // fewer fabric exchanges than priced slices.
+    let priced_slices = obs.counter("sched.contention.slices").unwrap_or(0);
+    let exchanges = obs.counter("sched.contention.exchanges").unwrap_or(0);
+    if !(0 < exchanges && exchanges < priced_slices) {
+        failures.push(format!(
+            "fabric_demo: {exchanges} fabric exchanges for {priced_slices} priced slices"
+        ));
+    }
+
     // Contention slowdown: the same first job, alone on the same pool at
     // the same seed, shares its noise stream — any difference is trunk
     // contention.
@@ -135,6 +148,7 @@ fn main() {
         "  Eq. 9 bytes {eq9_bytes} == delivered {delivered} (forwarded {forwarded}), \
          contention slowdown {slowdown:.3}x"
     );
+    println!("  {priced_slices} slices priced from {exchanges} fabric exchanges");
     let mape = |v: Option<f64>| v.map_or("n/a".to_string(), |v| format!("{v:.1}%"));
     println!(
         "  placement MAPE under contention: uncalibrated Q1 {} -> calibrated {}",

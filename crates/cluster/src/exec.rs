@@ -24,7 +24,7 @@ use crate::memory;
 use crate::network::{message_time_s, LinkKind};
 use crate::noise::NoiseProcess;
 use crate::platform::Platform;
-use crate::topology::{build_topology, routed_task_comm, CommModel, PlatformTopology};
+use crate::topology::{build_topology, routed_task_comm, CommModel, Member, PlatformTopology};
 use hemocloud_decomp::census::CensusEntry;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_fabric::Flow;
@@ -164,8 +164,8 @@ pub fn simulate(
 /// [`simulate`] with an optional routed-fabric override for the
 /// internodal term: when `inter_override` is `Some`, task `t`'s
 /// internodal communication time is `inter_override[t]` (computed by
-/// `topology::routed_task_comm`) instead of the scalar Eq. 12/13
-/// serialized sum. Memory, intranodal and sync terms are identical in
+/// `topology::routed_set_comm` or `routed_task_comm`) instead of the
+/// scalar Eq. 12/13 serialized sum. Memory, intranodal and sync terms are identical in
 /// both modes.
 fn simulate_with_comm(
     platform: &Platform,
@@ -342,8 +342,9 @@ impl PreparedRun {
     /// With [`CommModel::Routed`], the run owns a topology of `variant`
     /// sized to its own node count (identity node map) and caches its
     /// isolated per-task internodal comm; a campaign that wants cross-job
-    /// contention instead calls [`PreparedRun::run_slice_contended`]
-    /// against a shared pool topology.
+    /// contention instead prices the set of runs sharing a pool topology
+    /// (`topology::routed_set_comm`) and calls
+    /// [`PreparedRun::run_slice_priced`].
     ///
     /// Returns `None` when the rank count exceeds the platform's cores.
     pub fn from_census(
@@ -419,10 +420,21 @@ impl PreparedRun {
         self.topology.as_ref()
     }
 
+    /// This run's halo graph on physical nodes `node_map` of a shared
+    /// topology — its entry in a co-scheduled set.
+    pub(crate) fn member<'a>(&'a self, node_map: &'a [usize]) -> Member<'a> {
+        Member {
+            analysis: &self.census.analysis,
+            placement: &self.placement,
+            node_map,
+            comm_bytes_per_point: self.comm_bytes_per_point,
+            software_overhead_us: self.overheads.message_software_overhead_us,
+        }
+    }
+
     /// The Eq. 9 internodal message graph as fabric flows with local
-    /// nodes mapped onto physical nodes via `node_map` — what a campaign
-    /// injects as *background* traffic when other jobs share the pool
-    /// fabric.
+    /// nodes mapped onto physical nodes via `node_map` — what this run
+    /// adds to a shared pool fabric every step.
     pub fn flows(&self, node_map: &[usize], tag_base: u64) -> Vec<Flow> {
         crate::topology::job_flows(
             &self.census.analysis,
@@ -439,31 +451,38 @@ impl PreparedRun {
     /// correlated component), so resuming a run hour by hour reproduces
     /// the same variability a monolithic run would have seen.
     pub fn run_slice(&self, steps: u64, seed: u64, time_h: f64) -> SimulatedRun {
-        let workload = WorkloadTiming {
-            analysis: &self.census.analysis,
-            placement: &self.placement,
-            task_bytes: &self.census.task_bytes,
-            comm_bytes_per_point: self.comm_bytes_per_point,
-            steps,
-        };
-        simulate_with_comm(
-            &self.platform,
-            &workload,
-            &self.overheads,
-            seed,
-            time_h,
-            self.routed_inter_s.as_deref(),
-        )
+        self.timed(steps, seed, time_h, self.routed_inter_s.as_deref())
     }
 
-    /// [`PreparedRun::run_slice`] against a *shared* pool topology with
-    /// other jobs' traffic in flight: this run's ranks live on physical
-    /// nodes `node_map` of `topology`, and `background` carries the
-    /// concurrent jobs' flows (their [`PreparedRun::flows`] mapped
-    /// through their own node sets). The internodal term is recomputed
-    /// under fair-share contention; memory, intranodal and sync terms
-    /// are untouched. Requires a routed run (panics on a scalar one —
-    /// the scalar model has no links to contend on).
+    /// [`PreparedRun::run_slice`] with the internodal term supplied by
+    /// the caller: `per_task_inter_s[t]` is task `t`'s internodal comm
+    /// seconds per step — an entry of `topology::routed_set_comm` for
+    /// the set of runs sharing the pool fabric. Memory, intranodal and
+    /// sync terms are untouched. Requires a routed run (panics on a
+    /// scalar one — the scalar model has no links to contend on).
+    pub fn run_slice_priced(
+        &self,
+        steps: u64,
+        seed: u64,
+        time_h: f64,
+        per_task_inter_s: &[f64],
+    ) -> SimulatedRun {
+        assert!(
+            matches!(self.comm, CommModel::Routed(_)),
+            "a fabric-priced slice requires CommModel::Routed"
+        );
+        assert_eq!(per_task_inter_s.len(), self.ranks(), "one price per task");
+        self.timed(steps, seed, time_h, Some(per_task_inter_s))
+    }
+
+    /// [`PreparedRun::run_slice_priced`] for a single victim: this run's
+    /// ranks live on physical nodes `node_map` of the shared `topology`,
+    /// and `background` carries the concurrent jobs' flows (their
+    /// [`PreparedRun::flows`] mapped through their own node sets), so the
+    /// internodal term is recomputed under fair-share contention by an
+    /// exchange of its own. A campaign prices whole sets instead
+    /// (`topology::routed_set_comm`); this is the oracle that pricing is
+    /// tested against.
     pub fn run_slice_contended(
         &self,
         steps: u64,
@@ -473,10 +492,6 @@ impl PreparedRun {
         node_map: &[usize],
         background: &[Flow],
     ) -> SimulatedRun {
-        assert!(
-            matches!(self.comm, CommModel::Routed(_)),
-            "run_slice_contended requires CommModel::Routed"
-        );
         let routed = routed_task_comm(
             topology,
             &self.census.analysis,
@@ -486,6 +501,10 @@ impl PreparedRun {
             self.overheads.message_software_overhead_us,
             background,
         );
+        self.run_slice_priced(steps, seed, time_h, &routed.per_task_inter_s)
+    }
+
+    fn timed(&self, steps: u64, seed: u64, time_h: f64, inter: Option<&[f64]>) -> SimulatedRun {
         let workload = WorkloadTiming {
             analysis: &self.census.analysis,
             placement: &self.placement,
@@ -493,14 +512,7 @@ impl PreparedRun {
             comm_bytes_per_point: self.comm_bytes_per_point,
             steps,
         };
-        simulate_with_comm(
-            &self.platform,
-            &workload,
-            &self.overheads,
-            seed,
-            time_h,
-            Some(&routed.per_task_inter_s),
-        )
+        simulate_with_comm(&self.platform, &workload, &self.overheads, seed, time_h, inter)
     }
 }
 
@@ -941,6 +953,81 @@ mod tests {
         let again =
             job.run_slice_contended(10, 1, 0.0, &pool_topo, &[0, 1], &background);
         assert_eq!(contended, again);
+    }
+
+    /// Set pricing against its single-victim oracle: every member's
+    /// entry of one `routed_set_comm` exchange equals a
+    /// `routed_task_comm` of its own with the others as background, and
+    /// the slice timed from it equals `run_slice_contended`'s.
+    #[test]
+    fn set_pricing_equals_the_single_victim_oracle_bitwise() {
+        use crate::topology::{routed_set_comm, TopologyVariant};
+        let g = cylinder();
+        let p = Platform::csp2_small(); // 8 cores/node
+        let cfg = KernelConfig::harvey();
+        let oh = Overheads::default();
+        // Interleaved node sets, as lowest-free-first allocation leaves
+        // them after earlier jobs have come and gone; on the 5-rack
+        // spread pool (rack = id % 5) the first two share racks 0 and 1.
+        let shapes: [(usize, &[usize]); 3] =
+            [(16, &[0, 1]), (24, &[6, 5, 2]), (40, &[7, 3, 8, 4, 9])];
+        for variant in [
+            TopologyVariant::Spread,
+            TopologyVariant::FatTree,
+            TopologyVariant::PlacementGroup,
+        ] {
+            let comm = CommModel::Routed(variant);
+            let topo = build_topology(&p, variant, 10);
+            let runs: Vec<PreparedRun> = shapes
+                .iter()
+                .map(|&(ranks, _)| {
+                    PreparedRun::new_with_comm(&p, &g, &cfg, ranks, &oh, comm).unwrap()
+                })
+                .collect();
+            let mut alone = None;
+            for n in 1..=shapes.len() {
+                let members: Vec<(&PreparedRun, &[usize])> =
+                    runs.iter().zip(&shapes).take(n).map(|(r, s)| (r, s.1)).collect();
+                let priced = routed_set_comm(&topo, &members);
+                assert_eq!(priced.len(), n);
+                // Not vacuous: on shared trunks the neighbours cost
+                // member 0 something.
+                let alone = alone.get_or_insert_with(|| priced[0].clone());
+                if variant == TopologyVariant::Spread && n > 1 {
+                    assert!(priced[0].span_s > alone.span_s, "no contention at n = {n}");
+                }
+                for (victim, &(run, node_map)) in members.iter().enumerate() {
+                    let background: Vec<Flow> = members
+                        .iter()
+                        .enumerate()
+                        .filter(|&(other, _)| other != victim)
+                        .flat_map(|(other, &(r, ids))| r.flows(ids, (other as u64) << 32))
+                        .collect();
+                    let oracle = routed_task_comm(
+                        &topo,
+                        &run.census.analysis,
+                        &run.placement,
+                        node_map,
+                        run.comm_bytes_per_point,
+                        run.overheads.message_software_overhead_us,
+                        &background,
+                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                    assert_eq!(
+                        bits(&priced[victim].per_task_inter_s),
+                        bits(&oracle.per_task_inter_s),
+                        "{}: member {victim} of {n}",
+                        variant.name()
+                    );
+                    assert_eq!(priced[victim], oracle);
+                    assert!(oracle.bytes_per_step > 0.0, "every shape spans nodes");
+                    assert_eq!(
+                        run.run_slice_priced(10, 7, 3.0, &priced[victim].per_task_inter_s),
+                        run.run_slice_contended(10, 7, 3.0, &topo, node_map, &background),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

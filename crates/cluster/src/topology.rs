@@ -7,8 +7,10 @@
 //! ([`build_topology`]), converts the Eq. 9 halo message graph into
 //! fabric [`Flow`]s with physical node endpoints ([`job_flows`]), and
 //! reduces a fabric exchange back into the per-task internodal
-//! communication seconds the timing engine consumes
-//! ([`routed_task_comm`]).
+//! communication seconds the timing engine consumes — for every member
+//! of a co-scheduled set at once ([`routed_set_comm`], one exchange per
+//! set), or for one victim against caller-supplied background flows
+//! ([`routed_task_comm`], the single-member case of the same fold).
 //!
 //! The scalar Eq. 12 model stays the default and the calibration
 //! baseline; [`CommModel::Routed`] is the opt-in fabric-backed path (see
@@ -22,6 +24,7 @@
 //! is store-and-forward per hop, which the scalar model has no concept
 //! of — one of the effects `ModelCalibrator` gets to discover.
 
+use crate::exec::PreparedRun;
 use crate::platform::Platform;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::placement::Placement;
@@ -168,16 +171,53 @@ pub fn build_topology(
     }
 }
 
+/// One job's halo graph pinned to physical nodes of a shared topology:
+/// what [`job_flows`] turns into flows and [`routed_set_comm`] prices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member<'a> {
+    pub(crate) analysis: &'a DecompAnalysis,
+    pub(crate) placement: &'a Placement,
+    /// `node_map[local] = physical`.
+    pub(crate) node_map: &'a [usize],
+    pub(crate) comm_bytes_per_point: f64,
+    pub(crate) software_overhead_us: f64,
+}
+
+impl Member<'_> {
+    /// Call `emit(sender, receiver, flow)` for each internodal message —
+    /// by sending task, then by receiving peer (the `BTreeMap` order of
+    /// the message graph) — with the flow's tag counting from `tag_base`.
+    /// Intranodal messages (same node) stay out of the fabric: they ride
+    /// the scalar shared-memory link.
+    fn for_each_flow(&self, tag_base: u64, mut emit: impl FnMut(usize, usize, Flow)) {
+        assert_eq!(
+            self.node_map.len(),
+            self.placement.n_nodes(),
+            "node map must cover the placement's nodes"
+        );
+        let mut tag = tag_base;
+        for task in 0..self.analysis.n_tasks {
+            let src = self.placement.physical_node_of(task, self.node_map);
+            for (&peer, &points) in &self.analysis.messages[task] {
+                let dst = self.placement.physical_node_of(peer, self.node_map);
+                if src == dst {
+                    continue;
+                }
+                let bytes = points as f64 * self.comm_bytes_per_point;
+                emit(task, peer, Flow { src, dst, bytes, tag });
+                tag += 1;
+            }
+        }
+    }
+}
+
 /// The Eq. 9 *internodal* halo message graph of one job as fabric flows,
 /// with local nodes mapped to physical topology nodes through
 /// `node_map` (`node_map[local] = physical`). Flow order is
-/// deterministic: by sending task, then by receiving peer (the
-/// `BTreeMap` order of the message graph). `tag_base` is folded into
-/// each flow's tag so concurrent jobs' flows stay distinguishable in
-/// debugging dumps; the fabric itself never reads tags.
-///
-/// Intranodal messages (same node) stay out of the fabric — they ride
-/// the scalar shared-memory link exactly as before.
+/// deterministic: by sending task, then by receiving peer. `tag_base` is
+/// folded into each flow's tag so concurrent jobs' flows stay
+/// distinguishable in debugging dumps; the fabric itself never reads
+/// tags.
 pub fn job_flows(
     analysis: &DecompAnalysis,
     placement: &Placement,
@@ -185,27 +225,15 @@ pub fn job_flows(
     comm_bytes_per_point: f64,
     tag_base: u64,
 ) -> Vec<Flow> {
-    assert_eq!(
-        node_map.len(),
-        placement.n_nodes(),
-        "node map must cover the placement's nodes"
-    );
+    let member = Member {
+        analysis,
+        placement,
+        node_map,
+        comm_bytes_per_point,
+        software_overhead_us: 0.0,
+    };
     let mut flows = Vec::new();
-    for task in 0..analysis.n_tasks {
-        let src = placement.physical_node_of(task, node_map);
-        for (&peer, &points) in &analysis.messages[task] {
-            let dst = placement.physical_node_of(peer, node_map);
-            if src == dst {
-                continue;
-            }
-            flows.push(Flow {
-                src,
-                dst,
-                bytes: points as f64 * comm_bytes_per_point,
-                tag: tag_base + flows.len() as u64,
-            });
-        }
-    }
+    member.for_each_flow(tag_base, |_, _, flow| flows.push(flow));
     flows
 }
 
@@ -222,15 +250,70 @@ pub struct RoutedComm {
     pub bytes_per_step: f64,
 }
 
-/// Route one step's halo exchange of a job through `topology`, sharing
-/// links with `background` flows (other concurrent jobs' exchanges),
-/// and reduce to per-task internodal comm seconds.
+/// One exchange over every member's flows plus `background`, folded back
+/// into one [`RoutedComm`] per member: the only place deliveries become
+/// per-task seconds.
 ///
 /// A task's exchange completes when its last sent *and* received message
 /// is delivered; on top of that wire time each message charges the
 /// scalar model's per-message software overhead to both endpoints
-/// (CPU-side cost the fabric does not model). Background flow delivery
-/// times are computed but not reported — they only shape contention.
+/// (CPU-side cost the fabric does not model). Background deliveries are
+/// computed but not reported — they only shape contention.
+fn route_members(
+    topology: &PlatformTopology,
+    members: &[Member<'_>],
+    background: &[Flow],
+) -> Vec<RoutedComm> {
+    // Members' flows first (so delivery indexes line up), background
+    // after; `own[m]` is member `m`'s index range.
+    let mut flows = Vec::new();
+    let mut endpoints = Vec::new();
+    let mut own = Vec::with_capacity(members.len());
+    for member in members {
+        let first = flows.len();
+        member.for_each_flow(0, |sender, receiver, flow| {
+            endpoints.push((sender, receiver));
+            flows.push(flow);
+        });
+        own.push(first..flows.len());
+    }
+    flows.extend_from_slice(background);
+
+    let outcome = exchange(topology, &flows);
+
+    members
+        .iter()
+        .zip(own)
+        .map(|(member, own)| {
+            let n_tasks = member.analysis.n_tasks;
+            let mut per_task_inter_s = vec![0.0f64; n_tasks];
+            let mut messages = vec![0usize; n_tasks];
+            let mut span_s = 0.0f64;
+            let deliveries = &outcome.delivery_s[own.clone()];
+            for (&(sender, receiver), &t) in endpoints[own.clone()].iter().zip(deliveries) {
+                per_task_inter_s[sender] = per_task_inter_s[sender].max(t);
+                per_task_inter_s[receiver] = per_task_inter_s[receiver].max(t);
+                messages[sender] += 1;
+                messages[receiver] += 1;
+                span_s = span_s.max(t);
+            }
+            let overhead_s = member.software_overhead_us * 1e-6;
+            for (inter, &count) in per_task_inter_s.iter_mut().zip(&messages) {
+                *inter += count as f64 * overhead_s;
+            }
+            RoutedComm {
+                per_task_inter_s,
+                span_s,
+                bytes_per_step: flows[own].iter().map(|f| f.bytes).sum(),
+            }
+        })
+        .collect()
+}
+
+/// Route one step's halo exchange of a job through `topology`, sharing
+/// links with `background` flows (other concurrent jobs' exchanges),
+/// and reduce to per-task internodal comm seconds: the single-victim
+/// case of [`routed_set_comm`], and the oracle it is tested against.
 #[allow(clippy::too_many_arguments)] // the timing engine's free variables
 pub fn routed_task_comm(
     topology: &PlatformTopology,
@@ -241,53 +324,36 @@ pub fn routed_task_comm(
     software_overhead_us: f64,
     background: &[Flow],
 ) -> RoutedComm {
-    // Own flows first (so delivery indexes line up), background after.
-    let mut endpoints: Vec<(usize, usize)> = Vec::new();
-    let mut flows = Vec::new();
-    for task in 0..analysis.n_tasks {
-        let src = placement.physical_node_of(task, node_map);
-        for (&peer, &points) in &analysis.messages[task] {
-            let dst = placement.physical_node_of(peer, node_map);
-            if src == dst {
-                continue;
-            }
-            endpoints.push((task, peer));
-            flows.push(Flow {
-                src,
-                dst,
-                bytes: points as f64 * comm_bytes_per_point,
-                tag: flows.len() as u64,
-            });
-        }
-    }
-    let n_own = flows.len();
-    let bytes_per_step: f64 = flows.iter().map(|f| f.bytes).sum();
-    flows.extend_from_slice(background);
+    let member = Member {
+        analysis,
+        placement,
+        node_map,
+        comm_bytes_per_point,
+        software_overhead_us,
+    };
+    route_members(topology, &[member], background)
+        .pop()
+        .expect("one member, one result")
+}
 
-    let outcome = exchange(topology, &flows);
-
-    let mut per_task_inter_s = vec![0.0f64; analysis.n_tasks];
-    let mut messages = vec![0usize; analysis.n_tasks];
-    for (i, &(sender, receiver)) in endpoints.iter().enumerate().take(n_own) {
-        let t = outcome.delivery_s[i];
-        per_task_inter_s[sender] = per_task_inter_s[sender].max(t);
-        per_task_inter_s[receiver] = per_task_inter_s[receiver].max(t);
-        messages[sender] += 1;
-        messages[receiver] += 1;
-    }
-    let overhead_s = software_overhead_us * 1e-6;
-    let mut span_s = 0.0f64;
-    for i in 0..n_own {
-        span_s = span_s.max(outcome.delivery_s[i]);
-    }
-    for task in 0..analysis.n_tasks {
-        per_task_inter_s[task] += messages[task] as f64 * overhead_s;
-    }
-    RoutedComm {
-        per_task_inter_s,
-        span_s,
-        bytes_per_step,
-    }
+/// Price a whole set of co-scheduled runs with **one** exchange: member
+/// `m` is a prepared run on physical nodes `members[m].1` of `topology`
+/// (node sets pairwise disjoint), and entry `m` of the result is what
+/// [`routed_task_comm`] returns with `m` as the victim and every other
+/// member's [`PreparedRun::flows`] as background — bit for bit, in any
+/// member order, because `fabric::exchange` is permutation-equivariant
+/// in its flow list (see its module docs). Halo traffic repeats every
+/// step, so the result is a function of the set alone; a campaign
+/// memoises it by set.
+pub fn routed_set_comm(
+    topology: &PlatformTopology,
+    members: &[(&PreparedRun, &[usize])],
+) -> Vec<RoutedComm> {
+    let members: Vec<Member<'_>> = members
+        .iter()
+        .map(|&(run, node_map)| run.member(node_map))
+        .collect();
+    route_members(topology, &members, &[])
 }
 
 #[cfg(test)]

@@ -17,6 +17,20 @@
 //! topology is bit-identical on every run, worker count, and shard
 //! count.
 //!
+//! Permutation equivariance: `delivery_s` follows its flow under any
+//! reordering of the input — permute the flows by `π` and
+//! `delivery_s[π(i)]` has the bits `delivery_s[i]` had. The step `dt` is
+//! a `min` over the live flows (order-free); each flow's advance reads
+//! only its own phase, `dt` and its link's `occ`; and a completion batch
+//! only increments or decrements the integer `occ` and never reads it,
+//! so the `(link, seq)` order inside a batch cannot reach a float. The
+//! same holds for `link_busy_s` and `span_s`; the per-link byte sums add
+//! floats in batch order, so they are order-free only for integral
+//! bytes. This is what lets a caller price a *set* of co-scheduled jobs
+//! with one exchange, whichever member asks and however the members are
+//! ordered (`cluster::topology::routed_set_comm`), and is pinned by
+//! `tests/proptest_fabric.rs`.
+//!
 //! Byte accounting is exact: a flow's bytes are added to a link's
 //! forwarded counter only when its serialization on that link completes,
 //! and to the final link's delivered counter on delivery — so with
@@ -108,16 +122,21 @@ pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutco
         .collect();
     // Flows currently serializing per link (the fair-share divisor).
     let mut occ = vec![0u32; n_links];
-    let mut active = phase.iter().filter(|p| !matches!(p, Phase::Done)).count();
+    // Flows still in flight, ascending by seq; a flow leaves the list in
+    // the event that delivers it, so no loop below ever meets `Done`.
+    let mut live: Vec<usize> = (0..flows.len())
+        .filter(|&i| !matches!(phase[i], Phase::Done))
+        .collect();
+    let mut completions: Vec<(LinkId, usize)> = Vec::new();
 
     let mut t = 0.0f64;
-    while active > 0 {
+    while !live.is_empty() {
         // Earliest phase completion across all flows, under the shares
         // implied by the current occupancy.
         let mut dt = f64::INFINITY;
-        for (i, p) in phase.iter().enumerate() {
-            let cand = match *p {
-                Phase::Done => continue,
+        for &i in &live {
+            let cand = match phase[i] {
+                Phase::Done => unreachable!("delivered flow left in the live list"),
                 Phase::Latency(rem) => rem,
                 Phase::Xfer(rem) => {
                     let link = routes[i][hop[i]];
@@ -142,10 +161,10 @@ pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutco
 
         // Advance every flow; collect completions as (link, seq) so
         // simultaneous events resolve in (time, link, seq) order.
-        let mut completions: Vec<(LinkId, usize)> = Vec::new();
-        for i in 0..phase.len() {
+        completions.clear();
+        for &i in &live {
             match phase[i] {
-                Phase::Done => {}
+                Phase::Done => unreachable!("delivered flow left in the live list"),
                 Phase::Latency(rem) => {
                     let left = rem - dt;
                     if rem == dt || left <= 0.0 {
@@ -170,7 +189,8 @@ pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutco
         completions.sort_unstable();
         debug_assert!(!completions.is_empty(), "fabric event loop must progress");
 
-        for (link, i) in completions {
+        let mut delivered_any = false;
+        for &(link, i) in &completions {
             match phase[i] {
                 Phase::Done => unreachable!(),
                 Phase::Latency(_) => {
@@ -186,12 +206,15 @@ pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutco
                         delivered[link] += bytes[i];
                         delivery[i] = t;
                         phase[i] = Phase::Done;
-                        active -= 1;
+                        delivered_any = true;
                     } else {
                         phase[i] = Phase::Latency(links[routes[i][hop[i]]].latency_s());
                     }
                 }
             }
+        }
+        if delivered_any {
+            live.retain(|&i| !matches!(phase[i], Phase::Done));
         }
     }
 

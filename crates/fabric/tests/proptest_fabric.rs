@@ -144,6 +144,69 @@ fn exchange_conserves_bytes_and_is_deterministic() {
     );
 }
 
+/// The property per-set contention pricing rests on: an exchange's
+/// per-flow outcome does not depend on where the flow sits in the list.
+#[test]
+fn exchange_is_permutation_equivariant_bitwise() {
+    check::run(
+        "exchange_is_permutation_equivariant_bitwise",
+        check::Config::cases(32),
+        |rng| {
+            let topo = random_topology(rng);
+            let n = topo.n_nodes();
+            let integral = rng.next_bool();
+            let mut flows: Vec<Flow> = Vec::new();
+            for _ in 0..rng.range_usize(0, 48) {
+                let bytes = match rng.range_usize(0, 8) {
+                    0 => 0.0,
+                    _ if integral => rng.range_usize(0, 1 << 22) as f64,
+                    _ => rng.range_f64(0.0, 4.0e6),
+                };
+                // `src == dst` happens by chance (always on one node).
+                let flow = Flow {
+                    src: rng.range_usize(0, n),
+                    dst: rng.range_usize(0, n),
+                    bytes,
+                    tag: flows.len() as u64,
+                };
+                flows.push(flow);
+                if rng.range_usize(0, 4) == 0 {
+                    flows.push(flow); // exact duplicate: ties on every event
+                }
+            }
+            // Fisher-Yates: `perm[i]` is where input flow `i` goes.
+            let mut perm: Vec<usize> = (0..flows.len()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.range_usize(0, i + 1));
+            }
+            let mut shuffled = flows.clone();
+            for (i, &to) in perm.iter().enumerate() {
+                shuffled[to] = flows[i];
+            }
+
+            let a = exchange(topo.as_ref(), &flows);
+            let b = exchange(topo.as_ref(), &shuffled);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for (i, &to) in perm.iter().enumerate() {
+                assert_eq!(
+                    a.delivery_s[i].to_bits(),
+                    b.delivery_s[to].to_bits(),
+                    "{}: flow {i} delivered at {} in place, {} at position {to}",
+                    topo.name(),
+                    a.delivery_s[i],
+                    b.delivery_s[to]
+                );
+            }
+            assert_eq!(bits(&a.link_busy_s), bits(&b.link_busy_s), "{}", topo.name());
+            assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
+            if integral {
+                assert_eq!(a.link_forwarded_bytes, b.link_forwarded_bytes);
+                assert_eq!(a.link_delivered_bytes, b.link_delivered_bytes);
+            }
+        },
+    );
+}
+
 #[test]
 fn extra_tenants_never_speed_up_a_lone_flow_pair_on_shared_trunks() {
     // Focused monotonicity check on the contention surface the demo

@@ -11,7 +11,11 @@
 //!   rejected.
 //! * **Run** — placed jobs advance in time slices through
 //!   [`PreparedRun::run_slice`], so the simulated platform noise follows
-//!   the campaign clock hour by hour.
+//!   the campaign clock hour by hour. On a routed pool
+//!   ([`PoolSpec::topology`]) a slice's internodal term comes from the
+//!   shared fabric under everything active on the pool, priced once per
+//!   distinct set of placed runs (`Campaign::contention`) — halo traffic
+//!   repeats every step, so the set is all the price depends on.
 //! * **Guard** — each attempt carries a [`JobGuard`] built from the same
 //!   (calibrated) prediction the placement used. The wall-clock budget
 //!   truncates a slice mid-flight (the kill happens *at* the limit, not
@@ -65,6 +69,7 @@
 //! `Vec`/`BTreeMap`/`BTreeSet` — reports are byte-for-byte reproducible
 //! per seed.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -72,7 +77,9 @@ use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pool::NodePool;
 use hemocloud_cluster::pricing::PriceSheet;
-use hemocloud_cluster::topology::{build_topology, CommModel, PlatformTopology, TopologyVariant};
+use hemocloud_cluster::topology::{
+    build_topology, routed_set_comm, CommModel, PlatformTopology, TopologyVariant,
+};
 use hemocloud_fabric::{Flow, Topology};
 use hemocloud_core::characterize::{characterize, PlatformCharacterization};
 use hemocloud_core::composition::Prediction;
@@ -188,8 +195,8 @@ struct PoolState {
     /// here routes its Eq. 9 messages over these links, so concurrent
     /// jobs' flows fair-share bandwidth.
     topology: Option<(TopologyVariant, PlatformTopology)>,
-    /// Jobs with an active run on this pool, in job-index order — the
-    /// deterministic background-traffic set for contended slices.
+    /// Jobs with an active run on this pool — on a routed pool, the runs
+    /// whose footprints make up the contention set.
     active_jobs: BTreeSet<usize>,
     attempts: usize,
     faults: usize,
@@ -233,6 +240,52 @@ struct PendingSlice {
     dur_s: f64,
 }
 
+/// `PreparedRun` cache key: (pool, model id, ranks).
+type PrepKey = (usize, u32, usize);
+
+/// What a placed run is to a shared fabric: which prepared run, on which
+/// physical nodes. Two runs with equal footprints inject the same flows.
+type Footprint = (PrepKey, Vec<usize>);
+
+/// Integer bytes a footprint moves over one link per step.
+#[derive(Debug, Clone, Copy)]
+struct LinkBytes {
+    link: usize,
+    /// Every route hop through the link counts.
+    forwarded: u64,
+    /// Only routes ending at the link count.
+    delivered: u64,
+}
+
+/// Per-link bytes per step of `flows` on `topology`, for the links any
+/// route touches. Comm bytes are integral (points × 152), so the `u64`
+/// arithmetic is exact and the delivered column sums to the Eq. 9 graph
+/// total exactly.
+fn link_bytes_per_step(topology: &PlatformTopology, flows: &[Flow]) -> Arc<[LinkBytes]> {
+    let mut per_link = vec![(0u64, 0u64); topology.links().len()];
+    for flow in flows {
+        debug_assert_eq!(flow.bytes.fract(), 0.0, "non-integral comm bytes");
+        let bytes = flow.bytes as u64;
+        let route = topology.get_route(flow.src, flow.dst);
+        for &link in route {
+            per_link[link].0 += bytes;
+        }
+        if let Some(&last) = route.last() {
+            per_link[last].1 += bytes;
+        }
+    }
+    per_link
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, (forwarded, _))| forwarded > 0)
+        .map(|(link, (forwarded, delivered))| LinkBytes {
+            link,
+            forwarded,
+            delivered,
+        })
+        .collect()
+}
+
 #[derive(Debug)]
 struct ActiveRun {
     pool_idx: usize,
@@ -241,10 +294,9 @@ struct ActiveRun {
     /// Physical node ids of the allocation (lowest-free-first, so
     /// deterministic). On routed pools these address the pool fabric.
     node_ids: Vec<usize>,
-    /// Cached Eq. 9 internodal flows mapped onto `node_ids` (empty on
-    /// scalar pools) — this run's contribution to pool contention and
-    /// the per-link obs byte accounting.
-    flows: Vec<Flow>,
+    /// What one step of this run moves over each fabric link (`None` on
+    /// scalar pools), shared by every run with the same footprint.
+    link_bytes: Option<Arc<[LinkBytes]>>,
     /// Shared with the campaign's decomposition cache — repeat placements
     /// of the same (pool, model, ranks) never rebuild or clone the RCB.
     prepared: Arc<PreparedRun>,
@@ -428,6 +480,10 @@ struct SchedObs {
     admitted: Arc<Counter>,
     rejected: Arc<Counter>,
     slices: Arc<Counter>,
+    /// Slices priced on a routed pool, and how many of those pricings
+    /// had to run a fabric exchange (the rest found their set priced).
+    contention_slices: Arc<Counter>,
+    contention_exchanges: Arc<Counter>,
     guard_kills: Arc<Counter>,
     faults: Arc<Counter>,
     retries: Arc<Counter>,
@@ -452,6 +508,8 @@ impl SchedObs {
             admitted: registry.counter("sched.placements"),
             rejected: registry.counter("sched.jobs.rejected"),
             slices: registry.counter("sched.slices"),
+            contention_slices: registry.counter("sched.contention.slices"),
+            contention_exchanges: registry.counter("sched.contention.exchanges"),
             guard_kills: registry.counter("sched.guard_kills"),
             faults: registry.counter("sched.faults"),
             retries: registry.counter("sched.retries"),
@@ -497,7 +555,17 @@ pub struct Campaign {
     /// `PreparedRun` cache keyed by (pool, model id, ranks) — the RCB
     /// decomposition behind a placement is deterministic per key, so
     /// repeat placements share one `Arc`.
-    prepared: BTreeMap<(usize, u32, usize), Arc<PreparedRun>>,
+    prepared: BTreeMap<PrepKey, Arc<PreparedRun>>,
+    /// Per-link bytes per step of every footprint placed so far.
+    link_bytes: BTreeMap<Footprint, Arc<[LinkBytes]>>,
+    /// Contention prices: a routed pool's active footprints, sorted →
+    /// every member's per-task internodal seconds, in key order. Halo
+    /// traffic repeats every step, so what co-scheduled runs cost each
+    /// other is a function of the set alone — one `fabric::exchange`
+    /// per distinct set serves every slice any member starts under it.
+    /// The key names its pool (`PrepKey.0`); node sets of one pool are
+    /// disjoint, so the sort order is total.
+    contention: BTreeMap<Vec<Footprint>, Vec<Arc<[f64]>>>,
     /// Jobs that arrived (or retried) and await their first placement
     /// attempt, tried in job-index order on the next dispatch.
     ready: BTreeSet<usize>,
@@ -582,6 +650,8 @@ impl Campaign {
             model_workloads: Vec::new(),
             pool_options: BTreeMap::new(),
             prepared: BTreeMap::new(),
+            link_bytes: BTreeMap::new(),
+            contention: BTreeMap::new(),
             ready: BTreeSet::new(),
             freed_pools: BTreeSet::new(),
             placements: Vec::new(),
@@ -927,13 +997,15 @@ impl Campaign {
             self.prepared.insert(prep_key, Arc::new(built));
         }
         let prepared = Arc::clone(&self.prepared[&prep_key]);
-        // The run's contention footprint: its Eq. 9 flows on its physical
-        // nodes. Tagged by job so fabric traces stay attributable.
-        let flows = if matches!(comm, CommModel::Routed(_)) {
-            prepared.flows(&node_ids, (job_idx as u64) << 32)
-        } else {
-            Vec::new()
-        };
+        let link_bytes = self.pools[chosen.pool_idx].topology.as_ref().map(|(_, topology)| {
+            Arc::clone(
+                self.link_bytes
+                    .entry((prep_key, node_ids.clone()))
+                    .or_insert_with(|| {
+                        link_bytes_per_step(topology, &prepared.flows(&node_ids, 0))
+                    }),
+            )
+        });
 
         let max_placement_log = self.config.max_placement_log;
         let placement_ordinal = self.placements_total;
@@ -971,7 +1043,7 @@ impl Campaign {
             ranks: chosen.ranks,
             nodes: chosen.nodes,
             node_ids,
-            flows,
+            link_bytes,
             prepared,
             guard,
             raw_step_pred_s: chosen.raw.step_time_s,
@@ -1091,38 +1163,73 @@ impl Campaign {
         1 + pool_idx
     }
 
+    /// The active footprints of routed pool `pool_idx`, sorted: the key
+    /// its contention prices are stored under.
+    fn active_set(&self, pool_idx: usize) -> Vec<Footprint> {
+        let mut set: Vec<Footprint> = self.pools[pool_idx]
+            .active_jobs
+            .iter()
+            .map(|&j| {
+                let run = self.jobs[j].run.as_ref().expect("active job has a run");
+                ((pool_idx, self.jobs[j].model_id, run.ranks), run.node_ids.clone())
+            })
+            .collect();
+        set.sort_unstable();
+        set
+    }
+
+    /// Per-task internodal seconds per step of `job_idx`'s run under the
+    /// traffic of everything active on its (routed) pool right now.
+    fn contended_inter_s(&mut self, pool_idx: usize, job_idx: usize) -> Arc<[f64]> {
+        self.obs.contention_slices.inc();
+        let set = self.active_set(pool_idx);
+        let node_ids = &self.jobs[job_idx].run.as_ref().expect("slice for idle job").node_ids;
+        let member = set
+            .iter()
+            .position(|(_, ids)| ids == node_ids)
+            .expect("a placed job is in its pool's active set");
+        Arc::clone(&self.set_prices(pool_idx, set)[member])
+    }
+
+    /// Every member's price under `set` on routed pool `pool_idx`, in
+    /// key order. The first slice started under a set prices all its
+    /// members with one exchange; later ones — whichever member asks —
+    /// read the result.
+    fn set_prices(&mut self, pool_idx: usize, set: Vec<Footprint>) -> &[Arc<[f64]>] {
+        match self.contention.entry(set) {
+            Entry::Occupied(priced) => priced.into_mut(),
+            Entry::Vacant(unpriced) => {
+                self.obs.contention_exchanges.inc();
+                let (_, topology) = self.pools[pool_idx].topology.as_ref().expect("routed pool");
+                let members: Vec<(&PreparedRun, &[usize])> = unpriced
+                    .key()
+                    .iter()
+                    .map(|(prep_key, ids)| (&*self.prepared[prep_key], ids.as_slice()))
+                    .collect();
+                let prices = routed_set_comm(topology, &members)
+                    .into_iter()
+                    .map(|routed| routed.per_task_inter_s.into())
+                    .collect();
+                unpriced.insert(prices)
+            }
+        }
+    }
+
     fn schedule_slice(&mut self, job_idx: usize) {
         let seed_base = self.config.seed;
         let fault_rate = self.config.fault_rate_per_node_hour;
         let slice_cap = self.config.slice_steps.max(1);
         let clock = self.clock_s;
 
-        // Contention context first (immutable pass): on a routed pool,
-        // every *other* active job's cached flows become background
-        // traffic on the shared fabric. Job-index order via the pool's
-        // `active_jobs` set keeps the flow list — and therefore the
-        // fair-share arithmetic — identical at any shard count.
         let pool_idx = self.jobs[job_idx]
             .run
             .as_ref()
             .expect("slice for idle job")
             .pool_idx;
-        let background: Vec<Flow> = match &self.pools[pool_idx].topology {
-            Some(_) => self.pools[pool_idx]
-                .active_jobs
-                .iter()
-                .filter(|&&j| j != job_idx)
-                .flat_map(|&j| {
-                    self.jobs[j]
-                        .run
-                        .as_ref()
-                        .map_or(&[][..], |r| r.flows.as_slice())
-                        .iter()
-                        .copied()
-                })
-                .collect(),
-            None => Vec::new(),
-        };
+        let contended_inter_s = self.pools[pool_idx]
+            .topology
+            .is_some()
+            .then(|| self.contended_inter_s(pool_idx, job_idx));
 
         let job = &mut self.jobs[job_idx];
         let attempt = job.attempts;
@@ -1132,15 +1239,11 @@ impl Campaign {
 
         let noise_seed =
             derive_seed(&[seed_base, job_idx as u64, attempt as u64, run.slice_idx, 0x51]);
-        let sim = match &self.pools[pool_idx].topology {
-            Some((_, topology)) => run.prepared.run_slice_contended(
-                steps,
-                noise_seed,
-                clock / 3600.0,
-                topology,
-                &run.node_ids,
-                &background,
-            ),
+        let sim = match &contended_inter_s {
+            Some(inter_s) => {
+                run.prepared
+                    .run_slice_priced(steps, noise_seed, clock / 3600.0, inter_s)
+            }
             None => run.prepared.run_slice(steps, noise_seed, clock / 3600.0),
         };
 
@@ -1268,26 +1371,13 @@ impl Campaign {
             SliceEnd::Ran => {
                 job.completed_steps += pending.steps;
                 let pool_idx = run.pool_idx;
-                // Per-link byte accounting for completed slices: each
-                // flow's bytes cross every link of its route once per
-                // step (forwarded) and arrive at the final link
-                // (delivered). Comm bytes are integral (points × 152),
-                // so the u64 arithmetic is exact and the delivered
-                // family sums to the Eq. 9 graph total exactly.
-                if let Some((_, topology)) = &self.pools[pool_idx].topology {
-                    let forwarded = &self.obs.fabric_forwarded[pool_idx];
-                    let delivered = &self.obs.fabric_delivered[pool_idx];
-                    for flow in &run.flows {
-                        debug_assert_eq!(flow.bytes.fract(), 0.0, "non-integral comm bytes");
-                        let bytes = (flow.bytes as u64) * pending.steps;
-                        let route = topology.get_route(flow.src, flow.dst);
-                        for &link in route {
-                            forwarded[link].add(bytes);
-                        }
-                        if let Some(&last) = route.last() {
-                            delivered[last].add(bytes);
-                        }
-                    }
+                // Per-link byte accounting for completed slices: every
+                // step of the slice moved the footprint's bytes once.
+                for per_step in run.link_bytes.as_deref().unwrap_or_default() {
+                    self.obs.fabric_forwarded[pool_idx][per_step.link]
+                        .add(per_step.forwarded * pending.steps);
+                    self.obs.fabric_delivered[pool_idx][per_step.link]
+                        .add(per_step.delivered * pending.steps);
                 }
                 let ranks = run.ranks;
                 let nodes = run.nodes;
@@ -1578,6 +1668,112 @@ mod tests {
             let p = fault_probability(expected_faults(rate, nodes, dur));
             assert!((0.0..=1.0).contains(&p), "p = {p} at rate {rate} dur {dur}");
         }
+    }
+
+    /// The contention memo's contract: a stored value is a pure function
+    /// of its key. Every entry of a routed campaign is re-derived from
+    /// its key alone — through a fresh set exchange (bitwise, per task)
+    /// and through the single-victim oracle `run_slice_contended` — and
+    /// keys that differ in one member's nodes or ranks hold different
+    /// values.
+    #[test]
+    fn contention_prices_are_a_pure_function_of_the_active_set() {
+        use hemocloud_core::dashboard::Objective;
+        use hemocloud_geometry::anatomy::CylinderSpec;
+
+        // 8-node spread pool, 4 racks (rack = id % 4); 12 and 16 ranks
+        // both take 2 of its 8-core nodes. The small cylinder is placed
+        // at 12 ranks, the larger at 16.
+        let mut campaign = Campaign::new(
+            CampaignConfig {
+                rank_options: vec![12, 16],
+                slice_steps: 40_000,
+                ..CampaignConfig::default()
+            },
+            vec![PoolSpec {
+                platform: Platform::csp2_small(),
+                nodes: 8,
+                overheads: Overheads::default(),
+                topology: Some(TopologyVariant::Spread),
+            }],
+        );
+        let grids = [8, 16].map(|res| CylinderSpec::default().with_resolution(res).build());
+        for i in 0..18usize {
+            campaign.submit(JobSpec {
+                name: format!("job-{i:02}"),
+                workload: Arc::new(Workload::harvey(
+                    &grids[i % 2],
+                    100_000 + 20_000 * (i as u64 % 3),
+                )),
+                model_key: format!("cyl{}", i % 2),
+                objective: Objective::MinCost,
+                tolerance: 20.0,
+                budget_dollars: 500.0,
+                max_retries: 0,
+                checkpoint_steps: 40_000,
+                hidden_steps_factor: 1.0,
+                submit_s: 0.0,
+            });
+        }
+        let report = campaign.run();
+        assert_eq!(report.completed, 18);
+
+        let snap = campaign.obs_snapshot();
+        let slices = snap.counter("sched.contention.slices").unwrap();
+        let exchanges = snap.counter("sched.contention.exchanges").unwrap();
+        assert_eq!(slices, snap.counter("sched.slices").unwrap(), "one routed pool");
+        assert_eq!(exchanges as usize, campaign.contention.len());
+        assert!(exchanges < slices, "{exchanges} exchanges for {slices} slices: sets must recur");
+        assert!(campaign.contention.keys().any(|set| set.len() > 1));
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (_, topology) = campaign.pools[0].topology.as_ref().unwrap();
+        for (set, prices) in &campaign.contention {
+            assert!(set.windows(2).all(|w| w[0] < w[1]), "key not sorted: {set:?}");
+            let members: Vec<(&PreparedRun, &[usize])> = set
+                .iter()
+                .map(|(prep_key, ids)| (&*campaign.prepared[prep_key], ids.as_slice()))
+                .collect();
+            let fresh = routed_set_comm(topology, &members);
+            for (victim, &(run, ids)) in members.iter().enumerate() {
+                assert_eq!(bits(&prices[victim]), bits(&fresh[victim].per_task_inter_s));
+                let background: Vec<Flow> = members
+                    .iter()
+                    .enumerate()
+                    .filter(|&(other, _)| other != victim)
+                    .flat_map(|(_, &(r, other_ids))| r.flows(other_ids, 0))
+                    .collect();
+                assert_eq!(
+                    run.run_slice_priced(1_000, 9, 1.5, &prices[victim]),
+                    run.run_slice_contended(1_000, 9, 1.5, topology, ids, &background),
+                    "member {victim} of {set:?}"
+                );
+            }
+        }
+
+        // Key completeness, on sets written by hand: the victim on nodes
+        // {0, 1} with a neighbour that shares its racks ({4, 5}), one
+        // that does not ({2, 3}), and one on the same nodes at other ranks.
+        let r16 = *campaign.prepared.keys().find(|k| k.2 == 16).expect("16 ranks placed");
+        let r12 = (r16.0, r16.1, 12); // same pool, same model, other ranks
+        let workload = &campaign.model_workloads[r16.1 as usize];
+        let at_12 = PreparedRun::from_census(
+            &Platform::csp2_small(),
+            workload.census(12).unwrap(),
+            &workload.kernel,
+            workload.profile.boundary_point_bytes,
+            &Overheads::default(),
+            CommModel::Routed(TopologyVariant::Spread),
+        )
+        .unwrap();
+        campaign.prepared.insert(r12, Arc::new(at_12));
+        let mut victim_price = |neighbour: Footprint| -> Vec<u64> {
+            let set = vec![(r16, vec![0, 1]), neighbour];
+            bits(&campaign.set_prices(0, set)[0])
+        };
+        let shared_racks = victim_price((r16, vec![4, 5]));
+        assert_ne!(shared_racks, victim_price((r16, vec![2, 3])), "node ids are in the key");
+        assert_ne!(shared_racks, victim_price((r12, vec![4, 5])), "ranks are in the key");
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //!
 //! * `check` — spawns the six generators (`bench_baseline`, `campaign`,
 //!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
-//!   `OUT_DIR` set to `target/check/<run>/`, at `RT_BENCH_FAST=1` and the
-//!   worker counts of the table in `SMOKE_RUNS`; then
-//!   gates the six committed artifacts in the current directory, including
-//!   the one-revision stamp gate and the fresh-vs-committed perf gate.
+//!   `OUT_DIR` set to `target/check/<run>/` and the environment of the
+//!   table in `SMOKE_RUNS`; then gates the six committed artifacts in
+//!   the current directory, including the one-revision stamp gate and
+//!   the fresh-vs-committed perf gate.
 //! * `check --regen` — runs the six generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
@@ -33,13 +33,13 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("bench_w8_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
     ("campaign_a", "campaign", ""),
     ("campaign_b", "campaign", ""),
-    ("fabric_t1", "fabric_demo", "RT_POOL_THREADS=1"),
-    ("fabric_t8", "fabric_demo", "RT_POOL_THREADS=8"),
+    ("fabric_a", "fabric_demo", ""),
+    ("fabric_b", "fabric_demo", ""),
     ("sched", "bench_sched", "RT_BENCH_FAST=1"),
-    ("eval_t1", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
-    ("eval_t8", "eval_campaign", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
-    ("repro_t1", "repro", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
-    ("repro_t8", "repro", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
+    ("eval_a", "eval_campaign", "RT_BENCH_FAST=1"),
+    ("eval_b", "eval_campaign", "RT_BENCH_FAST=1"),
+    ("repro_a", "repro", "RT_BENCH_FAST=1"),
+    ("repro_b", "repro", "RT_BENCH_FAST=1"),
 ];
 
 /// The smoke `BENCH_lbm.json` that is also the fresh side of the perf gate.
@@ -53,27 +53,28 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
     ("campaign_a/CAMPAIGN_sched.json", &[gate_campaign]),
     ("campaign_a/OBS_campaign.json", &[gate_obs]),
-    ("fabric_t1/CAMPAIGN_fabric.json", &[gate_fabric]),
-    ("fabric_t1/OBS_fabric.json", &[gate_obs]),
+    ("fabric_a/CAMPAIGN_fabric.json", &[gate_fabric]),
+    ("fabric_a/OBS_fabric.json", &[gate_obs]),
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
     ("sched/SCHED_det.shard1.json", &[gate_finite]),
-    ("eval_t1/EVAL_campaign.json", &[gate_eval]),
-    ("repro_t1/REPRO.json", &[gate_repro]),
+    ("eval_a/EVAL_campaign.json", &[gate_eval]),
+    ("repro_a/REPRO.json", &[gate_repro]),
 ];
 
 /// Smoke artifacts that must agree byte for byte: reruns at the same
-/// settings (`_a`/`_b`), worker counts 1 and 8 (`_t1`/`_t8`), and event
-/// shard counts 1, 2 and 4.
+/// settings (`_a`/`_b`) and event shard counts 1, 2 and 4. Only
+/// `bench_baseline` reaches `rt::pool`, so only its rows set a worker
+/// count (`_w1`/`_w8`), each width paired with its own rerun.
 #[rustfmt::skip]
 const SMOKE_PAIRS: &[(&str, &str)] = &[
     ("bench_w1_a/OBS_bench.json", "bench_w1_b/OBS_bench.json"),
     ("bench_w8_a/OBS_bench.json", "bench_w8_b/OBS_bench.json"),
     ("campaign_a/OBS_campaign.json", "campaign_b/OBS_campaign.json"),
     ("campaign_a/CAMPAIGN_sched.json", "campaign_b/CAMPAIGN_sched.json"),
-    ("fabric_t1/OBS_fabric.json", "fabric_t8/OBS_fabric.json"),
-    ("fabric_t1/CAMPAIGN_fabric.json", "fabric_t8/CAMPAIGN_fabric.json"),
-    ("eval_t1/EVAL_campaign.json", "eval_t8/EVAL_campaign.json"),
-    ("repro_t1/REPRO.json", "repro_t8/REPRO.json"),
+    ("fabric_a/OBS_fabric.json", "fabric_b/OBS_fabric.json"),
+    ("fabric_a/CAMPAIGN_fabric.json", "fabric_b/CAMPAIGN_fabric.json"),
+    ("eval_a/EVAL_campaign.json", "eval_b/EVAL_campaign.json"),
+    ("repro_a/REPRO.json", "repro_b/REPRO.json"),
     ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard2.json"),
     ("sched/SCHED_det.shard1.json", "sched/SCHED_det.shard4.json"),
 ];

@@ -10,7 +10,7 @@
 //!   `OBS_fabric.json` go (default: the current directory). The latter is
 //!   the campaign's metrics snapshot — including the
 //!   `fabric.pool0.link.*` per-link byte counter families — as
-//!   deterministic JSON, which `check` compares across worker counts.
+//!   deterministic JSON, which `check` compares across reruns.
 //!
 //! The binary exits non-zero unless every acceptance property holds
 //! (all but 3 and 6 are `gates::gate_fabric`, run on the record it
@@ -38,21 +38,10 @@ use hemocloud_cluster::topology::{CommModel, TopologyVariant};
 use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_obs::json::Value;
-use hemocloud_obs::{Render, Sample, Snapshot};
+use hemocloud_obs::Render;
 use hemocloud_sched::{
     fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo, Campaign,
 };
-
-/// Sum a `fabric.pool0.link.*` counter family out of the snapshot.
-fn link_family_total(snap: &Snapshot, prefix: &str) -> u64 {
-    let mut total = 0u64;
-    let mut i = 0usize;
-    while let Some(Sample::Counter(v)) = snap.get(&format!("{prefix}.{i}")) {
-        total += v;
-        i += 1;
-    }
-    total
-}
 
 fn main() {
     let seed: u64 = std::env::var("FABRIC_SEED")
@@ -80,8 +69,8 @@ fn main() {
         .iter()
         .map(|j| j.workload.steps * per_step_bytes)
         .sum();
-    let delivered = link_family_total(&obs, "fabric.pool0.link.delivered_bytes");
-    let forwarded = link_family_total(&obs, "fabric.pool0.link.forwarded_bytes");
+    let delivered = obs.counter_family_total("fabric.pool0.link.delivered_bytes");
+    let forwarded = obs.counter_family_total("fabric.pool0.link.forwarded_bytes");
 
     // Shard invariance: the shared-fabric contention context must not
     // observe event-queue layout.
@@ -127,7 +116,7 @@ fn main() {
 
     let mut stamp = provenance::stamp();
     stamp.extend([
-        ("fabric_topology", Value::Str("spread".into())),
+        ("fabric_topology", Value::Str(prepared.comm_model().name().into())),
         ("fabric_eq9_bytes", Value::UInt(eq9_bytes)),
         ("fabric_delivered_bytes", Value::UInt(delivered)),
         ("fabric_forwarded_bytes", Value::UInt(forwarded)),

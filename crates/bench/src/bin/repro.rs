@@ -6,10 +6,10 @@
 //! * `OUT_DIR=<dir>` is where `REPRO.json` goes (default: the current
 //!   directory, i.e. the committed record when run from the repo root).
 //! * `RT_BENCH_FAST=1` runs the smoke sizes `check` compares across
-//!   worker counts; the committed record is full size.
+//!   reruns; the committed record is full size.
 //!
 //! Every number comes from the simulator at seed 2023, so the record is
-//! byte-identical across reruns, machines and `RT_POOL_THREADS`.
+//! byte-identical across reruns and machines.
 //! `repro all` runs `gates::gate_repro` on what it writes and exits
 //! non-zero on a check that does not hold or a comparison outside its
 //! tolerance; `repro <id>` only prints (a failing check reads `[FAILS]`).

@@ -24,10 +24,9 @@ use crate::memory;
 use crate::network::{message_time_s, LinkKind};
 use crate::noise::NoiseProcess;
 use crate::platform::Platform;
-use crate::topology::{build_topology, routed_task_comm, CommModel, Member, PlatformTopology};
+use crate::topology::{build_topology, routed_task_comm, CommModel, Member};
 use hemocloud_decomp::census::CensusEntry;
-use hemocloud_decomp::halo::DecompAnalysis;
-use hemocloud_fabric::Flow;
+use hemocloud_fabric::{Flow, Topology};
 use hemocloud_decomp::placement::Placement;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_geometry::voxel::VoxelGrid;
@@ -105,22 +104,6 @@ pub fn kernel_cpu_efficiency(config: &KernelConfig) -> f64 {
     layout * loop_structure
 }
 
-/// A fully described workload ready for timing.
-#[derive(Debug, Clone)]
-pub struct WorkloadTiming<'a> {
-    /// Communication census of the decomposition.
-    pub analysis: &'a DecompAnalysis,
-    /// Task-to-node placement.
-    pub placement: &'a Placement,
-    /// Counted (model-level) bytes per task per step (Eq. 9).
-    pub task_bytes: &'a [f64],
-    /// Bytes exchanged per boundary point per message (profile's
-    /// `n_point_comm_bytes`).
-    pub comm_bytes_per_point: f64,
-    /// Timesteps to run.
-    pub steps: u64,
-}
-
 /// The outcome of a simulated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatedRun {
@@ -140,129 +123,6 @@ pub struct SimulatedRun {
     pub nodes_used: usize,
     /// The noise factor applied.
     pub noise_factor: f64,
-}
-
-/// Time a workload on a platform.
-///
-/// `time_h` is the wall-clock hour of the run (temporally correlated noise
-/// — the Table IV study samples every 6 hours); `seed` fixes the noise
-/// stream.
-///
-/// # Panics
-/// Panics if the placement spans more nodes than the platform has, or if
-/// array lengths disagree.
-pub fn simulate(
-    platform: &Platform,
-    workload: &WorkloadTiming<'_>,
-    overheads: &Overheads,
-    seed: u64,
-    time_h: f64,
-) -> SimulatedRun {
-    simulate_with_comm(platform, workload, overheads, seed, time_h, None)
-}
-
-/// [`simulate`] with an optional routed-fabric override for the
-/// internodal term: when `inter_override` is `Some`, task `t`'s
-/// internodal communication time is `inter_override[t]` (computed by
-/// `topology::routed_set_comm` or `routed_task_comm`) instead of the
-/// scalar Eq. 12/13 serialized sum. Memory, intranodal and sync terms are identical in
-/// both modes.
-fn simulate_with_comm(
-    platform: &Platform,
-    workload: &WorkloadTiming<'_>,
-    overheads: &Overheads,
-    seed: u64,
-    time_h: f64,
-    inter_override: Option<&[f64]>,
-) -> SimulatedRun {
-    let n_tasks = workload.analysis.n_tasks;
-    assert_eq!(workload.task_bytes.len(), n_tasks, "task_bytes length");
-    assert_eq!(workload.placement.n_tasks(), n_tasks, "placement size");
-    let nodes_used = workload.placement.n_nodes();
-    assert!(
-        nodes_used <= platform.max_nodes(),
-        "{} nodes requested, platform {} has {}",
-        nodes_used,
-        platform.abbrev,
-        platform.max_nodes()
-    );
-
-    let tasks_per_node = workload.placement.tasks_per_node();
-
-    let mut worst_total = 0.0f64;
-    let mut critical = (0.0, 0.0, 0.0);
-    for task in 0..n_tasks {
-        let node = workload.placement.node_of(task);
-        // Co-tenants saturate memory channels alongside our ranks: the
-        // node curve is evaluated at the total active core count and our
-        // task gets one even share of it.
-        let on_node = (tasks_per_node[node] + overheads.cotenant_cores_per_node)
-            .min(platform.cores_per_node)
-            .max(1);
-        let t_mem = memory::memory_time_s(
-            platform,
-            on_node,
-            workload.task_bytes[task] * overheads.memory_traffic_factor,
-            overheads.lbm_bandwidth_efficiency,
-        );
-
-        let mut t_intra = 0.0;
-        let mut t_inter = 0.0;
-        for (&peer, &points) in &workload.analysis.messages[task] {
-            let bytes = points as f64 * workload.comm_bytes_per_point;
-            let kind = if workload.placement.is_internodal(task, peer) {
-                LinkKind::Internodal
-            } else {
-                LinkKind::Intranodal
-            };
-            if kind == LinkKind::Internodal && inter_override.is_some() {
-                continue; // priced by the fabric below
-            }
-            // Send and matching receive, serialized per task (the paper's
-            // factor of two in Eq. 13).
-            let t = 2.0 * message_time_s(
-                platform,
-                kind,
-                bytes,
-                overheads.message_software_overhead_us,
-            );
-            match kind {
-                LinkKind::Intranodal => t_intra += t,
-                LinkKind::Internodal => t_inter += t,
-            }
-        }
-        if let Some(inter) = inter_override {
-            t_inter = inter[task];
-        }
-
-        let total = t_mem + t_intra + t_inter;
-        if total > worst_total {
-            worst_total = total;
-            critical = (t_mem, t_intra, t_inter);
-        }
-    }
-
-    let mut noise = NoiseProcess::new(platform.noise_cv, seed);
-    let noise_factor = noise.factor_at(time_h);
-    let step_time_s =
-        (worst_total + overheads.step_sync_overhead_us * 1e-6) * noise_factor;
-    let total_time_s = step_time_s * workload.steps as f64;
-    let updates = workload.analysis.total_points as f64 * workload.steps as f64;
-
-    SimulatedRun {
-        step_time_s,
-        total_time_s,
-        mflups: if total_time_s > 0.0 {
-            updates / total_time_s / 1e6
-        } else {
-            0.0
-        },
-        critical_mem_s: critical.0,
-        critical_intra_s: critical.1,
-        critical_inter_s: critical.2,
-        nodes_used,
-        noise_factor,
-    }
 }
 
 /// A decomposed workload pinned to one platform, ready to run in
@@ -289,7 +149,7 @@ pub struct PreparedRun {
     comm: CommModel,
     /// Own-topology instance for standalone routed runs (identity node
     /// map, sized to this run's node count).
-    topology: Option<PlatformTopology>,
+    topology: Option<Topology>,
     /// Cached isolated per-task internodal comm seconds (routed mode).
     routed_inter_s: Option<Vec<f64>>,
 }
@@ -359,7 +219,15 @@ impl PreparedRun {
         if ranks > platform.total_cores {
             return None;
         }
+        assert_eq!(census.task_bytes.len(), ranks, "task_bytes length");
         let placement = Placement::contiguous(ranks, platform.cores_per_node);
+        assert!(
+            placement.n_nodes() <= platform.max_nodes(),
+            "{} nodes requested, platform {} has {}",
+            placement.n_nodes(),
+            platform.abbrev,
+            platform.max_nodes()
+        );
         let overheads = Overheads {
             lbm_bandwidth_efficiency: overheads.lbm_bandwidth_efficiency
                 * kernel_cpu_efficiency(config),
@@ -416,7 +284,7 @@ impl PreparedRun {
 
     /// The run's own topology instance (routed mode only): the fabric its
     /// isolated comm cache was computed against.
-    pub fn topology(&self) -> Option<&PlatformTopology> {
+    pub fn topology(&self) -> Option<&Topology> {
         self.topology.as_ref()
     }
 
@@ -488,7 +356,7 @@ impl PreparedRun {
         steps: u64,
         seed: u64,
         time_h: f64,
-        topology: &PlatformTopology,
+        topology: &Topology,
         node_map: &[usize],
         background: &[Flow],
     ) -> SimulatedRun {
@@ -504,15 +372,99 @@ impl PreparedRun {
         self.run_slice_priced(steps, seed, time_h, &routed.per_task_inter_s)
     }
 
-    fn timed(&self, steps: u64, seed: u64, time_h: f64, inter: Option<&[f64]>) -> SimulatedRun {
-        let workload = WorkloadTiming {
-            analysis: &self.census.analysis,
-            placement: &self.placement,
-            task_bytes: &self.census.task_bytes,
-            comm_bytes_per_point: self.comm_bytes_per_point,
-            steps,
-        };
-        simulate_with_comm(&self.platform, &workload, &self.overheads, seed, time_h, inter)
+    /// The timing engine: the per-step maximum over tasks of memory +
+    /// intranodal + internodal time (module docs), plus the sync
+    /// overhead, scaled by the noise factor at wall-clock hour `time_h`
+    /// (`seed` fixes the noise stream). With `inter_override`, task
+    /// `t`'s internodal term is `inter_override[t]` — a fabric price —
+    /// instead of the scalar Eq. 12/13 serialized sum; memory,
+    /// intranodal and sync terms are identical in both modes.
+    fn timed(
+        &self,
+        steps: u64,
+        seed: u64,
+        time_h: f64,
+        inter_override: Option<&[f64]>,
+    ) -> SimulatedRun {
+        let platform = &self.platform;
+        let overheads = &self.overheads;
+        let analysis = &self.census.analysis;
+        let tasks_per_node = self.placement.tasks_per_node();
+
+        let mut worst_total = 0.0f64;
+        let mut critical = (0.0, 0.0, 0.0);
+        for task in 0..analysis.n_tasks {
+            let node = self.placement.node_of(task);
+            // Co-tenants saturate memory channels alongside our ranks: the
+            // node curve is evaluated at the total active core count and our
+            // task gets one even share of it.
+            let on_node = (tasks_per_node[node] + overheads.cotenant_cores_per_node)
+                .min(platform.cores_per_node)
+                .max(1);
+            let t_mem = memory::memory_time_s(
+                platform,
+                on_node,
+                self.census.task_bytes[task] * overheads.memory_traffic_factor,
+                overheads.lbm_bandwidth_efficiency,
+            );
+
+            let mut t_intra = 0.0;
+            let mut t_inter = 0.0;
+            for (&peer, &points) in &analysis.messages[task] {
+                let bytes = points as f64 * self.comm_bytes_per_point;
+                let kind = if self.placement.is_internodal(task, peer) {
+                    LinkKind::Internodal
+                } else {
+                    LinkKind::Intranodal
+                };
+                if kind == LinkKind::Internodal && inter_override.is_some() {
+                    continue; // priced by the fabric below
+                }
+                // Send and matching receive, serialized per task (the paper's
+                // factor of two in Eq. 13).
+                let t = 2.0 * message_time_s(
+                    platform,
+                    kind,
+                    bytes,
+                    overheads.message_software_overhead_us,
+                );
+                match kind {
+                    LinkKind::Intranodal => t_intra += t,
+                    LinkKind::Internodal => t_inter += t,
+                }
+            }
+            if let Some(inter) = inter_override {
+                t_inter = inter[task];
+            }
+
+            let total = t_mem + t_intra + t_inter;
+            if total > worst_total {
+                worst_total = total;
+                critical = (t_mem, t_intra, t_inter);
+            }
+        }
+
+        let mut noise = NoiseProcess::new(platform.noise_cv, seed);
+        let noise_factor = noise.factor_at(time_h);
+        let step_time_s =
+            (worst_total + overheads.step_sync_overhead_us * 1e-6) * noise_factor;
+        let total_time_s = step_time_s * steps as f64;
+        let updates = analysis.total_points as f64 * steps as f64;
+
+        SimulatedRun {
+            step_time_s,
+            total_time_s,
+            mflups: if total_time_s > 0.0 {
+                updates / total_time_s / 1e6
+            } else {
+                0.0
+            },
+            critical_mem_s: critical.0,
+            critical_intra_s: critical.1,
+            critical_inter_s: critical.2,
+            nodes_used: self.nodes(),
+            noise_factor,
+        }
     }
 }
 

@@ -28,8 +28,8 @@ pub mod pricing;
 pub mod stream_bench;
 pub mod topology;
 
-pub use exec::{PreparedRun, SimulatedRun, WorkloadTiming};
+pub use exec::{PreparedRun, SimulatedRun};
 pub use platform::Platform;
 pub use pool::NodePool;
 pub use pricing::PriceSheet;
-pub use topology::{build_topology, CommModel, PlatformTopology, TopologyVariant};
+pub use topology::{build_topology, CommModel, TopologyVariant};

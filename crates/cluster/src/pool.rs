@@ -14,21 +14,16 @@ use std::collections::BTreeSet;
 /// A bounded allocation of whole nodes on one platform.
 ///
 /// Nodes carry stable *physical ids* `0..nodes_total` so a route-aware
-/// fabric can map a job's ranks onto concrete topology nodes: the
-/// id-based [`NodePool::try_alloc_ids`]/[`NodePool::release_ids`] pair
-/// hands out the lowest free ids first (deterministic across reruns and
-/// shard counts), while the count-based [`NodePool::try_alloc`]/
-/// [`NodePool::release`] pair keeps the original anonymous interface for
-/// callers that never look at the topology.
+/// fabric can map a job's ranks onto concrete topology nodes:
+/// [`NodePool::try_alloc_ids`] hands out the lowest free ids first
+/// (deterministic across reruns and shard counts) and
+/// [`NodePool::release_ids`] takes them back.
 #[derive(Debug, Clone)]
 pub struct NodePool {
     /// The platform the nodes belong to.
     pub platform: Platform,
     nodes_total: usize,
     free: BTreeSet<usize>,
-    /// Ids handed out through the anonymous count-based interface, in
-    /// allocation order (released LIFO).
-    anon_busy: Vec<usize>,
     busy_node_seconds: f64,
     peak_nodes_busy: usize,
 }
@@ -46,7 +41,6 @@ impl NodePool {
             platform,
             nodes_total: capped,
             free: (0..capped).collect(),
-            anon_busy: Vec::new(),
             busy_node_seconds: 0.0,
             peak_nodes_busy: 0,
         }
@@ -88,18 +82,6 @@ impl NodePool {
         Some(ids)
     }
 
-    /// Try to allocate `nodes` anonymous nodes now. Returns `false` (and
-    /// changes nothing) when fewer are free.
-    pub fn try_alloc(&mut self, nodes: usize) -> bool {
-        match self.try_alloc_ids(nodes) {
-            Some(ids) => {
-                self.anon_busy.extend(ids);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// High-water mark of simultaneously busy nodes over the pool's
     /// lifetime — how much of a reserved allocation the campaign ever
     /// actually needed at once.
@@ -129,24 +111,6 @@ impl NodePool {
         self.busy_node_seconds += ids.len() as f64 * held_seconds;
     }
 
-    /// Return `nodes` anonymously allocated nodes held for
-    /// `held_seconds` of simulated time.
-    ///
-    /// # Panics
-    /// Panics when releasing more nodes than are busy or on a negative
-    /// hold time.
-    pub fn release(&mut self, nodes: usize, held_seconds: f64) {
-        assert!(
-            nodes <= self.anon_busy.len(),
-            "releasing {nodes} nodes, only {} busy on {}",
-            self.anon_busy.len(),
-            self.platform.abbrev
-        );
-        let at = self.anon_busy.len() - nodes;
-        let ids: Vec<usize> = self.anon_busy.split_off(at);
-        self.release_ids(&ids, held_seconds);
-    }
-
     /// Accumulated busy node-seconds over every completed allocation.
     pub fn busy_node_seconds(&self) -> f64 {
         self.busy_node_seconds
@@ -172,11 +136,11 @@ mod tests {
     fn alloc_and_release_round_trip() {
         let mut pool = NodePool::new(Platform::csp2(), 3);
         assert_eq!(pool.nodes_total(), 3);
-        assert!(pool.try_alloc(2));
+        let ids = pool.try_alloc_ids(2).unwrap();
         assert_eq!(pool.nodes_free(), 1);
         assert_eq!(pool.nodes_busy(), 2);
-        assert!(!pool.try_alloc(2), "only one node free");
-        pool.release(2, 100.0);
+        assert!(pool.try_alloc_ids(2).is_none(), "only one node free");
+        pool.release_ids(&ids, 100.0);
         assert_eq!(pool.nodes_free(), 3);
         hemocloud_rt::float::assert_close(pool.busy_node_seconds(), 200.0, 0.0, 2);
     }
@@ -185,11 +149,11 @@ mod tests {
     fn peak_busy_is_a_high_water_mark() {
         let mut pool = NodePool::new(Platform::csp2(), 4);
         assert_eq!(pool.peak_nodes_busy(), 0);
-        assert!(pool.try_alloc(1));
-        assert!(pool.try_alloc(2));
+        let a = pool.try_alloc_ids(1).unwrap();
+        let b = pool.try_alloc_ids(2).unwrap();
         assert_eq!(pool.peak_nodes_busy(), 3);
-        pool.release(3, 10.0);
-        assert!(pool.try_alloc(1));
+        pool.release_ids(&[a, b].concat(), 10.0);
+        assert!(pool.try_alloc_ids(1).is_some());
         assert_eq!(pool.peak_nodes_busy(), 3, "peak survives release");
     }
 
@@ -206,8 +170,8 @@ mod tests {
     #[test]
     fn utilization_over_a_horizon() {
         let mut pool = NodePool::new(Platform::csp1(), 2);
-        assert!(pool.try_alloc(1));
-        pool.release(1, 50.0);
+        let ids = pool.try_alloc_ids(1).unwrap();
+        pool.release_ids(&ids, 50.0);
         // 50 node-seconds of 2 nodes × 100 s capacity.
         hemocloud_rt::float::assert_close(pool.utilization(100.0), 0.25, 0.0, 2);
         assert_eq!(pool.utilization(0.0), 0.0);
@@ -216,15 +180,8 @@ mod tests {
     #[test]
     fn zero_alloc_is_refused() {
         let mut pool = NodePool::new(Platform::trc(), 2);
-        assert!(!pool.try_alloc(0));
+        assert!(pool.try_alloc_ids(0).is_none());
         assert_eq!(pool.nodes_free(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "releasing")]
-    fn over_release_panics() {
-        let mut pool = NodePool::new(Platform::csp1(), 2);
-        pool.release(1, 0.0);
     }
 
     #[test]
@@ -250,16 +207,5 @@ mod tests {
         let ids = pool.try_alloc_ids(1).unwrap();
         pool.release_ids(&ids, 0.0);
         pool.release_ids(&ids, 0.0);
-    }
-
-    #[test]
-    fn anonymous_and_id_allocations_share_the_pool() {
-        let mut pool = NodePool::new(Platform::csp2_small(), 4);
-        assert!(pool.try_alloc(2)); // takes ids 0, 1 anonymously
-        let ids = pool.try_alloc_ids(2).unwrap();
-        assert_eq!(ids, vec![2, 3]);
-        pool.release(2, 5.0);
-        assert_eq!(pool.nodes_free(), 2);
-        assert_eq!(pool.peak_nodes_busy(), 4);
     }
 }

@@ -28,9 +28,7 @@ use crate::exec::PreparedRun;
 use crate::platform::Platform;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::placement::Placement;
-use hemocloud_fabric::{
-    exchange, FatTree, Flow, Link, LinkId, LinkRates, NodeId, PlacementGroup, Spread, Topology,
-};
+use hemocloud_fabric::{exchange, Flow, LinkRates, Topology};
 
 /// Which interconnect shape a pool runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,49 +88,6 @@ impl CommModel {
     }
 }
 
-/// A concrete platform topology (enum so pools and prepared runs can
-/// clone and store it without trait objects).
-#[derive(Debug, Clone)]
-pub enum PlatformTopology {
-    /// See [`FatTree`].
-    FatTree(FatTree),
-    /// See [`PlacementGroup`].
-    PlacementGroup(PlacementGroup),
-    /// See [`Spread`].
-    Spread(Spread),
-}
-
-impl Topology for PlatformTopology {
-    fn n_nodes(&self) -> usize {
-        match self {
-            PlatformTopology::FatTree(t) => t.n_nodes(),
-            PlatformTopology::PlacementGroup(t) => t.n_nodes(),
-            PlatformTopology::Spread(t) => t.n_nodes(),
-        }
-    }
-    fn links(&self) -> &[Link] {
-        match self {
-            PlatformTopology::FatTree(t) => t.links(),
-            PlatformTopology::PlacementGroup(t) => t.links(),
-            PlatformTopology::Spread(t) => t.links(),
-        }
-    }
-    fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
-        match self {
-            PlatformTopology::FatTree(t) => t.get_route(from, to),
-            PlatformTopology::PlacementGroup(t) => t.get_route(from, to),
-            PlatformTopology::Spread(t) => t.get_route(from, to),
-        }
-    }
-    fn name(&self) -> &'static str {
-        match self {
-            PlatformTopology::FatTree(t) => t.name(),
-            PlatformTopology::PlacementGroup(t) => t.name(),
-            PlatformTopology::Spread(t) => t.name(),
-        }
-    }
-}
-
 /// Fat-tree switch radix used for platform fabrics (8 nodes per leaf,
 /// 8 spines — comfortably covers the TRC's 50-node allocation in two
 /// tiers).
@@ -145,28 +100,20 @@ pub const SPREAD_TRUNK_CAPACITY: f64 = 0.5;
 /// Instantiate `variant` over `n_nodes` nodes of `platform`, mapping the
 /// platform's measured internodal link truth onto per-link rates (see
 /// the module docs for the mapping).
-pub fn build_topology(
-    platform: &Platform,
-    variant: TopologyVariant,
-    n_nodes: usize,
-) -> PlatformTopology {
+pub fn build_topology(platform: &Platform, variant: TopologyVariant, n_nodes: usize) -> Topology {
     let rates = LinkRates {
         bandwidth_mb_s: platform.internodal.bandwidth_mb_s,
         hop_latency_us: platform.internodal.latency_us / 2.0,
     };
     match variant {
-        TopologyVariant::FatTree => {
-            PlatformTopology::FatTree(FatTree::new(n_nodes, FAT_TREE_RADIX, 2, rates))
-        }
-        TopologyVariant::PlacementGroup => {
-            PlatformTopology::PlacementGroup(PlacementGroup::new(n_nodes, rates))
-        }
+        TopologyVariant::FatTree => Topology::fat_tree(n_nodes, FAT_TREE_RADIX, rates),
+        TopologyVariant::PlacementGroup => Topology::placement_group(n_nodes, rates),
         TopologyVariant::Spread => {
             // Half as many racks as nodes (min 2): spread scatters
             // consecutive allocations across racks, so two co-scheduled
             // jobs land rack-interleaved and share trunk links.
             let racks = (n_nodes / 2).max(2);
-            PlatformTopology::Spread(Spread::new(n_nodes, racks, SPREAD_TRUNK_CAPACITY, rates))
+            Topology::spread(n_nodes, racks, SPREAD_TRUNK_CAPACITY, rates)
         }
     }
 }
@@ -260,7 +207,7 @@ pub struct RoutedComm {
 /// (CPU-side cost the fabric does not model). Background deliveries are
 /// computed but not reported — they only shape contention.
 fn route_members(
-    topology: &PlatformTopology,
+    topology: &Topology,
     members: &[Member<'_>],
     background: &[Flow],
 ) -> Vec<RoutedComm> {
@@ -316,7 +263,7 @@ fn route_members(
 /// case of [`routed_set_comm`], and the oracle it is tested against.
 #[allow(clippy::too_many_arguments)] // the timing engine's free variables
 pub fn routed_task_comm(
-    topology: &PlatformTopology,
+    topology: &Topology,
     analysis: &DecompAnalysis,
     placement: &Placement,
     node_map: &[usize],
@@ -346,7 +293,7 @@ pub fn routed_task_comm(
 /// step, so the result is a function of the set alone; a campaign
 /// memoises it by set.
 pub fn routed_set_comm(
-    topology: &PlatformTopology,
+    topology: &Topology,
     members: &[(&PreparedRun, &[usize])],
 ) -> Vec<RoutedComm> {
     let members: Vec<Member<'_>> = members
@@ -382,6 +329,26 @@ mod tests {
         );
         assert_eq!(CommModel::default(), CommModel::Scalar);
         assert_eq!(CommModel::Routed(TopologyVariant::Spread).name(), "spread");
+    }
+
+    /// `TopologyVariant::name` is the one name table reports read. The
+    /// fabric constructor names its shape too (that crate cannot see this
+    /// one), so pin the two to each other, to `CommModel::name`, and to
+    /// the strings `CAMPAIGN_fabric.json` placements and dashboard rows
+    /// already carry.
+    #[test]
+    fn names_agree_across_variant_topology_and_comm_model() {
+        let p = Platform::csp2();
+        for (variant, name) in [
+            (TopologyVariant::FatTree, "fat-tree"),
+            (TopologyVariant::PlacementGroup, "placement-group"),
+            (TopologyVariant::Spread, "spread"),
+        ] {
+            assert_eq!(variant.name(), name);
+            assert_eq!(build_topology(&p, variant, 4).name(), name);
+            assert_eq!(CommModel::Routed(variant).name(), name);
+        }
+        assert_eq!(CommModel::Scalar.name(), "scalar");
     }
 
     #[test]

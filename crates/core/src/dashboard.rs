@@ -13,7 +13,7 @@ use crate::general::GeneralModel;
 use crate::workload::Workload;
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pricing::PriceSheet;
-use hemocloud_cluster::topology::{build_topology, routed_task_comm, TopologyVariant};
+use hemocloud_cluster::topology::{build_topology, routed_task_comm, CommModel, TopologyVariant};
 use hemocloud_decomp::placement::Placement;
 use hemocloud_obs::json::{Layout, Writer};
 
@@ -124,7 +124,7 @@ impl Dashboard {
                         topology: topology.to_string(),
                     });
                 };
-                push(&prediction, "scalar");
+                push(&prediction, CommModel::Scalar.name());
                 for &variant in variants {
                     if let Some(routed) =
                         routed_prediction(platform, workload, ranks, &prediction, variant)

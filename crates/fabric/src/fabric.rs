@@ -82,7 +82,7 @@ enum Phase {
 
 /// Run one exchange of `flows` over `topo`. See the module docs for the
 /// contention and determinism rules.
-pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutcome {
+pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
     let links = topo.links();
     let n_links = links.len();
     let mut forwarded = vec![0.0; n_links];
@@ -231,7 +231,7 @@ pub fn exchange<T: Topology + ?Sized>(topo: &T, flows: &[Flow]) -> ExchangeOutco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{LinkRates, PlacementGroup, Spread};
+    use crate::topology::LinkRates;
 
     const RATES: LinkRates = LinkRates {
         bandwidth_mb_s: 1000.0, // 1e9 B/s
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn single_flow_pays_latency_and_serialization_per_hop() {
-        let t = PlacementGroup::new(2, RATES);
+        let t = Topology::placement_group(2, RATES);
         let out = exchange(&t, &[flow(0, 1, 1_000_000.0)]);
         // Two hops, each 1 µs latency + 1 MB at 1 GB/s = 1 ms.
         let expect = 2.0 * (1.0e-6 + 1.0e6 / 1.0e9);
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn two_flows_on_the_same_path_halve_the_share() {
-        let t = PlacementGroup::new(2, RATES);
+        let t = Topology::placement_group(2, RATES);
         let b = 1_000_000.0;
         let out = exchange(&t, &[flow(0, 1, b), flow(0, 1, b)]);
         // Phase-aligned: both serialize together on both hops at bw/2.
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn disjoint_flows_do_not_interact() {
-        let t = PlacementGroup::new(4, RATES);
+        let t = Topology::placement_group(4, RATES);
         let solo = exchange(&t, &[flow(0, 1, 5e5)]).delivery_s[0];
         let out = exchange(&t, &[flow(0, 1, 5e5), flow(2, 3, 9e5)]);
         assert_eq!(out.delivery_s[0], solo);
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn byte_counters_are_exact_and_conserved() {
-        let t = Spread::new(6, 2, 0.5, RATES);
+        let t = Topology::spread(6, 2, 0.5, RATES);
         let flows: Vec<Flow> = (0..6)
             .flat_map(|a| (0..6).filter(move |&b| b != a).map(move |b| flow(a, b, ((a * 7 + b) * 1024) as f64)))
             .collect();
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn intranode_flows_deliver_instantly() {
-        let t = PlacementGroup::new(2, RATES);
+        let t = Topology::placement_group(2, RATES);
         let out = exchange(&t, &[flow(1, 1, 1e9)]);
         assert_eq!(out.delivery_s[0], 0.0);
         assert!(out.link_delivered_bytes.iter().all(|&b| b == 0.0));
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn zero_and_negative_bytes_are_clamped() {
-        let t = PlacementGroup::new(2, RATES);
+        let t = Topology::placement_group(2, RATES);
         let out = exchange(&t, &[flow(0, 1, 0.0)]);
         // Zero payload still pays per-hop latency.
         assert!((out.delivery_s[0] - 2.0e-6).abs() < 1e-15);
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn reruns_are_bit_identical() {
-        let t = Spread::new(5, 2, 0.7, RATES);
+        let t = Topology::spread(5, 2, 0.7, RATES);
         let flows: Vec<Flow> = (0..5)
             .flat_map(|a| (0..5).filter(move |&b| b != a).map(move |b| flow(a, b, 1.0 + (a * 31 + b * 17) as f64 * 123.25)))
             .collect();
@@ -336,7 +336,7 @@ mod tests {
         // Nodes 0,1 belong to "job A" (racks 0 and 1); nodes 2,3 to
         // "job B". Cross-rack flows of both jobs share the same trunk
         // pair, so adding B's traffic must slow A down.
-        let t = Spread::new(4, 2, 1.0, RATES);
+        let t = Topology::spread(4, 2, 1.0, RATES);
         let a_flows = [flow(0, 1, 2e6), flow(1, 0, 2e6)];
         let isolated = exchange(&t, &a_flows);
         let mut both = a_flows.to_vec();

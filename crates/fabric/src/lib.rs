@@ -11,12 +11,13 @@
 //!
 //! Two layers:
 //!
-//! * [`topology`] — a [`Topology`] trait
-//!   (`get_route(from, to) -> &[LinkId]`) with three concrete shapes:
-//!   [`FatTree`] (configurable radix/levels, the TRC InfiniBand
-//!   fabric), [`PlacementGroup`] (one non-blocking switch — the CSP
-//!   "cluster placement group" guarantee), and [`Spread`] (racks behind
-//!   oversubscribed trunk links — CSP spread placement).
+//! * [`topology`] — one [`Topology`] struct (links plus a dense route
+//!   table, `get_route(from, to) -> &[LinkId]`) with three constructors:
+//!   [`Topology::fat_tree`] (two tiers, configurable radix — the TRC
+//!   InfiniBand fabric), [`Topology::placement_group`] (one non-blocking
+//!   switch — the CSP "cluster placement group" guarantee), and
+//!   [`Topology::spread`] (racks behind oversubscribed trunk links — CSP
+//!   spread placement).
 //! * [`fabric`] — a deterministic discrete-time store-and-forward
 //!   engine: inject one exchange's worth of messages ([`fabric::Flow`]s,
 //!   in practice the Eq. 9 halo message graph), forward each hop-by-hop
@@ -35,4 +36,4 @@ pub mod fabric;
 pub mod topology;
 
 pub use fabric::{exchange, ExchangeOutcome, Flow};
-pub use topology::{FatTree, Link, LinkId, LinkRates, NodeId, PlacementGroup, Spread, Topology};
+pub use topology::{Link, LinkId, LinkRates, NodeId, Topology};

@@ -1,7 +1,7 @@
 //! Interconnect topologies: explicit node/switch graphs with per-link
 //! bandwidth and precomputed routes.
 //!
-//! A topology is a directed multigraph over *vertices* (compute nodes
+//! A [`Topology`] is a directed multigraph over *vertices* (compute nodes
 //! first, then switches) whose edges are [`Link`]s, plus a route table:
 //! `get_route(from, to)` returns the ordered list of link ids a message
 //! traverses from node `from` to node `to`. Routes are precomputed at
@@ -9,16 +9,17 @@
 //! lookup is allocation-free and the fabric engine can borrow routes for
 //! the whole exchange.
 //!
-//! Three concrete shapes cover the paper's platforms:
+//! It is one concrete struct; the shapes differ only in how they are
+//! built. Three constructors cover the paper's platforms:
 //!
-//! * [`FatTree`] — the TRC InfiniBand fabric: a k-ary Clos with
-//!   configurable radix and 2 or 3 levels, full bisection (every tier
-//!   has as many up-ports as down-ports), deterministic spine selection.
-//! * [`PlacementGroup`] — the CSP "cluster placement group" guarantee:
-//!   every node one hop from a single non-blocking switch.
-//! * [`Spread`] — CSP spread placement: consecutive node ids scatter
-//!   round-robin across racks, and all cross-rack traffic squeezes
-//!   through one trunk link pair per rack whose capacity is a
+//! * [`Topology::fat_tree`] — the TRC InfiniBand fabric: a two-tier k-ary
+//!   Clos with configurable radix, full bisection (every leaf has as many
+//!   up-ports as down-ports), deterministic spine selection.
+//! * [`Topology::placement_group`] — the CSP "cluster placement group"
+//!   guarantee: every node one hop from a single non-blocking switch.
+//! * [`Topology::spread`] — CSP spread placement: consecutive node ids
+//!   scatter round-robin across racks, and all cross-rack traffic
+//!   squeezes through one trunk link pair per rack whose capacity is a
 //!   configurable fraction of node bandwidth (the oversubscription).
 //!
 //! All route tables are symmetric in length (`|route(a,b)| ==
@@ -64,46 +65,156 @@ impl Link {
     }
 }
 
-/// A routed interconnect: links plus a per-node-pair route table.
-pub trait Topology {
-    /// Number of compute nodes attached to the fabric.
-    fn n_nodes(&self) -> usize;
+/// The two directions of one cable, as [`Topology::add_duplex`] laid
+/// them: `(a → b, b → a)`.
+type Duplex = (LinkId, LinkId);
 
-    /// Every directed link in the graph, indexed by [`LinkId`].
-    fn links(&self) -> &[Link];
-
-    /// Ordered links a message traverses from node `from` to node `to`.
-    /// Empty when `from == to` (intranode traffic never enters the
-    /// fabric).
-    fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId];
-
-    /// Human-readable variant name for reports ("fat-tree", …).
-    fn name(&self) -> &'static str;
-}
-
-/// Shared storage for the concrete topologies: the link list, a
-/// (from-vertex, to-vertex) → link index, and the dense route table.
+/// A routed interconnect: links plus a dense per-node-pair route table.
 #[derive(Debug, Clone)]
-struct Graph {
+pub struct Topology {
+    name: &'static str,
     n_nodes: usize,
     links: Vec<Link>,
-    edge: std::collections::BTreeMap<(usize, usize), LinkId>,
     /// Route for `(a, b)` at `a * n_nodes + b`.
     routes: Vec<Vec<LinkId>>,
 }
 
-impl Graph {
-    fn new(n_nodes: usize) -> Self {
+impl Topology {
+    /// k-ary fat tree (folded Clos) of two tiers, full bisection, all
+    /// links at `rates`.
+    ///
+    /// With radix `k` (≥ 2), each leaf switch serves `k/2` nodes and
+    /// carries `k/2` uplinks, one to each spine. Spine selection for a
+    /// pair is deterministic and symmetric, `(leaf_a + leaf_b) mod k/2`,
+    /// so route lengths are symmetric and the same pair always shares the
+    /// same path — the deterministic analogue of static routing.
+    pub fn fat_tree(n_nodes: usize, radix: usize, rates: LinkRates) -> Self {
+        assert!(radix >= 2, "fat-tree radix must be >= 2");
+        let width = (radix / 2).max(1); // nodes per leaf == spines
+        let n_leaves = n_nodes.div_ceil(width);
+        let (bw, lat) = (rates.bandwidth_mb_s, rates.hop_latency_us);
+        let leaf_v = |l: usize| n_nodes + l;
+        let spine_v = |s: usize| n_nodes + n_leaves + s;
+
+        let mut t = Self::unwired("fat-tree", n_nodes);
+        let ports: Vec<Duplex> = (0..n_nodes)
+            .map(|n| t.add_duplex(n, leaf_v(n / width), bw, lat))
+            .collect();
+        let uplinks: Vec<Vec<Duplex>> = (0..n_leaves)
+            .map(|l| {
+                (0..width)
+                    .map(|s| t.add_duplex(leaf_v(l), spine_v(s), bw, lat))
+                    .collect()
+            })
+            .collect();
+        t.set_routes(|a, b| {
+            let (la, lb) = (a / width, b / width);
+            if la == lb {
+                vec![ports[a].0, ports[b].1]
+            } else {
+                let s = (la + lb) % width;
+                vec![ports[a].0, uplinks[la][s].0, uplinks[lb][s].1, ports[b].1]
+            }
+        });
+        t
+    }
+
+    /// One non-blocking switch: every node pair is exactly one switch
+    /// hop apart and only the endpoints' own up/down links are ever
+    /// shared.
+    pub fn placement_group(n_nodes: usize, rates: LinkRates) -> Self {
+        let switch = n_nodes;
+        let mut t = Self::unwired("placement-group", n_nodes);
+        let ports: Vec<Duplex> = (0..n_nodes)
+            .map(|n| t.add_duplex(n, switch, rates.bandwidth_mb_s, rates.hop_latency_us))
+            .collect();
+        t.set_routes(|a, b| vec![ports[a].0, ports[b].1]);
+        t
+    }
+
+    /// Spread placement: `n_racks` racks (≥ 1) behind oversubscribed
+    /// trunks.
+    ///
+    /// Node `n` lives in rack `n % n_racks` — consecutive node ids
+    /// scatter across racks, which is exactly the availability-first
+    /// placement a cloud "spread" policy produces. Same-rack traffic
+    /// crosses only the rack's top-of-rack switch; cross-rack traffic
+    /// additionally traverses the source rack's trunk uplink and the
+    /// destination rack's trunk downlink, each running at
+    /// `trunk_capacity` (> 0) times node bandwidth. Every cross-rack flow
+    /// in the rack shares those two trunks — the oversubscription that
+    /// makes spread placement cheap and slow.
+    pub fn spread(n_nodes: usize, n_racks: usize, trunk_capacity: f64, rates: LinkRates) -> Self {
+        assert!(n_racks >= 1, "spread needs at least one rack");
+        assert!(
+            trunk_capacity > 0.0 && trunk_capacity.is_finite(),
+            "trunk capacity must be positive and finite"
+        );
+        let (bw, lat) = (rates.bandwidth_mb_s, rates.hop_latency_us);
+        let tor_v = |r: usize| n_nodes + r;
+        let core = n_nodes + n_racks;
+
+        let mut t = Self::unwired("spread", n_nodes);
+        let ports: Vec<Duplex> = (0..n_nodes)
+            .map(|n| t.add_duplex(n, tor_v(n % n_racks), bw, lat))
+            .collect();
+        let trunk_bw = rates.bandwidth_mb_s * trunk_capacity;
+        let trunks: Vec<Duplex> = (0..n_racks)
+            .map(|r| t.add_duplex(tor_v(r), core, trunk_bw, lat))
+            .collect();
+        t.set_routes(|a, b| {
+            let (ra, rb) = (a % n_racks, b % n_racks);
+            if ra == rb {
+                vec![ports[a].0, ports[b].1]
+            } else {
+                vec![ports[a].0, trunks[ra].0, trunks[rb].1, ports[b].1]
+            }
+        });
+        t
+    }
+
+    /// Number of compute nodes attached to the fabric.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// Every directed link in the graph, indexed by [`LinkId`].
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// Ordered links a message traverses from node `from` to node `to`.
+    /// Empty when `from == to` (intranode traffic never enters the
+    /// fabric).
+    pub fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
+        assert!(
+            from < self.n_nodes && to < self.n_nodes,
+            "node id out of range"
+        );
+        &self.routes[from * self.n_nodes + to]
+    }
+
+    /// Name of the shape for reports: `"fat-tree"`, `"placement-group"`
+    /// or `"spread"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// `n_nodes` nodes, no links, every route empty: what each
+    /// constructor starts from.
+    fn unwired(name: &'static str, n_nodes: usize) -> Self {
         assert!(n_nodes >= 1, "topology needs at least one node");
         Self {
+            name,
             n_nodes,
             links: Vec::new(),
-            edge: std::collections::BTreeMap::new(),
             routes: vec![Vec::new(); n_nodes * n_nodes],
         }
     }
 
-    fn add_link(&mut self, from: usize, to: usize, bandwidth_mb_s: f64, latency_us: f64) -> LinkId {
+    /// Lay one cable between vertices `a` and `b`: link `a → b`, then
+    /// `b → a`, both at the given rates.
+    fn add_duplex(&mut self, a: usize, b: usize, bandwidth_mb_s: f64, latency_us: f64) -> Duplex {
         assert!(
             bandwidth_mb_s > 0.0 && bandwidth_mb_s.is_finite(),
             "link bandwidth must be positive and finite"
@@ -113,336 +224,26 @@ impl Graph {
             "link latency must be non-negative and finite"
         );
         let id = self.links.len();
-        self.links.push(Link {
-            from,
-            to,
-            bandwidth_mb_s,
-            latency_us,
-        });
-        let prev = self.edge.insert((from, to), id);
-        assert!(prev.is_none(), "duplicate link {from}->{to}");
-        id
+        for (from, to) in [(a, b), (b, a)] {
+            self.links.push(Link {
+                from,
+                to,
+                bandwidth_mb_s,
+                latency_us,
+            });
+        }
+        (id, id + 1)
     }
 
-    fn link_between(&self, from: usize, to: usize) -> LinkId {
-        self.edge[&(from, to)]
-    }
-
-    fn set_route(&mut self, a: NodeId, b: NodeId, route: Vec<LinkId>) {
+    /// Fill the route table from `route(a, b)` for every ordered pair of
+    /// distinct nodes.
+    fn set_routes(&mut self, route: impl Fn(NodeId, NodeId) -> Vec<LinkId>) {
         let n = self.n_nodes;
-        self.routes[a * n + b] = route;
-    }
-
-    fn route(&self, a: NodeId, b: NodeId) -> &[LinkId] {
-        assert!(a < self.n_nodes && b < self.n_nodes, "node id out of range");
-        &self.routes[a * self.n_nodes + b]
-    }
-}
-
-fn div_ceil(a: usize, b: usize) -> usize {
-    (a + b - 1) / b
-}
-
-/// k-ary fat tree (folded Clos), 2 or 3 levels, full bisection.
-///
-/// With radix `k`, each leaf switch serves `k/2` nodes and carries `k/2`
-/// uplinks. Two levels: leaves ↔ spines. Three levels: leaves are
-/// grouped into pods of `k/2`, each pod has `k/2` aggregation switches,
-/// and spines connect pods. Spine/aggregation selection for a pair is
-/// deterministic and symmetric: `(leaf_a + leaf_b) mod width` (and
-/// `(pod_a + pod_b) mod width` for spines), so route lengths are
-/// symmetric and the same pair always shares the same path — the
-/// deterministic analogue of static routing.
-#[derive(Debug, Clone)]
-pub struct FatTree {
-    graph: Graph,
-    radix: usize,
-    levels: usize,
-    nodes_per_leaf: usize,
-}
-
-impl FatTree {
-    /// Build a fat tree over `n_nodes` nodes with switch radix `radix`
-    /// (≥ 2) and `levels` ∈ {2, 3}. All links run at `rates`.
-    pub fn new(n_nodes: usize, radix: usize, levels: usize, rates: LinkRates) -> Self {
-        assert!(radix >= 2, "fat-tree radix must be >= 2");
-        assert!(
-            levels == 2 || levels == 3,
-            "fat-tree supports 2 or 3 levels"
-        );
-        let width = (radix / 2).max(1); // nodes/leaf, leaves/pod, uplink fan-out
-        let n_leaves = div_ceil(n_nodes, width);
-        let mut g = Graph::new(n_nodes);
-        let bw = rates.bandwidth_mb_s;
-        let lat = rates.hop_latency_us;
-
-        let leaf_v = |l: usize| n_nodes + l;
-        let leaf_of = |n: usize| n / width;
-
-        // Node ↔ leaf links.
-        for n in 0..n_nodes {
-            g.add_link(n, leaf_v(leaf_of(n)), bw, lat);
-            g.add_link(leaf_v(leaf_of(n)), n, bw, lat);
-        }
-
-        if levels == 2 {
-            let n_spines = width;
-            let spine_v = |s: usize| n_nodes + n_leaves + s;
-            for l in 0..n_leaves {
-                for s in 0..n_spines {
-                    g.add_link(leaf_v(l), spine_v(s), bw, lat);
-                    g.add_link(spine_v(s), leaf_v(l), bw, lat);
-                }
-            }
-            for a in 0..n_nodes {
-                for b in 0..n_nodes {
-                    if a == b {
-                        continue;
-                    }
-                    let (la, lb) = (leaf_of(a), leaf_of(b));
-                    let up = g.link_between(a, leaf_v(la));
-                    let down = g.link_between(leaf_v(lb), b);
-                    let route = if la == lb {
-                        vec![up, down]
-                    } else {
-                        let s = (la + lb) % n_spines;
-                        vec![
-                            up,
-                            g.link_between(leaf_v(la), spine_v(s)),
-                            g.link_between(spine_v(s), leaf_v(lb)),
-                            down,
-                        ]
-                    };
-                    g.set_route(a, b, route);
-                }
-            }
-        } else {
-            let n_pods = div_ceil(n_leaves, width);
-            let n_aggs = width; // per pod
-            let n_spines = width;
-            let agg_v = |p: usize, i: usize| n_nodes + n_leaves + p * n_aggs + i;
-            let spine_v = |s: usize| n_nodes + n_leaves + n_pods * n_aggs + s;
-            let pod_of = |l: usize| l / width;
-            for l in 0..n_leaves {
-                let p = pod_of(l);
-                for i in 0..n_aggs {
-                    g.add_link(leaf_v(l), agg_v(p, i), bw, lat);
-                    g.add_link(agg_v(p, i), leaf_v(l), bw, lat);
-                }
-            }
-            for p in 0..n_pods {
-                for i in 0..n_aggs {
-                    for s in 0..n_spines {
-                        g.add_link(agg_v(p, i), spine_v(s), bw, lat);
-                        g.add_link(spine_v(s), agg_v(p, i), bw, lat);
-                    }
-                }
-            }
-            for a in 0..n_nodes {
-                for b in 0..n_nodes {
-                    if a == b {
-                        continue;
-                    }
-                    let (la, lb) = (leaf_of(a), leaf_of(b));
-                    let up = g.link_between(a, leaf_v(la));
-                    let down = g.link_between(leaf_v(lb), b);
-                    let route = if la == lb {
-                        vec![up, down]
-                    } else {
-                        let (pa, pb) = (pod_of(la), pod_of(lb));
-                        let i = (la + lb) % n_aggs;
-                        if pa == pb {
-                            vec![
-                                up,
-                                g.link_between(leaf_v(la), agg_v(pa, i)),
-                                g.link_between(agg_v(pa, i), leaf_v(lb)),
-                                down,
-                            ]
-                        } else {
-                            let s = (pa + pb) % n_spines;
-                            vec![
-                                up,
-                                g.link_between(leaf_v(la), agg_v(pa, i)),
-                                g.link_between(agg_v(pa, i), spine_v(s)),
-                                g.link_between(spine_v(s), agg_v(pb, i)),
-                                g.link_between(agg_v(pb, i), leaf_v(lb)),
-                                down,
-                            ]
-                        }
-                    };
-                    g.set_route(a, b, route);
-                }
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                self.routes[a * n + b] = route(a, b);
             }
         }
-
-        Self {
-            graph: g,
-            radix,
-            levels,
-            nodes_per_leaf: width,
-        }
-    }
-
-    /// Switch radix this tree was built with.
-    pub fn radix(&self) -> usize {
-        self.radix
-    }
-
-    /// Number of switch tiers (2 or 3).
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// Leaf switch serving node `n`.
-    pub fn leaf_of(&self, n: NodeId) -> usize {
-        n / self.nodes_per_leaf
-    }
-}
-
-impl Topology for FatTree {
-    fn n_nodes(&self) -> usize {
-        self.graph.n_nodes
-    }
-    fn links(&self) -> &[Link] {
-        &self.graph.links
-    }
-    fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
-        self.graph.route(from, to)
-    }
-    fn name(&self) -> &'static str {
-        "fat-tree"
-    }
-}
-
-/// One non-blocking switch: every node pair is exactly one switch hop
-/// apart and only the endpoints' own up/down links are ever shared.
-#[derive(Debug, Clone)]
-pub struct PlacementGroup {
-    graph: Graph,
-}
-
-impl PlacementGroup {
-    /// Build a placement group over `n_nodes` nodes at `rates`.
-    pub fn new(n_nodes: usize, rates: LinkRates) -> Self {
-        let mut g = Graph::new(n_nodes);
-        let switch = n_nodes;
-        for n in 0..n_nodes {
-            g.add_link(n, switch, rates.bandwidth_mb_s, rates.hop_latency_us);
-            g.add_link(switch, n, rates.bandwidth_mb_s, rates.hop_latency_us);
-        }
-        for a in 0..n_nodes {
-            for b in 0..n_nodes {
-                if a == b {
-                    continue;
-                }
-                let route = vec![g.link_between(a, switch), g.link_between(switch, b)];
-                g.set_route(a, b, route);
-            }
-        }
-        Self { graph: g }
-    }
-}
-
-impl Topology for PlacementGroup {
-    fn n_nodes(&self) -> usize {
-        self.graph.n_nodes
-    }
-    fn links(&self) -> &[Link] {
-        &self.graph.links
-    }
-    fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
-        self.graph.route(from, to)
-    }
-    fn name(&self) -> &'static str {
-        "placement-group"
-    }
-}
-
-/// Spread placement: racks behind oversubscribed trunks.
-///
-/// Node `n` lives in rack `n % n_racks` — consecutive node ids scatter
-/// across racks, which is exactly the availability-first placement a
-/// cloud "spread" policy produces. Same-rack traffic crosses only the
-/// rack's top-of-rack switch; cross-rack traffic additionally traverses
-/// the source rack's trunk uplink and the destination rack's trunk
-/// downlink, each running at `trunk_capacity × node bandwidth`. Every
-/// cross-rack flow in the rack shares those two trunks — the
-/// oversubscription that makes spread placement cheap and slow.
-#[derive(Debug, Clone)]
-pub struct Spread {
-    graph: Graph,
-    n_racks: usize,
-}
-
-impl Spread {
-    /// Build a spread topology: `n_racks` racks (≥ 1), trunk links at
-    /// `trunk_capacity` (> 0) times node bandwidth.
-    pub fn new(n_nodes: usize, n_racks: usize, trunk_capacity: f64, rates: LinkRates) -> Self {
-        assert!(n_racks >= 1, "spread needs at least one rack");
-        assert!(
-            trunk_capacity > 0.0 && trunk_capacity.is_finite(),
-            "trunk capacity must be positive and finite"
-        );
-        let mut g = Graph::new(n_nodes);
-        let tor_v = |r: usize| n_nodes + r;
-        let core = n_nodes + n_racks;
-        let rack_of = |n: usize| n % n_racks;
-        for n in 0..n_nodes {
-            g.add_link(n, tor_v(rack_of(n)), rates.bandwidth_mb_s, rates.hop_latency_us);
-            g.add_link(tor_v(rack_of(n)), n, rates.bandwidth_mb_s, rates.hop_latency_us);
-        }
-        let trunk_bw = rates.bandwidth_mb_s * trunk_capacity;
-        for r in 0..n_racks {
-            g.add_link(tor_v(r), core, trunk_bw, rates.hop_latency_us);
-            g.add_link(core, tor_v(r), trunk_bw, rates.hop_latency_us);
-        }
-        for a in 0..n_nodes {
-            for b in 0..n_nodes {
-                if a == b {
-                    continue;
-                }
-                let (ra, rb) = (rack_of(a), rack_of(b));
-                let up = g.link_between(a, tor_v(ra));
-                let down = g.link_between(tor_v(rb), b);
-                let route = if ra == rb {
-                    vec![up, down]
-                } else {
-                    vec![
-                        up,
-                        g.link_between(tor_v(ra), core),
-                        g.link_between(core, tor_v(rb)),
-                        down,
-                    ]
-                };
-                g.set_route(a, b, route);
-            }
-        }
-        Self { graph: g, n_racks }
-    }
-
-    /// Rack holding node `n`.
-    pub fn rack_of(&self, n: NodeId) -> usize {
-        n % self.n_racks
-    }
-
-    /// Number of racks.
-    pub fn n_racks(&self) -> usize {
-        self.n_racks
-    }
-}
-
-impl Topology for Spread {
-    fn n_nodes(&self) -> usize {
-        self.graph.n_nodes
-    }
-    fn links(&self) -> &[Link] {
-        &self.graph.links
-    }
-    fn get_route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
-        self.graph.route(from, to)
-    }
-    fn name(&self) -> &'static str {
-        "spread"
     }
 }
 
@@ -456,7 +257,7 @@ mod tests {
     };
 
     /// Route chains vertex-to-vertex from `a` to `b` with no repeats.
-    fn check_route(topo: &dyn Topology, a: NodeId, b: NodeId) {
+    fn check_route(topo: &Topology, a: NodeId, b: NodeId) {
         let route = topo.get_route(a, b);
         if a == b {
             assert!(route.is_empty(), "self-route must be empty");
@@ -482,7 +283,7 @@ mod tests {
 
     #[test]
     fn placement_group_is_one_hop() {
-        let t = PlacementGroup::new(5, RATES);
+        let t = Topology::placement_group(5, RATES);
         for a in 0..5 {
             for b in 0..5 {
                 check_route(&t, a, b);
@@ -492,12 +293,13 @@ mod tests {
             }
         }
         assert_eq!(t.links().len(), 10);
+        assert_eq!(t.name(), "placement-group");
     }
 
     #[test]
     fn fat_tree_two_level_route_shapes() {
         // radix 4 → 2 nodes/leaf, 2 spines.
-        let t = FatTree::new(6, 4, 2, RATES);
+        let t = Topology::fat_tree(6, 4, RATES);
         for a in 0..6 {
             for b in 0..6 {
                 check_route(&t, a, b);
@@ -505,36 +307,18 @@ mod tests {
         }
         assert_eq!(t.get_route(0, 1).len(), 2, "same leaf");
         assert_eq!(t.get_route(0, 2).len(), 4, "cross leaf via spine");
-        assert_eq!(t.leaf_of(0), t.leaf_of(1));
-        assert_ne!(t.leaf_of(0), t.leaf_of(2));
-    }
-
-    #[test]
-    fn fat_tree_three_level_route_shapes() {
-        // radix 4 → 2 nodes/leaf, pods of 2 leaves: nodes 0-3 pod 0,
-        // 4-7 pod 1.
-        let t = FatTree::new(8, 4, 3, RATES);
-        for a in 0..8 {
-            for b in 0..8 {
-                check_route(&t, a, b);
-            }
-        }
-        assert_eq!(t.get_route(0, 1).len(), 2, "same leaf");
-        assert_eq!(t.get_route(0, 2).len(), 4, "same pod via agg");
-        assert_eq!(t.get_route(0, 4).len(), 6, "cross pod via spine");
+        assert_eq!(t.name(), "fat-tree");
     }
 
     #[test]
     fn spread_scatters_consecutive_nodes_across_racks() {
-        let t = Spread::new(4, 2, 1.0, RATES);
+        let t = Topology::spread(4, 2, 1.0, RATES);
         for a in 0..4 {
             for b in 0..4 {
                 check_route(&t, a, b);
             }
         }
         // Consecutive ids land in different racks → cross-rack 4-link route.
-        assert_eq!(t.rack_of(0), t.rack_of(2));
-        assert_ne!(t.rack_of(0), t.rack_of(1));
         assert_eq!(t.get_route(0, 1).len(), 4);
         assert_eq!(t.get_route(0, 2).len(), 2);
         // Two distinct cross-rack pairs share the same trunk links — the
@@ -543,11 +327,12 @@ mod tests {
         let r23 = t.get_route(2, 3);
         assert_eq!(r01[1], r23[1], "shared trunk uplink");
         assert_eq!(r01[2], r23[2], "shared trunk downlink");
+        assert_eq!(t.name(), "spread");
     }
 
     #[test]
     fn spread_trunk_capacity_scales_bandwidth() {
-        let t = Spread::new(4, 2, 0.5, RATES);
+        let t = Topology::spread(4, 2, 0.5, RATES);
         let trunk = t.get_route(0, 1)[1];
         assert_eq!(t.links()[trunk].bandwidth_mb_s, 500.0);
         let node_link = t.get_route(0, 1)[0];
@@ -557,6 +342,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
-        let _ = PlacementGroup::new(0, RATES);
+        let _ = Topology::placement_group(0, RATES);
     }
 }

@@ -2,7 +2,7 @@
 //! style of the PR 7 event-lane properties: seeded generation via
 //! `rt::check`, replayable with `RT_CHECK_SEED`.
 
-use hemocloud_fabric::{exchange, FatTree, Flow, LinkRates, PlacementGroup, Spread, Topology};
+use hemocloud_fabric::{exchange, Flow, LinkRates, Topology};
 use hemocloud_rt::rng::Rng;
 use hemocloud_rt::{check, float};
 
@@ -13,23 +13,19 @@ fn rates(rng: &mut Rng) -> LinkRates {
     }
 }
 
-/// Random topology of a random variant, plus its node count.
-fn random_topology(rng: &mut Rng) -> Box<dyn Topology> {
+/// Random topology of a random shape.
+fn random_topology(rng: &mut Rng) -> Topology {
     let n_nodes = rng.range_usize(1, 24);
-    match rng.range_usize(0, 4) {
-        0 => Box::new(PlacementGroup::new(n_nodes, rates(rng))),
+    match rng.range_usize(0, 3) {
+        0 => Topology::placement_group(n_nodes, rates(rng)),
         1 => {
             let radix = 2 * rng.range_usize(1, 5);
-            Box::new(FatTree::new(n_nodes, radix, 2, rates(rng)))
-        }
-        2 => {
-            let radix = 2 * rng.range_usize(1, 5);
-            Box::new(FatTree::new(n_nodes, radix, 3, rates(rng)))
+            Topology::fat_tree(n_nodes, radix, rates(rng))
         }
         _ => {
             let racks = rng.range_usize(1, 6);
             let capacity = rng.range_f64(0.25, 2.0);
-            Box::new(Spread::new(n_nodes, racks, capacity, rates(rng)))
+            Topology::spread(n_nodes, racks, capacity, rates(rng))
         }
     }
 }
@@ -113,7 +109,7 @@ fn exchange_conserves_bytes_and_is_deterministic() {
                     tag: i as u64,
                 })
                 .collect();
-            let out = exchange(topo.as_ref(), &flows);
+            let out = exchange(&topo, &flows);
 
             // Delivered bytes across links sum exactly to the injected
             // internode bytes (the Eq. 9 cross-check shape).
@@ -139,7 +135,7 @@ fn exchange_conserves_bytes_and_is_deterministic() {
             }
 
             // Bit-identical on rerun.
-            assert_eq!(out, exchange(topo.as_ref(), &flows));
+            assert_eq!(out, exchange(&topo, &flows));
         },
     );
 }
@@ -184,8 +180,8 @@ fn exchange_is_permutation_equivariant_bitwise() {
                 shuffled[to] = flows[i];
             }
 
-            let a = exchange(topo.as_ref(), &flows);
-            let b = exchange(topo.as_ref(), &shuffled);
+            let a = exchange(&topo, &flows);
+            let b = exchange(&topo, &shuffled);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             for (i, &to) in perm.iter().enumerate() {
                 assert_eq!(
@@ -217,7 +213,7 @@ fn extra_tenants_never_speed_up_a_lone_flow_pair_on_shared_trunks() {
         check::Config::cases(16),
         |rng| {
             let n_nodes = 4;
-            let topo = Spread::new(n_nodes, 2, rng.range_f64(0.25, 1.5), rates(rng));
+            let topo = Topology::spread(n_nodes, 2, rng.range_f64(0.25, 1.5), rates(rng));
             let b = rng.range_usize(1, 1 << 22) as f64;
             let victim = [
                 Flow { src: 0, dst: 1, bytes: b, tag: 0 },

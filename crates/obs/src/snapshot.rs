@@ -103,6 +103,16 @@ impl Snapshot {
         }
     }
 
+    /// Sum of the counter family `{prefix}.0`, `{prefix}.1`, … — the read
+    /// side of [`Registry::counter_family`](crate::registry::Registry::counter_family).
+    /// Members are contiguous from 0, so the sum stops at the first index
+    /// that is not a counter; an absent family sums to 0.
+    pub fn counter_family_total(&self, prefix: &str) -> u64 {
+        (0usize..)
+            .map_while(|i| self.counter(&format!("{prefix}.{i}")))
+            .sum()
+    }
+
     /// Merge `other` into this snapshot (e.g. the scheduler's private
     /// registry alongside the process-global one).
     ///
@@ -272,6 +282,21 @@ mod tests {
         assert!(text.contains("span sched.event.arrive count=1 total_s=3.5"));
         assert!(text.contains("span(wall) wall.span count=1\n"));
         assert!(!text.contains("0.25"));
+    }
+
+    #[test]
+    fn counter_family_total_sums_contiguous_members() {
+        let r = Registry::new();
+        for (i, c) in r.counter_family("link.bytes", 3).iter().enumerate() {
+            c.add(10 * (i as u64 + 1));
+        }
+        r.counter("link.bytes.4").add(1_000); // past the gap at index 3
+        r.gauge("link.bytes_total").set(60.0); // same prefix, not a member
+        r.gauge("rack.bytes.0").set(5.0); // member name, wrong instrument
+        let snap = r.snapshot();
+        assert_eq!(snap.counter_family_total("link.bytes"), 60);
+        assert_eq!(snap.counter_family_total("rack.bytes"), 0);
+        assert_eq!(snap.counter_family_total("no.such.family"), 0);
     }
 
     #[test]

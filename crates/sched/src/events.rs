@@ -112,11 +112,6 @@ impl ShardedEventQueue {
         self.shards.len()
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lane_seq.len()
-    }
-
     /// Schedule `event` on `lane` at absolute campaign time `time_s`.
     ///
     /// # Panics
@@ -188,57 +183,9 @@ impl ShardedEventQueue {
 
     /// Test hook: jump a lane's sequence counter (e.g. near `u64::MAX`)
     /// to exercise the overflow guard without 2^64 pushes.
-    #[doc(hidden)]
-    pub fn force_lane_seq(&mut self, lane: usize, seq: u64) {
+    #[cfg(test)]
+    fn force_lane_seq(&mut self, lane: usize, seq: u64) {
         self.lane_seq[lane] = seq;
-    }
-}
-
-/// Single-lane, single-shard min-queue of events ordered by
-/// `(time, insertion order)` — the original unsharded clock, now a thin
-/// wrapper over [`ShardedEventQueue`]. With one lane the total order
-/// `(time, 0, seq)` degenerates to the historic `(time, seq)`.
-#[derive(Debug)]
-pub struct EventQueue {
-    inner: ShardedEventQueue,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self {
-            inner: ShardedEventQueue::new(1, 1),
-        }
-    }
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `event` at absolute campaign time `time_s`.
-    ///
-    /// # Panics
-    /// Panics on a non-finite or negative time — events like that would
-    /// silently corrupt the clock.
-    pub fn push(&mut self, time_s: f64, event: Event) {
-        self.inner.push(0, time_s, event);
-    }
-
-    /// Pop the earliest event (ties in insertion order).
-    pub fn pop(&mut self) -> Option<(f64, Event)> {
-        self.inner.pop().map(|(t, _lane, e)| (t, e))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 
@@ -248,22 +195,22 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(5.0, Event::Arrive { job: 0 });
-        q.push(1.0, Event::Arrive { job: 1 });
-        q.push(3.0, Event::SliceDone { job: 2, attempt: 1 });
-        let order: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
+        let mut q = ShardedEventQueue::new(1, 1);
+        q.push(0, 5.0, Event::Arrive { job: 0 });
+        q.push(0, 1.0, Event::Arrive { job: 1 });
+        q.push(0, 3.0, Event::SliceDone { job: 2, attempt: 1 });
+        let order: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _, _)| t)).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
     }
 
     #[test]
     fn ties_break_in_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1, 1);
         for job in 0..5 {
-            q.push(2.0, Event::Arrive { job });
+            q.push(0, 2.0, Event::Arrive { job });
         }
         let jobs: Vec<usize> = std::iter::from_fn(|| {
-            q.pop().map(|(_, e)| match e {
+            q.pop().map(|(_, _, e)| match e {
                 Event::Arrive { job } => job,
                 _ => unreachable!(),
             })
@@ -274,10 +221,10 @@ mod tests {
 
     #[test]
     fn len_tracks_pushes_and_pops() {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1, 1);
         assert!(q.is_empty());
-        q.push(0.0, Event::Arrive { job: 0 });
-        q.push(0.0, Event::Arrive { job: 1 });
+        q.push(0, 0.0, Event::Arrive { job: 0 });
+        q.push(0, 0.0, Event::Arrive { job: 1 });
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
@@ -286,7 +233,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad event time")]
     fn rejects_nan_times() {
-        EventQueue::new().push(f64::NAN, Event::Arrive { job: 0 });
+        ShardedEventQueue::new(1, 1).push(0, f64::NAN, Event::Arrive { job: 0 });
     }
 
     /// Deterministic pseudo-random pushes drained from queues at several

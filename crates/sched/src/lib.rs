@@ -40,7 +40,7 @@ pub use demo::{
     demo_config, demo_jobs, demo_pools, fabric_demo_config, fabric_demo_jobs, fabric_demo_pools,
     run_demo, run_demo_with_obs, run_fabric_demo,
 };
-pub use events::{Event, EventQueue, ShardedEventQueue};
+pub use events::{Event, ShardedEventQueue};
 pub use job::{JobOutcome, JobSpec};
 pub use report::{
     percentile, placement_mape, CampaignReport, JobReport, PlacementRecord, PlatformReport,

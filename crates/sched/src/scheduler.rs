@@ -77,9 +77,7 @@ use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pool::NodePool;
 use hemocloud_cluster::pricing::PriceSheet;
-use hemocloud_cluster::topology::{
-    build_topology, routed_set_comm, CommModel, PlatformTopology, TopologyVariant,
-};
+use hemocloud_cluster::topology::{build_topology, routed_set_comm, CommModel, TopologyVariant};
 use hemocloud_fabric::{Flow, Topology};
 use hemocloud_core::characterize::{characterize, PlatformCharacterization};
 use hemocloud_core::composition::Prediction;
@@ -194,7 +192,7 @@ struct PoolState {
     /// The pool-wide shared fabric for routed pools — every job placed
     /// here routes its Eq. 9 messages over these links, so concurrent
     /// jobs' flows fair-share bandwidth.
-    topology: Option<(TopologyVariant, PlatformTopology)>,
+    topology: Option<(TopologyVariant, Topology)>,
     /// Jobs with an active run on this pool — on a routed pool, the runs
     /// whose footprints make up the contention set.
     active_jobs: BTreeSet<usize>,
@@ -208,11 +206,12 @@ struct PoolState {
 }
 
 impl PoolState {
-    /// The comm-model tag reports and dashboard rows carry for this pool.
-    fn comm_name(&self) -> &'static str {
+    /// How runs on this pool price communication; its name is the tag
+    /// reports and dashboard rows carry.
+    fn comm(&self) -> CommModel {
         match &self.topology {
-            Some((variant, _)) => variant.name(),
-            None => "scalar",
+            Some((variant, _)) => CommModel::Routed(*variant),
+            None => CommModel::Scalar,
         }
     }
 }
@@ -261,7 +260,7 @@ struct LinkBytes {
 /// route touches. Comm bytes are integral (points × 152), so the `u64`
 /// arithmetic is exact and the delivered column sums to the Eq. 9 graph
 /// total exactly.
-fn link_bytes_per_step(topology: &PlatformTopology, flows: &[Flow]) -> Arc<[LinkBytes]> {
+fn link_bytes_per_step(topology: &Topology, flows: &[Flow]) -> Arc<[LinkBytes]> {
     let mut per_link = vec![(0u64, 0u64); topology.links().len()];
     for flow in flows {
         debug_assert_eq!(flow.bytes.fract(), 0.0, "non-integral comm bytes");
@@ -920,7 +919,7 @@ impl Campaign {
                     } else {
                         f64::INFINITY
                     },
-                    topology: state.comm_name().to_string(),
+                    topology: state.comm().name().to_string(),
                 });
             }
             if let Some(n) = min_nodes {
@@ -973,11 +972,7 @@ impl Campaign {
         self.obs.admitted.inc();
         let platform = state.pool.platform.clone();
         let overheads = state.overheads;
-        let comm = match &state.topology {
-            Some((variant, _)) => CommModel::Routed(*variant),
-            None => CommModel::Scalar,
-        };
-        let topology_name = state.comm_name();
+        let comm = state.comm();
 
         let prep_key = (chosen.pool_idx, self.jobs[job_idx].model_id, chosen.ranks);
         if !self.prepared.contains_key(&prep_key) {
@@ -1035,7 +1030,7 @@ impl Campaign {
                 predicted_step_s: corrected.step_time_s,
                 measured_step_s: None,
                 time_s: self.clock_s,
-                topology: topology_name.to_string(),
+                topology: comm.name().to_string(),
             });
         }
         job.run = Some(Box::new(ActiveRun {

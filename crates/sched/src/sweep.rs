@@ -41,7 +41,7 @@ use hemocloud_geometry::anatomy::{
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::kernel::{KernelConfig, Layout, Propagation};
 use hemocloud_obs::json::{self, Value, Writer};
-use hemocloud_obs::{Sample, Snapshot};
+use hemocloud_obs::Snapshot;
 
 use crate::job::JobSpec;
 use crate::report::{percentile, CampaignReport};
@@ -493,17 +493,6 @@ fn oracle_option<'c>(
 
 // ---- invariants -------------------------------------------------------
 
-/// Sum a `fabric.pool{p}.link.{kind}` counter family out of a snapshot.
-fn link_family_total(snap: &Snapshot, prefix: &str) -> u64 {
-    let mut total = 0u64;
-    let mut i = 0usize;
-    while let Some(Sample::Counter(v)) = snap.get(&format!("{prefix}.{i}")) {
-        total += v;
-        i += 1;
-    }
-    total
-}
-
 fn is_bad(v: f64) -> bool {
     !v.is_finite()
 }
@@ -681,10 +670,8 @@ fn check_invariants(
     // Eq. 9: delivered fabric bytes reconcile exactly on clean cells.
     if let Some(expected) = eq9_expected {
         for (pool_idx, &want) in expected {
-            let got = link_family_total(
-                snapshot,
-                &format!("fabric.pool{pool_idx}.link.delivered_bytes"),
-            );
+            let got = snapshot
+                .counter_family_total(&format!("fabric.pool{pool_idx}.link.delivered_bytes"));
             if got != want {
                 bad(format!(
                     "eq9 pool {pool_idx}: delivered {got} != expected {want}"
@@ -793,7 +780,7 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
                             if let Some(rec) =
                                 report.placements.iter().rev().find(|r| r.job == idx)
                             {
-                                if rec.topology != "scalar" {
+                                if rec.topology != CommModel::Scalar.name() {
                                     let Some(pool_idx) = pools
                                         .iter()
                                         .position(|p| p.platform.abbrev == rec.platform)
@@ -857,10 +844,9 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
                         let utilization = if capacity > 0.0 { busy / capacity } else { 0.0 };
                         let delivered: u64 = (0..pools.len())
                             .map(|p| {
-                                link_family_total(
-                                    &snapshot,
-                                    &format!("fabric.pool{p}.link.delivered_bytes"),
-                                )
+                                snapshot.counter_family_total(&format!(
+                                    "fabric.pool{p}.link.delivered_bytes"
+                                ))
                             })
                             .sum();
 

@@ -29,18 +29,6 @@ fn fabric_demo() -> &'static (CampaignReport, String, Snapshot) {
     })
 }
 
-/// Sum one `fabric.pool0.link.*` counter family out of a snapshot.
-fn link_family_total(snap: &Snapshot, prefix: &str) -> u64 {
-    let mut total = 0u64;
-    let mut i = 0usize;
-    while let Some(v) = snap.counter(&format!("{prefix}.{i}")) {
-        total += v;
-        i += 1;
-    }
-    assert!(i > 0, "no counters under {prefix}");
-    total
-}
-
 #[test]
 fn fabric_demo_completes_cleanly_on_the_spread_pool() {
     let (report, json, _) = fabric_demo();
@@ -124,7 +112,7 @@ fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
         .map(|j| j.workload.steps * per_step_bytes)
         .sum();
 
-    let delivered = link_family_total(&snapshot, "fabric.pool0.link.delivered_bytes");
+    let delivered = snapshot.counter_family_total("fabric.pool0.link.delivered_bytes");
     assert_eq!(
         delivered, expected,
         "per-link delivered bytes must sum exactly to the Eq. 9 total"
@@ -132,7 +120,7 @@ fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
     // Forwarded counts every hop, delivered only the last: spread routes
     // are 2 hops same-rack and 4 hops cross-rack, so strictly more bytes
     // are forwarded than delivered whenever any flow crosses a rack.
-    let forwarded = link_family_total(&snapshot, "fabric.pool0.link.forwarded_bytes");
+    let forwarded = snapshot.counter_family_total("fabric.pool0.link.forwarded_bytes");
     assert!(
         forwarded > delivered,
         "cross-rack routes must forward through intermediate links \

@@ -15,6 +15,12 @@ cargo build --release --offline
 echo "== cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
+echo "== cargo build --release --offline --benches -p hemocloud-bench"
+# `cargo test` skips `harness = false` bench targets, so nothing above
+# compiles crates/bench/benches/*.rs; this does, on the release artifacts
+# the build step just made.
+cargo build --release --offline --benches -p hemocloud-bench
+
 echo "== check: smoke artifacts, byte-identity pairs, committed artifacts"
 # Every artifact invariant lives in crates/bench/src/gates.rs (DESIGN.md
 # §18 has the table); `check` spawns the generators (`repro`, the paper's
@@ -27,8 +33,8 @@ cargo run -q --release --offline -p hemocloud-bench --bin check
 echo "== cargo doc --no-deps --offline"
 # The API docs must build cleanly: the AA safety argument and the kernel
 # accounting live in doc comments, so broken intra-doc links or bad
-# rustdoc syntax are regressions.
-cargo doc --no-deps --offline --workspace -q
+# rustdoc syntax are regressions (rustdoc only warns about them, hence -D).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 
 echo "== cargo tree: checking for non-workspace dependencies"
 if cargo tree --offline --workspace --edges normal,dev,build \

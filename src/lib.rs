@@ -66,7 +66,7 @@ pub mod prelude {
         exec::SimulatedRun,
         platform::Platform,
         pricing::PriceSheet,
-        topology::{build_topology, CommModel, PlatformTopology, TopologyVariant},
+        topology::{build_topology, CommModel, TopologyVariant},
     };
     pub use hemocloud_fabric::{exchange, ExchangeOutcome, Flow, LinkId, Topology};
     pub use hemocloud_core::{

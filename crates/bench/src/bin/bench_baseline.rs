@@ -126,7 +126,7 @@ fn sparse_configs() -> [KernelConfig; 4] {
 /// post-stream moments after `steps` (even) steps from the shared rest
 /// start — the fast correctness smoke for the in-place kernel.
 fn aa_ab_moment_max_diff(mesh: &FluidMesh, steps: u64) -> f64 {
-    assert!(steps % 2 == 0, "AA readout needs an even step count");
+    assert!(steps.is_multiple_of(2), "AA readout needs an even step count");
     let mut ab = Solver::new(mesh.clone(), SolverConfig::default());
     let mut aa = Solver::new(
         mesh.clone(),
@@ -156,7 +156,7 @@ fn aa_ab_moment_max_diff(mesh: &FluidMesh, steps: u64) -> f64 {
 /// vectorization, checked here on the real bench geometry so the committed
 /// JSON is a durable witness.
 fn simd_bitwise_equal(mesh: &FluidMesh, steps: u64) -> bool {
-    assert!(steps % 2 == 0, "AA comparison needs an even step count");
+    assert!(steps.is_multiple_of(2), "AA comparison needs an even step count");
     sparse_configs().iter().all(|&kernel| {
         let run = |simd: SimdPath| {
             let mut s = Solver::new(

@@ -97,11 +97,7 @@ impl PriceSheet {
         };
         match self.billing {
             Billing::PerSecond => whole,
-            Billing::PerHour => whole
-                .div_ceil(3600)
-                .max(1)
-                .checked_mul(3600)
-                .unwrap_or(u64::MAX),
+            Billing::PerHour => whole.div_ceil(3600).max(1).saturating_mul(3600),
         }
     }
 

@@ -22,9 +22,6 @@ pub struct Composition {
     /// Communication time attributable to latency, `events · l` (general
     /// model; Fig. 10).
     pub comm_latency_s: f64,
-    /// Floating-point compute time (zero unless the FLOP-roofline
-    /// extension of `crate::roofline` is applied).
-    pub compute_s: f64,
 }
 
 impl Composition {
@@ -35,17 +32,6 @@ impl Composition {
             + self.inter_s
             + self.comm_bandwidth_s
             + self.comm_latency_s
-            + self.compute_s
-    }
-
-    /// Fraction of the step spent in memory access.
-    pub fn mem_fraction(&self) -> f64 {
-        let t = self.total_s();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.mem_s / t
-        }
     }
 }
 
@@ -97,7 +83,6 @@ mod tests {
             ..Default::default()
         };
         assert!((c.total_s() - 1.75).abs() < 1e-12);
-        assert!((c.mem_fraction() - 1.0 / 1.75).abs() < 1e-12);
     }
 
     #[test]
@@ -115,6 +100,5 @@ mod tests {
     fn zero_composition_is_safe() {
         let p = Prediction::from_composition(1, 100, Composition::default());
         assert_eq!(p.mflups, 0.0);
-        assert_eq!(p.composition.mem_fraction(), 0.0);
     }
 }

@@ -28,6 +28,43 @@ pub enum Objective {
     Deadline(f64),
 }
 
+impl Objective {
+    /// The key of the option this objective chooses among
+    /// `(key, time_to_solution_s, cost_dollars)` triples, or `None` when
+    /// none qualifies (no options, or an unmeetable deadline).
+    ///
+    /// This is the whole recommendation rule, on numbers: the dashboard
+    /// applies it to its rows, the campaign scheduler to the options it
+    /// scores per placement. Ties on the objective metric break toward
+    /// the earliest option, deterministic under `total_cmp` even for NaN
+    /// metrics; a NaN time never meets a deadline.
+    pub fn pick<K>(self, options: impl IntoIterator<Item = (K, f64, f64)>) -> Option<K> {
+        let options = options.into_iter();
+        match self {
+            Objective::MaxThroughput => first_min(options.map(|(key, time_s, _)| (key, time_s))),
+            Objective::MinCost => first_min(options.map(|(key, _, cost)| (key, cost))),
+            Objective::Deadline(seconds) => first_min(
+                options
+                    .filter(|&(_, time_s, _)| time_s <= seconds)
+                    .map(|(key, _, cost)| (key, cost)),
+            ),
+        }
+    }
+}
+
+/// The key of the first minimum metric under `total_cmp`. A branching
+/// loop on purpose: `Iterator::min_by` compiles to a select chain that
+/// measured 3.5× slower on `hemocloud-perf`'s 64-row recommend probe.
+fn first_min<K>(keyed: impl Iterator<Item = (K, f64)>) -> Option<K> {
+    let mut best: Option<(K, f64)> = None;
+    for (key, metric) in keyed {
+        if best.as_ref().is_none_or(|(_, least)| metric.total_cmp(least).is_lt()) {
+            best = Some((key, metric));
+        }
+    }
+    best.map(|(key, _)| key)
+}
+
 /// One row of the dashboard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DashboardEntry {
@@ -97,15 +134,8 @@ impl Dashboard {
         for character in characterizations {
             let platform = &character.platform;
             let model = GeneralModel::from_characterization(character, workload);
-            for &ranks in rank_options {
-                if ranks == 0 || ranks > platform.total_cores {
-                    continue;
-                }
-                let prediction = model.predict(ranks);
-                if prediction.mflups <= 0.0 {
-                    continue;
-                }
-                let nodes = platform.nodes_for_ranks(ranks);
+            for (nodes, prediction) in model.options(rank_options) {
+                let ranks = prediction.ranks;
                 let mut push = |prediction: &Prediction, topology: &str| {
                     let time = prediction.time_for_steps(workload.steps);
                     let cost = prices.cost(platform, nodes, time);
@@ -179,34 +209,11 @@ impl Dashboard {
     /// entry itself: entries are plain value rows, so matching a winner
     /// back by `==` silently resolves duplicate predictions (two pools
     /// priced identically) to the *first* duplicate rather than the row
-    /// that actually won. The index is unambiguous. Ties on the
-    /// objective metric break toward the earliest entry, deterministic
-    /// under `total_cmp` even for NaN metrics.
+    /// that actually won. The index is unambiguous. The rule itself is
+    /// [`Objective::pick`] over the rows' `(time, cost)`.
     pub fn recommend_index(&self, objective: Objective) -> Option<usize> {
-        let candidates = self.entries.iter().enumerate();
-        match objective {
-            Objective::MaxThroughput => candidates
-                .min_by(|(_, a), (_, b)| a.time_to_solution_s.total_cmp(&b.time_to_solution_s))
-                .map(|(i, _)| i),
-            Objective::MinCost => candidates
-                .min_by(|(_, a), (_, b)| a.cost_dollars.total_cmp(&b.cost_dollars))
-                .map(|(i, _)| i),
-            Objective::Deadline(seconds) => candidates
-                .filter(|(_, e)| e.time_to_solution_s <= seconds)
-                .min_by(|(_, a), (_, b)| a.cost_dollars.total_cmp(&b.cost_dollars))
-                .map(|(i, _)| i),
-        }
-    }
-
-    /// All entries for one platform, sorted by rank count.
-    pub fn for_platform(&self, abbrev: &str) -> Vec<&DashboardEntry> {
-        let mut v: Vec<&DashboardEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.platform == abbrev)
-            .collect();
-        v.sort_by_key(|e| e.ranks);
-        v
+        let rows = self.entries.iter().enumerate();
+        objective.pick(rows.map(|(i, e)| (i, e.time_to_solution_s, e.cost_dollars)))
     }
 }
 
@@ -282,13 +289,14 @@ mod tests {
         let d = dashboard();
         // CSP-2 offers 144 cores: no 512-rank entry; CSP-2 Small offers
         // 128: the 128-rank option exists.
-        assert!(d.for_platform("CSP-2").iter().all(|e| e.ranks <= 144));
-        assert!(d
-            .for_platform("CSP-2 Small")
-            .iter()
-            .any(|e| e.ranks == 128));
+        let ranks_on = |abbrev: &str| -> Vec<usize> {
+            let rows = d.entries.iter().filter(|e| e.platform == abbrev);
+            rows.map(|e| e.ranks).collect()
+        };
+        assert!(ranks_on("CSP-2").iter().all(|&r| r <= 144));
+        assert!(ranks_on("CSP-2 Small").contains(&128));
         // TRC has 2000 cores: 512 ranks present.
-        assert!(d.for_platform("TRC").iter().any(|e| e.ranks == 512));
+        assert!(ranks_on("TRC").contains(&512));
     }
 
     #[test]

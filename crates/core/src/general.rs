@@ -152,6 +152,25 @@ impl GeneralModel {
         Prediction::from_composition(ranks, self.points as usize, composition)
     }
 
+    /// The options this platform can sell among `rank_options`: for each
+    /// rank count in `1..=total_cores` whose prediction has a finite
+    /// positive step time, the whole nodes it bills and the raw
+    /// prediction (which carries the rank count). Every table of
+    /// (platform, ranks) options — the dashboard's rows, the campaign
+    /// scheduler's per-pool cache — is this iterator plus the caller's
+    /// own constraints.
+    pub fn options<'a>(
+        &'a self,
+        rank_options: &'a [usize],
+    ) -> impl Iterator<Item = (usize, Prediction)> + 'a {
+        let platform = &self.character.platform;
+        rank_options
+            .iter()
+            .filter(|&&ranks| (1..=platform.total_cores).contains(&ranks))
+            .map(|&ranks| (platform.nodes_for_ranks(ranks), self.predict(ranks)))
+            .filter(|(_, raw)| raw.step_time_s > 0.0 && raw.step_time_s.is_finite())
+    }
+
     /// Predictions over a rank sweep.
     pub fn sweep(&self, ranks: &[usize]) -> Vec<Prediction> {
         ranks.iter().map(|&r| self.predict(r)).collect()

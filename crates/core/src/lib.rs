@@ -29,7 +29,6 @@ pub mod direct;
 pub mod general;
 pub mod guard;
 pub mod refine;
-pub mod roofline;
 pub mod value;
 pub mod workload;
 

@@ -161,7 +161,6 @@ impl ModelCalibrator {
                 inter_s: c.inter_s * k,
                 comm_bandwidth_s: c.comm_bandwidth_s * k,
                 comm_latency_s: c.comm_latency_s * k,
-                compute_s: c.compute_s * k,
             },
         }
     }

@@ -39,6 +39,8 @@ pub(crate) fn sum19_v<R: Real, V: Lane<R>>(v: &[V; Q19]) -> V {
 /// reassociation — the constants are splatted, every op is `Lane`'s
 /// IEEE elementwise arithmetic).
 #[inline(always)]
+// `q` indexes four constant tables besides `out`; the counted loop is the kernel's shape.
+#[allow(clippy::needless_range_loop)]
 pub(crate) fn equilibrium_v<R: Real, V: Lane<R>>(rho: V, ux: V, uy: V, uz: V, out: &mut [V; Q19]) {
     let usq = V::splat(R::from_f64(1.5)) * (ux * ux + uy * uy + uz * uz);
     let one = V::splat(R::ONE);

@@ -520,6 +520,8 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
     /// destination array, in-place streams forward into the slots the
     /// gather read (fully read before the first write).
     #[inline(always)]
+    // `q` is the direction the destination slot is computed from, not just `out`'s index.
+    #[allow(clippy::needless_range_loop)]
     fn scatter<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, cell: usize, out: &[R; Q19]) {
         let n = self.mesh.len();
         let row = self.mesh.neighbor_row(cell);

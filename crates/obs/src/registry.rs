@@ -68,10 +68,12 @@ impl Registry {
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut shard = self.shards[shard_of(name)].lock().expect("obs shard poisoned");
-        shard
-            .entry(name.to_string())
-            .or_insert_with(make)
-            .clone()
+        if let Some(metric) = shard.get(name) {
+            return metric.clone();
+        }
+        let metric = make();
+        shard.insert(name.to_string(), metric.clone());
+        metric
     }
 
     /// Get or create the counter `name`.
@@ -139,14 +141,6 @@ impl Registry {
             Metric::Span(s) => s,
             other => panic!("obs metric {name:?} is a {}, not a span", other.type_name()),
         }
-    }
-
-    /// Record one completed span of `elapsed_s` seconds under `name` —
-    /// the manual alternative to [`Registry::scope`] for callers that
-    /// already measured the duration (the scheduler's event loop
-    /// attributes virtual-time deltas this way).
-    pub fn record_span_s(&self, name: &str, elapsed_s: f64, deterministic: bool) {
-        self.span_total(name, deterministic).record_s(elapsed_s);
     }
 
     /// Open a nested span named `name`, timed by `clock`. The returned
@@ -261,10 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn record_span_s_accumulates_under_one_name() {
+    fn span_total_handles_accumulate_under_one_name() {
         let r = Registry::new();
-        r.record_span_s("sched.event.arrive", 2.0, true);
-        r.record_span_s("sched.event.arrive", 3.0, true);
+        r.span_total("sched.event.arrive", true).record_s(2.0);
+        r.span_total("sched.event.arrive", true).record_s(3.0);
         let s = r.span_total("sched.event.arrive", true);
         assert_eq!(s.count(), 2);
         assert_eq!(s.total_s(), 5.0);

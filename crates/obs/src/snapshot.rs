@@ -264,8 +264,8 @@ mod tests {
         h.record(152.0);
         let w = r.histogram("pool.run_seconds", HistogramKind::WallTime, &[0.001, 0.1]);
         w.record(0.0125);
-        r.record_span_s("sched.event.arrive", 3.5, true);
-        r.record_span_s("wall.span", 0.25, false);
+        r.span_total("sched.event.arrive", true).record_s(3.5);
+        r.span_total("wall.span", false).record_s(0.25);
         r
     }
 
@@ -397,7 +397,7 @@ mod tests {
                             c.add(1 + t % 2);
                             h.record(((i * 7 + t) % 32) as f64);
                         }
-                        r.record_span_s("t.span", 0.5, true);
+                        r.span_total("t.span", true).record_s(0.5);
                     })
                 })
                 .collect();

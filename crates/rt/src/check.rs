@@ -148,7 +148,6 @@ mod tests {
     fn properties_see_reproducible_streams() {
         // Two identical runs observe identical generated inputs.
         let record = |out: &std::sync::Mutex<Vec<u64>>| {
-            let out = out;
             run("record", Config::cases(8), |rng| {
                 out.lock().unwrap().push(rng.next_u64());
             });

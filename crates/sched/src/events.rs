@@ -322,7 +322,7 @@ mod tests {
         let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
         check::run("partial_cmp_always_agrees_with_cmp", Config::cases(16), |rng| {
             let draw = |rng: &mut hemocloud_rt::rng::Rng| {
-                let time_s = if rng.next_u64() % 4 == 0 {
+                let time_s = if rng.next_u64().is_multiple_of(4) {
                     specials[(rng.next_u64() % specials.len() as u64) as usize]
                 } else {
                     // Coarse grid so exact time ties exercise the lane/seq arms.

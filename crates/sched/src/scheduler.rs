@@ -2,13 +2,14 @@
 //! closes the paper's predict → run → guard → refine cycle over many jobs
 //! and capacity-limited platform pools.
 //!
-//! * **Predict / admit / place** — every waiting job's (platform, ranks)
-//!   options are priced with the generalized model, corrected by the
-//!   freshest [`ModelCalibrator`] fit, filtered to pools with free nodes
-//!   and to the job's dollar budget, and handed to
-//!   [`Dashboard::recommend_index`] under the job's objective. Full pools
-//!   queue the job; a job with no feasible option even on empty pools is
-//!   rejected.
+//! * **Predict / admit / place** — a (pool, model)'s rank options are
+//!   priced once by [`GeneralModel::options`], the loop the dashboard's
+//!   rows come from. Each placement try scores them as plain
+//!   `(time, cost)` numbers under the freshest [`ModelCalibrator`] fit,
+//!   drops the ones over the job's dollar budget, and lets
+//!   [`Objective::pick`] choose among those that fit free nodes now.
+//!   Full pools queue the job; a job with no in-budget option the
+//!   objective accepts even on empty pools is rejected.
 //! * **Run** — placed jobs advance in time slices through
 //!   [`PreparedRun::run_slice`], so the simulated platform noise follows
 //!   the campaign clock hour by hour. On a routed pool
@@ -81,12 +82,12 @@ use hemocloud_cluster::topology::{build_topology, routed_set_comm, CommModel, To
 use hemocloud_fabric::{Flow, Topology};
 use hemocloud_core::characterize::{characterize, PlatformCharacterization};
 use hemocloud_core::composition::Prediction;
-use hemocloud_core::dashboard::{Dashboard, DashboardEntry};
+use hemocloud_core::dashboard::Objective;
 use hemocloud_core::general::GeneralModel;
 use hemocloud_core::guard::JobGuard;
 use hemocloud_core::refine::ModelCalibrator;
 use hemocloud_core::workload::Workload;
-use hemocloud_obs::{Counter, Registry, Snapshot};
+use hemocloud_obs::{Counter, Registry, Snapshot, SpanTotal};
 use hemocloud_rt::rng::{Rng, SplitMix64};
 
 use crate::events::{Event, ShardedEventQueue};
@@ -324,7 +325,6 @@ struct JobState {
     /// Interned `model_key|kernel` id — the dense cache key.
     model_id: u32,
     outcome: Option<JobOutcome>,
-    waiting: bool,
     /// Wait-index registrations: (pool, min-nodes bucket) pairs this job
     /// currently occupies. Empty unless parked.
     parked: Vec<(usize, usize)>,
@@ -346,7 +346,6 @@ impl JobState {
             spec,
             model_id,
             outcome: None,
-            waiting: false,
             parked: Vec::new(),
             completed_steps: 0,
             attempts: 0,
@@ -405,7 +404,7 @@ pub fn fault_probability(lambda: f64) -> f64 {
 /// the ~1070 doublings that would overflow `f64` — yields a finite,
 /// monotonically non-decreasing delay.
 pub fn retry_backoff_s(base_s: f64, max_s: f64, retry: u32) -> f64 {
-    if !(base_s > 0.0) {
+    if base_s.is_nan() || base_s <= 0.0 {
         return 0.0;
     }
     // A non-positive or non-finite cap means "no cap" — which still must
@@ -435,27 +434,26 @@ fn derive_seed(parts: &[u64]) -> u64 {
     acc
 }
 
-/// One statically feasible (ranks, nodes) option of a (pool, model) pair:
-/// rank fits the platform and the grid, the node count fits the pool, and
-/// the raw prediction is finite. Raw predictions are time-invariant, so
-/// the whole row is computed once per (pool, model) and cached.
+/// One statically feasible rank option of a (pool, model) pair: a row of
+/// [`GeneralModel::options`] whose rank count fits the grid and whose
+/// node count fits the pool. Raw predictions are time-invariant, so the
+/// whole row is computed once per (pool, model) and cached.
 #[derive(Debug, Clone, Copy)]
 struct OptionSpec {
-    ranks: usize,
     nodes: usize,
+    /// Uncalibrated; carries the rank count.
     raw: Prediction,
 }
 
-/// A candidate (pool, ranks) option for one waiting job, with the index
-/// context placement needs carried alongside (never re-matched by float
-/// equality — see [`Dashboard::recommend_index`]).
+/// One in-budget option of a waiting job, scored under the current
+/// calibration: which cached [`OptionSpec`] (`pool_options[(pool_idx,
+/// model)][option]`), and the numbers [`Objective::pick`] decides on.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     pool_idx: usize,
-    ranks: usize,
-    nodes: usize,
-    raw: Prediction,
-    calibrated: bool,
+    option: usize,
+    time_s: f64,
+    cost_dollars: f64,
     fits_now: bool,
 }
 
@@ -487,6 +485,10 @@ struct SchedObs {
     faults: Arc<Counter>,
     retries: Arc<Counter>,
     events: Arc<Counter>,
+    /// Virtual time attributed to each event type (see
+    /// [`Campaign::on_event`]).
+    arrive_span: Arc<SpanTotal>,
+    slice_done_span: Arc<SpanTotal>,
     /// Pops per event lane (0 = intake, 1 + p = pool p). Lane-keyed, not
     /// shard-keyed, so the whole snapshot stays shard-count-invariant
     /// apart from the explicit `sched.shards` gauge.
@@ -513,6 +515,8 @@ impl SchedObs {
             faults: registry.counter("sched.faults"),
             retries: registry.counter("sched.retries"),
             events: registry.counter("sched.events.processed"),
+            arrive_span: registry.span_total("sched.event.arrive", true),
+            slice_done_span: registry.span_total("sched.event.slice_done", true),
             lane_pops: registry.counter_family("sched.lane.pops", lanes),
             fabric_forwarded: pool_links
                 .iter()
@@ -756,23 +760,11 @@ impl Campaign {
             while cursor < intake.len() && self.jobs[intake[cursor]].spec.submit_s == t {
                 let job = intake[cursor];
                 cursor += 1;
-                self.note_event("sched.event.arrive", t, 0);
-                self.jobs[job].waiting = true;
-                self.ready.insert(job);
+                self.on_event(Event::Arrive { job }, t, 0);
             }
             while self.events.next_time() == Some(t) {
                 let (_, lane, event) = self.events.pop().expect("peeked event");
-                match event {
-                    Event::Arrive { job } => {
-                        self.note_event("sched.event.arrive", t, lane);
-                        self.jobs[job].waiting = true;
-                        self.ready.insert(job);
-                    }
-                    Event::SliceDone { job, attempt } => {
-                        self.note_event("sched.event.slice_done", t, lane);
-                        self.on_slice_done(job, attempt);
-                    }
-                }
+                self.on_event(event, t, lane);
             }
             self.dispatch();
         }
@@ -790,51 +782,40 @@ impl Campaign {
         self.build_report()
     }
 
-    /// Advance the clock to `t`, attributing the virtual-time gap to the
-    /// event type that closes it (so per-type span totals sum exactly to
-    /// the makespan — later events in the same batch record zero-length
-    /// spans), and count the pop on its lane.
-    fn note_event(&mut self, span: &str, t: f64, lane: usize) {
-        self.obs
-            .registry
-            .record_span_s(span, (t - self.clock_s).max(0.0), true);
+    /// Advance the clock to `t` and handle `event`, attributing the
+    /// virtual-time gap to the event type that closes it (so per-type
+    /// span totals sum exactly to the makespan — later events in the same
+    /// batch record zero-length spans) and counting the pop on its lane.
+    fn on_event(&mut self, event: Event, t: f64, lane: usize) {
+        let gap_s = (t - self.clock_s).max(0.0);
         self.clock_s = t;
         self.events_processed += 1;
         self.obs.events.inc();
         self.obs.lane_pops[lane].inc();
+        match event {
+            Event::Arrive { job } => {
+                self.obs.arrive_span.record_s(gap_s);
+                self.ready.insert(job);
+            }
+            Event::SliceDone { job, attempt } => {
+                self.obs.slice_done_span.record_s(gap_s);
+                self.on_slice_done(job, attempt);
+            }
+        }
     }
 
     // ---- placement ----------------------------------------------------
 
-    /// The correction factor placement scoring uses for `pool_idx`, and
-    /// whether it is calibrated: the pool's own fit once it has enough
-    /// observations, else the global fit, else identity. O(1) — the
-    /// calibrators keep running sums.
-    fn correction_k(&self, pool_idx: usize) -> (f64, bool) {
+    /// The calibrator placements on `pool_idx` are corrected by — the
+    /// pool's own once it has enough observations, else the global one —
+    /// or `None` while neither has (placements then run on the raw
+    /// model). Scoring reads its factor, the winner's guard its full
+    /// corrected prediction; both are O(1) over running sums.
+    fn calibrator(&self, pool_idx: usize) -> Option<&ModelCalibrator> {
         let min = self.config.min_calibration_obs.max(1);
-        let local = &self.pools[pool_idx].calibrator;
-        if local.len() >= min {
-            (local.correction_factor(), true)
-        } else if self.global_calibrator.len() >= min {
-            (self.global_calibrator.correction_factor(), true)
-        } else {
-            (1.0, false)
-        }
-    }
-
-    /// Full corrected prediction from the same calibrator
-    /// [`Campaign::correction_k`] selected — built only for a placement
-    /// winner.
-    fn corrected(&self, pool_idx: usize, raw: &Prediction) -> (Prediction, bool) {
-        let min = self.config.min_calibration_obs.max(1);
-        let local = &self.pools[pool_idx].calibrator;
-        if local.len() >= min {
-            (local.corrected_prediction(raw), true)
-        } else if self.global_calibrator.len() >= min {
-            (self.global_calibrator.corrected_prediction(raw), true)
-        } else {
-            (*raw, false)
-        }
+        [&self.pools[pool_idx].calibrator, &self.global_calibrator]
+            .into_iter()
+            .find(|calibrator| calibrator.len() >= min)
     }
 
     /// Build (once) the statically feasible option rows for every pool of
@@ -847,26 +828,13 @@ impl Campaign {
             }
             let workload = &self.model_workloads[model_id as usize];
             let state = &self.pools[pool_idx];
-            let platform = &state.pool.platform;
             let model = GeneralModel::from_characterization(&state.character, workload);
-            let mut opts = Vec::new();
-            for &ranks in &self.config.rank_options {
-                if ranks == 0
-                    || ranks > platform.total_cores
-                    || ranks > workload.grid.fluid_count()
-                {
-                    continue;
-                }
-                let nodes = platform.nodes_for_ranks(ranks);
-                if !state.pool.can_host(nodes) {
-                    continue;
-                }
-                let raw = model.predict(ranks);
-                if !(raw.step_time_s > 0.0) || !raw.step_time_s.is_finite() {
-                    continue;
-                }
-                opts.push(OptionSpec { ranks, nodes, raw });
-            }
+            let fluid_count = workload.grid.fluid_count();
+            let opts = model
+                .options(&self.config.rank_options)
+                .filter(|(nodes, raw)| raw.ranks <= fluid_count && state.pool.can_host(*nodes))
+                .map(|(nodes, raw)| OptionSpec { nodes, raw })
+                .collect();
             self.pool_options.insert((pool_idx, model_id), opts);
         }
     }
@@ -876,50 +844,33 @@ impl Campaign {
         let model_id = self.jobs[job_idx].model_id;
         let spec = &self.jobs[job_idx].spec;
         let steps = spec.workload.steps;
-        let updates = spec.workload.total_updates();
         let budget = spec.budget_dollars;
         let objective = spec.objective;
-        let workload_name = spec.workload.name.clone();
 
         let mut cands: Vec<Candidate> = Vec::new();
-        let mut entries: Vec<DashboardEntry> = Vec::new();
         let mut park_regs: Vec<(usize, usize)> = Vec::new();
-        for pool_idx in 0..self.pools.len() {
-            let (k, calibrated) = self.correction_k(pool_idx);
-            let state = &self.pools[pool_idx];
+        for (pool_idx, state) in self.pools.iter().enumerate() {
+            let k = self
+                .calibrator(pool_idx)
+                .map_or(1.0, ModelCalibrator::correction_factor);
             let platform = &state.pool.platform;
             let nodes_free = state.pool.nodes_free();
             let mut min_nodes: Option<usize> = None;
-            for opt in &self.pool_options[&(pool_idx, model_id)] {
+            for (option, opt) in self.pool_options[&(pool_idx, model_id)].iter().enumerate() {
                 // Same arithmetic the winner's corrected prediction uses:
                 // time_for_steps(steps) over a step time scaled by k.
-                let time = opt.raw.step_time_s * k * steps as f64;
-                let cost = self.config.prices.cost(platform, opt.nodes, time);
-                if cost > budget {
+                let time_s = opt.raw.step_time_s * k * steps as f64;
+                let cost_dollars = self.config.prices.cost(platform, opt.nodes, time_s);
+                if cost_dollars > budget {
                     continue; // admission: never offer an over-budget option
                 }
                 min_nodes = Some(min_nodes.map_or(opt.nodes, |m: usize| m.min(opt.nodes)));
                 cands.push(Candidate {
                     pool_idx,
-                    ranks: opt.ranks,
-                    nodes: opt.nodes,
-                    raw: opt.raw,
-                    calibrated,
+                    option,
+                    time_s,
+                    cost_dollars,
                     fits_now: opt.nodes <= nodes_free,
-                });
-                entries.push(DashboardEntry {
-                    platform: platform.abbrev.to_string(),
-                    ranks: opt.ranks,
-                    nodes: opt.nodes,
-                    predicted_mflups: if k > 0.0 { opt.raw.mflups / k } else { 0.0 },
-                    time_to_solution_s: time,
-                    cost_dollars: cost,
-                    updates_per_dollar: if cost > 0.0 {
-                        updates / cost
-                    } else {
-                        f64::INFINITY
-                    },
-                    topology: state.comm().name().to_string(),
                 });
             }
             if let Some(n) = min_nodes {
@@ -927,30 +878,19 @@ impl Campaign {
             }
         }
 
-        // Recommend over a subset, carrying candidate indices all the way
-        // through (the old path matched the winning entry back by float
-        // equality, silently resolving duplicate predictions to the first
-        // duplicate — `recommend_index` makes the winner unambiguous).
-        let recommend = |subset: &[usize]| -> Option<usize> {
-            if subset.is_empty() {
-                return None;
-            }
-            let dashboard = Dashboard {
-                workload_name: workload_name.clone(),
-                entries: subset.iter().map(|&i| entries[i].clone()).collect(),
-            };
-            dashboard.recommend_index(objective).map(|pos| subset[pos])
+        // The objective's choice among the candidates that fit free nodes
+        // now, or — `on_empty_pools` — among all of them. The candidate
+        // itself is the key, so equal (time, cost) rows on two pools stay
+        // distinct and the earliest wins.
+        let pick = |on_empty_pools: bool| {
+            let offered = cands.iter().filter(|c| on_empty_pools || c.fits_now);
+            objective.pick(offered.map(|c| (c, c.time_s, c.cost_dollars)))
         };
-
-        let free: Vec<usize> = (0..cands.len()).filter(|&i| cands[i].fits_now).collect();
-        if let Some(win) = recommend(&free) {
-            let chosen = cands[win];
-            self.place(job_idx, &chosen);
-            return PlaceResult::Placed;
-        }
-        // Nothing fits right now — would anything fit on an empty pool?
-        let all: Vec<usize> = (0..cands.len()).collect();
-        if recommend(&all).is_some() {
+        if let Some(&Candidate { pool_idx, option, .. }) = pick(false) {
+            self.place(job_idx, pool_idx, option);
+            PlaceResult::Placed
+        } else if pick(true).is_some() {
+            // Nothing fits right now, but something would on an empty pool.
             PlaceResult::Wait(park_regs)
         } else {
             PlaceResult::Reject(
@@ -959,13 +899,17 @@ impl Campaign {
         }
     }
 
-    fn place(&mut self, job_idx: usize, chosen: &Candidate) {
-        let (corrected, calibrated) = self.corrected(chosen.pool_idx, &chosen.raw);
-        debug_assert_eq!(calibrated, chosen.calibrated, "calibration flag drifted");
-        let state = &mut self.pools[chosen.pool_idx];
+    fn place(&mut self, job_idx: usize, pool_idx: usize, option: usize) {
+        let model_id = self.jobs[job_idx].model_id;
+        let OptionSpec { nodes, raw } = self.pool_options[&(pool_idx, model_id)][option];
+        let ranks = raw.ranks;
+        let calibrator = self.calibrator(pool_idx);
+        let calibrated = calibrator.is_some();
+        let corrected = calibrator.map_or(raw, |c| c.corrected_prediction(&raw));
+        let state = &mut self.pools[pool_idx];
         let node_ids = state
             .pool
-            .try_alloc_ids(chosen.nodes)
+            .try_alloc_ids(nodes)
             .expect("placement raced capacity");
         state.attempts += 1;
         state.active_jobs.insert(job_idx);
@@ -974,11 +918,11 @@ impl Campaign {
         let overheads = state.overheads;
         let comm = state.comm();
 
-        let prep_key = (chosen.pool_idx, self.jobs[job_idx].model_id, chosen.ranks);
+        let prep_key = (pool_idx, model_id, ranks);
         if !self.prepared.contains_key(&prep_key) {
-            let workload = &self.model_workloads[prep_key.1 as usize];
+            let workload = &self.model_workloads[model_id as usize];
             let census = workload
-                .census(chosen.ranks)
+                .census(ranks)
                 .expect("candidate was validated feasible");
             let built = PreparedRun::from_census(
                 &platform,
@@ -992,7 +936,7 @@ impl Campaign {
             self.prepared.insert(prep_key, Arc::new(built));
         }
         let prepared = Arc::clone(&self.prepared[&prep_key]);
-        let link_bytes = self.pools[chosen.pool_idx].topology.as_ref().map(|(_, topology)| {
+        let link_bytes = self.pools[pool_idx].topology.as_ref().map(|(_, topology)| {
             Arc::clone(
                 self.link_bytes
                     .entry((prep_key, node_ids.clone()))
@@ -1007,7 +951,6 @@ impl Campaign {
         self.placements_total += 1;
 
         let job = &mut self.jobs[job_idx];
-        job.waiting = false;
         job.attempts += 1;
         let spec = &job.spec;
         let mut guard = JobGuard::from_prediction(
@@ -1024,8 +967,8 @@ impl Campaign {
                 job_name: spec.name.clone(),
                 attempt: job.attempts,
                 platform: platform.abbrev.to_string(),
-                ranks: chosen.ranks,
-                nodes: chosen.nodes,
+                ranks,
+                nodes,
                 calibrated,
                 predicted_step_s: corrected.step_time_s,
                 measured_step_s: None,
@@ -1034,14 +977,14 @@ impl Campaign {
             });
         }
         job.run = Some(Box::new(ActiveRun {
-            pool_idx: chosen.pool_idx,
-            ranks: chosen.ranks,
-            nodes: chosen.nodes,
+            pool_idx,
+            ranks,
+            nodes,
             node_ids,
             link_bytes,
             prepared,
             guard,
-            raw_step_pred_s: chosen.raw.step_time_s,
+            raw_step_pred_s: raw.step_time_s,
             corrected_step_pred_s: corrected.step_time_s,
             calibrated,
             attempt_elapsed_s: 0.0,
@@ -1055,7 +998,6 @@ impl Campaign {
 
     fn reject(&mut self, job_idx: usize, reason: String) {
         let job = &mut self.jobs[job_idx];
-        job.waiting = false;
         job.outcome = Some(JobOutcome::Rejected { reason });
         job.finish_s = self.clock_s;
         self.obs.rejected.inc();
@@ -1514,7 +1456,7 @@ impl Campaign {
             report.total_cost_dollars += job.cost;
             report.wasted_steps += job.wasted_steps;
             let slo_met = match job.spec.objective {
-                hemocloud_core::dashboard::Objective::Deadline(d) => {
+                Objective::Deadline(d) => {
                     report.slo_total += 1;
                     let met = outcome == JobOutcome::Completed
                         && job.finish_s - job.spec.submit_s <= d;
@@ -1665,6 +1607,80 @@ mod tests {
         }
     }
 
+    /// The option loop has one body: what a campaign caches per (pool,
+    /// model) is the matching `Dashboard::build` row, bit for bit,
+    /// wherever the scheduler's own constraints (grid size, pool
+    /// capacity) admit the option too.
+    #[test]
+    fn cached_options_are_the_dashboard_rows_the_pool_can_host() {
+        use crate::demo::demo_config;
+        use hemocloud_core::dashboard::Dashboard;
+        use hemocloud_geometry::anatomy::CylinderSpec;
+
+        let config = demo_config(42);
+        let pools = Platform::all().into_iter().map(|platform| PoolSpec {
+            platform,
+            nodes: 2,
+            overheads: Overheads::default(),
+            topology: None,
+        });
+        let mut campaign = Campaign::new(config.clone(), pools.collect());
+        let grid = CylinderSpec::default().with_resolution(8).build();
+        let workload = Arc::new(Workload::harvey(&grid, 250_000));
+        let job = campaign.submit(JobSpec {
+            name: "probe".into(),
+            workload: Arc::clone(&workload),
+            model_key: "cyl8".into(),
+            objective: Objective::MinCost,
+            tolerance: 1.0,
+            budget_dollars: 1.0,
+            max_retries: 0,
+            checkpoint_steps: 1,
+            hidden_steps_factor: 1.0,
+            submit_s: 0.0,
+        });
+        campaign.ensure_options(job);
+
+        let mut compared = 0;
+        for (pool_idx, state) in campaign.pools.iter().enumerate() {
+            let platform = &state.pool.platform;
+            let rows = Dashboard::build(
+                std::slice::from_ref(&state.character),
+                &workload,
+                &config.rank_options,
+                &config.prices,
+            )
+            .entries;
+            let cached = &campaign.pool_options[&(pool_idx, 0)];
+            for opt in cached {
+                let row = rows
+                    .iter()
+                    .find(|row| row.ranks == opt.raw.ranks)
+                    .unwrap_or_else(|| panic!("{}: no row at {} ranks", platform.abbrev, opt.raw.ranks));
+                let time_s = opt.raw.step_time_s * workload.steps as f64;
+                assert_eq!(row.nodes, opt.nodes);
+                assert_eq!(row.time_to_solution_s.to_bits(), time_s.to_bits());
+                assert_eq!(row.predicted_mflups.to_bits(), opt.raw.mflups.to_bits());
+                assert_eq!(
+                    row.cost_dollars.to_bits(),
+                    config.prices.cost(platform, opt.nodes, time_s).to_bits()
+                );
+                compared += 1;
+            }
+            // What the dashboard offers and the campaign does not is
+            // exactly what the grid or the pool cannot host.
+            for row in rows.iter().filter(|row| !cached.iter().any(|o| o.raw.ranks == row.ranks)) {
+                assert!(
+                    row.ranks > grid.fluid_count() || !state.pool.can_host(row.nodes),
+                    "{}: {} ranks dropped",
+                    platform.abbrev,
+                    row.ranks
+                );
+            }
+        }
+        assert!(compared >= Platform::all().len(), "only {compared} options compared");
+    }
+
     /// The contention memo's contract: a stored value is a pure function
     /// of its key. Every entry of a routed campaign is re-derived from
     /// its key alone — through a fresh set exchange (bitwise, per task)
@@ -1673,7 +1689,6 @@ mod tests {
     /// values.
     #[test]
     fn contention_prices_are_a_pure_function_of_the_active_set() {
-        use hemocloud_core::dashboard::Objective;
         use hemocloud_geometry::anatomy::CylinderSpec;
 
         // 8-node spread pool, 4 racks (rack = id % 4); 12 and 16 ranks

@@ -66,6 +66,34 @@ fn one_pool(nodes: usize) -> Vec<PoolSpec> {
     }]
 }
 
+/// The scheduler's online error accumulators against
+/// [`CampaignReport::compute_mapes`]'s recount over an uncapped placement
+/// log: counts exactly; the first-quartile uncalibrated MAPE bitwise
+/// (both sides sum in placement order); the calibrated MAPE to 1e-9
+/// relative (the online sum runs in measurement order).
+fn assert_accumulators_match_the_placement_log(report: &CampaignReport) {
+    assert_eq!(report.placements_total, report.placements.len(), "log is capped");
+    let mut recount = report.clone();
+    let (re_uncal, re_cal) = recount.compute_mapes();
+    assert_eq!(
+        recount.mape_first_quartile_uncalibrated_count,
+        report.mape_first_quartile_uncalibrated_count
+    );
+    assert_eq!(recount.mape_calibrated_count, report.mape_calibrated_count);
+    assert_eq!(
+        re_uncal.map(f64::to_bits),
+        report.mape_first_quartile_uncalibrated_pct.map(f64::to_bits),
+        "uncalibrated accumulator drifted"
+    );
+    match (re_cal, report.mape_calibrated_pct) {
+        (Some(recounted), Some(online)) => assert!(
+            (recounted - online).abs() <= 1e-9 * online.abs(),
+            "calibrated accumulator drifted: {online} online vs {recounted} recounted"
+        ),
+        (recounted, online) => assert_eq!(recounted, online),
+    }
+}
+
 #[test]
 fn demo_campaign_is_byte_for_byte_reproducible() {
     let (_, first) = demo();
@@ -103,12 +131,7 @@ fn demo_campaign_meets_the_acceptance_invariants() {
     );
     assert!(report.mape_first_quartile_uncalibrated_count >= 1);
     assert!(report.mape_calibrated_count >= 1);
-    // The online accumulators must agree with a recount over the
-    // (uncapped) retained placement log.
-    let mut recount = report.clone();
-    let (re_uncal, re_cal) = recount.compute_mapes();
-    assert!((re_uncal.unwrap() - uncal).abs() < 1e-9, "uncal accumulator drifted");
-    assert!((re_cal.unwrap() - cal).abs() < 1e-9, "cal accumulator drifted");
+    assert_accumulators_match_the_placement_log(report);
     // Error percentiles exist and are ordered on a measured campaign.
     let p50 = report.error_p50_pct.expect("p50");
     let p99 = report.error_p99_pct.expect("p99");
@@ -225,6 +248,21 @@ fn fault_retries_are_bounded_and_roll_back_to_checkpoints() {
     assert_eq!(job.faults, 3);
     assert_eq!(report.retries, 2);
     assert_eq!(report.failed, 1);
+}
+
+#[test]
+fn faulted_campaign_accumulators_match_the_placement_log() {
+    // Faults interleave attempts: placements are measured out of
+    // placement order, and a faulted first slice is never measured.
+    let mut campaign = Campaign::new(tiny_config(11, 30.0), one_pool(2));
+    for i in 0..12 {
+        campaign.submit(tiny_job(&format!("f{i}"), 400_000, 10.0, 1.0, (i / 2) as f64 * 120.0));
+    }
+    let report = campaign.run();
+    assert!(report.faults >= 1 && report.retries >= 1, "{}", report.to_json());
+    assert!(report.mape_first_quartile_uncalibrated_count >= 1);
+    assert!(report.mape_calibrated_count >= 1);
+    assert_accumulators_match_the_placement_log(&report);
 }
 
 #[test]

@@ -30,6 +30,11 @@ echo "== check: smoke artifacts, byte-identity pairs, committed artifacts"
 # the committed set with `... --bin check -- --regen`.
 cargo run -q --release --offline -p hemocloud-bench --bin check
 
+echo "== cargo clippy --offline --workspace --all-targets -- -D warnings"
+# A deliberate exception carries its reason in an `#[allow]` at the site
+# (the kernels' counted `q` loops), never a blanket setting here.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "== cargo doc --no-deps --offline"
 # The API docs must build cleanly: the AA safety argument and the kernel
 # accounting live in doc comments, so broken intra-doc links or bad

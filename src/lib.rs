@@ -76,7 +76,6 @@ pub mod prelude {
         general::GeneralModel,
         guard::JobGuard,
         refine::ModelCalibrator,
-        roofline::{FlopProfile, Roofline},
         value::relative_value_matrix,
         workload::Workload,
     };

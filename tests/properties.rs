@@ -231,3 +231,66 @@ fn guard_never_rejects_usage_within_prediction() {
         },
     );
 }
+
+/// The one recommendation rule: [`Objective::pick`] against a naive
+/// first-strict-minimum loop, on tables with planted exact duplicates,
+/// `+∞` and NaN — and [`Dashboard::recommend_index`] over the equivalent
+/// rows answers with the same index.
+#[test]
+fn objective_pick_matches_a_naive_reference() {
+    use std::cmp::Ordering;
+    fn naive(objective: Objective, rows: &[(f64, f64)]) -> Option<usize> {
+        let metric = |&(time_s, cost): &(f64, f64)| match objective {
+            Objective::MaxThroughput => time_s,
+            Objective::MinCost | Objective::Deadline(_) => cost,
+        };
+        let mut best: Option<usize> = None;
+        for (i, row) in rows.iter().enumerate() {
+            let meets_deadline = match objective {
+                Objective::Deadline(seconds) => row.0 <= seconds,
+                _ => true,
+            };
+            if meets_deadline
+                && best.is_none_or(|b| metric(row).total_cmp(&metric(&rows[b])) == Ordering::Less)
+            {
+                best = Some(i);
+            }
+        }
+        best
+    }
+    check::run("objective_pick_matches_a_naive_reference", Config::cases(64), |rng| {
+        // A small palette, so exact ties are the common case.
+        let mut palette = vec![f64::INFINITY, f64::NAN, -f64::NAN, 0.0];
+        palette.extend((0..rng.range_usize(1, 6)).map(|_| rng.range_f64(0.0, 1000.0)));
+        let draw = |rng: &mut Rng| palette[rng.range_usize(0, palette.len())];
+        let rows: Vec<(f64, f64)> = (0..rng.range_usize(0, 41))
+            .map(|_| (draw(rng), draw(rng)))
+            .collect();
+        let dashboard = Dashboard {
+            workload_name: "prop".into(),
+            entries: rows
+                .iter()
+                .map(|&(time_to_solution_s, cost_dollars)| DashboardEntry {
+                    platform: "P".into(),
+                    ranks: 1,
+                    nodes: 1,
+                    predicted_mflups: 1.0,
+                    time_to_solution_s,
+                    cost_dollars,
+                    updates_per_dollar: 1.0,
+                    topology: "scalar".into(),
+                })
+                .collect(),
+        };
+        for objective in [
+            Objective::MaxThroughput,
+            Objective::MinCost,
+            Objective::Deadline(draw(rng)),
+        ] {
+            let expected = naive(objective, &rows);
+            let keyed = rows.iter().enumerate().map(|(i, &(t, c))| (i, t, c));
+            assert_eq!(objective.pick(keyed), expected, "{objective:?} over {rows:?}");
+            assert_eq!(dashboard.recommend_index(objective), expected, "{objective:?}");
+        }
+    });
+}

@@ -12,6 +12,7 @@ use hemocloud_core::dashboard::Dashboard;
 use hemocloud_core::direct::DirectModel;
 use hemocloud_core::general::GeneralModel;
 use hemocloud_core::workload::Workload;
+use hemocloud_decomp::census::Census;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
@@ -54,6 +55,11 @@ fn decomposition(h: &mut Harness) {
             b.iter(|| DecompAnalysis::analyze(&grid, &p))
         });
     }
+    // All nine calibration counts into an empty census: one tree, one walk.
+    let grid = std::sync::Arc::new(grid);
+    group.bench_function("census_fill_9", |b| {
+        b.iter(|| Census::new(grid.clone(), 380.5, 301.25).entry(256))
+    });
     // The calibration fit and the routed dashboard read the workload's
     // census: cold rows describe a workload per iteration (the census is
     // filled inside the timing, `Workload::new` included), the warm row

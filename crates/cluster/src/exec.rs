@@ -28,7 +28,6 @@ use crate::topology::{build_topology, routed_task_comm, CommModel, Member};
 use hemocloud_decomp::census::CensusEntry;
 use hemocloud_fabric::{Flow, Topology};
 use hemocloud_decomp::placement::Placement;
-use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::access_profile::AccessProfile;
 use hemocloud_lbm::kernel::KernelConfig;
@@ -188,10 +187,9 @@ impl PreparedRun {
         if ranks > platform.total_cores {
             return None; // before paying for a decomposition
         }
-        let partition = RcbPartition::try_new(grid, ranks).ok()?;
         let profile = AccessProfile::for_kernel(config, measured_avg_solid_links(grid));
         let (bulk, wall) = (profile.bulk_bytes, profile.wall_bytes);
-        let census = Arc::new(CensusEntry::take(grid, &partition, bulk, wall));
+        let census = Arc::new(CensusEntry::take(grid, ranks, bulk, wall).ok()?);
         let comm_bytes = profile.boundary_point_bytes;
         Self::from_census(platform, census, config, comm_bytes, overheads, comm)
     }

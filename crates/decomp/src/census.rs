@@ -9,8 +9,8 @@
 //! the partition: its owner array is the size of the bounding box (14 MB
 //! for a 3.5M-voxel cerebral box), nine of them would dwarf the geometry.
 
-use crate::halo::{bytes_per_task, DecompAnalysis};
-use crate::rcb::{self, RcbError, RcbPartition};
+use crate::halo::{self, DecompAnalysis};
+use crate::rcb::{self, RcbError};
 use hemocloud_geometry::voxel::VoxelGrid;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -29,18 +29,29 @@ pub struct CensusEntry {
 }
 
 impl CensusEntry {
-    /// Take the census of `grid` under `partition`, weighting bulk points
-    /// by `bulk_bytes` and wall, inlet and outlet points by `wall_bytes`.
-    pub fn take(
+    /// The census of `grid` at each of `task_counts`, in order, weighting
+    /// bulk points by `bulk_bytes` and wall, inlet and outlet points by
+    /// `wall_bytes`: the partitions of [`rcb::sweep`], each bisection tree
+    /// read in one [`halo::walk`] that serves every view of it.
+    pub fn sweep(
         grid: &VoxelGrid,
-        partition: &RcbPartition,
+        task_counts: &[usize],
         bulk_bytes: f64,
         wall_bytes: f64,
-    ) -> Self {
-        Self {
-            analysis: DecompAnalysis::analyze(grid, partition),
-            task_bytes: bytes_per_task(grid, partition, bulk_bytes, wall_bytes),
-        }
+    ) -> Vec<Result<Self, RcbError>> {
+        rcb::sweep_with(grid, task_counts, |leaves, shifts| {
+            halo::walk(grid, leaves, shifts, bulk_bytes, wall_bytes)
+        })
+    }
+
+    /// The census of `grid` at `ranks` alone.
+    pub fn take(
+        grid: &VoxelGrid,
+        ranks: usize,
+        bulk_bytes: f64,
+        wall_bytes: f64,
+    ) -> Result<Self, RcbError> {
+        Self::sweep(grid, &[ranks], bulk_bytes, wall_bytes).remove(0)
     }
 }
 
@@ -84,10 +95,9 @@ impl Census {
             } else {
                 std::slice::from_ref(&ranks)
             };
-            for (&n, partition) in counts.iter().zip(rcb::sweep(&self.grid, counts)) {
-                let taken = partition
-                    .map(|p| CensusEntry::take(&self.grid, &p, self.bulk_bytes, self.wall_bytes));
-                slots.insert(n, taken.map(Arc::new));
+            let taken = CensusEntry::sweep(&self.grid, counts, self.bulk_bytes, self.wall_bytes);
+            for (&n, entry) in counts.iter().zip(taken) {
+                slots.insert(n, entry.map(Arc::new));
             }
         }
         slots[&ranks].clone()

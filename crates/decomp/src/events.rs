@@ -6,6 +6,7 @@
 //! [`event_sweep_rcb`] collects the `(n_tasks, n_nodes, events)` samples the
 //! paper fits Eq. 15 against.
 
+use crate::census::CensusEntry;
 use crate::halo::DecompAnalysis;
 use crate::placement::Placement;
 use hemocloud_fitting::models::{fit_events, EventModel};
@@ -62,10 +63,10 @@ pub fn event_sweep_rcb(
     task_counts: &[usize],
     tasks_per_node: usize,
 ) -> Vec<EventSample> {
-    crate::rcb::sweep(grid, task_counts)
+    CensusEntry::sweep(grid, task_counts, 0.0, 0.0)
         .iter()
         .flatten()
-        .map(|p| EventSample::of(&DecompAnalysis::analyze(grid, p), tasks_per_node))
+        .map(|entry| EventSample::of(&entry.analysis, tasks_per_node))
         .collect()
 }
 

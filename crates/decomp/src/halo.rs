@@ -14,9 +14,10 @@
 //! neighbors is a fluid point owned by B. Each such point contributes
 //! `n_point_comm_bytes` to the A→B message, sent once per timestep.
 
+use crate::census::CensusEntry;
 use crate::partition::Ownership;
 use hemocloud_geometry::classify::D3Q19_DIRECTIONS;
-use hemocloud_geometry::voxel::VoxelGrid;
+use hemocloud_geometry::voxel::{CellType, VoxelGrid};
 use std::collections::BTreeMap;
 
 /// Full communication census of one decomposition.
@@ -36,51 +37,9 @@ pub struct DecompAnalysis {
 }
 
 impl DecompAnalysis {
-    /// Analyze `grid` under `partition`.
+    /// Analyze `grid` under `partition`: the one-level [`walk`].
     pub fn analyze<P: Ownership>(grid: &VoxelGrid, partition: &P) -> Self {
-        crate::censuses().inc();
-        let n_tasks = partition.task_count();
-        let mut points = vec![0usize; n_tasks];
-        let mut boundary = vec![0usize; n_tasks];
-        let mut messages: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); n_tasks];
-        let mut total = 0usize;
-
-        for (x, y, z, c) in grid.iter_cells() {
-            if !c.is_fluid() {
-                continue;
-            }
-            total += 1;
-            let me = partition.owner(x, y, z);
-            points[me] += 1;
-
-            // Which foreign tasks does this point border?
-            let mut peers: Vec<usize> = Vec::new();
-            for &(dx, dy, dz) in &D3Q19_DIRECTIONS {
-                if grid.get_offset(x, y, z, dx, dy, dz).is_fluid() {
-                    let nx = (x as i64 + dx as i64) as usize;
-                    let ny = (y as i64 + dy as i64) as usize;
-                    let nz = (z as i64 + dz as i64) as usize;
-                    let owner = partition.owner(nx, ny, nz);
-                    if owner != me && !peers.contains(&owner) {
-                        peers.push(owner);
-                    }
-                }
-            }
-            if !peers.is_empty() {
-                boundary[me] += 1;
-                for peer in peers {
-                    *messages[me].entry(peer).or_insert(0) += 1;
-                }
-            }
-        }
-
-        Self {
-            n_tasks,
-            points_per_task: points,
-            boundary_points_per_task: boundary,
-            messages,
-            total_points: total,
-        }
+        walk(grid, partition, &[0], 0.0, 0.0).remove(0).analysis
     }
 
     /// Load-imbalance factor `z`: the maximum per-task point count divided
@@ -131,29 +90,140 @@ impl DecompAnalysis {
     }
 }
 
-/// Per-task memory-access byte totals (the direct model's Eq. 9 sums):
-/// every fluid point contributes `bulk_bytes` or `wall_bytes` depending on
-/// whether it touches solid. Inlet/outlet cells count as wall points (they
-/// also skip remote reads).
-pub fn bytes_per_task<P: Ownership>(
+/// The census of `partition` at every level of `shifts` (ascending) from
+/// one pass over `grid`: level `s` is the partition whose task of a voxel
+/// is `partition.owner(..) >> s` — for an RCB tree the
+/// [`crate::RcbPartition::coarsened`] view `s` levels up. An entry's
+/// `task_bytes` are the per-task memory-access byte totals (the direct
+/// model's Eq. 9 sums): every fluid point contributes `bulk_bytes`, or
+/// `wall_bytes` if it touches solid or is an inlet/outlet cell (they also
+/// skip remote reads) — a running sum per level in memory order, because
+/// `wall_bytes` is not a whole number and `count × weight` would round
+/// differently.
+///
+/// Only the directions that leave the point's own leaf box are probed: a
+/// neighbour inside it has the point's task at every level. The distinct
+/// foreign *leaf* owners found, shifted by `s`, are the point's peers at
+/// level `s`, and once none is foreign none is further up (DESIGN.md §19).
+///
+/// # Panics
+/// Panics when `partition` was cut from a grid of another shape.
+pub fn walk<P: Ownership>(
     grid: &VoxelGrid,
     partition: &P,
+    shifts: &[u32],
     bulk_bytes: f64,
     wall_bytes: f64,
-) -> Vec<f64> {
-    use hemocloud_geometry::voxel::CellType;
-    let mut bytes = vec![0.0; partition.task_count()];
-    for (x, y, z, c) in grid.iter_cells() {
-        if !c.is_fluid() {
+) -> Vec<CensusEntry> {
+    let (nx, ny, _) = grid.dims();
+    assert_eq!(
+        partition.dims(),
+        grid.dims(),
+        "partition's and grid's shape"
+    );
+    assert!(shifts.is_sorted(), "levels {shifts:?} must ascend");
+    crate::census_walks().inc();
+    crate::censuses().add(shifts.len() as u64);
+
+    let leaves = partition.task_count();
+    let regions: Vec<_> = (0..leaves).map(|t| partition.region(t)).collect();
+    let mut levels: Vec<CensusEntry> = shifts
+        .iter()
+        .map(|&shift| {
+            let n_tasks = leaves.div_ceil(1 << shift);
+            CensusEntry {
+                analysis: DecompAnalysis {
+                    n_tasks,
+                    points_per_task: vec![0; n_tasks],
+                    boundary_points_per_task: vec![0; n_tasks],
+                    messages: vec![BTreeMap::new(); n_tasks],
+                    total_points: 0,
+                },
+                task_bytes: vec![0.0; n_tasks],
+            }
+        })
+        .collect();
+    // For every set of its box's faces a point can sit on (per axis a low
+    // bit, then a high bit), the directions that cross one of them.
+    let crossing: Vec<Vec<(i32, i32, i32)>> = (0..64)
+        .map(|faces: usize| {
+            let crosses =
+                |d: i32, axis: usize| d != 0 && faces >> (2 * axis + usize::from(d > 0)) & 1 == 1;
+            let mut probed = D3Q19_DIRECTIONS.to_vec();
+            probed.retain(|&(dx, dy, dz)| crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2));
+            probed
+        })
+        .collect();
+
+    for (row, cells) in grid.cells().chunks_exact(nx).enumerate() {
+        // Most rows of a sparse box are solid, and counting vectorizes.
+        if cells.iter().filter(|c| c.is_fluid()).count() == 0 {
             continue;
         }
-        let task = partition.owner(x, y, z);
-        bytes[task] += match c {
-            CellType::Bulk => bulk_bytes,
-            _ => wall_bytes,
-        };
+        let (y, z) = (row % ny, row / ny);
+        for (x, &c) in cells.iter().enumerate() {
+            if !c.is_fluid() {
+                continue;
+            }
+            let me = partition.owner(x, y, z);
+            let weight = match c {
+                CellType::Bulk => bulk_bytes,
+                _ => wall_bytes,
+            };
+            for (level, &shift) in levels.iter_mut().zip(shifts) {
+                level.analysis.total_points += 1;
+                level.analysis.points_per_task[me >> shift] += 1;
+                level.task_bytes[me >> shift] += weight;
+            }
+
+            // Which foreign leaves does this point border?
+            let r = &regions[me];
+            let faces = usize::from(x == r.x0)
+                | usize::from(x + 1 == r.x1) << 1
+                | usize::from(y == r.y0) << 2
+                | usize::from(y + 1 == r.y1) << 3
+                | usize::from(z == r.z0) << 4
+                | usize::from(z + 1 == r.z1) << 5;
+            let mut peers = [0usize; D3Q19_DIRECTIONS.len()];
+            let mut n_peers = 0;
+            for &(dx, dy, dz) in &crossing[faces] {
+                if grid.get_offset(x, y, z, dx, dy, dz).is_fluid() {
+                    let owner = partition.owner(
+                        x.wrapping_add_signed(dx as isize),
+                        y.wrapping_add_signed(dy as isize),
+                        z.wrapping_add_signed(dz as isize),
+                    );
+                    if owner != me && !peers[..n_peers].contains(&owner) {
+                        peers[n_peers] = owner;
+                        n_peers += 1;
+                    }
+                }
+            }
+            // Carry them up the levels, merging as they coincide.
+            let mut at = 0;
+            for (level, &shift) in levels.iter_mut().zip(shifts) {
+                let me = me >> shift;
+                let mut kept = 0;
+                for i in 0..n_peers {
+                    let peer = peers[i] >> (shift - at);
+                    if peer != me && !peers[..kept].contains(&peer) {
+                        peers[kept] = peer;
+                        kept += 1;
+                    }
+                }
+                (n_peers, at) = (kept, shift);
+                if n_peers == 0 {
+                    break;
+                }
+                level.analysis.boundary_points_per_task[me] += 1;
+                for &peer in &peers[..n_peers] {
+                    *level.analysis.messages[me].entry(peer).or_insert(0) += 1;
+                }
+            }
+        }
     }
-    bytes
+
+    levels
 }
 
 /// Per-task *resident-memory* byte totals: every fluid point owned by a
@@ -176,12 +246,199 @@ pub fn resident_bytes_per_task(analysis: &DecompAnalysis, point_bytes: f64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::census::CALIBRATION_COUNTS;
     use crate::partition::{BlockPartition, SlabPartition};
+    use crate::rcb::{self, RcbError, RcbPartition};
     use hemocloud_geometry::anatomy::CylinderSpec;
-    use hemocloud_geometry::voxel::{CellType, VoxelGrid};
+    use hemocloud_rt::check::{self, Config};
+    use hemocloud_rt::rng::Rng;
 
     fn full_box(n: usize) -> VoxelGrid {
         VoxelGrid::filled(n, n, n, 1.0, CellType::Bulk)
+    }
+
+    /// The one-partition census this module took before [`walk`] — every
+    /// fluid point probed, one pass for the halo and one for the bytes —
+    /// kept as the oracle for it.
+    fn reference<P: Ownership>(
+        grid: &VoxelGrid,
+        partition: &P,
+        bulk_bytes: f64,
+        wall_bytes: f64,
+    ) -> CensusEntry {
+        let n_tasks = partition.task_count();
+        let mut points = vec![0usize; n_tasks];
+        let mut boundary = vec![0usize; n_tasks];
+        let mut messages: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); n_tasks];
+        let mut total = 0usize;
+
+        for (x, y, z, c) in grid.iter_cells() {
+            if !c.is_fluid() {
+                continue;
+            }
+            total += 1;
+            let me = partition.owner(x, y, z);
+            points[me] += 1;
+
+            // Which foreign tasks does this point border?
+            let mut peers: Vec<usize> = Vec::new();
+            for &(dx, dy, dz) in &D3Q19_DIRECTIONS {
+                if grid.get_offset(x, y, z, dx, dy, dz).is_fluid() {
+                    let nx = (x as i64 + dx as i64) as usize;
+                    let ny = (y as i64 + dy as i64) as usize;
+                    let nz = (z as i64 + dz as i64) as usize;
+                    let owner = partition.owner(nx, ny, nz);
+                    if owner != me && !peers.contains(&owner) {
+                        peers.push(owner);
+                    }
+                }
+            }
+            if !peers.is_empty() {
+                boundary[me] += 1;
+                for peer in peers {
+                    *messages[me].entry(peer).or_insert(0) += 1;
+                }
+            }
+        }
+
+        let mut bytes = vec![0.0; n_tasks];
+        for (x, y, z, c) in grid.iter_cells() {
+            if !c.is_fluid() {
+                continue;
+            }
+            let task = partition.owner(x, y, z);
+            bytes[task] += match c {
+                CellType::Bulk => bulk_bytes,
+                _ => wall_bytes,
+            };
+        }
+
+        let analysis = DecompAnalysis {
+            n_tasks,
+            points_per_task: points,
+            boundary_points_per_task: boundary,
+            messages,
+            total_points: total,
+        };
+        CensusEntry {
+            analysis,
+            task_bytes: bytes,
+        }
+    }
+
+    /// Weights that are not whole numbers, as a measured k̄ makes them.
+    const WEIGHTS: (f64, f64) = (380.5, 301.25);
+
+    fn assert_same(got: &CensusEntry, want: &CensusEntry, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (&got.analysis, &want.analysis);
+        assert_eq!(a.n_tasks, b.n_tasks, "{what}: n_tasks");
+        assert_eq!(a.points_per_task, b.points_per_task, "{what}: points");
+        assert_eq!(
+            a.boundary_points_per_task, b.boundary_points_per_task,
+            "{what}: boundary points"
+        );
+        assert_eq!(a.messages, b.messages, "{what}: messages");
+        assert_eq!(a.total_points, b.total_points, "{what}: total");
+        assert_eq!(
+            bits(&got.task_bytes),
+            bits(&want.task_bytes),
+            "{what}: byte sums"
+        );
+    }
+
+    /// The walk against the reference on `g`: every calibration view of
+    /// the shared RCB tree and a handful of odd counts through
+    /// [`CensusEntry::sweep`] (same errors where the grid cannot host a
+    /// count), and block and slab partitions at shift 0.
+    fn assert_walk_matches_reference(g: &VoxelGrid) {
+        let (bulk, wall) = WEIGHTS;
+        let mut counts = CALIBRATION_COUNTS.to_vec();
+        counts.extend([3, 5, 6, 7, 13, 36]);
+        let swept = CensusEntry::sweep(g, &counts, bulk, wall);
+        assert_eq!(swept.len(), counts.len());
+        for ((&n, got), partition) in counts.iter().zip(swept).zip(rcb::sweep(g, &counts)) {
+            match (got, partition) {
+                (Ok(got), Ok(p)) => {
+                    assert_same(&got, &reference(g, &p, bulk, wall), &format!("rcb {n}"))
+                }
+                (got, p) => assert_eq!(got.err(), p.err(), "rcb {n}"),
+            }
+        }
+        let (nx, ny, nz) = g.dims();
+        for n in [1, 4, nx.min(ny).min(nz)] {
+            let block = BlockPartition::new(g.dims(), n);
+            let got = walk(g, &block, &[0], bulk, wall).remove(0);
+            assert_same(
+                &got,
+                &reference(g, &block, bulk, wall),
+                &format!("block {n}"),
+            );
+            let slab = SlabPartition::new(g.dims(), n);
+            let got = walk(g, &slab, &[0], bulk, wall).remove(0);
+            assert_same(&got, &reference(g, &slab, bulk, wall), &format!("slab {n}"));
+        }
+    }
+
+    /// A random grid of 6 to 9 voxels a side, about `fluid_pct` percent
+    /// fluid of every fluid cell type.
+    fn lumpy_grid(rng: &mut Rng, fluid_pct: u64) -> VoxelGrid {
+        let mut side = || rng.range_usize(6, 10);
+        let mut g = VoxelGrid::solid(side(), side(), side(), 1.0);
+        for i in 0..g.len() {
+            if rng.range_u64(0, 100) < fluid_pct {
+                let kind = [
+                    CellType::Bulk,
+                    CellType::Wall,
+                    CellType::Inlet,
+                    CellType::Outlet,
+                ];
+                g.set_linear(i, kind[rng.range_usize(0, 4)]);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_random_lumpy_grids() {
+        // 216 to 729 voxels at 0-90% fluid straddle 256 fluid points: the
+        // shared tree is built at 256 tasks, below it, or not at all.
+        check::run(
+            "walk_matches_the_reference_on_random_lumpy_grids",
+            Config::cases(48),
+            |rng| {
+                let fluid_pct = rng.range_u64(0, 91);
+                assert_walk_matches_reference(&lumpy_grid(rng, fluid_pct));
+            },
+        );
+    }
+
+    #[test]
+    fn walk_matches_the_reference_where_the_tree_stops_short() {
+        assert_walk_matches_reference(&VoxelGrid::solid(4, 5, 6, 1.0));
+        let mut rng = Rng::new(22);
+        let mut first = |wanted: fn(&VoxelGrid) -> bool| loop {
+            let g = lumpy_grid(&mut rng, 60);
+            if wanted(&g) {
+                break g;
+            }
+        };
+        assert_walk_matches_reference(&first(|g| (1..256).contains(&g.fluid_count())));
+        assert_walk_matches_reference(&first(|g| {
+            matches!(
+                RcbPartition::try_new(g, 256),
+                Err(RcbError::Unsplittable { .. })
+            )
+        }));
+        assert_walk_matches_reference(&CylinderSpec::default().with_resolution(8).build());
+    }
+
+    #[test]
+    #[should_panic(expected = "partition's and grid's shape\n  left: (4, 4, 8)\n right: (8, 4, 4)")]
+    fn a_partition_of_another_grid_is_refused_by_name() {
+        let cut_from = VoxelGrid::filled(4, 4, 8, 1.0, CellType::Bulk);
+        let handed = VoxelGrid::filled(8, 4, 4, 1.0, CellType::Bulk);
+        let _ = DecompAnalysis::analyze(&handed, &RcbPartition::new(&cut_from, 4));
     }
 
     #[test]
@@ -272,7 +529,7 @@ mod tests {
         let mut g = VoxelGrid::filled(4, 4, 4, 1.0, CellType::Bulk);
         g.set(0, 0, 0, CellType::Wall);
         let p = BlockPartition::new(g.dims(), 1);
-        let bytes = bytes_per_task(&g, &p, 10.0, 3.0);
+        let bytes = walk(&g, &p, &[0], 10.0, 3.0).remove(0).task_bytes;
         assert_eq!(bytes, vec![63.0 * 10.0 + 3.0]);
     }
 
@@ -281,8 +538,8 @@ mod tests {
         let g = CylinderSpec::default().with_resolution(10).build();
         let p1 = BlockPartition::new(g.dims(), 1);
         let p8 = BlockPartition::new(g.dims(), 8);
-        let t1: f64 = bytes_per_task(&g, &p1, 380.0, 320.0).iter().sum();
-        let t8: f64 = bytes_per_task(&g, &p8, 380.0, 320.0).iter().sum();
+        let t1: f64 = walk(&g, &p1, &[0], 380.0, 320.0)[0].task_bytes.iter().sum();
+        let t8: f64 = walk(&g, &p8, &[0], 380.0, 320.0)[0].task_bytes.iter().sum();
         assert!((t1 - t8).abs() < 1e-6);
     }
 

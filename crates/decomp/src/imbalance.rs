@@ -6,6 +6,7 @@
 //! performs exactly that sweep on a geometry; [`fit_sweep`] produces the
 //! fitted [`ImbalanceModel`].
 
+use crate::census::CensusEntry;
 use crate::halo::DecompAnalysis;
 use hemocloud_fitting::models::{fit_imbalance, ImbalanceModel};
 use hemocloud_geometry::voxel::VoxelGrid;
@@ -33,10 +34,10 @@ impl ImbalanceSample {
 /// partitions — the decomposition the HARVEY-analog solver actually uses.
 /// Task counts the grid cannot host are skipped.
 pub fn imbalance_sweep_rcb(grid: &VoxelGrid, task_counts: &[usize]) -> Vec<ImbalanceSample> {
-    crate::rcb::sweep(grid, task_counts)
+    CensusEntry::sweep(grid, task_counts, 0.0, 0.0)
         .iter()
         .flatten()
-        .map(|p| ImbalanceSample::of(&DecompAnalysis::analyze(grid, p)))
+        .map(|entry| ImbalanceSample::of(&entry.analysis))
         .collect()
 }
 

@@ -43,9 +43,16 @@ pub fn rcb_trees() -> &'static Counter {
     TREES.get_or_init(|| hemocloud_obs::global().counter("decomp.rcb_trees"))
 }
 
-/// Halo censuses taken in this process ([`DecompAnalysis::analyze`] calls;
-/// `decomp.censuses` in the global registry).
+/// Halo censuses taken in this process (one per level of every
+/// [`halo::walk`]; `decomp.censuses` in the global registry).
 pub fn censuses() -> &'static Counter {
     static CENSUSES: OnceLock<Arc<Counter>> = OnceLock::new();
     CENSUSES.get_or_init(|| hemocloud_obs::global().counter("decomp.censuses"))
+}
+
+/// Passes over a grid those censuses cost ([`halo::walk`] calls;
+/// `decomp.census_walks` in the global registry).
+pub fn census_walks() -> &'static Counter {
+    static WALKS: OnceLock<Arc<Counter>> = OnceLock::new();
+    WALKS.get_or_init(|| hemocloud_obs::global().counter("decomp.census_walks"))
 }

@@ -9,12 +9,18 @@
 
 use hemocloud_geometry::voxel::VoxelGrid;
 
-/// Anything that assigns voxels to tasks.
+/// Anything that assigns the voxels of a `dims` box to tasks, each task a
+/// box of its own.
 pub trait Ownership {
     /// Task owning voxel `(x, y, z)`.
     fn owner(&self, x: usize, y: usize, z: usize) -> usize;
     /// Total number of tasks.
     fn task_count(&self) -> usize;
+    /// Shape of the grid the partition was cut from.
+    fn dims(&self) -> (usize, usize, usize);
+    /// The box `task` owns: `owner` is `task` on every voxel inside it and
+    /// on none outside.
+    fn region(&self, task: usize) -> BoxRegion;
 }
 
 impl Ownership for BlockPartition {
@@ -24,6 +30,12 @@ impl Ownership for BlockPartition {
     fn task_count(&self) -> usize {
         self.n_tasks()
     }
+    fn dims(&self) -> (usize, usize, usize) {
+        self.dims
+    }
+    fn region(&self, task: usize) -> BoxRegion {
+        self.region(task)
+    }
 }
 
 impl Ownership for SlabPartition {
@@ -32,6 +44,22 @@ impl Ownership for SlabPartition {
     }
     fn task_count(&self) -> usize {
         self.n_tasks()
+    }
+    fn dims(&self) -> (usize, usize, usize) {
+        self.dims
+    }
+    fn region(&self, task: usize) -> BoxRegion {
+        let mut lo = [0; 3];
+        let mut hi = [self.dims.0, self.dims.1, self.dims.2];
+        (lo[self.axis], hi[self.axis]) = self.cuts[task];
+        BoxRegion {
+            x0: lo[0],
+            x1: hi[0],
+            y0: lo[1],
+            y1: hi[1],
+            z0: lo[2],
+            z1: hi[2],
+        }
     }
 }
 

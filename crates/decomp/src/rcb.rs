@@ -140,11 +140,12 @@ impl RcbPartition {
     /// §19), as a view sharing this partition's owner array.
     ///
     /// # Panics
-    /// Panics unless the task count is a power of two with at least
-    /// `halvings` levels.
+    /// Panics unless `halvings` is 0 or the task count is a power of two
+    /// with at least `halvings` levels.
     pub fn coarsened(&self, halvings: u32) -> Self {
         assert!(
-            self.n_tasks.is_power_of_two() && halvings <= self.n_tasks.trailing_zeros(),
+            halvings == 0
+                || self.n_tasks.is_power_of_two() && halvings <= self.n_tasks.trailing_zeros(),
             "cannot halve {} tasks {halvings} times",
             self.n_tasks
         );
@@ -201,6 +202,12 @@ impl Ownership for RcbPartition {
     fn task_count(&self) -> usize {
         self.n_tasks
     }
+    fn dims(&self) -> (usize, usize, usize) {
+        self.dims
+    }
+    fn region(&self, task: usize) -> BoxRegion {
+        self.regions[task]
+    }
 }
 
 /// The partition of `grid` at each of `task_counts`, in order, with a
@@ -209,6 +216,20 @@ impl Ownership for RcbPartition {
 /// tree, built at the largest of them the grid can host; every other
 /// count builds its own.
 pub fn sweep(grid: &VoxelGrid, task_counts: &[usize]) -> Vec<Result<RcbPartition, RcbError>> {
+    sweep_with(grid, task_counts, |leaves, halvings| {
+        halvings.iter().map(|&h| leaves.coarsened(h)).collect()
+    })
+}
+
+/// [`sweep`] for a reader of whole trees: `read(leaves, halvings)` is
+/// called once per bisection tree and answers for each of its requested
+/// views — `leaves.coarsened(h)` for every `h` of `halvings`, which
+/// ascend — in that order; the answers come back in `task_counts` order.
+pub fn sweep_with<T>(
+    grid: &VoxelGrid,
+    task_counts: &[usize],
+    mut read: impl FnMut(&RcbPartition, &[u32]) -> Vec<T>,
+) -> Vec<Result<T, RcbError>> {
     let mut pow2: Vec<usize> = task_counts
         .iter()
         .copied()
@@ -219,13 +240,26 @@ pub fn sweep(grid: &VoxelGrid, task_counts: &[usize]) -> Vec<Result<RcbPartition
         .iter()
         .rev()
         .find_map(|&n| RcbPartition::try_new(grid, n).ok());
-    task_counts
-        .iter()
-        .map(|&n| match &tree {
-            Some(t) if n.is_power_of_two() && n <= t.n_tasks => {
-                Ok(t.coarsened((t.n_tasks / n).trailing_zeros()))
-            }
-            _ => RcbPartition::try_new(grid, n),
+    let mut answers: Vec<Option<T>> = task_counts.iter().map(|_| None).collect();
+    if let Some(tree) = &tree {
+        let mut views: Vec<(u32, usize)> = task_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n.is_power_of_two() && n <= tree.n_tasks)
+            .map(|(i, &n)| ((tree.n_tasks / n).trailing_zeros(), i))
+            .collect();
+        views.sort_unstable();
+        let halvings: Vec<u32> = views.iter().map(|&(h, _)| h).collect();
+        for (&(_, i), answer) in views.iter().zip(read(tree, &halvings)) {
+            answers[i] = Some(answer);
+        }
+    }
+    answers
+        .into_iter()
+        .zip(task_counts)
+        .map(|(shared, &n)| match shared {
+            Some(answer) => Ok(answer),
+            None => RcbPartition::try_new(grid, n).map(|own| read(&own, &[0]).remove(0)),
         })
         .collect()
 }

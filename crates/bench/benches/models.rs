@@ -1,12 +1,14 @@
 //! Benches of the modeling pipeline itself (`hemocloud_rt::bench`): how
 //! expensive are characterization, fitting, decomposition analysis and
-//! the two prediction models? (The dashboard's interactivity depends on
-//! these.)
+//! the two prediction models — and pinning a run to a platform against
+//! timing one slice of it? (The dashboard's interactivity depends on the
+//! former, a campaign's event rate on the latter.)
 
+use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pricing::PriceSheet;
 use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
-use hemocloud_cluster::topology::TopologyVariant;
+use hemocloud_cluster::topology::{routed_set_comm, CommModel, TopologyVariant};
 use hemocloud_core::characterize::{characterize, characterize_all};
 use hemocloud_core::dashboard::Dashboard;
 use hemocloud_core::direct::DirectModel;
@@ -104,10 +106,42 @@ fn predictions(h: &mut Harness) {
     group.finish();
 }
 
+fn prepared(h: &mut Harness) {
+    let grid = CylinderSpec::default().with_resolution(16).build();
+    let workload = Workload::harvey(&grid, 100);
+    let platform = Platform::csp2();
+    let pin = |comm| {
+        PreparedRun::from_census(
+            &platform,
+            workload.census(72).unwrap(),
+            &workload.kernel,
+            workload.profile.boundary_point_bytes,
+            &Overheads::default(),
+            comm,
+        )
+        .unwrap()
+    };
+    let mut group = h.group("prepared");
+    // What a run pays once — every task's memory and message terms, the
+    // critical path over them — against what is left to pay per slice:
+    // a noise draw, and under fabric prices one pass over 72 sums.
+    group.bench_function("from_census_72", |b| b.iter(|| pin(CommModel::Scalar)));
+    let scalar = pin(CommModel::Scalar);
+    group.bench_function("run_slice_72", |b| b.iter(|| scalar.run_slice(25_000, 7, 1.5)));
+    let routed = pin(CommModel::Routed(TopologyVariant::FatTree));
+    let fabric = routed.topology().unwrap();
+    let priced = routed_set_comm(fabric, &[(&routed, &[0, 1])]).remove(0);
+    group.bench_function("run_slice_priced_72", |b| {
+        b.iter(|| routed.run_slice_priced(25_000, 7, 1.5, &priced.per_task_inter_s))
+    });
+    group.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     fitting(&mut h);
     characterization(&mut h);
     decomposition(&mut h);
     predictions(&mut h);
+    prepared(&mut h);
 }

@@ -364,17 +364,26 @@ pub fn gate_fabric(doc: &Value) -> Vec<String> {
     g.failures
 }
 
-/// `BENCH_sched.json`: positive event throughput, outcomes that account
-/// for every job, the planted runaways and doomed budgets caught, and
-/// the shard-determinism witness.
+/// `BENCH_sched.json`: event throughput — at the committed record's
+/// million jobs, no less than 600k events/s — outcomes that account for
+/// every job, the planted runaways and doomed budgets caught, and the
+/// shard-determinism witness.
 pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("bench_sched", doc);
-    g.limit(doc, "events_per_sec", Gt, 0.0);
+    let jobs = doc.get("jobs").and_then(Value::as_u64);
+    if jobs >= Some(1_000_000) {
+        // Smoke sizes are dominated by set-up; the full run is not:
+        // 385k events/s while every slice re-reduced its prepared run
+        // (87bc07d), 1.06M since the run keeps its task terms (fc70424).
+        g.limit(doc, "events_per_sec", Ge, 600_000.0);
+    } else {
+        g.limit(doc, "events_per_sec", Gt, 0.0);
+    }
     g.limit(doc, "makespan_s", Gt, 0.0);
     g.limit(doc, "events_processed", Gt, 0.0);
     g.outcomes_sum_to_jobs(doc, "outcomes.");
     g.limit(doc, "outcomes.completed", Gt, 0.0);
-    if doc.get("jobs").and_then(Value::as_u64) >= Some(1_000) {
+    if jobs >= Some(1_000) {
         // A runaway every 211 jobs and a doomed budget every 503: at
         // this scale the guard and admission paths must fire.
         g.limit(doc, "outcomes.guard_kills", Gt, 0.0);
@@ -823,6 +832,10 @@ mod tests {
             "reports_identical",
         );
         let broken = with(bench_sched(), "events_per_sec", Value::Null);
+        assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "events_per_sec");
+        // The record committed at 87bc07d, before prepared runs cached
+        // their task terms: positive, and too slow for a full-size run.
+        let broken = with(bench_sched(), "events_per_sec", Value::Float(384_563.9));
         assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "events_per_sec");
         let jobs = bench_sched().get("jobs").and_then(Value::as_u64).unwrap();
         let broken = with(bench_sched(), "jobs", Value::UInt(jobs + 1));

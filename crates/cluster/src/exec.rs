@@ -128,9 +128,12 @@ pub struct SimulatedRun {
 /// resumable time slices.
 ///
 /// The expensive, step-count-independent preparation (RCB partition, halo
-/// census, placement, per-task byte counts, kernel-variant overheads) is
-/// done once in [`PreparedRun::new`]; [`PreparedRun::run_slice`] then
-/// times any window of timesteps at any wall-clock hour. A campaign
+/// census, placement, per-task byte counts, kernel-variant overheads,
+/// every task's memory / intranodal / internodal seconds per step and the
+/// isolated critical path over them) is done once in
+/// [`PreparedRun::new`]; [`PreparedRun::run_slice`] then times any window
+/// of timesteps at any wall-clock hour from the cached critical path and
+/// one noise draw. A campaign
 /// scheduler uses this to advance a job slice by slice — checking guards
 /// and injecting faults between slices — without re-decomposing the
 /// geometry, and with the temporally correlated noise still following the
@@ -149,8 +152,68 @@ pub struct PreparedRun {
     /// Own-topology instance for standalone routed runs (identity node
     /// map, sized to this run's node count).
     topology: Option<Topology>,
-    /// Cached isolated per-task internodal comm seconds (routed mode).
-    routed_inter_s: Option<Vec<f64>>,
+    /// Every task's noise-free seconds per step, in task order.
+    terms: Vec<TaskTerms>,
+    /// The critical path with nothing else on the fabric: over the
+    /// scalar internodal sums, or — a routed run — over its isolated
+    /// per-task fabric prices on its own topology.
+    isolated: CriticalPath,
+}
+
+/// One task's noise-free seconds per step. None of it depends on the
+/// slice (`steps`, `seed`, `time_h`), so it is computed once per run.
+#[derive(Debug, Clone, Copy)]
+struct TaskTerms {
+    /// Eq. 9 bytes over the task's share of its node's bandwidth.
+    mem_s: f64,
+    /// Send + receive of every intranodal halo message, serialized.
+    intra_s: f64,
+    /// The same over the internodal messages under the scalar Eq. 12/13
+    /// model — the term a fabric price replaces.
+    scalar_inter_s: f64,
+}
+
+/// The slowest task of a step and its three terms.
+#[derive(Debug, Clone, Copy)]
+struct CriticalPath {
+    total_s: f64,
+    mem_s: f64,
+    intra_s: f64,
+    inter_s: f64,
+}
+
+impl CriticalPath {
+    /// The maximum of `mem + intra + inter` over tasks, task `t` paying
+    /// `inter_s[t]` internodal seconds. Summed left to right and compared
+    /// with a strict `>`, so among equal totals the first task is
+    /// critical — the arithmetic of the per-slice loop this replaces,
+    /// bit for bit.
+    fn over(terms: &[TaskTerms], inter_s: impl Iterator<Item = f64>) -> Self {
+        let mut worst = Self {
+            total_s: 0.0,
+            mem_s: 0.0,
+            intra_s: 0.0,
+            inter_s: 0.0,
+        };
+        for (task, inter_s) in terms.iter().zip(inter_s) {
+            let total_s = task.mem_s + task.intra_s + inter_s;
+            if total_s > worst.total_s {
+                worst = Self {
+                    total_s,
+                    mem_s: task.mem_s,
+                    intra_s: task.intra_s,
+                    inter_s,
+                };
+            }
+        }
+        worst
+    }
+}
+
+/// Whether `platform`'s allocation has the whole nodes `ranks` tasks need
+/// at one rank per core.
+fn hosts(platform: &Platform, ranks: usize) -> bool {
+    platform.nodes_for_ranks(ranks) <= platform.max_nodes()
 }
 
 impl PreparedRun {
@@ -160,8 +223,8 @@ impl PreparedRun {
     /// with the scalar Eq. 12 model; see [`PreparedRun::new_with_comm`]
     /// for the fabric-backed path.
     ///
-    /// Returns `None` when the rank count is zero, exceeds the platform's
-    /// cores, or exceeds the geometry's fluid-point count.
+    /// Returns `None` when the rank count is zero, needs more whole nodes
+    /// than the platform has, or exceeds the geometry's fluid-point count.
     pub fn new(
         platform: &Platform,
         grid: &VoxelGrid,
@@ -184,7 +247,7 @@ impl PreparedRun {
         overheads: &Overheads,
         comm: CommModel,
     ) -> Option<Self> {
-        if ranks > platform.total_cores {
+        if !hosts(platform, ranks) {
             return None; // before paying for a decomposition
         }
         let profile = AccessProfile::for_kernel(config, measured_avg_solid_links(grid));
@@ -204,7 +267,8 @@ impl PreparedRun {
     /// (`topology::routed_set_comm`) and calls
     /// [`PreparedRun::run_slice_priced`].
     ///
-    /// Returns `None` when the rank count exceeds the platform's cores.
+    /// Returns `None` when the ranks need more whole nodes than the
+    /// platform has.
     pub fn from_census(
         platform: &Platform,
         census: Arc<CensusEntry>,
@@ -214,25 +278,22 @@ impl PreparedRun {
         comm: CommModel,
     ) -> Option<Self> {
         let ranks = census.analysis.n_tasks;
-        if ranks > platform.total_cores {
+        if !hosts(platform, ranks) {
             return None;
         }
         assert_eq!(census.task_bytes.len(), ranks, "task_bytes length");
         let placement = Placement::contiguous(ranks, platform.cores_per_node);
-        assert!(
-            placement.n_nodes() <= platform.max_nodes(),
-            "{} nodes requested, platform {} has {}",
-            placement.n_nodes(),
-            platform.abbrev,
-            platform.max_nodes()
-        );
         let overheads = Overheads {
             lbm_bandwidth_efficiency: overheads.lbm_bandwidth_efficiency
                 * kernel_cpu_efficiency(config),
             ..*overheads
         };
-        let (topology, routed_inter_s) = match comm {
-            CommModel::Scalar => (None, None),
+        let terms = task_terms(platform, &census, &placement, comm_bytes_per_point, &overheads);
+        let (topology, isolated) = match comm {
+            CommModel::Scalar => (
+                None,
+                CriticalPath::over(&terms, terms.iter().map(|task| task.scalar_inter_s)),
+            ),
             CommModel::Routed(variant) => {
                 let topology = build_topology(platform, variant, placement.n_nodes());
                 let node_map: Vec<usize> = (0..placement.n_nodes()).collect();
@@ -245,7 +306,8 @@ impl PreparedRun {
                     overheads.message_software_overhead_us,
                     &[],
                 );
-                (Some(topology), Some(routed.per_task_inter_s))
+                let isolated = CriticalPath::over(&terms, routed.per_task_inter_s.into_iter());
+                (Some(topology), isolated)
             }
         };
         Some(Self {
@@ -256,7 +318,8 @@ impl PreparedRun {
             overheads,
             comm,
             topology,
-            routed_inter_s,
+            terms,
+            isolated,
         })
     }
 
@@ -317,7 +380,7 @@ impl PreparedRun {
     /// correlated component), so resuming a run hour by hour reproduces
     /// the same variability a monolithic run would have seen.
     pub fn run_slice(&self, steps: u64, seed: u64, time_h: f64) -> SimulatedRun {
-        self.timed(steps, seed, time_h, self.routed_inter_s.as_deref())
+        self.timed(steps, seed, time_h, &self.isolated)
     }
 
     /// [`PreparedRun::run_slice`] with the internodal term supplied by
@@ -325,7 +388,9 @@ impl PreparedRun {
     /// seconds per step — an entry of `topology::routed_set_comm` for
     /// the set of runs sharing the pool fabric. Memory, intranodal and
     /// sync terms are untouched. Requires a routed run (panics on a
-    /// scalar one — the scalar model has no links to contend on).
+    /// scalar one — the scalar model has no links to contend on) and
+    /// finite, non-negative prices (a NaN would compare below every
+    /// total and silently take its task off the critical path).
     pub fn run_slice_priced(
         &self,
         steps: u64,
@@ -338,7 +403,12 @@ impl PreparedRun {
             "a fabric-priced slice requires CommModel::Routed"
         );
         assert_eq!(per_task_inter_s.len(), self.ranks(), "one price per task");
-        self.timed(steps, seed, time_h, Some(per_task_inter_s))
+        assert!(
+            per_task_inter_s.iter().all(|&s| s.is_finite() && s >= 0.0),
+            "internodal prices must be finite and non-negative"
+        );
+        let critical = CriticalPath::over(&self.terms, per_task_inter_s.iter().copied());
+        self.timed(steps, seed, time_h, &critical)
     }
 
     /// [`PreparedRun::run_slice_priced`] for a single victim: this run's
@@ -370,84 +440,18 @@ impl PreparedRun {
         self.run_slice_priced(steps, seed, time_h, &routed.per_task_inter_s)
     }
 
-    /// The timing engine: the per-step maximum over tasks of memory +
-    /// intranodal + internodal time (module docs), plus the sync
+    /// The timing engine's one entry: `critical` — the per-step maximum
+    /// over tasks of memory + intranodal + internodal time (module docs),
+    /// reduced once per run or once per price vector — plus the sync
     /// overhead, scaled by the noise factor at wall-clock hour `time_h`
-    /// (`seed` fixes the noise stream). With `inter_override`, task
-    /// `t`'s internodal term is `inter_override[t]` — a fabric price —
-    /// instead of the scalar Eq. 12/13 serialized sum; memory,
-    /// intranodal and sync terms are identical in both modes.
-    fn timed(
-        &self,
-        steps: u64,
-        seed: u64,
-        time_h: f64,
-        inter_override: Option<&[f64]>,
-    ) -> SimulatedRun {
-        let platform = &self.platform;
-        let overheads = &self.overheads;
-        let analysis = &self.census.analysis;
-        let tasks_per_node = self.placement.tasks_per_node();
-
-        let mut worst_total = 0.0f64;
-        let mut critical = (0.0, 0.0, 0.0);
-        for task in 0..analysis.n_tasks {
-            let node = self.placement.node_of(task);
-            // Co-tenants saturate memory channels alongside our ranks: the
-            // node curve is evaluated at the total active core count and our
-            // task gets one even share of it.
-            let on_node = (tasks_per_node[node] + overheads.cotenant_cores_per_node)
-                .min(platform.cores_per_node)
-                .max(1);
-            let t_mem = memory::memory_time_s(
-                platform,
-                on_node,
-                self.census.task_bytes[task] * overheads.memory_traffic_factor,
-                overheads.lbm_bandwidth_efficiency,
-            );
-
-            let mut t_intra = 0.0;
-            let mut t_inter = 0.0;
-            for (&peer, &points) in &analysis.messages[task] {
-                let bytes = points as f64 * self.comm_bytes_per_point;
-                let kind = if self.placement.is_internodal(task, peer) {
-                    LinkKind::Internodal
-                } else {
-                    LinkKind::Intranodal
-                };
-                if kind == LinkKind::Internodal && inter_override.is_some() {
-                    continue; // priced by the fabric below
-                }
-                // Send and matching receive, serialized per task (the paper's
-                // factor of two in Eq. 13).
-                let t = 2.0 * message_time_s(
-                    platform,
-                    kind,
-                    bytes,
-                    overheads.message_software_overhead_us,
-                );
-                match kind {
-                    LinkKind::Intranodal => t_intra += t,
-                    LinkKind::Internodal => t_inter += t,
-                }
-            }
-            if let Some(inter) = inter_override {
-                t_inter = inter[task];
-            }
-
-            let total = t_mem + t_intra + t_inter;
-            if total > worst_total {
-                worst_total = total;
-                critical = (t_mem, t_intra, t_inter);
-            }
-        }
-
-        let mut noise = NoiseProcess::new(platform.noise_cv, seed);
+    /// (`seed` fixes the noise stream).
+    fn timed(&self, steps: u64, seed: u64, time_h: f64, critical: &CriticalPath) -> SimulatedRun {
+        let mut noise = NoiseProcess::new(self.platform.noise_cv, seed);
         let noise_factor = noise.factor_at(time_h);
         let step_time_s =
-            (worst_total + overheads.step_sync_overhead_us * 1e-6) * noise_factor;
+            (critical.total_s + self.overheads.step_sync_overhead_us * 1e-6) * noise_factor;
         let total_time_s = step_time_s * steps as f64;
-        let updates = analysis.total_points as f64 * steps as f64;
+        let updates = self.census.analysis.total_points as f64 * steps as f64;
 
         SimulatedRun {
             step_time_s,
@@ -457,13 +461,72 @@ impl PreparedRun {
             } else {
                 0.0
             },
-            critical_mem_s: critical.0,
-            critical_intra_s: critical.1,
-            critical_inter_s: critical.2,
+            critical_mem_s: critical.mem_s,
+            critical_intra_s: critical.intra_s,
+            critical_inter_s: critical.inter_s,
             nodes_used: self.nodes(),
             noise_factor,
         }
     }
+}
+
+/// Every task's [`TaskTerms`] on `platform` under `placement`: the one
+/// place the engine calls [`memory::memory_time_s`] and
+/// [`message_time_s`]. Intranodal and internodal messages accumulate
+/// separately, each in the census's message order.
+fn task_terms(
+    platform: &Platform,
+    census: &CensusEntry,
+    placement: &Placement,
+    comm_bytes_per_point: f64,
+    overheads: &Overheads,
+) -> Vec<TaskTerms> {
+    let tasks_per_node = placement.tasks_per_node();
+    (0..census.analysis.n_tasks)
+        .map(|task| {
+            let node = placement.node_of(task);
+            // Co-tenants saturate memory channels alongside our ranks: the
+            // node curve is evaluated at the total active core count and our
+            // task gets one even share of it.
+            let on_node = (tasks_per_node[node] + overheads.cotenant_cores_per_node)
+                .min(platform.cores_per_node)
+                .max(1);
+            let mem_s = memory::memory_time_s(
+                platform,
+                on_node,
+                census.task_bytes[task] * overheads.memory_traffic_factor,
+                overheads.lbm_bandwidth_efficiency,
+            );
+
+            let mut intra_s = 0.0;
+            let mut scalar_inter_s = 0.0;
+            for (&peer, &points) in &census.analysis.messages[task] {
+                let bytes = points as f64 * comm_bytes_per_point;
+                let kind = if placement.is_internodal(task, peer) {
+                    LinkKind::Internodal
+                } else {
+                    LinkKind::Intranodal
+                };
+                // Send and matching receive, serialized per task (the paper's
+                // factor of two in Eq. 13).
+                let t = 2.0 * message_time_s(
+                    platform,
+                    kind,
+                    bytes,
+                    overheads.message_software_overhead_us,
+                );
+                match kind {
+                    LinkKind::Intranodal => intra_s += t,
+                    LinkKind::Internodal => scalar_inter_s += t,
+                }
+            }
+            TaskTerms {
+                mem_s,
+                intra_s,
+                scalar_inter_s,
+            }
+        })
+        .collect()
 }
 
 /// Convenience wrapper: decompose `grid` into `ranks` fluid-balanced RCB
@@ -977,6 +1040,332 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The per-slice loop `PreparedRun::timed` ran before the task terms
+    /// were cached, kept verbatim as the reference the cached path is
+    /// compared against: every task's terms recomputed from the census,
+    /// task `t`'s internodal term replaced by `inter_override[t]` when
+    /// given.
+    fn reference_slice(
+        run: &PreparedRun,
+        steps: u64,
+        seed: u64,
+        time_h: f64,
+        inter_override: Option<&[f64]>,
+    ) -> SimulatedRun {
+        let platform = &run.platform;
+        let overheads = &run.overheads;
+        let analysis = &run.census.analysis;
+        let tasks_per_node = run.placement.tasks_per_node();
+
+        let mut worst_total = 0.0f64;
+        let mut critical = (0.0, 0.0, 0.0);
+        for task in 0..analysis.n_tasks {
+            let node = run.placement.node_of(task);
+            let on_node = (tasks_per_node[node] + overheads.cotenant_cores_per_node)
+                .min(platform.cores_per_node)
+                .max(1);
+            let t_mem = memory::memory_time_s(
+                platform,
+                on_node,
+                run.census.task_bytes[task] * overheads.memory_traffic_factor,
+                overheads.lbm_bandwidth_efficiency,
+            );
+
+            let mut t_intra = 0.0;
+            let mut t_inter = 0.0;
+            for (&peer, &points) in &analysis.messages[task] {
+                let bytes = points as f64 * run.comm_bytes_per_point;
+                let kind = if run.placement.is_internodal(task, peer) {
+                    LinkKind::Internodal
+                } else {
+                    LinkKind::Intranodal
+                };
+                if kind == LinkKind::Internodal && inter_override.is_some() {
+                    continue; // priced by the fabric below
+                }
+                let t = 2.0 * message_time_s(
+                    platform,
+                    kind,
+                    bytes,
+                    overheads.message_software_overhead_us,
+                );
+                match kind {
+                    LinkKind::Intranodal => t_intra += t,
+                    LinkKind::Internodal => t_inter += t,
+                }
+            }
+            if let Some(inter) = inter_override {
+                t_inter = inter[task];
+            }
+
+            let total = t_mem + t_intra + t_inter;
+            if total > worst_total {
+                worst_total = total;
+                critical = (t_mem, t_intra, t_inter);
+            }
+        }
+
+        let mut noise = NoiseProcess::new(platform.noise_cv, seed);
+        let noise_factor = noise.factor_at(time_h);
+        let step_time_s =
+            (worst_total + overheads.step_sync_overhead_us * 1e-6) * noise_factor;
+        let total_time_s = step_time_s * steps as f64;
+        let updates = analysis.total_points as f64 * steps as f64;
+
+        SimulatedRun {
+            step_time_s,
+            total_time_s,
+            mflups: if total_time_s > 0.0 {
+                updates / total_time_s / 1e6
+            } else {
+                0.0
+            },
+            critical_mem_s: critical.0,
+            critical_intra_s: critical.1,
+            critical_inter_s: critical.2,
+            nodes_used: run.nodes(),
+            noise_factor,
+        }
+    }
+
+    /// Every `f64` of a slice as bits, plus its node count.
+    fn slice_bits(run: &SimulatedRun) -> [u64; 8] {
+        [
+            run.step_time_s.to_bits(),
+            run.total_time_s.to_bits(),
+            run.mflups.to_bits(),
+            run.critical_mem_s.to_bits(),
+            run.critical_intra_s.to_bits(),
+            run.critical_inter_s.to_bits(),
+            run.noise_factor.to_bits(),
+            run.nodes_used as u64,
+        ]
+    }
+
+    /// The cached task terms and critical path against the per-slice loop
+    /// they replace, bit for bit, on all three slice entries — over every
+    /// platform, one-node and multi-node rank counts, co-tenancy and
+    /// software overhead on and off, and every comm model.
+    #[test]
+    fn cached_terms_time_every_slice_like_the_per_slice_loop_bitwise() {
+        use crate::topology::TopologyVariant;
+        use hemocloud_rt::check::{self, Config};
+        use std::collections::BTreeMap;
+
+        let g = cylinder();
+        let cfg = KernelConfig::harvey();
+        let profile = AccessProfile::for_kernel(&cfg, measured_avg_solid_links(&g));
+        let platforms = [
+            Platform::trc(),
+            Platform::csp1(),
+            Platform::csp2_small(),
+            Platform::csp2(),
+            Platform::csp2_ec(),
+            Platform::csp2_hyperthreaded(),
+        ];
+        let comms = [
+            CommModel::Scalar,
+            CommModel::Routed(TopologyVariant::Spread),
+            CommModel::Routed(TopologyVariant::FatTree),
+            CommModel::Routed(TopologyVariant::PlacementGroup),
+        ];
+        let mut censuses: BTreeMap<usize, Arc<CensusEntry>> = BTreeMap::new();
+        let mut runs: Vec<PreparedRun> = Vec::new();
+        for platform in &platforms {
+            let per_node = platform.cores_per_node;
+            // Half a node, a full one, a ragged second one, three.
+            for ranks in [per_node / 2, per_node, per_node + per_node / 2, 3 * per_node] {
+                if !hosts(platform, ranks) {
+                    continue; // the hyperthreaded instance has two nodes
+                }
+                let census = censuses.entry(ranks).or_insert_with(|| {
+                    let taken =
+                        CensusEntry::take(&g, ranks, profile.bulk_bytes, profile.wall_bytes);
+                    Arc::new(taken.unwrap())
+                });
+                for cotenant_cores_per_node in [0, 4] {
+                    for message_software_overhead_us in [0.0, 2.5] {
+                        let oh = Overheads {
+                            cotenant_cores_per_node,
+                            message_software_overhead_us,
+                            ..Overheads::default()
+                        };
+                        runs.extend(comms.iter().map(|&comm| {
+                            PreparedRun::from_census(
+                                platform,
+                                Arc::clone(census),
+                                &cfg,
+                                profile.boundary_point_bytes,
+                                &oh,
+                                comm,
+                            )
+                            .unwrap()
+                        }));
+                    }
+                }
+            }
+        }
+        assert!(runs.iter().any(|run| run.nodes() == 1) && runs.iter().any(|run| run.nodes() > 2));
+
+        let name = "cached_terms_time_every_slice_like_the_per_slice_loop_bitwise";
+        check::run(name, Config::cases(4), |rng| {
+            for run in &runs {
+                let steps = rng.range_u64(1, 1_000_000);
+                let seed = rng.next_u64();
+                let time_h = rng.range_f64(0.0, 500.0);
+                let CommModel::Routed(variant) = run.comm else {
+                    assert_eq!(
+                        slice_bits(&run.run_slice(steps, seed, time_h)),
+                        slice_bits(&reference_slice(run, steps, seed, time_h, None)),
+                    );
+                    continue;
+                };
+                let comm_s = |topology: &Topology, node_map: &[usize], background: &[Flow]| {
+                    routed_task_comm(
+                        topology,
+                        &run.census.analysis,
+                        &run.placement,
+                        node_map,
+                        run.comm_bytes_per_point,
+                        run.overheads.message_software_overhead_us,
+                        background,
+                    )
+                    .per_task_inter_s
+                };
+                // Standalone: the run's own fabric, nothing else on it.
+                let own: Vec<usize> = (0..run.nodes()).collect();
+                let isolated = comm_s(run.topology().unwrap(), &own, &[]);
+                assert_eq!(
+                    slice_bits(&run.run_slice(steps, seed, time_h)),
+                    slice_bits(&reference_slice(run, steps, seed, time_h, Some(&isolated))),
+                );
+                // Priced: random prices, or — one case in three — one huge
+                // price on a random subset of tasks, whose totals then tie
+                // exactly (it absorbs the other terms): the first of them
+                // must be the critical task.
+                let tie = rng.range_usize(0, 3) == 0;
+                let prices: Vec<f64> = (0..run.ranks())
+                    .map(|_| {
+                        if tie && rng.next_bool() {
+                            1e30
+                        } else if rng.next_bool() {
+                            0.0
+                        } else {
+                            rng.range_f64(0.0, 1e-3)
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    slice_bits(&run.run_slice_priced(steps, seed, time_h, &prices)),
+                    slice_bits(&reference_slice(run, steps, seed, time_h, Some(&prices))),
+                );
+                // Contended: a twin on the upper half of a shared pool,
+                // the victim's nodes in reverse order.
+                let pool = build_topology(&run.platform, variant, 2 * run.nodes());
+                let node_map: Vec<usize> = (0..run.nodes()).rev().collect();
+                let twin: Vec<usize> = (run.nodes()..2 * run.nodes()).collect();
+                let background = run.flows(&twin, 1 << 32);
+                let contended = comm_s(&pool, &node_map, &background);
+                assert_eq!(
+                    slice_bits(&run.run_slice_contended(
+                        steps,
+                        seed,
+                        time_h,
+                        &pool,
+                        &node_map,
+                        &background
+                    )),
+                    slice_bits(&reference_slice(run, steps, seed, time_h, Some(&contended))),
+                );
+            }
+        });
+    }
+
+    /// A platform whose cores do not fill its last node: `max_nodes`
+    /// floors, the placement ceils, so a rank count within `total_cores`
+    /// can still need a node the allocation does not have.
+    #[test]
+    fn ranks_that_need_a_partial_last_node_are_infeasible_not_a_panic() {
+        let g = cylinder();
+        let cfg = KernelConfig::harvey();
+        let oh = Overheads::default();
+        let ragged = Platform {
+            total_cores: 40, // 2 whole 16-core nodes and 8 cores over
+            ..Platform::csp1()
+        };
+        assert_eq!(ragged.max_nodes(), 2);
+        let profile = AccessProfile::for_kernel(&cfg, measured_avg_solid_links(&g));
+        for comm in [
+            CommModel::Scalar,
+            CommModel::Routed(crate::topology::TopologyVariant::Spread),
+        ] {
+            let census = |ranks| {
+                let taken = CensusEntry::take(&g, ranks, profile.bulk_bytes, profile.wall_bytes);
+                Arc::new(taken.unwrap())
+            };
+            let from_census = |ranks| {
+                let bytes = profile.boundary_point_bytes;
+                PreparedRun::from_census(&ragged, census(ranks), &cfg, bytes, &oh, comm)
+            };
+            // 36 ranks <= 40 cores, but on 3 nodes.
+            assert!(from_census(36).is_none());
+            assert!(PreparedRun::new_with_comm(&ragged, &g, &cfg, 36, &oh, comm).is_none());
+            assert_eq!(from_census(32).unwrap().nodes(), 2);
+            let whole = PreparedRun::new_with_comm(&ragged, &g, &cfg, 32, &oh, comm).unwrap();
+            assert_eq!(whole.nodes(), 2);
+        }
+    }
+
+    #[test]
+    fn fabric_prices_are_finite_and_non_negative_on_every_variant() {
+        use crate::topology::{routed_set_comm, TopologyVariant};
+        let g = cylinder();
+        let p = Platform::csp2_small();
+        for variant in [
+            TopologyVariant::Spread,
+            TopologyVariant::FatTree,
+            TopologyVariant::PlacementGroup,
+        ] {
+            let comm = CommModel::Routed(variant);
+            let run =
+                PreparedRun::new_with_comm(&p, &g, &KernelConfig::harvey(), 24, &Overheads::default(), comm)
+                    .unwrap();
+            let topo = build_topology(&p, variant, 6);
+            let members: [(&PreparedRun, &[usize]); 2] = [(&run, &[0, 2, 4]), (&run, &[5, 3, 1])];
+            for (priced, (_, node_map)) in routed_set_comm(&topo, &members).iter().zip(members) {
+                assert!(priced.per_task_inter_s.iter().any(|&s| s > 0.0));
+                // Passes run_slice_priced's own check.
+                let slice = run.run_slice_priced(10, 1, 0.0, &priced.per_task_inter_s);
+                assert!(slice.critical_inter_s.is_finite(), "{}: {node_map:?}", variant.name());
+            }
+        }
+    }
+
+    /// A NaN price compares below every total: unchecked, it would drop
+    /// its task from the critical path and the slice would come out
+    /// faster.
+    #[test]
+    fn priced_slice_refuses_non_finite_and_negative_prices() {
+        let g = cylinder();
+        let comm = CommModel::Routed(crate::topology::TopologyVariant::FatTree);
+        let run = PreparedRun::new_with_comm(
+            &Platform::csp1(),
+            &g,
+            &KernelConfig::harvey(),
+            32,
+            &Overheads::default(),
+            comm,
+        )
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9] {
+            let mut prices = vec![1e-5; 32];
+            prices[17] = bad;
+            let refused = std::panic::catch_unwind(|| run.run_slice_priced(10, 1, 0.0, &prices));
+            let message = *refused.expect_err("bad price accepted").downcast::<&str>().unwrap();
+            assert!(message.contains("finite and non-negative"), "{bad}: {message}");
         }
     }
 

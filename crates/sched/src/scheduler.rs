@@ -438,7 +438,7 @@ fn derive_seed(parts: &[u64]) -> u64 {
 /// [`GeneralModel::options`] whose rank count fits the grid and whose
 /// node count fits the pool. Raw predictions are time-invariant, so the
 /// whole row is computed once per (pool, model) and cached.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OptionSpec {
     nodes: usize,
     /// Uncalibrated; carries the rank count.
@@ -446,8 +446,9 @@ struct OptionSpec {
 }
 
 /// One in-budget option of a waiting job, scored under the current
-/// calibration: which cached [`OptionSpec`] (`pool_options[(pool_idx,
-/// model)][option]`), and the numbers [`Objective::pick`] decides on.
+/// calibration: which cached [`OptionSpec`]
+/// (`options(pool_idx, model)[option]`), and the numbers
+/// [`Objective::pick`] decides on.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     pool_idx: usize,
@@ -553,8 +554,13 @@ pub struct Campaign {
     /// census serves all of them — fits and prepared runs alike.
     model_workloads: Vec<Arc<Workload>>,
     /// Statically feasible rank options with raw predictions, per
-    /// (pool, model id) — built once, reused by every placement attempt.
-    pool_options: BTreeMap<(usize, u32), Vec<OptionSpec>>,
+    /// (pool, model id) at `model_id * pools.len() + pool_idx` — `None`
+    /// until the model's first placement try builds the row (which may
+    /// well come out empty), then reused by every later one.
+    pool_options: Vec<Option<Vec<OptionSpec>>>,
+    /// Scratch for one placement try's scored options; cleared by each
+    /// try, kept for its capacity.
+    candidates: Vec<Candidate>,
     /// `PreparedRun` cache keyed by (pool, model id, ranks) — the RCB
     /// decomposition behind a placement is deterministic per key, so
     /// repeat placements share one `Arc`.
@@ -651,7 +657,8 @@ impl Campaign {
             global_calibrator: ModelCalibrator::bounded(CALIBRATOR_WINDOW),
             model_key_ids: BTreeMap::new(),
             model_workloads: Vec::new(),
-            pool_options: BTreeMap::new(),
+            pool_options: Vec::new(),
+            candidates: Vec::new(),
             prepared: BTreeMap::new(),
             link_bytes: BTreeMap::new(),
             contention: BTreeMap::new(),
@@ -706,6 +713,8 @@ impl Campaign {
         let model_id = *self.model_key_ids.entry(key).or_insert(next_id);
         if model_id == next_id {
             self.model_workloads.push(Arc::clone(&spec.workload));
+            let rows = self.model_workloads.len() * self.pools.len();
+            self.pool_options.resize(rows, None);
         }
         let idx = self.jobs.len();
         self.jobs.push(JobState::new(spec, model_id));
@@ -818,16 +827,25 @@ impl Campaign {
             .find(|calibrator| calibrator.len() >= min)
     }
 
+    /// The cached option row of (pool, model); built by the model's
+    /// first [`Campaign::try_place`].
+    fn options(&self, pool_idx: usize, model_id: u32) -> &[OptionSpec] {
+        self.pool_options[model_id as usize * self.pools.len() + pool_idx]
+            .as_deref()
+            .expect("options are built before they are read")
+    }
+
     /// Build (once) the statically feasible option rows for every pool of
-    /// this job's model.
+    /// this job's model — all of a model's rows in the one call, so its
+    /// first says whether they exist.
     fn ensure_options(&mut self, job_idx: usize) {
         let model_id = self.jobs[job_idx].model_id;
-        for pool_idx in 0..self.pools.len() {
-            if self.pool_options.contains_key(&(pool_idx, model_id)) {
-                continue;
-            }
+        let first = model_id as usize * self.pools.len();
+        if self.pool_options[first].is_some() {
+            return;
+        }
+        for (pool_idx, state) in self.pools.iter().enumerate() {
             let workload = &self.model_workloads[model_id as usize];
-            let state = &self.pools[pool_idx];
             let model = GeneralModel::from_characterization(&state.character, workload);
             let fluid_count = workload.grid.fluid_count();
             let opts = model
@@ -835,7 +853,7 @@ impl Campaign {
                 .filter(|(nodes, raw)| raw.ranks <= fluid_count && state.pool.can_host(*nodes))
                 .map(|(nodes, raw)| OptionSpec { nodes, raw })
                 .collect();
-            self.pool_options.insert((pool_idx, model_id), opts);
+            self.pool_options[first + pool_idx] = Some(opts);
         }
     }
 
@@ -847,16 +865,15 @@ impl Campaign {
         let budget = spec.budget_dollars;
         let objective = spec.objective;
 
-        let mut cands: Vec<Candidate> = Vec::new();
-        let mut park_regs: Vec<(usize, usize)> = Vec::new();
+        let mut cands = std::mem::take(&mut self.candidates);
+        cands.clear();
         for (pool_idx, state) in self.pools.iter().enumerate() {
             let k = self
                 .calibrator(pool_idx)
                 .map_or(1.0, ModelCalibrator::correction_factor);
             let platform = &state.pool.platform;
             let nodes_free = state.pool.nodes_free();
-            let mut min_nodes: Option<usize> = None;
-            for (option, opt) in self.pool_options[&(pool_idx, model_id)].iter().enumerate() {
+            for (option, opt) in self.options(pool_idx, model_id).iter().enumerate() {
                 // Same arithmetic the winner's corrected prediction uses:
                 // time_for_steps(steps) over a step time scaled by k.
                 let time_s = opt.raw.step_time_s * k * steps as f64;
@@ -864,7 +881,6 @@ impl Campaign {
                 if cost_dollars > budget {
                     continue; // admission: never offer an over-budget option
                 }
-                min_nodes = Some(min_nodes.map_or(opt.nodes, |m: usize| m.min(opt.nodes)));
                 cands.push(Candidate {
                     pool_idx,
                     option,
@@ -872,9 +888,6 @@ impl Campaign {
                     cost_dollars,
                     fits_now: opt.nodes <= nodes_free,
                 });
-            }
-            if let Some(n) = min_nodes {
-                park_regs.push((pool_idx, n));
             }
         }
 
@@ -886,22 +899,35 @@ impl Campaign {
             let offered = cands.iter().filter(|c| on_empty_pools || c.fits_now);
             objective.pick(offered.map(|c| (c, c.time_s, c.cost_dollars)))
         };
-        if let Some(&Candidate { pool_idx, option, .. }) = pick(false) {
+        let result = if let Some(&Candidate { pool_idx, option, .. }) = pick(false) {
             self.place(job_idx, pool_idx, option);
             PlaceResult::Placed
         } else if pick(true).is_some() {
-            // Nothing fits right now, but something would on an empty pool.
+            // Nothing fits right now, but something would on an empty
+            // pool. Candidates are grouped by pool, in pool order.
+            let mut park_regs: Vec<(usize, usize)> = Vec::new();
+            for c in &cands {
+                let nodes = self.options(c.pool_idx, model_id)[c.option].nodes;
+                match park_regs.last_mut() {
+                    Some((pool_idx, min_nodes)) if *pool_idx == c.pool_idx => {
+                        *min_nodes = nodes.min(*min_nodes);
+                    }
+                    _ => park_regs.push((c.pool_idx, nodes)),
+                }
+            }
             PlaceResult::Wait(park_regs)
         } else {
             PlaceResult::Reject(
                 "no (platform, ranks) option satisfies the objective and budget".into(),
             )
-        }
+        };
+        self.candidates = cands;
+        result
     }
 
     fn place(&mut self, job_idx: usize, pool_idx: usize, option: usize) {
         let model_id = self.jobs[job_idx].model_id;
-        let OptionSpec { nodes, raw } = self.pool_options[&(pool_idx, model_id)][option];
+        let OptionSpec { nodes, raw } = self.options(pool_idx, model_id)[option];
         let ranks = raw.ranks;
         let calibrator = self.calibrator(pool_idx);
         let calibrated = calibrator.is_some();
@@ -1610,12 +1636,15 @@ mod tests {
     /// The option loop has one body: what a campaign caches per (pool,
     /// model) is the matching `Dashboard::build` row, bit for bit,
     /// wherever the scheduler's own constraints (grid size, pool
-    /// capacity) admit the option too.
+    /// capacity) admit the option too. And it caches it once, on the
+    /// model's first try — also for a model interned after another's rows
+    /// exist, and for rows that came out empty.
     #[test]
     fn cached_options_are_the_dashboard_rows_the_pool_can_host() {
         use crate::demo::demo_config;
         use hemocloud_core::dashboard::Dashboard;
         use hemocloud_geometry::anatomy::CylinderSpec;
+        use hemocloud_geometry::voxel::{CellType, VoxelGrid};
 
         let config = demo_config(42);
         let pools = Platform::all().into_iter().map(|platform| PoolSpec {
@@ -1639,7 +1668,20 @@ mod tests {
             hidden_steps_factor: 1.0,
             submit_s: 0.0,
         });
+        // A second model, too small for any rank option on any pool.
+        let speck = VoxelGrid::filled(1, 1, 4, 1.0, CellType::Bulk);
+        assert!(config.rank_options.iter().all(|&ranks| ranks > speck.fluid_count()));
+        let hopeless = campaign.submit(JobSpec {
+            name: "speck".into(),
+            workload: Arc::new(Workload::harvey(&speck, 1_000)),
+            model_key: "speck".into(),
+            ..campaign.jobs[job].spec.clone()
+        });
+        let n_pools = campaign.pools.len();
+        assert_eq!(campaign.pool_options, vec![None; 2 * n_pools], "nothing is built at submit");
         campaign.ensure_options(job);
+        assert!(campaign.pool_options[..n_pools].iter().all(Option::is_some));
+        assert_eq!(campaign.pool_options[n_pools..], vec![None; n_pools], "rows are per model");
 
         let mut compared = 0;
         for (pool_idx, state) in campaign.pools.iter().enumerate() {
@@ -1651,7 +1693,7 @@ mod tests {
                 &config.prices,
             )
             .entries;
-            let cached = &campaign.pool_options[&(pool_idx, 0)];
+            let cached = campaign.options(pool_idx, 0);
             for opt in cached {
                 let row = rows
                     .iter()
@@ -1679,6 +1721,21 @@ mod tests {
             }
         }
         assert!(compared >= Platform::all().len(), "only {compared} options compared");
+
+        // The second model's first try finds the first's rows in place
+        // and builds its own: empty, but built.
+        campaign.ensure_options(hopeless);
+        assert_eq!(campaign.jobs[hopeless].model_id, 1);
+        for pool_idx in 0..n_pools {
+            assert!(campaign.options(pool_idx, 1).is_empty());
+        }
+        // Swap the workloads the rows were built from and try both
+        // models again: a rebuild — of an empty row too — would differ.
+        let built = campaign.pool_options.clone();
+        campaign.model_workloads.swap(0, 1);
+        campaign.ensure_options(job);
+        campaign.ensure_options(hopeless);
+        assert_eq!(campaign.pool_options, built);
     }
 
     /// The contention memo's contract: a stored value is a pure function

@@ -220,6 +220,51 @@ fn single_node_pool_serializes_contending_jobs() {
     );
 }
 
+/// Placement tries share one candidate buffer. A try that fills it with
+/// every option of every pool, then — same dispatch — a job no option is
+/// cheap enough for, then the first job again: the second must see an
+/// empty offer (rejected at once, which only the "no (platform, ranks)
+/// option" path does: it alone counts `sched.jobs.rejected` and stamps
+/// the dispatch's clock), the third exactly the first's.
+#[test]
+fn a_placement_try_inherits_nothing_from_the_one_before() {
+    let pools = [Platform::csp1(), Platform::csp2_small()].map(|platform| PoolSpec {
+        platform,
+        nodes: 4,
+        overheads: Overheads::default(),
+        topology: None,
+    });
+    let mut campaign = Campaign::new(tiny_config(3, 0.0), pools.to_vec());
+    let roomy = |name: &str| JobSpec {
+        budget_dollars: 1e9, // every option of both pools is in budget
+        ..tiny_job(name, 400_000, 10.0, 1.0, 0.0)
+    };
+    campaign.submit(roomy("first"));
+    campaign.submit(JobSpec {
+        budget_dollars: 1e-12,
+        ..tiny_job("penniless", 400_000, 10.0, 1.0, 0.0)
+    });
+    campaign.submit(roomy("third"));
+    let report = campaign.run();
+
+    let [first, penniless, third] = &report.job_reports[..] else {
+        panic!("three jobs, {} rows", report.job_reports.len());
+    };
+    assert_eq!(penniless.outcome, "rejected");
+    assert_eq!((penniless.attempts, penniless.finish_s), (0, 0.0), "rejected in the first dispatch");
+    assert_eq!(campaign.obs_snapshot().counter("sched.jobs.rejected"), Some(1));
+    assert_eq!(first.outcome, "completed");
+    assert_eq!(third.outcome, "completed");
+
+    let [a, b] = &report.placements[..] else {
+        panic!("two placements, {} rows", report.placements.len());
+    };
+    assert_eq!((a.job, b.job), (0, 2));
+    assert_eq!((a.time_s, b.time_s), (0.0, 0.0), "one dispatch");
+    assert_eq!((&a.platform, a.ranks, a.nodes), (&b.platform, b.ranks, b.nodes));
+    assert_eq!(a.predicted_step_s.to_bits(), b.predicted_step_s.to_bits());
+}
+
 #[test]
 fn runaway_is_killed_mid_run_without_faults() {
     let mut campaign = Campaign::new(tiny_config(5, 0.0), one_pool(2));

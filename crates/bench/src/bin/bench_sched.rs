@@ -16,16 +16,14 @@
 //! Besides timing, the binary *proves* the tentpole determinism claim on
 //! every run: a smoke-sized subset is re-run at shard counts 1, 2, and 4
 //! and the three reports must be byte-identical — `gates::gate_bench_sched`
-//! fails on the record otherwise, and the binary exits non-zero and
-//! refuses to write a baseline.
+//! fails on the record otherwise (`shard_determinism.reports_identical`),
+//! and the binary exits non-zero and refuses to write a baseline. The
+//! shard-1 render also passes `gates::gate_finite` first.
 //!
-//! * `SCHED_JOBS=<n>` overrides the job count (default 1,000,000; with
-//!   `RT_BENCH_FAST=1`, 20,000 so CI can smoke-run it in seconds).
-//! * `SCHED_SHARDS=<n>` sets the headline run's shard count (default 4).
-//! * `SCHED_SEED=<u64>` picks the campaign seed (default 42).
-//! * `OUT_DIR=<dir>` is where `BENCH_sched.json` and the per-shard
-//!   determinism reports `SCHED_det.shard<N>.json` go (default: the
-//!   current directory); `check` byte-compares the latter independently.
+//! * `RT_BENCH_FAST=1` runs 20,000 jobs instead of 1,000,000, so CI can
+//!   smoke-run it in seconds.
+//! * `OUT_DIR=<dir>` is where `BENCH_sched.json` goes (default: the
+//!   current directory).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,12 +39,10 @@ use hemocloud_rt::bench::fast_mode;
 use hemocloud_rt::rng::SplitMix64;
 use hemocloud_sched::{Campaign, CampaignConfig, CampaignReport, JobSpec, PoolSpec};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} must be a usize")))
-        .unwrap_or(default)
-}
+/// The campaign seed.
+const SEED: u64 = 42;
+/// The headline run's event-queue shard count.
+const SHARDS: usize = 4;
 
 /// The four pools the synthetic campaign runs against — wider than the
 /// demo's so a million jobs drain in reasonable virtual time.
@@ -88,9 +84,9 @@ fn bench_pools() -> Vec<PoolSpec> {
     ]
 }
 
-fn bench_config(seed: u64, shards: usize) -> CampaignConfig {
+fn bench_config(shards: usize) -> CampaignConfig {
     CampaignConfig {
-        seed,
+        seed: SEED,
         characterization_seed: 2023,
         rank_options: vec![8, 16, 32, 36],
         slice_steps: 800_000,
@@ -135,14 +131,14 @@ fn bench_workloads() -> Vec<(String, Arc<Workload>)> {
 /// Deterministic synthetic job mix: honest jobs with batched arrivals,
 /// ~0.5% runaways (3× hidden steps against a tight tolerance) and ~0.2%
 /// doomed-budget jobs the admission filter must reject.
-fn bench_jobs(n: usize, seed: u64) -> Vec<JobSpec> {
+fn bench_jobs(n: usize) -> Vec<JobSpec> {
     let workloads = bench_workloads();
     let objectives = [
         Objective::MinCost,
         Objective::MaxThroughput,
         Objective::Deadline(24.0 * 3600.0),
     ];
-    let mut sm = SplitMix64::new(seed ^ 0xBE9C_4A11);
+    let mut sm = SplitMix64::new(SEED ^ 0xBE9C_4A11);
     let mut jobs = Vec::with_capacity(n);
     for i in 0..n {
         let (key, workload) = &workloads[(sm.next_u64() % workloads.len() as u64) as usize];
@@ -178,12 +174,8 @@ fn bench_jobs(n: usize, seed: u64) -> Vec<JobSpec> {
     jobs
 }
 
-fn run_campaign(jobs: &[JobSpec], seed: u64, shards: usize) -> CampaignReport {
-    let mut campaign = Campaign::new(bench_config(seed, shards), bench_pools());
-    for job in jobs {
-        campaign.submit(job.clone());
-    }
-    campaign.run()
+fn run_campaign(jobs: &[JobSpec], shards: usize) -> CampaignReport {
+    Campaign::run_jobs(bench_config(shards), bench_pools(), jobs.iter().cloned()).0
 }
 
 /// Peak resident set (VmHWM) in MiB from `/proc/self/status`; `None` off
@@ -196,21 +188,15 @@ fn peak_rss_mib() -> Option<f64> {
 }
 
 fn main() {
-    let seed: u64 = std::env::var("SCHED_SEED")
-        .ok()
-        .map(|v| v.parse().expect("SCHED_SEED must be a u64"))
-        .unwrap_or(42);
-    let default_jobs = if fast_mode() { 20_000 } else { 1_000_000 };
-    let n_jobs = env_usize("SCHED_JOBS", default_jobs);
-    let shards = env_usize("SCHED_SHARDS", 4).max(1);
+    let n_jobs = if fast_mode() { 20_000 } else { 1_000_000 };
 
     // Headline run first (the biggest allocation), so the recorded VmHWM
     // is the campaign's and the later smoke-sized determinism runs cannot
     // raise it.
-    println!("bench_sched: {n_jobs} jobs, {shards} shards, seed {seed}");
-    let jobs = bench_jobs(n_jobs, seed);
+    println!("bench_sched: {n_jobs} jobs, {SHARDS} shards, seed {SEED}");
+    let jobs = bench_jobs(n_jobs);
     let start = Instant::now();
-    let report = run_campaign(&jobs, seed, shards);
+    let report = run_campaign(&jobs, SHARDS);
     let elapsed = start.elapsed().as_secs_f64();
     let events_per_sec = report.events_processed as f64 / elapsed;
     let jobs_per_sec = report.jobs as f64 / elapsed;
@@ -236,28 +222,25 @@ fn main() {
     // Determinism proof: a smoke-sized subset at shard counts 1, 2, 4
     // must render byte-identical reports.
     let det_jobs_n = n_jobs.min(20_000);
-    let det_jobs = bench_jobs(det_jobs_n, seed);
+    let det_jobs = bench_jobs(det_jobs_n);
     let shard_counts = [1usize, 2, 4];
     let renders: Vec<String> = shard_counts
         .iter()
-        .map(|&s| run_campaign(&det_jobs, seed, s).to_json())
+        .map(|&s| run_campaign(&det_jobs, s).to_json())
         .collect();
     let identical = renders.iter().all(|r| r == &renders[0]);
     println!(
         "  shard determinism ({det_jobs_n} jobs @ shards {shard_counts:?}): {}",
         if identical { "byte-identical" } else { "DIVERGED" }
     );
-    for (s, render) in shard_counts.iter().zip(&renders) {
-        provenance::write_artifact(&format!("SCHED_det.shard{s}.json"), render);
-    }
 
     let mut w = Writer::new();
     w.begin_object(Layout::Block);
     w.key("report").string("hemocloud_bench_sched");
     w.key("provenance").members(&provenance::stamp());
-    w.key("seed").uint(seed);
+    w.key("seed").uint(SEED);
     w.key("jobs").uint(report.jobs as u64);
-    w.key("shards").uint(shards as u64);
+    w.key("shards").uint(SHARDS as u64);
     w.key("events_processed").uint(report.events_processed);
     w.key("elapsed_s").fixed(elapsed, 3);
     w.key("events_per_sec").fixed(events_per_sec, 1);
@@ -291,7 +274,10 @@ fn main() {
     w.end();
     let json = w.finish();
 
-    // A record that fails its gate is never written.
-    gates::exit_on_failures(&gates::gate_text(&json, gates::gate_bench_sched));
+    // A record that fails its gate, or whose determinism report is not
+    // even well-formed, is never written.
+    let mut failures = gates::gate_text(&renders[0], gates::gate_finite);
+    failures.extend(gates::gate_text(&json, gates::gate_bench_sched));
+    gates::exit_on_failures(&failures);
     provenance::write_artifact("BENCH_sched.json", &json);
 }

@@ -3,8 +3,6 @@
 //! every PR carries a comparable scheduling record alongside
 //! `BENCH_lbm.json`.
 //!
-//! * `CAMPAIGN_SEED=<u64>` picks the campaign seed (default 42 — the
-//!   committed `CAMPAIGN_sched.json` uses this).
 //! * `OUT_DIR=<dir>` is where `CAMPAIGN_sched.json` and
 //!   `OBS_campaign.json` go (default: the current directory). The latter
 //!   is the campaign's metrics snapshot (its private virtual-clock
@@ -14,26 +12,25 @@
 //! The binary runs `gates::gate_campaign` on the report it writes and
 //! exits non-zero if it violates the campaign's operational invariants
 //! (non-finite cost/makespan, empty placement log, jobs unaccounted for,
-//! or — at the default seed — a refinement loop that failed to reduce
-//! placement error), so a broken campaign is never recorded silently.
+//! no guard kill or recovered fault, or a refinement loop that failed to
+//! reduce placement error), so a broken campaign is never recorded
+//! silently.
 //!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
 use hemocloud_bench::{gates, provenance};
 use hemocloud_sched::run_demo_with_obs;
 
-fn main() {
-    let seed: u64 = std::env::var("CAMPAIGN_SEED")
-        .ok()
-        .map(|v| v.parse().expect("CAMPAIGN_SEED must be a u64"))
-        .unwrap_or(42);
+/// The campaign seed of the committed `CAMPAIGN_sched.json`.
+const SEED: u64 = 42;
 
-    let (report, obs) = run_demo_with_obs(seed);
+fn main() {
+    let (report, obs) = run_demo_with_obs(SEED);
     let json = report.to_json_stamped(&provenance::stamp());
     let failures = gates::gate_text(&json, gates::gate_campaign);
 
     println!(
-        "campaign seed {seed}: {} jobs -> {} completed, {} guard-killed, {} failed, {} rejected",
+        "campaign seed {SEED}: {} jobs -> {} completed, {} guard-killed, {} failed, {} rejected",
         report.jobs, report.completed, report.guard_kills, report.failed, report.rejected
     );
     println!(

@@ -4,8 +4,6 @@
 //! `CAMPAIGN_fabric.json`, the committed evidence that routed contention
 //! is deterministic, exactly accounted, and calibratable.
 //!
-//! * `FABRIC_SEED=<u64>` picks the campaign seed (default 42 — the
-//!   committed `CAMPAIGN_fabric.json` uses this).
 //! * `OUT_DIR=<dir>` is where `CAMPAIGN_fabric.json` and
 //!   `OBS_fabric.json` go (default: the current directory). The latter is
 //!   the campaign's metrics snapshot — including the
@@ -29,66 +27,51 @@
 //! 6. contention is priced per distinct active set, not per slice:
 //!    `sched.contention.exchanges` < `sched.contention.slices`.
 //!
+//! The run also goes through `hemocloud_sched::audit`, the sweep's
+//! checker table: any violation fails the binary, and the Eq. 9 total of
+//! property 2 is the one the audit rebuilt from the submitted jobs.
+//!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
 use hemocloud_bench::{gates, provenance};
-use hemocloud_cluster::exec::{Overheads, PreparedRun};
-use hemocloud_cluster::platform::Platform;
-use hemocloud_cluster::topology::{CommModel, TopologyVariant};
-use hemocloud_core::workload::Workload;
-use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_obs::json::Value;
 use hemocloud_obs::Render;
 use hemocloud_sched::{
-    fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo, Campaign,
+    audit, fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo, Campaign,
 };
 
+/// The campaign seed of the committed `CAMPAIGN_fabric.json`.
+const SEED: u64 = 42;
+
 fn main() {
-    let seed: u64 = std::env::var("FABRIC_SEED")
-        .ok()
-        .map(|v| v.parse().expect("FABRIC_SEED must be a u64"))
-        .unwrap_or(42);
+    let (report, obs) = run_fabric_demo(SEED);
 
-    let (report, obs) = run_fabric_demo(seed);
-
-    // Exact Eq. 9 reconciliation: rebuild the demo's one prepared shape
-    // and price a single step's internodal flows independently.
-    let grid = CylinderSpec::default().with_resolution(10).build();
-    let workload = Workload::harvey(&grid, 1);
-    let prepared = PreparedRun::new_with_comm(
-        &Platform::csp2_small(),
-        &grid,
-        &workload.kernel,
-        16,
-        &Overheads::default(),
-        CommModel::Routed(TopologyVariant::Spread),
-    )
-    .expect("demo shape is feasible");
-    let per_step_bytes: u64 = prepared.flows(&[0, 1], 0).iter().map(|f| f.bytes as u64).sum();
-    let eq9_bytes: u64 = fabric_demo_jobs()
-        .iter()
-        .map(|j| j.workload.steps * per_step_bytes)
-        .sum();
-    let delivered = obs.counter_family_total("fabric.pool0.link.delivered_bytes");
+    // The sweep's checker table judges this run too; its Eq. 9 checker
+    // rebuilds the byte expectation from the submitted jobs.
+    let audit = audit(&report, &fabric_demo_jobs(), &fabric_demo_pools(), &obs);
+    let found = audit.violations.iter();
+    let mut failures: Vec<String> = found
+        .map(|v| format!("fabric_demo: audit {}: {}", v.checker, v.what))
+        .collect();
+    let eq9_bytes = audit.eq9_expected_bytes;
+    let delivered = audit.eq9_delivered_bytes;
     let forwarded = obs.counter_family_total("fabric.pool0.link.forwarded_bytes");
+    let topology = report.placements.first().map_or("?", |r| r.topology.name());
 
     // Shard invariance: the shared-fabric contention context must not
     // observe event-queue layout.
     let run_sharded = |shards: usize| {
-        let mut config = fabric_demo_config(seed);
+        let mut config = fabric_demo_config(SEED);
         config.shards = shards;
-        let mut campaign = Campaign::new(config, fabric_demo_pools());
-        for job in fabric_demo_jobs() {
-            campaign.submit(job);
-        }
-        campaign.run().to_json()
+        let (sharded, _) = Campaign::run_jobs(config, fabric_demo_pools(), fabric_demo_jobs());
+        sharded.to_json()
     };
     let reference = report.to_json();
-    let mut failures: Vec<String> = [2usize, 4]
-        .into_iter()
-        .filter(|&shards| run_sharded(shards) != reference)
-        .map(|shards| format!("fabric_demo: report changed at {shards} shards"))
-        .collect();
+    for shards in [2usize, 4] {
+        if run_sharded(shards) != reference {
+            failures.push(format!("fabric_demo: report changed at {shards} shards"));
+        }
+    }
 
     // Set-level pricing: the ten jobs run as recurring pairs, so far
     // fewer fabric exchanges than priced slices.
@@ -103,9 +86,8 @@ fn main() {
     // Contention slowdown: the same first job, alone on the same pool at
     // the same seed, shares its noise stream — any difference is trunk
     // contention.
-    let mut solo = Campaign::new(fabric_demo_config(seed), fabric_demo_pools());
-    solo.submit(fabric_demo_jobs().remove(0));
-    let solo_report = solo.run();
+    let first = fabric_demo_jobs().into_iter().take(1);
+    let (solo_report, _) = Campaign::run_jobs(fabric_demo_config(SEED), fabric_demo_pools(), first);
     let solo_job = &solo_report.job_reports[0];
     let demo_job = report
         .job_reports
@@ -116,7 +98,7 @@ fn main() {
 
     let mut stamp = provenance::stamp();
     stamp.extend([
-        ("fabric_topology", Value::Str(prepared.comm_model().name().into())),
+        ("fabric_topology", Value::Str(topology.into())),
         ("fabric_eq9_bytes", Value::UInt(eq9_bytes)),
         ("fabric_delivered_bytes", Value::UInt(delivered)),
         ("fabric_forwarded_bytes", Value::UInt(forwarded)),
@@ -128,10 +110,8 @@ fn main() {
     failures.extend(gates::gate_text(&json, gates::gate_fabric));
 
     println!(
-        "fabric demo seed {seed}: {} jobs -> {} completed on '{}' topology",
-        report.jobs,
-        report.completed,
-        report.placements.first().map_or("?", |r| r.topology.as_str())
+        "fabric demo seed {SEED}: {} jobs -> {} completed on '{topology}' topology",
+        report.jobs, report.completed
     );
     println!(
         "  Eq. 9 bytes {eq9_bytes} == delivered {delivered} (forwarded {forwarded}), \

@@ -233,13 +233,7 @@ pub fn run_demo(seed: u64) -> CampaignReport {
 /// spans, calibration gauges). Deterministic: same seed, same snapshot,
 /// byte for byte.
 pub fn run_demo_with_obs(seed: u64) -> (CampaignReport, hemocloud_obs::Snapshot) {
-    let mut campaign = Campaign::new(demo_config(seed), demo_pools());
-    for job in demo_jobs() {
-        campaign.submit(job);
-    }
-    let report = campaign.run();
-    let snapshot = campaign.obs_snapshot();
-    (report, snapshot)
+    Campaign::run_jobs(demo_config(seed), demo_pools(), demo_jobs())
 }
 
 // ---- fabric contention demo -------------------------------------------
@@ -307,13 +301,7 @@ pub fn fabric_demo_jobs() -> Vec<JobSpec> {
 /// the report and the obs snapshot (whose `fabric.pool0.link.*` counter
 /// families carry the per-link byte accounting).
 pub fn run_fabric_demo(seed: u64) -> (CampaignReport, hemocloud_obs::Snapshot) {
-    let mut campaign = Campaign::new(fabric_demo_config(seed), fabric_demo_pools());
-    for job in fabric_demo_jobs() {
-        campaign.submit(job);
-    }
-    let report = campaign.run();
-    let snapshot = campaign.obs_snapshot();
-    (report, snapshot)
+    Campaign::run_jobs(fabric_demo_config(seed), fabric_demo_pools(), fabric_demo_jobs())
 }
 
 #[cfg(test)]

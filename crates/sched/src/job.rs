@@ -23,7 +23,8 @@ pub struct JobSpec {
     ///
     /// [`GeneralModel`]: hemocloud_core::general::GeneralModel
     pub model_key: String,
-    /// Placement objective handed to `Dashboard::recommend`.
+    /// Placement objective: its `Objective::pick` chooses among the
+    /// in-budget options on every placement try.
     pub objective: Objective,
     /// Guard tolerance fraction on the placement-time prediction (the
     /// paper's "10% tolerance" dial).
@@ -63,8 +64,9 @@ impl JobSpec {
 pub enum JobOutcome {
     /// Ran to convergence within its limits.
     Completed,
-    /// A guard limit was strictly exceeded mid-run and the scheduler
-    /// killed the job at the next slice boundary.
+    /// A guard limit was hit mid-run and the scheduler killed the job:
+    /// *at* the wall-clock limit (the slice in flight is cut short), or
+    /// after the slice that took it past the dollar limit.
     GuardKilled,
     /// Faulted more times than `max_retries` allowed.
     Failed,

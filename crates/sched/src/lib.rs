@@ -14,7 +14,7 @@
 //! * [`job`] — what users submit ([`JobSpec`]) and how runs end
 //!   ([`JobOutcome`]).
 //! * [`scheduler`] — the [`Campaign`] engine: admission, model-driven
-//!   placement through `Dashboard::recommend`, sliced execution through
+//!   placement through `Objective::pick`, sliced execution through
 //!   `cluster::exec`, guard enforcement mid-run, seeded fault injection
 //!   with checkpoint-rollback retries, and continuous model calibration.
 //! * [`report`] — the [`CampaignReport`]: utilization, cost, SLO
@@ -24,8 +24,10 @@
 //!   and acceptance tests all share.
 //! * [`sweep`] — the scenario-sweep evaluation harness: the campaign run
 //!   across seeds × geometries × platform mixes × fault rates × kernel
-//!   configurations with budget/SLO/billing/Eq. 9/guard invariants
-//!   armed, aggregated into one deterministic JSON report.
+//!   configurations, every finished campaign judged by the one
+//!   [`audit`] (budget/SLO/billing/Eq. 9/guard checkers over the
+//!   report's typed fields), aggregated into one deterministic JSON
+//!   report.
 //!
 //! Everything is reproducible: same seed, same report, byte for byte.
 
@@ -49,6 +51,6 @@ pub use scheduler::{
     expected_faults, fault_probability, retry_backoff_s, Campaign, CampaignConfig, PoolSpec,
 };
 pub use sweep::{
-    cell_config, cell_jobs, mix_pools, run_sweep, AxisAggregate, CellResult, GeometryCase,
-    SweepGrid, SweepReport, WorkloadCase,
+    audit, cell_config, cell_jobs, mix_pools, run_sweep, Audit, AxisAggregate, Cell, CellResult,
+    GeometryCase, SweepGrid, SweepReport, Violation, WorkloadCase,
 };

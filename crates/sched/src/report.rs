@@ -12,7 +12,10 @@
 //! carries its sample count so a consumer can tell "no data" from
 //! "averaged over two placements".
 
+use hemocloud_cluster::topology::CommModel;
 use hemocloud_obs::json::{Layout, Value, Writer};
+
+use crate::job::JobOutcome;
 
 /// One placement decision and how reality answered it.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +26,11 @@ pub struct PlacementRecord {
     pub job_name: String,
     /// Attempt number this placement started (1 = first run).
     pub attempt: u32,
-    /// Platform chosen by `Dashboard::recommend`.
+    /// Abbreviation of the platform `Objective::pick` chose.
     pub platform: String,
+    /// That platform's pool: its index in [`CampaignReport::platforms`]
+    /// (and in the `PoolSpec` list the campaign was built over).
+    pub pool: usize,
     /// Ranks of the chosen option.
     pub ranks: usize,
     /// Whole nodes occupied.
@@ -39,9 +45,9 @@ pub struct PlacementRecord {
     pub measured_step_s: Option<f64>,
     /// Campaign clock at dispatch, seconds.
     pub time_s: f64,
-    /// Communication pricing of the chosen pool: `"scalar"` or the
-    /// routed topology variant the job's messages were forwarded over.
-    pub topology: String,
+    /// Communication pricing of the chosen pool: scalar, or the routed
+    /// topology variant the job's messages were forwarded over.
+    pub topology: CommModel,
 }
 
 impl PlacementRecord {
@@ -113,8 +119,9 @@ pub struct PlatformReport {
 pub struct JobReport {
     /// Job name.
     pub name: String,
-    /// Outcome label (`completed`, `guard_killed`, `failed`, `rejected`).
-    pub outcome: String,
+    /// How the job left the system; rendered as its
+    /// [`JobOutcome::label`].
+    pub outcome: JobOutcome,
     /// Dollars billed across all attempts.
     pub cost_dollars: f64,
     /// Node-occupancy wall seconds across all attempts.
@@ -316,7 +323,7 @@ impl CampaignReport {
         for j in &self.job_reports {
             w.begin_object(Layout::Inline);
             w.key("name").string(&j.name);
-            w.key("outcome").string(&j.outcome);
+            w.key("outcome").string(j.outcome.label());
             w.key("cost_dollars").fixed(j.cost_dollars, 6);
             w.key("run_seconds").fixed(j.run_seconds, 3);
             w.key("attempts").uint(j.attempts.into());
@@ -337,7 +344,7 @@ impl CampaignReport {
             w.key("name").string(&r.job_name);
             w.key("attempt").uint(r.attempt.into());
             w.key("platform").string(&r.platform);
-            w.key("topology").string(&r.topology);
+            w.key("topology").string(r.topology.name());
             w.key("ranks").uint(r.ranks as u64);
             w.key("nodes").uint(r.nodes as u64);
             w.key("calibrated").bool(r.calibrated);
@@ -363,13 +370,14 @@ mod tests {
             job_name: format!("job-{order}"),
             attempt: 1,
             platform: "CSP-2".into(),
+            pool: 0,
             ranks: 16,
             nodes: 1,
             calibrated,
             predicted_step_s: pred,
             measured_step_s: meas,
             time_s: order as f64,
-            topology: "scalar".into(),
+            topology: CommModel::Scalar,
         }
     }
 
@@ -525,7 +533,7 @@ mod tests {
             }],
             job_reports: vec![JobReport {
                 name: "only".into(),
-                outcome: "completed".into(),
+                outcome: JobOutcome::Completed,
                 cost_dollars: 0.5,
                 run_seconds: 10.0,
                 attempts: 1,
@@ -567,12 +575,11 @@ mod tests {
         let mut rec = record(0, false, f64::NAN, Some(f64::INFINITY));
         rec.job_name = hostile.into();
         rec.platform = hostile.into();
-        rec.topology = hostile.into();
         let mut report = empty_report(vec![rec]);
         report.makespan_s = f64::NEG_INFINITY;
         report.job_reports.push(JobReport {
             name: hostile.into(),
-            outcome: hostile.into(),
+            outcome: JobOutcome::Rejected { reason: hostile.into() },
             cost_dollars: f64::NAN,
             run_seconds: 1.0,
             attempts: 1,
@@ -585,10 +592,10 @@ mod tests {
         assert_eq!(doc.get("makespan_s"), Some(&Value::Null));
         let job = &doc.get("job_reports").and_then(Value::as_array).unwrap()[0];
         assert_eq!(job.get("name").and_then(Value::as_str), Some(hostile));
-        assert_eq!(job.get("outcome").and_then(Value::as_str), Some(hostile));
+        assert_eq!(job.get("outcome").and_then(Value::as_str), Some("rejected"));
         assert_eq!(job.get("cost_dollars"), Some(&Value::Null));
         let placed = &doc.get("placements").and_then(Value::as_array).unwrap()[0];
-        for key in ["name", "platform", "topology"] {
+        for key in ["name", "platform"] {
             assert_eq!(placed.get(key).and_then(Value::as_str), Some(hostile), "{key}");
         }
         assert_eq!(placed.get("predicted_step_s"), Some(&Value::Null));

@@ -463,7 +463,7 @@ enum PlaceResult {
     /// Queue the job; the payload is its wait-index registration — per
     /// pool, the minimum node count among its in-budget options there.
     Wait(Vec<(usize, usize)>),
-    Reject(String),
+    Reject(&'static str),
 }
 
 /// The campaign's observability handles. The campaign owns a *private*
@@ -505,6 +505,12 @@ struct SchedObs {
 impl SchedObs {
     fn new(lanes: usize, pool_links: &[usize]) -> Self {
         let registry = Registry::new();
+        let link_families = |what: &str| {
+            let family = |(p, &links): (usize, &usize)| {
+                registry.counter_family(&format!("fabric.pool{p}.link.{what}_bytes"), links)
+            };
+            pool_links.iter().enumerate().map(family).collect()
+        };
         Self {
             submitted: registry.counter("sched.jobs.submitted"),
             admitted: registry.counter("sched.placements"),
@@ -519,20 +525,8 @@ impl SchedObs {
             arrive_span: registry.span_total("sched.event.arrive", true),
             slice_done_span: registry.span_total("sched.event.slice_done", true),
             lane_pops: registry.counter_family("sched.lane.pops", lanes),
-            fabric_forwarded: pool_links
-                .iter()
-                .enumerate()
-                .map(|(p, &n)| {
-                    registry.counter_family(&format!("fabric.pool{p}.link.forwarded_bytes"), n)
-                })
-                .collect(),
-            fabric_delivered: pool_links
-                .iter()
-                .enumerate()
-                .map(|(p, &n)| {
-                    registry.counter_family(&format!("fabric.pool{p}.link.delivered_bytes"), n)
-                })
-                .collect(),
+            fabric_forwarded: link_families("forwarded"),
+            fabric_delivered: link_families("delivered"),
             registry,
         }
     }
@@ -583,17 +577,15 @@ pub struct Campaign {
     wait_buckets: Vec<BTreeMap<usize, BTreeSet<usize>>>,
     /// Pools that released nodes since the last dispatch.
     freed_pools: BTreeSet<usize>,
-    /// Retained placement log (first `max_placement_log` placements).
+    /// Retained placement log (first `max_placement_log` placements;
+    /// `sched.placements` counts all of them).
     placements: Vec<PlacementRecord>,
-    placements_total: usize,
     /// (placement ordinal, |pct error|) of every measured *uncalibrated*
     /// placement — small, since calibration kicks in within a few slices.
     uncal_errs: Vec<(usize, f64)>,
     /// Running totals over every measured *calibrated* placement.
     cal_err_sum: f64,
     cal_err_count: usize,
-    events_processed: u64,
-    retries: usize,
     obs: SchedObs,
 }
 
@@ -665,12 +657,9 @@ impl Campaign {
             ready: BTreeSet::new(),
             freed_pools: BTreeSet::new(),
             placements: Vec::new(),
-            placements_total: 0,
             uncal_errs: Vec::new(),
             cal_err_sum: 0.0,
             cal_err_count: 0,
-            events_processed: 0,
-            retries: 0,
             pools,
         }
     }
@@ -720,6 +709,21 @@ impl Campaign {
         self.jobs.push(JobState::new(spec, model_id));
         self.obs.submitted.inc();
         idx
+    }
+
+    /// A campaign over `pools` with `jobs` submitted in order, run to its
+    /// end: the report and the [`Campaign::obs_snapshot`].
+    pub fn run_jobs(
+        config: CampaignConfig,
+        pools: Vec<PoolSpec>,
+        jobs: impl IntoIterator<Item = JobSpec>,
+    ) -> (CampaignReport, Snapshot) {
+        let mut campaign = Self::new(config, pools);
+        for job in jobs {
+            campaign.submit(job);
+        }
+        let report = campaign.run();
+        (report, campaign.obs_snapshot())
     }
 
     /// Number of submitted jobs.
@@ -779,13 +783,10 @@ impl Campaign {
         }
         // Anything still parked can never be placed again: no running job
         // remains to free nodes.
-        for job in &mut self.jobs {
-            if job.outcome.is_none() {
-                assert!(job.run.is_none(), "drained queue with a live run");
-                job.outcome = Some(JobOutcome::Rejected {
-                    reason: "starved: no pool ever had room".into(),
-                });
-                job.finish_s = self.clock_s;
+        for job_idx in 0..self.jobs.len() {
+            if self.jobs[job_idx].outcome.is_none() {
+                assert!(self.jobs[job_idx].run.is_none(), "drained queue with a live run");
+                self.reject(job_idx, "starved: no pool ever had room");
             }
         }
         self.build_report()
@@ -798,7 +799,6 @@ impl Campaign {
     fn on_event(&mut self, event: Event, t: f64, lane: usize) {
         let gap_s = (t - self.clock_s).max(0.0);
         self.clock_s = t;
-        self.events_processed += 1;
         self.obs.events.inc();
         self.obs.lane_pops[lane].inc();
         match event {
@@ -917,15 +917,14 @@ impl Campaign {
             }
             PlaceResult::Wait(park_regs)
         } else {
-            PlaceResult::Reject(
-                "no (platform, ranks) option satisfies the objective and budget".into(),
-            )
+            PlaceResult::Reject("no (platform, ranks) option satisfies the objective and budget")
         };
         self.candidates = cands;
         result
     }
 
     fn place(&mut self, job_idx: usize, pool_idx: usize, option: usize) {
+        self.unpark(job_idx);
         let model_id = self.jobs[job_idx].model_id;
         let OptionSpec { nodes, raw } = self.options(pool_idx, model_id)[option];
         let ranks = raw.ranks;
@@ -939,7 +938,6 @@ impl Campaign {
             .expect("placement raced capacity");
         state.attempts += 1;
         state.active_jobs.insert(job_idx);
-        self.obs.admitted.inc();
         let platform = state.pool.platform.clone();
         let overheads = state.overheads;
         let comm = state.comm();
@@ -973,8 +971,8 @@ impl Campaign {
         });
 
         let max_placement_log = self.config.max_placement_log;
-        let placement_ordinal = self.placements_total;
-        self.placements_total += 1;
+        let placement_ordinal = self.obs.admitted.get() as usize;
+        self.obs.admitted.inc();
 
         let job = &mut self.jobs[job_idx];
         job.attempts += 1;
@@ -993,13 +991,14 @@ impl Campaign {
                 job_name: spec.name.clone(),
                 attempt: job.attempts,
                 platform: platform.abbrev.to_string(),
+                pool: pool_idx,
                 ranks,
                 nodes,
                 calibrated,
                 predicted_step_s: corrected.step_time_s,
                 measured_step_s: None,
                 time_s: self.clock_s,
-                topology: comm.name().to_string(),
+                topology: comm,
             });
         }
         job.run = Some(Box::new(ActiveRun {
@@ -1022,11 +1021,29 @@ impl Campaign {
         self.schedule_slice(job_idx);
     }
 
-    fn reject(&mut self, job_idx: usize, reason: String) {
+    /// The one way a job leaves the system: off the wait index, the
+    /// books closed on a live attempt, the outcome tallied, it and the
+    /// clock stamped.
+    fn finish(&mut self, job_idx: usize, outcome: JobOutcome) {
+        self.unpark(job_idx);
+        if let Some(run) = &self.jobs[job_idx].run {
+            if outcome == JobOutcome::GuardKilled {
+                self.pools[run.pool_idx].guard_kills += 1;
+            }
+            self.finalize_attempt(job_idx);
+        }
+        match outcome {
+            JobOutcome::GuardKilled => self.obs.guard_kills.inc(),
+            JobOutcome::Rejected { .. } => self.obs.rejected.inc(),
+            JobOutcome::Completed | JobOutcome::Failed => {}
+        }
         let job = &mut self.jobs[job_idx];
-        job.outcome = Some(JobOutcome::Rejected { reason });
+        job.outcome = Some(outcome);
         job.finish_s = self.clock_s;
-        self.obs.rejected.inc();
+    }
+
+    fn reject(&mut self, job_idx: usize, reason: &str) {
+        self.finish(job_idx, JobOutcome::Rejected { reason: reason.into() });
     }
 
     /// Register a queued job in the wait index under its per-pool minimum
@@ -1078,6 +1095,20 @@ impl Campaign {
         best
     }
 
+    /// One placement try of a ready or woken job. A job that must wait
+    /// is (re)parked and joins `tried`; one that places or is rejected
+    /// leaves the wait index in [`Campaign::place`] / [`Campaign::finish`].
+    fn try_job(&mut self, job_idx: usize, tried: &mut BTreeSet<usize>) {
+        match self.try_place(job_idx) {
+            PlaceResult::Placed => {}
+            PlaceResult::Wait(regs) => {
+                self.park(job_idx, regs);
+                tried.insert(job_idx);
+            }
+            PlaceResult::Reject(reason) => self.reject(job_idx, reason),
+        }
+    }
+
     /// One placement pass: try every ready job in index order, then wake
     /// parked jobs on pools that freed nodes. `tried` jobs that failed to
     /// place are skipped for the rest of the pass — free capacity only
@@ -1086,16 +1117,8 @@ impl Campaign {
     fn dispatch(&mut self) {
         let mut tried: BTreeSet<usize> = BTreeSet::new();
         for job_idx in std::mem::take(&mut self.ready) {
-            if self.jobs[job_idx].outcome.is_some() || self.jobs[job_idx].run.is_some() {
-                continue;
-            }
-            match self.try_place(job_idx) {
-                PlaceResult::Placed => {}
-                PlaceResult::Wait(regs) => {
-                    self.park(job_idx, regs);
-                    tried.insert(job_idx);
-                }
-                PlaceResult::Reject(reason) => self.reject(job_idx, reason),
+            if self.jobs[job_idx].outcome.is_none() && self.jobs[job_idx].run.is_none() {
+                self.try_job(job_idx, &mut tried);
             }
         }
         while let Some(pool_idx) = self.freed_pools.pop_first() {
@@ -1104,17 +1127,7 @@ impl Campaign {
                 let Some(job_idx) = self.wake_candidate(pool_idx, nodes_free, &tried) else {
                     break;
                 };
-                match self.try_place(job_idx) {
-                    PlaceResult::Placed => self.unpark(job_idx),
-                    PlaceResult::Wait(regs) => {
-                        self.park(job_idx, regs);
-                        tried.insert(job_idx);
-                    }
-                    PlaceResult::Reject(reason) => {
-                        self.unpark(job_idx);
-                        self.reject(job_idx, reason);
-                    }
-                }
+                self.try_job(job_idx, &mut tried);
             }
         }
     }
@@ -1294,11 +1307,10 @@ impl Campaign {
                 let can_retry = job.retries_used < job.spec.max_retries;
                 self.pools[pool_idx].faults += 1;
                 self.obs.faults.inc();
-                self.finalize_attempt(job_idx);
                 if can_retry {
+                    self.finalize_attempt(job_idx);
                     let job = &mut self.jobs[job_idx];
                     job.retries_used += 1;
-                    self.retries += 1;
                     self.obs.retries.inc();
                     let backoff = retry_backoff_s(
                         self.config.retry_backoff_s,
@@ -1314,22 +1326,14 @@ impl Campaign {
                         Event::Arrive { job: job_idx },
                     );
                 } else {
-                    let job = &mut self.jobs[job_idx];
-                    job.outcome = Some(JobOutcome::Failed);
-                    job.finish_s = self.clock_s;
+                    self.finish(job_idx, JobOutcome::Failed);
                 }
             }
             SliceEnd::GuardKill => {
                 // Killed at exactly the wall-clock limit: the in-flight
                 // slice is discarded.
                 job.wasted_steps += pending.steps;
-                let pool_idx = run.pool_idx;
-                self.pools[pool_idx].guard_kills += 1;
-                self.obs.guard_kills.inc();
-                self.finalize_attempt(job_idx);
-                let job = &mut self.jobs[job_idx];
-                job.outcome = Some(JobOutcome::GuardKilled);
-                job.finish_s = self.clock_s;
+                self.finish(job_idx, JobOutcome::GuardKilled);
             }
             SliceEnd::Ran => {
                 job.completed_steps += pending.steps;
@@ -1383,26 +1387,13 @@ impl Campaign {
                 if guard.check(elapsed, spent).is_exceeded() {
                     // The dollar limit (or a boundary-exact overrun) trips
                     // post-slice.
-                    self.pools[pool_idx].guard_kills += 1;
-                    self.obs.guard_kills.inc();
-                    self.finalize_attempt(job_idx);
-                    let job = &mut self.jobs[job_idx];
-                    job.outcome = Some(JobOutcome::GuardKilled);
-                    job.finish_s = self.clock_s;
+                    self.finish(job_idx, JobOutcome::GuardKilled);
                 } else if done {
-                    self.finalize_attempt(job_idx);
-                    let job = &mut self.jobs[job_idx];
-                    job.outcome = Some(JobOutcome::Completed);
-                    job.finish_s = self.clock_s;
+                    self.finish(job_idx, JobOutcome::Completed);
                 } else if !guard.has_budget(elapsed) {
                     // Budget exhausted to the exact second with work left:
                     // stop cleanly at the boundary (see GuardVerdict docs).
-                    self.pools[pool_idx].guard_kills += 1;
-                    self.obs.guard_kills.inc();
-                    self.finalize_attempt(job_idx);
-                    let job = &mut self.jobs[job_idx];
-                    job.outcome = Some(JobOutcome::GuardKilled);
-                    job.finish_s = self.clock_s;
+                    self.finish(job_idx, JobOutcome::GuardKilled);
                 } else {
                     self.schedule_slice(job_idx);
                 }
@@ -1418,7 +1409,8 @@ impl Campaign {
         // placement, independent of the retained-log cap. The uncalibrated
         // errors are summed in placement order (they arrive in measurement
         // order) for a stable, order-independent-of-batching total.
-        let q1 = self.placements_total.div_ceil(4);
+        let placements_total = self.obs.admitted.get() as usize;
+        let q1 = placements_total.div_ceil(4);
         let mut first_q: Vec<(usize, f64)> = self
             .uncal_errs
             .iter()
@@ -1445,7 +1437,7 @@ impl Campaign {
             failed: 0,
             rejected: 0,
             faults: 0,
-            retries: self.retries,
+            retries: self.obs.retries.get() as usize,
             retried_jobs_completed: 0,
             makespan_s: makespan,
             total_cost_dollars: 0.0,
@@ -1458,16 +1450,16 @@ impl Campaign {
             mape_calibrated_count: self.cal_err_count,
             error_p50_pct: None,
             error_p99_pct: None,
-            placements_total: self.placements_total,
-            events_processed: self.events_processed,
+            placements_total,
+            events_processed: self.obs.events.get(),
             platforms: Vec::new(),
             job_reports: Vec::new(),
             placements: std::mem::take(&mut self.placements),
         };
         let max_job_reports = self.config.max_job_reports;
         for job in &self.jobs {
-            let outcome = job.outcome.clone().expect("job left without outcome");
-            match &outcome {
+            let outcome = job.outcome.as_ref().expect("job left without outcome");
+            match outcome {
                 JobOutcome::Completed => {
                     report.completed += 1;
                     if job.faults > 0 {
@@ -1484,7 +1476,7 @@ impl Campaign {
             let slo_met = match job.spec.objective {
                 Objective::Deadline(d) => {
                     report.slo_total += 1;
-                    let met = outcome == JobOutcome::Completed
+                    let met = *outcome == JobOutcome::Completed
                         && job.finish_s - job.spec.submit_s <= d;
                     if met {
                         report.slo_attained += 1;
@@ -1496,7 +1488,7 @@ impl Campaign {
             if report.job_reports.len() < max_job_reports {
                 report.job_reports.push(JobReport {
                     name: job.spec.name.clone(),
-                    outcome: outcome.label().to_string(),
+                    outcome: outcome.clone(),
                     cost_dollars: job.cost,
                     run_seconds: job.prior_attempts_s,
                     attempts: job.attempts,

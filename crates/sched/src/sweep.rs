@@ -5,23 +5,32 @@
 //!
 //! A single demo campaign shows the control loop works *once*; the sweep
 //! is the evaluation harness that shows it keeps its promises everywhere
-//! in the configuration space the paper's Discussion cares about:
+//! in the configuration space the paper's Discussion cares about.
 //!
-//! * **Budget** — no completed job ever bills past its dollar budget.
-//! * **Guard exactness** — a guard-killed job stopped at its rebuilt
+//! Every cell's finished campaign goes through [`audit`]: one table of
+//! named checkers over the report's typed fields, the metrics snapshot
+//! and the submitted specs and pools (DESIGN.md §17 lists what each
+//! rebuilds from what):
+//!
+//! * **conservation** — every job ends in one outcome and one report row.
+//! * **books** — cost, fault and retry totals agree across views.
+//! * **budget** — no completed job ever bills past its dollar budget.
+//! * **slo** — the report's deadline accounting matches a recomputation
+//!   from the submitted specs.
+//! * **billing** — integer billed node-seconds dominate fractional busy
+//!   node-seconds on every platform (per-attempt round-up).
+//! * **guard_exactness** — a guard-killed job stopped at its rebuilt
 //!   wall limit or past its rebuilt dollar limit, where the limits are
 //!   recomputed from nothing but the placement log (the guard is a pure
 //!   function of the logged prediction).
-//! * **SLO consistency** — the report's deadline accounting matches a
-//!   recomputation from the submitted specs.
-//! * **Billing** — integer billed node-seconds dominate fractional busy
-//!   node-seconds on every platform (per-attempt round-up).
-//! * **Eq. 9 reconciliation** — on fault-free, kill-free cells, the
-//!   fabric's per-link delivered-byte counters equal the message-graph
-//!   bytes × true steps of every routed job, as exact `u64` equality.
-//! * **Placement regret** — every completed job's cost is compared
-//!   against an oracle that knows the noise-free step time of every
-//!   feasible (pool, ranks) option; regret is reported per axis.
+//! * **eq9** — on fault-free, kill-free cells, the fabric's per-link
+//!   delivered-byte counters equal the message-graph bytes × true steps
+//!   of every routed job, as exact `u64` equality.
+//! * **finite** — every statistic is finite and non-negative.
+//!
+//! On top of the audit the sweep scores **placement regret**: every
+//! completed job's cost against an oracle that knows the noise-free step
+//! time of every feasible (pool, ranks) option, reported per axis.
 //!
 //! Violations are collected as strings, never panics, so one bad cell
 //! cannot hide the others; the committed artifact (`EVAL_campaign.json`)
@@ -43,8 +52,8 @@ use hemocloud_lbm::kernel::{KernelConfig, Layout, Propagation};
 use hemocloud_obs::json::{self, Value, Writer};
 use hemocloud_obs::Snapshot;
 
-use crate::job::JobSpec;
-use crate::report::{percentile, CampaignReport};
+use crate::job::{JobOutcome, JobSpec};
+use crate::report::{percentile, CampaignReport, JobReport, PlacementRecord};
 use crate::scheduler::{Campaign, CampaignConfig, PoolSpec};
 
 /// One geometry under sweep: a stable key and its voxelized grid.
@@ -144,19 +153,46 @@ impl SweepGrid {
         }
     }
 
+    /// The cross product, seeds outermost: the order cells run, render
+    /// and aggregate in.
+    pub fn cells(&self) -> Vec<Cell<'_>> {
+        let mut cells = Vec::new();
+        for &seed in &self.seeds {
+            for geometry in &self.geometries {
+                for &mix in &self.mixes {
+                    for &fault_rate in &self.fault_rates {
+                        for workload in &self.workloads {
+                            cells.push(Cell { seed, geometry, mix, fault_rate, workload });
+                        }
+                    }
+                }
+            }
+        }
+        cells
+    }
+
     /// Number of cells in the grid.
     pub fn cell_count(&self) -> usize {
-        self.seeds.len()
-            * self.geometries.len()
-            * self.mixes.len()
-            * self.fault_rates.len()
-            * self.workloads.len()
+        self.cells().len()
     }
 }
 
-/// The capacity-limited pools behind a mix key. Platforms within one mix
-/// are distinct, so a placement's platform abbreviation identifies its
-/// pool unambiguously.
+/// One point of a [`SweepGrid`]: a value on each axis.
+#[derive(Clone, Copy)]
+pub struct Cell<'g> {
+    /// Campaign seed.
+    pub seed: u64,
+    /// Geometry.
+    pub geometry: &'g GeometryCase,
+    /// Platform-mix key, resolved through [`mix_pools`].
+    pub mix: &'static str,
+    /// Fault rate per node-hour.
+    pub fault_rate: f64,
+    /// Kernel/job-mix configuration.
+    pub workload: &'g WorkloadCase,
+}
+
+/// The capacity-limited pools behind a mix key.
 pub fn mix_pools(key: &str) -> Vec<PoolSpec> {
     match key {
         // Scalar-priced comm on both pools (Eq. 12, no fabric).
@@ -247,82 +283,63 @@ pub fn cell_jobs(
     wk: &WorkloadCase,
     workloads: &mut BTreeMap<(String, u64), Arc<Workload>>,
 ) -> Vec<JobSpec> {
+    use Objective::{Deadline, MaxThroughput, MinCost};
     let wl_name = format!("{}:{}", geom.key, wk.key);
-    let mut wl = |steps: u64| -> Arc<Workload> {
-        workloads
-            .entry((wl_name.clone(), steps))
-            .or_insert_with(|| Arc::new(Workload::new(wl_name.clone(), &geom.grid, wk.kernel, steps)))
-            .clone()
-    };
-    let mut jobs = Vec::new();
-    let mut push = |name: String,
-                    objective: Objective,
-                    tolerance: f64,
-                    budget: f64,
-                    hidden: f64,
-                    submit_s: f64,
-                    wl: Arc<Workload>| {
-        jobs.push(JobSpec {
-            name,
-            workload: wl,
-            model_key: wl_name.clone(),
-            objective,
-            tolerance,
-            budget_dollars: budget,
-            max_retries: 3,
-            checkpoint_steps: 2_000_000,
-            hidden_steps_factor: hidden,
-            submit_s,
-        });
-    };
-    // Bootstrap wave: raw-model placements, generous tolerance.
-    let w0 = wl(10_000_000);
-    push("h0-mincost".into(), Objective::MinCost, 7.0, 150.0, 1.0, 0.0, w0);
-    let w1 = wl(12_000_000);
-    push("h1-throughput".into(), Objective::MaxThroughput, 7.0, 150.0, 1.0, 0.0, w1);
-    let w2 = wl(14_000_000);
-    push(
-        "h2-deadline".into(),
-        Objective::Deadline(6.0 * 3600.0),
-        7.0,
-        150.0,
-        1.0,
-        0.0,
-        w2,
-    );
-    // Calibrated-era stream: tighter tolerance, staggered arrivals.
-    let w3 = wl(16_000_000);
-    push("h3-mincost".into(), Objective::MinCost, 3.0, 150.0, 1.0, 900.0, w3);
-    if wk.stress {
-        // Runaway: truly needs 4× its declared steps under a 0.5
-        // tolerance. It arrives after the honest wave has calibrated the
-        // models, so its placement prediction is accurate and the guard
-        // budget runs dry mid-run no matter how loose the raw model was.
-        let wr = wl(6_000_000);
-        push("runaway".into(), Objective::MinCost, 0.5, 150.0, 4.0, 3600.0, wr);
-        // Doomed: no option can run 40M steps for five cents.
-        let wd = wl(40_000_000);
-        push("doomed-budget".into(), Objective::MinCost, 1.0, 0.05, 1.0, 60.0, wd);
+    let deadline = Deadline(6.0 * 3600.0);
+    // (name, declared steps, objective, tolerance, budget $, hidden steps
+    // factor, submit s)
+    let mut mix = vec![
+        // Bootstrap wave: raw-model placements, generous tolerance.
+        ("h0-mincost", 10_000_000, MinCost, 7.0, 150.0, 1.0, 0.0),
+        ("h1-throughput", 12_000_000, MaxThroughput, 7.0, 150.0, 1.0, 0.0),
+        ("h2-deadline", 14_000_000, deadline, 7.0, 150.0, 1.0, 0.0),
+        // Calibrated-era stream: tighter tolerance, staggered arrivals.
+        ("h3-mincost", 16_000_000, MinCost, 3.0, 150.0, 1.0, 900.0),
+    ];
+    mix.extend(if wk.stress {
+        [
+            // Runaway: truly needs 4× its declared steps under a 0.5
+            // tolerance. It arrives after the honest wave has calibrated
+            // the models, so its placement prediction is accurate and the
+            // guard budget runs dry mid-run no matter how loose the raw
+            // model was.
+            ("runaway", 6_000_000, MinCost, 0.5, 150.0, 4.0, 3600.0),
+            // Doomed: no option can run 40M steps for five cents.
+            ("doomed-budget", 40_000_000, MinCost, 1.0, 0.05, 1.0, 60.0),
+        ]
     } else {
-        let w4 = wl(12_000_000);
-        push(
-            "h4-deadline".into(),
-            Objective::Deadline(6.0 * 3600.0),
-            3.0,
-            150.0,
-            1.0,
-            1800.0,
-            w4,
-        );
-        let w5 = wl(18_000_000);
-        push("h5-throughput".into(), Objective::MaxThroughput, 3.0, 150.0, 1.0, 2700.0, w5);
-    }
-    jobs
+        [
+            ("h4-deadline", 12_000_000, deadline, 3.0, 150.0, 1.0, 1800.0),
+            ("h5-throughput", 18_000_000, MaxThroughput, 3.0, 150.0, 1.0, 2700.0),
+        ]
+    });
+    let jobs = mix.into_iter().map(
+        |(name, steps, objective, tolerance, budget_dollars, hidden_steps_factor, submit_s)| {
+            let workload = workloads.entry((wl_name.clone(), steps)).or_insert_with(|| {
+                Arc::new(Workload::new(wl_name.clone(), &geom.grid, wk.kernel, steps))
+            });
+            JobSpec {
+                name: name.into(),
+                workload: Arc::clone(workload),
+                model_key: wl_name.clone(),
+                objective,
+                tolerance,
+                budget_dollars,
+                max_retries: 3,
+                checkpoint_steps: 2_000_000,
+                hidden_steps_factor,
+                submit_s,
+            }
+        },
+    );
+    jobs.collect()
 }
 
-/// One cell's results: the axis coordinates, outcome counts, pooled
-/// placement errors, regret, utilization and Eq. 9 reconciliation.
+/// One cell's results: the axis coordinates, the campaign's report and
+/// audit, pooled placement errors, regret and utilization.
 pub struct CellResult {
+    /// Stable cell key: prefixes violations, names the cell in JSON.
+    pub key: String,
     /// Campaign seed.
     pub seed: u64,
     /// Geometry key.
@@ -333,55 +350,22 @@ pub struct CellResult {
     pub fault_rate: f64,
     /// Workload key.
     pub workload: String,
-    /// Jobs submitted.
-    pub jobs: usize,
-    /// Jobs completed.
-    pub completed: usize,
-    /// Guard kills.
-    pub guard_kills: usize,
-    /// Jobs failed (retries exhausted).
-    pub failed: usize,
-    /// Jobs rejected at admission.
-    pub rejected: usize,
-    /// Faults injected.
-    pub faults: usize,
-    /// Campaign makespan, seconds.
-    pub makespan_s: f64,
-    /// Total dollars billed.
-    pub total_cost_dollars: f64,
+    /// The cell's campaign report (outcome counts, makespan, cost and the
+    /// p50/p99 absolute placement error are rendered from it).
+    pub report: CampaignReport,
+    /// What [`audit`] found, the Eq. 9 reconciliation included.
+    pub audit: Audit,
     /// Campaign-wide utilization: Σ busy node-seconds over Σ pool
     /// capacity node-seconds at the cell makespan.
     pub utilization: f64,
-    /// Median absolute placement error, %, over measured placements.
-    pub error_p50_pct: Option<f64>,
-    /// 99th-percentile absolute placement error, %.
-    pub error_p99_pct: Option<f64>,
     /// Mean cost regret vs the noise-free oracle over completed jobs, %.
     pub mean_regret_pct: Option<f64>,
-    /// Whether the Eq. 9 reconciliation ran (fault-free, kill-free cell
-    /// with at least one routed pool).
-    pub eq9_checked: bool,
-    /// Delivered bytes summed over every routed pool's link counters.
-    pub eq9_delivered_bytes: u64,
-    /// Expected bytes from the message graphs of every routed placement.
-    pub eq9_expected_bytes: u64,
     /// Absolute placement errors pooled for axis aggregation (not
     /// serialized).
     pub abs_errors: Vec<f64>,
     /// Per-completed-job regrets pooled for axis aggregation (not
     /// serialized).
     pub regrets: Vec<f64>,
-}
-
-impl CellResult {
-    /// Stable cell key used to prefix violations and name cells in JSON.
-    pub fn key(&self) -> String {
-        cell_key(&self.geometry, &self.mix, self.seed, self.fault_rate, &self.workload)
-    }
-}
-
-fn cell_key(geometry: &str, mix: &str, seed: u64, fault_rate: f64, workload: &str) -> String {
-    format!("s{seed}/{geometry}/{mix}/f{fault_rate:.2}/{workload}")
 }
 
 /// Aggregate over every cell sharing one axis value.
@@ -425,231 +409,232 @@ pub struct SweepReport {
     pub guard_exact_checks: usize,
 }
 
-// ---- oracle -----------------------------------------------------------
+// ---- audit ------------------------------------------------------------
 
-/// Cached per-option oracle data: noise-free step seconds, node count,
-/// and (routed only) the Eq. 9 per-step internodal byte total.
-struct OracleOption {
-    step_nf_s: f64,
-    nodes: usize,
-    flow_bytes_per_step: u64,
+/// One broken fact: which checker of the `CHECKERS` table found it, and
+/// what.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// The checker's name in the table.
+    pub checker: &'static str,
+    /// What it found.
+    pub what: String,
 }
 
-type OracleCache = BTreeMap<(String, usize, String, usize), Option<OracleOption>>;
+/// What [`audit`] found in one campaign: the violations, and the counts
+/// that show its guard and Eq. 9 checkers had something to judge.
+#[derive(Debug, Default)]
+pub struct Audit {
+    /// Every broken fact, in checker order.
+    pub violations: Vec<Violation>,
+    /// Guard-killed jobs whose limits were rebuilt and checked.
+    pub guard_exact_checks: usize,
+    /// Whether the Eq. 9 equality was armed: no fault, kill or failure
+    /// cut a slice short, and at least one pool is routed.
+    pub eq9_checked: bool,
+    /// Delivered bytes summed over every pool's link counters.
+    pub eq9_delivered_bytes: u64,
+    /// Bytes the message graphs of every routed placement should deliver.
+    pub eq9_expected_bytes: u64,
+    /// The checker now running; tags what [`Audit::bad`] records.
+    checker: &'static str,
+}
 
-/// The noise-free cost oracle for one (mix pool, geometry+workload,
-/// ranks) option. Uses each prepared run's *isolated* timing — the
-/// oracle prices options as if the job ran alone, which is the paper's
-/// dashboard-style a-priori best case.
-fn oracle_option<'c>(
-    cache: &'c mut OracleCache,
-    mix: &str,
-    pool_idx: usize,
-    pool: &PoolSpec,
-    model_key: &str,
-    ranks: usize,
-    workload: &Workload,
-) -> &'c Option<OracleOption> {
-    let key = (mix.to_string(), pool_idx, model_key.to_string(), ranks);
-    cache.entry(key).or_insert_with(|| {
-        let comm = match pool.topology {
-            Some(variant) => CommModel::Routed(variant),
-            None => CommModel::Scalar,
-        };
-        let prepared = PreparedRun::from_census(
-            &pool.platform,
-            workload.census(ranks).ok()?,
-            &workload.kernel,
-            workload.profile.boundary_point_bytes,
-            &pool.overheads,
-            comm,
-        )?;
-        let nodes = prepared.nodes();
-        let pool_nodes = pool.nodes.min(pool.platform.max_nodes());
-        if nodes > pool_nodes {
-            return None;
+impl Audit {
+    fn bad(&mut self, what: String) {
+        let checker = self.checker;
+        self.violations.push(Violation { checker, what });
+    }
+}
+
+/// What the checkers read: a campaign's report and metrics snapshot
+/// beside the specs and pools it was built over, and each job's last
+/// retained placement.
+struct Books<'a> {
+    report: &'a CampaignReport,
+    specs: &'a [JobSpec],
+    pools: &'a [PoolSpec],
+    snapshot: &'a Snapshot,
+    last_placement: Vec<Option<&'a PlacementRecord>>,
+}
+
+impl<'a> Books<'a> {
+    /// Every job's submitted spec, report row and last placement.
+    fn jobs(
+        &self,
+    ) -> impl Iterator<Item = (&'a JobSpec, &'a JobReport, Option<&'a PlacementRecord>)> + '_ {
+        let rows = self.specs.iter().zip(&self.report.job_reports);
+        rows.zip(&self.last_placement).map(|((spec, jr), &rec)| (spec, jr, rec))
+    }
+}
+
+/// The last placement in `report`'s log of each of `jobs` jobs, in one
+/// pass over the log.
+fn last_placements(report: &CampaignReport, jobs: usize) -> Vec<Option<&PlacementRecord>> {
+    let mut last = vec![None; jobs];
+    for rec in &report.placements {
+        if let Some(slot) = last.get_mut(rec.job) {
+            *slot = Some(rec);
         }
-        // Any seed works: dividing out the reported noise factor leaves
-        // the deterministic model time.
-        let sim = prepared.run_slice(1_000_000, 7, 0.0);
-        let step_nf_s = sim.step_time_s / sim.noise_factor;
-        let flow_bytes_per_step = if pool.topology.is_some() {
-            let node_map: Vec<usize> = (0..nodes).collect();
-            prepared
-                .flows(&node_map, 0)
-                .iter()
-                .map(|f| f.bytes as u64)
-                .sum()
-        } else {
-            0
-        };
-        Some(OracleOption {
-            step_nf_s,
-            nodes,
-            flow_bytes_per_step,
-        })
+    }
+    last
+}
+
+/// `workload` at `ranks` prepared on `pool` under the pool's own comm
+/// model; `None` when the pool cannot host it.
+fn prepare(pool: &PoolSpec, workload: &Workload, ranks: usize) -> Option<PreparedRun> {
+    let prepared = PreparedRun::from_census(
+        &pool.platform,
+        workload.census(ranks).ok()?,
+        &workload.kernel,
+        workload.profile.boundary_point_bytes,
+        &pool.overheads,
+        pool.topology.map_or(CommModel::Scalar, CommModel::Routed),
+    )?;
+    (prepared.nodes() <= pool.nodes.min(pool.platform.max_nodes())).then_some(prepared)
+}
+
+/// Eq. 9: the internodal bytes one step of `workload` at `ranks` moves
+/// on `pool` — the sum over its message graph's node-crossing edges.
+/// Zero when the pool cannot host the run (which the delivered bytes of
+/// a run that happened contradict).
+fn eq9_bytes_per_step(pool: &PoolSpec, workload: &Workload, ranks: usize) -> u64 {
+    prepare(pool, workload, ranks).map_or(0, |prepared| {
+        let node_map: Vec<usize> = (0..prepared.nodes()).collect();
+        let flows = prepared.flows(&node_map, 0);
+        flows.iter().map(|f| f.bytes as u64).sum()
     })
 }
 
-// ---- invariants -------------------------------------------------------
-
-fn is_bad(v: f64) -> bool {
-    !v.is_finite()
+/// Every submitted job ends in exactly one outcome and one report row,
+/// rows pair with specs by name, and the placement log names only
+/// submitted jobs and offered pools. Heads `CHECKERS`: the checkers
+/// below it read the rows through that pairing.
+fn conservation(b: &Books, audit: &mut Audit) {
+    let r = b.report;
+    if r.completed + r.guard_kills + r.failed + r.rejected != r.jobs {
+        audit.bad(format!(
+            "outcomes {}+{}+{}+{} != jobs {}",
+            r.completed, r.guard_kills, r.failed, r.rejected, r.jobs
+        ));
+    }
+    let (rows, specs) = (r.job_reports.len(), b.specs.len());
+    if r.jobs != specs || rows != specs {
+        audit.bad(format!("job counts report {} / reports {rows} != specs {specs}", r.jobs));
+    }
+    for (spec, jr, _) in b.jobs() {
+        if jr.name != spec.name {
+            audit.bad(format!("job order drifted: {} vs {}", jr.name, spec.name));
+        }
+    }
+    for rec in &r.placements {
+        if rec.job >= specs || rec.pool >= b.pools.len() {
+            audit.bad(format!("placement of job {} on pool {}: no such", rec.job, rec.pool));
+        }
+    }
 }
 
-/// Run every per-cell invariant, appending violations as
-/// `"<cell>: <what>"` strings. Returns the number of guard-killed jobs
-/// whose limits were rebuilt and checked.
-#[allow(clippy::too_many_arguments)]
-fn check_invariants(
-    key: &str,
-    report: &CampaignReport,
-    specs: &[JobSpec],
-    pools: &[PoolSpec],
-    config: &CampaignConfig,
-    snapshot: &Snapshot,
-    eq9_expected: Option<&BTreeMap<usize, u64>>,
-    violations: &mut Vec<String>,
-) -> usize {
-    let mut bad = |what: String| violations.push(format!("{key}: {what}"));
-
-    // Outcome conservation.
-    if report.completed + report.guard_kills + report.failed + report.rejected != report.jobs {
-        bad(format!(
-            "outcomes {}+{}+{}+{} != jobs {}",
-            report.completed, report.guard_kills, report.failed, report.rejected, report.jobs
-        ));
-    }
-    if report.jobs != specs.len() || report.job_reports.len() != specs.len() {
-        bad(format!(
-            "job counts report {} / reports {} != specs {}",
-            report.jobs,
-            report.job_reports.len(),
-            specs.len()
-        ));
-    }
-    if is_bad(report.makespan_s) || report.makespan_s < 0.0 {
-        bad(format!("bad makespan {}", report.makespan_s));
-    }
-    if is_bad(report.total_cost_dollars) || report.total_cost_dollars < 0.0 {
-        bad(format!("bad total cost {}", report.total_cost_dollars));
-    }
-
-    // Cost, fault and retry books must balance across views.
-    let job_cost: f64 = report.job_reports.iter().map(|j| j.cost_dollars).sum();
-    if (job_cost - report.total_cost_dollars).abs() > 1e-6 * report.total_cost_dollars.max(1.0) {
-        bad(format!(
-            "job costs {job_cost} != total {}",
-            report.total_cost_dollars
-        ));
-    }
-    let platform_cost: f64 = report.platforms.iter().map(|p| p.cost_dollars).sum();
-    if (platform_cost - report.total_cost_dollars).abs()
-        > 1e-6 * report.total_cost_dollars.max(1.0)
-    {
-        bad(format!(
-            "platform costs {platform_cost} != total {}",
-            report.total_cost_dollars
-        ));
-    }
-    let job_faults: usize = report.job_reports.iter().map(|j| j.faults as usize).sum();
-    if job_faults != report.faults {
-        bad(format!("job faults {job_faults} != total {}", report.faults));
-    }
-    let job_retries: usize = report
-        .job_reports
-        .iter()
-        .map(|j| (j.attempts as usize).saturating_sub(1))
-        .sum();
-    if job_retries != report.retries {
-        bad(format!("job retries {job_retries} != total {}", report.retries));
-    }
-
-    // Per-job: budget ceiling on completions, SLO recomputation.
-    let mut slo_total = 0usize;
-    let mut slo_attained = 0usize;
-    for (spec, jr) in specs.iter().zip(&report.job_reports) {
-        if jr.name != spec.name {
-            bad(format!("job order drifted: {} vs {}", jr.name, spec.name));
-            continue;
+/// Cost, fault and retry totals agree across the job, platform and
+/// campaign views.
+fn books(b: &Books, audit: &mut Audit) {
+    let r = b.report;
+    let total = r.total_cost_dollars;
+    let job_cost: f64 = r.job_reports.iter().map(|j| j.cost_dollars).sum();
+    let platform_cost: f64 = r.platforms.iter().map(|p| p.cost_dollars).sum();
+    for (view, cost) in [("job", job_cost), ("platform", platform_cost)] {
+        if (cost - total).abs() > 1e-6 * total.max(1.0) {
+            audit.bad(format!("{view} costs {cost} != total {total}"));
         }
-        if is_bad(jr.cost_dollars) || jr.cost_dollars < 0.0 || is_bad(jr.run_seconds) {
-            bad(format!("job {}: non-finite accounting", jr.name));
-        }
-        if jr.outcome == "completed" && jr.cost_dollars > spec.budget_dollars + 1e-6 {
-            bad(format!(
+    }
+    let job_faults: usize = r.job_reports.iter().map(|j| j.faults as usize).sum();
+    if job_faults != r.faults {
+        audit.bad(format!("job faults {job_faults} != total {}", r.faults));
+    }
+    let retries = r.job_reports.iter().map(|j| (j.attempts as usize).saturating_sub(1));
+    let job_retries: usize = retries.sum();
+    if job_retries != r.retries {
+        audit.bad(format!("job retries {job_retries} != total {}", r.retries));
+    }
+}
+
+/// No completed job billed past its dollar budget.
+fn budget(b: &Books, audit: &mut Audit) {
+    for (spec, jr, _) in b.jobs() {
+        if jr.outcome == JobOutcome::Completed && jr.cost_dollars > spec.budget_dollars + 1e-6 {
+            audit.bad(format!(
                 "job {}: completed at ${} over budget ${}",
                 jr.name, jr.cost_dollars, spec.budget_dollars
             ));
         }
-        let expect_slo = match spec.objective {
+    }
+}
+
+/// Deadline accounting, per job and in total, equals a recomputation
+/// from the submitted specs.
+fn slo(b: &Books, audit: &mut Audit) {
+    let (mut total, mut attained) = (0usize, 0usize);
+    for (spec, jr, _) in b.jobs() {
+        let expect = match spec.objective {
             Objective::Deadline(d) => {
-                slo_total += 1;
-                let met = jr.outcome == "completed" && jr.finish_s - spec.submit_s <= d;
-                if met {
-                    slo_attained += 1;
-                }
+                let met =
+                    jr.outcome == JobOutcome::Completed && jr.finish_s - spec.submit_s <= d;
+                total += 1;
+                attained += usize::from(met);
                 Some(met)
             }
             _ => None,
         };
-        if jr.slo_met != expect_slo {
-            bad(format!(
-                "job {}: slo_met {:?} != recomputed {:?}",
-                jr.name, jr.slo_met, expect_slo
+        if jr.slo_met != expect {
+            audit.bad(format!(
+                "job {}: slo_met {:?} != recomputed {expect:?}",
+                jr.name, jr.slo_met
             ));
         }
     }
-    if slo_total != report.slo_total || slo_attained != report.slo_attained {
-        bad(format!(
-            "slo books {}/{} != recomputed {slo_attained}/{slo_total}",
-            report.slo_attained, report.slo_total
+    if (total, attained) != (b.report.slo_total, b.report.slo_attained) {
+        audit.bad(format!(
+            "slo books {}/{} != recomputed {attained}/{total}",
+            b.report.slo_attained, b.report.slo_total
         ));
     }
+}
 
-    // Per-platform: billed dominates busy, utilization sane.
-    for p in &report.platforms {
-        if is_bad(p.busy_node_seconds) || p.busy_node_seconds < 0.0 {
-            bad(format!("{}: bad busy_node_seconds {}", p.platform, p.busy_node_seconds));
-        }
+/// Per platform: integer billed node-seconds cover fractional busy
+/// node-seconds (per-attempt round-up), and no more than the whole
+/// pool was ever busy.
+fn billing(b: &Books, audit: &mut Audit) {
+    for p in &b.report.platforms {
         if (p.billed_node_seconds as f64) + 1e-6 < p.busy_node_seconds {
-            bad(format!(
+            audit.bad(format!(
                 "{}: billed {} < busy {}",
                 p.platform, p.billed_node_seconds, p.busy_node_seconds
             ));
         }
-        if is_bad(p.utilization) || !(0.0..=1.0 + 1e-9).contains(&p.utilization) {
-            bad(format!("{}: bad utilization {}", p.platform, p.utilization));
+        if p.utilization > 1.0 + 1e-9 {
+            audit.bad(format!("{}: utilization {} > 1", p.platform, p.utilization));
         }
     }
+}
 
-    // Guard-kill exactness: rebuild each killed job's limits from its
-    // last logged placement — the guard is a pure function of the log.
-    let price_of = |abbrev: &str| -> Option<f64> {
-        pools
-            .iter()
-            .find(|p| p.platform.abbrev == abbrev)
-            .map(|p| p.platform.price_per_node_hour)
-    };
-    let mut guard_checks = 0usize;
-    for (idx, (spec, jr)) in specs.iter().zip(&report.job_reports).enumerate() {
-        if jr.outcome != "guard_killed" {
+/// Every guard-killed job sits at its wall limit or past its dollar
+/// limit, both rebuilt from its last logged placement — the guard is a
+/// pure function of the logged prediction.
+fn guard_exactness(b: &Books, audit: &mut Audit) {
+    for (spec, jr, rec) in b.jobs() {
+        if jr.outcome != JobOutcome::GuardKilled {
             continue;
         }
-        let Some(rec) = report.placements.iter().rev().find(|r| r.job == idx) else {
-            bad(format!("job {}: guard-killed with no placement", jr.name));
+        let Some(rec) = rec else {
+            audit.bad(format!("job {}: guard-killed with no placement", jr.name));
             continue;
         };
-        let Some(price) = price_of(&rec.platform) else {
-            bad(format!("job {}: unknown platform {}", jr.name, rec.platform));
-            continue;
-        };
+        let price = b.pools[rec.pool].platform.price_per_node_hour;
         let max_s = rec.predicted_step_s * spec.workload.steps as f64 * (1.0 + spec.tolerance);
         let max_d = (max_s / 3600.0 * rec.nodes as f64 * price).min(spec.budget_dollars);
         let wall_hit = jr.run_seconds >= max_s * (1.0 - 1e-9) - 1e-6;
         let dollars_hit = jr.cost_dollars >= max_d - 1e-6;
         if !wall_hit && !dollars_hit {
-            bad(format!(
+            audit.bad(format!(
                 "job {}: guard-killed below both limits ({}s < {max_s}s, ${} < ${max_d})",
                 jr.name, jr.run_seconds, jr.cost_dollars
             ));
@@ -659,42 +644,183 @@ fn check_invariants(
         // slice to land exactly on it; a dollar kill trips post-slice,
         // still inside the wall).
         if jr.faults == 0 && jr.run_seconds > max_s * (1.0 + 1e-9) + 1e-6 {
-            bad(format!(
+            audit.bad(format!(
                 "job {}: ran {}s past rebuilt wall limit {max_s}s",
                 jr.name, jr.run_seconds
             ));
         }
-        guard_checks += 1;
+        audit.guard_exact_checks += 1;
     }
+}
 
-    // Eq. 9: delivered fabric bytes reconcile exactly on clean cells.
-    if let Some(expected) = eq9_expected {
-        for (pool_idx, &want) in expected {
-            let got = snapshot
-                .counter_family_total(&format!("fabric.pool{pool_idx}.link.delivered_bytes"));
+/// Each routed pool's delivered-byte link counters equal, as exact
+/// `u64`s, the Eq. 9 bytes of the runs last placed on it × their true
+/// steps. Armed on clean campaigns only: a fault, kill or failure cuts
+/// a slice whose bytes are never counted.
+fn eq9(b: &Books, audit: &mut Audit) {
+    let mut expected = vec![0u64; b.pools.len()];
+    for (spec, _, rec) in b.jobs() {
+        let Some(rec) = rec.filter(|rec| b.pools[rec.pool].topology.is_some()) else {
+            continue;
+        };
+        let per_step = eq9_bytes_per_step(&b.pools[rec.pool], &spec.workload, rec.ranks);
+        expected[rec.pool] += per_step * spec.true_steps();
+    }
+    let delivered: Vec<u64> = (0..b.pools.len())
+        .map(|p| b.snapshot.counter_family_total(&format!("fabric.pool{p}.link.delivered_bytes")))
+        .collect();
+    let r = b.report;
+    audit.eq9_checked = r.faults == 0
+        && r.guard_kills == 0
+        && r.failed == 0
+        && b.pools.iter().any(|p| p.topology.is_some());
+    audit.eq9_expected_bytes = expected.iter().sum();
+    audit.eq9_delivered_bytes = delivered.iter().sum();
+    if audit.eq9_checked {
+        for (p, (got, want)) in delivered.iter().zip(&expected).enumerate() {
             if got != want {
-                bad(format!(
-                    "eq9 pool {pool_idx}: delivered {got} != expected {want}"
-                ));
+                audit.bad(format!("pool {p}: delivered {got} != expected {want}"));
             }
         }
     }
+}
 
-    // Refinement statistics must be finite when present.
-    for (name, v) in [
-        ("mape_uncal", report.mape_first_quartile_uncalibrated_pct),
-        ("mape_cal", report.mape_calibrated_pct),
-        ("error_p50", report.error_p50_pct),
-        ("error_p99", report.error_p99_pct),
-    ] {
-        if let Some(v) = v {
-            if is_bad(v) || v < 0.0 {
-                bad(format!("bad {name} {v}"));
+/// Every statistic the report carries is finite and non-negative.
+fn finite(b: &Books, audit: &mut Audit) {
+    let r = b.report;
+    let mut stats = vec![
+        ("makespan_s".to_string(), Some(r.makespan_s)),
+        ("total_cost_dollars".to_string(), Some(r.total_cost_dollars)),
+        ("mape_uncal".to_string(), r.mape_first_quartile_uncalibrated_pct),
+        ("mape_cal".to_string(), r.mape_calibrated_pct),
+        ("error_p50".to_string(), r.error_p50_pct),
+        ("error_p99".to_string(), r.error_p99_pct),
+    ];
+    for j in &r.job_reports {
+        stats.push((format!("job {} cost_dollars", j.name), Some(j.cost_dollars)));
+        stats.push((format!("job {} run_seconds", j.name), Some(j.run_seconds)));
+    }
+    for p in &r.platforms {
+        stats.push((format!("{} busy_node_seconds", p.platform), Some(p.busy_node_seconds)));
+        stats.push((format!("{} utilization", p.platform), Some(p.utilization)));
+    }
+    for (name, v) in stats {
+        if let Some(v) = v.filter(|v| !v.is_finite() || *v < 0.0) {
+            audit.bad(format!("bad {name} {v}"));
+        }
+    }
+}
+
+/// One invariant: reads the books, records what it finds broken.
+type Checker = fn(&Books, &mut Audit);
+
+/// The checker table [`audit`] runs, in order (DESIGN.md §17 says what
+/// each rebuilds from what). A new invariant is one more row.
+const CHECKERS: [(&str, Checker); 8] = [
+    ("conservation", conservation),
+    ("books", books),
+    ("budget", budget),
+    ("slo", slo),
+    ("billing", billing),
+    ("guard_exactness", guard_exactness),
+    ("eq9", eq9),
+    ("finite", finite),
+];
+
+/// Judge one finished campaign: run the table of named checkers
+/// (conservation, books, budget, slo, billing, guard_exactness, eq9,
+/// finite) over `report` and `snapshot` against the `specs` submitted to
+/// the campaign and the `pools` it was built over, both in their
+/// original order. The report's placement and job logs must be uncapped.
+/// Violations are collected, never panicked on, so one broken fact
+/// cannot hide another.
+pub fn audit(
+    report: &CampaignReport,
+    specs: &[JobSpec],
+    pools: &[PoolSpec],
+    snapshot: &Snapshot,
+) -> Audit {
+    let last_placement = last_placements(report, specs.len());
+    let books = Books { report, specs, pools, snapshot, last_placement };
+    let mut audit = Audit::default();
+    for (name, check) in CHECKERS {
+        audit.checker = name;
+        check(&books, &mut audit);
+        if name == "conservation" && !audit.violations.is_empty() {
+            // Rows that do not pair with specs and pools leave the
+            // checkers below nothing they could judge.
+            break;
+        }
+    }
+    audit
+}
+
+// ---- oracle -----------------------------------------------------------
+
+/// One feasible (pool, ranks) option as the oracle sees it: run alone,
+/// without noise — the paper's dashboard-style a-priori best case.
+struct OracleOption {
+    pool: usize,
+    nodes: usize,
+    step_nf_s: f64,
+}
+
+/// Every (pool, ranks) option that can host `workload`.
+fn oracle_options(
+    pools: &[PoolSpec],
+    rank_options: &[usize],
+    workload: &Workload,
+) -> Vec<OracleOption> {
+    let mut options = Vec::new();
+    for (pool, spec) in pools.iter().enumerate() {
+        for &ranks in rank_options {
+            if let Some(prepared) = prepare(spec, workload, ranks) {
+                // Any seed works: dividing out the reported noise factor
+                // leaves the deterministic model time.
+                let sim = prepared.run_slice(1_000_000, 7, 0.0);
+                let step_nf_s = sim.step_time_s / sim.noise_factor;
+                options.push(OracleOption { pool, nodes: prepared.nodes(), step_nf_s });
             }
         }
     }
-    let _ = config;
-    guard_checks
+    options
+}
+
+/// Cost regret (%) of every completed job against the cheapest oracle
+/// option at the job's *true* step count; a completed job the oracle
+/// cannot price is a violation.
+fn regrets(
+    report: &CampaignReport,
+    specs: &[JobSpec],
+    pools: &[PoolSpec],
+    config: &CampaignConfig,
+    mut bad: impl FnMut(String),
+) -> Vec<f64> {
+    // Jobs of one cell share a grid and a kernel: the first one's census
+    // serves the oracle for all of them.
+    let options = oracle_options(pools, &config.rank_options, &specs[0].workload);
+    let mut regrets = Vec::new();
+    for (spec, jr) in specs.iter().zip(&report.job_reports) {
+        if jr.outcome != JobOutcome::Completed {
+            continue;
+        }
+        let cost_of = |o: &OracleOption| {
+            let seconds = o.step_nf_s * spec.true_steps() as f64;
+            config.prices.cost(&pools[o.pool].platform, o.nodes, seconds)
+        };
+        match options.iter().map(cost_of).reduce(f64::min) {
+            Some(oracle_cost) if oracle_cost > 0.0 => {
+                let regret = 100.0 * (jr.cost_dollars - oracle_cost) / oracle_cost;
+                if regret.is_finite() {
+                    regrets.push(regret);
+                } else {
+                    bad(format!("non-finite regret for {}", jr.name));
+                }
+            }
+            _ => bad(format!("no feasible oracle option for completed {}", jr.name)),
+        }
+    }
+    regrets
 }
 
 // ---- sweep driver -----------------------------------------------------
@@ -703,192 +829,54 @@ fn check_invariants(
 /// produces the same report, byte for byte, at any `RT_POOL_THREADS`.
 pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
     let mut workloads: BTreeMap<(String, u64), Arc<Workload>> = BTreeMap::new();
-    let mut oracle: OracleCache = BTreeMap::new();
-    let mut cells = Vec::new();
+    let mut cells: Vec<CellResult> = Vec::new();
     let mut violations = Vec::new();
-    let mut eq9_cells_checked = 0usize;
-    let mut guard_exact_checks = 0usize;
 
-    for &seed in &grid.seeds {
-        for geom in &grid.geometries {
-            for &mix in &grid.mixes {
-                for &fault_rate in &grid.fault_rates {
-                    for wk in &grid.workloads {
-                        let key = cell_key(&geom.key, mix, seed, fault_rate, wk.key);
-                        let pools = mix_pools(mix);
-                        let config = cell_config(seed, fault_rate);
-                        let specs = cell_jobs(geom, wk, &mut workloads);
-                        let model_key = format!("{}:{}", geom.key, wk.key);
+    for cell in grid.cells() {
+        let Cell { seed, geometry, mix, fault_rate, workload } = cell;
+        let key = format!("s{seed}/{}/{mix}/f{fault_rate:.2}/{}", geometry.key, workload.key);
+        let pools = mix_pools(mix);
+        let config = cell_config(seed, fault_rate);
+        let specs = cell_jobs(geometry, workload, &mut workloads);
 
-                        let mut campaign = Campaign::new(config.clone(), mix_pools(mix));
-                        for job in specs.clone() {
-                            campaign.submit(job);
-                        }
-                        let report = campaign.run();
-                        let snapshot = campaign.obs_snapshot();
+        let (report, snapshot) = Campaign::run_jobs(config.clone(), pools.clone(), specs.clone());
 
-                        // Oracle regret for completed jobs, and the
-                        // routed byte expectation for clean cells.
-                        let mut regrets = Vec::new();
-                        let mut eq9_expected: BTreeMap<usize, u64> = BTreeMap::new();
-                        for (idx, (spec, jr)) in
-                            specs.iter().zip(&report.job_reports).enumerate()
-                        {
-                            if jr.outcome == "rejected" {
-                                continue;
-                            }
-                            let mut best: Option<f64> = None;
-                            for (pool_idx, pool) in pools.iter().enumerate() {
-                                for &ranks in &config.rank_options {
-                                    let opt = oracle_option(
-                                        &mut oracle,
-                                        mix,
-                                        pool_idx,
-                                        pool,
-                                        &model_key,
-                                        ranks,
-                                        &spec.workload,
-                                    );
-                                    if let Some(o) = opt {
-                                        let seconds = o.step_nf_s * spec.true_steps() as f64;
-                                        let cost =
-                                            config.prices.cost(&pool.platform, o.nodes, seconds);
-                                        best = Some(best.map_or(cost, |b: f64| b.min(cost)));
-                                    }
-                                }
-                            }
-                            if jr.outcome == "completed" {
-                                match best {
-                                    Some(oracle_cost) if oracle_cost > 0.0 => {
-                                        let regret =
-                                            100.0 * (jr.cost_dollars - oracle_cost) / oracle_cost;
-                                        if is_bad(regret) {
-                                            violations
-                                                .push(format!("{key}: non-finite regret for {}", jr.name));
-                                        } else {
-                                            regrets.push(regret);
-                                        }
-                                    }
-                                    _ => violations.push(format!(
-                                        "{key}: no feasible oracle option for completed {}",
-                                        jr.name
-                                    )),
-                                }
-                            }
-                            // Eq. 9 expectation: the job's routed flows ×
-                            // its true steps, attributed to its pool.
-                            if let Some(rec) =
-                                report.placements.iter().rev().find(|r| r.job == idx)
-                            {
-                                if rec.topology != CommModel::Scalar.name() {
-                                    let Some(pool_idx) = pools
-                                        .iter()
-                                        .position(|p| p.platform.abbrev == rec.platform)
-                                    else {
-                                        violations.push(format!(
-                                            "{key}: placement on unknown platform {}",
-                                            rec.platform
-                                        ));
-                                        continue;
-                                    };
-                                    let opt = oracle_option(
-                                        &mut oracle,
-                                        mix,
-                                        pool_idx,
-                                        &pools[pool_idx],
-                                        &model_key,
-                                        rec.ranks,
-                                        &spec.workload,
-                                    );
-                                    if let Some(o) = opt {
-                                        *eq9_expected.entry(pool_idx).or_insert(0) +=
-                                            o.flow_bytes_per_step * spec.true_steps();
-                                    }
-                                }
-                            }
-                        }
+        let audit = audit(&report, &specs, &pools, &snapshot);
+        let found = audit.violations.iter();
+        violations.extend(found.map(|v| format!("{key}: {}: {}", v.checker, v.what)));
 
-                        let clean = report.faults == 0
-                            && report.guard_kills == 0
-                            && report.failed == 0;
-                        let has_routed = pools.iter().any(|p| p.topology.is_some());
-                        let eq9_armed = clean && has_routed;
-                        if eq9_armed {
-                            eq9_cells_checked += 1;
-                        }
+        let regrets = regrets(&report, &specs, &pools, &config, |what| {
+            violations.push(format!("{key}: regret: {what}"))
+        });
 
-                        guard_exact_checks += check_invariants(
-                            &key,
-                            &report,
-                            &specs,
-                            &pools,
-                            &config,
-                            &snapshot,
-                            eq9_armed.then_some(&eq9_expected),
-                            &mut violations,
-                        );
-
-                        // Cell-level aggregation inputs.
-                        let abs_errors: Vec<f64> = report
-                            .placements
-                            .iter()
-                            .filter_map(|r| r.abs_pct_error())
-                            .collect();
-                        let capacity: f64 = report
-                            .platforms
-                            .iter()
-                            .map(|p| p.nodes_total as f64 * report.makespan_s)
-                            .sum();
-                        let busy: f64 =
-                            report.platforms.iter().map(|p| p.busy_node_seconds).sum();
-                        let utilization = if capacity > 0.0 { busy / capacity } else { 0.0 };
-                        let delivered: u64 = (0..pools.len())
-                            .map(|p| {
-                                snapshot.counter_family_total(&format!(
-                                    "fabric.pool{p}.link.delivered_bytes"
-                                ))
-                            })
-                            .sum();
-
-                        cells.push(CellResult {
-                            seed,
-                            geometry: geom.key.clone(),
-                            mix: mix.to_string(),
-                            fault_rate,
-                            workload: wk.key.to_string(),
-                            jobs: report.jobs,
-                            completed: report.completed,
-                            guard_kills: report.guard_kills,
-                            failed: report.failed,
-                            rejected: report.rejected,
-                            faults: report.faults,
-                            makespan_s: report.makespan_s,
-                            total_cost_dollars: report.total_cost_dollars,
-                            utilization,
-                            error_p50_pct: percentile(&abs_errors, 50.0),
-                            error_p99_pct: percentile(&abs_errors, 99.0),
-                            mean_regret_pct: mean(&regrets),
-                            eq9_checked: eq9_armed,
-                            eq9_delivered_bytes: delivered,
-                            eq9_expected_bytes: eq9_expected.values().sum(),
-                            abs_errors,
-                            regrets,
-                        });
-                    }
-                }
-            }
-        }
+        let abs_errors: Vec<f64> =
+            report.placements.iter().filter_map(|r| r.abs_pct_error()).collect();
+        let capacity: f64 =
+            report.platforms.iter().map(|p| p.nodes_total as f64 * report.makespan_s).sum();
+        let busy: f64 = report.platforms.iter().map(|p| p.busy_node_seconds).sum();
+        cells.push(CellResult {
+            seed,
+            geometry: geometry.key.clone(),
+            mix: mix.to_string(),
+            fault_rate,
+            workload: workload.key.to_string(),
+            utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
+            mean_regret_pct: mean(&regrets),
+            key,
+            abs_errors,
+            regrets,
+            report,
+            audit,
+        });
     }
 
-    let by_axis = aggregate_axes(grid, &cells);
-    let overall = aggregate("overall", "all", cells.iter().collect());
     SweepReport {
-        cells,
-        by_axis,
-        overall,
+        by_axis: aggregate_axes(&cells),
+        overall: aggregate("overall", "all", cells.iter().collect()),
+        eq9_cells_checked: cells.iter().filter(|c| c.audit.eq9_checked).count(),
+        guard_exact_checks: cells.iter().map(|c| c.audit.guard_exact_checks).sum(),
         violations,
-        eq9_cells_checked,
-        guard_exact_checks,
+        cells,
     }
 }
 
@@ -909,8 +897,8 @@ fn aggregate(axis: &'static str, value: &str, cells: Vec<&CellResult>) -> AxisAg
     for c in &cells {
         errors.extend_from_slice(&c.abs_errors);
         regrets.extend_from_slice(&c.regrets);
-        jobs += c.jobs;
-        completed += c.completed;
+        jobs += c.report.jobs;
+        completed += c.report.completed;
         util_sum += c.utilization;
     }
     let n = cells.len();
@@ -928,30 +916,33 @@ fn aggregate(axis: &'static str, value: &str, cells: Vec<&CellResult>) -> AxisAg
     }
 }
 
-fn aggregate_axes(grid: &SweepGrid, cells: &[CellResult]) -> Vec<AxisAggregate> {
+/// How a cell's value on one axis renders.
+type AxisValue = fn(&CellResult) -> String;
+
+/// The five axes.
+const AXES: [(&str, AxisValue); 5] = [
+    ("seed", |c| c.seed.to_string()),
+    ("geometry", |c| c.geometry.clone()),
+    ("mix", |c| c.mix.clone()),
+    ("fault_rate", |c| format!("{:.2}", c.fault_rate)),
+    ("workload", |c| c.workload.clone()),
+];
+
+/// One aggregate per value of each axis, values in the order cells first
+/// show them — the grid's own, since `cells` is in grid order.
+fn aggregate_axes(cells: &[CellResult]) -> Vec<AxisAggregate> {
     let mut out = Vec::new();
-    for &seed in &grid.seeds {
-        let subset = cells.iter().filter(|c| c.seed == seed).collect();
-        out.push(aggregate("seed", &seed.to_string(), subset));
-    }
-    for geom in &grid.geometries {
-        let subset = cells.iter().filter(|c| c.geometry == geom.key).collect();
-        out.push(aggregate("geometry", &geom.key, subset));
-    }
-    for &mix in &grid.mixes {
-        let subset = cells.iter().filter(|c| c.mix == mix).collect();
-        out.push(aggregate("mix", mix, subset));
-    }
-    for &rate in &grid.fault_rates {
-        let subset = cells
-            .iter()
-            .filter(|c| c.fault_rate == rate)
-            .collect();
-        out.push(aggregate("fault_rate", &format!("{rate:.2}"), subset));
-    }
-    for wk in &grid.workloads {
-        let subset = cells.iter().filter(|c| c.workload == wk.key).collect();
-        out.push(aggregate("workload", wk.key, subset));
+    for (axis, value_of) in AXES {
+        let mut values: Vec<String> = Vec::new();
+        for value in cells.iter().map(value_of) {
+            if !values.contains(&value) {
+                values.push(value);
+            }
+        }
+        for value in values {
+            let subset = cells.iter().filter(|c| value_of(c) == value).collect();
+            out.push(aggregate(axis, &value, subset));
+        }
     }
     out
 }
@@ -1008,22 +999,22 @@ impl SweepReport {
         w.key("cell_results").begin_array(json::Layout::Block);
         for c in &self.cells {
             w.begin_object(json::Layout::Inline);
-            w.key("cell").string(&c.key());
-            w.key("jobs").uint(c.jobs as u64);
-            w.key("completed").uint(c.completed as u64);
-            w.key("guard_kills").uint(c.guard_kills as u64);
-            w.key("failed").uint(c.failed as u64);
-            w.key("rejected").uint(c.rejected as u64);
-            w.key("faults").uint(c.faults as u64);
-            w.key("makespan_s").fixed(c.makespan_s, 3);
-            w.key("total_cost_dollars").fixed(c.total_cost_dollars, 6);
+            w.key("cell").string(&c.key);
+            w.key("jobs").uint(c.report.jobs as u64);
+            w.key("completed").uint(c.report.completed as u64);
+            w.key("guard_kills").uint(c.report.guard_kills as u64);
+            w.key("failed").uint(c.report.failed as u64);
+            w.key("rejected").uint(c.report.rejected as u64);
+            w.key("faults").uint(c.report.faults as u64);
+            w.key("makespan_s").fixed(c.report.makespan_s, 3);
+            w.key("total_cost_dollars").fixed(c.report.total_cost_dollars, 6);
             w.key("utilization").fixed(c.utilization, 6);
-            w.key("error_p50_pct").opt_fixed(c.error_p50_pct, 4);
-            w.key("error_p99_pct").opt_fixed(c.error_p99_pct, 4);
+            w.key("error_p50_pct").opt_fixed(c.report.error_p50_pct, 4);
+            w.key("error_p99_pct").opt_fixed(c.report.error_p99_pct, 4);
             w.key("mean_regret_pct").opt_fixed(c.mean_regret_pct, 4);
-            w.key("eq9_checked").bool(c.eq9_checked);
-            w.key("eq9_delivered_bytes").uint(c.eq9_delivered_bytes);
-            w.key("eq9_expected_bytes").uint(c.eq9_expected_bytes);
+            w.key("eq9_checked").bool(c.audit.eq9_checked);
+            w.key("eq9_delivered_bytes").uint(c.audit.eq9_delivered_bytes);
+            w.key("eq9_expected_bytes").uint(c.audit.eq9_expected_bytes);
             w.end();
         }
         w.end();
@@ -1053,11 +1044,11 @@ mod tests {
         assert_eq!(a.cells.len(), 1);
         assert!(a.violations.is_empty(), "violations: {:?}", a.violations);
         let cell = &a.cells[0];
-        assert_eq!(cell.completed, cell.jobs, "honest fault-free cell completes");
-        assert!(cell.eq9_checked, "routed fault-free cell must arm Eq. 9");
-        assert!(cell.eq9_delivered_bytes > 0);
-        assert_eq!(cell.eq9_delivered_bytes, cell.eq9_expected_bytes);
-        assert!(cell.error_p50_pct.is_some());
+        assert_eq!(cell.report.completed, cell.report.jobs, "honest fault-free cell completes");
+        assert!(cell.audit.eq9_checked, "routed fault-free cell must arm Eq. 9");
+        assert!(cell.audit.eq9_delivered_bytes > 0);
+        assert_eq!(cell.audit.eq9_delivered_bytes, cell.audit.eq9_expected_bytes);
+        assert!(cell.report.error_p50_pct.is_some());
         assert!(cell.mean_regret_pct.is_some());
         // Determinism: a second run renders byte-identical JSON.
         let b = run_sweep(&grid);
@@ -1074,12 +1065,96 @@ mod tests {
             report.violations
         );
         let cell = &report.cells[0];
-        assert_eq!(cell.rejected, 1, "doomed-budget job is rejected");
-        assert!(cell.guard_kills >= 1, "runaway is guard-killed");
+        assert_eq!(cell.report.rejected, 1, "doomed-budget job is rejected");
+        assert!(cell.report.guard_kills >= 1, "runaway is guard-killed");
         assert!(report.guard_exact_checks >= 1);
-        assert!(!cell.eq9_checked, "scalar mix has no fabric to reconcile");
+        assert!(!cell.audit.eq9_checked, "scalar mix has no fabric to reconcile");
         let doc = json::parse(&report.to_json()).expect("valid JSON: no NaN/inf token");
         assert_eq!(doc.get("violations"), Some(&Value::UInt(0)));
+    }
+
+    /// One micro-cell's finished campaign, as [`audit`] takes it.
+    struct Case {
+        report: CampaignReport,
+        specs: Vec<JobSpec>,
+        pools: Vec<PoolSpec>,
+        snapshot: Snapshot,
+    }
+
+    fn run_case(mix: &'static str, fault_rate: f64, wk_idx: usize) -> Case {
+        let grid = micro_grid(mix, fault_rate, wk_idx);
+        let cell = grid.cells()[0];
+        let pools = mix_pools(cell.mix);
+        let specs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
+        let config = cell_config(cell.seed, cell.fault_rate);
+        let (report, snapshot) = Campaign::run_jobs(config, pools.clone(), specs.clone());
+        Case { report, specs, pools, snapshot }
+    }
+
+    /// `snapshot`'s counters, the first delivered byte withheld.
+    fn one_byte_short(snapshot: &Snapshot) -> Snapshot {
+        let registry = hemocloud_obs::Registry::new();
+        let mut owed = 1u64;
+        for (name, sample) in snapshot.entries() {
+            if let hemocloud_obs::Sample::Counter(v) = sample {
+                let delivered = name.contains("delivered_bytes") && *v > 0;
+                let withheld = if delivered { std::mem::take(&mut owed) } else { 0 };
+                registry.counter(name).add(v - withheld);
+            }
+        }
+        assert_eq!(owed, 0, "the cell delivered no byte to withhold");
+        registry.snapshot()
+    }
+
+    #[test]
+    fn audit_names_each_broken_fact() {
+        fn last_of(c: &mut Case, outcome: JobOutcome) -> (usize, &mut PlacementRecord) {
+            let job = c.report.job_reports.iter().position(|j| j.outcome == outcome).unwrap();
+            let rec = c.report.placements.iter_mut().rev().find(|r| r.job == job).unwrap();
+            (job, rec)
+        }
+        type Break = fn(&mut Case);
+        // (checker, stress cell with a guard kill?, the one fact broken)
+        let table: [(&str, bool, Break); 8] = [
+            ("conservation", false, |c| drop(c.report.job_reports.pop())),
+            ("books", false, |c| c.report.platforms[0].cost_dollars += 1.0),
+            ("budget", false, |c| {
+                let (job, _) = last_of(c, JobOutcome::Completed);
+                c.specs[job].budget_dollars = c.report.job_reports[job].cost_dollars - 0.01;
+            }),
+            ("slo", false, |c| c.report.slo_attained += 1),
+            ("billing", false, |c| {
+                let used = c.report.platforms.iter_mut().find(|p| p.busy_node_seconds > 1.0);
+                used.unwrap().billed_node_seconds = 0;
+            }),
+            ("guard_exactness", true, |c| last_of(c, JobOutcome::GuardKilled).1.predicted_step_s *= 10.0),
+            ("eq9", false, |c| c.snapshot = one_byte_short(&c.snapshot)),
+            ("finite", false, |c| c.report.makespan_s = f64::NAN),
+        ];
+        assert_eq!(table.map(|row| row.0), CHECKERS.map(|row| row.0), "one breakage per checker");
+        for (checker, stress, break_one_fact) in table {
+            let mut case = if stress { run_case("scalar", 0.25, 1) } else { run_case("spread", 0.0, 0) };
+            let judge = |c: &Case| audit(&c.report, &c.specs, &c.pools, &c.snapshot);
+            assert_eq!(judge(&case).violations, [], "{checker}: the unbroken cell is clean");
+            break_one_fact(&mut case);
+            let mut named: Vec<&str> = judge(&case).violations.iter().map(|v| v.checker).collect();
+            named.dedup();
+            assert_eq!(named, [checker], "{:?}", judge(&case).violations);
+        }
+    }
+
+    #[test]
+    fn last_placement_index_points_at_a_retried_jobs_final_attempt() {
+        let case = run_case("scalar", 0.25, 1);
+        let last = last_placements(&case.report, case.specs.len());
+        let rows = case.report.job_reports.iter();
+        let (job, retried) = rows.enumerate().find(|(_, j)| j.attempts >= 2).expect("a retried job");
+        let rec = last[job].expect("a retried job was placed");
+        assert_eq!((rec.job, rec.attempt), (job, retried.attempts));
+        // The one-pass index is the per-job reverse scan it replaced.
+        for (job, slot) in last.iter().enumerate() {
+            assert_eq!(*slot, case.report.placements.iter().rev().find(|r| r.job == job));
+        }
     }
 
     #[test]

@@ -154,11 +154,11 @@ fn demo_runaways_are_guard_killed_and_doomed_budget_is_rejected() {
     let (report, _) = demo();
     for j in &report.job_reports {
         if j.name.starts_with("runaway-") {
-            assert_eq!(j.outcome, "guard_killed", "{}", j.name);
+            assert_eq!(j.outcome.label(), "guard_killed", "{}", j.name);
             assert!(j.run_seconds > 0.0, "{} must die mid-run, not at admission", j.name);
         }
         if j.name == "doomed-budget" {
-            assert_eq!(j.outcome, "rejected");
+            assert_eq!(j.outcome.label(), "rejected");
             assert_eq!(j.attempts, 0, "rejected jobs never run");
             assert_eq!(j.cost_dollars, 0.0);
         }
@@ -224,8 +224,8 @@ fn single_node_pool_serializes_contending_jobs() {
 /// every option of every pool, then — same dispatch — a job no option is
 /// cheap enough for, then the first job again: the second must see an
 /// empty offer (rejected at once, which only the "no (platform, ranks)
-/// option" path does: it alone counts `sched.jobs.rejected` and stamps
-/// the dispatch's clock), the third exactly the first's.
+/// option" path does: it stamps the dispatch's clock, a starved job the
+/// campaign's last), the third exactly the first's.
 #[test]
 fn a_placement_try_inherits_nothing_from_the_one_before() {
     let pools = [Platform::csp1(), Platform::csp2_small()].map(|platform| PoolSpec {
@@ -250,11 +250,11 @@ fn a_placement_try_inherits_nothing_from_the_one_before() {
     let [first, penniless, third] = &report.job_reports[..] else {
         panic!("three jobs, {} rows", report.job_reports.len());
     };
-    assert_eq!(penniless.outcome, "rejected");
+    assert_eq!(penniless.outcome.label(), "rejected");
     assert_eq!((penniless.attempts, penniless.finish_s), (0, 0.0), "rejected in the first dispatch");
     assert_eq!(campaign.obs_snapshot().counter("sched.jobs.rejected"), Some(1));
-    assert_eq!(first.outcome, "completed");
-    assert_eq!(third.outcome, "completed");
+    assert_eq!(first.outcome.label(), "completed");
+    assert_eq!(third.outcome.label(), "completed");
 
     let [a, b] = &report.placements[..] else {
         panic!("two placements, {} rows", report.placements.len());
@@ -273,8 +273,8 @@ fn runaway_is_killed_mid_run_without_faults() {
     let report = campaign.run();
     let honest = &report.job_reports[0];
     let runaway = &report.job_reports[1];
-    assert_eq!(honest.outcome, "completed");
-    assert_eq!(runaway.outcome, "guard_killed");
+    assert_eq!(honest.outcome.label(), "completed");
+    assert_eq!(runaway.outcome.label(), "guard_killed");
     assert!(runaway.run_seconds > 0.0, "killed mid-run, not at admission");
     assert!(runaway.wasted_steps > 0, "the in-flight slice is discarded");
     assert_eq!(report.guard_kills, 1);
@@ -288,7 +288,7 @@ fn fault_retries_are_bounded_and_roll_back_to_checkpoints() {
     campaign.submit(tiny_job("unlucky", 400_000, 10.0, 1.0, 0.0));
     let report = campaign.run();
     let job = &report.job_reports[0];
-    assert_eq!(job.outcome, "failed", "{}", report.to_json());
+    assert_eq!(job.outcome.label(), "failed", "{}", report.to_json());
     assert_eq!(job.attempts, 3, "1 initial + max_retries = 2 retries");
     assert_eq!(job.faults, 3);
     assert_eq!(report.retries, 2);
@@ -342,7 +342,7 @@ fn sixty_retry_job_rearrives_at_finite_bounded_times() {
     campaign.submit(spec);
     let report = campaign.run();
     let job = &report.job_reports[0];
-    assert_eq!(job.outcome, "failed", "{}", report.to_json());
+    assert_eq!(job.outcome.label(), "failed", "{}", report.to_json());
     assert_eq!(report.retries, 60);
     assert_eq!(job.attempts, 61, "1 initial + 60 retries");
     assert!(report.makespan_s.is_finite());

@@ -41,7 +41,7 @@ fn fabric_demo_completes_cleanly_on_the_spread_pool() {
     // says so per row.
     assert_eq!(report.placements.len(), 10);
     for rec in &report.placements {
-        assert_eq!(rec.topology, "spread", "placement {} mislabelled", rec.job);
+        assert_eq!(rec.topology.name(), "spread", "placement {} mislabelled", rec.job);
         assert_eq!(rec.nodes, 2, "16 ranks on 8-core nodes is 2 nodes");
     }
 }

@@ -48,7 +48,7 @@ fn main() {
         };
         println!(
             "{:<20} {:>12} {:>9.0} {:>8.3} {:>7} {:>10}",
-            j.name, j.outcome, j.run_seconds, j.cost_dollars, j.attempts, slo
+            j.name, j.outcome.label(), j.run_seconds, j.cost_dollars, j.attempts, slo
         );
     }
 

@@ -1,14 +1,15 @@
 //! Benches of the modeling pipeline itself (`hemocloud_rt::bench`): how
 //! expensive are characterization, fitting, decomposition analysis and
 //! the two prediction models — and pinning a run to a platform against
-//! timing one slice of it? (The dashboard's interactivity depends on the
-//! former, a campaign's event rate on the latter.)
+//! timing one slice of it, or pricing a co-scheduled set of runs through
+//! the fabric? (The dashboard's interactivity depends on the former, a
+//! campaign's event rate on the latter two.)
 
 use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pricing::PriceSheet;
 use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
-use hemocloud_cluster::topology::{routed_set_comm, CommModel, TopologyVariant};
+use hemocloud_cluster::topology::{build_topology, routed_set_comm, CommModel, TopologyVariant};
 use hemocloud_core::characterize::{characterize, characterize_all};
 use hemocloud_core::dashboard::Dashboard;
 use hemocloud_core::direct::DirectModel;
@@ -20,7 +21,7 @@ use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
 use hemocloud_fitting::two_line::fit_two_line;
 use hemocloud_geometry::anatomy::CylinderSpec;
-use hemocloud_rt::bench::Harness;
+use hemocloud_rt::bench::{Harness, Throughput};
 
 fn fitting(h: &mut Harness) {
     let platform = Platform::csp2();
@@ -137,6 +138,36 @@ fn prepared(h: &mut Harness) {
     group.finish();
 }
 
+fn fabric(h: &mut Harness) {
+    // One co-scheduled set the size of `campaign_routed`'s big ones (728
+    // flows in ~350 classes, ~1,500 events): twin 56-rank runs on
+    // interleaved nodes of one spread pool, as lowest-free-first
+    // allocation hands them out, priced with one exchange.
+    let grid = CylinderSpec::default().with_resolution(8).build();
+    let workload = Workload::harvey(&grid, 100);
+    let platform = Platform::csp2_small();
+    let run = PreparedRun::from_census(
+        &platform,
+        workload.census(56).unwrap(),
+        &workload.kernel,
+        workload.profile.boundary_point_bytes,
+        &Overheads::default(),
+        CommModel::Routed(TopologyVariant::Spread),
+    )
+    .unwrap();
+    let nodes = run.nodes();
+    let pool = build_topology(&platform, TopologyVariant::Spread, 2 * nodes);
+    let own: Vec<usize> = (0..nodes).map(|i| 2 * i).collect();
+    let twin: Vec<usize> = (0..nodes).map(|i| 2 * i + 1).collect();
+    let flows = run.flows(&own, 0).len() + run.flows(&twin, 1 << 32).len();
+    let mut group = h.group("fabric");
+    group.throughput(Throughput::Elements(flows as u64));
+    group.bench_function("set_exchange_2x56", |b| {
+        b.iter(|| routed_set_comm(&pool, &[(&run, &own), (&run, &twin)]))
+    });
+    group.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     fitting(&mut h);
@@ -144,4 +175,5 @@ fn main() {
     decomposition(&mut h);
     predictions(&mut h);
     prepared(&mut h);
+    fabric(&mut h);
 }

@@ -212,13 +212,14 @@ fn route_members(
     background: &[Flow],
 ) -> Vec<RoutedComm> {
     // Members' flows first (so delivery indexes line up), background
-    // after; `own[m]` is member `m`'s index range.
+    // after; `own[m]` is member `m`'s index range, and its tags count
+    // from `m << 32`.
     let mut flows = Vec::new();
     let mut endpoints = Vec::new();
     let mut own = Vec::with_capacity(members.len());
-    for member in members {
+    for (m, member) in members.iter().enumerate() {
         let first = flows.len();
-        member.for_each_flow(0, |sender, receiver, flow| {
+        member.for_each_flow((m as u64) << 32, |sender, receiver, flow| {
             endpoints.push((sender, receiver));
             flows.push(flow);
         });

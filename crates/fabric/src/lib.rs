@@ -26,7 +26,13 @@
 //!   serializing on it. Completion order is deterministic
 //!   (`(time, link, flow seq)`), the whole engine is pure sequential
 //!   float arithmetic, and per-link byte counters are exact: delivered
-//!   bytes sum to exactly the injected message-graph bytes.
+//!   bytes sum to exactly the injected message-graph bytes. Flows with
+//!   one route and one payload form a *class* that the engine advances
+//!   as one state (a class moves a link's occupancy by its member
+//!   count, completions still add bytes and set deliveries one member
+//!   at a time in `(link, seq)` order, and busy time is charged only to
+//!   occupied links), so every output has the bits a flow-at-a-time
+//!   engine gives — the `#[cfg(test)]` reference it is checked against.
 //!
 //! Zero dependencies; everything is seed-free and replayable — the same
 //! flow list against the same topology produces bit-identical results on

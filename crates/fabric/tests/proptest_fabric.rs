@@ -6,10 +6,16 @@ use hemocloud_fabric::{exchange, Flow, LinkRates, Topology};
 use hemocloud_rt::rng::Rng;
 use hemocloud_rt::{check, float};
 
+/// Zero-latency links one case in four: `add_duplex` accepts them, and
+/// they put `dt == 0` events between a flow's serializations.
 fn rates(rng: &mut Rng) -> LinkRates {
     LinkRates {
         bandwidth_mb_s: rng.range_f64(100.0, 10_000.0),
-        hop_latency_us: rng.range_f64(0.1, 30.0),
+        hop_latency_us: if rng.range_usize(0, 4) == 0 {
+            0.0
+        } else {
+            rng.range_f64(0.1, 30.0)
+        },
     }
 }
 

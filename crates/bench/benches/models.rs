@@ -20,7 +20,7 @@ use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
 use hemocloud_fitting::two_line::fit_two_line;
-use hemocloud_geometry::anatomy::CylinderSpec;
+use hemocloud_geometry::anatomy::{CerebralSpec, CylinderSpec};
 use hemocloud_rt::bench::{Harness, Throughput};
 
 fn fitting(h: &mut Harness) {
@@ -87,6 +87,33 @@ fn decomposition(h: &mut Harness) {
                 &[TopologyVariant::FatTree, TopologyVariant::Spread],
             )
         })
+    });
+    group.finish();
+}
+
+/// The same steps on `plan_cerebral`'s tree: 20k fluid cells in a
+/// 3.5M-voxel box, where anything that scans or allocates the box rather
+/// than the fluid shows.
+fn sparse_decomposition(h: &mut Harness) {
+    let grid = std::sync::Arc::new(
+        CerebralSpec::default()
+            .with_generations(5)
+            .with_resolution(12)
+            .build(),
+    );
+    let mut group = h.group("decomp");
+    group.sample_size(10);
+    group.bench_function("rcb_cerebral_64", |b| {
+        b.iter(|| RcbPartition::new(&grid, 64))
+    });
+    group.bench_function("census_fill_9_cerebral", |b| {
+        b.iter(|| Census::new(grid.clone(), 380.5, 301.25).entry(256))
+    });
+    group.finish();
+    let mut group = h.group("core");
+    group.sample_size(10);
+    group.bench_function("workload_new_cerebral", |b| {
+        b.iter(|| Workload::harvey(&grid, 100))
     });
     group.finish();
 }
@@ -173,6 +200,7 @@ fn main() {
     fitting(&mut h);
     characterization(&mut h);
     decomposition(&mut h);
+    sparse_decomposition(&mut h);
     predictions(&mut h);
     prepared(&mut h);
     fabric(&mut h);

@@ -28,6 +28,7 @@ use crate::topology::{build_topology, routed_task_comm, CommModel, Member};
 use hemocloud_decomp::census::CensusEntry;
 use hemocloud_fabric::{Flow, Topology};
 use hemocloud_decomp::placement::Placement;
+use hemocloud_geometry::classify::measured_avg_solid_links;
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::access_profile::AccessProfile;
 use hemocloud_lbm::kernel::KernelConfig;
@@ -551,32 +552,10 @@ pub fn simulate_geometry(
         .map(|prepared| prepared.run_slice(steps, seed, time_h))
 }
 
-/// Average solid-link count over wall cells of a grid (see
-/// `hemocloud_lbm::access_profile::average_solid_links` for the mesh-side
-/// equivalent).
-pub fn measured_avg_solid_links(grid: &VoxelGrid) -> f64 {
-    use hemocloud_geometry::classify::solid_link_count;
-    use hemocloud_geometry::voxel::CellType;
-    let mut total = 0usize;
-    let mut walls = 0usize;
-    for (x, y, z, c) in grid.iter_cells() {
-        if c == CellType::Wall {
-            total += solid_link_count(grid, x, y, z);
-            walls += 1;
-        }
-    }
-    if walls == 0 {
-        0.0
-    } else {
-        total as f64 / walls as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hemocloud_geometry::anatomy::CylinderSpec;
-    use hemocloud_geometry::voxel::CellType;
 
     fn cylinder() -> VoxelGrid {
         CylinderSpec::default().with_resolution(10).build()
@@ -812,12 +791,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(full.mflups, full_shared.mflups);
-    }
-
-    #[test]
-    fn avg_solid_links_zero_for_all_bulk() {
-        let g = VoxelGrid::filled(4, 4, 4, 1.0, CellType::Bulk);
-        assert_eq!(measured_avg_solid_links(&g), 0.0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use hemocloud_decomp::census::{Census, CensusEntry};
 use hemocloud_decomp::rcb::RcbError;
+use hemocloud_geometry::classify::measured_avg_solid_links;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_geometry::voxel::VoxelGrid;
 use hemocloud_lbm::access_profile::AccessProfile;
@@ -43,7 +44,7 @@ impl Workload {
         steps: u64,
     ) -> Self {
         let stats = GeometryStats::measure(grid);
-        let avg_links = hemocloud_cluster::exec::measured_avg_solid_links(grid);
+        let avg_links = measured_avg_solid_links(grid);
         let profile = AccessProfile::for_kernel(&kernel, avg_links);
         let serial_bytes = profile.mesh_bytes(&stats);
         let grid = Arc::new(grid.clone());

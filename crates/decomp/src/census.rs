@@ -6,8 +6,8 @@
 //! get the same answer, so they all read it from a [`Census`] that
 //! computes it on first request and keeps it. An entry keeps what the
 //! consumers read — the halo census and the per-task byte sums — and not
-//! the partition: its owner array is the size of the bounding box (14 MB
-//! for a 3.5M-voxel cerebral box), nine of them would dwarf the geometry.
+//! the partition: no reader asks an owner once the walk is done, and the
+//! bisection tree's row runs are dropped with it.
 
 use crate::halo::{self, DecompAnalysis};
 use crate::rcb::{self, RcbError};

@@ -105,6 +105,11 @@ impl DecompAnalysis {
 /// neighbour inside it has the point's task at every level. The distinct
 /// foreign *leaf* owners found, shifted by `s`, are the point's peers at
 /// level `s`, and once none is foreign none is further up (DESIGN.md §19).
+/// Only the rows that hold fluid are visited, and `partition.owner` is
+/// asked only where a box check cannot answer: a point's owner is kept
+/// along its row until `x` leaves that owner's box, a neighbour's is the
+/// owner last found in the same direction from the same task while its
+/// box contains the neighbour.
 ///
 /// # Panics
 /// Panics when `partition` was cut from a grid of another shape.
@@ -115,7 +120,6 @@ pub fn walk<P: Ownership>(
     bulk_bytes: f64,
     wall_bytes: f64,
 ) -> Vec<CensusEntry> {
-    let (nx, ny, _) = grid.dims();
     assert_eq!(
         partition.dims(),
         grid.dims(),
@@ -144,28 +148,37 @@ pub fn walk<P: Ownership>(
         })
         .collect();
     // For every set of its box's faces a point can sit on (per axis a low
-    // bit, then a high bit), the directions that cross one of them.
-    let crossing: Vec<Vec<(i32, i32, i32)>> = (0..64)
+    // bit, then a high bit), the directions (indices into
+    // `D3Q19_DIRECTIONS`) that cross one of them.
+    let crossing: Vec<Vec<usize>> = (0..64)
         .map(|faces: usize| {
             let crosses =
                 |d: i32, axis: usize| d != 0 && faces >> (2 * axis + usize::from(d > 0)) & 1 == 1;
-            let mut probed = D3Q19_DIRECTIONS.to_vec();
-            probed.retain(|&(dx, dy, dz)| crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2));
-            probed
+            (0..D3Q19_DIRECTIONS.len())
+                .filter(|&d| {
+                    let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
+                    crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2)
+                })
+                .collect()
         })
         .collect();
+    // Per task and direction, the owner last found that way from a point
+    // of that task: its next point's neighbour that way is usually in the
+    // same box. (One hint per direction alone misses far more often: a
+    // row crosses several tasks, and each points it elsewhere.)
+    let mut hints = vec![[0usize; D3Q19_DIRECTIONS.len()]; leaves];
 
-    for (row, cells) in grid.cells().chunks_exact(nx).enumerate() {
-        // Most rows of a sparse box are solid, and counting vectorizes.
-        if cells.iter().filter(|c| c.is_fluid()).count() == 0 {
-            continue;
-        }
-        let (y, z) = (row % ny, row / ny);
+    for (y, z, cells) in grid.fluid_rows() {
+        // The point's owner holds the row up to its box's `x1`.
+        let (mut me, mut me_x1) = (0, 0);
         for (x, &c) in cells.iter().enumerate() {
             if !c.is_fluid() {
                 continue;
             }
-            let me = partition.owner(x, y, z);
+            if x >= me_x1 {
+                me = partition.owner(x, y, z);
+                me_x1 = regions[me].x1;
+            }
             let weight = match c {
                 CellType::Bulk => bulk_bytes,
                 _ => wall_bytes,
@@ -186,13 +199,19 @@ pub fn walk<P: Ownership>(
                 | usize::from(z + 1 == r.z1) << 5;
             let mut peers = [0usize; D3Q19_DIRECTIONS.len()];
             let mut n_peers = 0;
-            for &(dx, dy, dz) in &crossing[faces] {
+            for &d in &crossing[faces] {
+                let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
                 if grid.get_offset(x, y, z, dx, dy, dz).is_fluid() {
-                    let owner = partition.owner(
+                    let (qx, qy, qz) = (
                         x.wrapping_add_signed(dx as isize),
                         y.wrapping_add_signed(dy as isize),
                         z.wrapping_add_signed(dz as isize),
                     );
+                    let hint = &mut hints[me][d];
+                    if !regions[*hint].contains(qx, qy, qz) {
+                        *hint = partition.owner(qx, qy, qz);
+                    }
+                    let owner = *hint;
                     if owner != me && !peers[..n_peers].contains(&owner) {
                         peers[n_peers] = owner;
                         n_peers += 1;

@@ -23,6 +23,35 @@ pub trait Ownership {
     fn region(&self, task: usize) -> BoxRegion;
 }
 
+/// The task of every fluid voxel of `grid` under `partition`, in
+/// fluid-compaction order (memory order — the order `FluidMesh::build`
+/// uses): the one body behind every `assign_fluid_cells`. Along a row the
+/// owner is looked up again only where `x` leaves the last owner's box.
+///
+/// # Panics
+/// Panics when `partition` was cut from a grid of another shape.
+pub(crate) fn fluid_owners(partition: &impl Ownership, grid: &VoxelGrid) -> Vec<u32> {
+    assert_eq!(
+        partition.dims(),
+        grid.dims(),
+        "partition's and grid's shape"
+    );
+    let mut owners = Vec::new();
+    for (y, z, row) in grid.fluid_rows() {
+        let (mut task, mut task_x1) = (0, 0);
+        for (x, c) in row.iter().enumerate() {
+            if c.is_fluid() {
+                if x >= task_x1 {
+                    task = partition.owner(x, y, z);
+                    task_x1 = partition.region(task).x1;
+                }
+                owners.push(task as u32);
+            }
+        }
+    }
+    owners
+}
+
 impl Ownership for BlockPartition {
     fn owner(&self, x: usize, y: usize, z: usize) -> usize {
         self.owner_of(x, y, z)
@@ -214,13 +243,7 @@ impl BlockPartition {
     /// (memory-order scan — the same order `FluidMesh::build` uses), ready
     /// for the ranked solver.
     pub fn assign_fluid_cells(&self, grid: &VoxelGrid) -> Vec<u32> {
-        let mut owner = Vec::new();
-        for (x, y, z, c) in grid.iter_cells() {
-            if c.is_fluid() {
-                owner.push(self.owner_of(x, y, z) as u32);
-            }
-        }
-        owner
+        fluid_owners(self, grid)
     }
 }
 
@@ -272,13 +295,7 @@ impl SlabPartition {
 
     /// Ownership of each fluid cell, in fluid-compaction order.
     pub fn assign_fluid_cells(&self, grid: &VoxelGrid) -> Vec<u32> {
-        let mut owner = Vec::new();
-        for (x, y, z, c) in grid.iter_cells() {
-            if c.is_fluid() {
-                owner.push(self.owner_of(x, y, z) as u32);
-            }
-        }
-        owner
+        fluid_owners(self, grid)
     }
 }
 

@@ -11,7 +11,7 @@
 //! The block partition remains available as the ablation baseline
 //! (DESIGN.md §5, "Block vs. slab decomposition" extends to RCB).
 
-use crate::partition::{BoxRegion, Ownership};
+use crate::partition::{fluid_owners, BoxRegion, Ownership};
 use hemocloud_geometry::voxel::VoxelGrid;
 use std::fmt;
 use std::sync::Arc;
@@ -49,19 +49,70 @@ impl fmt::Display for RcbError {
 
 impl std::error::Error for RcbError {}
 
-/// A fluid-balanced RCB partition. Ownership is materialized per voxel for
-/// O(1) queries.
+/// A fluid-balanced RCB partition. Ownership is kept per x-row of the grid
+/// as the runs of the leaf boxes the row crosses, so it costs the leaves'
+/// y–z footprints, never the bounding box (DESIGN.md §19); an owner query
+/// searches its row's few runs.
 #[derive(Debug, Clone)]
 pub struct RcbPartition {
     dims: (usize, usize, usize),
     /// Leaf task of every voxel in the bisection tree this partition was
     /// cut from; [`RcbPartition::coarsened`] views share it.
-    owner: Arc<Vec<u32>>,
-    /// Tree levels between this partition and the leaves: the task of
-    /// voxel `i` is `owner[i] >> shift`.
+    runs: Arc<RowRuns>,
+    /// Tree levels between this partition and the leaves: the task of a
+    /// voxel is its leaf `>> shift`.
     shift: u32,
     n_tasks: usize,
     regions: Vec<BoxRegion>,
+}
+
+/// The leaf of every voxel, row by row. The leaf boxes tile the grid, so
+/// row `y + ny·z` is a short list of `(x0, leaf)` runs in ascending `x0`,
+/// the first at 0: `leaf` owns the row from `x0` up to the next run's.
+#[derive(Debug)]
+struct RowRuns {
+    /// Row `r`'s runs are `runs[start[r]..start[r + 1]]`.
+    start: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl RowRuns {
+    /// The runs of the leaves of a bisection tree over a `dims` grid, by a
+    /// counting sort on the row. Appending the leaves in tree order puts
+    /// each row's runs in x order: a cut along x numbers the lower half
+    /// first, and a cut along y or z leaves a row whole on one side. Fewer
+    /// runs than voxels, so `u32` indexes them wherever it indexes the
+    /// grid.
+    fn new(dims: (usize, usize, usize), leaves: &[BoxRegion]) -> Self {
+        let rows = dims.1 * dims.2;
+        let rows_of = |r: BoxRegion| {
+            (r.z0..r.z1).flat_map(move |z| (r.y0..r.y1).map(move |y| y + dims.1 * z))
+        };
+        let mut start = vec![0u32; rows + 1];
+        for &leaf in leaves {
+            for row in rows_of(leaf) {
+                start[row + 1] += 1;
+            }
+        }
+        for row in 0..rows {
+            start[row + 1] += start[row];
+        }
+        let mut next = start.clone();
+        let mut runs = vec![(0, 0); start[rows] as usize];
+        for (leaf, &r) in leaves.iter().enumerate() {
+            for row in rows_of(r) {
+                runs[next[row] as usize] = (r.x0 as u32, leaf as u32);
+                next[row] += 1;
+            }
+        }
+        Self { start, runs }
+    }
+
+    /// The runs of row `y + ny·z`.
+    #[inline]
+    fn row(&self, row: usize) -> &[(u32, u32)] {
+        &self.runs[self.start[row] as usize..self.start[row + 1] as usize]
+    }
 }
 
 impl RcbPartition {
@@ -82,19 +133,17 @@ impl RcbPartition {
         let dims = grid.dims();
         assert!(
             u32::try_from(grid.len()).is_ok(),
-            "grid exceeds 32-bit coordinates"
+            "a {dims:?} grid has {} voxels, more than u32 cell coordinates and row runs index",
+            grid.len()
         );
         // The fluid cells, permuted in place so that every tree node owns
         // a contiguous run: a bisection level costs one pass over the
         // fluid points, not three scans of the bounding box.
         let mut cells = Vec::new();
-        for z in 0..dims.2 {
-            for y in 0..dims.1 {
-                let row = &grid.cells()[dims.0 * (y + dims.1 * z)..][..dims.0];
-                for (x, c) in row.iter().enumerate() {
-                    if c.is_fluid() {
-                        cells.push([x as u32, y as u32, z as u32]);
-                    }
+        for (y, z, row) in grid.fluid_rows() {
+            for (x, c) in row.iter().enumerate() {
+                if c.is_fluid() {
+                    cells.push([x as u32, y as u32, z as u32]);
                 }
             }
         }
@@ -113,20 +162,11 @@ impl RcbPartition {
             z0: 0,
             z1: dims.2,
         };
-        let mut owner = vec![0u32; grid.len()];
         let mut regions = vec![whole; n_tasks];
-        bisect(
-            dims,
-            whole,
-            &mut cells,
-            0,
-            n_tasks,
-            &mut owner,
-            &mut regions,
-        )?;
+        bisect(whole, &mut cells, 0, n_tasks, &mut regions)?;
         Ok(Self {
             dims,
-            owner: Arc::new(owner),
+            runs: Arc::new(RowRuns::new(dims, &regions)),
             shift: 0,
             n_tasks,
             regions,
@@ -137,7 +177,7 @@ impl RcbPartition {
     /// exactly what [`RcbPartition::new`] builds for `n_tasks >> halvings`
     /// tasks (a power-of-two count asks every node for exactly half its
     /// fluid, so the smaller tree is the larger one truncated — DESIGN.md
-    /// §19), as a view sharing this partition's owner array.
+    /// §19), as a view sharing this partition's row runs.
     ///
     /// # Panics
     /// Panics unless `halvings` is 0 or the task count is a power of two
@@ -160,7 +200,7 @@ impl RcbPartition {
             .collect();
         Self {
             dims: self.dims,
-            owner: Arc::clone(&self.owner),
+            runs: Arc::clone(&self.runs),
             shift: self.shift + halvings,
             n_tasks: self.n_tasks >> halvings,
             regions,
@@ -180,18 +220,16 @@ impl RcbPartition {
     /// Task owning voxel `(x, y, z)`.
     #[inline]
     pub fn owner_of(&self, x: usize, y: usize, z: usize) -> usize {
-        (self.owner[x + self.dims.0 * (y + self.dims.1 * z)] >> self.shift) as usize
+        debug_assert!(x < self.dims.0 && y < self.dims.1 && z < self.dims.2);
+        let runs = self.runs.row(y + self.dims.1 * z);
+        let at = runs.partition_point(|&(x0, _)| x0 as usize <= x) - 1;
+        (runs[at].1 >> self.shift) as usize
     }
 
     /// Ownership of each fluid cell, in fluid-compaction order (the order
     /// `FluidMesh::build` uses).
     pub fn assign_fluid_cells(&self, grid: &VoxelGrid) -> Vec<u32> {
-        grid.cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_fluid())
-            .map(|(i, _)| self.owner[i] >> self.shift)
-            .collect()
+        fluid_owners(self, grid)
     }
 }
 
@@ -267,21 +305,13 @@ pub fn sweep_with<T>(
 /// Recursively assign `[task0, task0 + n_tasks)` within `region`, whose
 /// fluid cells are `cells`.
 fn bisect(
-    dims: (usize, usize, usize),
     region: BoxRegion,
     cells: &mut [[u32; 3]],
     task0: usize,
     n_tasks: usize,
-    owner: &mut [u32],
     regions: &mut [BoxRegion],
 ) -> Result<(), RcbError> {
     if n_tasks == 1 {
-        for z in region.z0..region.z1 {
-            for y in region.y0..region.y1 {
-                let row = dims.0 * (y + dims.1 * z);
-                owner[row + region.x0..row + region.x1].fill(task0 as u32);
-            }
-        }
         regions[task0] = region;
         return Ok(());
     }
@@ -344,17 +374,22 @@ fn bisect(
         }
     }
     let (below, above) = cells.split_at_mut(n_below);
-    bisect(dims, left, below, task0, n_left, owner, regions)?;
-    bisect(dims, right, above, task0 + n_left, n_right, owner, regions)
+    bisect(left, below, task0, n_left, regions)?;
+    bisect(right, above, task0 + n_left, n_right, regions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::census::CALIBRATION_COUNTS;
     use crate::halo::DecompAnalysis;
     use crate::partition::BlockPartition;
-    use hemocloud_geometry::anatomy::{CerebralSpec, CylinderSpec};
+    use hemocloud_geometry::anatomy::{
+        AneurysmSpec, AortaSpec, CerebralSpec, CylinderSpec, StenosisSpec,
+    };
     use hemocloud_geometry::voxel::{CellType, VoxelGrid};
+    use hemocloud_rt::check::{self, Config};
+    use hemocloud_rt::rng::Rng;
 
     #[test]
     fn tiles_the_grid_exactly() {
@@ -483,9 +518,9 @@ mod tests {
         let mut expect = vec![whole; n];
         reference(g, whole, 0, n, &mut expect);
         assert_eq!(p.regions, expect, "{n} tasks");
-        for (i, &task) in p.owner.iter().enumerate() {
+        for i in 0..g.len() {
             let (x, y, z) = g.coords(i);
-            assert!(expect[task as usize].contains(x, y, z));
+            assert!(expect[p.owner_of(x, y, z)].contains(x, y, z));
         }
     }
 
@@ -500,6 +535,120 @@ mod tests {
             for n in [1usize, 2, 3, 7, 16, 36, 64] {
                 assert_matches_reference(g, n);
             }
+        }
+    }
+
+    /// The owner array `bisect` filled before owners became row runs —
+    /// every leaf box written with its leaf, voxel by voxel — kept as the
+    /// oracle for them.
+    fn reference_owner(dims: (usize, usize, usize), leaves: &[BoxRegion]) -> Vec<u32> {
+        let mut owner = vec![0u32; dims.0 * dims.1 * dims.2];
+        for (leaf, r) in leaves.iter().enumerate() {
+            for z in r.z0..r.z1 {
+                for y in r.y0..r.y1 {
+                    let row = dims.0 * (y + dims.1 * z);
+                    owner[row + r.x0..row + r.x1].fill(leaf as u32);
+                }
+            }
+        }
+        owner
+    }
+
+    /// Every view of every tree [`sweep_with`] builds for the calibration
+    /// counts and a handful of odd ones answers `owner_of` on every voxel,
+    /// fluid or solid, and `assign_fluid_cells`, as the box array did.
+    fn assert_runs_match_the_box_array(g: &VoxelGrid) {
+        let mut counts = CALIBRATION_COUNTS.to_vec();
+        counts.extend([3, 5, 6, 7, 13, 36]);
+        sweep_with(g, &counts, |leaves, halvings| {
+            let owner = reference_owner(g.dims(), &leaves.regions);
+            for &h in halvings {
+                let view = leaves.coarsened(h);
+                for (i, &leaf) in owner.iter().enumerate() {
+                    let (x, y, z) = g.coords(i);
+                    assert_eq!(
+                        view.owner_of(x, y, z),
+                        (leaf >> h) as usize,
+                        "{} leaves >> {h} at ({x}, {y}, {z})",
+                        leaves.n_tasks
+                    );
+                }
+                let fluid: Vec<u32> = owner
+                    .iter()
+                    .zip(g.cells())
+                    .filter(|(_, c)| c.is_fluid())
+                    .map(|(&leaf, _)| leaf >> h)
+                    .collect();
+                assert_eq!(view.assign_fluid_cells(g), fluid);
+            }
+            vec![(); halvings.len()]
+        });
+    }
+
+    /// A random grid of 1 to 11 voxels a side — an axis one voxel thick a
+    /// fifth of the time, `nx == 1` among them — about `fluid_pct` percent
+    /// fluid, with a few whole rows and perhaps a z-slab made solid.
+    fn lumpy_grid(rng: &mut Rng, fluid_pct: u64) -> VoxelGrid {
+        let mut side = || match rng.range_u64(0, 5) {
+            0 => 1,
+            _ => rng.range_usize(2, 12),
+        };
+        let (nx, ny, nz) = (side(), side(), side());
+        let mut g = VoxelGrid::solid(nx, ny, nz, 1.0);
+        for i in 0..g.len() {
+            if rng.range_u64(0, 100) < fluid_pct {
+                g.set_linear(i, CellType::Bulk);
+            }
+        }
+        for _ in 0..rng.range_usize(0, 4) {
+            let (y, z) = (rng.range_usize(0, ny), rng.range_usize(0, nz));
+            for x in 0..nx {
+                g.set(x, y, z, CellType::Solid);
+            }
+        }
+        if rng.range_u64(0, 2) == 0 {
+            let z = rng.range_usize(0, nz);
+            for y in 0..ny {
+                for x in 0..nx {
+                    g.set(x, y, z, CellType::Solid);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn row_runs_match_the_box_owner_array() {
+        check::run(
+            "row_runs_match_the_box_owner_array",
+            Config::cases(64),
+            |rng| {
+                let fluid_pct = rng.range_u64(0, 101);
+                assert_runs_match_the_box_array(&lumpy_grid(rng, fluid_pct));
+            },
+        );
+        let mut rng = Rng::new(27);
+        let unsplittable = loop {
+            let g = lumpy_grid(&mut rng, 70);
+            if matches!(
+                RcbPartition::try_new(&g, 256),
+                Err(RcbError::Unsplittable { .. })
+            ) {
+                break g;
+            }
+        };
+        assert_runs_match_the_box_array(&unsplittable);
+        for g in [
+            AortaSpec::default().with_resolution(10).build(),
+            CerebralSpec::default()
+                .with_generations(3)
+                .with_resolution(5)
+                .build(),
+            CylinderSpec::default().with_resolution(8).build(),
+            StenosisSpec::default().build(),
+            AneurysmSpec::default().build(),
+        ] {
+            assert_runs_match_the_box_array(&g);
         }
     }
 
@@ -536,7 +685,7 @@ mod tests {
         // 4, 1 and 16 are views of the 64-task tree.
         for i in [0, 4, 6] {
             let view = swept[i].as_ref().unwrap();
-            assert!(Arc::ptr_eq(&view.owner, &swept[3].as_ref().unwrap().owner));
+            assert!(Arc::ptr_eq(&view.runs, &swept[3].as_ref().unwrap().runs));
         }
     }
 

@@ -68,6 +68,27 @@ pub fn solid_link_count(grid: &VoxelGrid, x: usize, y: usize, z: usize) -> usize
         .count()
 }
 
+/// Average solid-link count over the wall cells of a grid, 0 when it has
+/// none (`hemocloud_lbm::access_profile::average_solid_links` is the
+/// mesh-side equivalent).
+pub fn measured_avg_solid_links(grid: &VoxelGrid) -> f64 {
+    let mut total = 0usize;
+    let mut walls = 0usize;
+    for (y, z, row) in grid.fluid_rows() {
+        for (x, &c) in row.iter().enumerate() {
+            if c == CellType::Wall {
+                total += solid_link_count(grid, x, y, z);
+                walls += 1;
+            }
+        }
+    }
+    if walls == 0 {
+        0.0
+    } else {
+        total as f64 / walls as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +156,12 @@ mod tests {
             .count();
         assert_eq!(solid_link_count(&g, 0, 0, 0), expect);
         assert_eq!(solid_link_count(&g, 2, 2, 2), 0);
+    }
+
+    #[test]
+    fn avg_solid_links_zero_for_all_bulk() {
+        let g = VoxelGrid::filled(4, 4, 4, 1.0, CellType::Bulk);
+        assert_eq!(measured_avg_solid_links(&g), 0.0);
     }
 
     #[test]

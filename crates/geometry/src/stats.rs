@@ -38,13 +38,12 @@ impl GeometryStats {
         let mut wall = 0usize;
         let mut inlet = 0usize;
         let mut outlet = 0usize;
-        for &c in grid.cells() {
-            match c {
-                CellType::Bulk => bulk += 1,
-                CellType::Wall => wall += 1,
-                CellType::Inlet => inlet += 1,
-                CellType::Outlet => outlet += 1,
-                CellType::Solid => {}
+        for (_, _, row) in grid.fluid_rows() {
+            for &c in row {
+                bulk += usize::from(c == CellType::Bulk);
+                wall += usize::from(c == CellType::Wall);
+                inlet += usize::from(c == CellType::Inlet);
+                outlet += usize::from(c == CellType::Outlet);
             }
         }
         let fluid = bulk + wall + inlet + outlet;

@@ -6,7 +6,7 @@
 //!
 //! Beyond the headline solver number, the baseline sweeps every runtime
 //! kernel configuration of the sparse solver (AB/AA × AoS/SoA × f64/f32)
-//! with software prefetch off and on, and records, per row: the SIMD
+//! once, and records, per row: the SIMD
 //! instruction path the build compiled the wide lanes to (`"avx2"` or
 //! `"scalar"`), best-of-3 measured MFLUPS, the Eq. 9 *modeled* bytes
 //! per update, the *implied* bytes per update (measured update time ×
@@ -14,11 +14,10 @@
 //! Triad for AB pull, the Copy/Triad mean for AA's alternating pair),
 //! and their ratio `measured_over_modeled`, computed once and reused
 //! everywhere — so the committed JSON shows the AB→AA speedup, the
-//! prefetch effect, the precision effect, and how tight the byte model
-//! tracks the machine (`"best"` ranks the f64 rows only, keeping the
-//! headline comparable across baselines). It also runs the AA/AB
-//! moment-equivalence smoke (AA natural-order moments vs AB post-stream
-//! moments), a bitwise prefetch-on-vs-off equality check, a bitwise
+//! precision effect, and how tight the byte model tracks the machine
+//! (`"best"` ranks the f64 rows only, keeping the headline comparable
+//! across baselines). It also runs the AA/AB moment-equivalence smoke (AA
+//! natural-order moments vs AB post-stream moments), a bitwise
 //! forced-scalar-vs-forced-vector equality check over every kernel
 //! config, and an f32-vs-f64 macroscopic accuracy bound — and refuses to
 //! write a baseline where any disagrees. The scalar/vector pair is also
@@ -56,10 +55,9 @@ use hemocloud_obs::json::{self, Value, Writer};
 use hemocloud_rt::bench::{fast_mode, sample_stats};
 use hemocloud_rt::{par, pool};
 
-/// One measured (kernel × prefetch) configuration of the sparse solver.
+/// One measured kernel configuration of the sparse solver.
 struct KernelRow {
     config: KernelConfig,
-    prefetch: bool,
     /// Instruction path this row ran (`"avx2"` or `"scalar"`) —
     /// provenance for the committed numbers.
     simd: &'static str,
@@ -88,9 +86,6 @@ struct Baseline {
     /// Max component-wise moment difference between the AA solver's
     /// natural-order readout and the AB solver's post-stream readout.
     aa_ab_moment_max_diff: f64,
-    /// Whether the prefetching solver produced bit-identical distributions
-    /// to the default solver over the instrumented pass.
-    prefetch_bitwise_equal: bool,
     /// Whether the forced-vector solver produced bit-identical f64
     /// distributions to the forced-scalar solver, for every kernel
     /// configuration — the vectorization contract, witnessed in the
@@ -265,25 +260,14 @@ fn measure() -> Baseline {
     // here, from this fixed workload, before anything adaptive touches the
     // registry — which is what makes `OBS_OUT` byte-identical across two
     // identical runs at the same `RT_POOL_THREADS`.
-    let (obs, prefetch_bitwise_equal) = {
+    let obs = {
         let obs_steps = if fast { 12 } else { 32 };
         // Always exercise the pool path, whatever the mesh size.
         let workers = pool::global().threads();
-        let run = |prefetch| {
-            let mut solver = Solver::new(
-                mesh.clone(),
-                SolverConfig {
-                    prefetch,
-                    ..Default::default()
-                },
-            );
-            for _ in 0..obs_steps {
-                solver.step_with_workers(workers);
-            }
-            solver
-        };
-        // Prefetch only issues hints: same workload, same bits.
-        let bitwise_equal = run(false).distributions() == run(true).distributions();
+        let mut solver = Solver::new(mesh.clone(), SolverConfig::default());
+        for _ in 0..obs_steps {
+            solver.step_with_workers(workers);
+        }
         // Contiguous 4-slab ownership: fixed halo traffic per step, so the
         // lbm.ranked.* byte/message counters land in the snapshot too.
         let ranks = 4usize;
@@ -296,7 +280,7 @@ fn measure() -> Baseline {
         );
         ranked.step();
         ranked.step();
-        (hemocloud_obs::global().snapshot(), bitwise_equal)
+        hemocloud_obs::global().snapshot()
     };
 
     // STREAM Copy + Triad at full host width, cache-busting sizes. The
@@ -311,33 +295,21 @@ fn measure() -> Baseline {
     let copy_gb_s = stream[0].bandwidth_mb_s / 1e3;
     let triad_gb_s = stream[1].bandwidth_mb_s / 1e3;
 
-    // Sweep every runtime kernel config (f64, then f32 storage) with
-    // prefetch off and on, each row timed by `best_pair_ns`. Row 0 stays
-    // the HARVEY default (AB/AoS/f64, no prefetch) so the headline is
-    // comparable across baselines.
-    let mut rows: Vec<(KernelConfig, bool)> = Vec::new();
-    for precision in [Precision::Double, Precision::Single] {
-        for config in sparse_configs() {
-            for prefetch in [false, true] {
-                rows.push((
-                    KernelConfig::sparse_with_precision(
-                        config.propagation,
-                        config.layout,
-                        precision,
-                    ),
-                    prefetch,
-                ));
-            }
-        }
-    }
+    // Sweep every runtime kernel config (f64, then f32 storage), each row
+    // timed by `best_pair_ns`. Row 0 stays the HARVEY default (AB/AoS/f64)
+    // so the headline is comparable across baselines.
+    let rows = [Precision::Double, Precision::Single].into_iter().flat_map(|precision| {
+        sparse_configs().map(|config| {
+            KernelConfig::sparse_with_precision(config.propagation, config.layout, precision)
+        })
+    });
     let samples = if fast { 2 } else { 4 };
     let mut kernels: Vec<KernelRow> = Vec::new();
-    for (config, prefetch) in rows {
+    for config in rows {
         let mut solver = Solver::new(
             mesh.clone(),
             SolverConfig {
                 kernel: config,
-                prefetch,
                 ..Default::default()
             },
         );
@@ -349,7 +321,6 @@ fn measure() -> Baseline {
         let implied_bytes_per_update = stream_ref.gb_s(copy_gb_s, triad_gb_s) * ns_per_update;
         kernels.push(KernelRow {
             config,
-            prefetch,
             simd,
             mflups: 1e3 / ns_per_update,
             ns_per_update,
@@ -379,7 +350,6 @@ fn measure() -> Baseline {
         stream,
         kernels,
         aa_ab_moment_max_diff: moment_diff,
-        prefetch_bitwise_equal,
         simd_bitwise_equal: simd_equal,
         vector_over_scalar,
         f32_f64_moment_max_diff: f32_diff,
@@ -405,7 +375,6 @@ fn to_json(b: &Baseline) -> String {
     w.end();
     let row_head = |w: &mut Writer, k: &KernelRow| {
         w.key("config").string(&k.config.name());
-        w.key("prefetch").bool(k.prefetch);
         w.key("simd").string(k.simd);
         w.key("mflups").fixed(k.mflups, 3);
     };
@@ -435,7 +404,6 @@ fn to_json(b: &Baseline) -> String {
         w.key("measured_over_modeled").fixed(best.measured_over_modeled, 4);
         w.end();
     }
-    w.key("prefetch_bitwise_equal").bool(b.prefetch_bitwise_equal);
     w.key("simd_bitwise_equal").bool(b.simd_bitwise_equal);
     w.key("vector_over_scalar").fixed(b.vector_over_scalar, 3);
     w.key("aa_ab_moment_max_diff").float(b.aa_ab_moment_max_diff);
@@ -477,9 +445,8 @@ fn main() {
     );
     for k in &baseline.kernels {
         println!(
-            "bench_baseline: {:<22} {:<12} {:<12} {:>8.2} MFLUPS  modeled {:>6.1} B/update  implied {:>6.1} B/update vs {} (x{:.2})",
+            "bench_baseline: {:<22} {:<12} {:>8.2} MFLUPS  modeled {:>6.1} B/update  implied {:>6.1} B/update vs {} (x{:.2})",
             k.config.name(),
-            if k.prefetch { "prefetch" } else { "no-prefetch" },
             k.simd,
             k.mflups,
             k.modeled_bytes_per_update,
@@ -489,13 +456,12 @@ fn main() {
         );
     }
     println!(
-        "bench_baseline: AA/AB moment max diff {:.2e}; prefetch bitwise equal: {}",
-        baseline.aa_ab_moment_max_diff, baseline.prefetch_bitwise_equal
-    );
-    println!(
-        "bench_baseline: SIMD bitwise equal: {}, vector x{:.2} scalar (AA/AoS f64); \
-         f32 vs f64 moment max diff {:.2e}",
-        baseline.simd_bitwise_equal, baseline.vector_over_scalar, baseline.f32_f64_moment_max_diff
+        "bench_baseline: AA/AB moment max diff {:.2e}; SIMD bitwise equal: {}, \
+         vector x{:.2} scalar (AA/AoS f64); f32 vs f64 moment max diff {:.2e}",
+        baseline.aa_ab_moment_max_diff,
+        baseline.simd_bitwise_equal,
+        baseline.vector_over_scalar,
+        baseline.f32_f64_moment_max_diff
     );
     provenance::write_artifact("BENCH_lbm.json", &json);
 

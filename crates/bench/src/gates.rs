@@ -234,7 +234,6 @@ pub fn gate_bench_lbm(doc: &Value) -> Vec<String> {
     ];
     let kernels = g.rows(doc, "kernels", &positive);
     g.limit(doc, "best.measured_over_modeled", Gt, 0.0);
-    g.flag(doc, "prefetch_bitwise_equal");
     g.flag(doc, "simd_bitwise_equal");
     g.number(doc, "vector_over_scalar");
     g.limit(doc, "aa_ab_moment_max_diff", Le, 1e-12);
@@ -642,12 +641,6 @@ mod tests {
     fn bench_lbm_gate_names_each_broken_witness() {
         let broken = with(bench_lbm(), "simd_bitwise_equal", Value::Bool(false));
         assert_only_failure(&gate_bench_lbm(&broken), "bench_lbm", "simd_bitwise_equal");
-        let broken = with(bench_lbm(), "prefetch_bitwise_equal", Value::Bool(false));
-        assert_only_failure(
-            &gate_bench_lbm(&broken),
-            "bench_lbm",
-            "prefetch_bitwise_equal",
-        );
         // A non-finite throughput is written as null.
         let broken = with(bench_lbm(), "kernels.3.mflups", Value::Null);
         assert_only_failure(
@@ -689,8 +682,8 @@ mod tests {
         // … which a fast-mode record is allowed (its mesh is too small to tell).
         let fast = with(broken, "fast_mode", Value::Bool(true));
         assert_eq!(gate_bench_lbm(&fast), Vec::<String>::new());
-        // Dropping the f32 rows (keep the eight f64 ones).
-        let f64_rows = bench_lbm().at("kernels").and_then(Value::as_array).unwrap()[..8].to_vec();
+        // Dropping the f32 rows (keep the four f64 ones).
+        let f64_rows = bench_lbm().at("kernels").and_then(Value::as_array).unwrap()[..4].to_vec();
         let broken = with(bench_lbm(), "kernels", Value::Array(f64_rows));
         assert_only_failure(&gate_bench_lbm(&broken), "bench_lbm", "no f32 rows");
     }

@@ -136,31 +136,6 @@ pub fn average_solid_links(mesh: &FluidMesh) -> f64 {
     }
 }
 
-/// Exact per-cell byte count for a mesh (the *direct* model's Eq. 9, no
-/// averaging): bytes to update each fluid cell of `mesh` under `config`.
-pub fn per_cell_bytes(mesh: &FluidMesh, config: &KernelConfig) -> Vec<f64> {
-    let d = config.precision.bytes() as f64;
-    let q = Q19 as f64;
-    let index_factor = match config.propagation {
-        Propagation::Ab => 1.0,
-        Propagation::Aa => 0.5,
-    };
-    (0..mesh.len())
-        .map(|cell| {
-            let k = mesh
-                .neighbor_row(cell)
-                .iter()
-                .skip(1)
-                .filter(|&&n| n == SOLID)
-                .count() as f64;
-            let reads = (q - k) * d;
-            let writes = q * d;
-            let index = (q - k) * INDEX_BYTES * index_factor;
-            reads + writes + index
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +148,12 @@ mod tests {
         let p = AccessProfile::for_kernel(&KernelConfig::harvey(), 5.0);
         assert!((p.bulk_bytes - (19.0 * 8.0 * 2.0 + 19.0 * 4.0)).abs() < 1e-12);
         assert!(p.wall_bytes < p.bulk_bytes);
+        // Any solid-link count, clamped or not, prices a wall point between
+        // the writes alone and a bulk point.
+        for k in [0.0, 5.0, 18.0, 30.0] {
+            let wall = AccessProfile::for_kernel(&KernelConfig::harvey(), k).wall_bytes;
+            assert!(wall >= 19.0 * 8.0 && wall <= p.bulk_bytes, "k = {k}: {wall}");
+        }
     }
 
     #[test]
@@ -226,20 +207,6 @@ mod tests {
         let mesh = FluidMesh::build(&g);
         let k = average_solid_links(&mesh);
         assert!(k > 1.0 && k < 12.0, "avg solid links = {k}");
-    }
-
-    #[test]
-    fn per_cell_bytes_bounded_by_profile_extremes() {
-        let g = CylinderSpec::default().with_resolution(8).build();
-        let mesh = FluidMesh::build(&g);
-        let cfg = KernelConfig::harvey();
-        let per_cell = per_cell_bytes(&mesh, &cfg);
-        assert_eq!(per_cell.len(), mesh.len());
-        let bulk = AccessProfile::for_kernel(&cfg, 0.0).bulk_bytes;
-        for &b in &per_cell {
-            assert!(b <= bulk + 1e-9);
-            assert!(b >= 19.0 * 8.0); // at least the writes
-        }
     }
 
     #[test]

@@ -252,20 +252,6 @@ impl KernelConfig {
         }
     }
 
-    /// All four proxy variants shown in the paper's Fig. 4 (SoA unrolled and
-    /// AoS, for each propagation pattern).
-    pub fn fig4_variants() -> Vec<(String, Self)> {
-        let mut v = Vec::new();
-        for (pname, p) in [(("AA"), Propagation::Aa), (("AB"), Propagation::Ab)] {
-            v.push((
-                format!("{pname}/SOA-unrolled"),
-                Self::proxy(Layout::Soa, p, true),
-            ));
-            v.push((format!("{pname}/AOS"), Self::proxy(Layout::Aos, p, false)));
-        }
-        v
-    }
-
     /// The SoA variants of the paper's Fig. 8 (AA/AB × rolled/unrolled).
     pub fn fig8_variants() -> Vec<(String, Self)> {
         let mut v = Vec::new();
@@ -353,15 +339,6 @@ mod tests {
     fn aa_uses_one_array() {
         let k = KernelConfig::proxy(Layout::Soa, Propagation::Aa, true);
         assert_eq!(k.arrays(), 1);
-    }
-
-    #[test]
-    fn fig4_has_four_variants() {
-        let v = KernelConfig::fig4_variants();
-        assert_eq!(v.len(), 4);
-        let names: Vec<_> = v.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"AA/SOA-unrolled"));
-        assert!(names.contains(&"AB/AOS"));
     }
 
     #[test]

@@ -64,15 +64,6 @@ impl RankAssignment {
         );
         Self { owner, n_ranks }
     }
-
-    /// Cells owned by each rank.
-    pub fn cells_per_rank(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_ranks];
-        for &r in &self.owner {
-            counts[r as usize] += 1;
-        }
-        counts
-    }
 }
 
 /// Per-step communication ledger of one rank.
@@ -128,7 +119,6 @@ pub struct RankedSolver {
     kinds: KindLists,
     /// Same meaning as the [`SolverConfig`] fields of the same names.
     parallel: bool,
-    prefetch: bool,
     kernel: KernelConfig,
     simd: SimdPath,
     steps_taken: u64,
@@ -148,7 +138,7 @@ impl RankedSolver {
     /// configuration as the global solver.
     pub fn new(mesh: FluidMesh, assignment: RankAssignment, config: SolverConfig) -> Self {
         assert_eq!(assignment.owner.len(), mesh.len(), "assignment size");
-        assert!(config.tau > 0.5, "tau must exceed 1/2 for stability");
+        config.check();
         assert!(
             config.kernel.precision == Precision::Double,
             "ranked execution stores f64; other precisions are supported by the global Solver only"
@@ -204,7 +194,6 @@ impl RankedSolver {
             inlet_slot,
             inlet_vel,
             parallel: config.parallel,
-            prefetch: config.prefetch,
             kernel: config.kernel,
             simd: config.simd,
             steps_taken: 0,
@@ -281,7 +270,6 @@ impl RankedSolver {
             omega: self.omega,
             inlet_slot: &self.inlet_slot,
             inlet_vel: &self.inlet_vel,
-            prefetch: self.prefetch,
             remote: Halo {
                 owner: &self.assignment.owner,
                 snapshot: &self.halo,
@@ -366,16 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn ranked_matches_the_global_solver_bitwise_for_every_exec_worker_count_and_prefetch_setting() {
+    fn ranked_matches_the_global_solver_bitwise_for_every_exec_and_worker_count() {
         // The ranked half of the execution oracle, and the integration
         // check between the LBM and decomposition machinery: for the four
-        // f64 kernel configs, halo-mediated execution at every lane type,
-        // 1/2/3/8 logical workers and prefetch off/on stores exactly the
-        // bits of the global scalar, one-worker, no-prefetch solver —
-        // remote reads from the snapshot see the pre-step values the
-        // global solver reads in place. The halo ledgers are a pure
-        // function of mesh, assignment and kernel, so they must be *equal*
-        // across all of those, not merely equivalent.
+        // f64 kernel configs, halo-mediated execution at every lane type
+        // and 1/2/3/8 logical workers stores exactly the bits of the
+        // global scalar, one-worker solver — remote reads from the
+        // snapshot see the pre-step values the global solver reads in
+        // place. The halo ledgers are a pure function of mesh, assignment
+        // and kernel, so they must be *equal* across all of those, not
+        // merely equivalent.
         for (name, mesh) in oracle_meshes() {
             let assignment = slab_assignment(mesh.len(), 4);
             for prop in [Propagation::Ab, Propagation::Aa] {
@@ -394,27 +382,25 @@ mod tests {
                     let mut ledgers: Option<Vec<CommLedger>> = None;
                     for simd in oracle_execs() {
                         for workers in [1usize, 2, 3, 8] {
-                            for prefetch in [false, true] {
-                                let what = format!(
-                                    "{} on the {name}: {simd:?}, {workers} workers, prefetch {prefetch}",
-                                    config.kernel.name()
-                                );
-                                let mut ranked = RankedSolver::new(
-                                    mesh.clone(),
-                                    assignment.clone(),
-                                    SolverConfig { prefetch, simd, ..config },
-                                );
-                                ranked.f[0] += 0.01; // the same bump as the global solver's
-                                for _ in 0..ORACLE_STEPS {
-                                    ranked.step_with_workers(workers);
-                                }
-                                assert!(
-                                    global.distributions() == ranked.distributions(),
-                                    "ranked diverged from global: {what}"
-                                );
-                                let reference = ledgers.get_or_insert_with(|| ranked.ledgers.clone());
-                                assert_eq!(reference, &ranked.ledgers, "halo ledgers moved: {what}");
+                            let what = format!(
+                                "{} on the {name}: {simd:?}, {workers} workers",
+                                config.kernel.name()
+                            );
+                            let mut ranked = RankedSolver::new(
+                                mesh.clone(),
+                                assignment.clone(),
+                                SolverConfig { simd, ..config },
+                            );
+                            ranked.f[0] += 0.01; // the same bump as the global solver's
+                            for _ in 0..ORACLE_STEPS {
+                                ranked.step_with_workers(workers);
                             }
+                            assert!(
+                                global.distributions() == ranked.distributions(),
+                                "ranked diverged from global: {what}"
+                            );
+                            let reference = ledgers.get_or_insert_with(|| ranked.ledgers.clone());
+                            assert_eq!(reference, &ranked.ledgers, "halo ledgers moved: {what}");
                         }
                     }
                 }

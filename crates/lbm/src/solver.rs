@@ -41,7 +41,7 @@
 //!
 //! * a `Stream` (`AbPull`, `AaEven`, `AaOdd`) — *where* the value
 //!   arriving along `q` lives; that one function also fixes where an
-//!   in-place stream scatters and what the prefetcher touches;
+//!   in-place stream scatters;
 //! * a lane type `V: Lane<R>` — `R` itself (`WIDTH = 1`) is the scalar
 //!   kernel, so remainder cells and the few inlet/outlet cells simply run
 //!   the `V = R` instantiation of the same code;
@@ -88,10 +88,8 @@
 //! 4. gathering lanes into buffers and scattering them back is pure data
 //!    movement.
 //!
-//! Software prefetch ([`SolverConfig::prefetch`]) only issues hints, so it
-//! is bit-neutral as well. One table-driven oracle test per solver holds
-//! every kernel config × lane type × worker count × prefetch setting to
-//! the scalar, one-worker, no-prefetch run.
+//! One table-driven oracle test per solver holds every kernel config ×
+//! lane type × worker count to the scalar, one-worker run.
 
 use crate::equilibrium::{equilibrium_v, macroscopics_d3q19, macroscopics_v};
 use crate::kernel::{
@@ -127,11 +125,6 @@ pub struct SolverConfig {
     /// the performance model's byte accounting, so modeled and executed
     /// kernels can no longer diverge silently.
     pub kernel: KernelConfig,
-    /// Issue software prefetches for the neighbor rows and distribution
-    /// slots of bulk cells a few list entries ahead. A hint, never an
-    /// access, so bit-neutral. Off by default: measured alone it wins
-    /// beyond L3 for f64 and loses in cache and for f32 (DESIGN.md §13).
-    pub prefetch: bool,
     /// Wide lanes vs the `WIDTH = 1` scalar reference (module docs).
     /// Bit-neutral by construction, so the default is the fast path.
     pub simd: SimdPath,
@@ -145,9 +138,23 @@ impl Default for SolverConfig {
             flow_dir: (0.0, 0.0, 1.0),
             parallel: true,
             kernel: KernelConfig::harvey(),
-            prefetch: false,
             simd: SimdPath::default(),
         }
+    }
+}
+
+impl SolverConfig {
+    /// Panic, naming the field, unless the physics can stay finite: a
+    /// finite `tau` above 1/2, a finite `u_max` and finite `flow_dir`
+    /// components. Both solvers' constructors call it, so a NaN never
+    /// reaches the inlet profile and from there every distribution.
+    pub(crate) fn check(&self) {
+        let (tau, u_max, (x, y, z)) = (self.tau, self.u_max, self.flow_dir);
+        assert!(tau.is_finite(), "tau must be finite, got {tau}");
+        assert!(tau > 0.5, "tau must exceed 1/2 for stability, got {tau}");
+        assert!(u_max.is_finite(), "u_max must be finite, got {u_max}");
+        let finite_dir = x.is_finite() && y.is_finite() && z.is_finite();
+        assert!(finite_dir, "flow_dir must be finite, got ({x}, {y}, {z})");
     }
 }
 
@@ -344,10 +351,6 @@ pub(crate) trait Stream {
     /// the slot it gathered `opposite(q)` from: per cell the write set
     /// *is* the read set (module docs).
     const IN_PLACE: bool;
-    /// The step touches only the cell's own row, so the index list itself
-    /// is the access stream — the hardware prefetcher's easiest case, and
-    /// nothing for a software prefetch to add.
-    const CELL_LOCAL: bool;
     /// `(cell, direction)` of the slot holding the value that arrives at
     /// `cell` along `q`, given the cell's neighbor row.
     fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize);
@@ -359,7 +362,6 @@ pub(crate) trait Stream {
 pub(crate) struct AbPull;
 impl Stream for AbPull {
     const IN_PLACE: bool = false;
-    const CELL_LOCAL: bool = false;
     #[inline(always)]
     fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
         match row[opposite(q)] {
@@ -373,7 +375,6 @@ impl Stream for AbPull {
 pub(crate) struct AaEven;
 impl Stream for AaEven {
     const IN_PLACE: bool = true;
-    const CELL_LOCAL: bool = true;
     #[inline(always)]
     fn source(_row: &[u32], cell: usize, q: usize) -> (usize, usize) {
         (cell, q)
@@ -386,7 +387,6 @@ impl Stream for AaEven {
 pub(crate) struct AaOdd;
 impl Stream for AaOdd {
     const IN_PLACE: bool = true;
-    const CELL_LOCAL: bool = false;
     #[inline(always)]
     fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
         match row[opposite(q)] {
@@ -443,46 +443,11 @@ impl<R: Real> Arrays<'_, R> {
             self.src[idx]
         }
     }
-
-    /// Base address of the array `read` reads — for prefetch address
-    /// computation only.
-    #[inline(always)]
-    fn read_base<S: Stream>(&self) -> *const R {
-        if S::IN_PLACE {
-            self.dst.as_ptr()
-        } else {
-            self.src.as_ptr()
-        }
-    }
 }
 
 /// Widest lane any element exposes (`<f32 as Element>::Wide` = 8); the lane
 /// staging buffers are sized to it and use the first `V::WIDTH` entries.
 const VEC_MAXW: usize = 8;
-
-/// Prefetch lookahead (in list entries) for neighbor-index rows. The row
-/// is a dependent load feeding 19 further loads, so it wants the longest
-/// lead time.
-const PF_IDX_AHEAD: usize = 24;
-/// Prefetch lookahead (in list entries) for the 19 gather/scatter
-/// distribution slots, which require the neighbor row to already be
-/// resolvable — hence the shorter distance.
-const PF_F_AHEAD: usize = 6;
-
-/// Software-prefetch the cache line holding `ptr` into all cache levels.
-/// A scheduling hint only — never a memory access — so it is safe on any
-/// address and a no-op on non-x86 targets.
-#[inline(always)]
-fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint; it never faults or accesses memory.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(ptr as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
-}
 
 /// Everything one collide–stream sweep reads besides the distribution
 /// arrays — the state [`Solver`] and [`crate::ranked::RankedSolver`] both
@@ -493,7 +458,6 @@ pub(crate) struct Sweep<'a, R, Rm> {
     pub(crate) omega: R,
     pub(crate) inlet_slot: &'a [u32],
     pub(crate) inlet_vel: &'a [[R; 3]],
-    pub(crate) prefetch: bool,
     pub(crate) remote: Rm,
 }
 
@@ -534,25 +498,6 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
             // SAFETY: the slot belongs to `cell`'s slot set alone — its own
             // destination row for AB, its gather set for AA (module docs).
             unsafe { a.dst.write(L::at(to, tq, n), out[q]) };
-        }
-    }
-
-    /// Hint the gather working set of the cells a few `list` entries
-    /// ahead of `i`: the neighbor-index row at long range, its 19 source
-    /// slots at short range. In-place streams scatter to the same slots,
-    /// so one pass covers both directions of the traffic.
-    #[inline(always)]
-    fn prefetch_ahead<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, list: &[u32], i: usize) {
-        if let Some(&c) = list.get(i + PF_IDX_AHEAD) {
-            prefetch_read(self.mesh.neighbor_row(c as usize).as_ptr());
-        }
-        if let Some(&c) = list.get(i + PF_F_AHEAD) {
-            let (cell, n) = (c as usize, self.mesh.len());
-            let row = self.mesh.neighbor_row(cell);
-            for q in 0..Q19 {
-                let (from, fq) = S::source(row, cell, q);
-                prefetch_read(a.read_base::<S>().wrapping_add(L::at(from, fq, n)));
-            }
         }
     }
 
@@ -605,8 +550,6 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
     ) -> usize {
         let w = V::WIDTH;
         debug_assert!(w <= VEC_MAXW);
-        // Bulk lists only: the inlet/outlet lists are a few hundred cells.
-        let prefetch = self.prefetch && !S::CELL_LOCAL && matches!(kind, Kind::Bulk);
         let mut i = start;
         while i + w <= list.len() {
             let cells = &list[i..i + w];
@@ -616,9 +559,6 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
             // transposing at `V::load` measured −30% on the 8-lane f32 rows.
             let mut staged = [[R::ZERO; VEC_MAXW]; Q19];
             for (lane, &cell) in cells.iter().enumerate() {
-                if prefetch {
-                    self.prefetch_ahead::<S, L>(a, list, i + lane);
-                }
                 let row = self.gather::<S, L>(a, cell as usize);
                 for q in 0..Q19 {
                     staged[q][lane] = row[q];
@@ -734,7 +674,7 @@ impl Solver {
 
     /// [`Solver::new`] with an explicit metrics registry.
     pub fn new_in(mesh: FluidMesh, config: SolverConfig, registry: &Registry) -> Self {
-        assert!(config.tau > 0.5, "tau must exceed 1/2 for stability");
+        config.check();
         assert!(
             config.kernel.precision != Precision::Quad,
             "Quad precision is model-only; runtime storage is f32 or f64"
@@ -904,7 +844,6 @@ impl Solver {
         let even = self.steps_taken.is_multiple_of(2);
         let (kernel, simd) = (&self.config.kernel, self.config.simd);
         let (mesh, kinds, inlet_slot) = (&self.mesh, &self.kinds, &self.inlet_slot[..]);
-        let (prefetch, remote) = (self.config.prefetch, NoRemote);
         match &mut self.store {
             Store::F64 { f, f_tmp } => Sweep {
                 mesh,
@@ -912,8 +851,7 @@ impl Solver {
                 omega: self.omega,
                 inlet_slot,
                 inlet_vel: &self.inlet_vel,
-                prefetch,
-                remote,
+                remote: NoRemote,
             }
             .advance(kernel, even, simd, f, f_tmp, workers),
             Store::F32 { f, f_tmp } => Sweep {
@@ -922,8 +860,7 @@ impl Solver {
                 omega: self.omega as f32,
                 inlet_slot,
                 inlet_vel: &self.inlet_vel_f32,
-                prefetch,
-                remote,
+                remote: NoRemote,
             }
             .advance(kernel, even, simd, f, f_tmp, workers),
         }
@@ -1378,17 +1315,45 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tau must exceed")]
-    fn unstable_tau_rejected() {
-        let mut g = VoxelGrid::filled(4, 4, 4, 1.0, CellType::Bulk);
-        classify_walls(&mut g);
-        let _ = Solver::new(
-            FluidMesh::build(&g),
-            SolverConfig {
-                tau: 0.4,
-                ..Default::default()
-            },
-        );
+    fn both_constructors_reject_a_bad_config_naming_the_field() {
+        // The cylinder has inlets, so a non-finite `u_max` or `flow_dir`
+        // would reach the Poiseuille profile and from there every cell.
+        use crate::ranked::{RankAssignment, RankedSolver};
+        let mesh = cylinder_mesh();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let ok = SolverConfig::default();
+        let cases = [
+            ("tau must exceed 1/2", SolverConfig { tau: 0.4, ..ok }),
+            ("tau must be finite", SolverConfig { tau: nan, ..ok }),
+            ("tau must be finite", SolverConfig { tau: inf, ..ok }),
+            ("u_max must be finite", SolverConfig { u_max: nan, ..ok }),
+            ("u_max must be finite", SolverConfig { u_max: -inf, ..ok }),
+            ("flow_dir must be finite", SolverConfig { flow_dir: (0.0, nan, 1.0), ..ok }),
+            ("flow_dir must be finite", SolverConfig { flow_dir: (inf, 0.0, 0.0), ..ok }),
+        ];
+        let message = |result: std::thread::Result<()>| {
+            let payload = result.expect_err("a bad config was accepted");
+            match payload.downcast_ref::<String>() {
+                Some(s) => s.clone(),
+                None => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+            }
+        };
+        for (expected, config) in cases {
+            let global = std::panic::catch_unwind(|| {
+                Solver::new(mesh.clone(), config);
+            });
+            let ranked = std::panic::catch_unwind(|| {
+                let one_rank = RankAssignment::new(vec![0; mesh.len()], 1);
+                RankedSolver::new(mesh.clone(), one_rank, config);
+            });
+            for (which, result) in [("Solver", global), ("RankedSolver", ranked)] {
+                let got = message(result);
+                assert!(
+                    got.contains(expected),
+                    "{which} with {config:?}: expected {expected:?}, got {got:?}"
+                );
+            }
+        }
     }
 
     // ---- KindList::in_range --------------------------------------------
@@ -1490,16 +1455,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn every_exec_worker_count_and_prefetch_setting_matches_the_scalar_reference_bitwise() {
+    fn every_exec_and_worker_count_matches_the_scalar_reference_bitwise() {
         // The one oracle the single collide–stream body rests on: for
-        // every propagation × layout × precision, every lane type, 1/2/3/8
-        // logical workers and prefetch off/on store exactly the bits of
-        // the scalar, one-worker, no-prefetch run — on the cylinder (inlet
-        // and outlet cells) and on awkward-size boxes (remainder lanes),
-        // perturbed so the fields are not at rest.
-        let run = |mesh: &FluidMesh, kernel, simd, workers, prefetch| {
+        // every propagation × layout × precision, every lane type and
+        // 1/2/3/8 logical workers store exactly the bits of the scalar,
+        // one-worker run — on the cylinder (inlet and outlet cells) and on
+        // awkward-size boxes (remainder lanes), perturbed so the fields are
+        // not at rest.
+        let run = |mesh: &FluidMesh, kernel, simd, workers| {
             let config = SolverConfig {
-                prefetch,
                 simd,
                 ..config_for(kernel)
             };
@@ -1515,31 +1479,20 @@ pub(crate) mod tests {
                 for prop in [Propagation::Ab, Propagation::Aa] {
                     for layout in [Layout::Aos, Layout::Soa] {
                         let kernel = KernelConfig::sparse_with_precision(prop, layout, precision);
-                        let reference = run(&mesh, kernel, SimdPath::Scalar, 1, false);
+                        let reference = run(&mesh, kernel, SimdPath::Scalar, 1);
                         for exec in oracle_execs() {
                             for workers in [1usize, 2, 3, 8] {
-                                for prefetch in [false, true] {
-                                    assert!(
-                                        reference == run(&mesh, kernel, exec, workers, prefetch),
-                                        "{} diverged on the {name}: {exec:?}, {workers} workers, \
-                                         prefetch {prefetch}",
-                                        kernel.name()
-                                    );
-                                }
+                                assert!(
+                                    reference == run(&mesh, kernel, exec, workers),
+                                    "{} diverged on the {name}: {exec:?}, {workers} workers",
+                                    kernel.name()
+                                );
                             }
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn prefetch_is_a_safe_hint_on_any_address() {
-        let data = [1.0f64; 8];
-        prefetch_read(data.as_ptr());
-        prefetch_read(std::ptr::null::<f64>());
-        // Reaching here is the assertion: prefetch never faults.
     }
 
     #[test]

@@ -166,15 +166,6 @@ impl<'a, T: Copy> DisjointMut<'a, T> {
         // without dropping the old value leaks nothing.
         unsafe { self.ptr.add(i).write(value) }
     }
-
-    /// Base pointer of the underlying slice. Intended for *address
-    /// computation only* (e.g. issuing software prefetches for slots a few
-    /// iterations ahead); dereferencing it is subject to the same
-    /// disjointness contract as [`DisjointMut::read`]/[`write`](DisjointMut::write).
-    #[inline(always)]
-    pub fn as_ptr(&self) -> *const T {
-        self.ptr
-    }
 }
 
 /// Lifetime-erased task pointer stored in the shared job slot. Valid only

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 /// Code sites per file, relative to `crates/`. Every other file has none.
 const PINNED: &[(&str, usize)] = &[
-    ("lbm/src/solver.rs", 3),
+    ("lbm/src/solver.rs", 2),
     ("microbench/src/stream.rs", 1),
     ("rt/src/pool.rs", 11),
 ];

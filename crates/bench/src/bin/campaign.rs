@@ -14,12 +14,13 @@
 //! (non-finite cost/makespan, empty placement log, jobs unaccounted for,
 //! no guard kill or recovered fault, or a refinement loop that failed to
 //! reduce placement error), so a broken campaign is never recorded
-//! silently.
+//! silently. The run also goes through `hemocloud_sched::audit`, the
+//! sweep's checker table: any violation fails the binary too.
 //!
 //! [`CampaignReport`]: hemocloud_sched::CampaignReport
 
 use hemocloud_bench::{gates, provenance};
-use hemocloud_sched::run_demo_with_obs;
+use hemocloud_sched::{audit, demo_jobs, demo_pools, run_demo_with_obs};
 
 /// The campaign seed of the committed `CAMPAIGN_sched.json`.
 const SEED: u64 = 42;
@@ -27,7 +28,7 @@ const SEED: u64 = 42;
 fn main() {
     let (report, obs) = run_demo_with_obs(SEED);
     let json = report.to_json_stamped(&provenance::stamp());
-    let failures = gates::gate_text(&json, gates::gate_campaign);
+    let mut failures = gates::gate_text(&json, gates::gate_campaign);
 
     println!(
         "campaign seed {SEED}: {} jobs -> {} completed, {} guard-killed, {} failed, {} rejected",
@@ -48,7 +49,7 @@ fn main() {
     // The campaign's private virtual-clock metrics, merged with anything
     // the process-global registry collected along the way (disjoint name
     // spaces: sched.* vs pool.*/lbm.*).
-    let snapshot = obs.merged_with(hemocloud_obs::global().snapshot());
+    let snapshot = obs.clone().merged_with(hemocloud_obs::global().snapshot());
     println!("  metrics snapshot ({} entries):", snapshot.entries().len());
     print!("{}", snapshot.to_text(hemocloud_obs::Render::Deterministic));
     provenance::write_artifact(
@@ -56,5 +57,20 @@ fn main() {
         &snapshot.to_json(hemocloud_obs::Render::Deterministic),
     );
 
+    // The sweep's checker table judges this run too. It runs after the
+    // snapshot is written, so rebuilding the job specs for it cannot add
+    // to the process-wide counters that snapshot records.
+    let audit = audit(&report, &demo_jobs(), &demo_pools(), &obs);
+    failures.extend(
+        audit
+            .violations
+            .iter()
+            .map(|v| format!("campaign: audit {}: {}", v.checker, v.what)),
+    );
+    println!(
+        "  audit: {} violations, {} guard limits rebuilt exactly",
+        audit.violations.len(),
+        audit.guard_exact_checks
+    );
     gates::exit_on_failures(&failures);
 }

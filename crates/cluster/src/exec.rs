@@ -339,11 +339,6 @@ impl PreparedRun {
         self.census.analysis.total_points
     }
 
-    /// The communication model this run prices messages with.
-    pub fn comm_model(&self) -> CommModel {
-        self.comm
-    }
-
     /// The run's own topology instance (routed mode only): the fabric its
     /// isolated comm cache was computed against.
     pub fn topology(&self) -> Option<&Topology> {
@@ -861,7 +856,6 @@ mod tests {
             "explicit Scalar must be the default path"
         );
         assert!(scalar.topology().is_none());
-        assert_eq!(scalar.comm_model().name(), "scalar");
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl DirectModel {
         ))
     }
 
-    /// Predictions over a rank sweep, skipping infeasible counts.
-    pub fn sweep(&self, ranks: &[usize]) -> Vec<Prediction> {
-        ranks.iter().filter_map(|&r| self.predict(r)).collect()
-    }
-
     /// Per-task *resident* memory at `ranks` tasks, decomposed exactly as
     /// [`DirectModel::predict`] decomposes: each task's fluid points times
     /// the configured kernel's `resident_bytes_per_point`. AA kernels
@@ -236,12 +231,5 @@ mod tests {
             }
         }
         assert!(aa.resident_task_bytes(0).is_none());
-    }
-
-    #[test]
-    fn sweep_skips_infeasible() {
-        let m = setup();
-        let preds = m.sweep(&[1, 4, 1_000_000]);
-        assert_eq!(preds.len(), 2);
     }
 }

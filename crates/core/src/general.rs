@@ -171,11 +171,6 @@ impl GeneralModel {
             .filter(|(_, raw)| raw.step_time_s > 0.0 && raw.step_time_s.is_finite())
     }
 
-    /// Predictions over a rank sweep.
-    pub fn sweep(&self, ranks: &[usize]) -> Vec<Prediction> {
-        ranks.iter().map(|&r| self.predict(r)).collect()
-    }
-
     /// Shared-node prediction (paper Discussion): assume
     /// `cotenant_cores_per_node` of each node's cores are saturated by
     /// other tenants, so our tasks receive an even share of the node

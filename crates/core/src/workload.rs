@@ -81,28 +81,6 @@ impl Workload {
         Self::new("HARVEY", grid, KernelConfig::harvey(), steps)
     }
 
-    /// Describe the workload a [`hemocloud_lbm::solver::Solver`] would
-    /// actually execute under `config`: the byte accounting (Eq. 9 inputs
-    /// and resident footprint) is taken from the *configured* kernel —
-    /// an AA solver run is priced as AA, never silently as AB.
-    pub fn for_solver(
-        grid: &VoxelGrid,
-        config: &hemocloud_lbm::solver::SolverConfig,
-        steps: u64,
-    ) -> Self {
-        Self::new(
-            format!("solver {}", config.kernel.name()),
-            grid,
-            config.kernel,
-            steps,
-        )
-    }
-
-    /// A proxy-app workload with an explicit kernel variant.
-    pub fn proxy(grid: &VoxelGrid, kernel: KernelConfig, steps: u64) -> Self {
-        Self::new(format!("lbm-proxy-app {}", kernel.name()), grid, kernel, steps)
-    }
-
     /// Total fluid points.
     pub fn points(&self) -> usize {
         self.stats.fluid_points
@@ -196,16 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn for_solver_prices_the_configured_kernel_not_ab() {
-        use hemocloud_lbm::solver::SolverConfig;
+    fn new_prices_the_configured_kernel_not_ab() {
         let g = CylinderSpec::default().with_resolution(8).build();
-        let aa_cfg = SolverConfig {
-            kernel: KernelConfig::sparse(Propagation::Aa, Layout::Soa),
-            ..Default::default()
-        };
-        let aa = Workload::for_solver(&g, &aa_cfg, 10);
-        let ab = Workload::for_solver(&g, &SolverConfig::default(), 10);
-        assert_eq!(aa.kernel, aa_cfg.kernel);
+        let aa_kernel = KernelConfig::sparse(Propagation::Aa, Layout::Soa);
+        let aa = Workload::new("aa", &g, aa_kernel, 10);
+        let ab = Workload::harvey(&g, 10);
+        assert_eq!(aa.kernel, aa_kernel);
         assert_eq!(ab.kernel, KernelConfig::harvey());
         // The configured kernel drives both traffic and footprint.
         assert!(aa.serial_bytes < ab.serial_bytes);
@@ -213,24 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn for_solver_prices_single_precision_end_to_end() {
+    fn new_prices_single_precision_end_to_end() {
         use hemocloud_lbm::kernel::Precision;
-        use hemocloud_lbm::solver::SolverConfig;
         let g = CylinderSpec::default().with_resolution(8).build();
-        let f32_cfg = SolverConfig {
-            kernel: KernelConfig::sparse_with_precision(
-                Propagation::Ab,
-                Layout::Soa,
-                Precision::Single,
-            ),
-            ..Default::default()
-        };
-        let f64_cfg = SolverConfig {
-            kernel: KernelConfig::sparse(Propagation::Ab, Layout::Soa),
-            ..Default::default()
-        };
-        let single = Workload::for_solver(&g, &f32_cfg, 10);
-        let double = Workload::for_solver(&g, &f64_cfg, 10);
+        let f32_kernel =
+            KernelConfig::sparse_with_precision(Propagation::Ab, Layout::Soa, Precision::Single);
+        let f64_kernel = KernelConfig::sparse(Propagation::Ab, Layout::Soa);
+        let single = Workload::new("f32", &g, f32_kernel, 10);
+        let double = Workload::new("f64", &g, f64_kernel, 10);
         // Pinned resident footprints: AB f32 = 2×19×4 + 19×4 = 228 B/point
         // (exactly AA f64), AB f64 = 380 B/point.
         assert_eq!(single.kernel.resident_bytes_per_point(), 228.0);
@@ -247,16 +211,9 @@ mod tests {
     #[test]
     fn aa_workload_reads_fewer_bytes_than_ab() {
         let g = CylinderSpec::default().with_resolution(8).build();
-        let ab = Workload::proxy(
-            &g,
-            KernelConfig::proxy(Layout::Soa, Propagation::Ab, true),
-            1,
-        );
-        let aa = Workload::proxy(
-            &g,
-            KernelConfig::proxy(Layout::Soa, Propagation::Aa, true),
-            1,
-        );
+        let proxy = |propagation| KernelConfig::proxy(Layout::Soa, propagation, true);
+        let ab = Workload::new("proxy ab", &g, proxy(Propagation::Ab), 1);
+        let aa = Workload::new("proxy aa", &g, proxy(Propagation::Aa), 1);
         assert!(aa.serial_bytes < ab.serial_bytes);
     }
 }

@@ -55,11 +55,6 @@ impl DecompAnalysis {
         max as f64 / ideal
     }
 
-    /// Maximum number of boundary points on any task.
-    pub fn max_boundary_points(&self) -> usize {
-        *self.boundary_points_per_task.iter().max().unwrap_or(&0)
-    }
-
     /// Maximum number of messages sent by any task (its neighbor count).
     pub fn max_messages(&self) -> usize {
         self.messages.iter().map(|m| m.len()).max().unwrap_or(0)
@@ -466,7 +461,7 @@ mod tests {
         let p = BlockPartition::new(g.dims(), 1);
         let a = DecompAnalysis::analyze(&g, &p);
         assert_eq!(a.max_messages(), 0);
-        assert_eq!(a.max_boundary_points(), 0);
+        assert_eq!(a.boundary_points_per_task, vec![0]);
         assert_eq!(a.z_factor(), 1.0);
         assert_eq!(a.points_per_task, vec![216]);
     }

@@ -26,17 +26,6 @@ impl Placement {
         Self { node_of, n_nodes }
     }
 
-    /// Round-robin placement (rank `t` on node `t mod n_nodes`) — the
-    /// pessimal layout for nearest-neighbor codes, used as an ablation.
-    ///
-    /// # Panics
-    /// Panics if `n_nodes` is 0.
-    pub fn round_robin(n_tasks: usize, n_nodes: usize) -> Self {
-        assert!(n_nodes > 0, "zero nodes");
-        let node_of = (0..n_tasks).map(|t| t % n_nodes).collect();
-        Self { node_of, n_nodes }
-    }
-
     /// Node of a task.
     #[inline]
     pub fn node_of(&self, task: usize) -> usize {
@@ -102,14 +91,6 @@ mod tests {
         assert_eq!(p.node_of(4), 1);
         assert_eq!(p.node_of(9), 2);
         assert_eq!(p.tasks_per_node(), vec![4, 4, 2]);
-    }
-
-    #[test]
-    fn round_robin_spreads() {
-        let p = Placement::round_robin(6, 3);
-        assert_eq!(p.tasks_per_node(), vec![2, 2, 2]);
-        assert!(p.is_internodal(0, 1));
-        assert!(!p.is_internodal(0, 3));
     }
 
     #[test]

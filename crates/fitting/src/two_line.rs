@@ -39,12 +39,6 @@ impl TwoLineFit {
             self.a2 * n + self.a3 * (self.a1 - self.a2)
         }
     }
-
-    /// Bandwidth at the saturation knee, `a1 * a3`.
-    #[inline]
-    pub fn knee_bandwidth(&self) -> f64 {
-        self.a1 * self.a3
-    }
 }
 
 fn sse_for_breakpoint(ns: &[f64], bs: &[f64], a1: f64, a2: f64, a3: f64) -> f64 {
@@ -198,7 +192,6 @@ mod tests {
         let below = fit.eval(fit.a3 - 1e-9);
         let at = fit.eval(fit.a3);
         assert!((below - at).abs() < 1e-3);
-        assert!((fit.knee_bandwidth() - 63_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl VoxelGrid {
         self.cells[self.index(x, y, z)]
     }
 
-    /// Cell type by linear index.
-    #[inline]
-    pub fn get_linear(&self, idx: usize) -> CellType {
-        self.cells[idx]
-    }
-
     /// Set the cell type at `(x, y, z)`.
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, z: usize, t: CellType) {
@@ -194,16 +188,6 @@ impl VoxelGrid {
             .map(move |(row, cells)| (row % ny, row / ny, cells))
     }
 
-    /// Linear indices of all fluid (non-solid) voxels, in memory order.
-    pub fn fluid_indices(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_fluid())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of fluid (non-solid) voxels.
     pub fn fluid_count(&self) -> usize {
         self.cells.iter().filter(|c| c.is_fluid()).count()
@@ -218,31 +202,6 @@ impl VoxelGrid {
     #[inline]
     pub fn cells(&self) -> &[CellType] {
         &self.cells
-    }
-
-    /// Number of fluid voxels inside an axis-aligned box
-    /// `[x0, x1) × [y0, y1) × [z0, z1)` clamped to the grid.
-    pub fn fluid_in_box(
-        &self,
-        (x0, x1): (usize, usize),
-        (y0, y1): (usize, usize),
-        (z0, z1): (usize, usize),
-    ) -> usize {
-        let x1 = x1.min(self.nx);
-        let y1 = y1.min(self.ny);
-        let z1 = z1.min(self.nz);
-        let mut n = 0;
-        for z in z0..z1 {
-            for y in y0..y1 {
-                let row = self.index(x0.min(x1), y, z);
-                for c in &self.cells[row..row + x1.saturating_sub(x0)] {
-                    if c.is_fluid() {
-                        n += 1;
-                    }
-                }
-            }
-        }
-        n
     }
 }
 
@@ -296,15 +255,6 @@ mod tests {
         g.set(0, 1, 0, CellType::Inlet);
         assert_eq!(g.fluid_count(), 3);
         assert_eq!(g.count(CellType::Solid), 1);
-        assert_eq!(g.fluid_indices(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn fluid_in_box_clamps() {
-        let g = VoxelGrid::filled(4, 4, 4, 0.1, CellType::Bulk);
-        assert_eq!(g.fluid_in_box((0, 100), (0, 100), (0, 100)), 64);
-        assert_eq!(g.fluid_in_box((0, 2), (0, 2), (0, 2)), 8);
-        assert_eq!(g.fluid_in_box((3, 3), (0, 4), (0, 4)), 0);
     }
 
     #[test]

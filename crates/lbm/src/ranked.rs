@@ -8,7 +8,8 @@
 //! performance model costs (paper Eqs. 5, 13, 15).
 //!
 //! The ranked solver honors the same runtime
-//! [`crate::solver::SolverConfig::kernel`] as the global solver:
+//! [`crate::solver::SolverConfig::kernel`] as the global solver, in both
+//! storage precisions:
 //!
 //! * **AB**: exchange before every step, pull-stream into `f_tmp`, swap.
 //! * **AA**: the even step is purely cell-local, so *no exchange happens
@@ -22,23 +23,20 @@
 //!   (see `crate::solver` module docs), so no rank can observe another
 //!   rank's current-step writes through its own reads.
 //!
-//! This type is a thin shell: the ownership assignment, the receive sets,
-//! the halo snapshot, the ledgers and `exchange()`. The update itself is
-//! the global solver's one collide–stream body
-//! (`crate::solver::Sweep`) walking the same per-kind cell lists, with
-//! one difference — its `Remote` policy routes every cross-rank read
-//! through the snapshot. That routing is what makes "ranked == global,
-//! bit for bit" (the oracle test at the bottom) a real check of the
-//! receive sets: a cell missing from one reads a stale snapshot slot and
-//! the bits diverge.
+//! [`RankedSolver`] is a thin shell around a [`Solver`]: it keeps only what
+//! MPI adds — the ownership assignment, the receive sets, the per-rank
+//! ledgers and the `lbm.ranked.*` counters. The distributions, inlet data,
+//! configuration, step count and the collide–stream step are the solver's
+//! own; a ranked step is the solver's one step path given the owner
+//! vector, which routes every cross-rank read through the halo snapshot.
+//! That routing is what makes "ranked == global, bit for bit" (the oracle
+//! test at the bottom) a real check of the receive sets: a cell missing
+//! from one reads a stale snapshot slot and the bits diverge.
 
-use crate::kernel::{KernelConfig, Precision, Propagation, SimdPath};
+use crate::kernel::Propagation;
 use crate::lattice::Q19;
 use crate::mesh::{FluidMesh, SOLID};
-use crate::solver::{
-    default_workers, flat_index, poiseuille_profile_for, rest_distributions, KindLists, Remote,
-    SolverConfig, Sweep,
-};
+use crate::solver::{Solver, SolverConfig};
 use hemocloud_obs::{Counter, Registry};
 use std::sync::Arc;
 
@@ -75,53 +73,19 @@ pub struct CommLedger {
     pub messages_sent: u64,
 }
 
-/// The ranked solver's remote-read policy: a slot owned by another rank is
-/// read from the exchange-phase snapshot, never from the live array — so a
-/// rank cannot observe another rank's *current-step* writes.
-struct Halo<'a> {
-    owner: &'a [u32],
-    /// Indexed like the distribution array; valid only for cells in some
-    /// rank's receive set.
-    snapshot: &'a [f64],
-}
-
-impl Remote<f64> for Halo<'_> {
-    #[inline(always)]
-    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<f64> {
-        (self.owner[from] != self.owner[cell]).then(|| self.snapshot[idx])
-    }
-}
-
 /// A rank-decomposed solver over a shared mesh.
 ///
 /// Implementation note: distributions live in one global array (we are one
-/// process), but every cross-rank read goes through `halo`, a snapshot of
-/// boundary values taken during the exchange phase — so the information
-/// flow is exactly MPI-like.
+/// process), but every cross-rank read goes through the solver's halo, a
+/// snapshot of boundary values taken during the exchange phase — so the
+/// information flow is exactly MPI-like.
 pub struct RankedSolver {
-    mesh: FluidMesh,
+    /// The solver whose state every rank updates.
+    solver: Solver,
     assignment: RankAssignment,
-    f: Vec<f64>,
-    /// Second distribution array — AB only; AA streams in place and this
-    /// stays empty, same as the global solver.
-    f_tmp: Vec<f64>,
-    /// Snapshot of remote distributions needed by each rank, rebuilt each
-    /// exchange: indexed by the configured layout, valid only for cells in
-    /// some rank's receive set.
-    halo: Vec<f64>,
     /// For each rank, the list of (remote cell) indices it must receive
     /// before updating, grouped by sending rank for message accounting.
     recv_sets: Vec<Vec<(u32, Vec<u32>)>>,
-    omega: f64,
-    inlet_slot: Vec<u32>,
-    inlet_vel: Vec<[f64; 3]>,
-    /// Cells by update kind — the lists the shared body walks.
-    kinds: KindLists,
-    /// Same meaning as the [`SolverConfig`] fields of the same names.
-    parallel: bool,
-    kernel: KernelConfig,
-    simd: SimdPath,
-    steps_taken: u64,
     ledgers: Vec<CommLedger>,
     /// Cumulative halo traffic across all ranks and steps (the per-step
     /// ledgers reset every step; these observability counters never do).
@@ -135,28 +99,21 @@ pub struct RankedSolver {
 
 impl RankedSolver {
     /// Build from a mesh, an ownership assignment, and the same physical
-    /// configuration as the global solver.
+    /// configuration as the global solver. The inner solver's own metrics
+    /// bind to a detached registry: ranked steps record only
+    /// `lbm.ranked.*`.
     pub fn new(mesh: FluidMesh, assignment: RankAssignment, config: SolverConfig) -> Self {
         assert_eq!(assignment.owner.len(), mesh.len(), "assignment size");
-        config.check();
-        assert!(
-            config.kernel.precision == Precision::Double,
-            "ranked execution stores f64; other precisions are supported by the global Solver only"
-        );
-        let n = mesh.len();
-        let f = rest_distributions(config.kernel.layout, n);
-        let f_tmp = match config.kernel.propagation {
-            Propagation::Ab => f.clone(),
-            Propagation::Aa => Vec::new(),
-        };
+        let solver = Solver::new_in(mesh, config, &Registry::new());
 
         // Receive sets: for each rank, the remote cells read by its pull
         // updates, grouped by owner. (The AA odd step reads the same
         // neighbor cells — only the slot within the neighbor's row
         // differs — so one receive-set construction serves both.)
+        let mesh = solver.mesh();
         let mut recv: Vec<std::collections::BTreeMap<u32, std::collections::BTreeSet<u32>>> =
             vec![Default::default(); assignment.n_ranks];
-        for cell in 0..n {
+        for cell in 0..mesh.len() {
             let me = assignment.owner[cell];
             for q in 0..Q19 {
                 let nb = mesh.neighbor(cell, q);
@@ -177,26 +134,12 @@ impl RankedSolver {
             })
             .collect();
 
-        // Identical inlet boundary data to the global solver.
-        let (inlet_slot, inlet_vel) = poiseuille_profile_for(&mesh, &config);
-
         let ledgers = vec![CommLedger::default(); assignment.n_ranks];
         let reg = hemocloud_obs::global();
         Self {
-            f_tmp,
-            halo: vec![0.0; n * Q19],
-            f,
-            kinds: KindLists::build(&mesh),
-            mesh,
+            solver,
             assignment,
             recv_sets,
-            omega: 1.0 / config.tau,
-            inlet_slot,
-            inlet_vel,
-            parallel: config.parallel,
-            kernel: config.kernel,
-            simd: config.simd,
-            steps_taken: 0,
             ledgers,
             obs_halo_bytes: reg.counter("lbm.ranked.halo_bytes"),
             obs_halo_messages: reg.counter("lbm.ranked.halo_messages"),
@@ -220,22 +163,16 @@ impl RankedSolver {
         }
     }
 
-    /// Exchange phase: snapshot every boundary distribution into `halo` and
-    /// charge each sending rank's ledger.
+    /// Exchange phase: snapshot every boundary distribution into the
+    /// solver's halo and charge each sending rank's ledger — 19 values per
+    /// shipped point at the storage precision.
     fn exchange(&mut self) {
         self.clear_ledgers();
-        let n = self.mesh.len();
-        let layout = self.kernel.layout;
-        for groups in self.recv_sets.iter() {
+        let point_bytes = (Q19 * self.solver.config().kernel.precision.bytes()) as u64;
+        for groups in &self.recv_sets {
             for (sender, cells) in groups {
-                let mut bytes = 0u64;
-                for &cell in cells {
-                    for q in 0..Q19 {
-                        let i = flat_index(layout, cell as usize, q, n);
-                        self.halo[i] = self.f[i];
-                    }
-                    bytes += (Q19 * std::mem::size_of::<f64>()) as u64;
-                }
+                self.solver.snapshot(cells);
+                let bytes = cells.len() as u64 * point_bytes;
                 let ledger = &mut self.ledgers[*sender as usize];
                 ledger.bytes_sent += bytes;
                 ledger.messages_sent += 1;
@@ -251,40 +188,27 @@ impl RankedSolver {
     /// runs on the persistent shared worker pool when the mesh is large
     /// enough — no OS threads are spawned per step.
     pub fn step(&mut self) {
-        self.step_with_workers(default_workers(self.parallel, self.mesh.len()));
+        self.step_with_workers(self.solver.default_workers());
     }
 
     /// Advance one timestep with an explicit logical worker count (≥ 1).
     /// Bit-identical for every count — same guarantee, and same test
-    /// purpose, as [`crate::solver::Solver::step_with_workers`].
+    /// purpose, as [`Solver::step_with_workers`].
     pub fn step_with_workers(&mut self, workers: usize) {
-        let even = self.steps_taken.is_multiple_of(2);
-        if even && self.kernel.propagation == Propagation::Aa {
+        let even = self.solver.steps_taken().is_multiple_of(2);
+        if even && self.solver.config().kernel.propagation == Propagation::Aa {
             self.clear_ledgers();
         } else {
             self.exchange();
         }
-        Sweep {
-            mesh: &self.mesh,
-            kinds: &self.kinds,
-            omega: self.omega,
-            inlet_slot: &self.inlet_slot,
-            inlet_vel: &self.inlet_vel,
-            remote: Halo {
-                owner: &self.assignment.owner,
-                snapshot: &self.halo,
-            },
-        }
-        .advance(
-            &self.kernel,
-            even,
-            self.simd,
-            &mut self.f,
-            &mut self.f_tmp,
-            workers,
-        );
-        self.steps_taken += 1;
+        self.solver.advance(workers, Some(&self.assignment.owner));
         self.obs_steps.inc();
+    }
+
+    /// The solver every rank updates: its state, configuration and
+    /// readouts.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
     }
 
     /// Per-rank communication ledgers for the most recent step.
@@ -292,27 +216,10 @@ impl RankedSolver {
         &self.ledgers
     }
 
-    /// Raw distributions (storage order: the configured layout; natural
-    /// direction order only after an even number of AA steps).
+    /// Raw f64 distributions — [`Solver::distributions`] of the inner
+    /// solver, so it panics for f32 storage.
     pub fn distributions(&self) -> &[f64] {
-        &self.f
-    }
-
-    /// The ownership assignment.
-    pub fn assignment(&self) -> &RankAssignment {
-        &self.assignment
-    }
-
-    /// The instruction path the per-rank sweeps execute — same labels as
-    /// [`crate::solver::Solver::simd_label`].
-    pub fn simd_label(&self) -> &'static str {
-        self.simd.label()
-    }
-
-    /// Bytes resident in distribution arrays (`f` plus `f_tmp` when
-    /// allocated) — AA halves this, exactly as in the global solver.
-    pub fn distribution_bytes(&self) -> usize {
-        (self.f.len() + self.f_tmp.len()) * std::mem::size_of::<f64>()
+        self.solver.distributions()
     }
 
     /// Maximum bytes sent by any rank in the most recent step.
@@ -333,9 +240,8 @@ impl RankedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Layout;
-    use crate::solver::tests::{oracle_execs, oracle_meshes, ORACLE_STEPS};
-    use crate::solver::Solver;
+    use crate::kernel::{KernelConfig, Layout, Precision, SimdPath};
+    use crate::solver::tests::{oracle_execs, oracle_meshes, stored_bits, ORACLE_STEPS};
     use hemocloud_geometry::anatomy::CylinderSpec;
 
     fn cylinder_mesh() -> FluidMesh {
@@ -356,9 +262,9 @@ mod tests {
     #[test]
     fn ranked_matches_the_global_solver_bitwise_for_every_exec_and_worker_count() {
         // The ranked half of the execution oracle, and the integration
-        // check between the LBM and decomposition machinery: for the four
-        // f64 kernel configs, halo-mediated execution at every lane type
-        // and 1/2/3/8 logical workers stores exactly the bits of the
+        // check between the LBM and decomposition machinery: for all eight
+        // runtime kernel configs, halo-mediated execution at every lane
+        // type and 1/2/3/8 logical workers stores exactly the bits of the
         // global scalar, one-worker solver — remote reads from the
         // snapshot see the pre-step values the global solver reads in
         // place. The halo ledgers are a pure function of mesh, assignment
@@ -366,65 +272,53 @@ mod tests {
         // merely equivalent.
         for (name, mesh) in oracle_meshes() {
             let assignment = slab_assignment(mesh.len(), 4);
-            for prop in [Propagation::Ab, Propagation::Aa] {
-                for layout in [Layout::Aos, Layout::Soa] {
-                    let config = SolverConfig {
-                        parallel: false,
-                        simd: SimdPath::Scalar,
-                        kernel: KernelConfig::sparse(prop, layout),
-                        ..Default::default()
-                    };
-                    let mut global = Solver::new(mesh.clone(), config);
-                    global.bump_first_cell(0.01);
-                    for _ in 0..ORACLE_STEPS {
-                        global.step_with_workers(1);
-                    }
-                    let mut ledgers: Option<Vec<CommLedger>> = None;
-                    for simd in oracle_execs() {
-                        for workers in [1usize, 2, 3, 8] {
-                            let what = format!(
-                                "{} on the {name}: {simd:?}, {workers} workers",
-                                config.kernel.name()
-                            );
-                            let mut ranked = RankedSolver::new(
-                                mesh.clone(),
-                                assignment.clone(),
-                                SolverConfig { simd, ..config },
-                            );
-                            ranked.f[0] += 0.01; // the same bump as the global solver's
-                            for _ in 0..ORACLE_STEPS {
-                                ranked.step_with_workers(workers);
+            for precision in [Precision::Double, Precision::Single] {
+                for prop in [Propagation::Ab, Propagation::Aa] {
+                    for layout in [Layout::Aos, Layout::Soa] {
+                        let config = SolverConfig {
+                            parallel: false,
+                            simd: SimdPath::Scalar,
+                            kernel: KernelConfig::sparse_with_precision(prop, layout, precision),
+                            ..Default::default()
+                        };
+                        let mut global = Solver::new(mesh.clone(), config);
+                        global.bump_first_cell(0.01);
+                        for _ in 0..ORACLE_STEPS {
+                            global.step_with_workers(1);
+                        }
+                        let global = stored_bits(&global);
+                        let mut ledgers: Option<Vec<CommLedger>> = None;
+                        for simd in oracle_execs() {
+                            for workers in [1usize, 2, 3, 8] {
+                                let what = format!(
+                                    "{} on the {name}: {simd:?}, {workers} workers",
+                                    config.kernel.name()
+                                );
+                                let mut ranked = RankedSolver::new(
+                                    mesh.clone(),
+                                    assignment.clone(),
+                                    SolverConfig { simd, ..config },
+                                );
+                                ranked.solver.bump_first_cell(0.01);
+                                for _ in 0..ORACLE_STEPS {
+                                    ranked.step_with_workers(workers);
+                                }
+                                assert!(
+                                    global == stored_bits(ranked.solver()),
+                                    "ranked diverged from global: {what}"
+                                );
+                                let reference =
+                                    ledgers.get_or_insert_with(|| ranked.ledgers.clone());
+                                assert_eq!(
+                                    reference, &ranked.ledgers,
+                                    "halo ledgers moved: {what}"
+                                );
                             }
-                            assert!(
-                                global.distributions() == ranked.distributions(),
-                                "ranked diverged from global: {what}"
-                            );
-                            let reference = ledgers.get_or_insert_with(|| ranked.ledgers.clone());
-                            assert_eq!(reference, &ranked.ledgers, "halo ledgers moved: {what}");
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ranked execution stores f64")]
-    fn single_precision_ranked_is_rejected() {
-        let mesh = cylinder_mesh();
-        let assignment = slab_assignment(mesh.len(), 2);
-        let _ = RankedSolver::new(
-            mesh,
-            assignment,
-            SolverConfig {
-                kernel: KernelConfig::sparse_with_precision(
-                    Propagation::Ab,
-                    Layout::Soa,
-                    Precision::Single,
-                ),
-                ..Default::default()
-            },
-        );
     }
 
     #[test]
@@ -471,8 +365,8 @@ mod tests {
             },
         );
         let ab = RankedSolver::new(mesh, assignment, SolverConfig::default());
-        assert_eq!(aa.distribution_bytes(), n * Q19 * 8);
-        assert_eq!(ab.distribution_bytes(), 2 * n * Q19 * 8);
+        assert_eq!(aa.solver().distribution_bytes(), n * Q19 * 8);
+        assert_eq!(ab.solver().distribution_bytes(), 2 * n * Q19 * 8);
     }
 
     #[test]
@@ -511,12 +405,13 @@ mod tests {
         // the direct model's Eq. 9 communication terms are built from:
         // `DecompAnalysis.messages[a][b]` counts the boundary points rank
         // `a` ships to `b` each step, and the solver moves all Q19
-        // distributions (19 × 8 bytes) per shipped point. Both sides see
-        // the same RCB partition, so the executed exchange schedule is the
-        // model's message graph realized.
+        // distributions per shipped point at the storage precision
+        // (19 × 8 bytes for f64, 19 × 4 for f32). Both sides see the same
+        // RCB partition, so the executed exchange schedule is the model's
+        // message graph realized.
         use hemocloud_decomp::halo::DecompAnalysis;
+        use hemocloud_decomp::partition::Ownership;
         use hemocloud_decomp::rcb::RcbPartition;
-        use hemocloud_geometry::anatomy::CylinderSpec;
 
         let grid = CylinderSpec::default()
             .with_dimensions(3.0, 12.0)
@@ -527,7 +422,6 @@ mod tests {
         let rcb = RcbPartition::new(&grid, n_ranks);
         let analysis = DecompAnalysis::analyze(&grid, &rcb);
 
-        use hemocloud_decomp::partition::Ownership;
         let owner: Vec<u32> = (0..mesh.len())
             .map(|cell| {
                 let (x, y, z) = mesh.coords(cell);
@@ -536,38 +430,48 @@ mod tests {
             .collect();
         let assignment = RankAssignment::new(owner, n_ranks);
 
-        let registry = Registry::new();
-        let mut s = RankedSolver::new(mesh, assignment, SolverConfig::default());
-        s.use_registry(&registry);
-        s.step(); // AB: one exchange per step
+        for (precision, value_bytes) in [(Precision::Double, 8u64), (Precision::Single, 4)] {
+            let registry = Registry::new();
+            let config = SolverConfig {
+                kernel: KernelConfig::sparse_with_precision(
+                    Propagation::Ab,
+                    Layout::Soa,
+                    precision,
+                ),
+                ..Default::default()
+            };
+            let mut s = RankedSolver::new(mesh.clone(), assignment.clone(), config);
+            s.use_registry(&registry);
+            s.step(); // AB: one exchange per step
 
-        let point_bytes = (Q19 * std::mem::size_of::<f64>()) as u64;
-        let mut total_bytes = 0u64;
-        let mut total_messages = 0u64;
-        for (rank, ledger) in s.ledgers().iter().enumerate() {
-            let send_points: usize = analysis.messages[rank].values().sum();
-            let peers = analysis.messages[rank].len() as u64;
+            let point_bytes = Q19 as u64 * value_bytes;
+            let mut total_bytes = 0u64;
+            let mut total_messages = 0u64;
+            for (rank, ledger) in s.ledgers().iter().enumerate() {
+                let send_points: usize = analysis.messages[rank].values().sum();
+                let peers = analysis.messages[rank].len() as u64;
+                assert_eq!(
+                    ledger.bytes_sent,
+                    send_points as u64 * point_bytes,
+                    "{precision:?} rank {rank}: measured bytes diverge from Eq. 9 accounting"
+                );
+                assert_eq!(
+                    ledger.messages_sent, peers,
+                    "{precision:?} rank {rank}: measured message count diverges from peer count"
+                );
+                total_bytes += ledger.bytes_sent;
+                total_messages += ledger.messages_sent;
+            }
+            assert!(total_bytes > 0, "RCB at 4 ranks must communicate");
+
+            // The cumulative observability counters carry the same totals.
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("lbm.ranked.halo_bytes"), Some(total_bytes));
             assert_eq!(
-                ledger.bytes_sent,
-                send_points as u64 * point_bytes,
-                "rank {rank}: measured bytes diverge from Eq. 9 accounting"
+                snap.counter("lbm.ranked.halo_messages"),
+                Some(total_messages)
             );
-            assert_eq!(
-                ledger.messages_sent, peers,
-                "rank {rank}: measured message count diverges from peer count"
-            );
-            total_bytes += ledger.bytes_sent;
-            total_messages += ledger.messages_sent;
+            assert_eq!(snap.counter("lbm.ranked.steps"), Some(1));
         }
-        assert!(total_bytes > 0, "RCB at 4 ranks must communicate");
-
-        // The cumulative observability counters carry the same totals.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("lbm.ranked.halo_bytes"), Some(total_bytes));
-        assert_eq!(
-            snap.counter("lbm.ranked.halo_messages"),
-            Some(total_messages)
-        );
-        assert_eq!(snap.counter("lbm.ranked.steps"), Some(1));
     }
 }

@@ -34,10 +34,12 @@
 //!
 //! ## One collide–stream body
 //!
-//! Every configuration above, at every lane width, on the global solver
-//! and on [`crate::ranked::RankedSolver`], runs the same function
+//! Every configuration above, at every lane width, runs the same function
 //! (`Sweep`'s `sweep`): gather a row per cell, collide `WIDTH` rows at
-//! once, scatter them. It is generic over three small things:
+//! once, scatter them. One precision's state is one `Lattice<R>`, and one
+//! step path (`Solver::advance`) drives it for global and ranked runs
+//! alike — [`crate::ranked::RankedSolver`] owns a `Solver` and adds only
+//! the exchange. The body is generic over three small things:
 //!
 //! * a `Stream` (`AbPull`, `AaEven`, `AaOdd`) — *where* the value
 //!   arriving along `q` lives; that one function also fixes where an
@@ -45,8 +47,9 @@
 //! * a lane type `V: Lane<R>` — `R` itself (`WIDTH = 1`) is the scalar
 //!   kernel, so remainder cells and the few inlet/outlet cells simply run
 //!   the `V = R` instantiation of the same code;
-//! * a `Remote` policy — `NoRemote` for the global solver (compiles
-//!   to nothing), a halo snapshot for the ranked one.
+//! * a `Remote` policy — `NoRemote` for a global step (compiles to
+//!   nothing), `Halo` for a ranked one: a slot owned by another rank is
+//!   read from the lattice's halo snapshot.
 //!
 //! ## AA in-place safety (and why the parallel sweep is race-free)
 //!
@@ -169,37 +172,114 @@ pub struct RunStats {
     pub mflups: f64,
 }
 
-/// Distribution storage at the configured [`Precision`]: one concrete
-/// array pair per runtime precision. `f_tmp` is allocated for AB only; AA
-/// runs in place and it stays empty (half the resident solver memory).
-enum Store {
-    F64 { f: Vec<f64>, f_tmp: Vec<f64> },
-    F32 { f: Vec<f32>, f_tmp: Vec<f32> },
+/// Everything a step reads or writes at element precision `R`.
+struct Lattice<R> {
+    /// Distributions, in the configured layout.
+    f: Vec<R>,
+    /// Second distribution array — AB only; AA runs in place and this
+    /// stays empty (half the resident solver memory).
+    f_tmp: Vec<R>,
+    /// Per-cell slot into `inlet_vel` (`u32::MAX` for non-inlet cells).
+    inlet_slot: Vec<u32>,
+    /// Prescribed velocity of each inlet cell: the f64 Poiseuille profile
+    /// rounded once to `R`.
+    inlet_vel: Vec<[R; 3]>,
+    /// The exchange-phase copy of the slots other ranks read, indexed like
+    /// `f`. Empty until a ranked run's first [`Solver::snapshot`].
+    halo: Vec<R>,
 }
 
-impl Store {
-    /// Total distribution values held (both arrays).
-    fn len(&self) -> usize {
-        match self {
-            Store::F64 { f, f_tmp } => f.len() + f_tmp.len(),
-            Store::F32 { f, f_tmp } => f.len() + f_tmp.len(),
+impl<R: Real> Lattice<R> {
+    /// The rest state (`ρ = 1`, `u = 0`) of `mesh` under `config`.
+    fn new(mesh: &FluidMesh, config: &SolverConfig) -> Self {
+        // The distribution arrays first: allocating the small inlet vectors
+        // ahead of them measured ~4x slower construction on a 42k-cell mesh.
+        let f = rest_distributions(config.kernel.layout, mesh.len());
+        let f_tmp = match config.kernel.propagation {
+            Propagation::Ab => f.clone(),
+            Propagation::Aa => Vec::new(),
+        };
+        let (inlet_slot, inlet_vel) = poiseuille_profile_for(mesh, config);
+        Self {
+            f,
+            f_tmp,
+            inlet_slot,
+            inlet_vel: inlet_vel.iter().map(|v| v.map(R::from_f64)).collect(),
+            halo: Vec::new(),
         }
     }
+
+    /// Bytes held in `f` and `f_tmp`.
+    fn distribution_bytes(&self) -> usize {
+        (self.f.len() + self.f_tmp.len()) * std::mem::size_of::<R>()
+    }
+
+    /// One timestep (module docs), reading other ranks' slots from `halo`
+    /// when `owner` assigns cells to ranks.
+    fn advance(
+        &mut self,
+        mesh: &FluidMesh,
+        kinds: &KindLists,
+        config: &SolverConfig,
+        even: bool,
+        workers: usize,
+        owner: Option<&[u32]>,
+    ) {
+        let (inlet_slot, inlet_vel) = (&self.inlet_slot[..], &self.inlet_vel[..]);
+        let omega = R::from_f64(1.0 / config.tau);
+        let (kernel, simd, f, f_tmp) = (&config.kernel, config.simd, &mut self.f, &mut self.f_tmp);
+        match owner {
+            None => Sweep {
+                mesh,
+                kinds,
+                omega,
+                inlet_slot,
+                inlet_vel,
+                remote: NoRemote,
+            }
+            .advance(kernel, even, simd, f, f_tmp, workers),
+            Some(owner) => Sweep {
+                mesh,
+                kinds,
+                omega,
+                inlet_slot,
+                inlet_vel,
+                remote: Halo {
+                    owner,
+                    snapshot: &self.halo,
+                },
+            }
+            .advance(kernel, even, simd, f, f_tmp, workers),
+        }
+    }
+
+    /// Copy every distribution of `cells` from `f` into `halo`.
+    fn snapshot(&mut self, layout: Layout, n: usize, cells: &[u32]) {
+        if self.halo.is_empty() {
+            // Zeroed allocation: only the snapshotted rows ever get touched.
+            self.halo = vec![R::ZERO; self.f.len()];
+        }
+        for &cell in cells {
+            for q in 0..Q19 {
+                let i = flat_index(layout, cell as usize, q, n);
+                self.halo[i] = self.f[i];
+            }
+        }
+    }
+}
+
+/// The lattice at the configured [`Precision`].
+enum Store {
+    F64(Lattice<f64>),
+    F32(Lattice<f32>),
 }
 
 /// The flow solver.
 pub struct Solver {
     mesh: FluidMesh,
-    /// Distribution arrays at the configured precision.
+    /// Distributions and inlet data at the configured precision.
     store: Store,
-    omega: f64,
     config: SolverConfig,
-    /// Per-cell slot into `inlet_vel` (`u32::MAX` for non-inlet cells).
-    inlet_slot: Vec<u32>,
-    /// Prescribed velocity for each inlet cell (f64 master copy).
-    inlet_vel: Vec<[f64; 3]>,
-    /// `inlet_vel` rounded once to f32 for the single-precision kernels.
-    inlet_vel_f32: Vec<[f32; 3]>,
     /// Cells sorted by update kind, precomputed once so the hot loop does
     /// not re-dispatch on `mesh.cell_type(cell)` every step.
     kinds: KindLists,
@@ -307,22 +387,11 @@ impl KindLists {
 /// Minimum mesh size before thread parallelism pays for itself.
 const PARALLEL_THRESHOLD: usize = 8192;
 
-/// The logical worker count `step()` uses on both solvers: the pool's
-/// width when parallelism is enabled and the mesh is large enough to
-/// amortize the dispatch, else one.
-pub(crate) fn default_workers(parallel: bool, cells: usize) -> usize {
-    if parallel && cells >= PARALLEL_THRESHOLD {
-        pool::global().threads()
-    } else {
-        1
-    }
-}
-
 /// Flat index of `(cell, q)` for a runtime [`Layout`] value — the
 /// non-monomorphized twin of [`LayoutIdx::at`], for cold paths
 /// (initialization, readouts, halo snapshots).
 #[inline]
-pub(crate) fn flat_index(layout: Layout, cell: usize, q: usize, n: usize) -> usize {
+fn flat_index(layout: Layout, cell: usize, q: usize, n: usize) -> usize {
     match layout {
         Layout::Soa => SoaIdx::at(cell, q, n),
         Layout::Aos => AosIdx::at(cell, q, n),
@@ -332,7 +401,7 @@ pub(crate) fn flat_index(layout: Layout, cell: usize, q: usize, n: usize) -> usi
 /// Rest-equilibrium initial distributions for an `n`-cell mesh in the
 /// given layout, at the element precision (f32 rests are the once-rounded
 /// weights).
-pub(crate) fn rest_distributions<R: Real>(layout: Layout, n: usize) -> Vec<R> {
+fn rest_distributions<R: Real>(layout: Layout, n: usize) -> Vec<R> {
     let mut f = vec![R::ZERO; n * Q19];
     for cell in 0..n {
         for q in 0..Q19 {
@@ -397,18 +466,36 @@ impl Stream for AaOdd {
 }
 
 /// Which gathered slots a cell may not read from the live array.
-pub(crate) trait Remote<R>: Sync {
+trait Remote<R>: Sync {
     /// `Some(value)` when `cell` must take slot `idx` of cell `from` out
     /// of a snapshot; `None` reads the live array.
     fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<R>;
 }
 
-/// The global solver's policy: every read is live. Monomorphizes away.
-pub(crate) struct NoRemote;
+/// A global step's policy: every read is live. Monomorphizes away.
+struct NoRemote;
 impl<R> Remote<R> for NoRemote {
     #[inline(always)]
     fn fetch(&self, _cell: usize, _from: usize, _idx: usize) -> Option<R> {
         None
+    }
+}
+
+/// A ranked step's policy: a slot owned by another rank is read from the
+/// exchange-phase snapshot, never from the live array — so a rank cannot
+/// observe another rank's *current-step* writes.
+struct Halo<'a, R> {
+    /// Rank of each cell.
+    owner: &'a [u32],
+    /// Indexed like the distribution array; valid only for cells in some
+    /// rank's receive set.
+    snapshot: &'a [R],
+}
+
+impl<R: Copy + Sync> Remote<R> for Halo<'_, R> {
+    #[inline(always)]
+    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<R> {
+        (self.owner[from] != self.owner[cell]).then(|| self.snapshot[idx])
     }
 }
 
@@ -450,15 +537,15 @@ impl<R: Real> Arrays<'_, R> {
 const VEC_MAXW: usize = 8;
 
 /// Everything one collide–stream sweep reads besides the distribution
-/// arrays — the state [`Solver`] and [`crate::ranked::RankedSolver`] both
-/// hold — plus the remote-read policy that tells them apart.
-pub(crate) struct Sweep<'a, R, Rm> {
-    pub(crate) mesh: &'a FluidMesh,
-    pub(crate) kinds: &'a KindLists,
-    pub(crate) omega: R,
-    pub(crate) inlet_slot: &'a [u32],
-    pub(crate) inlet_vel: &'a [[R; 3]],
-    pub(crate) remote: Rm,
+/// arrays, plus the remote-read policy that tells a global step from a
+/// ranked one.
+struct Sweep<'a, R, Rm> {
+    mesh: &'a FluidMesh,
+    kinds: &'a KindLists,
+    omega: R,
+    inlet_slot: &'a [u32],
+    inlet_vel: &'a [[R; 3]],
+    remote: Rm,
 }
 
 impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
@@ -644,7 +731,7 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
     /// Advance `f` one timestep of `kernel`: AB pulls `f` into `f_tmp` and
     /// swaps them; AA updates `f` in place, the cell-local step when
     /// `even` steps have been taken so far, else the streaming step.
-    pub(crate) fn advance(
+    fn advance(
         &self,
         kernel: &KernelConfig,
         even: bool,
@@ -679,40 +766,15 @@ impl Solver {
             config.kernel.precision != Precision::Quad,
             "Quad precision is model-only; runtime storage is f32 or f64"
         );
-        let n = mesh.len();
-        // AA streams in place: the scratch array is never allocated.
-        let ab = matches!(config.kernel.propagation, Propagation::Ab);
         let store = match config.kernel.precision {
-            Precision::Single => {
-                let f = rest_distributions::<f32>(config.kernel.layout, n);
-                let f_tmp = if ab { f.clone() } else { Vec::new() };
-                Store::F32 { f, f_tmp }
-            }
-            _ => {
-                let f = rest_distributions::<f64>(config.kernel.layout, n);
-                let f_tmp = if ab { f.clone() } else { Vec::new() };
-                Store::F64 { f, f_tmp }
-            }
+            Precision::Single => Store::F32(Lattice::new(&mesh, &config)),
+            _ => Store::F64(Lattice::new(&mesh, &config)),
         };
-
-        // The f32 copy is the f64 profile rounded once, not a
-        // re-derivation.
-        let (inlet_slot, inlet_vel) = poiseuille_profile_for(&mesh, &config);
-        let inlet_vel_f32 = inlet_vel
-            .iter()
-            .map(|v| [v[0] as f32, v[1] as f32, v[2] as f32])
-            .collect();
-        let kinds = KindLists::build(&mesh);
-
         Self {
+            kinds: KindLists::build(&mesh),
             mesh,
             store,
-            omega: 1.0 / config.tau,
             config,
-            inlet_slot,
-            inlet_vel,
-            inlet_vel_f32,
-            kinds,
             steps_taken: 0,
             obs: SolverObs::from_registry(registry),
         }
@@ -729,64 +791,54 @@ impl Solver {
 /// Prescribed inlet velocities for a mesh: a parabolic (Poiseuille) profile
 /// over the inlet cross-section. Returns a per-cell slot vector
 /// (`u32::MAX` for non-inlet cells) and the per-inlet-cell velocities.
-/// Shared by [`Solver`] and [`crate::ranked::RankedSolver`] so the two
-/// impose bitwise-identical boundary data.
-pub fn poiseuille_profile_for(
-    mesh: &FluidMesh,
-    config: &SolverConfig,
-) -> (Vec<u32>, Vec<[f64; 3]>) {
-    {
-        // Block-scoped to keep the body identical to the original inline
-        // implementation (bitwise-identical boundary data matters to the
-        // ranked-solver equivalence test).
-        let inlets = mesh.cells_of_type(CellType::Inlet);
-        let mut slot = vec![u32::MAX; mesh.len()];
-        if inlets.is_empty() {
-            return (slot, Vec::new());
-        }
-        let d = config.flow_dir;
-        let dn = (d.0 * d.0 + d.1 * d.1 + d.2 * d.2).sqrt();
-        assert!(dn > 0.0, "flow direction must be nonzero");
-        let d = (d.0 / dn, d.1 / dn, d.2 / dn);
-
-        // Centroid of the inlet cells.
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        let mut cz = 0.0;
-        for &cell in &inlets {
-            let (x, y, z) = mesh.coords(cell);
-            cx += x as f64;
-            cy += y as f64;
-            cz += z as f64;
-        }
-        let inv = 1.0 / inlets.len() as f64;
-        let (cx, cy, cz) = (cx * inv, cy * inv, cz * inv);
-
-        // Radial distance of each inlet cell from the flow axis.
-        let radial = |x: f64, y: f64, z: f64| -> f64 {
-            let (px, py, pz) = (x - cx, y - cy, z - cz);
-            let along = px * d.0 + py * d.1 + pz * d.2;
-            let (rx, ry, rz) = (px - along * d.0, py - along * d.1, pz - along * d.2);
-            (rx * rx + ry * ry + rz * rz).sqrt()
-        };
-        let mut r_max = 0.0f64;
-        let mut radii = Vec::with_capacity(inlets.len());
-        for &cell in &inlets {
-            let (x, y, z) = mesh.coords(cell);
-            let r = radial(x as f64, y as f64, z as f64);
-            r_max = r_max.max(r);
-            radii.push(r);
-        }
-        let r_edge = r_max + 0.5; // wall sits half a voxel beyond the last cell
-
-        let mut vel = Vec::with_capacity(inlets.len());
-        for (&cell, &r) in inlets.iter().zip(&radii) {
-            let u = config.u_max * (1.0 - (r / r_edge) * (r / r_edge));
-            slot[cell] = vel.len() as u32;
-            vel.push([u * d.0, u * d.1, u * d.2]);
-        }
-        (slot, vel)
+fn poiseuille_profile_for(mesh: &FluidMesh, config: &SolverConfig) -> (Vec<u32>, Vec<[f64; 3]>) {
+    let inlets = mesh.cells_of_type(CellType::Inlet);
+    let mut slot = vec![u32::MAX; mesh.len()];
+    if inlets.is_empty() {
+        return (slot, Vec::new());
     }
+    let d = config.flow_dir;
+    let dn = (d.0 * d.0 + d.1 * d.1 + d.2 * d.2).sqrt();
+    assert!(dn > 0.0, "flow direction must be nonzero");
+    let d = (d.0 / dn, d.1 / dn, d.2 / dn);
+
+    // Centroid of the inlet cells.
+    let mut cx = 0.0;
+    let mut cy = 0.0;
+    let mut cz = 0.0;
+    for &cell in &inlets {
+        let (x, y, z) = mesh.coords(cell);
+        cx += x as f64;
+        cy += y as f64;
+        cz += z as f64;
+    }
+    let inv = 1.0 / inlets.len() as f64;
+    let (cx, cy, cz) = (cx * inv, cy * inv, cz * inv);
+
+    // Radial distance of each inlet cell from the flow axis.
+    let radial = |x: f64, y: f64, z: f64| -> f64 {
+        let (px, py, pz) = (x - cx, y - cy, z - cz);
+        let along = px * d.0 + py * d.1 + pz * d.2;
+        let (rx, ry, rz) = (px - along * d.0, py - along * d.1, pz - along * d.2);
+        (rx * rx + ry * ry + rz * rz).sqrt()
+    };
+    let mut r_max = 0.0f64;
+    let mut radii = Vec::with_capacity(inlets.len());
+    for &cell in &inlets {
+        let (x, y, z) = mesh.coords(cell);
+        let r = radial(x as f64, y as f64, z as f64);
+        r_max = r_max.max(r);
+        radii.push(r);
+    }
+    let r_edge = r_max + 0.5; // wall sits half a voxel beyond the last cell
+
+    let mut vel = Vec::with_capacity(inlets.len());
+    for (&cell, &r) in inlets.iter().zip(&radii) {
+        let u = config.u_max * (1.0 - (r / r_edge) * (r / r_edge));
+        slot[cell] = vel.len() as u32;
+        vel.push([u * d.0, u * d.1, u * d.2]);
+    }
+    (slot, vel)
 }
 
 impl Solver {
@@ -821,7 +873,10 @@ impl Solver {
     /// memory" the per-task accounting in
     /// `hemocloud_decomp::halo::resident_bytes_per_task` prices.
     pub fn distribution_bytes(&self) -> usize {
-        self.store.len() * self.config.kernel.precision.bytes()
+        match &self.store {
+            Store::F64(lattice) => lattice.distribution_bytes(),
+            Store::F32(lattice) => lattice.distribution_bytes(),
+        }
     }
 
     /// The instruction path the hot loops execute ([`SimdPath::label`]):
@@ -830,9 +885,20 @@ impl Solver {
         self.config.simd.label()
     }
 
+    /// The logical worker count [`Solver::step`] uses: the pool's width
+    /// when parallelism is enabled and the mesh is large enough to amortize
+    /// the dispatch, else one.
+    pub(crate) fn default_workers(&self) -> usize {
+        if self.config.parallel && self.mesh.len() >= PARALLEL_THRESHOLD {
+            pool::global().threads()
+        } else {
+            1
+        }
+    }
+
     /// Advance one timestep.
     pub fn step(&mut self) {
-        self.step_with_workers(default_workers(self.config.parallel, self.mesh.len()));
+        self.step_with_workers(self.default_workers());
     }
 
     /// Advance one timestep with an explicit logical worker count (≥ 1).
@@ -841,31 +907,32 @@ impl Solver {
     /// tests can pin the schedule without a host-width pool.
     pub fn step_with_workers(&mut self, workers: usize) {
         let start = std::time::Instant::now();
+        self.advance(workers, None);
+        self.obs.record_step(&self.kinds, start.elapsed().as_secs_f64());
+    }
+
+    /// The one step path of global and ranked runs, recording no metrics.
+    /// With `owner` (the rank of each cell), a read of another rank's slot
+    /// comes from the halo [`Solver::snapshot`] took, not the live array.
+    pub(crate) fn advance(&mut self, workers: usize, owner: Option<&[u32]>) {
         let even = self.steps_taken.is_multiple_of(2);
-        let (kernel, simd) = (&self.config.kernel, self.config.simd);
-        let (mesh, kinds, inlet_slot) = (&self.mesh, &self.kinds, &self.inlet_slot[..]);
+        let (mesh, kinds, config) = (&self.mesh, &self.kinds, &self.config);
         match &mut self.store {
-            Store::F64 { f, f_tmp } => Sweep {
-                mesh,
-                kinds,
-                omega: self.omega,
-                inlet_slot,
-                inlet_vel: &self.inlet_vel,
-                remote: NoRemote,
-            }
-            .advance(kernel, even, simd, f, f_tmp, workers),
-            Store::F32 { f, f_tmp } => Sweep {
-                mesh,
-                kinds,
-                omega: self.omega as f32,
-                inlet_slot,
-                inlet_vel: &self.inlet_vel_f32,
-                remote: NoRemote,
-            }
-            .advance(kernel, even, simd, f, f_tmp, workers),
+            Store::F64(lattice) => lattice.advance(mesh, kinds, config, even, workers, owner),
+            Store::F32(lattice) => lattice.advance(mesh, kinds, config, even, workers, owner),
         }
         self.steps_taken += 1;
-        self.obs.record_step(&self.kinds, start.elapsed().as_secs_f64());
+    }
+
+    /// The exchange phase of a ranked step: copy every distribution of
+    /// `cells` into the halo snapshot that [`Solver::advance`] reads other
+    /// ranks' slots from.
+    pub(crate) fn snapshot(&mut self, cells: &[u32]) {
+        let (layout, n) = (self.config.kernel.layout, self.mesh.len());
+        match &mut self.store {
+            Store::F64(lattice) => lattice.snapshot(layout, n, cells),
+            Store::F32(lattice) => lattice.snapshot(layout, n, cells),
+        }
     }
 
     /// Run `steps` timesteps and report throughput.
@@ -897,24 +964,13 @@ impl Solver {
             self.in_natural_order(),
             "AA state is only readable after an even number of steps"
         );
-        let n = self.mesh.len();
-        let layout = self.config.kernel.layout;
-        let mut row = [0.0f64; Q19];
-        match &self.store {
-            Store::F64 { f, .. } => {
-                for (q, v) in row.iter_mut().enumerate() {
-                    *v = f[flat_index(layout, cell, q, n)];
-                }
-            }
-            Store::F32 { f, .. } => {
-                // Widen the stored f32 row once; the moment arithmetic then
-                // runs in f64 so readout roundoff never stacks on storage
-                // roundoff.
-                for (q, v) in row.iter_mut().enumerate() {
-                    *v = f[flat_index(layout, cell, q, n)] as f64;
-                }
-            }
-        }
+        let (layout, n) = (self.config.kernel.layout, self.mesh.len());
+        // Widen the stored row once; the moment arithmetic then runs in f64
+        // so readout roundoff never stacks on f32 storage roundoff.
+        let row = match &self.store {
+            Store::F64(lattice) => widen_row(&lattice.f, layout, cell, n),
+            Store::F32(lattice) => widen_row(&lattice.f, layout, cell, n),
+        };
         macroscopics_d3q19(&row)
     }
 
@@ -939,8 +995,8 @@ impl Solver {
         let n = self.mesh.len();
         let layout = self.config.kernel.layout;
         let fin = match &self.store {
-            Store::F64 { f, .. } => widen_gather(&self.mesh, f, layout, cell, n),
-            Store::F32 { f, .. } => widen_gather(&self.mesh, f, layout, cell, n),
+            Store::F64(lattice) => widen_gather(&self.mesh, &lattice.f, layout, cell, n),
+            Store::F32(lattice) => widen_gather(&self.mesh, &lattice.f, layout, cell, n),
         };
         macroscopics_d3q19(&fin)
     }
@@ -969,8 +1025,8 @@ impl Solver {
     /// [`Solver::distributions_f32`].
     pub fn distributions(&self) -> &[f64] {
         match &self.store {
-            Store::F64 { f, .. } => f,
-            Store::F32 { .. } => {
+            Store::F64(lattice) => &lattice.f,
+            Store::F32(_) => {
                 panic!("distributions() is f64; this solver stores f32 — use distributions_f32()")
             }
         }
@@ -983,8 +1039,8 @@ impl Solver {
     /// Panics for f64 solvers.
     pub fn distributions_f32(&self) -> &[f32] {
         match &self.store {
-            Store::F32 { f, .. } => f,
-            Store::F64 { .. } => {
+            Store::F32(lattice) => &lattice.f,
+            Store::F64(_) => {
                 panic!("distributions_f32() is f32; this solver stores f64 — use distributions()")
             }
         }
@@ -1000,10 +1056,15 @@ impl Solver {
             "AA state is only writable after an even number of steps"
         );
         match &mut self.store {
-            Store::F64 { f, .. } => f[0] += delta,
-            Store::F32 { f, .. } => f[0] += delta as f32,
+            Store::F64(lattice) => lattice.f[0] += delta,
+            Store::F32(lattice) => lattice.f[0] += delta as f32,
         }
     }
+}
+
+/// One cell's stored row in natural direction order, widened to f64.
+fn widen_row<R: Real>(f: &[R], layout: Layout, cell: usize, n: usize) -> [f64; Q19] {
+    std::array::from_fn(|q| f[flat_index(layout, cell, q, n)].to_f64())
 }
 
 /// Post-stream gather of one cell's row, widened to f64 for readout.
@@ -1302,16 +1363,15 @@ pub(crate) mod tests {
             .with_dimensions(4.0, 12.0)
             .with_resolution(12)
             .build();
-        let mesh = FluidMesh::build(&g);
-        let s = Solver::new(mesh, SolverConfig::default());
+        let config = SolverConfig::default();
+        let (_, vel) = poiseuille_profile_for(&FluidMesh::build(&g), &config);
         // Peak prescribed velocity is near u_max, edge velocities near 0.
-        let peak = s
-            .inlet_vel
+        let peak = vel
             .iter()
             .map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt())
             .fold(0.0f64, f64::max);
-        assert!(peak > 0.8 * s.config.u_max, "peak = {peak}");
-        assert!(peak <= s.config.u_max + 1e-12);
+        assert!(peak > 0.8 * config.u_max, "peak = {peak}");
+        assert!(peak <= config.u_max + 1e-12);
     }
 
     #[test]
@@ -1447,10 +1507,10 @@ pub(crate) mod tests {
     pub(crate) const ORACLE_STEPS: usize = 13;
 
     /// The raw stored distributions, whatever the precision.
-    fn stored_bits(s: &Solver) -> Vec<u64> {
+    pub(crate) fn stored_bits(s: &Solver) -> Vec<u64> {
         match &s.store {
-            Store::F64 { f, .. } => f.iter().map(|v| v.to_bits()).collect(),
-            Store::F32 { f, .. } => f.iter().map(|v| u64::from(v.to_bits())).collect(),
+            Store::F64(lattice) => lattice.f.iter().map(|v| v.to_bits()).collect(),
+            Store::F32(lattice) => lattice.f.iter().map(|v| u64::from(v.to_bits())).collect(),
         }
     }
 

@@ -21,7 +21,8 @@
 //! on the same pool.
 
 use crate::timing::best_of;
-use hemocloud_rt::pool::{self, SendPtr};
+use hemocloud_rt::pool;
+use std::sync::Mutex;
 
 /// The four STREAM kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,35 +89,24 @@ pub fn stream_kernel(
     let mut b = vec![2.0f64; elements];
     let mut c = vec![0.0f64; elements];
 
-    // Disjoint per-worker ranges of all three arrays, executed as one job
-    // on the persistent shared pool per repetition — STREAM must measure
-    // memory bandwidth, not per-measurement thread spawn/join overhead.
+    // Worker w's share of all three arrays, split once before timing and
+    // executed as one job on the persistent shared pool per repetition —
+    // STREAM must measure memory bandwidth, not per-measurement thread
+    // spawn/join overhead. Each share sits behind its own lock, which only
+    // its run takes, once per repetition.
     let pool = pool::global();
-    let (pa, pb, pc) = (
-        SendPtr(a.as_mut_ptr()),
-        SendPtr(b.as_mut_ptr()),
-        SendPtr(c.as_mut_ptr()),
-    );
+    let shares: Vec<_> = shares(&mut a, threads)
+        .into_iter()
+        .zip(shares(&mut b, threads))
+        .zip(shares(&mut c, threads))
+        .map(|((a, b), c)| Mutex::new((a, b, c)))
+        .collect();
     let seconds = best_of(reps, || {
-        pool.run(threads, &move |w: usize| {
-            // Rebind so the closure captures the `SendPtr`s themselves
-            // rather than their raw (non-Sync) fields.
-            let (pa, pb, pc) = (pa, pb, pc);
-            // Balanced split: worker w owns `[start, start + len)`.
-            let base = elements / threads;
-            let extra = elements % threads;
-            let start = w * base + w.min(extra);
-            let len = base + usize::from(w < extra);
-            // SAFETY: worker ranges tile `0..elements` disjointly, and
-            // `pool.run` blocks until every worker finishes, keeping the
-            // arrays' borrows alive for the duration.
-            let (ca, cb, cc) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pa.0.add(start), len),
-                    std::slice::from_raw_parts_mut(pb.0.add(start), len),
-                    std::slice::from_raw_parts_mut(pc.0.add(start), len),
-                )
-            };
+        pool.run(threads, &|w: usize| {
+            let mut share = shares[w]
+                .lock()
+                .expect("a STREAM share is locked by its run only");
+            let (ca, cb, cc) = &mut *share;
             match kernel {
                 StreamKernel::Copy => {
                     for (x, y) in cc.iter_mut().zip(ca.iter()) {
@@ -141,6 +131,7 @@ pub fn stream_kernel(
             }
         });
     });
+    drop(shares);
     std::hint::black_box((&a, &b, &c));
 
     let bytes = kernel.bytes_per_element() * elements;
@@ -150,6 +141,20 @@ pub fn stream_kernel(
         elements,
         bandwidth_mb_s: bytes as f64 / seconds / 1e6,
     }
+}
+
+/// `data` cut into `workers` consecutive shares: the balanced runs of
+/// [`pool::balanced_runs`].
+fn shares(mut data: &mut [f64], workers: usize) -> Vec<&mut [f64]> {
+    let n = data.len();
+    (0..workers)
+        .map(|w| {
+            let (_, len) = pool::balanced_runs(n, workers, w);
+            let (share, rest) = std::mem::take(&mut data).split_at_mut(len);
+            data = rest;
+            share
+        })
+        .collect()
 }
 
 /// Copy-kernel sweep over thread counts — the host-machine analog of the

@@ -59,28 +59,6 @@ use std::time::Instant;
 
 use hemocloud_obs::{Counter, Histogram, HistogramKind};
 
-/// A raw pointer that may cross thread boundaries. Used to hand disjoint
-/// sub-slices of one allocation to the runs of a [`Pool::run`] job (the
-/// STREAM microbenchmark's arrays); the caller is responsible for ensuring
-/// the ranges touched by different runs do not overlap.
-pub struct SendPtr<T>(pub *mut T);
-
-// Manual impls: the derived ones would needlessly bound `T: Copy`.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: the one field is a plain address; moving it to another thread
-// touches no `T`. Every dereference is the caller's to justify: they must
-// keep the ranges different threads touch disjoint (type docs). `T: Send`
-// because those threads then write `T`s.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as for `Send` — sharing the address shares no `T` either.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
 /// A shared view of one mutable slice that many logical workers may read
 /// and write **concurrently**, under an owner-computes contract the caller
 /// upholds: the job associates every *item* (e.g. a mesh cell) with a set

@@ -10,11 +10,7 @@
 use std::path::{Path, PathBuf};
 
 /// Code sites per file, relative to `crates/`. Every other file has none.
-const PINNED: &[(&str, usize)] = &[
-    ("lbm/src/solver.rs", 2),
-    ("microbench/src/stream.rs", 1),
-    ("rt/src/pool.rs", 11),
-];
+const PINNED: &[(&str, usize)] = &[("lbm/src/solver.rs", 2), ("rt/src/pool.rs", 9)];
 
 fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source directory") {

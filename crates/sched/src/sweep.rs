@@ -170,11 +170,6 @@ impl SweepGrid {
         }
         cells
     }
-
-    /// Number of cells in the grid.
-    pub fn cell_count(&self) -> usize {
-        self.cells().len()
-    }
 }
 
 /// One point of a [`SweepGrid`]: a value on each axis.

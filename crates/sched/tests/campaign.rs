@@ -9,18 +9,20 @@ use hemocloud_cluster::platform::Platform;
 use hemocloud_core::dashboard::Objective;
 use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
+use hemocloud_obs::Snapshot;
 use hemocloud_sched::{
-    run_demo, Campaign, CampaignConfig, CampaignReport, JobSpec, PoolSpec,
+    audit, demo_jobs, demo_pools, run_demo, run_demo_with_obs, Campaign, CampaignConfig,
+    CampaignReport, JobSpec, PoolSpec,
 };
 
 /// The demo campaign is expensive in debug builds; run it once and share
-/// the report (and its JSON) across tests.
-fn demo() -> &'static (CampaignReport, String) {
-    static DEMO: OnceLock<(CampaignReport, String)> = OnceLock::new();
+/// the report, its JSON and its metrics snapshot across tests.
+fn demo() -> &'static (CampaignReport, String, Snapshot) {
+    static DEMO: OnceLock<(CampaignReport, String, Snapshot)> = OnceLock::new();
     DEMO.get_or_init(|| {
-        let report = run_demo(42);
+        let (report, obs) = run_demo_with_obs(42);
         let json = report.to_json();
-        (report, json)
+        (report, json, obs)
     })
 }
 
@@ -96,14 +98,25 @@ fn assert_accumulators_match_the_placement_log(report: &CampaignReport) {
 
 #[test]
 fn demo_campaign_is_byte_for_byte_reproducible() {
-    let (_, first) = demo();
+    let (_, first, _) = demo();
     let second = run_demo(42).to_json();
     assert_eq!(first, &second, "same seed must produce identical reports");
 }
 
 #[test]
+fn demo_campaign_passes_the_audit() {
+    // The committed demo campaign is judged by the same checker table as
+    // every sweep cell and the fabric demo; it kills runaways, so the
+    // guard-limit rebuild is armed.
+    let (report, _, obs) = demo();
+    let audit = audit(report, &demo_jobs(), &demo_pools(), obs);
+    assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+    assert!(audit.guard_exact_checks >= 1, "no guard limit was rebuilt");
+}
+
+#[test]
 fn demo_campaign_meets_the_acceptance_invariants() {
-    let (report, _) = demo();
+    let (report, _, _) = demo();
     // Scale floors.
     assert!(report.jobs >= 20, "jobs {}", report.jobs);
     assert!(report.platforms.len() >= 3, "platforms {}", report.platforms.len());
@@ -151,7 +164,7 @@ fn demo_campaign_meets_the_acceptance_invariants() {
 
 #[test]
 fn demo_runaways_are_guard_killed_and_doomed_budget_is_rejected() {
-    let (report, _) = demo();
+    let (report, _, _) = demo();
     for j in &report.job_reports {
         if j.name.starts_with("runaway-") {
             assert_eq!(j.outcome.label(), "guard_killed", "{}", j.name);
@@ -167,7 +180,7 @@ fn demo_runaways_are_guard_killed_and_doomed_budget_is_rejected() {
 
 #[test]
 fn demo_utilization_respects_pool_capacity() {
-    let (report, _) = demo();
+    let (report, _, _) = demo();
     for p in &report.platforms {
         assert!(
             p.utilization <= 1.0 + 1e-9,
@@ -422,7 +435,6 @@ fn capped_logs_keep_exact_campaign_aggregates() {
 #[test]
 fn campaign_obs_snapshot_is_deterministic_and_matches_report() {
     use hemocloud_obs::{Render, Sample};
-    use hemocloud_sched::run_demo_with_obs;
 
     let (report, snap) = run_demo_with_obs(42);
     // Counters agree with the report's own accounting.

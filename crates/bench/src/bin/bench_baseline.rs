@@ -472,10 +472,9 @@ fn main() {
     // timing-dependent step totals would otherwise leak into it.
     let snapshot = &baseline.obs;
     println!(
-        "bench_baseline: metrics snapshot ({} entries):",
+        "bench_baseline: metrics snapshot: {} entries",
         snapshot.entries().len()
     );
-    print!("{}", snapshot.to_text(hemocloud_obs::Render::Deterministic));
     provenance::write_artifact(
         "OBS_bench.json",
         &snapshot.to_json(hemocloud_obs::Render::Deterministic),

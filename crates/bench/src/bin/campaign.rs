@@ -50,8 +50,7 @@ fn main() {
     // the process-global registry collected along the way (disjoint name
     // spaces: sched.* vs pool.*/lbm.*).
     let snapshot = obs.clone().merged_with(hemocloud_obs::global().snapshot());
-    println!("  metrics snapshot ({} entries):", snapshot.entries().len());
-    print!("{}", snapshot.to_text(hemocloud_obs::Render::Deterministic));
+    println!("  metrics snapshot: {} entries", snapshot.entries().len());
     provenance::write_artifact(
         "OBS_campaign.json",
         &snapshot.to_json(hemocloud_obs::Render::Deterministic),

@@ -71,7 +71,7 @@ pub struct Platform {
     pub abbrev: &'static str,
     /// CPU model string (Table I).
     pub cpu: &'static str,
-    /// Clock, GHz (Table I).
+    /// CPU clock rate, GHz (Table I).
     pub clock_ghz: f64,
     /// Total cores available on the instance/allocation (Table I).
     pub total_cores: usize,

@@ -88,22 +88,6 @@ pub trait Sdf {
     fn distance(&self, p: Vec3) -> f64;
 }
 
-/// A sphere.
-#[derive(Debug, Clone, Copy)]
-pub struct Sphere {
-    /// Centre.
-    pub center: Vec3,
-    /// Radius (mm).
-    pub radius: f64,
-}
-
-impl Sdf for Sphere {
-    #[inline]
-    fn distance(&self, p: Vec3) -> f64 {
-        p.sub(self.center).norm() - self.radius
-    }
-}
-
 /// A line segment swept by a linearly varying radius: a tapered capsule.
 ///
 /// This is the building block for vessels: `radius_a` at endpoint `a`
@@ -139,66 +123,6 @@ impl Sdf for TaperedCapsule {
     }
 }
 
-/// The union of a collection of shapes: minimum of their distances.
-pub struct Union<S> {
-    shapes: Vec<S>,
-}
-
-impl<S: Sdf> Union<S> {
-    /// Build a union; empty unions are permitted and are "nowhere"
-    /// (distance +∞).
-    pub fn new(shapes: Vec<S>) -> Self {
-        Self { shapes }
-    }
-
-    /// Add a shape to the union.
-    pub fn push(&mut self, s: S) {
-        self.shapes.push(s);
-    }
-
-    /// Number of member shapes.
-    pub fn len(&self) -> usize {
-        self.shapes.len()
-    }
-
-    /// Whether the union has no members.
-    pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
-    }
-}
-
-impl<S: Sdf> Sdf for Union<S> {
-    #[inline]
-    fn distance(&self, p: Vec3) -> f64 {
-        self.shapes
-            .iter()
-            .map(|s| s.distance(p))
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// An infinite cylinder along an axis through `origin` with direction
-/// `axis` (unit) and constant `radius`. Used for the idealized vessel.
-#[derive(Debug, Clone, Copy)]
-pub struct InfiniteCylinder {
-    /// A point on the axis.
-    pub origin: Vec3,
-    /// Unit axis direction.
-    pub axis: Vec3,
-    /// Radius (mm).
-    pub radius: f64,
-}
-
-impl Sdf for InfiniteCylinder {
-    #[inline]
-    fn distance(&self, p: Vec3) -> f64 {
-        let d = p.sub(self.origin);
-        let along = d.dot(self.axis);
-        let radial = d.sub(self.axis.scale(along));
-        radial.norm() - self.radius
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,17 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn sphere_distance_sign() {
-        let s = Sphere {
-            center: Vec3::new(0.0, 0.0, 0.0),
-            radius: 2.0,
-        };
-        assert!(s.distance(Vec3::new(0.0, 0.0, 0.0)) < 0.0);
-        assert!(s.distance(Vec3::new(3.0, 0.0, 0.0)) > 0.0);
-        assert!(s.distance(Vec3::new(2.0, 0.0, 0.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn capsule_reduces_to_sphere_on_degenerate_segment() {
         let c = TaperedCapsule {
             a: Vec3::new(1.0, 1.0, 1.0),
@@ -234,16 +147,13 @@ mod tests {
             radius_a: 0.5,
             radius_b: 0.5,
         };
-        let s = Sphere {
-            center: Vec3::new(1.0, 1.0, 1.0),
-            radius: 0.5,
-        };
         for p in [
             Vec3::new(0.0, 0.0, 0.0),
             Vec3::new(1.2, 1.0, 1.0),
             Vec3::new(5.0, -2.0, 3.0),
         ] {
-            assert!((c.distance(p) - s.distance(p)).abs() < 1e-12);
+            let sphere = p.sub(c.a).norm() - 0.5;
+            assert!((c.distance(p) - sphere).abs() < 1e-12);
         }
     }
 
@@ -272,43 +182,5 @@ mod tests {
         };
         // Beyond endpoint b, distance is measured to the cap.
         assert!((c.distance(Vec3::new(12.0, 0.0, 0.0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_takes_minimum() {
-        let u = Union::new(vec![
-            Sphere {
-                center: Vec3::new(0.0, 0.0, 0.0),
-                radius: 1.0,
-            },
-            Sphere {
-                center: Vec3::new(10.0, 0.0, 0.0),
-                radius: 1.0,
-            },
-        ]);
-        assert!(u.distance(Vec3::new(0.0, 0.0, 0.0)) < 0.0);
-        assert!(u.distance(Vec3::new(10.0, 0.0, 0.0)) < 0.0);
-        assert!(u.distance(Vec3::new(5.0, 0.0, 0.0)) > 0.0);
-    }
-
-    #[test]
-    fn empty_union_is_nowhere() {
-        let u: Union<Sphere> = Union::new(vec![]);
-        assert!(u.is_empty());
-        assert_eq!(u.distance(Vec3::new(0.0, 0.0, 0.0)), f64::INFINITY);
-    }
-
-    #[test]
-    fn infinite_cylinder_distance() {
-        let c = InfiniteCylinder {
-            origin: Vec3::new(0.0, 0.0, 0.0),
-            axis: Vec3::new(0.0, 0.0, 1.0),
-            radius: 2.0,
-        };
-        // Distance is purely radial, independent of z.
-        for z in [-100.0, 0.0, 55.0] {
-            assert!((c.distance(Vec3::new(2.0, 0.0, z))).abs() < 1e-12);
-            assert!((c.distance(Vec3::new(5.0, 0.0, z)) - 3.0).abs() < 1e-12);
-        }
     }
 }

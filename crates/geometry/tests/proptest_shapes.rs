@@ -2,7 +2,7 @@
 //! properties that must hold for arbitrary shapes and query points.
 //! Historic failing seeds are committed as explicit `regression_*` tests.
 
-use hemocloud_geometry::shapes::{Sdf, Sphere, TaperedCapsule, Union, Vec3};
+use hemocloud_geometry::shapes::{Sdf, TaperedCapsule, Vec3};
 use hemocloud_geometry::tube::{Tube, VesselNetwork};
 use hemocloud_geometry::voxel::CellType;
 use hemocloud_rt::check::{self, Config};
@@ -23,23 +23,6 @@ fn capsule(rng: &mut Rng) -> TaperedCapsule {
         radius_a: rng.range_f64(0.5, 4.0),
         radius_b: rng.range_f64(0.5, 4.0),
     }
-}
-
-#[test]
-fn sphere_sdf_is_one_lipschitz() {
-    check::run("sphere_sdf_is_one_lipschitz", Config::cases(64), |rng| {
-        // |d(p) - d(q)| <= |p - q| for any true distance field.
-        let p = vec3(rng);
-        let q = vec3(rng);
-        let r = rng.range_f64(0.5, 5.0);
-        let s = Sphere {
-            center: Vec3::new(1.0, -2.0, 3.0),
-            radius: r,
-        };
-        let lhs = (s.distance(p) - s.distance(q)).abs();
-        let rhs = p.sub(q).norm();
-        assert!(lhs <= rhs + 1e-9, "lipschitz violated: {lhs} > {rhs}");
-    });
 }
 
 #[test]
@@ -90,21 +73,6 @@ fn capsule_is_symmetric_in_endpoint_order() {
             assert!((c.distance(p) - flipped.distance(p)).abs() < 1e-9);
         },
     );
-}
-
-#[test]
-fn union_distance_is_min_of_members() {
-    check::run("union_distance_is_min_of_members", Config::cases(64), |rng| {
-        let n = rng.range_usize(1, 5);
-        let cs: Vec<TaperedCapsule> = (0..n).map(|_| capsule(rng)).collect();
-        let p = vec3(rng);
-        let member_min = cs
-            .iter()
-            .map(|c| c.distance(p))
-            .fold(f64::INFINITY, f64::min);
-        let u = Union::new(cs);
-        assert!((u.distance(p) - member_min).abs() < 1e-12);
-    });
 }
 
 /// The invariants `voxelized_tube_fluid_cells_are_inside_the_sdf` asserts,

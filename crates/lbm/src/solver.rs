@@ -102,7 +102,7 @@ use crate::lattice::{opposite, Q19};
 use crate::mesh::{FluidMesh, SOLID};
 use crate::real::Real;
 use hemocloud_geometry::voxel::CellType;
-use hemocloud_obs::{Counter, Histogram, HistogramKind, Registry};
+use hemocloud_obs::{Counter, Histogram, Registry};
 use hemocloud_rt::pool::{self, DisjointMut};
 use hemocloud_rt::simd::Lane;
 use std::sync::Arc;
@@ -308,14 +308,9 @@ impl SolverObs {
             cells_bulk: reg.counter("lbm.cell_updates.bulk"),
             cells_inlet: reg.counter("lbm.cell_updates.inlet"),
             cells_outlet: reg.counter("lbm.cell_updates.outlet"),
-            step_seconds: reg.histogram(
-                "lbm.step_seconds",
-                HistogramKind::WallTime,
-                &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0],
-            ),
+            step_seconds: reg.histogram("lbm.step_seconds", &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]),
             step_mflups: reg.histogram(
                 "lbm.step_mflups",
-                HistogramKind::WallTime,
                 &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
             ),
         }

@@ -1,30 +1,31 @@
 //! # hemocloud-obs
 //!
-//! Zero-dependency, deterministic metrics + tracing for the hemocloud
-//! workspace. The paper's whole method is *measured* performance feeding
-//! a model (Eqs. 6-16) and a cost dashboard (Eq. 17); this crate is the
+//! Zero-dependency, deterministic metrics for the hemocloud workspace.
+//! The paper's whole method is *measured* performance feeding a model
+//! (Eqs. 6-16) and a cost dashboard (Eq. 17); this crate is the
 //! measurement substrate the runtime, solver, and campaign scheduler
 //! record into, with one hard requirement the usual telemetry stacks do
 //! not have: **two identical seeded runs must export byte-for-byte
 //! identical snapshots**, so the verify gate can diff them.
 //!
-//! The design splits into four pieces:
+//! The design splits into three pieces:
 //!
-//! * [`clock`] — a pluggable [`Clock`] trait. Real runs use the
-//!   monotonic [`WallClock`]; the discrete-event scheduler injects a
-//!   [`ManualClock`] driven by its *virtual* event time (wall time in a
-//!   simulated campaign would be meaningless and nondeterministic);
-//!   tests use a `ManualClock` they advance by hand.
 //! * [`metric`] — lock-free instruments ([`Counter`], [`Gauge`],
 //!   [`Histogram`], [`SpanTotal`]) built on atomics so `rt::pool`
-//!   workers can record from the hot path without taking a lock.
-//! * [`registry`] — a lock-sharded name → instrument map. Only
-//!   get-or-create takes a (sharded) lock; recording goes through the
-//!   returned `Arc` handle.
-//! * [`snapshot`] — merges every shard into one sorted map and renders
-//!   it as text or JSON. The [`Render::Deterministic`] mode omits
+//!   workers can record from the hot path without taking a lock. The
+//!   crate reads no clock: callers time their own work and record
+//!   seconds. Histograms hold wall-clock samples (`rt::pool` and the
+//!   solver read `Instant`); span totals hold virtual-time durations
+//!   (the scheduler's event clock).
+//! * [`registry`] — a name → instrument map behind one lock. Only
+//!   get-or-create takes it; recording goes through the returned `Arc`
+//!   handle, which hot paths fetch once.
+//! * [`snapshot`] — copies every instrument into one sorted map and
+//!   renders it as JSON. The [`Render::Deterministic`] mode omits
 //!   anything interleaving- or wall-clock-dependent (see below);
 //!   [`Render::Full`] adds the diagnostic wall-time statistics.
+//!
+//! [`json`] is the workspace's one JSON writer and reader.
 //!
 //! ## The determinism contract
 //!
@@ -32,14 +33,12 @@
 //! because every exported quantity is order-independent:
 //!
 //! * counter adds commute (atomic `u64` adds);
-//! * value-histogram bucket counts, `count`, `min`, and `max` depend
-//!   only on the *multiset* of recorded samples, never on interleaving
-//!   (the f64 `sum` does not — it is rendered only in [`Render::Full`]);
-//! * wall-clock-derived samples ([`HistogramKind::WallTime`], and spans
-//!   timed by a nondeterministic clock) export only their sample
-//!   *count* in deterministic renders — the count is fixed by the
-//!   program (one sample per pool run, per solver step, ...) while the
-//!   values are not;
+//! * a histogram exports only its sample *count* in deterministic
+//!   renders — the count is fixed by the program (one sample per pool
+//!   run, per solver step, ...) while the wall-clock values are not;
+//! * span totals export `count` and `total_s`: their durations come from
+//!   the scheduler's virtual clock and are recorded by its serial event
+//!   loop, so even the f64 total is reproducible;
 //! * gauges must only be set from single-threaded deterministic code
 //!   (last-write-wins is racy otherwise) — the workspace only sets them
 //!   from the scheduler's serial event loop.
@@ -47,15 +46,11 @@
 //! No timestamp, hostname, or environment detail is ever recorded
 //! unless the caller injects it.
 
-pub mod clock;
 pub mod json;
 pub mod metric;
 pub mod registry;
 pub mod snapshot;
-pub mod span;
 
-pub use clock::{Clock, ManualClock, WallClock};
-pub use metric::{Counter, Gauge, Histogram, HistogramKind, SpanTotal};
+pub use metric::{Counter, Gauge, Histogram, SpanTotal};
 pub use registry::{global, Registry};
 pub use snapshot::{Render, Sample, Snapshot};
-pub use span::SpanGuard;

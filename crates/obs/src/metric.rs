@@ -2,9 +2,10 @@
 //! and span totals.
 //!
 //! All instruments record through atomics so `rt::pool` workers can hit
-//! them from the hot path without locks. Each one is careful about
-//! *which* of its statistics are interleaving-independent — that set is
-//! what deterministic snapshots export (see [`crate::snapshot`]).
+//! them from the hot path without locks. None reads a clock: callers
+//! measure durations themselves and record seconds. Each instrument is
+//! careful about *which* of its statistics are reproducible — that set
+//! is what deterministic snapshots export (see [`crate::snapshot`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,30 +109,17 @@ impl Gauge {
     }
 }
 
-/// What a histogram's samples are derived from — this decides how much
-/// of it a deterministic snapshot may export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistogramKind {
-    /// Samples are pure function-of-input values (byte counts, virtual
-    /// durations): bucket counts, `count`, `min`, and `max` are all
-    /// order-independent and export deterministically.
-    Value,
-    /// Samples are wall-clock measurements: only the sample *count* is
-    /// reproducible across runs; everything else is diagnostic and
-    /// exports only in full renders.
-    WallTime,
-}
-
-/// A fixed-bucket histogram.
+/// A fixed-bucket histogram of wall-clock samples.
 ///
 /// Bucket `i` counts samples `v <= bounds[i]` (first matching bound);
 /// one implicit overflow bucket catches the rest. Bounds are fixed at
 /// construction so two runs always agree on the bucketing. Non-finite
 /// samples are counted into the overflow bucket and excluded from
-/// `min`/`max`/`sum`, so one NaN cannot poison the statistics.
+/// `min`/`max`/`sum`, so one NaN cannot poison the statistics. Only the
+/// sample count is reproducible across runs, so only it exports in
+/// deterministic snapshots.
 #[derive(Debug)]
 pub struct Histogram {
-    kind: HistogramKind,
     bounds: Vec<f64>,
     /// `bounds.len() + 1` cells; the last is the overflow bucket.
     counts: Vec<AtomicU64>,
@@ -147,13 +135,12 @@ impl Histogram {
     ///
     /// # Panics
     /// On unsorted or non-finite bounds.
-    pub fn new(kind: HistogramKind, bounds: &[f64]) -> Self {
+    pub fn new(bounds: &[f64]) -> Self {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
             "histogram bounds must be finite and strictly increasing: {bounds:?}"
         );
         Self {
-            kind,
             bounds: bounds.to_vec(),
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -161,11 +148,6 @@ impl Histogram {
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
-    }
-
-    /// The histogram's sample provenance.
-    pub fn kind(&self) -> HistogramKind {
-        self.kind
     }
 
     /// The configured bucket upper bounds (exclusive of the overflow
@@ -219,29 +201,20 @@ impl Histogram {
 /// Accumulated time under one span name: invocation count plus total
 /// elapsed seconds.
 ///
-/// `deterministic` records which kind of clock fed it — virtual-clock
-/// spans (the scheduler) export fully, wall-clock spans export only
-/// their count in deterministic renders.
-#[derive(Debug)]
+/// The durations come from a deterministic clock (the scheduler's
+/// virtual event time) and are recorded serially, so both statistics
+/// export in every render.
+#[derive(Debug, Default)]
 pub struct SpanTotal {
-    deterministic: bool,
     count: AtomicU64,
+    /// `0.0`'s bits are zero, so the derived default is an empty total.
     total_s_bits: AtomicU64,
 }
 
 impl SpanTotal {
-    /// An empty total; `deterministic` declares the feeding clock.
-    pub fn new(deterministic: bool) -> Self {
-        Self {
-            deterministic,
-            count: AtomicU64::new(0),
-            total_s_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Whether this span's durations come from a deterministic clock.
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
+    /// An empty total.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Record one completed span of `elapsed_s` seconds.
@@ -283,7 +256,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_count_min_max() {
-        let h = Histogram::new(HistogramKind::Value, &[1.0, 10.0]);
+        let h = Histogram::new(&[1.0, 10.0]);
         for v in [0.5, 1.0, 5.0, 100.0] {
             h.record(v);
         }
@@ -297,7 +270,7 @@ mod tests {
 
     #[test]
     fn histogram_nonfinite_goes_to_overflow_without_poisoning() {
-        let h = Histogram::new(HistogramKind::Value, &[1.0]);
+        let h = Histogram::new(&[1.0]);
         h.record(0.5);
         h.record(f64::NAN);
         h.record(f64::INFINITY);
@@ -311,24 +284,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
-        Histogram::new(HistogramKind::Value, &[2.0, 1.0]);
+        Histogram::new(&[2.0, 1.0]);
     }
 
     #[test]
     fn span_total_accumulates() {
-        let s = SpanTotal::new(true);
+        let s = SpanTotal::new();
         s.record_s(1.5);
         s.record_s(2.5);
         assert_eq!(s.count(), 2);
         assert_eq!(s.total_s(), 4.0);
-        assert!(s.is_deterministic());
     }
 
     #[test]
     fn concurrent_counter_and_histogram_are_exact() {
         use std::sync::Arc;
         let c = Arc::new(Counter::new());
-        let h = Arc::new(Histogram::new(HistogramKind::Value, &[8.0]));
+        let h = Arc::new(Histogram::new(&[8.0]));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let (c, h) = (Arc::clone(&c), Arc::clone(&h));

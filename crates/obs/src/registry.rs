@@ -1,21 +1,15 @@
-//! The lock-sharded name → instrument registry.
+//! The name → instrument registry.
 //!
-//! Get-or-create takes one shard lock (name-hashed, so unrelated
-//! instruments never contend); the returned `Arc` handle records
-//! lock-free thereafter. Callers on hot paths fetch their handles once
-//! (e.g. at `Solver::new`) and never touch the registry again.
+//! One lock guards the map and only get-or-create takes it; the
+//! returned `Arc` handle records lock-free thereafter. Callers on hot
+//! paths fetch their handles once (e.g. at `Solver::new`) and never
+//! touch the registry again, so the lock is never contended in a loop.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::clock::Clock;
-use crate::metric::{Counter, Gauge, Histogram, HistogramKind, SpanTotal};
+use crate::metric::{Counter, Gauge, Histogram, SpanTotal};
 use crate::snapshot::{Sample, Snapshot};
-use crate::span::SpanGuard;
-
-/// Enough shards that the pool's worker count never queues on
-/// get-or-create; snapshots visit all of them in index order.
-const SHARD_COUNT: usize = 16;
 
 /// One registered instrument.
 #[derive(Debug, Clone)]
@@ -46,18 +40,7 @@ impl Metric {
 /// stay isolated under `cargo test`'s thread-level parallelism.
 #[derive(Debug, Default)]
 pub struct Registry {
-    shards: [Mutex<BTreeMap<String, Metric>>; SHARD_COUNT],
-}
-
-/// FNV-1a; any stable hash works, `DefaultHasher` is explicitly not
-/// guaranteed stable across Rust releases.
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARD_COUNT as u64) as usize
+    metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl Registry {
@@ -66,13 +49,20 @@ impl Registry {
         Self::default()
     }
 
+    /// The map. A panic while the lock was held (an instrument
+    /// constructor rejecting its arguments) happened before the map was
+    /// written, so a poisoned map is still consistent and is recovered.
+    fn metrics(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let mut shard = self.shards[shard_of(name)].lock().expect("obs shard poisoned");
-        if let Some(metric) = shard.get(name) {
+        let mut metrics = self.metrics();
+        if let Some(metric) = metrics.get(name) {
             return metric.clone();
         }
         let metric = make();
-        shard.insert(name.to_string(), metric.clone());
+        metrics.insert(name.to_string(), metric.clone());
         metric
     }
 
@@ -112,18 +102,21 @@ impl Registry {
         }
     }
 
-    /// Get or create the histogram `name`. The `kind` and `bounds` of
-    /// the first registration win; later callers get the existing
-    /// instrument (bounds are part of the instrument's identity, so
-    /// disagreeing call sites would otherwise split the data).
+    /// Get or create the wall-clock histogram `name` bucketed by
+    /// `bounds`. Call sites that name the same histogram share one
+    /// instrument, so they must agree on its bounds.
     ///
     /// # Panics
-    /// If `name` is already registered as a different instrument type.
-    pub fn histogram(&self, name: &str, kind: HistogramKind, bounds: &[f64]) -> Arc<Histogram> {
-        match self.get_or_insert(name, || {
-            Metric::Histogram(Arc::new(Histogram::new(kind, bounds)))
-        }) {
-            Metric::Histogram(h) => h,
+    /// On bounds [`Histogram::new`] rejects, if `name` is already
+    /// registered as a different instrument type, or if it is a histogram
+    /// with other bounds.
+    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
+        match self.get_or_insert(name, || Metric::Histogram(Arc::new(Histogram::new(bounds)))) {
+            Metric::Histogram(h) if h.bounds() == bounds => h,
+            Metric::Histogram(h) => panic!(
+                "obs histogram {name:?} is bucketed by {:?}, not {bounds:?}",
+                h.bounds()
+            ),
             other => panic!(
                 "obs metric {name:?} is a {}, not a histogram",
                 other.type_name()
@@ -131,40 +124,27 @@ impl Registry {
         }
     }
 
-    /// Get or create the span total `name`; `deterministic` declares
-    /// the clock feeding it (first registration wins).
+    /// Get or create the span total `name`, fed virtual-clock durations.
     ///
     /// # Panics
     /// If `name` is already registered as a different instrument type.
-    pub fn span_total(&self, name: &str, deterministic: bool) -> Arc<SpanTotal> {
-        match self.get_or_insert(name, || Metric::Span(Arc::new(SpanTotal::new(deterministic)))) {
+    pub fn span_total(&self, name: &str) -> Arc<SpanTotal> {
+        match self.get_or_insert(name, || Metric::Span(Arc::new(SpanTotal::new()))) {
             Metric::Span(s) => s,
             other => panic!("obs metric {name:?} is a {}, not a span", other.type_name()),
         }
     }
 
-    /// Open a nested span named `name`, timed by `clock`. The returned
-    /// RAII guard records into a span total whose name is the
-    /// "/"-joined path of the enclosing open spans *on this thread*
-    /// (e.g. `campaign/slice/exchange`); drop it to record. Guards must
-    /// drop in LIFO order (the natural order for scoped guards).
-    pub fn scope<'c>(&self, name: &str, clock: &'c dyn Clock) -> SpanGuard<'c> {
-        let path = crate::span::push(name);
-        let total = self.span_total(&path, clock.is_deterministic());
-        SpanGuard::new(total, clock)
-    }
-
     /// Snapshot every instrument into one sorted, renderable map.
     pub fn snapshot(&self) -> Snapshot {
-        let mut entries = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("obs shard poisoned");
-            for (name, metric) in shard.iter() {
+        let entries = self
+            .metrics()
+            .iter()
+            .map(|(name, metric)| {
                 let sample = match metric {
                     Metric::Counter(c) => Sample::Counter(c.get()),
                     Metric::Gauge(g) => Sample::Gauge(g.get()),
                     Metric::Histogram(h) => Sample::Histogram {
-                        kind: h.kind(),
                         bounds: h.bounds().to_vec(),
                         counts: h.bucket_counts(),
                         count: h.count(),
@@ -173,14 +153,13 @@ impl Registry {
                         sum: h.sum(),
                     },
                     Metric::Span(s) => Sample::Span {
-                        deterministic: s.is_deterministic(),
                         count: s.count(),
                         total_s: s.total_s(),
                     },
                 };
-                entries.insert(name.clone(), sample);
-            }
-        }
+                (name.clone(), sample)
+            })
+            .collect();
         Snapshot::from_entries(entries)
     }
 }
@@ -194,7 +173,6 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn get_or_create_returns_the_same_instrument() {
@@ -215,33 +193,32 @@ mod tests {
     }
 
     #[test]
-    fn histogram_first_registration_wins() {
+    fn histogram_with_the_same_bounds_shares_one_instrument() {
         let r = Registry::new();
-        let a = r.histogram("h", HistogramKind::Value, &[1.0, 2.0]);
-        let b = r.histogram("h", HistogramKind::WallTime, &[9.0]);
-        assert_eq!(b.bounds(), a.bounds());
-        assert_eq!(b.kind(), HistogramKind::Value);
+        r.histogram("h", &[1.0, 2.0]).record(1.5);
+        let again = r.histogram("h", &[1.0, 2.0]);
+        assert_eq!(again.count(), 1);
+        assert_eq!(again.bucket_counts(), vec![0, 1, 0]);
     }
 
     #[test]
-    fn scoped_spans_nest_into_paths() {
+    #[should_panic(expected = "obs histogram \"h\" is bucketed by [1.0, 2.0], not [9.0]")]
+    fn histogram_bounds_conflicts_panic() {
         let r = Registry::new();
-        let clock = ManualClock::new(0.0);
-        {
-            let _outer = r.scope("campaign", &clock);
-            clock.advance_s(1.0);
-            {
-                let _inner = r.scope("slice", &clock);
-                clock.advance_s(2.0);
-            }
-            clock.advance_s(0.5);
-        }
-        let inner = r.span_total("campaign/slice", true);
-        assert_eq!(inner.count(), 1);
-        assert_eq!(inner.total_s(), 2.0);
-        let outer = r.span_total("campaign", true);
-        assert_eq!(outer.count(), 1);
-        assert_eq!(outer.total_s(), 3.5);
+        r.histogram("h", &[1.0, 2.0]);
+        r.histogram("h", &[9.0]);
+    }
+
+    #[test]
+    fn failed_registration_does_not_poison_the_registry() {
+        let r = Registry::new();
+        let bad = std::panic::catch_unwind(|| r.histogram("h", &[2.0, 1.0]));
+        assert!(bad.is_err(), "unsorted bounds must be rejected");
+        r.histogram("h", &[1.0]).record(0.5);
+        r.counter("c").inc();
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("c"), Some(1));
+        assert!(matches!(snap.get("h"), Some(Sample::Histogram { count: 1, .. })));
     }
 
     #[test]
@@ -257,9 +234,9 @@ mod tests {
     #[test]
     fn span_total_handles_accumulate_under_one_name() {
         let r = Registry::new();
-        r.span_total("sched.event.arrive", true).record_s(2.0);
-        r.span_total("sched.event.arrive", true).record_s(3.0);
-        let s = r.span_total("sched.event.arrive", true);
+        r.span_total("sched.event.arrive").record_s(2.0);
+        r.span_total("sched.event.arrive").record_s(3.0);
+        let s = r.span_total("sched.event.arrive");
         assert_eq!(s.count(), 2);
         assert_eq!(s.total_s(), 5.0);
     }

@@ -1,27 +1,24 @@
 //! Snapshot rendering: one sorted map of instrument samples, exported
-//! as text or JSON with no timestamps, no hashing order, and no
-//! environment leakage — byte-for-byte reproducible in
-//! [`Render::Deterministic`] mode.
+//! as JSON with no timestamps, no hashing order, and no environment
+//! leakage — byte-for-byte reproducible in [`Render::Deterministic`]
+//! mode.
 //!
 //! Floats render with Rust's shortest-roundtrip `{:?}` formatting,
 //! which is fully determined by the value's bits. A non-finite value is
-//! `NaN`/`inf` in the text form and `null` in JSON (which has no other
-//! spelling for it); the `obs` gate fails on a `null` metric, so a
-//! non-finite metric still fails loudly.
+//! `null` (JSON has no other spelling for it); the `obs` gate fails on
+//! a `null` metric, so a non-finite metric still fails loudly.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::json::{Layout, Writer};
-use crate::metric::HistogramKind;
 
 /// How much of a snapshot to export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Render {
     /// Only interleaving- and wall-clock-independent statistics: two
     /// identical seeded runs at the same worker count produce identical
-    /// bytes. Wall-time histograms and wall-clock spans export only
-    /// their sample counts; f64 sums are omitted.
+    /// bytes. Histograms (wall-clock samples) export only their sample
+    /// counts.
     Deterministic,
     /// Everything, including wall-time statistics and f64 sums — for
     /// human diagnosis, not for diffing.
@@ -47,8 +44,6 @@ pub enum Sample {
     /// A histogram's full state; `counts` has one overflow cell beyond
     /// `bounds`.
     Histogram {
-        /// Sample provenance (decides deterministic exportability).
-        kind: HistogramKind,
         /// Bucket upper bounds.
         bounds: Vec<f64>,
         /// Per-bucket counts, overflow last.
@@ -64,8 +59,6 @@ pub enum Sample {
     },
     /// A span total.
     Span {
-        /// Whether the feeding clock was deterministic.
-        deterministic: bool,
         /// Completed spans.
         count: u64,
         /// Total elapsed seconds.
@@ -127,60 +120,6 @@ impl Snapshot {
         self
     }
 
-    /// Render as one instrument per line, sorted by name.
-    pub fn to_text(&self, render: Render) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# obs snapshot ({})", render.label());
-        for (name, sample) in &self.entries {
-            match sample {
-                Sample::Counter(v) => {
-                    let _ = writeln!(out, "counter {name} {v}");
-                }
-                Sample::Gauge(v) => {
-                    let _ = writeln!(out, "gauge {name} {v:?}");
-                }
-                Sample::Histogram {
-                    kind,
-                    bounds,
-                    counts,
-                    count,
-                    min,
-                    max,
-                    sum,
-                } => {
-                    let wall = *kind == HistogramKind::WallTime;
-                    if wall && render == Render::Deterministic {
-                        let _ = writeln!(out, "histogram(wall) {name} count={count}");
-                        continue;
-                    }
-                    let tag = if wall { "histogram(wall)" } else { "histogram" };
-                    let _ = write!(out, "{tag} {name} count={count}");
-                    if *count > counts[bounds.len()] {
-                        // At least one finite sample: min/max are real.
-                        let _ = write!(out, " min={min:?} max={max:?}");
-                    }
-                    if render == Render::Full {
-                        let _ = write!(out, " sum={sum:?}");
-                    }
-                    let _ = writeln!(out, " bounds={bounds:?} counts={counts:?}");
-                }
-                Sample::Span {
-                    deterministic,
-                    count,
-                    total_s,
-                } => {
-                    if !deterministic && render == Render::Deterministic {
-                        let _ = writeln!(out, "span(wall) {name} count={count}");
-                    } else {
-                        let tag = if *deterministic { "span" } else { "span(wall)" };
-                        let _ = writeln!(out, "{tag} {name} count={count} total_s={total_s:?}");
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Render as a JSON object with sorted keys, one metric per line.
     pub fn to_json(&self, render: Render) -> String {
         let mut w = Writer::new();
@@ -199,7 +138,6 @@ impl Snapshot {
                     w.key("value").float(*v);
                 }
                 Sample::Histogram {
-                    kind,
                     bounds,
                     counts,
                     count,
@@ -207,18 +145,14 @@ impl Snapshot {
                     max,
                     sum,
                 } => {
-                    let wall = *kind == HistogramKind::WallTime;
                     w.key("type").string("histogram");
-                    w.key("kind").string(if wall { "wall_time" } else { "value" });
                     w.key("count").uint(*count);
-                    if !(wall && render == Render::Deterministic) {
+                    if render == Render::Full {
                         if *count > counts[bounds.len()] {
                             w.key("min").float(*min);
                             w.key("max").float(*max);
                         }
-                        if render == Render::Full {
-                            w.key("sum").float(*sum);
-                        }
+                        w.key("sum").float(*sum);
                         w.key("bounds").begin_array(Layout::Inline);
                         bounds.iter().for_each(|&b| w.float(b));
                         w.end();
@@ -227,17 +161,10 @@ impl Snapshot {
                         w.end();
                     }
                 }
-                Sample::Span {
-                    deterministic,
-                    count,
-                    total_s,
-                } => {
+                Sample::Span { count, total_s } => {
                     w.key("type").string("span");
-                    w.key("deterministic").bool(*deterministic);
                     w.key("count").uint(*count);
-                    if *deterministic || render == Render::Full {
-                        w.key("total_s").float(*total_s);
-                    }
+                    w.key("total_s").float(*total_s);
                 }
             }
             w.end();
@@ -252,36 +179,39 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
-    use crate::metric::HistogramKind;
     use crate::registry::Registry;
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
         r.counter("pool.jobs").add(7);
         r.gauge("sched.mape_pct").set(12.25);
-        let h = r.histogram("lbm.halo_bytes", HistogramKind::Value, &[100.0, 1000.0]);
-        h.record(152.0);
-        h.record(152.0);
-        let w = r.histogram("pool.run_seconds", HistogramKind::WallTime, &[0.001, 0.1]);
-        w.record(0.0125);
-        r.span_total("sched.event.arrive", true).record_s(3.5);
-        r.span_total("wall.span", false).record_s(0.25);
+        let h = r.histogram("lbm.step_seconds", &[0.01, 0.1]);
+        h.record(0.05);
+        h.record(0.05);
+        r.histogram("pool.run_seconds", &[0.001, 0.1]).record(0.0125);
+        r.span_total("sched.event.arrive").record_s(3.5);
         r
     }
 
+    /// The inline JSON object rendered for metric `name`.
+    fn metric(doc: &Value, name: &str) -> String {
+        doc.get("metrics").and_then(|m| m.get(name)).expect(name).to_string()
+    }
+
     #[test]
-    fn deterministic_text_hides_wall_values() {
-        let text = sample_registry().snapshot().to_text(Render::Deterministic);
-        assert!(text.contains("counter pool.jobs 7"));
-        assert!(text.contains("gauge sched.mape_pct 12.25"));
-        assert!(text.contains("histogram lbm.halo_bytes count=2 min=152.0 max=152.0"));
-        // Wall histogram: count only, no min/max/buckets.
-        assert!(text.contains("histogram(wall) pool.run_seconds count=1\n"));
-        assert!(!text.contains("0.0125"));
-        // Deterministic span keeps its total; wall span keeps only count.
-        assert!(text.contains("span sched.event.arrive count=1 total_s=3.5"));
-        assert!(text.contains("span(wall) wall.span count=1\n"));
-        assert!(!text.contains("0.25"));
+    fn deterministic_json_hides_histogram_values() {
+        let json = sample_registry().snapshot().to_json(Render::Deterministic);
+        let doc = parse(&json).expect("snapshot renders valid JSON");
+        assert_eq!(metric(&doc, "pool.jobs"), r#"{"type": "counter", "value": 7}"#);
+        assert_eq!(metric(&doc, "sched.mape_pct"), r#"{"type": "gauge", "value": 12.25}"#);
+        // Histograms: count only, no min/max/sum/buckets.
+        assert_eq!(metric(&doc, "lbm.step_seconds"), r#"{"type": "histogram", "count": 2}"#);
+        assert_eq!(metric(&doc, "pool.run_seconds"), r#"{"type": "histogram", "count": 1}"#);
+        // Spans keep their virtual-time total.
+        assert_eq!(
+            metric(&doc, "sched.event.arrive"),
+            r#"{"type": "span", "count": 1, "total_s": 3.5}"#
+        );
     }
 
     #[test]
@@ -301,10 +231,13 @@ mod tests {
 
     #[test]
     fn full_render_exposes_everything() {
-        let text = sample_registry().snapshot().to_text(Render::Full);
-        assert!(text.contains("0.0125"));
-        assert!(text.contains("sum=304.0"));
-        assert!(text.contains("span(wall) wall.span count=1 total_s=0.25"));
+        let doc = parse(&sample_registry().snapshot().to_json(Render::Full)).expect("valid JSON");
+        assert_eq!(doc.at("render").and_then(Value::as_str), Some("full"));
+        assert_eq!(
+            metric(&doc, "lbm.step_seconds"),
+            r#"{"type": "histogram", "count": 2, "min": 0.05, "max": 0.05, "sum": 0.1, "bounds": [0.01, 0.1], "counts": [0, 2, 0]}"#
+        );
+        assert!(metric(&doc, "pool.run_seconds").contains(r#""min": 0.0125"#));
     }
 
     #[test]
@@ -319,15 +252,15 @@ mod tests {
             .iter()
             .map(|(name, _)| name.as_str())
             .collect();
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 5);
         assert!(names.is_sorted(), "keys must be sorted: {names:?}");
     }
 
     #[test]
     fn empty_histogram_renders_without_nonfinite_min_max() {
         let r = Registry::new();
-        r.histogram("empty", HistogramKind::Value, &[1.0]);
-        let json = r.snapshot().to_json(Render::Deterministic);
+        r.histogram("empty", &[1.0]);
+        let json = r.snapshot().to_json(Render::Full);
         let doc = parse(&json).expect("valid JSON");
         let empty = doc.get("metrics").and_then(|m| m.get("empty")).unwrap();
         assert_eq!(empty.get("count"), Some(&Value::UInt(0)));
@@ -352,10 +285,6 @@ mod tests {
     fn identical_ops_produce_identical_bytes() {
         let a = sample_registry().snapshot();
         let b = sample_registry().snapshot();
-        assert_eq!(
-            a.to_text(Render::Deterministic),
-            b.to_text(Render::Deterministic)
-        );
         assert_eq!(
             a.to_json(Render::Deterministic),
             b.to_json(Render::Deterministic)
@@ -392,12 +321,12 @@ mod tests {
                     let r = std::sync::Arc::clone(&r);
                     std::thread::spawn(move || {
                         let c = r.counter("t.ops");
-                        let h = r.histogram("t.values", HistogramKind::Value, &[4.0, 16.0]);
+                        let h = r.histogram("t.values", &[4.0, 16.0]);
                         for i in 0..500u64 {
                             c.add(1 + t % 2);
                             h.record(((i * 7 + t) % 32) as f64);
                         }
-                        r.span_total("t.span", true).record_s(0.5);
+                        r.span_total("t.span").record_s(0.5);
                     })
                 })
                 .collect();

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use hemocloud_obs::{Counter, Histogram, HistogramKind};
+use hemocloud_obs::{Counter, Histogram};
 
 /// A shared view of one mutable slice that many logical workers may read
 /// and write **concurrently**, under an owner-computes contract the caller
@@ -183,12 +183,10 @@ impl PoolMetrics {
             spawned: reg.counter("pool.spawned_threads"),
             queue_wait_s: reg.histogram(
                 "pool.queue_wait_seconds",
-                HistogramKind::WallTime,
                 &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0],
             ),
             run_s: reg.histogram(
                 "pool.run_seconds",
-                HistogramKind::WallTime,
                 &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0],
             ),
         }

@@ -522,8 +522,8 @@ impl SchedObs {
             faults: registry.counter("sched.faults"),
             retries: registry.counter("sched.retries"),
             events: registry.counter("sched.events.processed"),
-            arrive_span: registry.span_total("sched.event.arrive", true),
-            slice_done_span: registry.span_total("sched.event.slice_done", true),
+            arrive_span: registry.span_total("sched.event.arrive"),
+            slice_done_span: registry.span_total("sched.event.slice_done"),
             lane_pops: registry.counter_family("sched.lane.pops", lanes),
             fabric_forwarded: link_families("forwarded"),
             fabric_delivered: link_families("delivered"),

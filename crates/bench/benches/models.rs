@@ -157,10 +157,10 @@ fn prepared(h: &mut Harness) {
     let scalar = pin(CommModel::Scalar);
     group.bench_function("run_slice_72", |b| b.iter(|| scalar.run_slice(25_000, 7, 1.5)));
     let routed = pin(CommModel::Routed(TopologyVariant::FatTree));
-    let fabric = routed.topology().unwrap();
-    let priced = routed_set_comm(fabric, &[(&routed, &[0, 1])]).remove(0);
+    let fabric = build_topology(&platform, TopologyVariant::FatTree, routed.nodes());
+    let priced = routed_set_comm(&fabric, &[(&routed, &[0, 1])]).remove(0);
     group.bench_function("run_slice_priced_72", |b| {
-        b.iter(|| routed.run_slice_priced(25_000, 7, 1.5, &priced.per_task_inter_s))
+        b.iter(|| routed.run_slice_priced(25_000, 7, 1.5, &priced))
     });
     group.finish();
 }

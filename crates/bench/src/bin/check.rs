@@ -7,8 +7,10 @@
 //!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
 //!   `OUT_DIR` set to `target/check/<run>/` and the environment of the
 //!   table in `SMOKE_RUNS`; then gates the six committed artifacts in
-//!   the current directory, including the one-revision stamp gate and
-//!   the fresh-vs-committed perf gate.
+//!   the current directory, including the one-revision stamp gate, the
+//!   fresh-vs-committed perf gate, and the gate that holds the committed
+//!   `CAMPAIGN_sched.json` and `CAMPAIGN_fabric.json` equal to the fresh
+//!   full-size runs but for `provenance.git_rev` and `provenance.rustc`.
 //! * `check --regen` — runs the six generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
@@ -42,8 +44,16 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("repro_b", "repro", "RT_BENCH_FAST=1"),
 ];
 
-/// The smoke `BENCH_lbm.json` that is also the fresh side of the perf gate.
-const FRESH_BENCH: &str = "bench_w1_a/BENCH_lbm.json";
+/// Smoke artifacts that are also the fresh side of a gate against
+/// `COMMITTED[i]`: the perf gate for `BENCH_lbm.json` (a serial smoke
+/// mesh), equality but for the stamp for the two full-size campaign
+/// reports.
+#[rustfmt::skip]
+const FRESH: [(&str, GateFn); 3] = [
+    ("bench_w1_a/BENCH_lbm.json", gate_bench_lbm),
+    ("campaign_a/CAMPAIGN_sched.json", gate_campaign),
+    ("fabric_a/CAMPAIGN_fabric.json", gate_fabric),
+];
 
 /// What each other smoke artifact must satisfy.
 #[rustfmt::skip]
@@ -51,9 +61,7 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("bench_w8_a/BENCH_lbm.json", &[gate_bench_lbm]),
     ("bench_w1_a/OBS_bench.json", &[gate_obs]),
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
-    ("campaign_a/CAMPAIGN_sched.json", &[gate_campaign]),
     ("campaign_a/OBS_campaign.json", &[gate_obs]),
-    ("fabric_a/CAMPAIGN_fabric.json", &[gate_fabric]),
     ("fabric_a/OBS_fabric.json", &[gate_obs]),
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
     ("eval_a/EVAL_campaign.json", &[gate_eval]),
@@ -78,14 +86,14 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
 ];
 
 /// The committed artifacts (in the current directory), their gates, and
-/// the environment `--regen` runs their generators with. `BENCH_lbm.json`
-/// first: it is the committed side of the perf gate.
+/// the environment `--regen` runs their generators with. The first
+/// three are the committed sides of the gates against `FRESH`.
 #[rustfmt::skip]
 const COMMITTED: [(&str, GateFn, &str, &str); 6] = [
     ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
-    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("CAMPAIGN_sched.json", gate_campaign, "campaign", ""),
     ("CAMPAIGN_fabric.json", gate_fabric, "fabric_demo", ""),
+    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
     ("REPRO.json", gate_repro, "repro", ""),
 ];
@@ -149,8 +157,9 @@ impl Check {
     }
 
     /// Spawn every smoke run, gate and compare what they wrote, and
-    /// return the fresh `BENCH_lbm.json` for the perf gate.
-    fn smoke(&mut self) -> Value {
+    /// return the `FRESH` documents for the gates against the committed
+    /// ones.
+    fn smoke(&mut self) -> [Value; 3] {
         let root = Path::new("target/check");
         let _ = std::fs::remove_dir_all(root);
         for (run, bin, env) in SMOKE_RUNS {
@@ -162,17 +171,25 @@ impl Check {
         for (file, gates) in SMOKE_GATES {
             self.gated(&root.join(file), gates);
         }
-        self.gated(&root.join(FRESH_BENCH), &[gate_bench_lbm])
+        FRESH.map(|(file, gate)| self.gated(&root.join(file), &[gate]))
     }
 
-    /// Gate the six committed artifacts, one by one and as a set.
-    fn committed(&mut self, fresh_bench: Option<&Value>) {
+    /// Gate the six committed artifacts, one by one and as a set, and
+    /// against the `fresh` ones if given. A document that did not parse
+    /// is already a failure and is compared with nothing.
+    fn committed(&mut self, fresh: Option<&[Value; 3]>) {
         let docs = COMMITTED.map(|(file, gate, ..)| self.gated(Path::new(file), &[gate]));
         let set: Vec<(&str, &Value)> = COMMITTED.iter().map(|c| c.0).zip(&docs).collect();
         self.failures.extend(gate_committed_set(&set));
-        if let Some(fresh) = fresh_bench {
-            self.failures
-                .extend(gate_perf_vs_committed(fresh, &docs[0]));
+        let Some(fresh) = fresh else { return };
+        for (i, (fresh, committed)) in fresh.iter().zip(&docs).enumerate() {
+            if *fresh == Value::Null || *committed == Value::Null {
+                continue;
+            }
+            self.failures.extend(match i {
+                0 => gate_perf_vs_committed(fresh, committed),
+                _ => gate_fresh_vs_committed(COMMITTED[i].0, fresh, committed),
+            });
         }
     }
 }

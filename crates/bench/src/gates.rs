@@ -541,6 +541,35 @@ pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
     g.failures
 }
 
+/// A fresh full-size run of a committed report against the committed
+/// `file`: equal as documents once `provenance.git_rev` and
+/// `provenance.rustc` are removed from both, so a change that moves any
+/// other figure must regenerate the record.
+pub fn gate_fresh_vs_committed(file: &str, fresh: &Value, committed: &Value) -> Vec<String> {
+    let mut g = Gate::new("fresh_vs_committed");
+    if unstamped(fresh) != unstamped(committed) {
+        fail!(
+            g,
+            "{file}: a fresh run differs from the committed file beyond \
+             provenance.git_rev and .rustc; run `check --regen`"
+        );
+    }
+    g.failures
+}
+
+/// `doc` without the stamp of the checkout and compiler that wrote it.
+fn unstamped(doc: &Value) -> Value {
+    let mut doc = doc.clone();
+    if let Value::Object(members) = &mut doc {
+        for (key, v) in members {
+            if let ("provenance", Value::Object(stamp)) = (key.as_str(), v) {
+                stamp.retain(|(k, _)| k != "git_rev" && k != "rustc");
+            }
+        }
+    }
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,6 +986,29 @@ mod tests {
         let fast = with(bench_lbm(), "fast_mode", Value::Bool(true));
         let failures = gate_committed_set(&[("BENCH_lbm.json", &fast), ("EVAL_campaign.json", &b)]);
         assert_only_failure(&failures, "committed_set", "fast mode");
+    }
+
+    #[test]
+    fn fresh_vs_committed_ignores_the_stamp_and_nothing_else() {
+        let file = "CAMPAIGN_fabric.json";
+        let committed = fabric();
+        let restamped = with(
+            with(fabric(), "provenance.git_rev", Value::Str("f6312ea8bd42".into())),
+            "provenance.rustc",
+            Value::Str("rustc 0.0.0".into()),
+        );
+        assert_eq!(
+            gate_fresh_vs_committed(file, &restamped, &committed),
+            Vec::<String>::new()
+        );
+        for (path, moved) in [
+            ("placements.1.predicted_step_s", Value::Float(1.0)),
+            ("provenance.fabric_eq9_bytes", Value::UInt(1)),
+        ] {
+            let failures = gate_fresh_vs_committed(file, &with(fabric(), path, moved), &committed);
+            assert_only_failure(&failures, "fresh_vs_committed", "run `check --regen`");
+            assert!(failures[0].contains(file), "{failures:?}");
+        }
     }
 
     /// What the old `grep ': nan|inf'` caught: a non-finite number in a

@@ -150,9 +150,6 @@ pub struct PreparedRun {
     /// already folded in.
     overheads: Overheads,
     comm: CommModel,
-    /// Own-topology instance for standalone routed runs (identity node
-    /// map, sized to this run's node count).
-    topology: Option<Topology>,
     /// Every task's noise-free seconds per step, in task order.
     terms: Vec<TaskTerms>,
     /// The critical path with nothing else on the fabric: over the
@@ -261,11 +258,11 @@ impl PreparedRun {
     /// Pin an already-taken decomposition census (its task count is the
     /// rank count; its byte sums must be `config`'s) to `platform`.
     /// `comm_bytes_per_point` is the kernel's boundary-point message size.
-    /// With [`CommModel::Routed`], the run owns a topology of `variant`
-    /// sized to its own node count (identity node map) and caches its
-    /// isolated per-task internodal comm; a campaign that wants cross-job
-    /// contention instead prices the set of runs sharing a pool topology
-    /// (`topology::routed_set_comm`) and calls
+    /// With [`CommModel::Routed`], the run prices its messages once on a
+    /// topology of `variant` sized to its own node count (identity node
+    /// map) and caches the isolated per-task internodal comm; a campaign
+    /// that wants cross-job contention instead prices the set of runs
+    /// sharing a pool topology (`topology::routed_set_comm`) and calls
     /// [`PreparedRun::run_slice_priced`].
     ///
     /// Returns `None` when the ranks need more whole nodes than the
@@ -290,11 +287,10 @@ impl PreparedRun {
             ..*overheads
         };
         let terms = task_terms(platform, &census, &placement, comm_bytes_per_point, &overheads);
-        let (topology, isolated) = match comm {
-            CommModel::Scalar => (
-                None,
-                CriticalPath::over(&terms, terms.iter().map(|task| task.scalar_inter_s)),
-            ),
+        let isolated = match comm {
+            CommModel::Scalar => {
+                CriticalPath::over(&terms, terms.iter().map(|task| task.scalar_inter_s))
+            }
             CommModel::Routed(variant) => {
                 let topology = build_topology(platform, variant, placement.n_nodes());
                 let node_map: Vec<usize> = (0..placement.n_nodes()).collect();
@@ -307,8 +303,7 @@ impl PreparedRun {
                     overheads.message_software_overhead_us,
                     &[],
                 );
-                let isolated = CriticalPath::over(&terms, routed.per_task_inter_s.into_iter());
-                (Some(topology), isolated)
+                CriticalPath::over(&terms, routed.into_iter())
             }
         };
         Some(Self {
@@ -318,7 +313,6 @@ impl PreparedRun {
             comm_bytes_per_point,
             overheads,
             comm,
-            topology,
             terms,
             isolated,
         })
@@ -337,12 +331,6 @@ impl PreparedRun {
     /// Fluid points updated per timestep.
     pub fn fluid_points(&self) -> usize {
         self.census.analysis.total_points
-    }
-
-    /// The run's own topology instance (routed mode only): the fabric its
-    /// isolated comm cache was computed against.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
     }
 
     /// This run's halo graph on physical nodes `node_map` of a shared
@@ -433,7 +421,7 @@ impl PreparedRun {
             self.overheads.message_software_overhead_us,
             background,
         );
-        self.run_slice_priced(steps, seed, time_h, &routed.per_task_inter_s)
+        self.run_slice_priced(steps, seed, time_h, &routed)
     }
 
     /// The timing engine's one entry: `critical` — the per-step maximum
@@ -855,7 +843,6 @@ mod tests {
             scalar.run_slice(10, 1, 0.0),
             "explicit Scalar must be the default path"
         );
-        assert!(scalar.topology().is_none());
     }
 
     #[test]
@@ -865,9 +852,8 @@ mod tests {
         let p = Platform::csp2();
         let cfg = KernelConfig::harvey();
         let oh = Overheads::default();
-        let comm = CommModel::Routed(TopologyVariant::default_for(&p));
+        let comm = CommModel::Routed(TopologyVariant::PlacementGroup);
         let routed = PreparedRun::new_with_comm(&p, &g, &cfg, 72, &oh, comm).unwrap();
-        assert!(routed.topology().is_some());
         let a = routed.run_slice(10, 1, 0.0);
         let b = routed.run_slice(10, 1, 0.0);
         assert_eq!(a, b, "routed slices must be bit-identical across reruns");
@@ -974,7 +960,10 @@ mod tests {
                 // member 0 something.
                 let alone = alone.get_or_insert_with(|| priced[0].clone());
                 if variant == TopologyVariant::Spread && n > 1 {
-                    assert!(priced[0].span_s > alone.span_s, "no contention at n = {n}");
+                    assert!(
+                        priced[0].iter().zip(alone.iter()).any(|(p, a)| p > a),
+                        "no contention at n = {n}"
+                    );
                 }
                 for (victim, &(run, node_map)) in members.iter().enumerate() {
                     let background: Vec<Flow> = members
@@ -994,15 +983,14 @@ mod tests {
                     );
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
                     assert_eq!(
-                        bits(&priced[victim].per_task_inter_s),
-                        bits(&oracle.per_task_inter_s),
+                        bits(&priced[victim]),
+                        bits(&oracle),
                         "{}: member {victim} of {n}",
                         variant.name()
                     );
-                    assert_eq!(priced[victim], oracle);
-                    assert!(oracle.bytes_per_step > 0.0, "every shape spans nodes");
+                    assert!(!run.flows(node_map, 0).is_empty(), "every shape spans nodes");
                     assert_eq!(
-                        run.run_slice_priced(10, 7, 3.0, &priced[victim].per_task_inter_s),
+                        run.run_slice_priced(10, 7, 3.0, &priced[victim]),
                         run.run_slice_contended(10, 7, 3.0, &topo, node_map, &background),
                     );
                 }
@@ -1200,11 +1188,11 @@ mod tests {
                         run.overheads.message_software_overhead_us,
                         background,
                     )
-                    .per_task_inter_s
                 };
                 // Standalone: the run's own fabric, nothing else on it.
                 let own: Vec<usize> = (0..run.nodes()).collect();
-                let isolated = comm_s(run.topology().unwrap(), &own, &[]);
+                let topology = build_topology(&run.platform, variant, run.nodes());
+                let isolated = comm_s(&topology, &own, &[]);
                 assert_eq!(
                     slice_bits(&run.run_slice(steps, seed, time_h)),
                     slice_bits(&reference_slice(run, steps, seed, time_h, Some(&isolated))),
@@ -1303,9 +1291,9 @@ mod tests {
             let topo = build_topology(&p, variant, 6);
             let members: [(&PreparedRun, &[usize]); 2] = [(&run, &[0, 2, 4]), (&run, &[5, 3, 1])];
             for (priced, (_, node_map)) in routed_set_comm(&topo, &members).iter().zip(members) {
-                assert!(priced.per_task_inter_s.iter().any(|&s| s > 0.0));
+                assert!(priced.iter().any(|&s| s > 0.0));
                 // Passes run_slice_priced's own check.
-                let slice = run.run_slice_priced(10, 1, 0.0, &priced.per_task_inter_s);
+                let slice = run.run_slice_priced(10, 1, 0.0, priced);
                 assert!(slice.critical_inter_s.is_finite(), "{}: {node_map:?}", variant.name());
             }
         }

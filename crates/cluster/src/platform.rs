@@ -77,9 +77,6 @@ pub struct Platform {
     pub total_cores: usize,
     /// Physical cores per node (Table I).
     pub cores_per_node: usize,
-    /// Hardware threads per core exposed to the scheduler (1 unless the
-    /// instance is used hyperthreaded).
-    pub vcpus_per_core: usize,
     /// Memory per node, GB (Table I).
     pub memory_per_node_gb: f64,
     /// Interconnect line rate, Gbit/s (Table I).
@@ -115,7 +112,6 @@ impl Platform {
             clock_ghz: 2.19,
             total_cores: 2000,
             cores_per_node: 40,
-            vcpus_per_core: 1,
             memory_per_node_gb: 471.0,
             interconnect_gbit: 56.0,
             published_bandwidth_mb_s: 76_800.0,
@@ -149,7 +145,6 @@ impl Platform {
             clock_ghz: 3.19,
             total_cores: 48,
             cores_per_node: 16,
-            vcpus_per_core: 1,
             memory_per_node_gb: 16.0,
             interconnect_gbit: 10.0,
             published_bandwidth_mb_s: 68_000.0,
@@ -185,7 +180,6 @@ impl Platform {
             clock_ghz: 2.42,
             total_cores: 128,
             cores_per_node: 8,
-            vcpus_per_core: 2,
             memory_per_node_gb: 30.0,
             interconnect_gbit: 10.0,
             // Not in Table II; synthetic (share of a 4-channel DDR4-1866
@@ -225,7 +219,6 @@ impl Platform {
             clock_ghz: 3.41,
             total_cores: 144,
             cores_per_node: 36,
-            vcpus_per_core: 2,
             memory_per_node_gb: 144.0,
             interconnect_gbit: 25.0,
             published_bandwidth_mb_s: 162_720.0,
@@ -259,7 +252,6 @@ impl Platform {
             clock_ghz: 3.40,
             total_cores: 144,
             cores_per_node: 36,
-            vcpus_per_core: 2,
             memory_per_node_gb: 192.0,
             interconnect_gbit: 100.0,
             published_bandwidth_mb_s: 162_720.0,
@@ -293,7 +285,6 @@ impl Platform {
             name: "Cloud 2 - Hyperthreaded",
             abbrev: "CSP-2 Hyp.",
             cores_per_node: 72, // threads exposed; 36 physical cores
-            vcpus_per_core: 1,  // already counted as threads here
             memory: MemoryTruth {
                 a1: 8629.29,
                 a2: -93.43,

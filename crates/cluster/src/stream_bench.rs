@@ -21,27 +21,13 @@ pub struct StreamSample {
 
 /// Simulate a STREAM Copy sweep from 1 thread to every core on the node.
 pub fn stream_sweep(platform: &Platform, seed: u64) -> Vec<StreamSample> {
-    stream_sweep_threads(
-        platform,
-        &(1..=platform.cores_per_node).collect::<Vec<_>>(),
-        seed,
-    )
-}
-
-/// Simulate STREAM Copy at specific thread counts.
-pub fn stream_sweep_threads(
-    platform: &Platform,
-    thread_counts: &[usize],
-    seed: u64,
-) -> Vec<StreamSample> {
     let mut base_noise = NoiseProcess::new(0.01, seed ^ 0x5742_4e43);
     let mut knee_noise = NoiseProcess::new(
         platform.shared_channel_variance.min(0.5),
         seed ^ 0x4b4e_4545,
     );
-    thread_counts
-        .iter()
-        .map(|&threads| {
+    (1..=platform.cores_per_node)
+        .map(|threads| {
             let truth = platform.memory.bandwidth(threads as f64);
             let mut factor = base_noise.independent_factor();
             if (threads as f64) > platform.memory.a3 {

@@ -52,18 +52,6 @@ impl TopologyVariant {
             TopologyVariant::Spread => "spread",
         }
     }
-
-    /// The variant a platform's hardware implies: fat-tree for the
-    /// traditional cluster, placement group for cloud instances (the
-    /// paper's CSP runs used HPC instance types with placement
-    /// guarantees).
-    pub fn default_for(platform: &Platform) -> Self {
-        if platform.abbrev == "TRC" {
-            TopologyVariant::FatTree
-        } else {
-            TopologyVariant::PlacementGroup
-        }
-    }
 }
 
 /// How `PreparedRun` prices communication.
@@ -184,22 +172,9 @@ pub fn job_flows(
     flows
 }
 
-/// Result of routing one job's exchange through a topology.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutedComm {
-    /// Internodal communication seconds per task per step: the delivery
-    /// time of the task's last sent or received message, plus the
-    /// per-message software overhead for every message it touches.
-    pub per_task_inter_s: Vec<f64>,
-    /// Completion time of the whole exchange (before software overhead).
-    pub span_s: f64,
-    /// Internodal bytes this job pushes through the fabric per step.
-    pub bytes_per_step: f64,
-}
-
 /// One exchange over every member's flows plus `background`, folded back
-/// into one [`RoutedComm`] per member: the only place deliveries become
-/// per-task seconds.
+/// into each member's internodal seconds per task per step: the only
+/// place deliveries become per-task seconds.
 ///
 /// A task's exchange completes when its last sent *and* received message
 /// is delivered; on top of that wire time each message charges the
@@ -210,7 +185,7 @@ fn route_members(
     topology: &Topology,
     members: &[Member<'_>],
     background: &[Flow],
-) -> Vec<RoutedComm> {
+) -> Vec<Vec<f64>> {
     // Members' flows first (so delivery indexes line up), background
     // after; `own[m]` is member `m`'s index range, and its tags count
     // from `m << 32`.
@@ -227,7 +202,7 @@ fn route_members(
     }
     flows.extend_from_slice(background);
 
-    let outcome = exchange(topology, &flows);
+    let delivery_s = exchange(topology, &flows);
 
     members
         .iter()
@@ -236,32 +211,26 @@ fn route_members(
             let n_tasks = member.analysis.n_tasks;
             let mut per_task_inter_s = vec![0.0f64; n_tasks];
             let mut messages = vec![0usize; n_tasks];
-            let mut span_s = 0.0f64;
-            let deliveries = &outcome.delivery_s[own.clone()];
-            for (&(sender, receiver), &t) in endpoints[own.clone()].iter().zip(deliveries) {
+            for (&(sender, receiver), &t) in endpoints[own.clone()].iter().zip(&delivery_s[own]) {
                 per_task_inter_s[sender] = per_task_inter_s[sender].max(t);
                 per_task_inter_s[receiver] = per_task_inter_s[receiver].max(t);
                 messages[sender] += 1;
                 messages[receiver] += 1;
-                span_s = span_s.max(t);
             }
             let overhead_s = member.software_overhead_us * 1e-6;
             for (inter, &count) in per_task_inter_s.iter_mut().zip(&messages) {
                 *inter += count as f64 * overhead_s;
             }
-            RoutedComm {
-                per_task_inter_s,
-                span_s,
-                bytes_per_step: flows[own].iter().map(|f| f.bytes).sum(),
-            }
+            per_task_inter_s
         })
         .collect()
 }
 
 /// Route one step's halo exchange of a job through `topology`, sharing
 /// links with `background` flows (other concurrent jobs' exchanges),
-/// and reduce to per-task internodal comm seconds: the single-victim
-/// case of [`routed_set_comm`], and the oracle it is tested against.
+/// and reduce to internodal comm seconds per task per step: the
+/// single-victim case of [`routed_set_comm`], and the oracle it is
+/// tested against.
 #[allow(clippy::too_many_arguments)] // the timing engine's free variables
 pub fn routed_task_comm(
     topology: &Topology,
@@ -271,7 +240,7 @@ pub fn routed_task_comm(
     comm_bytes_per_point: f64,
     software_overhead_us: f64,
     background: &[Flow],
-) -> RoutedComm {
+) -> Vec<f64> {
     let member = Member {
         analysis,
         placement,
@@ -296,7 +265,7 @@ pub fn routed_task_comm(
 pub fn routed_set_comm(
     topology: &Topology,
     members: &[(&PreparedRun, &[usize])],
-) -> Vec<RoutedComm> {
+) -> Vec<Vec<f64>> {
     let members: Vec<Member<'_>> = members
         .iter()
         .map(|&(run, node_map)| run.member(node_map))
@@ -318,20 +287,6 @@ mod tests {
         (analysis, placement)
     }
 
-    #[test]
-    fn default_variants_follow_the_hardware() {
-        assert_eq!(
-            TopologyVariant::default_for(&Platform::trc()),
-            TopologyVariant::FatTree
-        );
-        assert_eq!(
-            TopologyVariant::default_for(&Platform::csp2()),
-            TopologyVariant::PlacementGroup
-        );
-        assert_eq!(CommModel::default(), CommModel::Scalar);
-        assert_eq!(CommModel::Routed(TopologyVariant::Spread).name(), "spread");
-    }
-
     /// `TopologyVariant::name` is the one name table reports read. The
     /// fabric constructor names its shape too (that crate cannot see this
     /// one), so pin the two to each other, to `CommModel::name`, and to
@@ -350,6 +305,7 @@ mod tests {
             assert_eq!(CommModel::Routed(variant).name(), name);
         }
         assert_eq!(CommModel::Scalar.name(), "scalar");
+        assert_eq!(CommModel::default(), CommModel::Scalar);
     }
 
     #[test]
@@ -405,16 +361,8 @@ mod tests {
         let tenant = job_flows(&analysis, &placement, &[2, 3], 152.0, 1 << 32);
         let contended =
             routed_task_comm(&topo, &analysis, &placement, &node_map, 152.0, 1.5, &tenant);
-        assert!(contended.span_s > isolated.span_s);
-        assert_eq!(contended.bytes_per_step, isolated.bytes_per_step);
-        let worst_iso = isolated
-            .per_task_inter_s
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b));
-        let worst_con = contended
-            .per_task_inter_s
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b));
+        let worst_iso = isolated.iter().fold(0.0f64, |a, &b| a.max(b));
+        let worst_con = contended.iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(worst_con > worst_iso, "{worst_con} !> {worst_iso}");
     }
 

@@ -245,10 +245,7 @@ fn routed_prediction(
         0.0,
         &[],
     );
-    let inter_s = routed
-        .per_task_inter_s
-        .iter()
-        .fold(0.0f64, |a, &b| a.max(b));
+    let inter_s = routed.iter().fold(0.0f64, |a, &b| a.max(b));
     let composition = Composition {
         inter_s,
         comm_bandwidth_s: 0.0,

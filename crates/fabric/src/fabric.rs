@@ -1,6 +1,8 @@
 //! Deterministic discrete-time store-and-forward message fabric.
 //!
-//! [`exchange`] simulates one exchange phase: every [`Flow`] (in
+//! [`exchange`] simulates one exchange phase and returns each flow's
+//! delivery time, in input order — the one thing its callers read, the
+//! per-task communication term of the step time. Every [`Flow`] (in
 //! practice one directed halo message from the Eq. 9 message graph)
 //! traverses its route hop-by-hop. On each hop a flow first pays the
 //! link's propagation latency, then serializes its full payload at that
@@ -11,55 +13,38 @@
 //!
 //! Determinism: the engine is pure sequential float arithmetic over the
 //! input order — no clocks, no randomness, no hashing. The event loop
-//! advances to the earliest phase completion; simultaneous completions
-//! are resolved in `(time, link, flow seq)` order, where `seq` is the
-//! flow's index in the input slice. The same flow list against the same
-//! topology is bit-identical on every run, worker count, and shard
-//! count.
+//! advances to the earliest phase completion, and every flow whose phase
+//! ends at that instant moves on in the same event. The same flow list
+//! against the same topology is bit-identical on every run, worker count,
+//! and shard count.
 //!
 //! Flow classes: flows with the same route (the same `src` and `dst`)
 //! and the same sanitized payload bits start in the same state, and at
 //! every event each flow reads only its own `(hop, phase, rem)`, the step
 //! `dt` and its link's integer occupancy `occ` — so they follow one
 //! bit-identical trajectory. The engine therefore groups the flows once
-//! into *classes* (members in ascending seq) and advances one state per
-//! class; a class starting or finishing on a link moves that link's
-//! `occ` by its multiplicity, the integer the flows would have reached
-//! one at a time. Every output keeps its bits: a completion still
-//! expands to one `(link, seq)` entry per member, sorted, so each
-//! per-link byte sum adds the same floats in the same order as a
-//! per-flow engine would (which matters for non-integral bytes), and
-//! each member's `delivery_s` is set on its own. Live classes sit in two
-//! lists — those paying a hop latency (`dt` candidate: the seconds left)
-//! and those serializing (`rem * occ / bandwidth`, computed once per
-//! event and reused by the advance) — and busy time is charged over a
-//! list of the links with `occ > 0` only; each `busy[l] += dt` is
-//! independent of the others, so that list's order is free. The
-//! `#[cfg(test)]` per-flow engine this replaced is kept in the tests and
-//! compared by `to_bits` on every output.
+//! into *classes* and advances one state per class; a class starting or
+//! finishing on a link moves that link's `occ` by its multiplicity, the
+//! integer the flows would have reached one at a time, and a delivered
+//! class sets each member's delivery time. Live classes sit in two lists
+//! — those paying a hop latency (`dt` candidate: the seconds left) and
+//! those serializing (`rem * occ / bandwidth`, computed once per event
+//! and reused by the advance). The `#[cfg(test)]` per-flow engine this
+//! replaced is kept in the tests and compared by `to_bits` on every
+//! delivery time.
 //!
-//! Permutation equivariance: `delivery_s` follows its flow under any
-//! reordering of the input — permute the flows by `π` and
-//! `delivery_s[π(i)]` has the bits `delivery_s[i]` had. Classes are
-//! keyed by a flow's contents, not its position, so a permutation maps
-//! each class onto one with the same route, payload and multiplicity;
-//! the step `dt` is a `min` over the live classes (order-free); each
-//! class's advance reads only its own state, `dt` and its link's `occ`;
-//! and a completion batch only increments or decrements the integer
-//! `occ` and never reads it, so the `(link, seq)` order inside a batch
-//! cannot reach a float. The same holds for `link_busy_s` and `span_s`;
-//! the per-link byte sums add floats in batch order, so they are
-//! order-free only for integral bytes. This is what lets a caller price
-//! a *set* of co-scheduled jobs with one exchange, whichever member asks
-//! and however the members are ordered
-//! (`cluster::topology::routed_set_comm`), and is pinned by
-//! `tests/proptest_fabric.rs`.
-//!
-//! Byte accounting is exact: a flow's bytes are added to a link's
-//! forwarded counter only when its serialization on that link completes,
-//! and to the final link's delivered counter on delivery — so with
-//! integral byte values, `sum(link_delivered_bytes) ==
-//! sum(flow.bytes)` holds exactly (the Eq. 9 cross-check).
+//! Permutation equivariance: a delivery time follows its flow under any
+//! reordering of the input — permute the flows by `π` and entry `π(i)`
+//! has the bits entry `i` had. Classes are keyed by a flow's contents,
+//! not its position, so a permutation maps each class onto one with the
+//! same route, payload and multiplicity; the step `dt` is a `min` over
+//! the live classes (order-free); each class's advance reads only its
+//! own state, `dt` and its link's `occ`; and the phase ends of one event
+//! only increment or decrement the integer `occ`, so their order cannot
+//! reach a float. This is what lets a caller price a *set* of
+//! co-scheduled jobs with one exchange, whichever member asks and however
+//! the members are ordered (`cluster::topology::routed_set_comm`), and is
+//! pinned by `tests/proptest_fabric.rs`.
 
 use std::ops::Range;
 
@@ -78,22 +63,6 @@ pub struct Flow {
     pub bytes: f64,
     /// Caller-defined label (job/task ids); the fabric never reads it.
     pub tag: u64,
-}
-
-/// Result of one [`exchange`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExchangeOutcome {
-    /// Delivery time of each flow, seconds, in input order. Flows with
-    /// `src == dst` deliver at 0 without touching any link.
-    pub delivery_s: Vec<f64>,
-    /// Bytes that finished serializing on each link (every hop counts).
-    pub link_forwarded_bytes: Vec<f64>,
-    /// Bytes delivered by each link as the *final* hop of a route.
-    pub link_delivered_bytes: Vec<f64>,
-    /// Seconds each link spent serializing at least one flow.
-    pub link_busy_s: Vec<f64>,
-    /// Completion time of the whole exchange (max delivery).
-    pub span_s: f64,
 }
 
 /// The flows sharing one route and one sanitized payload, in flight
@@ -165,22 +134,18 @@ fn classify<'t>(topo: &'t Topology, flows: &[Flow]) -> (Vec<Class<'t>>, Vec<usiz
     (classes, keyed.into_iter().map(|k| k.3).collect())
 }
 
-/// Run one exchange of `flows` over `topo`. See the module docs for the
+/// Run one exchange of `flows` over `topo` and return each flow's
+/// delivery time, seconds, in input order. Flows with `src == dst`
+/// deliver at 0 without touching any link. See the module docs for the
 /// contention and determinism rules.
-pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
+pub fn exchange(topo: &Topology, flows: &[Flow]) -> Vec<f64> {
     let links = topo.links();
-    let n_links = links.len();
     let bytes_per_s: Vec<f64> = links.iter().map(Link::bytes_per_s).collect();
-    let mut forwarded = vec![0.0; n_links];
-    let mut delivered = vec![0.0; n_links];
-    let mut busy = vec![0.0; n_links];
     let mut delivery = vec![0.0; flows.len()];
 
     let (mut classes, members) = classify(topo, flows);
-    // Flows currently serializing per link (the fair-share divisor), and
-    // the links where that is more than zero, in no particular order.
-    let mut occ = vec![0u32; n_links];
-    let mut occupied: Vec<LinkId> = Vec::new();
+    // Flows currently serializing per link: the fair-share divisor.
+    let mut occ = vec![0u32; links.len()];
     // Live classes paying a hop latency, and serializing; `xfer_dt[k]`
     // is `serializing[k]`'s `dt` candidate this event. A class leaves
     // both in the event that delivers it.
@@ -189,7 +154,6 @@ pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
     let mut xfer_dt: Vec<f64> = Vec::new();
     let mut started: Vec<usize> = Vec::new();
     let mut finished: Vec<usize> = Vec::new();
-    let mut completions: Vec<(LinkId, usize, usize)> = Vec::new();
 
     let mut t = 0.0f64;
     while !(in_latency.is_empty() && serializing.is_empty()) {
@@ -211,16 +175,10 @@ pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
             }
         }
         debug_assert!(dt.is_finite() && dt >= 0.0);
-
-        // Charge busy time under the pre-advance occupancy.
-        if dt > 0.0 {
-            for &l in &occupied {
-                busy[l] += dt;
-            }
-        }
         t += dt;
 
-        // Advance every class; those whose phase ends leave their list.
+        // Advance every class under the pre-advance occupancy; those whose
+        // phase ends leave their list.
         started.clear();
         in_latency.retain(|&c| {
             let class = &mut classes[c];
@@ -253,33 +211,11 @@ pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
             "fabric event loop must progress"
         );
 
-        // Byte counters take each member's bytes in (link, seq) order, so
-        // simultaneous events resolve in (time, link, seq) order.
-        completions.clear();
-        for &c in &finished {
-            let class = &classes[c];
-            completions.extend(
-                members[class.members.clone()]
-                    .iter()
-                    .map(|&i| (class.link, i, c)),
-            );
-        }
-        completions.sort_unstable();
-        for &(link, _, c) in &completions {
-            let class = &classes[c];
-            forwarded[link] += class.bytes;
-            if class.hop + 1 == class.route.len() {
-                delivered[link] += class.bytes;
-            }
-        }
-
         // Finished serializing: leave the link, then deliver or start the
         // next hop's latency.
-        let mut vacated = false;
         for &c in &finished {
             let class = &mut classes[c];
             occ[class.link] -= class.multiplicity();
-            vacated |= occ[class.link] == 0;
             class.hop += 1;
             if class.hop == class.route.len() {
                 for &i in &members[class.members.clone()] {
@@ -291,30 +227,15 @@ pub fn exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
                 in_latency.push(c);
             }
         }
-        if vacated {
-            occupied.retain(|&l| occ[l] > 0);
-        }
-        // Wire latency paid: start serializing on this link. Vacated
-        // links left `occupied` first, so none is listed twice.
+        // Wire latency paid: start serializing on this link.
         for &c in &started {
             let class = &mut classes[c];
             class.rem = class.bytes;
-            if occ[class.link] == 0 {
-                occupied.push(class.link);
-            }
             occ[class.link] += class.multiplicity();
             serializing.push(c);
         }
     }
-
-    let span_s = delivery.iter().fold(0.0f64, |a, &b| a.max(b));
-    ExchangeOutcome {
-        delivery_s: delivery,
-        link_forwarded_bytes: forwarded,
-        link_delivered_bytes: delivered,
-        link_busy_s: busy,
-        span_s,
-    }
+    delivery
 }
 
 #[cfg(test)]
@@ -349,15 +270,11 @@ mod tests {
     }
 
     /// The engine `exchange` ran before flows were grouped into classes,
-    /// kept verbatim as the reference the class engine is compared
-    /// against: every live flow visited twice per event, busy time
-    /// charged by a walk over every link.
-    fn reference_exchange(topo: &Topology, flows: &[Flow]) -> ExchangeOutcome {
+    /// kept as the reference the class engine is compared against: every
+    /// live flow visited twice per event, one flow moving `occ` at a
+    /// time, simultaneous completions taken in `(link, seq)` order.
+    fn reference_exchange(topo: &Topology, flows: &[Flow]) -> Vec<f64> {
         let links = topo.links();
-        let n_links = links.len();
-        let mut forwarded = vec![0.0; n_links];
-        let mut delivered = vec![0.0; n_links];
-        let mut busy = vec![0.0; n_links];
         let mut delivery = vec![0.0; flows.len()];
 
         // Resolve routes and sanitized payloads up front.
@@ -391,7 +308,7 @@ mod tests {
             })
             .collect();
         // Flows currently serializing per link (the fair-share divisor).
-        let mut occ = vec![0u32; n_links];
+        let mut occ = vec![0u32; links.len()];
         // Flows still in flight, ascending by seq; a flow leaves the list in
         // the event that delivers it, so no loop below ever meets `Done`.
         let mut live: Vec<usize> = (0..flows.len())
@@ -418,15 +335,6 @@ mod tests {
                 }
             }
             debug_assert!(dt.is_finite() && dt >= 0.0);
-
-            // Charge busy time under the pre-advance occupancy.
-            if dt > 0.0 {
-                for (l, b) in busy.iter_mut().enumerate() {
-                    if occ[l] > 0 {
-                        *b += dt;
-                    }
-                }
-            }
             t += dt;
 
             // Advance every flow; collect completions as (link, seq) so
@@ -469,11 +377,9 @@ mod tests {
                         occ[link] += 1;
                     }
                     Phase::Xfer(_) => {
-                        forwarded[link] += bytes[i];
                         occ[link] -= 1;
                         hop[i] += 1;
                         if hop[i] == routes[i].len() {
-                            delivered[link] += bytes[i];
                             delivery[i] = t;
                             phase[i] = Phase::Done;
                             delivered_any = true;
@@ -487,41 +393,11 @@ mod tests {
                 live.retain(|&i| !matches!(phase[i], Phase::Done));
             }
         }
-
-        let span_s = delivery.iter().fold(0.0f64, |a, &b| a.max(b));
-        ExchangeOutcome {
-            delivery_s: delivery,
-            link_forwarded_bytes: forwarded,
-            link_delivered_bytes: delivered,
-            link_busy_s: busy,
-            span_s,
-        }
+        delivery
     }
 
-    /// Every output of `a` and `b`, bit for bit.
-    fn assert_same_bits(a: &ExchangeOutcome, b: &ExchangeOutcome, what: &str) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(
-            bits(&a.delivery_s),
-            bits(&b.delivery_s),
-            "{what}: delivery_s"
-        );
-        assert_eq!(
-            bits(&a.link_forwarded_bytes),
-            bits(&b.link_forwarded_bytes),
-            "{what}: link_forwarded_bytes"
-        );
-        assert_eq!(
-            bits(&a.link_delivered_bytes),
-            bits(&b.link_delivered_bytes),
-            "{what}: link_delivered_bytes"
-        );
-        assert_eq!(
-            bits(&a.link_busy_s),
-            bits(&b.link_busy_s),
-            "{what}: link_busy_s"
-        );
-        assert_eq!(a.span_s.to_bits(), b.span_s.to_bits(), "{what}: span_s");
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -589,21 +465,21 @@ mod tests {
                 for i in (1..flows.len()).rev() {
                     flows.swap(i, rng.range_usize(0, i + 1));
                 }
-                assert_same_bits(
-                    &exchange(&topo, &flows),
-                    &reference_exchange(&topo, &flows),
-                    topo.name(),
+                assert_eq!(
+                    bits(&exchange(&topo, &flows)),
+                    bits(&reference_exchange(&topo, &flows)),
+                    "{}",
+                    topo.name()
                 );
             },
         );
     }
 
     /// Two classes finishing on one link in one event, their members
-    /// interleaved in seq: the link's byte counters must add the members
-    /// in seq order, which differs in the last bit from adding either
-    /// class's members together.
+    /// interleaved in seq: both leave the link together, so the one
+    /// event's `occ` update must not reach either class's delivery.
     #[test]
-    fn interleaved_classes_add_bytes_in_seq_order() {
+    fn classes_finishing_together_on_one_link_deliver_together() {
         // Zero latency, 1 MB/s ports and 0.5 MB/s trunks keep every step
         // exact. Class A (seqs 0, 1, 2, 4) crosses racks 1 -> 0 over four
         // hops; class B (seq 3) stays in rack 0 over two. B reaches node
@@ -623,32 +499,11 @@ mod tests {
             flow(0, 2, y),
             flow(1, 2, x),
         ];
-        let port = *t.get_route(0, 2).last().unwrap();
-        assert_eq!(port, *t.get_route(1, 2).last().unwrap());
+        assert_eq!(t.get_route(0, 2).last(), t.get_route(1, 2).last());
 
         let out = exchange(&t, &flows);
-        assert!(
-            out.delivery_s.iter().all(|&d| d == out.delivery_s[0]),
-            "{:?}",
-            out.delivery_s
-        );
-        let sum = |v: &[f64]| v.iter().fold(0.0f64, |a, &b| a + b);
-        let in_seq = sum(&[x, x, x, y, x]);
-        for per_class in [
-            sum(&[x, x, x, x, y]),
-            sum(&[y, x, x, x, x]),
-            4.0 * x + y,
-            y + 4.0 * x,
-        ] {
-            assert_ne!(
-                in_seq.to_bits(),
-                per_class.to_bits(),
-                "the payloads must be order-sensitive"
-            );
-        }
-        assert_eq!(out.link_forwarded_bytes[port].to_bits(), in_seq.to_bits());
-        assert_eq!(out.link_delivered_bytes[port].to_bits(), in_seq.to_bits());
-        assert_same_bits(&out, &reference_exchange(&t, &flows), "interleaved");
+        assert!(out.iter().all(|&d| d == out[0]), "{out:?}");
+        assert_eq!(bits(&out), bits(&reference_exchange(&t, &flows)));
     }
 
     #[test]
@@ -664,8 +519,7 @@ mod tests {
         let out = exchange(&t, &[flow(0, 1, 1_000_000.0)]);
         // Two hops, each 1 µs latency + 1 MB at 1 GB/s = 1 ms.
         let expect = 2.0 * (1.0e-6 + 1.0e6 / 1.0e9);
-        assert!((out.delivery_s[0] - expect).abs() < 1e-12);
-        assert_eq!(out.span_s, out.delivery_s[0]);
+        assert!((out[0] - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -675,59 +529,38 @@ mod tests {
         let out = exchange(&t, &[flow(0, 1, b), flow(0, 1, b)]);
         // Phase-aligned: both serialize together on both hops at bw/2.
         let expect = 2.0 * (1.0e-6 + 2.0 * b / 1.0e9);
-        for d in &out.delivery_s {
+        for d in &out {
             assert!((d - expect).abs() < 1e-12, "{d} vs {expect}");
         }
         // Contention slows the pair down vs a lone flow.
-        let solo = exchange(&t, &[flow(0, 1, b)]).delivery_s[0];
-        assert!(out.delivery_s[0] > solo);
+        let solo = exchange(&t, &[flow(0, 1, b)])[0];
+        assert!(out[0] > solo);
     }
 
     #[test]
     fn disjoint_flows_do_not_interact() {
         let t = Topology::placement_group(4, RATES);
-        let solo = exchange(&t, &[flow(0, 1, 5e5)]).delivery_s[0];
+        let solo = exchange(&t, &[flow(0, 1, 5e5)])[0];
         let out = exchange(&t, &[flow(0, 1, 5e5), flow(2, 3, 9e5)]);
-        assert_eq!(out.delivery_s[0], solo);
-    }
-
-    #[test]
-    fn byte_counters_are_exact_and_conserved() {
-        let t = Topology::spread(6, 2, 0.5, RATES);
-        let flows: Vec<Flow> = (0..6)
-            .flat_map(|a| (0..6).filter(move |&b| b != a).map(move |b| flow(a, b, ((a * 7 + b) * 1024) as f64)))
-            .collect();
-        let out = exchange(&t, &flows);
-        let total: f64 = flows.iter().map(|f| f.bytes).sum();
-        assert_eq!(out.link_delivered_bytes.iter().sum::<f64>(), total);
-        // Forwarded bytes per link == sum of bytes of flows routed over it.
-        let mut expect = vec![0.0; t.links().len()];
-        for f in &flows {
-            for &l in t.get_route(f.src, f.dst) {
-                expect[l] += f.bytes;
-            }
-        }
-        assert_eq!(out.link_forwarded_bytes, expect);
+        assert_eq!(out[0], solo);
     }
 
     #[test]
     fn intranode_flows_deliver_instantly() {
         let t = Topology::placement_group(2, RATES);
-        let out = exchange(&t, &[flow(1, 1, 1e9)]);
-        assert_eq!(out.delivery_s[0], 0.0);
-        assert!(out.link_delivered_bytes.iter().all(|&b| b == 0.0));
+        assert_eq!(exchange(&t, &[flow(1, 1, 1e9)]), [0.0]);
     }
 
     #[test]
     fn zero_and_negative_bytes_are_clamped() {
         let t = Topology::placement_group(2, RATES);
-        let out = exchange(&t, &[flow(0, 1, 0.0)]);
+        let zero = exchange(&t, &[flow(0, 1, 0.0)]);
         // Zero payload still pays per-hop latency.
-        assert!((out.delivery_s[0] - 2.0e-6).abs() < 1e-15);
+        assert!((zero[0] - 2.0e-6).abs() < 1e-15);
         #[cfg(not(debug_assertions))]
         {
             let neg = exchange(&t, &[flow(0, 1, -5.0)]);
-            assert_eq!(neg.link_delivered_bytes.iter().sum::<f64>(), 0.0);
+            assert_eq!(bits(&neg), bits(&zero));
         }
     }
 
@@ -737,9 +570,7 @@ mod tests {
         let flows: Vec<Flow> = (0..5)
             .flat_map(|a| (0..5).filter(move |&b| b != a).map(move |b| flow(a, b, 1.0 + (a * 31 + b * 17) as f64 * 123.25)))
             .collect();
-        let a = exchange(&t, &flows);
-        let b = exchange(&t, &flows);
-        assert_eq!(a, b);
+        assert_eq!(bits(&exchange(&t, &flows)), bits(&exchange(&t, &flows)));
     }
 
     #[test]
@@ -754,7 +585,7 @@ mod tests {
         both.push(flow(2, 3, 2e6));
         both.push(flow(3, 2, 2e6));
         let contended = exchange(&t, &both);
-        assert!(contended.delivery_s[0] > isolated.delivery_s[0]);
-        assert!(contended.span_s > isolated.span_s);
+        assert!(contended[0] > isolated[0]);
+        assert!(contended[1] > isolated[1]);
     }
 }

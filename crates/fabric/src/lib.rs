@@ -22,17 +22,16 @@
 //!   engine: inject one exchange's worth of messages ([`fabric::Flow`]s,
 //!   in practice the Eq. 9 halo message graph), forward each hop-by-hop
 //!   along its route, charge per-link serialization at that link's
-//!   bandwidth, and fair-share every link among the flows currently
-//!   serializing on it. Completion order is deterministic
-//!   (`(time, link, flow seq)`), the whole engine is pure sequential
-//!   float arithmetic, and per-link byte counters are exact: delivered
-//!   bytes sum to exactly the injected message-graph bytes. Flows with
-//!   one route and one payload form a *class* that the engine advances
-//!   as one state (a class moves a link's occupancy by its member
-//!   count, completions still add bytes and set deliveries one member
-//!   at a time in `(link, seq)` order, and busy time is charged only to
-//!   occupied links), so every output has the bits a flow-at-a-time
-//!   engine gives — the `#[cfg(test)]` reference it is checked against.
+//!   bandwidth, fair-share every link among the flows currently
+//!   serializing on it, and return each flow's delivery time — the one
+//!   output, and the whole contract. The engine is pure sequential float
+//!   arithmetic, and a delivery time follows its flow under any
+//!   reordering of the input. Flows with one route and one payload form
+//!   a *class* that the engine advances as one state (a class moves a
+//!   link's occupancy by its member count), so every delivery time has
+//!   the bits a flow-at-a-time engine gives — the `#[cfg(test)]`
+//!   reference it is checked against. The per-link byte ledger of a
+//!   campaign is the scheduler's integer one, not the fabric's.
 //!
 //! Zero dependencies; everything is seed-free and replayable — the same
 //! flow list against the same topology produces bit-identical results on
@@ -41,5 +40,5 @@
 pub mod fabric;
 pub mod topology;
 
-pub use fabric::{exchange, ExchangeOutcome, Flow};
+pub use fabric::{exchange, Flow};
 pub use topology::{Link, LinkId, LinkRates, NodeId, Topology};

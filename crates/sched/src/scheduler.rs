@@ -129,7 +129,7 @@ pub struct CampaignConfig {
     /// Observations a calibrator needs before its correction is trusted
     /// for placement.
     pub min_calibration_obs: usize,
-    /// Billing model.
+    /// The billing rule (per attempt, per second).
     pub prices: PriceSheet,
     /// Shard heaps for the event queue. Pure layout: the campaign report
     /// is byte-identical at any value (the merge key is shard-free), so
@@ -1184,7 +1184,7 @@ impl Campaign {
                     .collect();
                 let prices = routed_set_comm(topology, &members)
                     .into_iter()
-                    .map(|routed| routed.per_task_inter_s.into())
+                    .map(Arc::from)
                     .collect();
                 unpriced.insert(prices)
             }
@@ -1266,20 +1266,15 @@ impl Campaign {
         let run = job.run.take().expect("no attempt to finalize");
         let state = &mut self.pools[run.pool_idx];
         let attempt_s = run.attempt_elapsed_s;
-        // Per-attempt billing: each attempt is its own allocation (the
-        // PerHour partial-hour round-up applies per attempt).
-        let cost = self
-            .config
-            .prices
-            .attempts_cost(&state.pool.platform, run.nodes, &[attempt_s]);
+        // Per-attempt billing: each attempt is its own allocation.
+        let prices = &self.config.prices;
+        let cost = prices.cost(&state.pool.platform, run.nodes, attempt_s);
         job.cost += cost;
         job.prior_attempts_s += attempt_s;
         state.cost += cost;
-        state.billed_node_seconds = state.billed_node_seconds.saturating_add(
-            self.config
-                .prices
-                .attempts_billed_node_seconds(run.nodes, &[attempt_s]),
-        );
+        state.billed_node_seconds = state
+            .billed_node_seconds
+            .saturating_add(prices.billed_node_seconds(run.nodes, attempt_s));
         state.pool.release_ids(&run.node_ids, attempt_s);
         state.active_jobs.remove(&job_idx);
         self.freed_pools.insert(run.pool_idx);
@@ -1350,10 +1345,10 @@ impl Campaign {
                 let nodes = run.nodes;
                 let raw_pred = run.raw_step_pred_s;
                 let elapsed = job.prior_attempts_s + run.attempt_elapsed_s;
-                let attempt_cost = self.config.prices.attempts_cost(
+                let attempt_cost = self.config.prices.cost(
                     &self.pools[pool_idx].pool.platform,
                     nodes,
-                    &[run.attempt_elapsed_s],
+                    run.attempt_elapsed_s,
                 );
                 let spent = job.cost + attempt_cost;
                 let guard = run.guard;
@@ -1795,7 +1790,7 @@ mod tests {
                 .collect();
             let fresh = routed_set_comm(topology, &members);
             for (victim, &(run, ids)) in members.iter().enumerate() {
-                assert_eq!(bits(&prices[victim]), bits(&fresh[victim].per_task_inter_s));
+                assert_eq!(bits(&prices[victim]), bits(&fresh[victim]));
                 let background: Vec<Flow> = members
                     .iter()
                     .enumerate()

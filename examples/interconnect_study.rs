@@ -47,7 +47,7 @@ fn main() {
             let b = simulate_geometry(&ec, grid, &cfg, ranks, steps, &overheads, 5, 0.0)
                 .expect("feasible");
             let gain = b.mflups / a.mflups - 1.0;
-            let cost_b = prices.run_cost(&ec, &b);
+            let cost_b = prices.cost(&ec, b.nodes_used, b.total_time_s);
             let updates = grid.fluid_count() as f64 * steps as f64 / 1e6;
             println!(
                 "{ranks:>6} {:>14.1} {:>14.1} {:>9.1}% {:>16.6}",

@@ -68,7 +68,7 @@ pub mod prelude {
         pricing::PriceSheet,
         topology::{build_topology, CommModel, TopologyVariant},
     };
-    pub use hemocloud_fabric::{exchange, ExchangeOutcome, Flow, LinkId, Topology};
+    pub use hemocloud_fabric::{exchange, Flow, LinkId, Topology};
     pub use hemocloud_core::{
         characterize::{characterize, PlatformCharacterization},
         dashboard::{Dashboard, DashboardEntry, Objective},

@@ -330,7 +330,8 @@ pub fn gate_campaign(doc: &Value) -> Vec<String> {
 
 /// `CAMPAIGN_fabric.json`: clean completion on the spread topology,
 /// per-link delivered bytes equal to the Eq. 9 total *exactly*, a real
-/// (> 1%) contention slowdown, and calibration closing the gap.
+/// (> 1%) contention slowdown, and calibration closing the gap to at
+/// most 2.5% placement error.
 pub fn gate_fabric(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("fabric", doc);
     campaign_report(&mut g, doc);
@@ -357,6 +358,10 @@ pub fn gate_fabric(doc: &Value) -> Vec<String> {
     );
     g.limit(witness, "fabric_contention_slowdown", Gt, 1.01);
     g.calibration_wins(doc);
+    // The calibrated error prices contended slices against the fabric's
+    // delivery times (1.99% committed): a change that distorts contention
+    // moves it long before it loses to the uncalibrated quartile.
+    g.limit(doc, "refinement.mape_calibrated_pct", Le, 2.5);
     g.failures
 }
 
@@ -833,6 +838,17 @@ mod tests {
         assert_only_failure(&gate_fabric(&broken), "fabric", "not \"spread\"");
         let broken = with(fabric(), "faults", Value::UInt(1));
         assert_only_failure(&gate_fabric(&broken), "fabric", "faults (1) != 0");
+    }
+
+    #[test]
+    fn fabric_gate_bounds_the_calibrated_placement_error() {
+        let mape = |v: f64| with(fabric(), "refinement.mape_calibrated_pct", Value::Float(v));
+        assert_only_failure(
+            &gate_fabric(&mape(2.6)),
+            "fabric",
+            "refinement.mape_calibrated_pct (2.6) is not <= 2.5",
+        );
+        assert_eq!(gate_fabric(&mape(1.99)), Vec::<String>::new());
     }
 
     #[test]

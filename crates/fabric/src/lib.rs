@@ -18,20 +18,24 @@
 //!   switch — the CSP "cluster placement group" guarantee), and
 //!   [`Topology::spread`] (racks behind oversubscribed trunk links — CSP
 //!   spread placement).
-//! * [`fabric`] — a deterministic discrete-time store-and-forward
+//! * [`fabric`] — a deterministic event-driven store-and-forward
 //!   engine: inject one exchange's worth of messages ([`fabric::Flow`]s,
 //!   in practice the Eq. 9 halo message graph), forward each hop-by-hop
 //!   along its route, charge per-link serialization at that link's
 //!   bandwidth, fair-share every link among the flows currently
 //!   serializing on it, and return each flow's delivery time — the one
-//!   output, and the whole contract. The engine is pure sequential float
-//!   arithmetic, and a delivery time follows its flow under any
-//!   reordering of the input. Flows with one route and one payload form
-//!   a *class* that the engine advances as one state (a class moves a
-//!   link's occupancy by its member count), so every delivery time has
-//!   the bits a flow-at-a-time engine gives — the `#[cfg(test)]`
-//!   reference it is checked against. The per-link byte ledger of a
-//!   campaign is the scheduler's integer one, not the fabric's.
+//!   output, and the whole contract. A flow occupies one link at a time,
+//!   so each link is its own fair-share server: it keeps a virtual clock
+//!   of the bytes served per flow and finishes a flow when the clock
+//!   reaches that flow's finish tag, and an instant costs only the links
+//!   and flows whose phase ends there. Flows with one route and one
+//!   payload form a *class* that moves a link's occupancy by its member
+//!   count. The engine is pure sequential float arithmetic, a delivery
+//!   time follows its flow under any reordering of the input, and the
+//!   tests hold every delivery within 1e-12 (relative) of the
+//!   discrete-time per-flow engine it replaced, kept as the
+//!   `#[cfg(test)]` reference. The per-link byte ledger of a campaign is the scheduler's
+//!   integer one, not the fabric's.
 //!
 //! Zero dependencies; everything is seed-free and replayable — the same
 //! flow list against the same topology produces bit-identical results on

@@ -213,15 +213,17 @@ impl Topology {
     }
 
     /// Lay one cable between vertices `a` and `b`: link `a → b`, then
-    /// `b → a`, both at the given rates.
+    /// `b → a`, both at the given rates. Every constructor lays its links
+    /// here, so this is the one check of their [`LinkRates`]: the fabric
+    /// divides by a link's bandwidth and adds its latency.
     fn add_duplex(&mut self, a: usize, b: usize, bandwidth_mb_s: f64, latency_us: f64) -> Duplex {
         assert!(
             bandwidth_mb_s > 0.0 && bandwidth_mb_s.is_finite(),
-            "link bandwidth must be positive and finite"
+            "bandwidth_mb_s must be positive and finite, got {bandwidth_mb_s}"
         );
         assert!(
             latency_us >= 0.0 && latency_us.is_finite(),
-            "link latency must be non-negative and finite"
+            "hop_latency_us must be non-negative and finite, got {latency_us}"
         );
         let id = self.links.len();
         for (from, to) in [(a, b), (b, a)] {
@@ -337,6 +339,48 @@ mod tests {
         assert_eq!(t.links()[trunk].bandwidth_mb_s, 500.0);
         let node_link = t.get_route(0, 1)[0];
         assert_eq!(t.links()[node_link].bandwidth_mb_s, 1000.0);
+    }
+
+    /// Every constructor refuses every bad rate, naming the field and
+    /// the value.
+    #[test]
+    fn bad_link_rates_are_rejected_naming_the_field() {
+        type Build = fn(LinkRates) -> Topology;
+        let builds: [(&str, Build); 3] = [
+            ("fat_tree", |r| Topology::fat_tree(4, 4, r)),
+            ("placement_group", |r| Topology::placement_group(4, r)),
+            ("spread", |r| Topology::spread(4, 2, 0.5, r)),
+        ];
+        let mut cases = Vec::new();
+        for b in [0.0, -0.0, -1000.0, f64::NAN, f64::INFINITY] {
+            let mut rates = RATES;
+            rates.bandwidth_mb_s = b;
+            cases.push(("bandwidth_mb_s", b, rates));
+        }
+        for l in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut rates = RATES;
+            rates.hop_latency_us = l;
+            cases.push(("hop_latency_us", l, rates));
+        }
+        for (field, value, rates) in cases {
+            for (name, build) in builds {
+                let err = std::panic::catch_unwind(|| build(rates))
+                    .expect_err(&format!("{name} accepted {field} = {value}"));
+                let msg = err
+                    .downcast_ref::<String>()
+                    .unwrap_or_else(|| panic!("{name}: panic payload is not a message"));
+                assert!(
+                    msg.starts_with(field) && msg.ends_with(&format!("got {value}")),
+                    "{name}, {field} = {value}: {msg}"
+                );
+            }
+        }
+        // Zero latency is a rate, not an error.
+        let mut zero_latency = RATES;
+        zero_latency.hop_latency_us = 0.0;
+        for (_, build) in builds {
+            let _ = build(zero_latency);
+        }
     }
 
     #[test]

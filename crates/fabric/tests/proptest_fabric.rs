@@ -127,8 +127,9 @@ fn random_flows(rng: &mut Rng, n_nodes: usize, max: usize) -> Vec<Flow> {
 /// flow at 0. A skipped hop or a flow that is never delivered (its time
 /// stays 0) fails one or the other. In a crowd the same seconds are
 /// added as more, smaller steps (every other flow's events split them),
-/// so the sum may round a few ULPs below the zero-load one: 13 at most
-/// over 20,000 cases, bounded here at 64 — far below the hop latency or
+/// so the sum may round a few ULPs below the zero-load one: over 20,000
+/// cases 1 at most for the event engine (13 for the class-stepping loop
+/// it replaced), bounded here at 64 — far below the hop latency or
 /// payload time a skipped hop would remove. The crowd reruns bit for
 /// bit.
 #[test]

@@ -3,15 +3,15 @@
 //! byte-compare every pair the determinism contract says must agree.
 //! Run it from the repository root.
 //!
-//! * `check` — spawns the six generators (`bench_baseline`, `campaign`,
+//! * `check` — spawns the five generators (`bench_baseline`,
 //!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
 //!   `OUT_DIR` set to `target/check/<run>/` and the environment of the
-//!   table in `SMOKE_RUNS`; then gates the six committed artifacts in
+//!   table in `SMOKE_RUNS`; then gates the five committed artifacts in
 //!   the current directory, including the one-revision stamp gate, the
 //!   fresh-vs-committed perf gate, and the gate that holds the committed
-//!   `CAMPAIGN_sched.json` and `CAMPAIGN_fabric.json` equal to the fresh
-//!   full-size runs but for `provenance.git_rev` and `provenance.rustc`.
-//! * `check --regen` — runs the six generators full-size into the
+//!   `CAMPAIGN_fabric.json` equal to the fresh full-size run but for
+//!   `provenance.git_rev` and `provenance.rustc`.
+//! * `check --regen` — runs the five generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
 //!   mesh the perf gate holds against it), then gates the result.
@@ -33,8 +33,6 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("bench_w1_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
     ("bench_w8_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
     ("bench_w8_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
-    ("campaign_a", "campaign", ""),
-    ("campaign_b", "campaign", ""),
     ("fabric_a", "fabric_demo", ""),
     ("fabric_b", "fabric_demo", ""),
     ("sched", "bench_sched", "RT_BENCH_FAST=1"),
@@ -46,12 +44,11 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
 
 /// Smoke artifacts that are also the fresh side of a gate against
 /// `COMMITTED[i]`: the perf gate for `BENCH_lbm.json` (a serial smoke
-/// mesh), equality but for the stamp for the two full-size campaign
-/// reports.
+/// mesh), equality but for the stamp for the full-size fabric campaign
+/// report.
 #[rustfmt::skip]
-const FRESH: [(&str, GateFn); 3] = [
+const FRESH: [(&str, GateFn); 2] = [
     ("bench_w1_a/BENCH_lbm.json", gate_bench_lbm),
-    ("campaign_a/CAMPAIGN_sched.json", gate_campaign),
     ("fabric_a/CAMPAIGN_fabric.json", gate_fabric),
 ];
 
@@ -61,7 +58,6 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("bench_w8_a/BENCH_lbm.json", &[gate_bench_lbm]),
     ("bench_w1_a/OBS_bench.json", &[gate_obs]),
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
-    ("campaign_a/OBS_campaign.json", &[gate_obs]),
     ("fabric_a/OBS_fabric.json", &[gate_obs]),
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
     ("eval_a/EVAL_campaign.json", &[gate_eval]),
@@ -77,8 +73,6 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
 const SMOKE_PAIRS: &[(&str, &str)] = &[
     ("bench_w1_a/OBS_bench.json", "bench_w1_b/OBS_bench.json"),
     ("bench_w8_a/OBS_bench.json", "bench_w8_b/OBS_bench.json"),
-    ("campaign_a/OBS_campaign.json", "campaign_b/OBS_campaign.json"),
-    ("campaign_a/CAMPAIGN_sched.json", "campaign_b/CAMPAIGN_sched.json"),
     ("fabric_a/OBS_fabric.json", "fabric_b/OBS_fabric.json"),
     ("fabric_a/CAMPAIGN_fabric.json", "fabric_b/CAMPAIGN_fabric.json"),
     ("eval_a/EVAL_campaign.json", "eval_b/EVAL_campaign.json"),
@@ -87,11 +81,10 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
 
 /// The committed artifacts (in the current directory), their gates, and
 /// the environment `--regen` runs their generators with. The first
-/// three are the committed sides of the gates against `FRESH`.
+/// two are the committed sides of the gates against `FRESH`.
 #[rustfmt::skip]
-const COMMITTED: [(&str, GateFn, &str, &str); 6] = [
+const COMMITTED: [(&str, GateFn, &str, &str); 5] = [
     ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
-    ("CAMPAIGN_sched.json", gate_campaign, "campaign", ""),
     ("CAMPAIGN_fabric.json", gate_fabric, "fabric_demo", ""),
     ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
@@ -159,7 +152,7 @@ impl Check {
     /// Spawn every smoke run, gate and compare what they wrote, and
     /// return the `FRESH` documents for the gates against the committed
     /// ones.
-    fn smoke(&mut self) -> [Value; 3] {
+    fn smoke(&mut self) -> [Value; 2] {
         let root = Path::new("target/check");
         let _ = std::fs::remove_dir_all(root);
         for (run, bin, env) in SMOKE_RUNS {
@@ -174,10 +167,10 @@ impl Check {
         FRESH.map(|(file, gate)| self.gated(&root.join(file), &[gate]))
     }
 
-    /// Gate the six committed artifacts, one by one and as a set, and
+    /// Gate the five committed artifacts, one by one and as a set, and
     /// against the `fresh` ones if given. A document that did not parse
     /// is already a failure and is compared with nothing.
-    fn committed(&mut self, fresh: Option<&[Value; 3]>) {
+    fn committed(&mut self, fresh: Option<&[Value; 2]>) {
         let docs = COMMITTED.map(|(file, gate, ..)| self.gated(Path::new(file), &[gate]));
         let set: Vec<(&str, &Value)> = COMMITTED.iter().map(|c| c.0).zip(&docs).collect();
         self.failures.extend(gate_committed_set(&set));

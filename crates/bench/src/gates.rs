@@ -189,9 +189,10 @@ impl Gate {
         }
     }
 
-    /// All four `refinement` statistics must exist: `Option`s, but never
-    /// `None` on a campaign that measured placements in every quartile.
-    fn refinement_stats(&mut self, doc: &Value) {
+    /// The refinement loop must have reduced placement error, and all four
+    /// `refinement` statistics must exist: `Option`s, but never `None` on
+    /// a campaign that measured placements in every quartile.
+    fn calibration_wins(&mut self, doc: &Value) {
         for stat in [
             "mape_first_quartile_uncalibrated_pct",
             "mape_calibrated_pct",
@@ -200,11 +201,6 @@ impl Gate {
         ] {
             self.number(doc, &format!("refinement.{stat}"));
         }
-    }
-
-    /// The refinement loop must have reduced placement error.
-    fn calibration_wins(&mut self, doc: &Value) {
-        self.refinement_stats(doc);
         let uncalibrated = "refinement.mape_first_quartile_uncalibrated_pct";
         self.relate(doc, "refinement.mape_calibrated_pct", Lt, uncalibrated);
     }
@@ -299,46 +295,31 @@ pub fn gate_perf_vs_committed(fresh: &Value, committed: &Value) -> Vec<String> {
     g.failures
 }
 
-fn campaign_report(g: &mut Gate, doc: &Value) {
-    g.limit(doc, "makespan_s", Gt, 0.0);
-    g.limit(doc, "total_cost_dollars", Gt, 0.0);
-    if g.rows(doc, "placements", &[]).is_empty() {
-        fail!(g, "placements is empty");
-    }
-    g.outcomes_sum_to_jobs(doc, "");
-    g.rows(doc, "platforms", &[("utilization", Le, 1.0 + 1e-9)]);
-}
-
 /// Any other document the generators write (the per-shard campaign
 /// reports): no `null` outside the `Option` statistics, nothing else.
 pub fn gate_finite(doc: &Value) -> Vec<String> {
     Gate::over("finite", doc).failures
 }
 
-/// `CAMPAIGN_sched.json`: finite positive economics, a non-empty
-/// placement log, outcomes that account for every job, utilizations
-/// within capacity, plus the full control loop: a guard kill, a
-/// successful fault retry, and calibration reducing placement error.
-pub fn gate_campaign(doc: &Value) -> Vec<String> {
-    let mut g = Gate::over("campaign", doc);
-    campaign_report(&mut g, doc);
-    g.limit(doc, "guard_kills", Ge, 1.0);
-    g.limit(doc, "retried_jobs_completed", Ge, 1.0);
-    g.calibration_wins(doc);
-    g.failures
-}
-
-/// `CAMPAIGN_fabric.json`: clean completion on the spread topology,
-/// per-link delivered bytes equal to the Eq. 9 total *exactly*, a real
-/// (> 1%) contention slowdown, and calibration closing the gap to at
-/// most 2.5% placement error.
+/// `CAMPAIGN_fabric.json`: finite positive economics, a non-empty
+/// placement log, utilizations within capacity, clean completion on the
+/// spread topology, per-link delivered bytes equal to the Eq. 9 total
+/// *exactly*, a real (> 1%) contention slowdown, and calibration closing
+/// the gap to at most 2.5% placement error.
 pub fn gate_fabric(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("fabric", doc);
-    campaign_report(&mut g, doc);
+    g.limit(doc, "makespan_s", Gt, 0.0);
+    g.limit(doc, "total_cost_dollars", Gt, 0.0);
+    g.outcomes_sum_to_jobs(doc, "");
+    g.rows(doc, "platforms", &[("utilization", Le, 1.0 + 1e-9)]);
     g.relate(doc, "completed", Eq, "jobs");
     g.limit(doc, "faults", Eq, 0.0);
     g.limit(doc, "retries", Eq, 0.0);
-    for p in g.rows(doc, "placements", &[]) {
+    let placements = g.rows(doc, "placements", &[]);
+    if placements.is_empty() {
+        fail!(g, "placements is empty");
+    }
+    for p in placements {
         if text(p, "topology") != "spread" {
             fail!(
                 g,
@@ -367,7 +348,8 @@ pub fn gate_fabric(doc: &Value) -> Vec<String> {
 
 /// `BENCH_sched.json`: event throughput — at the committed record's
 /// million jobs, no less than 600k events/s — outcomes that account for
-/// every job, the planted runaways and doomed budgets caught, and the
+/// every job, the planted runaways and doomed budgets caught, faults
+/// drawn, calibration reducing placement error, and the
 /// shard-determinism witness.
 pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("bench_sched", doc);
@@ -386,19 +368,23 @@ pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
     g.limit(doc, "outcomes.completed", Gt, 0.0);
     if jobs >= Some(1_000) {
         // A runaway every 211 jobs and a doomed budget every 503: at
-        // this scale the guard and admission paths must fire.
+        // this scale the guard, admission and fault paths must fire.
         g.limit(doc, "outcomes.guard_kills", Gt, 0.0);
         g.limit(doc, "outcomes.rejected", Gt, 0.0);
-        g.refinement_stats(doc);
+        g.limit(doc, "faults", Gt, 0.0);
+        g.calibration_wins(doc);
     }
     g.flag(doc, "shard_determinism.reports_identical");
     g.failures
 }
 
 /// `EVAL_campaign.json`: zero invariant violations, non-vacuous Eq. 9 and
-/// guard-exactness checkers, finite headline statistics, at least two
-/// fault rates — and on the full grid the ≥ 48-cell floor with every
-/// axis (stenosis and aneurysm included) still swept.
+/// guard-exactness checkers, finite headline statistics, positive
+/// economics and utilization within capacity in every cell, a cell that
+/// witnesses each of a guard kill, an admission rejection and a faulted
+/// job retried to completion, at least two fault rates — and on the full
+/// grid the ≥ 48-cell floor with every axis (stenosis and aneurysm
+/// included) still swept.
 pub fn gate_eval(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("eval", doc);
     g.limit(doc, "violations", Eq, 0.0);
@@ -415,8 +401,29 @@ pub fn gate_eval(doc: &Value) -> Vec<String> {
     ] {
         g.number(doc, &format!("overall.{stat}"));
     }
-    let rendered = g.rows(doc, "cell_results", &[]).len();
-    g.limit(doc, "cells", Eq, rendered as f64);
+    let cells = g.rows(
+        doc,
+        "cell_results",
+        &[
+            ("utilization", Le, 1.0 + 1e-9),
+            ("makespan_s", Gt, 0.0),
+            ("total_cost_dollars", Gt, 0.0),
+        ],
+    );
+    g.limit(doc, "cells", Eq, cells.len() as f64);
+    let count = |row: &Value, key: &str| row.get(key).and_then(Value::as_u64);
+    for (witness, found) in [
+        ("guard_kills >= 1", cells.iter().any(|r| count(r, "guard_kills") >= Some(1))),
+        ("rejected >= 1", cells.iter().any(|r| count(r, "rejected") >= Some(1))),
+        // Every job completed although one faulted: a retry recovered it.
+        ("faults >= 1 and completed == jobs", cells.iter().any(|r| {
+            count(r, "faults") >= Some(1) && count(r, "completed") == count(r, "jobs")
+        })),
+    ] {
+        if !found {
+            fail!(g, "cell_results has no row with {witness}");
+        }
+    }
     let by_axis = g.rows(doc, "by_axis", &[]);
     let values_of = |axis: &str| -> Vec<&str> {
         let on_axis = by_axis.iter().filter(|a| text(a, "axis") == axis);
@@ -510,7 +517,7 @@ pub fn gate_obs(doc: &Value) -> Vec<String> {
     g.failures
 }
 
-/// The six committed artifacts as a set: all stamped at one revision
+/// The five committed artifacts as a set: all stamped at one revision
 /// (regenerate with `check --regen`), and the three that have a smoke
 /// size committed at full size.
 pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
@@ -591,9 +598,6 @@ mod tests {
     fn bench_sched() -> Value {
         committed(include_str!("../../../BENCH_sched.json"))
     }
-    fn campaign() -> Value {
-        committed(include_str!("../../../CAMPAIGN_sched.json"))
-    }
     fn fabric() -> Value {
         committed(include_str!("../../../CAMPAIGN_fabric.json"))
     }
@@ -646,28 +650,13 @@ mod tests {
             Vec::<String>::new()
         );
         assert_eq!(gate_bench_sched(&bench_sched()), Vec::<String>::new());
-        assert_eq!(gate_campaign(&campaign()), Vec::<String>::new());
         assert_eq!(gate_finite(&fabric()), Vec::<String>::new());
         assert_eq!(gate_fabric(&fabric()), Vec::<String>::new());
         assert_eq!(gate_eval(&eval()), Vec::<String>::new());
         assert_eq!(gate_repro(&repro()), Vec::<String>::new());
         assert_eq!(gate_obs(&obs()), Vec::<String>::new());
-        let (a, b, c, d, e, f) = (
-            bench_lbm(),
-            bench_sched(),
-            campaign(),
-            fabric(),
-            eval(),
-            repro(),
-        );
-        let set = [
-            ("a", &a),
-            ("b", &b),
-            ("c", &c),
-            ("d", &d),
-            ("e", &e),
-            ("f", &f),
-        ];
+        let (a, b, c, d, e) = (bench_lbm(), bench_sched(), fabric(), eval(), repro());
+        let set = [("a", &a), ("b", &b), ("c", &c), ("d", &d), ("e", &e)];
         assert_eq!(gate_committed_set(&set), Vec::<String>::new());
     }
 
@@ -767,40 +756,30 @@ mod tests {
     }
 
     #[test]
-    fn campaign_gate_names_broken_economics_and_a_failed_refinement_loop() {
-        let broken = with(campaign(), "total_cost_dollars", Value::Null);
-        assert_only_failure(&gate_campaign(&broken), "campaign", "total_cost_dollars");
-        let broken = with(campaign(), "makespan_s", Value::Float(0.0));
+    fn fabric_gate_names_broken_economics_and_a_failed_refinement_loop() {
+        let broken = with(fabric(), "total_cost_dollars", Value::Null);
+        assert_only_failure(&gate_fabric(&broken), "fabric", "total_cost_dollars");
+        let broken = with(fabric(), "makespan_s", Value::Float(0.0));
+        assert_only_failure(&gate_fabric(&broken), "fabric", "makespan_s (0.0) is not > 0");
+        let broken = with(fabric(), "placements", Value::Array(vec![]));
+        assert_only_failure(&gate_fabric(&broken), "fabric", "placements is empty");
+        let broken = with(fabric(), "failed", Value::UInt(1));
+        assert_only_failure(&gate_fabric(&broken), "fabric", "but jobs is Some(10)");
+        let broken = with(fabric(), "platforms.0.utilization", Value::Float(1.5));
         assert_only_failure(
-            &gate_campaign(&broken),
-            "campaign",
-            "makespan_s (0.0) is not > 0",
-        );
-        let broken = with(campaign(), "placements", Value::Array(vec![]));
-        assert_only_failure(&gate_campaign(&broken), "campaign", "placements is empty");
-        let broken = with(campaign(), "completed", Value::UInt(0));
-        assert_only_failure(&gate_campaign(&broken), "campaign", "but jobs is Some(26)");
-        let broken = with(campaign(), "platforms.0.utilization", Value::Float(1.5));
-        assert_only_failure(
-            &gate_campaign(&broken),
-            "campaign",
+            &gate_fabric(&broken),
+            "fabric",
             "platforms.0.utilization (1.5) is not <= 1",
         );
         let broken = with(
-            campaign(),
-            "refinement.mape_calibrated_pct",
-            Value::Float(99.0),
+            fabric(),
+            "refinement.mape_first_quartile_uncalibrated_pct",
+            Value::Float(1.0),
         );
         assert_only_failure(
-            &gate_campaign(&broken),
-            "campaign",
-            "mape_calibrated_pct (99.0) is not < refinement.mape_first",
-        );
-        let broken = with(campaign(), "retried_jobs_completed", Value::UInt(0));
-        assert_only_failure(
-            &gate_campaign(&broken),
-            "campaign",
-            "retried_jobs_completed (0) is not >= 1",
+            &gate_fabric(&broken),
+            "fabric",
+            "mape_calibrated_pct (1.9",
         );
     }
 
@@ -879,6 +858,22 @@ mod tests {
     }
 
     #[test]
+    fn bench_sched_gate_wants_calibration_to_win_and_faults_drawn() {
+        let uncalibrated = bench_sched()
+            .at("refinement.mape_first_quartile_uncalibrated_pct")
+            .cloned()
+            .unwrap();
+        let broken = with(bench_sched(), "refinement.mape_calibrated_pct", uncalibrated);
+        assert_only_failure(
+            &gate_bench_sched(&broken),
+            "bench_sched",
+            "refinement.mape_calibrated_pct (77.9088) is not < refinement.mape_first",
+        );
+        let broken = with(bench_sched(), "faults", Value::UInt(0));
+        assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "faults (0) is not > 0");
+    }
+
+    #[test]
     fn eval_gate_names_a_violation_a_vacuous_checker_and_a_lost_axis() {
         let broken = with(eval(), "violations", Value::UInt(1));
         assert_only_failure(&gate_eval(&broken), "eval", "violations (1) != 0");
@@ -915,6 +910,39 @@ mod tests {
         // The same document stamped as a smoke grid owes no axis floor.
         let smoke = with(broken, "provenance.grid", Value::Str("smoke".into()));
         assert_eq!(gate_eval(&smoke), Vec::<String>::new());
+    }
+
+    #[test]
+    fn eval_gate_bounds_every_cells_economics() {
+        let broken = with(eval(), "cell_results.3.utilization", Value::Float(1.5));
+        let needle = "cell_results.3.utilization (1.5) is not <= 1";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        let broken = with(eval(), "cell_results.7.makespan_s", Value::Float(0.0));
+        let needle = "cell_results.7.makespan_s (0.0) is not > 0";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        let broken = with(eval(), "cell_results.9.total_cost_dollars", Value::Float(0.0));
+        let needle = "cell_results.9.total_cost_dollars (0.0) is not > 0";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+    }
+
+    #[test]
+    fn eval_gate_names_each_missing_control_loop_witness() {
+        // `doc` with `key` zeroed in every cell row.
+        fn zeroed(key: &str) -> Value {
+            let rows = eval().get("cell_results").and_then(Value::as_array).unwrap().len();
+            (0..rows).fold(eval(), |doc, i| {
+                with(doc, &format!("cell_results.{i}.{key}"), Value::UInt(0))
+            })
+        }
+        for (key, witness) in [
+            ("guard_kills", "no row with guard_kills >= 1"),
+            ("rejected", "no row with rejected >= 1"),
+            ("faults", "no row with faults >= 1 and completed == jobs"),
+            // Faults only in cells that lost a job witness no recovery.
+            ("completed", "no row with faults >= 1 and completed == jobs"),
+        ] {
+            assert_only_failure(&gate_eval(&zeroed(key)), "eval", witness);
+        }
     }
 
     #[test]
@@ -1039,12 +1067,8 @@ mod tests {
         );
         let broken = with(eval(), "by_axis.3.mean_utilization", Value::Null);
         assert_only_failure(&gate_eval(&broken), "eval", "by_axis.3.mean_utilization");
-        let broken = with(campaign(), "job_reports.0.cost_dollars", Value::Null);
-        assert_only_failure(
-            &gate_campaign(&broken),
-            "campaign",
-            "job_reports.0.cost_dollars",
-        );
+        let broken = with(fabric(), "job_reports.0.cost_dollars", Value::Null);
+        assert_only_failure(&gate_fabric(&broken), "fabric", "job_reports.0.cost_dollars");
         let broken = with(fabric(), "placements.1.predicted_step_s", Value::Null);
         assert_only_failure(
             &gate_fabric(&broken),
@@ -1068,8 +1092,8 @@ mod tests {
             "kernels.2.ns_per_update",
         );
         // An absent Option statistic is not a failure …
-        let absent = with(campaign(), "placements.0.measured_step_s", Value::Null);
-        assert_eq!(gate_campaign(&absent), Vec::<String>::new());
+        let absent = with(fabric(), "placements.0.measured_step_s", Value::Null);
+        assert_eq!(gate_fabric(&absent), Vec::<String>::new());
         let absent = with(eval(), "cell_results.0.error_p50_pct", Value::Null);
         assert_eq!(gate_eval(&absent), Vec::<String>::new());
         // … unless the gate requires that one.

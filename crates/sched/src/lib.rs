@@ -20,8 +20,8 @@
 //! * [`report`] — the [`CampaignReport`]: utilization, cost, SLO
 //!   attainment, guard/retry accounting, and the placement-MAPE
 //!   refinement trajectory, with deterministic JSON output.
-//! * [`demo`] — the seeded reference campaign the bench driver, example,
-//!   and acceptance tests all share.
+//! * [`demo`] — the seeded fabric contention campaign the `fabric_demo`
+//!   bench driver and its acceptance tests share.
 //! * [`sweep`] — the scenario-sweep evaluation harness: the campaign run
 //!   across seeds × geometries × platform mixes × fault rates × kernel
 //!   configurations, every finished campaign judged by the one
@@ -38,10 +38,7 @@ pub mod report;
 pub mod scheduler;
 pub mod sweep;
 
-pub use demo::{
-    demo_config, demo_jobs, demo_pools, fabric_demo_config, fabric_demo_jobs, fabric_demo_pools,
-    run_demo, run_demo_with_obs, run_fabric_demo,
-};
+pub use demo::{fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo};
 pub use events::{Event, ShardedEventQueue};
 pub use job::{JobOutcome, JobSpec};
 pub use report::{

@@ -115,8 +115,8 @@ pub struct CampaignConfig {
     /// `dur_s` seconds expects `rate × nodes × dur_s / 3600` faults
     /// ([`expected_faults`]); the per-slice fault draw fires with the
     /// Poisson hit probability `1 − e^(−λ)` ([`fault_probability`]). At
-    /// the demo's 0.15, a 2-node half-hour slice expects 0.15 faults and
-    /// is interrupted with probability ≈ 0.139.
+    /// the sweep's 0.25, a 2-node half-hour slice expects 0.25 faults and
+    /// is interrupted with probability ≈ 0.221.
     pub fault_rate_per_node_hour: f64,
     /// Base retry backoff, seconds; doubles per retry of the same job up
     /// to [`CampaignConfig::max_retry_backoff_s`].
@@ -935,7 +935,7 @@ impl Campaign {
         let node_ids = state
             .pool
             .try_alloc_ids(nodes)
-            .expect("placement raced capacity");
+            .expect("try_place places only an option that fits the pool's free nodes");
         state.attempts += 1;
         state.active_jobs.insert(job_idx);
         let platform = state.pool.platform.clone();
@@ -1628,12 +1628,11 @@ mod tests {
     /// exist, and for rows that came out empty.
     #[test]
     fn cached_options_are_the_dashboard_rows_the_pool_can_host() {
-        use crate::demo::demo_config;
         use hemocloud_core::dashboard::Dashboard;
         use hemocloud_geometry::anatomy::CylinderSpec;
         use hemocloud_geometry::voxel::{CellType, VoxelGrid};
 
-        let config = demo_config(42);
+        let config = CampaignConfig::default();
         let pools = Platform::all().into_iter().map(|platform| PoolSpec {
             platform,
             nodes: 2,

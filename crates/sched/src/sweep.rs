@@ -3,9 +3,13 @@
 //! every cross-cutting invariant armed, and aggregate the results into
 //! one deterministic JSON evaluation report (DESIGN.md §17).
 //!
-//! A single demo campaign shows the control loop works *once*; the sweep
-//! is the evaluation harness that shows it keeps its promises everywhere
-//! in the configuration space the paper's Discussion cares about.
+//! One campaign shows the control loop works *once*; the sweep is the
+//! evaluation harness that shows it keeps its promises everywhere in the
+//! configuration space the paper's Discussion cares about. Its stress
+//! cells are the scheduler's reference runs: `s42/cyl8/scalar/f0.25/aa_stress`
+//! (in the full and the smoke grid) kills a runaway, rejects a doomed
+//! budget, retries a faulted job to completion and calibrates its
+//! placement error down — the example and the acceptance tests run it.
 //!
 //! Every cell's finished campaign goes through [`audit`]: one table of
 //! named checkers over the report's typed fields, the metrics snapshot
@@ -185,6 +189,15 @@ pub struct Cell<'g> {
     pub fault_rate: f64,
     /// Kernel/job-mix configuration.
     pub workload: &'g WorkloadCase,
+}
+
+impl Cell<'_> {
+    /// The stable cell key (`s42/cyl8/scalar/f0.25/aa_stress`): prefixes
+    /// violations and names the cell in JSON.
+    pub fn key(&self) -> String {
+        let Cell { seed, geometry, mix, fault_rate, workload } = self;
+        format!("s{seed}/{}/{mix}/f{fault_rate:.2}/{}", geometry.key, workload.key)
+    }
 }
 
 /// The capacity-limited pools behind a mix key.
@@ -828,8 +841,8 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
     let mut violations = Vec::new();
 
     for cell in grid.cells() {
+        let key = cell.key();
         let Cell { seed, geometry, mix, fault_rate, workload } = cell;
-        let key = format!("s{seed}/{}/{mix}/f{fault_rate:.2}/{}", geometry.key, workload.key);
         let pools = mix_pools(mix);
         let config = cell_config(seed, fault_rate);
         let specs = cell_jobs(geometry, workload, &mut workloads);

@@ -1,7 +1,9 @@
-//! Acceptance tests for the campaign scheduler: the seeded demo campaign
-//! must be byte-for-byte reproducible, show the guard and retry machinery
-//! firing, and show placement error dropping once calibration kicks in.
+//! Acceptance tests for the campaign scheduler: the sweep's reference
+//! stress cell must be byte-for-byte reproducible, show the guard and
+//! retry machinery firing, and show placement error dropping once
+//! calibration kicks in.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use hemocloud_cluster::exec::Overheads;
@@ -11,16 +13,35 @@ use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_obs::Snapshot;
 use hemocloud_sched::{
-    audit, demo_jobs, demo_pools, run_demo, run_demo_with_obs, Campaign, CampaignConfig,
-    CampaignReport, JobSpec, PoolSpec,
+    audit, cell_config, cell_jobs, mix_pools, Campaign, CampaignConfig, CampaignReport, JobSpec,
+    PoolSpec, SweepGrid,
 };
 
-/// The demo campaign is expensive in debug builds; run it once and share
-/// the report, its JSON and its metrics snapshot across tests.
-fn demo() -> &'static (CampaignReport, String, Snapshot) {
-    static DEMO: OnceLock<(CampaignReport, String, Snapshot)> = OnceLock::new();
-    DEMO.get_or_init(|| {
-        let (report, obs) = run_demo_with_obs(42);
+/// The sweep's reference stress cell, in the full and the smoke grid: a
+/// runaway the guard kills, a doomed budget admission rejects, a faulted
+/// job retried to completion, and calibration on two scalar pools.
+const STRESS_CELL: &str = "s42/cyl8/scalar/f0.25/aa_stress";
+
+/// The stress cell's campaign inputs, its seed replaced by `seed`.
+fn stress_cell(seed: u64) -> (CampaignConfig, Vec<PoolSpec>, Vec<JobSpec>) {
+    let grid = SweepGrid::smoke();
+    let cell = grid.cells().into_iter().find(|c| c.key() == STRESS_CELL);
+    let cell = cell.expect("the smoke grid has the stress cell");
+    let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
+    (cell_config(seed, cell.fault_rate), mix_pools(cell.mix), jobs)
+}
+
+fn run_stress_cell(seed: u64) -> (CampaignReport, Snapshot) {
+    let (config, pools, jobs) = stress_cell(seed);
+    Campaign::run_jobs(config, pools, jobs)
+}
+
+/// Run the stress cell once and share the report, its JSON and its
+/// metrics snapshot across tests.
+fn stress() -> &'static (CampaignReport, String, Snapshot) {
+    static STRESS: OnceLock<(CampaignReport, String, Snapshot)> = OnceLock::new();
+    STRESS.get_or_init(|| {
+        let (report, obs) = run_stress_cell(42);
         let json = report.to_json();
         (report, json, obs)
     })
@@ -97,29 +118,25 @@ fn assert_accumulators_match_the_placement_log(report: &CampaignReport) {
 }
 
 #[test]
-fn demo_campaign_is_byte_for_byte_reproducible() {
-    let (_, first, _) = demo();
-    let second = run_demo(42).to_json();
+fn stress_cell_is_byte_for_byte_reproducible() {
+    let (_, first, _) = stress();
+    let second = run_stress_cell(42).0.to_json();
     assert_eq!(first, &second, "same seed must produce identical reports");
 }
 
 #[test]
-fn demo_campaign_passes_the_audit() {
-    // The committed demo campaign is judged by the same checker table as
-    // every sweep cell and the fabric demo; it kills runaways, so the
-    // guard-limit rebuild is armed.
-    let (report, _, obs) = demo();
-    let audit = audit(report, &demo_jobs(), &demo_pools(), obs);
+fn stress_cell_passes_the_audit() {
+    // It kills a runaway, so the guard-limit rebuild is armed.
+    let (report, _, obs) = stress();
+    let (_, pools, jobs) = stress_cell(42);
+    let audit = audit(report, &jobs, &pools, obs);
     assert!(audit.violations.is_empty(), "{:?}", audit.violations);
     assert!(audit.guard_exact_checks >= 1, "no guard limit was rebuilt");
 }
 
 #[test]
-fn demo_campaign_meets_the_acceptance_invariants() {
-    let (report, _, _) = demo();
-    // Scale floors.
-    assert!(report.jobs >= 20, "jobs {}", report.jobs);
-    assert!(report.platforms.len() >= 3, "platforms {}", report.platforms.len());
+fn stress_cell_meets_the_acceptance_invariants() {
+    let (report, _, _) = stress();
     // Fault injection was on and at least one job recovered via retry.
     assert!(report.faults >= 1, "no faults injected");
     assert!(report.retries >= 1, "no retries dispatched");
@@ -163,24 +180,21 @@ fn demo_campaign_meets_the_acceptance_invariants() {
 }
 
 #[test]
-fn demo_runaways_are_guard_killed_and_doomed_budget_is_rejected() {
-    let (report, _, _) = demo();
-    for j in &report.job_reports {
-        if j.name.starts_with("runaway-") {
-            assert_eq!(j.outcome.label(), "guard_killed", "{}", j.name);
-            assert!(j.run_seconds > 0.0, "{} must die mid-run, not at admission", j.name);
-        }
-        if j.name == "doomed-budget" {
-            assert_eq!(j.outcome.label(), "rejected");
-            assert_eq!(j.attempts, 0, "rejected jobs never run");
-            assert_eq!(j.cost_dollars, 0.0);
-        }
-    }
+fn stress_cell_runaway_is_guard_killed_and_doomed_budget_is_rejected() {
+    let (report, _, _) = stress();
+    let job = |name: &str| report.job_reports.iter().find(|j| j.name == name).expect(name);
+    let runaway = job("runaway");
+    assert_eq!(runaway.outcome.label(), "guard_killed");
+    assert!(runaway.run_seconds > 0.0, "the runaway must die mid-run, not at admission");
+    let doomed = job("doomed-budget");
+    assert_eq!(doomed.outcome.label(), "rejected");
+    assert_eq!(doomed.attempts, 0, "rejected jobs never run");
+    assert_eq!(doomed.cost_dollars, 0.0);
 }
 
 #[test]
-fn demo_utilization_respects_pool_capacity() {
-    let (report, _, _) = demo();
+fn stress_cell_utilization_respects_pool_capacity() {
+    let (report, _, _) = stress();
     for p in &report.platforms {
         assert!(
             p.utilization <= 1.0 + 1e-9,
@@ -436,7 +450,7 @@ fn capped_logs_keep_exact_campaign_aggregates() {
 fn campaign_obs_snapshot_is_deterministic_and_matches_report() {
     use hemocloud_obs::{Render, Sample};
 
-    let (report, snap) = run_demo_with_obs(42);
+    let (report, _, snap) = stress();
     // Counters agree with the report's own accounting.
     assert_eq!(snap.counter("sched.jobs.submitted"), Some(report.jobs as u64));
     assert_eq!(snap.counter("sched.faults"), Some(report.faults as u64));
@@ -458,15 +472,18 @@ fn campaign_obs_snapshot_is_deterministic_and_matches_report() {
         report.makespan_s
     );
     // The full render is byte-for-byte reproducible per seed.
-    let (_, again) = run_demo_with_obs(42);
+    let (_, again) = run_stress_cell(42);
     assert_eq!(
         snap.to_json(Render::Full),
         again.to_json(Render::Full),
         "same seed must produce identical snapshots"
     );
+    // Seed 4242 draws no fault where seed 42 draws one.
+    let (other, other_snap) = run_stress_cell(4242);
+    assert_ne!(other.faults, report.faults);
     assert_ne!(
         snap.to_json(Render::Full),
-        run_demo_with_obs(7).1.to_json(Render::Full),
+        other_snap.to_json(Render::Full),
         "snapshot must reflect the seed's event stream"
     );
 }

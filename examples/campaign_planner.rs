@@ -3,26 +3,31 @@
 //! discrete-event scheduler.
 //!
 //! Where the `csp_dashboard` example prices a single workload, this one
-//! drives a whole campaign: 26 jobs across four vascular geometries are
-//! submitted to four capacity-limited cloud pools. Each placement is
-//! chosen by `Dashboard::recommend` under the job's own objective
-//! (min-cost, max-throughput, or deadline), runs in time slices with a
-//! `JobGuard` watching wall-clock and dollars, survives seeded node
-//! faults via checkpoint-rollback retries, and feeds every measured slice
-//! back into `ModelCalibrator`s — so late placements run on refined
-//! predictions and the placement error visibly drops.
+//! drives a whole campaign: the evaluation sweep's reference stress cell,
+//! six jobs on a cylinder submitted to two capacity-limited cloud pools.
+//! Each placement is chosen by `Dashboard::recommend` under the job's own
+//! objective (min-cost, max-throughput, or deadline), runs in time slices
+//! with a `JobGuard` watching wall-clock and dollars, survives seeded
+//! node faults via checkpoint-rollback retries, and feeds every measured
+//! slice back into `ModelCalibrator`s — so late placements run on refined
+//! predictions and the placement error visibly drops. One runaway must
+//! be guard-killed, and one job whose budget buys nothing is rejected.
 //!
 //! Run: `cargo run --release --example campaign_planner`
 
+use std::collections::BTreeMap;
+
 use hemocloud::prelude::*;
-use hemocloud::sched::{demo_config, demo_jobs, demo_pools};
+use hemocloud::sched::{cell_config, cell_jobs, mix_pools, SweepGrid};
 
 fn main() {
-    let seed = 42;
-    let pools = demo_pools();
-    let jobs = demo_jobs();
+    let grid = SweepGrid::smoke();
+    let key = "s42/cyl8/scalar/f0.25/aa_stress";
+    let cell = grid.cells().into_iter().find(|c| c.key() == key).expect("smoke grid cell");
+    let pools = mix_pools(cell.mix);
+    let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
 
-    println!("Campaign: {} jobs over {} platform pools (seed {seed})\n", jobs.len(), pools.len());
+    println!("Campaign {key}: {} jobs over {} platform pools\n", jobs.len(), pools.len());
     println!("{:<14} {:>6} {:>12}", "pool", "nodes", "$/node-hour");
     for p in &pools {
         println!(
@@ -33,7 +38,7 @@ fn main() {
         );
     }
 
-    let mut campaign = Campaign::new(demo_config(seed), pools);
+    let mut campaign = Campaign::new(cell_config(cell.seed, cell.fault_rate), pools);
     for job in jobs {
         campaign.submit(job);
     }
@@ -81,15 +86,15 @@ fn main() {
     );
     let uncal = report
         .mape_first_quartile_uncalibrated_pct
-        .expect("demo campaign measures uncalibrated placements");
+        .expect("the cell measures uncalibrated placements");
     let cal = report
         .mape_calibrated_pct
-        .expect("demo campaign measures calibrated placements");
+        .expect("the cell measures calibrated placements");
     println!(
         "Refinement: placement MAPE {uncal:.1}% on the uncalibrated first quartile -> {cal:.1}% once calibrated."
     );
 
     assert!(cal < uncal, "refinement must reduce placement error");
-    assert!(report.guard_kills >= 1, "the runaways must be killed");
+    assert!(report.guard_kills >= 1, "the runaway must be killed");
     assert!(report.retried_jobs_completed >= 1, "a faulted job must recover");
 }

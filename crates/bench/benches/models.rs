@@ -166,32 +166,41 @@ fn prepared(h: &mut Harness) {
 }
 
 fn fabric(h: &mut Harness) {
-    // One co-scheduled set the size of `campaign_routed`'s big ones (728
-    // flows in ~350 classes, ~1,500 events): twin 56-rank runs on
-    // interleaved nodes of one spread pool, as lowest-free-first
-    // allocation hands them out, priced with one exchange.
+    // One co-scheduled set on each of `campaign_routed`'s two pools,
+    // twin runs on interleaved nodes as lowest-free-first allocation
+    // hands them out, priced with one exchange. The spread row is the
+    // size of that campaign's big sets (728 flows in 348 classes; a run's
+    // 91 exchanges, 83 sets and 8 isolated builds, average 421 flows in
+    // 180 classes over 828 instants) on a pool the twins fill (2 × 7
+    // nodes); the fat-tree row is its second pool (CSP-2 EC ×16, 36
+    // cores a node), where a 72-rank run spans two nodes of one leaf.
     let grid = CylinderSpec::default().with_resolution(8).build();
     let workload = Workload::harvey(&grid, 100);
-    let platform = Platform::csp2_small();
-    let run = PreparedRun::from_census(
-        &platform,
-        workload.census(56).unwrap(),
-        &workload.kernel,
-        workload.profile.boundary_point_bytes,
-        &Overheads::default(),
-        CommModel::Routed(TopologyVariant::Spread),
-    )
-    .unwrap();
-    let nodes = run.nodes();
-    let pool = build_topology(&platform, TopologyVariant::Spread, 2 * nodes);
-    let own: Vec<usize> = (0..nodes).map(|i| 2 * i).collect();
-    let twin: Vec<usize> = (0..nodes).map(|i| 2 * i + 1).collect();
-    let flows = run.flows(&own, 0).len() + run.flows(&twin, 1 << 32).len();
     let mut group = h.group("fabric");
-    group.throughput(Throughput::Elements(flows as u64));
-    group.bench_function("set_exchange_2x56", |b| {
-        b.iter(|| routed_set_comm(&pool, &[(&run, &own), (&run, &twin)]))
-    });
+    let sets = [
+        ("set_exchange_2x56", Platform::csp2_small(), 56, TopologyVariant::Spread, 14),
+        ("set_exchange_2x72_fat_tree", Platform::csp2_ec(), 72, TopologyVariant::FatTree, 16),
+    ];
+    for (name, platform, ranks, variant, pool_nodes) in sets {
+        let run = PreparedRun::from_census(
+            &platform,
+            workload.census(ranks).unwrap(),
+            &workload.kernel,
+            workload.profile.boundary_point_bytes,
+            &Overheads::default(),
+            CommModel::Routed(variant),
+        )
+        .unwrap();
+        let nodes = run.nodes();
+        let pool = build_topology(&platform, variant, pool_nodes);
+        let own: Vec<usize> = (0..nodes).map(|i| 2 * i).collect();
+        let twin: Vec<usize> = (0..nodes).map(|i| 2 * i + 1).collect();
+        let flows = run.flows(&own, 0).len() + run.flows(&twin, 1 << 32).len();
+        group.throughput(Throughput::Elements(flows as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| routed_set_comm(&pool, &[(&run, &own), (&run, &twin)]))
+        });
+    }
     group.finish();
 }
 

@@ -21,29 +21,47 @@
 //! exactly `bytes / bandwidth`). A flow starting at `v` finishes when the
 //! clock reaches its *finish tag* `v + bytes`, which never changes, so
 //! the link's next finish is its lowest tag at `(tag - v) · occ /
-//! bandwidth` from now, cached until the link's occupancy next moves.
-//! Latency ends wait as absolute times in one FIFO (every link shares one
-//! hop latency and instants never go back, so it stays sorted). The next
-//! instant is the earliest of its front and the busy links' cached
-//! finishes; at that instant the engine finishes every class
-//! whose link's finish falls there (the clock is set to exactly that
-//! tag), then starts every class whose latency ends there (each link's
-//! clock is brought up to the instant first, clamped at its lowest tag),
-//! and recomputes only the links it touched; the next pass takes
-//! whatever that leaves at the same instant (zero-latency hops,
-//! zero-byte payloads). An instant's work is the links and classes whose
-//! phase ends, not every live flow.
+//! bandwidth` from now.
 //!
-//! This is the same model as the per-flow discrete-time engine it
-//! replaced (every live flow advanced by the global step `dt` at every
-//! event, kept as the `#[cfg(test)]` `reference_exchange`): both
-//! integrate the same fair shares between the same events, but the
-//! clocks add the seconds in fewer, larger steps, so a delivery time may
-//! round differently. The tests bound the difference at 1e-12 relative
-//! per delivery, with zero deliveries exact; 3.9e-14 (188 ULPs) is the
-//! worst seen over 20,000 random cases. A flow alone on the fabric
-//! delivers at exactly its route's zero-load sum — every hop's latency,
-//! then its payload over the hop's bandwidth, added in route order.
+//! Links run to completion in route order: the only thing that couples
+//! two links is that one link's departures become the next hop's
+//! arrivals, and every route table is route-ordered
+//! ([`Topology::link_order`]: each link comes after every link that
+//! precedes it on a route). So the engine visits the links in that
+//! order, and when it reaches a link every arrival there is known: each
+//! class's latency end, `t + latency` of the hop, written when the class
+//! left its previous link at `t` (its first hop's from 0). It sorts
+//! them by `(end, class)` and serves them: the link's next instant is
+//! the earlier of its next finish and its next latency end; at that
+//! instant it finishes every class holding the lowest tag (the clock is
+//! set to exactly that tag), then starts every class whose latency ends
+//! there (the clock is brought up to the instant once, clamped at the
+//! lowest tag). A start can leave a finish at the same instant (a
+//! zero-byte payload, a clamped clock); the next turn takes it. A
+//! departing class joins its next hop's arrivals, or is delivered. Hops
+//! may carry different latencies: each link sorts its own arrivals.
+//!
+//! Per link this is the arithmetic of the network-wide instant loop it
+//! replaced (kept as the `#[cfg(test)]` `event_exchange`), which found
+//! the next instant across every busy link and one FIFO of latency ends:
+//! at a positive hop latency every start on a link at an instant is
+//! known before the instant's first finish there, so each link performs
+//! the same float operations at the same instants in the same order and
+//! deliveries are equal bit for bit. Behind a zero-latency hop, a class
+//! the old loop started a pass later, after a same-instant finish,
+//! starts in the same turn; the two can round apart only if that finish
+//! emptied a link whose clock was clamped at the instant, and none of
+//! 875,028 zero-latency deliveries over 20,000 random cases did. Both are
+//! the model of the per-flow discrete-time engine before them (every
+//! live flow advanced by the global step `dt` at every event, kept as
+//! `reference_exchange`): they integrate the same fair shares between
+//! the same events, but the clocks add the seconds in fewer, larger
+//! steps, so a delivery time may round differently. The tests bound the
+//! difference at 1e-12 relative per delivery, with zero deliveries
+//! exact; 3.9e-14 (188 ULPs) is the worst seen over 20,000 random cases.
+//! A flow alone on the fabric delivers at exactly its route's zero-load
+//! sum — every hop's latency, then its payload over the hop's bandwidth,
+//! added in route order.
 //!
 //! Determinism: the engine is pure sequential float arithmetic — no wall
 //! clocks, no randomness, no hashing. The same flow list against the same
@@ -69,10 +87,10 @@
 //! `tests/proptest_fabric.rs`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use crate::topology::{Link, LinkId, NodeId, Topology};
+use crate::topology::{LinkId, NodeId, Topology};
 
 /// One message to push through the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,19 +112,12 @@ pub struct Flow {
 #[derive(Debug, Clone)]
 struct Class<'t> {
     route: &'t [LinkId],
-    /// Index of the current hop in `route`; `link == route[hop]`.
+    /// Index of the current hop in `route`.
     hop: usize,
-    link: LinkId,
     bytes: f64,
-    /// The members' seqs, ascending, as a range of the member table.
+    /// The members' seqs, ascending, as a range of the member table; its
+    /// length is what the class adds to a link's `occ`.
     members: Range<usize>,
-}
-
-impl Class<'_> {
-    /// How many flows the class stands for: what it adds to `occ`.
-    fn multiplicity(&self) -> u32 {
-        self.members.len() as u32
-    }
 }
 
 /// Sanitize every flow's payload and group the flows that leave the node
@@ -114,9 +125,10 @@ impl Class<'_> {
 /// their `members` ranges index.
 fn classify<'t>(topo: &'t Topology, flows: &[Flow]) -> (Vec<Class<'t>>, Vec<usize>) {
     let n = topo.n_nodes();
-    // (src, dst, payload bits, seq): sorting groups a class and orders
-    // its members by seq.
-    let mut keyed: Vec<(NodeId, NodeId, u64, usize)> = Vec::with_capacity(flows.len());
+    // One key per flow, `(src · n + dst) << 96 | payload bits << 32 |
+    // seq`: sorting groups a class and orders its members by seq (seqs,
+    // like class indices, fit in 32 bits).
+    let mut keyed: Vec<u128> = Vec::with_capacity(flows.len());
     for (i, f) in flows.iter().enumerate() {
         assert!(
             f.src < n && f.dst < n,
@@ -132,39 +144,25 @@ fn classify<'t>(topo: &'t Topology, flows: &[Flow]) -> (Vec<Class<'t>>, Vec<usiz
         let b = if f.bytes.is_finite() { f.bytes.max(0.0) } else { 0.0 };
         // Flows on empty routes never enter the fabric: delivered at 0.
         if !topo.get_route(f.src, f.dst).is_empty() {
-            keyed.push((f.src, f.dst, b.to_bits(), i));
+            let pair = (f.src * n + f.dst) as u128;
+            keyed.push((pair << 96) | (u128::from(b.to_bits()) << 32) | i as u128);
         }
     }
     keyed.sort_unstable();
 
     let mut classes = Vec::new();
     let mut start = 0;
-    for run in keyed.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
-        let (src, dst, bits, _) = run[0];
-        let route = topo.get_route(src, dst);
+    for run in keyed.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let pair = (run[0] >> 96) as usize;
         classes.push(Class {
-            route,
+            route: topo.get_route(pair / n, pair % n),
             hop: 0,
-            link: route[0],
-            bytes: f64::from_bits(bits),
+            bytes: f64::from_bits((run[0] >> 32) as u64),
             members: start..start + run.len(),
         });
         start += run.len();
     }
-    (classes, keyed.into_iter().map(|k| k.3).collect())
-}
-
-/// Queue a class whose latency ends at `end`. Every constructor lays one
-/// hop latency on all its links, and ends are queued at instants that
-/// never go back, so the FIFO stays sorted by end time without a heap; a
-/// topology with mixed latencies would break that, and fails here.
-fn push_latency_end(arrivals: &mut VecDeque<(f64, u32)>, end: f64, class: u32) {
-    assert!(
-        arrivals.back().is_none_or(|back| back.0 <= end),
-        "latency ends out of order ({end} after {}): every link must share one hop latency",
-        arrivals.back().map_or(f64::NAN, |back| back.0)
-    );
-    arrivals.push_back((end, class));
+    (classes, keyed.iter().map(|&k| k as u32 as usize).collect())
 }
 
 /// One link as a fair-share server (see the module docs).
@@ -180,10 +178,6 @@ struct Server {
     /// class)`: tags are non-negative, so their bits order as they do,
     /// and the class index breaks ties in a content-defined order.
     tags: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Listed in the engine's busy links.
-    listed: bool,
-    /// Listed in this pass's touched links.
-    touched: bool,
 }
 
 impl Server {
@@ -221,110 +215,80 @@ impl Server {
 /// contention and determinism rules.
 pub fn exchange(topo: &Topology, flows: &[Flow]) -> Vec<f64> {
     let links = topo.links();
-    let bytes_per_s: Vec<f64> = links.iter().map(Link::bytes_per_s).collect();
-    let latency_s: Vec<f64> = links.iter().map(Link::latency_s).collect();
     let mut delivery = vec![0.0; flows.len()];
 
     let (mut classes, members) = classify(topo, flows);
-    let mut servers: Vec<Server> = (0..links.len()).map(|_| Server::default()).collect();
-    // Each busy link's cached next finish, by link.
-    let mut next = vec![f64::INFINITY; links.len()];
-    // `(end, class)`, earliest first. Every class starts paying its first
-    // hop's latency at 0.
-    let mut arrivals = VecDeque::new();
-    for (c, class) in classes.iter().enumerate() {
-        push_latency_end(&mut arrivals, latency_s[class.link], c as u32);
+    // Every link's `(latency end, class)` arrivals in one buffer: a class
+    // crosses each link of its route once, so counting sizes link `l`'s
+    // slice, `first[l]..first[l + 1]`, and `filled[l]` is its end so far.
+    // Every class starts paying its first hop's latency at 0, and a
+    // link's departures fill the next hop's slice before that link runs.
+    let mut first = vec![0; links.len() + 1];
+    for &l in classes.iter().flat_map(|class| class.route) {
+        first[l + 1] += 1;
     }
-    let mut busy: Vec<LinkId> = Vec::new();
-    let mut ending: Vec<LinkId> = Vec::new();
-    let mut touched: Vec<LinkId> = Vec::new();
-
-    loop {
-        // The next instant, and the links whose finish falls on it.
-        let mut t = arrivals.front().map_or(f64::INFINITY, |e| e.0);
-        ending.clear();
-        for &l in &busy {
-            if next[l] < t {
-                t = next[l];
-                ending.clear();
-            }
-            if next[l] == t {
-                ending.push(l);
-            }
-        }
-        if t == f64::INFINITY {
-            break;
-        }
-        touched.clear();
-        // Finishes: the clock reaches the lowest tag, and every class
-        // holding it leaves the link.
-        for &l in &ending {
-            let server = &mut servers[l];
-            let tag = server.tags.peek().expect("an ending link is busy").0 .0;
-            server.v = f64::from_bits(tag);
-            server.t_v = t;
-            while let Some(&Reverse((bits, c))) = server.tags.peek() {
-                if bits != tag {
-                    break;
-                }
-                server.tags.pop();
-                let class = &mut classes[c as usize];
-                server.occ -= class.multiplicity();
-                class.hop += 1;
-                if class.hop == class.route.len() {
-                    for &i in &members[class.members.clone()] {
-                        delivery[i] = t;
-                    }
-                } else {
-                    class.link = class.route[class.hop];
-                    push_latency_end(&mut arrivals, t + latency_s[class.link], c);
-                }
-            }
-            if server.occ == 0 {
-                server.v = 0.0;
-            }
-            server.touched = true;
-            touched.push(l);
-        }
-        // Starts: wire latency paid, serialize from the link's clock.
-        while let Some(&(end, c)) = arrivals.front() {
-            if end != t {
+    for l in 0..links.len() {
+        first[l + 1] += first[l];
+    }
+    let mut filled = first.clone();
+    let mut arrivals = vec![(0.0, 0); first[links.len()]];
+    for (c, class) in classes.iter().enumerate() {
+        let l = class.route[0];
+        arrivals[filled[l]] = (links[l].latency_s(), c as u32);
+        filled[l] += 1;
+    }
+    // One server, idle (no tags, `v` reset) between links.
+    let mut server = Server::default();
+    for &l in topo.link_order() {
+        let bytes_per_s = links[l].bytes_per_s();
+        let (mut next, end) = (first[l], first[l + 1]);
+        arrivals[next..end].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        loop {
+            // The link's next instant: its next finish or its next start.
+            let finish = server.next_finish(bytes_per_s);
+            let start = arrivals[next..end].first().map_or(f64::INFINITY, |a| a.0);
+            let t = if start <= finish { start } else { finish };
+            if t == f64::INFINITY {
                 break;
             }
-            arrivals.pop_front();
-            let class = &classes[c as usize];
-            let l = class.link;
-            let server = &mut servers[l];
-            server.advance(t, bytes_per_s[l]);
-            let tag = server.v + class.bytes;
-            server.tags.push(Reverse((tag.to_bits(), c)));
-            server.occ += class.multiplicity();
-            if !server.touched {
-                server.touched = true;
-                touched.push(l);
+            // Finishes: the clock reaches the lowest tag, and every class
+            // holding it leaves the link.
+            if finish == t {
+                let tag = server.tags.peek().expect("a finishing link is busy").0 .0;
+                server.v = f64::from_bits(tag);
+                server.t_v = t;
+                while let Some(&Reverse((bits, c))) = server.tags.peek() {
+                    if bits != tag {
+                        break;
+                    }
+                    server.tags.pop();
+                    let class = &mut classes[c as usize];
+                    server.occ -= class.members.len() as u32;
+                    class.hop += 1;
+                    if let Some(&hop) = class.route.get(class.hop) {
+                        arrivals[filled[hop]] = (t + links[hop].latency_s(), c);
+                        filled[hop] += 1;
+                    } else {
+                        for &i in &members[class.members.clone()] {
+                            delivery[i] = t;
+                        }
+                    }
+                }
+                if server.occ == 0 {
+                    server.v = 0.0;
+                }
             }
-        }
-        // Only the touched links' finishes move. A start can leave one at
-        // `t` (a zero-byte payload, or a clock clamped at its lowest tag):
-        // the next pass takes it at the same instant.
-        let mut idled = false;
-        for &l in &touched {
-            let server = &mut servers[l];
-            server.touched = false;
-            next[l] = server.next_finish(bytes_per_s[l]);
-            if server.occ == 0 {
-                idled = true;
-            } else if !server.listed {
-                server.listed = true;
-                busy.push(l);
+            // Starts: wire latency paid, serialize from the link's clock.
+            // A start can leave a finish at `t` (a zero-byte payload, or a
+            // clock clamped at its lowest tag): the next turn takes it.
+            while next < end && arrivals[next].0 == t {
+                let class = &classes[arrivals[next].1 as usize];
+                server.advance(t, bytes_per_s);
+                let tag = server.v + class.bytes;
+                server.tags.push(Reverse((tag.to_bits(), arrivals[next].1)));
+                server.occ += class.members.len() as u32;
+                next += 1;
             }
-        }
-        if idled {
-            busy.retain(|&l| {
-                let server = &mut servers[l];
-                server.listed = server.occ > 0;
-                server.listed
-            });
         }
     }
     delivery
@@ -336,6 +300,7 @@ mod tests {
     use crate::topology::LinkRates;
     use hemocloud_rt::check;
     use hemocloud_rt::rng::Rng;
+    use std::collections::VecDeque;
 
     const RATES: LinkRates = LinkRates {
         bandwidth_mb_s: 1000.0, // 1e9 B/s
@@ -489,6 +454,122 @@ mod tests {
         delivery
     }
 
+    /// The network-wide instant loop `exchange` ran before each link ran
+    /// to completion in route order, kept as the bitwise oracle of the
+    /// per-link pass: the same servers, but the next instant is the
+    /// earliest of every busy link's cached finish and one FIFO of
+    /// latency ends (sorted because every link shares one hop latency),
+    /// and an instant takes every ending link's finishes, then every
+    /// start, then recomputes the links it touched.
+    fn event_exchange(topo: &Topology, flows: &[Flow]) -> Vec<f64> {
+        let links = topo.links();
+        let bytes_per_s: Vec<f64> = links.iter().map(|l| l.bytes_per_s()).collect();
+        let latency_s: Vec<f64> = links.iter().map(|l| l.latency_s()).collect();
+        let mut delivery = vec![0.0; flows.len()];
+
+        let (mut classes, members) = classify(topo, flows);
+        let mut servers: Vec<Server> = (0..links.len()).map(|_| Server::default()).collect();
+        // Each busy link's cached next finish, and whether it is listed
+        // in `busy` / `touched`.
+        let mut next = vec![f64::INFINITY; links.len()];
+        let mut listed = vec![false; links.len()];
+        let mut in_touched = vec![false; links.len()];
+        let mut arrivals: VecDeque<(f64, u32)> = VecDeque::new();
+        let push = |arrivals: &mut VecDeque<(f64, u32)>, end: f64, class: u32| {
+            assert!(
+                arrivals.back().is_none_or(|back| back.0 <= end),
+                "latency ends out of order: every link must share one hop latency"
+            );
+            arrivals.push_back((end, class));
+        };
+        for (c, class) in classes.iter().enumerate() {
+            push(&mut arrivals, latency_s[class.route[0]], c as u32);
+        }
+        let mut busy: Vec<LinkId> = Vec::new();
+        let mut ending: Vec<LinkId> = Vec::new();
+        let mut touched: Vec<LinkId> = Vec::new();
+
+        loop {
+            let mut t = arrivals.front().map_or(f64::INFINITY, |e| e.0);
+            ending.clear();
+            for &l in &busy {
+                if next[l] < t {
+                    t = next[l];
+                    ending.clear();
+                }
+                if next[l] == t {
+                    ending.push(l);
+                }
+            }
+            if t == f64::INFINITY {
+                break;
+            }
+            touched.clear();
+            for &l in &ending {
+                let server = &mut servers[l];
+                let tag = server.tags.peek().expect("an ending link is busy").0 .0;
+                server.v = f64::from_bits(tag);
+                server.t_v = t;
+                while let Some(&Reverse((bits, c))) = server.tags.peek() {
+                    if bits != tag {
+                        break;
+                    }
+                    server.tags.pop();
+                    let class = &mut classes[c as usize];
+                    server.occ -= class.members.len() as u32;
+                    class.hop += 1;
+                    if class.hop == class.route.len() {
+                        for &i in &members[class.members.clone()] {
+                            delivery[i] = t;
+                        }
+                    } else {
+                        push(&mut arrivals, t + latency_s[class.route[class.hop]], c);
+                    }
+                }
+                if server.occ == 0 {
+                    server.v = 0.0;
+                }
+                in_touched[l] = true;
+                touched.push(l);
+            }
+            while let Some(&(end, c)) = arrivals.front() {
+                if end != t {
+                    break;
+                }
+                arrivals.pop_front();
+                let class = &classes[c as usize];
+                let l = class.route[class.hop];
+                let server = &mut servers[l];
+                server.advance(t, bytes_per_s[l]);
+                let tag = server.v + class.bytes;
+                server.tags.push(Reverse((tag.to_bits(), c)));
+                server.occ += class.members.len() as u32;
+                if !in_touched[l] {
+                    in_touched[l] = true;
+                    touched.push(l);
+                }
+            }
+            let mut idled = false;
+            for &l in &touched {
+                in_touched[l] = false;
+                next[l] = servers[l].next_finish(bytes_per_s[l]);
+                if servers[l].occ == 0 {
+                    idled = true;
+                } else if !listed[l] {
+                    listed[l] = true;
+                    busy.push(l);
+                }
+            }
+            if idled {
+                busy.retain(|&l| {
+                    listed[l] = servers[l].occ > 0;
+                    listed[l]
+                });
+            }
+        }
+        delivery
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -520,6 +601,62 @@ mod tests {
         }
     }
 
+    /// Random flows among `n` nodes: payloads zero, whole or fractional,
+    /// `src == dst` one flow in five (and by chance), classes of up to 8
+    /// exact duplicates, two classes on one route, members interleaved.
+    fn random_flows(rng: &mut Rng, n: usize) -> Vec<Flow> {
+        let payload = |rng: &mut Rng| match rng.range_usize(0, 4) {
+            0 => 0.0,
+            1 => rng.range_usize(0, 1 << 22) as f64,
+            _ => rng.range_f64(0.0, 4.0e6),
+        };
+        let mut flows: Vec<Flow> = Vec::new();
+        for _ in 0..rng.range_usize(0, 40) {
+            let src = rng.range_usize(0, n);
+            let dst = if rng.range_usize(0, 5) == 0 {
+                src
+            } else {
+                rng.range_usize(0, n)
+            };
+            let f = Flow {
+                src,
+                dst,
+                bytes: payload(rng),
+                tag: flows.len() as u64,
+            };
+            flows.push(f);
+            match rng.range_usize(0, 4) {
+                0 => {
+                    for _ in 0..rng.range_usize(1, 8) {
+                        flows.push(f);
+                    }
+                }
+                1 => flows.push(Flow {
+                    bytes: payload(rng),
+                    ..f
+                }),
+                _ => {}
+            }
+        }
+        for i in (1..flows.len()).rev() {
+            flows.swap(i, rng.range_usize(0, i + 1));
+        }
+        flows
+    }
+
+    /// A topology of a random shape and size at `rates`, with random
+    /// flows on it.
+    fn random_exchange(rng: &mut Rng, rates: LinkRates) -> (Topology, Vec<Flow>) {
+        let n = rng.range_usize(1, 20);
+        let topo = match rng.range_usize(0, 3) {
+            0 => Topology::placement_group(n, rates),
+            1 => Topology::fat_tree(n, 2 * rng.range_usize(1, 5), rates),
+            _ => Topology::spread(n, rng.range_usize(1, 6), rng.range_f64(0.25, 2.0), rates),
+        };
+        let flows = random_flows(rng, n);
+        (topo, flows)
+    }
+
     #[test]
     fn exchange_matches_the_per_flow_engine_within_bound() {
         check::run(
@@ -536,55 +673,69 @@ mod tests {
                         rng.range_f64(0.1, 30.0)
                     },
                 };
-                let n = rng.range_usize(1, 20);
-                let topo = match rng.range_usize(0, 3) {
-                    0 => Topology::placement_group(n, rates),
-                    1 => Topology::fat_tree(n, 2 * rng.range_usize(1, 5), rates),
-                    _ => {
-                        Topology::spread(n, rng.range_usize(1, 6), rng.range_f64(0.25, 2.0), rates)
-                    }
+                let (topo, flows) = random_exchange(rng, rates);
+                assert_matches_reference(&topo, &flows);
+            },
+        );
+    }
+
+    /// At a positive hop latency every start on a link at an instant is
+    /// known before the instant's first finish there, so the per-link
+    /// pass performs each link's float operations at the same instants
+    /// in the same order as the network-wide instant loop.
+    #[test]
+    fn per_link_engine_matches_the_event_engine_bitwise() {
+        check::run(
+            "per_link_engine_matches_the_event_engine_bitwise",
+            check::Config::cases(64),
+            |rng| {
+                let rates = LinkRates {
+                    bandwidth_mb_s: rng.range_f64(100.0, 10_000.0),
+                    hop_latency_us: rng.range_f64(0.1, 30.0),
                 };
-                let payload = |rng: &mut Rng| match rng.range_usize(0, 4) {
-                    0 => 0.0,
-                    1 => rng.range_usize(0, 1 << 22) as f64,
-                    _ => rng.range_f64(0.0, 4.0e6),
-                };
-                let mut flows: Vec<Flow> = Vec::new();
-                for _ in 0..rng.range_usize(0, 40) {
-                    let src = rng.range_usize(0, n);
-                    // `src == dst` one flow in five, and by chance.
-                    let dst = if rng.range_usize(0, 5) == 0 {
-                        src
+                let (topo, flows) = random_exchange(rng, rates);
+                assert_eq!(
+                    bits(&exchange(&topo, &flows)),
+                    bits(&event_exchange(&topo, &flows)),
+                    "{}: {flows:?}",
+                    topo.name()
+                );
+            },
+        );
+    }
+
+    /// A spread-shaped fabric laid by hand whose every cable has its own
+    /// bandwidth and hop latency (zero one cable in four): the per-link
+    /// pass sorts each link's arrivals, so it needs no shared latency.
+    #[test]
+    fn mixed_hop_latencies_match_the_per_flow_engine_within_bound() {
+        check::run(
+            "mixed_hop_latencies_match_the_per_flow_engine_within_bound",
+            check::Config::cases(64),
+            |rng| {
+                let n = rng.range_usize(1, 12);
+                let racks = rng.range_usize(1, 4);
+                let mut cable = |a: usize, b: usize| {
+                    let latency = if rng.range_usize(0, 4) == 0 {
+                        0.0
                     } else {
-                        rng.range_usize(0, n)
+                        rng.range_f64(0.1, 30.0)
                     };
-                    let f = Flow {
-                        src,
-                        dst,
-                        bytes: payload(rng),
-                        tag: flows.len() as u64,
-                    };
-                    flows.push(f);
-                    match rng.range_usize(0, 4) {
-                        // Exact duplicates: a class of up to 8.
-                        0 => {
-                            for _ in 0..rng.range_usize(1, 8) {
-                                flows.push(f);
-                            }
-                        }
-                        // The same pair with another payload: two classes
-                        // on one route.
-                        1 => flows.push(Flow {
-                            bytes: payload(rng),
-                            ..f
-                        }),
-                        _ => {}
+                    (a, b, rng.range_f64(100.0, 10_000.0), latency)
+                };
+                // Ports are cables 0..n, trunks n..n + racks; tor `r` is
+                // vertex `n + r`, the core `n + racks`.
+                let mut cables: Vec<_> = (0..n).map(|v| cable(v, n + v % racks)).collect();
+                cables.extend((0..racks).map(|r| cable(n + r, n + racks)));
+                let topo = Topology::hand_laid(n, &cables, |a, b| {
+                    let (ra, rb) = (a % racks, b % racks);
+                    if ra == rb {
+                        vec![2 * a, 2 * b + 1]
+                    } else {
+                        vec![2 * a, 2 * (n + ra), 2 * (n + rb) + 1, 2 * b + 1]
                     }
-                }
-                // Interleave the classes' members.
-                for i in (1..flows.len()).rev() {
-                    flows.swap(i, rng.range_usize(0, i + 1));
-                }
+                });
+                let flows = random_flows(rng, n);
                 assert_matches_reference(&topo, &flows);
             },
         );

@@ -27,15 +27,18 @@
 //!   output, and the whole contract. A flow occupies one link at a time,
 //!   so each link is its own fair-share server: it keeps a virtual clock
 //!   of the bytes served per flow and finishes a flow when the clock
-//!   reaches that flow's finish tag, and an instant costs only the links
-//!   and flows whose phase ends there. Flows with one route and one
+//!   reaches that flow's finish tag. Routes are loop-free and
+//!   route-ordered, so the engine runs each link to completion in
+//!   [`Topology::link_order`], its departures feeding the next hop's
+//!   arrivals. Flows with one route and one
 //!   payload form a *class* that moves a link's occupancy by its member
 //!   count. The engine is pure sequential float arithmetic, a delivery
 //!   time follows its flow under any reordering of the input, and the
-//!   tests hold every delivery within 1e-12 (relative) of the
-//!   discrete-time per-flow engine it replaced, kept as the
-//!   `#[cfg(test)]` reference. The per-link byte ledger of a campaign is the scheduler's
-//!   integer one, not the fabric's.
+//!   tests hold every delivery equal bit for bit to the network-wide
+//!   instant loop it replaced (at a positive hop latency) and within
+//!   1e-12 (relative) of the discrete-time per-flow engine before that,
+//!   both kept as `#[cfg(test)]` oracles. The per-link byte ledger of a
+//!   campaign is the scheduler's integer one, not the fabric's.
 //!
 //! Zero dependencies; everything is seed-free and replayable — the same
 //! flow list against the same topology produces bit-identical results on

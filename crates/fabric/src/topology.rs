@@ -23,7 +23,14 @@
 //!   configurable fraction of node bandwidth (the oversubscription).
 //!
 //! All route tables are symmetric in length (`|route(a,b)| ==
-//! |route(b,a)|`), loop-free, and empty for `a == b`.
+//! |route(b,a)|`), loop-free and route-ordered, and empty for `a == b`.
+//! Route-ordered: every constructor lays up/down routes (node port up,
+//! then switch tiers, then node port down), so the links have an order,
+//! [`Topology::link_order`], in which every link comes after each link
+//! that precedes it on any route. The fabric engine runs each link to
+//! completion in that order; a route table whose consecutive hops close
+//! a cycle of links has no such order and panics at construction,
+//! naming the cycle.
 
 /// Index of a compute node (0-based, `< n_nodes`).
 pub type NodeId = usize;
@@ -77,6 +84,8 @@ pub struct Topology {
     links: Vec<Link>,
     /// Route for `(a, b)` at `a * n_nodes + b`.
     routes: Vec<Vec<LinkId>>,
+    /// Every link, each after every link that precedes it on a route.
+    order: Vec<LinkId>,
 }
 
 impl Topology {
@@ -194,6 +203,13 @@ impl Topology {
         &self.routes[from * self.n_nodes + to]
     }
 
+    /// Every link id once, each after every link that precedes it on
+    /// some route: the order in which a link's arrivals are all known
+    /// once the links before it have run (see the module docs).
+    pub fn link_order(&self) -> &[LinkId] {
+        &self.order
+    }
+
     /// Name of the shape for reports: `"fat-tree"`, `"placement-group"`
     /// or `"spread"`.
     pub fn name(&self) -> &'static str {
@@ -209,6 +225,7 @@ impl Topology {
             n_nodes,
             links: Vec::new(),
             routes: vec![Vec::new(); n_nodes * n_nodes],
+            order: Vec::new(),
         }
     }
 
@@ -238,7 +255,8 @@ impl Topology {
     }
 
     /// Fill the route table from `route(a, b)` for every ordered pair of
-    /// distinct nodes.
+    /// distinct nodes, then order the links by depth over the routes'
+    /// consecutive hops. Panics naming a cycle if there is one.
     fn set_routes(&mut self, route: impl Fn(NodeId, NodeId) -> Vec<LinkId>) {
         let n = self.n_nodes;
         for a in 0..n {
@@ -246,6 +264,60 @@ impl Topology {
                 self.routes[a * n + b] = route(a, b);
             }
         }
+        // A link's depth: the most hops before it on any route. Relaxing
+        // every route's hops until no depth rises settles it (in two
+        // passes for up/down routes); on a cycle of links depths rise
+        // without end, and walking back from one past `n_links` along
+        // the hops that raised it lands on the cycle.
+        let n_links = self.links.len();
+        let (mut depth, mut raised_by) = (vec![0; n_links], vec![0; n_links]);
+        loop {
+            let mut raised = None;
+            for hop in self.routes.iter().flat_map(|r| r.windows(2)) {
+                if depth[hop[1]] <= depth[hop[0]] {
+                    depth[hop[1]] = depth[hop[0]] + 1;
+                    raised_by[hop[1]] = hop[0];
+                    raised = Some(hop[1]);
+                }
+            }
+            match raised {
+                None => break,
+                Some(mut l) if depth[l] > n_links => {
+                    for _ in 0..n_links {
+                        l = raised_by[l];
+                    }
+                    let mut cycle = vec![l, raised_by[l]];
+                    while cycle[cycle.len() - 1] != l {
+                        cycle.push(raised_by[cycle[cycle.len() - 1]]);
+                    }
+                    cycle.reverse();
+                    panic!("{}: route table has a link cycle {cycle:?}", self.name);
+                }
+                Some(_) => {}
+            }
+        }
+        let mut order: Vec<LinkId> = (0..n_links).collect();
+        order.sort_by_key(|&l| depth[l]);
+        self.order = order;
+    }
+}
+
+#[cfg(test)]
+impl Topology {
+    /// A topology laid by hand: `cables` as `(a, b, bandwidth_mb_s,
+    /// hop_latency_us)`, each laid by [`Topology::add_duplex`] (cable `i`
+    /// is links `2i` and `2i + 1`), routed by `route`.
+    pub(crate) fn hand_laid(
+        n_nodes: usize,
+        cables: &[(usize, usize, f64, f64)],
+        route: impl Fn(NodeId, NodeId) -> Vec<LinkId>,
+    ) -> Self {
+        let mut t = Self::unwired("hand-laid", n_nodes);
+        for &(a, b, bandwidth_mb_s, latency_us) in cables {
+            t.add_duplex(a, b, bandwidth_mb_s, latency_us);
+        }
+        t.set_routes(route);
+        t
     }
 }
 
@@ -381,6 +453,72 @@ mod tests {
         for (_, build) in builds {
             let _ = build(zero_latency);
         }
+    }
+
+    /// Each route's links stand in ascending positions of the link
+    /// order, which holds every link once.
+    fn assert_route_ordered(topo: &Topology) {
+        let mut position = vec![usize::MAX; topo.links().len()];
+        for (i, &l) in topo.link_order().iter().enumerate() {
+            assert_eq!(
+                position[l],
+                usize::MAX,
+                "{}: link {l} ordered twice",
+                topo.name()
+            );
+            position[l] = i;
+        }
+        assert!(
+            position.iter().all(|&p| p != usize::MAX),
+            "{}: a link is unordered",
+            topo.name()
+        );
+        for a in 0..topo.n_nodes() {
+            for b in 0..topo.n_nodes() {
+                let route = topo.get_route(a, b);
+                assert!(
+                    route.windows(2).all(|w| position[w[0]] < position[w[1]]),
+                    "{} on {} nodes: route {a} -> {b} {route:?} descends in the link order",
+                    topo.name(),
+                    topo.n_nodes()
+                );
+            }
+        }
+    }
+
+    /// Every constructor, 1..=64 nodes. Radix 16 and `(n / 2).max(2)`
+    /// racks are `cluster::topology::build_topology`'s shapes, so n = 16
+    /// and n = 32 lay exactly `campaign_routed`'s two pools (CSP-2 EC
+    /// fat tree ×16, CSP-2 small spread ×32).
+    #[test]
+    fn every_constructor_orders_each_route_ascending() {
+        for n in 1..=64 {
+            assert_route_ordered(&Topology::placement_group(n, RATES));
+            for radix in [2, 4, 6, 8, 16] {
+                assert_route_ordered(&Topology::fat_tree(n, radix, RATES));
+            }
+            for racks in [1, 2, 3, 5, (n / 2).max(2)] {
+                assert_route_ordered(&Topology::spread(n, racks, 0.5, RATES));
+            }
+        }
+    }
+
+    /// Three switches in a ring, every route taken clockwise: each ring
+    /// link precedes the next one on some route, 6 -> 8 -> 10 -> 6 (the
+    /// textbook cyclic channel dependency), so no link order exists.
+    #[test]
+    #[should_panic(expected = "hand-laid: route table has a link cycle [8, 10, 6, 8]")]
+    fn a_route_table_with_a_link_cycle_panics_naming_it() {
+        // Node `i` hangs off switch `3 + i` (links 2i up, 2i + 1 down);
+        // the clockwise ring links are 6, 8 and 10.
+        let cables =
+            [(0, 3), (1, 4), (2, 5), (3, 4), (4, 5), (5, 3)].map(|(a, b)| (a, b, 1000.0, 1.0));
+        let _ = Topology::hand_laid(3, &cables, |a, b| {
+            let mut route = vec![2 * a];
+            route.extend((a..a + (b + 3 - a) % 3).map(|s| [6, 8, 10][s % 3]));
+            route.push(2 * b + 1);
+            route
+        });
     }
 
     #[test]

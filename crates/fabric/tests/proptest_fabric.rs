@@ -128,10 +128,11 @@ fn random_flows(rng: &mut Rng, n_nodes: usize, max: usize) -> Vec<Flow> {
 /// stays 0) fails one or the other. In a crowd the same seconds are
 /// added as more, smaller steps (every other flow's events split them),
 /// so the sum may round a few ULPs below the zero-load one: over 20,000
-/// cases 1 at most for the event engine (13 for the class-stepping loop
-/// it replaced), bounded here at 64 — far below the hop latency or
-/// payload time a skipped hop would remove. The crowd reruns bit for
-/// bit.
+/// cases 1 at most for the per-link pass that runs each link to
+/// completion in route order (as for the network-wide instant loop it
+/// replaced; 13 for the class-stepping loop before that), bounded here
+/// at 64 — far below the hop latency or payload time a skipped hop would
+/// remove. The crowd reruns bit for bit.
 #[test]
 fn exchange_delivers_every_flow_and_is_deterministic() {
     check::run(

@@ -20,7 +20,7 @@ use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
 use hemocloud_fitting::two_line::fit_two_line;
-use hemocloud_geometry::anatomy::{CerebralSpec, CylinderSpec};
+use hemocloud_geometry::anatomy::{AortaSpec, CerebralSpec, CylinderSpec};
 use hemocloud_rt::bench::{Harness, Throughput};
 
 fn fitting(h: &mut Harness) {
@@ -118,6 +118,28 @@ fn sparse_decomposition(h: &mut Harness) {
     group.finish();
 }
 
+/// The same steps on `plan_aorta`'s anatomy: 365k fluid cells filling
+/// 29% of a 1.26M-voxel box, where the bisection and the walk cost what
+/// the fluid costs and the res-24 cylinder's rows above hide it.
+fn dense_decomposition(h: &mut Harness) {
+    let grid = std::sync::Arc::new(AortaSpec::default().with_resolution(40).build());
+    let mut group = h.group("decomp");
+    group.sample_size(10);
+    for n in [64usize, 256] {
+        group.bench_function(&format!("rcb_aorta_{n}"), |b| {
+            b.iter(|| RcbPartition::new(&grid, n))
+        });
+    }
+    let p = RcbPartition::new(&grid, 64);
+    group.bench_function("analyze_aorta_64", |b| {
+        b.iter(|| DecompAnalysis::analyze(&grid, &p))
+    });
+    group.bench_function("census_fill_9_aorta", |b| {
+        b.iter(|| Census::new(grid.clone(), 380.5, 301.25).entry(256))
+    });
+    group.finish();
+}
+
 fn predictions(h: &mut Harness) {
     let grid = CylinderSpec::default().with_resolution(16).build();
     let workload = Workload::harvey(&grid, 100);
@@ -210,6 +232,7 @@ fn main() {
     characterization(&mut h);
     decomposition(&mut h);
     sparse_decomposition(&mut h);
+    dense_decomposition(&mut h);
     predictions(&mut h);
     prepared(&mut h);
     fabric(&mut h);

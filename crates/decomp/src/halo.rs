@@ -96,15 +96,17 @@ impl DecompAnalysis {
 /// `wall_bytes` is not a whole number and `count × weight` would round
 /// differently.
 ///
-/// Only the directions that leave the point's own leaf box are probed: a
-/// neighbour inside it has the point's task at every level. The distinct
-/// foreign *leaf* owners found, shifted by `s`, are the point's peers at
-/// level `s`, and once none is foreign none is further up (DESIGN.md §19).
-/// Only the rows that hold fluid are visited, and `partition.owner` is
-/// asked only where a box check cannot answer: a point's owner is kept
-/// along its row until `x` leaves that owner's box, a neighbour's is the
-/// owner last found in the same direction from the same task while its
-/// box contains the neighbour.
+/// Only the directions that leave the point's own leaf box (and stay in
+/// the grid) are probed: a neighbour inside it has the point's task at
+/// every level. The distinct foreign *leaf* owners found, shifted by `s`,
+/// are the point's peers at level `s`, and once none is foreign none is
+/// further up (DESIGN.md §19). Only the rows that hold fluid are visited,
+/// and `partition.owner` is asked only where a box check cannot answer: a
+/// point's owner is kept along its row until `x` leaves that owner's box
+/// (a *segment*, whose task and byte sum at every level are taken once),
+/// a neighbour's is the owner last found in the same direction from the
+/// same task while its box contains the neighbour. Consecutive points of
+/// one task with the same foreign leaves are carried up the levels once.
 ///
 /// # Panics
 /// Panics when `partition` was cut from a grid of another shape.
@@ -126,26 +128,28 @@ pub fn walk<P: Ownership>(
 
     let leaves = partition.task_count();
     let regions: Vec<_> = (0..leaves).map(|t| partition.region(t)).collect();
-    let mut levels: Vec<CensusEntry> = shifts
+    let mut leaf_points = vec![0usize; leaves];
+    let mut levels: Vec<Level> = shifts
         .iter()
         .map(|&shift| {
             let n_tasks = leaves.div_ceil(1 << shift);
-            CensusEntry {
-                analysis: DecompAnalysis {
-                    n_tasks,
-                    points_per_task: vec![0; n_tasks],
-                    boundary_points_per_task: vec![0; n_tasks],
-                    messages: vec![BTreeMap::new(); n_tasks],
-                    total_points: 0,
-                },
-                task_bytes: vec![0.0; n_tasks],
+            Level {
+                shift,
+                task: 0,
+                bytes: vec![0.0; n_tasks],
+                boundary: vec![0; n_tasks],
+                tallies: vec![Vec::new(); n_tasks],
             }
         })
         .collect();
-    // For every set of its box's faces a point can sit on (per axis a low
-    // bit, then a high bit), the directions (indices into
-    // `D3Q19_DIRECTIONS`) that cross one of them.
-    let crossing: Vec<Vec<usize>> = (0..64)
+    // Per level, the byte sum of the current segment's task, stored back
+    // when the segment ends: every sum still adds its points in memory
+    // order.
+    let mut sums = vec![0.0; levels.len()];
+    // For every set of box faces a point can sit on (per axis a low bit,
+    // then a high bit), the directions (bits over `D3Q19_DIRECTIONS`)
+    // that cross one of them.
+    let crossing: Vec<u32> = (0..64)
         .map(|faces: usize| {
             let crosses =
                 |d: i32, axis: usize| d != 0 && faces >> (2 * axis + usize::from(d > 0)) & 1 == 1;
@@ -154,49 +158,59 @@ pub fn walk<P: Ownership>(
                     let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
                     crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2)
                 })
-                .collect()
+                .fold(0, |bits, d| bits | 1 << d)
         })
         .collect();
+    let (nx, ny, nz) = grid.dims();
+    let offsets = D3Q19_DIRECTIONS
+        .map(|(dx, dy, dz)| dx as isize + nx as isize * (dy as isize + ny as isize * dz as isize));
     // Per task and direction, the owner last found that way from a point
     // of that task: its next point's neighbour that way is usually in the
     // same box. (One hint per direction alone misses far more often: a
     // row crosses several tasks, and each points it elsewhere.)
     let mut hints = vec![[0usize; D3Q19_DIRECTIONS.len()]; leaves];
+    let mut run = PeerRun::default();
 
     for (y, z, cells) in grid.fluid_rows() {
+        let row = nx * (y + ny * z);
+        let grid_yz = faces(y, 0, ny) << 2 | faces(z, 0, nz) << 4;
         // The point's owner holds the row up to its box's `x1`.
-        let (mut me, mut me_x1) = (0, 0);
+        let (mut me, mut me_x1, mut box_yz) = (0, 0, 0);
         for (x, &c) in cells.iter().enumerate() {
             if !c.is_fluid() {
                 continue;
             }
             if x >= me_x1 {
                 me = partition.owner(x, y, z);
-                me_x1 = regions[me].x1;
+                let r = &regions[me];
+                me_x1 = r.x1;
+                box_yz = faces(y, r.y0, r.y1) << 2 | faces(z, r.z0, r.z1) << 4;
+                for (level, sum) in levels.iter_mut().zip(&mut sums) {
+                    level.bytes[level.task] = *sum;
+                    level.task = me >> level.shift;
+                    *sum = level.bytes[level.task];
+                }
             }
+            leaf_points[me] += 1;
             let weight = match c {
                 CellType::Bulk => bulk_bytes,
                 _ => wall_bytes,
             };
-            for (level, &shift) in levels.iter_mut().zip(shifts) {
-                level.analysis.total_points += 1;
-                level.analysis.points_per_task[me >> shift] += 1;
-                level.task_bytes[me >> shift] += weight;
+            for sum in &mut sums {
+                *sum += weight;
             }
 
-            // Which foreign leaves does this point border?
-            let r = &regions[me];
-            let faces = usize::from(x == r.x0)
-                | usize::from(x + 1 == r.x1) << 1
-                | usize::from(y == r.y0) << 2
-                | usize::from(y + 1 == r.y1) << 3
-                | usize::from(z == r.z0) << 4
-                | usize::from(z + 1 == r.z1) << 5;
+            // Which foreign leaves does this point border? A direction that
+            // leaves the grid has no neighbour, and the rest have an index.
+            let mut probe = crossing[box_yz | faces(x, regions[me].x0, me_x1)]
+                & !crossing[grid_yz | faces(x, 0, nx)];
             let mut peers = [0usize; D3Q19_DIRECTIONS.len()];
             let mut n_peers = 0;
-            for &d in &crossing[faces] {
-                let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
-                if grid.get_offset(x, y, z, dx, dy, dz).is_fluid() {
+            while probe != 0 {
+                let d = probe.trailing_zeros() as usize;
+                probe &= probe - 1;
+                if grid.cells()[(row + x).wrapping_add_signed(offsets[d])].is_fluid() {
+                    let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
                     let (qx, qy, qz) = (
                         x.wrapping_add_signed(dx as isize),
                         y.wrapping_add_signed(dy as isize),
@@ -213,31 +227,102 @@ pub fn walk<P: Ownership>(
                     }
                 }
             }
-            // Carry them up the levels, merging as they coincide.
-            let mut at = 0;
-            for (level, &shift) in levels.iter_mut().zip(shifts) {
-                let me = me >> shift;
-                let mut kept = 0;
-                for i in 0..n_peers {
-                    let peer = peers[i] >> (shift - at);
-                    if peer != me && !peers[..kept].contains(&peer) {
-                        peers[kept] = peer;
-                        kept += 1;
-                    }
+            if n_peers == 0 {
+                continue;
+            }
+            // Along a box face, point after point borders the same leaves.
+            if run.me == me && run.peers[..run.n_peers] == peers[..n_peers] {
+                run.points += 1;
+            } else {
+                run.carry(&mut levels);
+                (run.me, run.peers, run.n_peers, run.points) = (me, peers, n_peers, 1);
+            }
+        }
+    }
+    run.carry(&mut levels);
+    for (level, sum) in levels.iter_mut().zip(&sums) {
+        level.bytes[level.task] = *sum;
+    }
+
+    let total_points = leaf_points.iter().sum();
+    levels
+        .into_iter()
+        .map(|level| {
+            let n_tasks = level.bytes.len();
+            let mut points_per_task = vec![0; n_tasks];
+            for (leaf, &points) in leaf_points.iter().enumerate() {
+                points_per_task[leaf >> level.shift] += points;
+            }
+            CensusEntry {
+                analysis: DecompAnalysis {
+                    n_tasks,
+                    points_per_task,
+                    boundary_points_per_task: level.boundary,
+                    messages: level.tallies.into_iter().map(BTreeMap::from_iter).collect(),
+                    total_points,
+                },
+                task_bytes: level.bytes,
+            }
+        })
+        .collect()
+}
+
+/// The faces of `[lo, hi)` that `v` sits on: bit 0 the low, bit 1 the high.
+#[inline]
+fn faces(v: usize, lo: usize, hi: usize) -> usize {
+    usize::from(v == lo) | usize::from(v + 1 == hi) << 1
+}
+
+/// One level of a [`walk`] in progress: its tasks' byte sums, boundary
+/// points and `(peer, points)` tallies.
+struct Level {
+    shift: u32,
+    /// The current segment's task at this level.
+    task: usize,
+    bytes: Vec<f64>,
+    boundary: Vec<usize>,
+    tallies: Vec<Vec<(usize, usize)>>,
+}
+
+/// Consecutive boundary points of leaf `me` that border the same foreign
+/// leaves, in the order the walk found them.
+#[derive(Default)]
+struct PeerRun {
+    me: usize,
+    peers: [usize; D3Q19_DIRECTIONS.len()],
+    n_peers: usize,
+    points: usize,
+}
+
+impl PeerRun {
+    /// Count the run's points at every level where a peer is still
+    /// foreign, merging peers as they coincide.
+    fn carry(&mut self, levels: &mut [Level]) {
+        let (peers, mut n_peers, mut at) = (&mut self.peers, self.n_peers, 0);
+        for level in levels {
+            let me = self.me >> level.shift;
+            let mut kept = 0;
+            for i in 0..n_peers {
+                let peer = peers[i] >> (level.shift - at);
+                if peer != me && !peers[..kept].contains(&peer) {
+                    peers[kept] = peer;
+                    kept += 1;
                 }
-                (n_peers, at) = (kept, shift);
-                if n_peers == 0 {
-                    break;
-                }
-                level.analysis.boundary_points_per_task[me] += 1;
-                for &peer in &peers[..n_peers] {
-                    *level.analysis.messages[me].entry(peer).or_insert(0) += 1;
+            }
+            (n_peers, at) = (kept, level.shift);
+            if n_peers == 0 {
+                break;
+            }
+            level.boundary[me] += self.points;
+            for &peer in &peers[..n_peers] {
+                let tally = &mut level.tallies[me];
+                match tally.iter_mut().find(|(p, _)| *p == peer) {
+                    Some((_, points)) => *points += self.points,
+                    None => tally.push((peer, self.points)),
                 }
             }
         }
     }
-
-    levels
 }
 
 /// Per-task *resident-memory* byte totals: every fluid point owned by a
@@ -379,6 +464,14 @@ mod tests {
                 (got, p) => assert_eq!(got.err(), p.err(), "rcb {n}"),
             }
         }
+        // Levels with gaps between them: peers carried over skipped ones.
+        if let Ok(tree) = RcbPartition::try_new(g, 256) {
+            let shifts = [1, 4, 5, 8];
+            for (got, &s) in walk(g, &tree, &shifts, bulk, wall).iter().zip(&shifts) {
+                let want = reference(g, &tree.coarsened(s), bulk, wall);
+                assert_same(got, &want, &format!("256 leaves >> {s}"));
+            }
+        }
         let (nx, ny, nz) = g.dims();
         for n in [1, 4, nx.min(ny).min(nz)] {
             let block = BlockPartition::new(g.dims(), n);
@@ -395,12 +488,16 @@ mod tests {
     }
 
     /// A random grid of 6 to 9 voxels a side, about `fluid_pct` percent
-    /// fluid of every fluid cell type.
-    fn lumpy_grid(rng: &mut Rng, fluid_pct: u64) -> VoxelGrid {
+    /// fluid of every fluid cell type; with `shell`, fluid on all six grid
+    /// faces too, so probes that would leave the grid are everywhere.
+    fn lumpy_grid(rng: &mut Rng, fluid_pct: u64, shell: bool) -> VoxelGrid {
         let mut side = || rng.range_usize(6, 10);
         let mut g = VoxelGrid::solid(side(), side(), side(), 1.0);
+        let (nx, ny, nz) = g.dims();
         for i in 0..g.len() {
-            if rng.range_u64(0, 100) < fluid_pct {
+            let (x, y, z) = g.coords(i);
+            let on_face = x % (nx - 1) == 0 || y % (ny - 1) == 0 || z % (nz - 1) == 0;
+            if shell && on_face || rng.range_u64(0, 100) < fluid_pct {
                 let kind = [
                     CellType::Bulk,
                     CellType::Wall,
@@ -422,7 +519,8 @@ mod tests {
             Config::cases(48),
             |rng| {
                 let fluid_pct = rng.range_u64(0, 91);
-                assert_walk_matches_reference(&lumpy_grid(rng, fluid_pct));
+                let shell = rng.range_u64(0, 2) == 0;
+                assert_walk_matches_reference(&lumpy_grid(rng, fluid_pct, shell));
             },
         );
     }
@@ -432,7 +530,7 @@ mod tests {
         assert_walk_matches_reference(&VoxelGrid::solid(4, 5, 6, 1.0));
         let mut rng = Rng::new(22);
         let mut first = |wanted: fn(&VoxelGrid) -> bool| loop {
-            let g = lumpy_grid(&mut rng, 60);
+            let g = lumpy_grid(&mut rng, 60, false);
             if wanted(&g) {
                 break g;
             }
@@ -445,6 +543,14 @@ mod tests {
             )
         }));
         assert_walk_matches_reference(&CylinderSpec::default().with_resolution(8).build());
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_full_and_hollow_boxes() {
+        assert_walk_matches_reference(&VoxelGrid::filled(7, 8, 9, 1.0, CellType::Wall));
+        let mut rng = Rng::new(40);
+        assert_walk_matches_reference(&lumpy_grid(&mut rng, 0, true));
+        assert_walk_matches_reference(&lumpy_grid(&mut rng, 50, true));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! HARVEY load-balances *fluid points*, not bounding-box volume; a naive
 //! block grid assigns near-empty corner blocks on sparse anatomies (the
 //! cerebral tree especially) and its imbalance factor explodes. RCB
-//! recursively splits the current box along its longest axis at the plane
-//! that divides the *fluid count* in proportion to the task split,
-//! producing box-shaped subdomains (the generalized model's sub-cube
-//! assumption still holds) with near-perfect balance.
+//! recursively splits the current box at the plane, along whichever of
+//! the three axes does it best, that divides the *fluid count* closest to
+//! the proportion of the task split, producing box-shaped subdomains (the
+//! generalized model's sub-cube assumption still holds) with near-perfect
+//! balance. The fluid is carried as maximal x-runs, so a level costs the
+//! runs and the boxes' extents, not the fluid points.
 //!
 //! The block partition remains available as the ablation baseline
 //! (DESIGN.md §5, "Block vs. slab decomposition" extends to RCB).
@@ -133,24 +135,26 @@ impl RcbPartition {
         let dims = grid.dims();
         assert!(
             u32::try_from(grid.len()).is_ok(),
-            "a {dims:?} grid has {} voxels, more than u32 cell coordinates and row runs index",
+            "a {dims:?} grid has {} voxels, more than the u32 fluid and row runs index",
             grid.len()
         );
-        // The fluid cells, permuted in place so that every tree node owns
-        // a contiguous run: a bisection level costs one pass over the
-        // fluid points, not three scans of the bounding box.
-        let mut cells = Vec::new();
+        // The maximal fluid x-runs: a bisection level costs one pass over
+        // them plus the node's extents, not the fluid points or the box.
+        let mut runs = Vec::new();
         for (y, z, row) in grid.fluid_rows() {
-            for (x, c) in row.iter().enumerate() {
-                if c.is_fluid() {
-                    cells.push([x as u32, y as u32, z as u32]);
-                }
+            let mut x = 0;
+            while let Some(gap) = row[x..].iter().position(|c| c.is_fluid()) {
+                let x0 = x + gap;
+                x = x0 + row[x0..].iter().take_while(|c| c.is_fluid()).count();
+                let [x0, x1, y, z] = [x0, x, y, z].map(|v| v as u32);
+                runs.push(Run { x0, x1, y, z });
             }
         }
-        if n_tasks > cells.len() {
+        let fluid = runs.iter().map(|r| (r.x1 - r.x0) as usize).sum();
+        if n_tasks > fluid {
             return Err(RcbError::TooManyTasks {
                 n_tasks,
-                fluid_points: cells.len(),
+                fluid_points: fluid,
             });
         }
         crate::rcb_trees().inc();
@@ -163,7 +167,7 @@ impl RcbPartition {
             z1: dims.2,
         };
         let mut regions = vec![whole; n_tasks];
-        bisect(whole, &mut cells, 0, n_tasks, &mut regions)?;
+        bisect(whole, runs, fluid, 0, n_tasks, &mut regions)?;
         Ok(Self {
             dims,
             runs: Arc::new(RowRuns::new(dims, &regions)),
@@ -302,11 +306,22 @@ pub fn sweep_with<T>(
         .collect()
 }
 
+/// A maximal x-run of fluid, `[x0, x1)` in row `(y, z)`, or the part of
+/// one that an x cut left in a node.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    x0: u32,
+    x1: u32,
+    y: u32,
+    z: u32,
+}
+
 /// Recursively assign `[task0, task0 + n_tasks)` within `region`, whose
-/// fluid cells are `cells`.
+/// `fluid` points are `runs`.
 fn bisect(
     region: BoxRegion,
-    cells: &mut [[u32; 3]],
+    runs: Vec<Run>,
+    fluid: usize,
     task0: usize,
     n_tasks: usize,
     regions: &mut [BoxRegion],
@@ -330,52 +345,59 @@ fn bisect(
         region.y1 - region.y0,
         region.z1 - region.z0,
     ];
+    // A run adds its length to its y and z slices, and one to each of
+    // its x slices: +1 where it opens and −1 where it closes, summed up.
     let mut counts = extents.map(|len| vec![0usize; len]);
-    for cell in cells.iter() {
-        for axis in 0..3 {
-            counts[axis][cell[axis] as usize - lo[axis]] += 1;
-        }
+    let mut x_edges = vec![0isize; extents[0] + 1];
+    for run in &runs {
+        x_edges[run.x0 as usize - lo[0]] += 1;
+        x_edges[run.x1 as usize - lo[0]] -= 1;
+        counts[1][run.y as usize - lo[1]] += (run.x1 - run.x0) as usize;
+        counts[2][run.z as usize - lo[2]] += (run.x1 - run.x0) as usize;
     }
-    let want = cells.len() as f64 * n_left as f64 / n_tasks as f64;
-    let mut best: Option<(usize, usize, f64)> = None; // (axis, cut, error)
+    let mut open = 0;
+    for (count, edge) in counts[0].iter_mut().zip(&x_edges) {
+        open += edge;
+        *count = open as usize;
+    }
+    let want = fluid as f64 * n_left as f64 / n_tasks as f64;
+    let mut best: Option<(usize, usize, usize, f64)> = None; // (axis, cut, below, error)
     for (axis, counts) in counts.iter().enumerate() {
         let mut acc = 0usize;
         for (i, &c) in counts.iter().enumerate().take(counts.len() - 1) {
             acc += c;
             let err = (acc as f64 - want).abs();
-            if best.as_ref().is_none_or(|&(_, _, e)| err < e) {
-                best = Some((axis, i + 1, err));
+            if best.as_ref().is_none_or(|&(.., e)| err < e) {
+                best = Some((axis, i + 1, acc, err));
             }
         }
     }
-    let (axis, cut, _) = best.ok_or(RcbError::Unsplittable { region, n_tasks })?;
+    let (axis, cut, below, _) = best.ok_or(RcbError::Unsplittable { region, n_tasks })?;
 
     let (mut left, mut right) = (region, region);
     match axis {
-        0 => {
-            left.x1 = region.x0 + cut;
-            right.x0 = region.x0 + cut;
-        }
-        1 => {
-            left.y1 = region.y0 + cut;
-            right.y0 = region.y0 + cut;
-        }
-        _ => {
-            left.z1 = region.z0 + cut;
-            right.z0 = region.z0 + cut;
-        }
+        0 => (left.x1, right.x0) = (lo[0] + cut, lo[0] + cut),
+        1 => (left.y1, right.y0) = (lo[1] + cut, lo[1] + cut),
+        _ => (left.z1, right.z0) = (lo[2] + cut, lo[2] + cut),
     }
+    // A y or z cut moves whole runs; an x cut splits the runs it crosses.
     let plane = (lo[axis] + cut) as u32;
-    let mut n_below = 0;
-    for i in 0..cells.len() {
-        if cells[i][axis] < plane {
-            cells.swap(i, n_below);
-            n_below += 1;
+    let capacity = runs.len();
+    let (mut lower, mut upper) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+    for run in runs {
+        let (start, end) = [(run.x0, run.x1), (run.y, run.y + 1), (run.z, run.z + 1)][axis];
+        if end <= plane {
+            lower.push(run);
+        } else if start >= plane {
+            upper.push(run);
+        } else {
+            lower.push(Run { x1: plane, ..run });
+            upper.push(Run { x0: plane, ..run });
         }
     }
-    let (below, above) = cells.split_at_mut(n_below);
-    bisect(left, below, task0, n_left, regions)?;
-    bisect(right, above, task0 + n_left, n_right, regions)
+    let above = fluid - below;
+    bisect(left, lower, below, task0, n_left, regions)?;
+    bisect(right, upper, above, task0 + n_left, n_right, regions)
 }
 
 #[cfg(test)]
@@ -458,17 +480,43 @@ mod tests {
     }
 
     /// The box-scanning bisection this module used before slice counts
-    /// came from the fluid-cell list — kept as the oracle for the cuts.
-    fn reference(
+    /// came from the fluid (first its cells, now its x-runs), with the
+    /// errors `try_new` gives — kept as the oracle for the cuts.
+    fn reference(grid: &VoxelGrid, n_tasks: usize) -> Result<Vec<BoxRegion>, RcbError> {
+        if n_tasks == 0 {
+            return Err(RcbError::ZeroTasks);
+        }
+        let fluid_points = grid.fluid_count();
+        if n_tasks > fluid_points {
+            return Err(RcbError::TooManyTasks {
+                n_tasks,
+                fluid_points,
+            });
+        }
+        let (x1, y1, z1) = grid.dims();
+        let whole = BoxRegion {
+            x0: 0,
+            x1,
+            y0: 0,
+            y1,
+            z0: 0,
+            z1,
+        };
+        let mut out = vec![whole; n_tasks];
+        reference_bisect(grid, whole, 0, n_tasks, &mut out)?;
+        Ok(out)
+    }
+
+    fn reference_bisect(
         grid: &VoxelGrid,
         region: BoxRegion,
         task0: usize,
         n_tasks: usize,
         out: &mut [BoxRegion],
-    ) {
+    ) -> Result<(), RcbError> {
         if n_tasks == 1 {
             out[task0] = region;
-            return;
+            return Ok(());
         }
         let n_left = n_tasks / 2;
         let lo = [region.x0, region.y0, region.z0];
@@ -496,27 +544,29 @@ mod tests {
                 }
             }
         }
-        let (axis, plane, _) = best.expect("splittable region");
+        let (axis, plane, _) = best.ok_or(RcbError::Unsplittable { region, n_tasks })?;
         let (mut left, mut right) = (region, region);
         match axis {
             0 => (left.x1, right.x0) = (plane, plane),
             1 => (left.y1, right.y0) = (plane, plane),
             _ => (left.z1, right.z0) = (plane, plane),
         }
-        reference(grid, left, task0, n_left, out);
-        reference(grid, right, task0 + n_left, n_tasks - n_left, out);
+        reference_bisect(grid, left, task0, n_left, out)?;
+        reference_bisect(grid, right, task0 + n_left, n_tasks - n_left, out)
+    }
+
+    /// `try_new` on `g` at 0 to 40 tasks and at the calibration counts:
+    /// the reference's regions, or its error.
+    fn assert_cuts_match_reference(g: &VoxelGrid) {
+        for n in (0..=40).chain(CALIBRATION_COUNTS) {
+            let got = RcbPartition::try_new(g, n).map(|p| p.regions);
+            assert_eq!(got, reference(g, n), "{:?} grid, {n} tasks", g.dims());
+        }
     }
 
     fn assert_matches_reference(g: &VoxelGrid, n: usize) {
         let p = RcbPartition::new(g, n);
-        let whole = p
-            .regions
-            .iter()
-            .skip(1)
-            .fold(p.regions[0], |h, r| h.hull(r));
-        assert_eq!(whole.volume(), g.len());
-        let mut expect = vec![whole; n];
-        reference(g, whole, 0, n, &mut expect);
+        let expect = reference(g, n).expect("the reference cuts where try_new does");
         assert_eq!(p.regions, expect, "{n} tasks");
         for i in 0..g.len() {
             let (x, y, z) = g.coords(i);
@@ -536,6 +586,32 @@ mod tests {
                 assert_matches_reference(g, n);
             }
         }
+    }
+
+    /// Lumpy grids from 5% to 95% fluid, with one-voxel axes and solid
+    /// rows and slabs; full boxes, whose every row is one run from x = 0
+    /// to x = nx; and checkerboards, a run per fluid point.
+    #[test]
+    fn run_cuts_match_the_box_scanning_reference_on_lumpy_grids() {
+        check::run(
+            "run_cuts_match_the_box_scanning_reference_on_lumpy_grids",
+            Config::cases(64),
+            |rng| {
+                let fluid_pct = rng.range_u64(5, 96);
+                assert_cuts_match_reference(&lumpy_grid(rng, fluid_pct));
+                let mut side = || rng.range_usize(1, 10);
+                let (nx, ny, nz) = (side(), side(), side());
+                assert_cuts_match_reference(&VoxelGrid::filled(nx, ny, nz, 1.0, CellType::Bulk));
+                let mut board = VoxelGrid::solid(nx, ny, nz, 1.0);
+                for i in 0..board.len() {
+                    let (x, y, z) = board.coords(i);
+                    if (x + y + z) % 2 == 0 {
+                        board.set_linear(i, CellType::Bulk);
+                    }
+                }
+                assert_cuts_match_reference(&board);
+            },
+        );
     }
 
     /// The owner array `bisect` filled before owners became row runs —

@@ -1,17 +1,17 @@
-//! The artifact gate `scripts/verify.sh` runs: generate smoke-sized
-//! artifacts, judge them and the committed ones with `gates::*`, and
-//! byte-compare every pair the determinism contract says must agree.
-//! Run it from the repository root.
+//! The artifact gate `scripts/verify.sh` runs: generate fresh artifacts
+//! (smoke-sized where a generator has a smoke size), judge them and the
+//! committed ones with `gates::*`, and byte-compare every pair the
+//! determinism contract says must agree. Run it from the repository root.
 //!
-//! * `check` — spawns the five generators (`bench_baseline`,
-//!   `fabric_demo`, `bench_sched`, `eval_campaign`, `repro`) with
-//!   `OUT_DIR` set to `target/check/<run>/` and the environment of the
-//!   table in `SMOKE_RUNS`; then gates the five committed artifacts in
-//!   the current directory, including the one-revision stamp gate, the
+//! * `check` — spawns the four generators (`bench_baseline`,
+//!   `bench_sched`, `eval_campaign`, `repro`) with `OUT_DIR` set to
+//!   `target/check/<run>/` and the environment of the table in
+//!   `SMOKE_RUNS`; then gates the four committed artifacts in the current
+//!   directory, including the one-revision stamp gate, the
 //!   fresh-vs-committed perf gate, and the gate that holds the committed
-//!   `CAMPAIGN_fabric.json` equal to the fresh full-size run but for
+//!   `EVAL_campaign.json` equal to the fresh full-size run but for
 //!   `provenance.git_rev` and `provenance.rustc`.
-//! * `check --regen` — runs the five generators full-size into the
+//! * `check --regen` — runs the four generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
 //!   mesh the perf gate holds against it), then gates the result.
@@ -27,54 +27,51 @@ use hemocloud_obs::json::{self, Value};
 type GateFn = fn(&Value) -> Vec<String>;
 
 /// `(run directory under target/check, generator, environment)`.
+/// `eval_campaign` has no smoke size: its full run takes well under a
+/// second in release.
 #[rustfmt::skip]
 const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("bench_w1_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
     ("bench_w1_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
     ("bench_w8_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
     ("bench_w8_b", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=8"),
-    ("fabric_a", "fabric_demo", ""),
-    ("fabric_b", "fabric_demo", ""),
     ("sched", "bench_sched", "RT_BENCH_FAST=1"),
-    ("eval_a", "eval_campaign", "RT_BENCH_FAST=1"),
-    ("eval_b", "eval_campaign", "RT_BENCH_FAST=1"),
+    ("eval_a", "eval_campaign", ""),
+    ("eval_b", "eval_campaign", ""),
     ("repro_a", "repro", "RT_BENCH_FAST=1"),
     ("repro_b", "repro", "RT_BENCH_FAST=1"),
 ];
 
-/// Smoke artifacts that are also the fresh side of a gate against
+/// Fresh artifacts that are also the fresh side of a gate against
 /// `COMMITTED[i]`: the perf gate for `BENCH_lbm.json` (a serial smoke
-/// mesh), equality but for the stamp for the full-size fabric campaign
-/// report.
+/// mesh), equality but for the stamp for the full-size evaluation.
 #[rustfmt::skip]
 const FRESH: [(&str, GateFn); 2] = [
     ("bench_w1_a/BENCH_lbm.json", gate_bench_lbm),
-    ("fabric_a/CAMPAIGN_fabric.json", gate_fabric),
+    ("eval_a/EVAL_campaign.json", gate_eval),
 ];
 
-/// What each other smoke artifact must satisfy.
+/// What each other fresh artifact must satisfy.
 #[rustfmt::skip]
 const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("bench_w8_a/BENCH_lbm.json", &[gate_bench_lbm]),
     ("bench_w1_a/OBS_bench.json", &[gate_obs]),
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
-    ("fabric_a/OBS_fabric.json", &[gate_obs]),
+    ("eval_a/OBS_fabric.json", &[gate_obs]),
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
-    ("eval_a/EVAL_campaign.json", &[gate_eval]),
     ("repro_a/REPRO.json", &[gate_repro]),
 ];
 
-/// Smoke artifacts that must agree byte for byte: reruns at the same
+/// Fresh artifacts that must agree byte for byte: reruns at the same
 /// settings (`_a`/`_b`). Only `bench_baseline` reaches `rt::pool`, so
 /// only its rows set a worker count (`_w1`/`_w8`), each width paired
 /// with its own rerun. (Event shard counts 1, 2 and 4 are compared in
-/// process by `bench_sched` and `fabric_demo`.)
+/// process by `bench_sched` and by `eval_campaign`'s contention cell.)
 #[rustfmt::skip]
 const SMOKE_PAIRS: &[(&str, &str)] = &[
     ("bench_w1_a/OBS_bench.json", "bench_w1_b/OBS_bench.json"),
     ("bench_w8_a/OBS_bench.json", "bench_w8_b/OBS_bench.json"),
-    ("fabric_a/OBS_fabric.json", "fabric_b/OBS_fabric.json"),
-    ("fabric_a/CAMPAIGN_fabric.json", "fabric_b/CAMPAIGN_fabric.json"),
+    ("eval_a/OBS_fabric.json", "eval_b/OBS_fabric.json"),
     ("eval_a/EVAL_campaign.json", "eval_b/EVAL_campaign.json"),
     ("repro_a/REPRO.json", "repro_b/REPRO.json"),
 ];
@@ -83,11 +80,10 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
 /// the environment `--regen` runs their generators with. The first
 /// two are the committed sides of the gates against `FRESH`.
 #[rustfmt::skip]
-const COMMITTED: [(&str, GateFn, &str, &str); 5] = [
+const COMMITTED: [(&str, GateFn, &str, &str); 4] = [
     ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
-    ("CAMPAIGN_fabric.json", gate_fabric, "fabric_demo", ""),
-    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
+    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("REPRO.json", gate_repro, "repro", ""),
 ];
 
@@ -149,7 +145,7 @@ impl Check {
         }
     }
 
-    /// Spawn every smoke run, gate and compare what they wrote, and
+    /// Spawn every run of `SMOKE_RUNS`, gate and compare what they wrote, and
     /// return the `FRESH` documents for the gates against the committed
     /// ones.
     fn smoke(&mut self) -> [Value; 2] {
@@ -167,7 +163,7 @@ impl Check {
         FRESH.map(|(file, gate)| self.gated(&root.join(file), &[gate]))
     }
 
-    /// Gate the five committed artifacts, one by one and as a set, and
+    /// Gate the four committed artifacts, one by one and as a set, and
     /// against the `fresh` ones if given. A document that did not parse
     /// is already a failure and is compared with nothing.
     fn committed(&mut self, fresh: Option<&[Value; 2]>) {

@@ -3,8 +3,9 @@
 //!
 //! Every failure message starts with the gate's name and names the field.
 //! A generator binary runs its gate on the document it is about to write;
-//! the `check` binary runs the same functions on fresh smoke output and on
-//! the committed artifacts (DESIGN.md §18 has the gate → invariant table).
+//! the `check` binary runs the same functions on fresh output (smoke-sized
+//! where a generator has a smoke size) and on the four committed
+//! artifacts (DESIGN.md §18 has the gate → invariant table).
 //!
 //! The writer renders a non-finite float as `null`, so "no NaN/inf
 //! anywhere" is `Gate::finite`: every artifact gate walks its whole
@@ -177,12 +178,13 @@ impl Gate {
         }
     }
 
-    /// The four outcome counts under `prefix` must account for every job.
-    fn outcomes_sum_to_jobs(&mut self, doc: &Value, prefix: &str) {
-        let count = |path: String| doc.at(&path).and_then(Value::as_u64);
+    /// The four outcome counts under `prefix` must account for the job
+    /// count at `jobs`.
+    fn outcomes_sum_to_jobs(&mut self, doc: &Value, prefix: &str, jobs: &str) {
+        let count = |path: &str| doc.at(path).and_then(Value::as_u64);
         let outcomes = ["completed", "guard_kills", "failed", "rejected"];
-        let sum: Option<u64> = outcomes.iter().map(|o| count(format!("{prefix}{o}"))).sum();
-        let jobs = count("jobs".into());
+        let sum: Option<u64> = outcomes.iter().map(|o| count(&format!("{prefix}{o}"))).sum();
+        let jobs = count(jobs);
         if sum.is_none() || sum != jobs {
             let sum_of = outcomes.join(" + ");
             fail!(self, "{prefix}{sum_of} is {sum:?}, but jobs is {jobs:?}");
@@ -190,19 +192,19 @@ impl Gate {
     }
 
     /// The refinement loop must have reduced placement error, and all four
-    /// `refinement` statistics must exist: `Option`s, but never `None` on
-    /// a campaign that measured placements in every quartile.
-    fn calibration_wins(&mut self, doc: &Value) {
+    /// statistics under `prefix` must exist: `Option`s, but never `None`
+    /// on a campaign that measured placements in every quartile.
+    fn calibration_wins(&mut self, doc: &Value, prefix: &str) {
         for stat in [
             "mape_first_quartile_uncalibrated_pct",
             "mape_calibrated_pct",
             "error_p50_pct",
             "error_p99_pct",
         ] {
-            self.number(doc, &format!("refinement.{stat}"));
+            self.number(doc, &format!("{prefix}{stat}"));
         }
-        let uncalibrated = "refinement.mape_first_quartile_uncalibrated_pct";
-        self.relate(doc, "refinement.mape_calibrated_pct", Lt, uncalibrated);
+        let uncalibrated = format!("{prefix}mape_first_quartile_uncalibrated_pct");
+        self.relate(doc, &format!("{prefix}mape_calibrated_pct"), Lt, &uncalibrated);
     }
 }
 
@@ -301,51 +303,6 @@ pub fn gate_finite(doc: &Value) -> Vec<String> {
     Gate::over("finite", doc).failures
 }
 
-/// `CAMPAIGN_fabric.json`: finite positive economics, a non-empty
-/// placement log, utilizations within capacity, clean completion on the
-/// spread topology, per-link delivered bytes equal to the Eq. 9 total
-/// *exactly*, a real (> 1%) contention slowdown, and calibration closing
-/// the gap to at most 2.5% placement error.
-pub fn gate_fabric(doc: &Value) -> Vec<String> {
-    let mut g = Gate::over("fabric", doc);
-    g.limit(doc, "makespan_s", Gt, 0.0);
-    g.limit(doc, "total_cost_dollars", Gt, 0.0);
-    g.outcomes_sum_to_jobs(doc, "");
-    g.rows(doc, "platforms", &[("utilization", Le, 1.0 + 1e-9)]);
-    g.relate(doc, "completed", Eq, "jobs");
-    g.limit(doc, "faults", Eq, 0.0);
-    g.limit(doc, "retries", Eq, 0.0);
-    let placements = g.rows(doc, "placements", &[]);
-    if placements.is_empty() {
-        fail!(g, "placements is empty");
-    }
-    for p in placements {
-        if text(p, "topology") != "spread" {
-            fail!(
-                g,
-                "placement of {:?} ran {:?}, not \"spread\"",
-                text(p, "name"),
-                text(p, "topology")
-            );
-        }
-    }
-    let witness = doc.get("provenance").unwrap_or(&Value::Null);
-    g.relate(witness, "fabric_delivered_bytes", Eq, "fabric_eq9_bytes");
-    g.relate(
-        witness,
-        "fabric_forwarded_bytes",
-        Gt,
-        "fabric_delivered_bytes",
-    );
-    g.limit(witness, "fabric_contention_slowdown", Gt, 1.01);
-    g.calibration_wins(doc);
-    // The calibrated error prices contended slices against the fabric's
-    // delivery times (1.99% committed): a change that distorts contention
-    // moves it long before it loses to the uncalibrated quartile.
-    g.limit(doc, "refinement.mape_calibrated_pct", Le, 2.5);
-    g.failures
-}
-
 /// `BENCH_sched.json`: event throughput — at the committed record's
 /// million jobs, no less than 600k events/s — outcomes that account for
 /// every job, the planted runaways and doomed budgets caught, faults
@@ -364,7 +321,7 @@ pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
     }
     g.limit(doc, "makespan_s", Gt, 0.0);
     g.limit(doc, "events_processed", Gt, 0.0);
-    g.outcomes_sum_to_jobs(doc, "outcomes.");
+    g.outcomes_sum_to_jobs(doc, "outcomes.", "jobs");
     g.limit(doc, "outcomes.completed", Gt, 0.0);
     if jobs >= Some(1_000) {
         // A runaway every 211 jobs and a doomed budget every 503: at
@@ -372,7 +329,7 @@ pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
         g.limit(doc, "outcomes.guard_kills", Gt, 0.0);
         g.limit(doc, "outcomes.rejected", Gt, 0.0);
         g.limit(doc, "faults", Gt, 0.0);
-        g.calibration_wins(doc);
+        g.calibration_wins(doc, "refinement.");
     }
     g.flag(doc, "shard_determinism.reports_identical");
     g.failures
@@ -382,9 +339,9 @@ pub fn gate_bench_sched(doc: &Value) -> Vec<String> {
 /// guard-exactness checkers, finite headline statistics, positive
 /// economics and utilization within capacity in every cell, a cell that
 /// witnesses each of a guard kill, an admission rejection and a faulted
-/// job retried to completion, at least two fault rates — and on the full
-/// grid the ≥ 48-cell floor with every axis (stenosis and aneurysm
-/// included) still swept.
+/// job retried to completion, the ≥ 48-cell floor with every axis
+/// (stenosis and aneurysm included) still swept — and the routed
+/// `contention` block (`contention`).
 pub fn gate_eval(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("eval", doc);
     g.limit(doc, "violations", Eq, 0.0);
@@ -401,16 +358,9 @@ pub fn gate_eval(doc: &Value) -> Vec<String> {
     ] {
         g.number(doc, &format!("overall.{stat}"));
     }
-    let cells = g.rows(
-        doc,
-        "cell_results",
-        &[
-            ("utilization", Le, 1.0 + 1e-9),
-            ("makespan_s", Gt, 0.0),
-            ("total_cost_dollars", Gt, 0.0),
-        ],
-    );
+    let cells = g.rows(doc, "cell_results", &CELL_ECONOMICS);
     g.limit(doc, "cells", Eq, cells.len() as f64);
+    g.limit(doc, "cells", Ge, 48.0);
     let count = |row: &Value, key: &str| row.get(key).and_then(Value::as_u64);
     for (witness, found) in [
         ("guard_kills >= 1", cells.iter().any(|r| count(r, "guard_kills") >= Some(1))),
@@ -429,23 +379,59 @@ pub fn gate_eval(doc: &Value) -> Vec<String> {
         let on_axis = by_axis.iter().filter(|a| text(a, "axis") == axis);
         on_axis.map(|a| text(a, "value")).collect()
     };
-    let mut floors = vec![("fault_rate", 2)];
-    if text(doc, "provenance.grid") == "full" {
-        g.limit(doc, "cells", Ge, 48.0);
-        floors.extend([("seed", 2), ("geometry", 4), ("mix", 2)]);
-        for required in ["sten8", "aneu8"] {
-            if !values_of("geometry").contains(&required) {
-                fail!(g, "by_axis lacks the {required} geometry on the full grid");
-            }
+    for required in ["sten8", "aneu8"] {
+        if !values_of("geometry").contains(&required) {
+            fail!(g, "by_axis lacks the {required} geometry");
         }
     }
-    for (axis, floor) in floors {
+    for (axis, floor) in [("seed", 2), ("geometry", 4), ("mix", 2), ("fault_rate", 2)] {
         let n = values_of(axis).len();
         if n < floor {
             fail!(g, "by_axis has {n} {axis} values, expected >= {floor}");
         }
     }
+    contention(&mut g, doc);
     g.failures
+}
+
+/// What every cell row of `EVAL_campaign.json`, and its `contention`
+/// block, must satisfy.
+const CELL_ECONOMICS: [(&str, Op, f64); 3] = [
+    ("utilization", Le, 1.0 + 1e-9),
+    ("makespan_s", Gt, 0.0),
+    ("total_cost_dollars", Gt, 0.0),
+];
+
+/// The `contention` block of `EVAL_campaign.json`: the row bounds of
+/// every cell, clean completion with no fault or retry, every placement
+/// on the spread topology, per-link delivered bytes equal to the Eq. 9
+/// total *exactly* and fewer than the bytes forwarded over every hop, a
+/// real (> 1%) slowdown of job 0 against its isolated run, calibration
+/// closing the gap to at most 2.5% placement error, contention priced per
+/// active set (0 < exchanges < priced slices), and one report at 1, 2
+/// and 4 event-queue shards.
+fn contention(g: &mut Gate, doc: &Value) {
+    let at = |key: &str| format!("contention.{key}");
+    for (key, op, limit) in CELL_ECONOMICS {
+        g.limit(doc, &at(key), op, limit);
+    }
+    g.outcomes_sum_to_jobs(doc, "contention.", &at("jobs"));
+    g.relate(doc, &at("completed"), Eq, &at("jobs"));
+    g.limit(doc, &at("faults"), Eq, 0.0);
+    g.limit(doc, &at("retries"), Eq, 0.0);
+    g.limit(doc, &at("placements"), Gt, 0.0);
+    g.relate(doc, &at("spread_placements"), Eq, &at("placements"));
+    g.relate(doc, &at("eq9_delivered_bytes"), Eq, &at("eq9_expected_bytes"));
+    g.relate(doc, &at("forwarded_bytes"), Gt, &at("eq9_delivered_bytes"));
+    g.limit(doc, &at("slowdown"), Gt, 1.01);
+    g.calibration_wins(doc, "contention.");
+    // The calibrated error prices contended slices against the fabric's
+    // delivery times (1.99% committed): a change that distorts contention
+    // moves it long before it loses to the uncalibrated quartile.
+    g.limit(doc, &at("mape_calibrated_pct"), Le, 2.5);
+    g.limit(doc, &at("contention_exchanges"), Gt, 0.0);
+    g.relate(doc, &at("contention_exchanges"), Lt, &at("contention_slices"));
+    g.flag(doc, &at("shard_invariant"));
 }
 
 /// `REPRO.json`: every experiment of the table present with something
@@ -517,9 +503,8 @@ pub fn gate_obs(doc: &Value) -> Vec<String> {
     g.failures
 }
 
-/// The five committed artifacts as a set: all stamped at one revision
-/// (regenerate with `check --regen`), and the three that have a smoke
-/// size committed at full size.
+/// The four committed artifacts as a set: all stamped at one revision
+/// (regenerate with `check --regen`), and none produced in fast mode.
 pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
     let mut g = Gate::new("committed_set");
     let revs: Vec<&str> = artifacts
@@ -541,13 +526,6 @@ pub fn gate_committed_set(artifacts: &[(&str, &Value)]) -> Vec<String> {
     for (file, doc) in artifacts {
         if doc.get("fast_mode") == Some(&Value::Bool(true)) {
             fail!(g, "{file} was produced in fast mode, not full size");
-        }
-        let grid = doc.at("provenance.grid").and_then(Value::as_str);
-        if grid.is_some_and(|grid| grid != "full") {
-            fail!(
-                g,
-                "{file} was produced by the {grid:?} grid, not the full one"
-            );
         }
     }
     g.failures
@@ -598,9 +576,6 @@ mod tests {
     fn bench_sched() -> Value {
         committed(include_str!("../../../BENCH_sched.json"))
     }
-    fn fabric() -> Value {
-        committed(include_str!("../../../CAMPAIGN_fabric.json"))
-    }
     fn eval() -> Value {
         committed(include_str!("../../../EVAL_campaign.json"))
     }
@@ -650,13 +625,12 @@ mod tests {
             Vec::<String>::new()
         );
         assert_eq!(gate_bench_sched(&bench_sched()), Vec::<String>::new());
-        assert_eq!(gate_finite(&fabric()), Vec::<String>::new());
-        assert_eq!(gate_fabric(&fabric()), Vec::<String>::new());
+        assert_eq!(gate_finite(&bench_sched()), Vec::<String>::new());
         assert_eq!(gate_eval(&eval()), Vec::<String>::new());
         assert_eq!(gate_repro(&repro()), Vec::<String>::new());
         assert_eq!(gate_obs(&obs()), Vec::<String>::new());
-        let (a, b, c, d, e) = (bench_lbm(), bench_sched(), fabric(), eval(), repro());
-        let set = [("a", &a), ("b", &b), ("c", &c), ("d", &d), ("e", &e)];
+        let (a, b, c, d) = (bench_lbm(), bench_sched(), eval(), repro());
+        let set = [("a", &a), ("b", &b), ("c", &c), ("d", &d)];
         assert_eq!(gate_committed_set(&set), Vec::<String>::new());
     }
 
@@ -755,79 +729,74 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fabric_gate_names_broken_economics_and_a_failed_refinement_loop() {
-        let broken = with(fabric(), "total_cost_dollars", Value::Null);
-        assert_only_failure(&gate_fabric(&broken), "fabric", "total_cost_dollars");
-        let broken = with(fabric(), "makespan_s", Value::Float(0.0));
-        assert_only_failure(&gate_fabric(&broken), "fabric", "makespan_s (0.0) is not > 0");
-        let broken = with(fabric(), "placements", Value::Array(vec![]));
-        assert_only_failure(&gate_fabric(&broken), "fabric", "placements is empty");
-        let broken = with(fabric(), "failed", Value::UInt(1));
-        assert_only_failure(&gate_fabric(&broken), "fabric", "but jobs is Some(10)");
-        let broken = with(fabric(), "platforms.0.utilization", Value::Float(1.5));
-        assert_only_failure(
-            &gate_fabric(&broken),
-            "fabric",
-            "platforms.0.utilization (1.5) is not <= 1",
-        );
-        let broken = with(
-            fabric(),
-            "refinement.mape_first_quartile_uncalibrated_pct",
-            Value::Float(1.0),
-        );
-        assert_only_failure(
-            &gate_fabric(&broken),
-            "fabric",
-            "mape_calibrated_pct (1.9",
-        );
+    /// `EVAL_campaign.json` with `key` of its `contention` block replaced.
+    fn contention_with(key: &str, new: Value) -> Value {
+        with(eval(), &format!("contention.{key}"), new)
     }
 
     #[test]
-    fn fabric_gate_names_a_byte_mismatch_a_missing_slowdown_and_a_scalar_placement() {
-        let eq9 = fabric()
-            .at("provenance.fabric_eq9_bytes")
-            .and_then(Value::as_u64)
-            .unwrap();
-        let broken = with(
-            fabric(),
-            "provenance.fabric_delivered_bytes",
-            Value::UInt(eq9 - 1),
-        );
-        assert_only_failure(
-            &gate_fabric(&broken),
-            "fabric",
-            "fabric_delivered_bytes (11155199999999) != fabric_eq9_bytes (11155200000000)",
-        );
-        let broken = with(
-            fabric(),
-            "provenance.fabric_contention_slowdown",
-            Value::Float(1.005),
-        );
-        assert_only_failure(
-            &gate_fabric(&broken),
-            "fabric",
-            "fabric_contention_slowdown (1.005) is not > 1.01",
-        );
-        let broken = with(
-            fabric(),
-            "placements.2.topology",
-            Value::Str("scalar".into()),
-        );
-        assert_only_failure(&gate_fabric(&broken), "fabric", "not \"spread\"");
-        let broken = with(fabric(), "faults", Value::UInt(1));
-        assert_only_failure(&gate_fabric(&broken), "fabric", "faults (1) != 0");
+    fn eval_gate_names_broken_contention_economics_and_a_failed_refinement_loop() {
+        let broken = contention_with("total_cost_dollars", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "contention.total_cost_dollars");
+        let broken = contention_with("makespan_s", Value::Float(0.0));
+        let needle = "contention.makespan_s (0.0) is not > 0";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        let broken = contention_with("utilization", Value::Float(1.5));
+        let needle = "contention.utilization (1.5) is not <= 1";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        let broken = contention_with("failed", Value::UInt(1));
+        assert_only_failure(&gate_eval(&broken), "eval", "but jobs is Some(10)");
+        let broken = contention_with("completed", Value::UInt(9));
+        let needle = "contention.completed (9) != contention.jobs (10)";
+        // One job fewer completed is also an outcome short of the jobs.
+        let failures = gate_eval(&broken);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains(needle)), "{failures:?}");
+        let broken = contention_with("mape_first_quartile_uncalibrated_pct", Value::Float(1.0));
+        let needle = "contention.mape_calibrated_pct (1.9873) is not < contention.mape_first";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        let broken = contention_with("mape_calibrated_pct", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "contention.mape_calibrated_pct is null");
     }
 
     #[test]
-    fn fabric_gate_bounds_the_calibrated_placement_error() {
-        let mape = |v: f64| with(fabric(), "refinement.mape_calibrated_pct", Value::Float(v));
-        assert_only_failure(
-            &gate_fabric(&mape(2.6)),
-            "fabric",
-            "refinement.mape_calibrated_pct (2.6) is not <= 2.5",
-        );
-        assert_eq!(gate_fabric(&mape(1.99)), Vec::<String>::new());
+    fn eval_gate_names_each_broken_contention_witness() {
+        let eq9 = eval().at("contention.eq9_expected_bytes").and_then(Value::as_u64).unwrap();
+        let delivered = |bytes: u64| contention_with("eq9_delivered_bytes", Value::UInt(bytes));
+        let needle = "contention.eq9_delivered_bytes (11155199999999) != \
+                      contention.eq9_expected_bytes (11155200000000)";
+        assert_only_failure(&gate_eval(&delivered(eq9 - 1)), "eval", needle);
+        let broken = contention_with("forwarded_bytes", Value::UInt(eq9));
+        let needle = "forwarded_bytes (11155200000000) is not > contention.eq9_delivered";
+        assert_only_failure(&gate_eval(&broken), "eval", needle);
+        for (key, new, needle) in [
+            ("slowdown", Value::Float(1.005), "contention.slowdown (1.005) is not > 1.01"),
+            ("faults", Value::UInt(1), "contention.faults (1) != 0"),
+            ("retries", Value::UInt(1), "contention.retries (1) != 0"),
+            ("spread_placements", Value::UInt(9), "contention.spread_placements (9) != "),
+            ("contention_exchanges", Value::UInt(0), "contention_exchanges (0) is not > 0"),
+            ("contention_exchanges", Value::UInt(83), "contention_exchanges (83) is not < "),
+            ("shard_invariant", Value::Bool(false), "contention.shard_invariant is false"),
+        ] {
+            assert_only_failure(&gate_eval(&contention_with(key, new)), "eval", needle);
+        }
+        let none = contention_with("placements", Value::UInt(0));
+        let none = with(none, "contention.spread_placements", Value::UInt(0));
+        assert_only_failure(&gate_eval(&none), "eval", "contention.placements (0) is not > 0");
+        // A report without the block fails on its witnesses, by name.
+        let Value::Object(mut members) = eval() else { panic!("EVAL is an object") };
+        members.retain(|(k, _)| k != "contention");
+        let failures = gate_eval(&Value::Object(members));
+        let named = failures.iter().any(|f| f.contains("contention.slowdown is missing"));
+        assert!(named, "{failures:?}");
+    }
+
+    #[test]
+    fn eval_gate_bounds_the_calibrated_contention_error() {
+        let mape = |v: f64| contention_with("mape_calibrated_pct", Value::Float(v));
+        let needle = "contention.mape_calibrated_pct (2.6) is not <= 2.5";
+        assert_only_failure(&gate_eval(&mape(2.6)), "eval", needle);
+        assert_eq!(gate_eval(&mape(1.99)), Vec::<String>::new());
     }
 
     #[test]
@@ -907,9 +876,11 @@ mod tests {
             Value::Str("cyl9".into()),
         );
         assert_only_failure(&gate_eval(&broken), "eval", "lacks the sten8 geometry");
-        // The same document stamped as a smoke grid owes no axis floor.
-        let smoke = with(broken, "provenance.grid", Value::Str("smoke".into()));
-        assert_eq!(gate_eval(&smoke), Vec::<String>::new());
+        // A grid under the 48-cell floor, even one that counts its rows.
+        let rows = eval().get("cell_results").and_then(Value::as_array).unwrap()[..40].to_vec();
+        let small = with(eval(), "cell_results", Value::Array(rows));
+        let small = with(small, "cells", Value::UInt(40));
+        assert_only_failure(&gate_eval(&small), "eval", "cells (40) is not >= 48");
     }
 
     #[test]
@@ -1009,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_set_gate_names_mismatched_stamps_and_smoke_sized_records() {
+    fn committed_set_gate_names_mismatched_stamps_and_fast_mode_records() {
         let (a, b) = (bench_lbm(), eval());
         let stale = with(
             eval(),
@@ -1023,10 +994,6 @@ mod tests {
             failures[0].contains("EVAL_campaign.json @ \"f6312ea8bd42\""),
             "{failures:?}"
         );
-        let smoke = with(eval(), "provenance.grid", Value::Str("smoke".into()));
-        let failures =
-            gate_committed_set(&[("BENCH_lbm.json", &a), ("EVAL_campaign.json", &smoke)]);
-        assert_only_failure(&failures, "committed_set", "\"smoke\"");
         let fast = with(bench_lbm(), "fast_mode", Value::Bool(true));
         let failures = gate_committed_set(&[("BENCH_lbm.json", &fast), ("EVAL_campaign.json", &b)]);
         assert_only_failure(&failures, "committed_set", "fast mode");
@@ -1034,10 +1001,10 @@ mod tests {
 
     #[test]
     fn fresh_vs_committed_ignores_the_stamp_and_nothing_else() {
-        let file = "CAMPAIGN_fabric.json";
-        let committed = fabric();
+        let file = "EVAL_campaign.json";
+        let committed = eval();
         let restamped = with(
-            with(fabric(), "provenance.git_rev", Value::Str("f6312ea8bd42".into())),
+            with(eval(), "provenance.git_rev", Value::Str("f6312ea8bd42".into())),
             "provenance.rustc",
             Value::Str("rustc 0.0.0".into()),
         );
@@ -1046,10 +1013,11 @@ mod tests {
             Vec::<String>::new()
         );
         for (path, moved) in [
-            ("placements.1.predicted_step_s", Value::Float(1.0)),
-            ("provenance.fabric_eq9_bytes", Value::UInt(1)),
+            ("cell_results.17.makespan_s", Value::Float(1.0)),
+            ("contention.eq9_expected_bytes", Value::UInt(1)),
+            ("contention.slowdown", Value::Float(1.3)),
         ] {
-            let failures = gate_fresh_vs_committed(file, &with(fabric(), path, moved), &committed);
+            let failures = gate_fresh_vs_committed(file, &with(eval(), path, moved), &committed);
             assert_only_failure(&failures, "fresh_vs_committed", "run `check --regen`");
             assert!(failures[0].contains(file), "{failures:?}");
         }
@@ -1067,16 +1035,10 @@ mod tests {
         );
         let broken = with(eval(), "by_axis.3.mean_utilization", Value::Null);
         assert_only_failure(&gate_eval(&broken), "eval", "by_axis.3.mean_utilization");
-        let broken = with(fabric(), "job_reports.0.cost_dollars", Value::Null);
-        assert_only_failure(&gate_fabric(&broken), "fabric", "job_reports.0.cost_dollars");
-        let broken = with(fabric(), "placements.1.predicted_step_s", Value::Null);
-        assert_only_failure(
-            &gate_fabric(&broken),
-            "fabric",
-            "placements.1.predicted_step_s",
-        );
-        let broken = with(fabric(), "platforms.0.cost_dollars", Value::Null);
-        assert_only_failure(&gate_finite(&broken), "finite", "platforms.0.cost_dollars");
+        let broken = with(eval(), "contention.isolated_run_s", Value::Null);
+        assert_only_failure(&gate_eval(&broken), "eval", "contention.isolated_run_s is null");
+        let broken = with(bench_sched(), "total_cost_dollars", Value::Null);
+        assert_only_failure(&gate_finite(&broken), "finite", "total_cost_dollars is null");
         let broken = with(bench_sched(), "elapsed_s", Value::Null);
         assert_only_failure(&gate_bench_sched(&broken), "bench_sched", "elapsed_s");
         let broken = with(bench_sched(), "refinement.error_p99_pct", Value::Null);
@@ -1092,8 +1054,8 @@ mod tests {
             "kernels.2.ns_per_update",
         );
         // An absent Option statistic is not a failure …
-        let absent = with(fabric(), "placements.0.measured_step_s", Value::Null);
-        assert_eq!(gate_fabric(&absent), Vec::<String>::new());
+        let absent = with(eval(), "contention.mean_regret_pct", Value::Null);
+        assert_eq!(gate_eval(&absent), Vec::<String>::new());
         let absent = with(eval(), "cell_results.0.error_p50_pct", Value::Null);
         assert_eq!(gate_eval(&absent), Vec::<String>::new());
         // … unless the gate requires that one.

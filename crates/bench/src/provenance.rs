@@ -1,9 +1,9 @@
 //! Run provenance for persisted benchmark artifacts, and where they go.
 //!
-//! The five committed artifacts (`BENCH_lbm.json`, `BENCH_sched.json`,
-//! `CAMPAIGN_fabric.json`, `EVAL_campaign.json`, `REPRO.json`) are
-//! compared across commits; a number without the commit and toolchain
-//! that produced it is unreviewable. These helpers shell out to `git`/`rustc` and degrade
+//! The four committed artifacts (`BENCH_lbm.json`, `BENCH_sched.json`,
+//! `EVAL_campaign.json`, `REPRO.json`) are compared across commits; a
+//! number without the commit and toolchain that produced it is
+//! unreviewable. These helpers shell out to `git`/`rustc` and degrade
 //! to `"unknown"` when either is unavailable (e.g. an unpacked source
 //! tarball), so the benches never fail on missing provenance.
 

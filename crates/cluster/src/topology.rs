@@ -290,8 +290,8 @@ mod tests {
     /// `TopologyVariant::name` is the one name table reports read. The
     /// fabric constructor names its shape too (that crate cannot see this
     /// one), so pin the two to each other, to `CommModel::name`, and to
-    /// the strings `CAMPAIGN_fabric.json` placements and dashboard rows
-    /// already carry.
+    /// the strings campaign-report placements and dashboard rows already
+    /// carry (the evaluation's `contention` block counts `spread` ones).
     #[test]
     fn names_agree_across_variant_topology_and_comm_model() {
         let p = Platform::csp2();

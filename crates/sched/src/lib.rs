@@ -20,25 +20,22 @@
 //! * [`report`] — the [`CampaignReport`]: utilization, cost, SLO
 //!   attainment, guard/retry accounting, and the placement-MAPE
 //!   refinement trajectory, with deterministic JSON output.
-//! * [`demo`] — the seeded fabric contention campaign the `fabric_demo`
-//!   bench driver and its acceptance tests share.
 //! * [`sweep`] — the scenario-sweep evaluation harness: the campaign run
 //!   across seeds × geometries × platform mixes × fault rates × kernel
-//!   configurations, every finished campaign judged by the one
+//!   configurations, plus one routed-contention cell outside the grid
+//!   ([`run_contention`]), every finished campaign judged by the one
 //!   [`audit`] (budget/SLO/billing/Eq. 9/guard checkers over the
 //!   report's typed fields), aggregated into one deterministic JSON
 //!   report.
 //!
 //! Everything is reproducible: same seed, same report, byte for byte.
 
-pub mod demo;
 pub mod events;
 pub mod job;
 pub mod report;
 pub mod scheduler;
 pub mod sweep;
 
-pub use demo::{fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo};
 pub use events::{Event, ShardedEventQueue};
 pub use job::{JobOutcome, JobSpec};
 pub use report::{
@@ -48,6 +45,6 @@ pub use scheduler::{
     expected_faults, fault_probability, retry_backoff_s, Campaign, CampaignConfig, PoolSpec,
 };
 pub use sweep::{
-    audit, cell_config, cell_jobs, mix_pools, run_sweep, Audit, AxisAggregate, Cell, CellResult,
-    GeometryCase, SweepGrid, SweepReport, Violation, WorkloadCase,
+    audit, cell_config, cell_jobs, mix_pools, run_contention, run_sweep, Audit, AxisAggregate, Cell,
+    CellResult, ContentionCell, GeometryCase, SweepGrid, SweepReport, Violation, WorkloadCase,
 };

@@ -7,9 +7,17 @@
 //! evaluation harness that shows it keeps its promises everywhere in the
 //! configuration space the paper's Discussion cares about. Its stress
 //! cells are the scheduler's reference runs: `s42/cyl8/scalar/f0.25/aa_stress`
-//! (in the full and the smoke grid) kills a runaway, rejects a doomed
-//! budget, retries a faulted job to completion and calibrates its
-//! placement error down — the example and the acceptance tests run it.
+//! (in the full grid) kills a runaway, rejects a doomed budget, retries a
+//! faulted job to completion and calibrates its placement error down —
+//! the example and the acceptance tests run it.
+//!
+//! One named cell sits outside the grid: [`run_contention`] runs ten
+//! identical 2-node jobs pairwise on one spread-topology pool, so
+//! co-scheduled jobs contend for the same rack trunks, and returns the
+//! witnesses that routed contention is exactly accounted (Eq. 9),
+//! measurable (a slowdown against the same job run alone), calibratable
+//! and shard-invariant. It renders as the report's `contention` block
+//! and stays out of every grid aggregate.
 //!
 //! Every cell's finished campaign goes through [`audit`]: one table of
 //! named checkers over the report's typed fields, the metrics snapshot
@@ -140,18 +148,6 @@ impl SweepGrid {
                 .map(|k| geometry_case(k))
                 .collect(),
             mixes: vec!["scalar", "spread", "clos"],
-            fault_rates: vec![0.0, 0.25],
-            workloads: workload_cases(),
-        }
-    }
-
-    /// The CI smoke grid (`RT_BENCH_FAST=1`): 1 seed × 2 geometries ×
-    /// 2 mixes × 2 fault rates × 2 kernel configurations = 16 cells.
-    pub fn smoke() -> Self {
-        Self {
-            seeds: vec![42],
-            geometries: ["cyl8", "aneu8"].iter().map(|k| geometry_case(k)).collect(),
-            mixes: vec!["scalar", "spread"],
             fault_rates: vec![0.0, 0.25],
             workloads: workload_cases(),
         }
@@ -415,6 +411,9 @@ pub struct SweepReport {
     pub eq9_cells_checked: usize,
     /// Guard-killed jobs whose limits were rebuilt and checked exactly.
     pub guard_exact_checks: usize,
+    /// The contention cell run beside the grid, once
+    /// [`SweepReport::with_contention`] attached it.
+    pub contention: Option<ContentionCell>,
 }
 
 // ---- audit ------------------------------------------------------------
@@ -841,41 +840,11 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
     let mut violations = Vec::new();
 
     for cell in grid.cells() {
-        let key = cell.key();
-        let Cell { seed, geometry, mix, fault_rate, workload } = cell;
-        let pools = mix_pools(mix);
-        let config = cell_config(seed, fault_rate);
-        let specs = cell_jobs(geometry, workload, &mut workloads);
-
+        let pools = mix_pools(cell.mix);
+        let config = cell_config(cell.seed, cell.fault_rate);
+        let specs = cell_jobs(cell.geometry, cell.workload, &mut workloads);
         let (report, snapshot) = Campaign::run_jobs(config.clone(), pools.clone(), specs.clone());
-
-        let audit = audit(&report, &specs, &pools, &snapshot);
-        let found = audit.violations.iter();
-        violations.extend(found.map(|v| format!("{key}: {}: {}", v.checker, v.what)));
-
-        let regrets = regrets(&report, &specs, &pools, &config, |what| {
-            violations.push(format!("{key}: regret: {what}"))
-        });
-
-        let abs_errors: Vec<f64> =
-            report.placements.iter().filter_map(|r| r.abs_pct_error()).collect();
-        let capacity: f64 =
-            report.platforms.iter().map(|p| p.nodes_total as f64 * report.makespan_s).sum();
-        let busy: f64 = report.platforms.iter().map(|p| p.busy_node_seconds).sum();
-        cells.push(CellResult {
-            seed,
-            geometry: geometry.key.clone(),
-            mix: mix.to_string(),
-            fault_rate,
-            workload: workload.key.to_string(),
-            utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
-            mean_regret_pct: mean(&regrets),
-            key,
-            abs_errors,
-            regrets,
-            report,
-            audit,
-        });
+        cells.push(judge(cell, report, &snapshot, &config, &pools, &specs, &mut violations));
     }
 
     SweepReport {
@@ -885,6 +854,190 @@ pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
         guard_exact_checks: cells.iter().map(|c| c.audit.guard_exact_checks).sum(),
         violations,
         cells,
+        contention: None,
+    }
+}
+
+/// Judge one finished campaign as `cell`: [`audit`] it, score its regret
+/// against the oracle and pool its placement errors. What the audit and
+/// the oracle find joins `violations`, prefixed by the cell's key.
+fn judge(
+    cell: Cell,
+    report: CampaignReport,
+    snapshot: &Snapshot,
+    config: &CampaignConfig,
+    pools: &[PoolSpec],
+    specs: &[JobSpec],
+    violations: &mut Vec<String>,
+) -> CellResult {
+    let key = cell.key();
+    let audit = audit(&report, specs, pools, snapshot);
+    let found = audit.violations.iter();
+    violations.extend(found.map(|v| format!("{key}: {}: {}", v.checker, v.what)));
+
+    let regrets = regrets(&report, specs, pools, config, |what| {
+        violations.push(format!("{key}: regret: {what}"))
+    });
+
+    let abs_errors: Vec<f64> = report.placements.iter().filter_map(|r| r.abs_pct_error()).collect();
+    let capacity: f64 =
+        report.platforms.iter().map(|p| p.nodes_total as f64 * report.makespan_s).sum();
+    let busy: f64 = report.platforms.iter().map(|p| p.busy_node_seconds).sum();
+    CellResult {
+        seed: cell.seed,
+        geometry: cell.geometry.key.clone(),
+        mix: cell.mix.to_string(),
+        fault_rate: cell.fault_rate,
+        workload: cell.workload.key.to_string(),
+        utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
+        mean_regret_pct: mean(&regrets),
+        key,
+        abs_errors,
+        regrets,
+        report,
+        audit,
+    }
+}
+
+// ---- the contention cell ----------------------------------------------
+
+/// The contention cell's pool: one 4-node CSP-2 Small allocation behind a
+/// **spread** topology (2 racks, oversubscribed trunks). Spread scatters
+/// consecutive node ids across racks (`rack = id % 2`), so the pool's
+/// lowest-free-first allocation gives every 2-node job one node in each
+/// rack — two co-scheduled jobs route all their internodal halo traffic
+/// over the *same* two trunk links and contend for them.
+fn contention_pools() -> Vec<PoolSpec> {
+    vec![PoolSpec {
+        platform: Platform::csp2_small(),
+        nodes: 4,
+        overheads: Overheads::default(),
+        topology: Some(TopologyVariant::Spread),
+    }]
+}
+
+/// The contention cell's configuration: faults off (the per-link byte
+/// accounting must reconcile exactly against the Eq. 9 graph, so no
+/// slice may be cut short) and a single 2-node rank option (every job
+/// has the same contention footprint).
+fn contention_config() -> CampaignConfig {
+    CampaignConfig {
+        seed: 42,
+        characterization_seed: 2023,
+        rank_options: vec![16],
+        slice_steps: 2_000_000,
+        fault_rate_per_node_hour: 0.0,
+        retry_backoff_s: 60.0,
+        max_retry_backoff_s: 3600.0,
+        min_calibration_obs: 6,
+        prices: Default::default(),
+        shards: 1,
+        max_placement_log: usize::MAX,
+        max_job_reports: usize::MAX,
+    }
+}
+
+/// The contention cell's jobs on `grid`: ten identical honest jobs at
+/// t = 0. The pool holds two at a time, so the campaign runs as
+/// concurrent contending pairs; the scalar-calibrated model has never
+/// seen routed-plus-contended comm, so the first placements mispredict
+/// and the calibrators close the gap — the MAPE trajectory under
+/// contention.
+fn contention_jobs(grid: &VoxelGrid) -> Vec<JobSpec> {
+    (0..10u64)
+        .map(|i| JobSpec {
+            name: format!("fabric-{i:02}-cyl10"),
+            workload: Arc::new(Workload::harvey(grid, 14_000_000 + 2_000_000 * (i % 4))),
+            model_key: "cyl10".to_string(),
+            objective: Objective::MinCost,
+            tolerance: 7.0,
+            budget_dollars: 200.0,
+            max_retries: 0,
+            checkpoint_steps: 4_000_000,
+            hidden_steps_factor: 1.0,
+            submit_s: 0.0,
+        })
+        .collect()
+}
+
+/// The contention cell, run and judged: its row as a grid cell carries
+/// it, its metrics snapshot, and the witnesses of routed contention.
+pub struct ContentionCell {
+    /// The campaign's report, audit (Eq. 9 expected and delivered bytes
+    /// included), utilization and regret, keyed
+    /// `s42/cyl10/spread4/f0.00/contention`.
+    pub cell: CellResult,
+    /// The campaign's metrics snapshot: the `fabric.pool0.link.*`
+    /// per-link byte counter families and the `sched.contention.*`
+    /// counters.
+    pub snapshot: Snapshot,
+    /// Bytes forwarded over every hop of the pool's links (delivered
+    /// counts the last hop only).
+    pub forwarded_bytes: u64,
+    /// Job 0's run seconds alone on the same pool at the same seed: its
+    /// noise stream is the campaign's, so any difference is contention.
+    pub isolated_run_s: f64,
+    /// Job 0's run seconds in the campaign, sharing trunks with its pair.
+    pub contended_run_s: f64,
+    /// Slices priced against their pool's active set
+    /// (`sched.contention.slices`).
+    pub priced_slices: u64,
+    /// Fabric exchanges those slices cost (`sched.contention.exchanges`):
+    /// contention is priced per distinct active set, not per slice.
+    pub exchanges: u64,
+    /// Whether the report renders byte-identical at 1, 2 and 4
+    /// event-queue shards.
+    pub shard_invariant: bool,
+    /// What the audit and the regret oracle found, prefixed by the key.
+    pub violations: Vec<String>,
+}
+
+impl ContentionCell {
+    /// Job 0's contended over isolated run seconds.
+    pub fn slowdown(&self) -> f64 {
+        self.contended_run_s / self.isolated_run_s
+    }
+}
+
+/// Run the contention cell: the campaign at 1, 2 and 4 event-queue
+/// shards and its first job alone, judged like a grid cell.
+pub fn run_contention() -> ContentionCell {
+    let geometry = GeometryCase {
+        key: "cyl10".to_string(),
+        grid: Arc::new(CylinderSpec::default().with_resolution(10).build()),
+    };
+    let workload = WorkloadCase {
+        key: "contention",
+        kernel: KernelConfig::harvey(),
+        stress: false,
+    };
+    let (seed, mix, fault_rate) = (42, "spread4", 0.0);
+    let cell = Cell { seed, geometry: &geometry, mix, fault_rate, workload: &workload };
+    let (config, pools) = (contention_config(), contention_pools());
+    let specs = contention_jobs(&geometry.grid);
+    let run = |config: CampaignConfig, specs: &[JobSpec]| {
+        Campaign::run_jobs(config, pools.clone(), specs.to_vec())
+    };
+
+    let (report, snapshot) = run(config.clone(), &specs);
+    let rendered = report.to_json();
+    let shard_invariant = [2, 4].into_iter().all(|shards| {
+        run(CampaignConfig { shards, ..config.clone() }, &specs).0.to_json() == rendered
+    });
+    let (solo, _) = run(config.clone(), &specs[..1]);
+
+    let mut violations = Vec::new();
+    let cell = judge(cell, report, &snapshot, &config, &pools, &specs, &mut violations);
+    ContentionCell {
+        forwarded_bytes: snapshot.counter_family_total("fabric.pool0.link.forwarded_bytes"),
+        isolated_run_s: solo.job_reports[0].run_seconds,
+        contended_run_s: cell.report.job_reports[0].run_seconds,
+        priced_slices: snapshot.counter("sched.contention.slices").unwrap_or(0),
+        exchanges: snapshot.counter("sched.contention.exchanges").unwrap_or(0),
+        shard_invariant,
+        violations,
+        snapshot,
+        cell,
     }
 }
 
@@ -994,6 +1147,9 @@ impl SweepReport {
         w.key("eq9_cells_checked").uint(self.eq9_cells_checked as u64);
         w.key("guard_exact_checks").uint(self.guard_exact_checks as u64);
         self.overall.write_json(w.key("overall"));
+        if let Some(contention) = &self.contention {
+            contention.write_json(w.key("contention"));
+        }
         w.key("violation_list").begin_array(json::Layout::Block);
         for v in &self.violations {
             w.string(v);
@@ -1007,27 +1163,66 @@ impl SweepReport {
         w.key("cell_results").begin_array(json::Layout::Block);
         for c in &self.cells {
             w.begin_object(json::Layout::Inline);
-            w.key("cell").string(&c.key);
-            w.key("jobs").uint(c.report.jobs as u64);
-            w.key("completed").uint(c.report.completed as u64);
-            w.key("guard_kills").uint(c.report.guard_kills as u64);
-            w.key("failed").uint(c.report.failed as u64);
-            w.key("rejected").uint(c.report.rejected as u64);
-            w.key("faults").uint(c.report.faults as u64);
-            w.key("makespan_s").fixed(c.report.makespan_s, 3);
-            w.key("total_cost_dollars").fixed(c.report.total_cost_dollars, 6);
-            w.key("utilization").fixed(c.utilization, 6);
-            w.key("error_p50_pct").opt_fixed(c.report.error_p50_pct, 4);
-            w.key("error_p99_pct").opt_fixed(c.report.error_p99_pct, 4);
-            w.key("mean_regret_pct").opt_fixed(c.mean_regret_pct, 4);
-            w.key("eq9_checked").bool(c.audit.eq9_checked);
-            w.key("eq9_delivered_bytes").uint(c.audit.eq9_delivered_bytes);
-            w.key("eq9_expected_bytes").uint(c.audit.eq9_expected_bytes);
+            c.write_row(&mut w);
             w.end();
         }
         w.end();
         w.end();
         w.finish()
+    }
+
+    /// Attach the contention cell run beside the grid: it renders as the
+    /// `contention` block, and its violations join the list.
+    pub fn with_contention(mut self, contention: ContentionCell) -> Self {
+        self.violations.extend(contention.violations.iter().cloned());
+        self.contention = Some(contention);
+        self
+    }
+}
+
+impl CellResult {
+    /// The cell's `cell_results` row fields, into the open object.
+    fn write_row(&self, w: &mut Writer) {
+        w.key("cell").string(&self.key);
+        w.key("jobs").uint(self.report.jobs as u64);
+        w.key("completed").uint(self.report.completed as u64);
+        w.key("guard_kills").uint(self.report.guard_kills as u64);
+        w.key("failed").uint(self.report.failed as u64);
+        w.key("rejected").uint(self.report.rejected as u64);
+        w.key("faults").uint(self.report.faults as u64);
+        w.key("makespan_s").fixed(self.report.makespan_s, 3);
+        w.key("total_cost_dollars").fixed(self.report.total_cost_dollars, 6);
+        w.key("utilization").fixed(self.utilization, 6);
+        w.key("error_p50_pct").opt_fixed(self.report.error_p50_pct, 4);
+        w.key("error_p99_pct").opt_fixed(self.report.error_p99_pct, 4);
+        w.key("mean_regret_pct").opt_fixed(self.mean_regret_pct, 4);
+        w.key("eq9_checked").bool(self.audit.eq9_checked);
+        w.key("eq9_delivered_bytes").uint(self.audit.eq9_delivered_bytes);
+        w.key("eq9_expected_bytes").uint(self.audit.eq9_expected_bytes);
+    }
+}
+
+impl ContentionCell {
+    /// The `contention` block: the row fields, then the witnesses.
+    fn write_json(&self, w: &mut Writer) {
+        let report = &self.cell.report;
+        let spread = report.placements.iter().filter(|p| p.topology.name() == "spread");
+        w.begin_object(json::Layout::Block);
+        self.cell.write_row(w);
+        w.key("retries").uint(report.retries as u64);
+        w.key("placements").uint(report.placements.len() as u64);
+        w.key("spread_placements").uint(spread.count() as u64);
+        w.key("forwarded_bytes").uint(self.forwarded_bytes);
+        w.key("isolated_run_s").float(self.isolated_run_s);
+        w.key("contended_run_s").float(self.contended_run_s);
+        w.key("slowdown").float(self.slowdown());
+        w.key("contention_slices").uint(self.priced_slices);
+        w.key("contention_exchanges").uint(self.exchanges);
+        let uncalibrated = report.mape_first_quartile_uncalibrated_pct;
+        w.key("mape_first_quartile_uncalibrated_pct").opt_fixed(uncalibrated, 4);
+        w.key("mape_calibrated_pct").opt_fixed(report.mape_calibrated_pct, 4);
+        w.key("shard_invariant").bool(self.shard_invariant);
+        w.end();
     }
 }
 
@@ -1163,6 +1358,36 @@ mod tests {
         for (job, slot) in last.iter().enumerate() {
             assert_eq!(*slot, case.report.placements.iter().rev().find(|r| r.job == job));
         }
+    }
+
+    #[test]
+    fn contention_cell_renders_as_one_block_outside_the_grid_aggregates() {
+        let grid = micro_grid("spread", 0.0, 0);
+        let mut contention = run_contention();
+        assert_eq!(contention.violations, Vec::<String>::new());
+        let broken = format!("{}: eq9: planted", contention.cell.key);
+        contention.violations.push(broken.clone());
+        let plain = json::parse(&run_sweep(&grid).to_json()).unwrap();
+        let with = json::parse(&run_sweep(&grid).with_contention(contention).to_json()).unwrap();
+        let block = with.get("contention").expect("the block renders");
+        let key = block.get("cell").and_then(Value::as_str);
+        assert_eq!(key, Some("s42/cyl10/spread4/f0.00/contention"));
+        assert_eq!(block.get("shard_invariant"), Some(&Value::Bool(true)));
+        // The cell's violations join the list; nothing else but the
+        // block differs from the grid's own report.
+        let (Value::Object(mut with), Value::Object(plain)) = (with, plain) else { panic!() };
+        with.retain(|(k, _)| k != "contention");
+        for (key, v) in &mut with {
+            match key.as_str() {
+                "violations" => assert_eq!(std::mem::replace(v, Value::UInt(0)), Value::UInt(1)),
+                "violation_list" => {
+                    assert_eq!(v.as_array().unwrap(), [Value::Str(broken.clone())]);
+                    *v = Value::Array(vec![]);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(with, plain);
     }
 
     #[test]

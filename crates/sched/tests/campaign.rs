@@ -17,16 +17,16 @@ use hemocloud_sched::{
     PoolSpec, SweepGrid,
 };
 
-/// The sweep's reference stress cell, in the full and the smoke grid: a
+/// The sweep's reference stress cell, in the full grid: a
 /// runaway the guard kills, a doomed budget admission rejects, a faulted
 /// job retried to completion, and calibration on two scalar pools.
 const STRESS_CELL: &str = "s42/cyl8/scalar/f0.25/aa_stress";
 
 /// The stress cell's campaign inputs, its seed replaced by `seed`.
 fn stress_cell(seed: u64) -> (CampaignConfig, Vec<PoolSpec>, Vec<JobSpec>) {
-    let grid = SweepGrid::smoke();
+    let grid = SweepGrid::full();
     let cell = grid.cells().into_iter().find(|c| c.key() == STRESS_CELL);
-    let cell = cell.expect("the smoke grid has the stress cell");
+    let cell = cell.expect("the full grid has the stress cell");
     let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
     (cell_config(seed, cell.fault_rate), mix_pools(cell.mix), jobs)
 }

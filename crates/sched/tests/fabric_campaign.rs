@@ -1,9 +1,9 @@
-//! Acceptance tests for the routed-fabric campaign: the fabric demo must
-//! be byte-for-byte reproducible across reruns and shard counts, its
-//! per-link delivered-byte counters must reconcile *exactly* against the
-//! Eq. 9 halo message graph, co-scheduled jobs must run measurably
-//! slower than an isolated run, and calibration must close the
-//! contention-induced prediction gap.
+//! Acceptance tests for the routed-fabric contention cell the evaluation
+//! sweep runs beside its grid: it must be byte-for-byte reproducible and
+//! shard-invariant, its per-link delivered-byte counters must reconcile
+//! *exactly* against the Eq. 9 halo message graph, co-scheduled jobs
+//! must run measurably slower than an isolated run, and calibration must
+//! close the contention-induced prediction gap.
 
 use std::sync::OnceLock;
 
@@ -12,29 +12,24 @@ use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::topology::{CommModel, TopologyVariant};
 use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
-use hemocloud_obs::{Render, Snapshot};
-use hemocloud_sched::{
-    fabric_demo_config, fabric_demo_jobs, fabric_demo_pools, run_fabric_demo, Campaign,
-    CampaignReport,
-};
+use hemocloud_obs::Render;
+use hemocloud_sched::{run_contention, ContentionCell};
 
-/// The fabric demo is expensive in debug builds; run it once and share
-/// the report, its JSON, and the obs snapshot across tests.
-fn fabric_demo() -> &'static (CampaignReport, String, Snapshot) {
-    static DEMO: OnceLock<(CampaignReport, String, Snapshot)> = OnceLock::new();
-    DEMO.get_or_init(|| {
-        let (report, snapshot) = run_fabric_demo(42);
-        let json = report.to_json();
-        (report, json, snapshot)
-    })
+/// The contention cell is expensive in debug builds; run it once and
+/// share it across tests.
+fn contention() -> &'static ContentionCell {
+    static CELL: OnceLock<ContentionCell> = OnceLock::new();
+    CELL.get_or_init(run_contention)
 }
 
 #[test]
-fn fabric_demo_completes_cleanly_on_the_spread_pool() {
-    let (report, json, _) = fabric_demo();
-    assert_eq!(report.jobs, 10, "{json}");
+fn contention_cell_completes_cleanly_on_the_spread_pool() {
+    let cell = contention();
+    let report = &cell.cell.report;
+    assert_eq!(cell.violations, Vec::<String>::new(), "the audit finds nothing");
+    assert_eq!(report.jobs, 10, "{}", report.to_json());
     assert_eq!(report.completed, 10, "every honest fault-free job lands");
-    assert_eq!(report.faults, 0, "fault injection is off in the demo");
+    assert_eq!(report.faults, 0, "fault injection is off in the cell");
     assert_eq!(report.guard_kills, 0);
     assert_eq!(report.rejected, 0);
     // Every placement ran routed on the spread topology, and the report
@@ -47,41 +42,30 @@ fn fabric_demo_completes_cleanly_on_the_spread_pool() {
 }
 
 #[test]
-fn fabric_demo_is_reproducible_and_shard_invariant() {
-    let (_, json, snapshot) = fabric_demo();
-    // Rerun at the same seed: report AND the full obs render (per-link
-    // byte counters included) must not move by a byte.
-    let (again_report, again_snap) = run_fabric_demo(42);
-    assert_eq!(*json, again_report.to_json(), "rerun changed the report");
+fn contention_cell_is_reproducible_and_shard_invariant() {
+    let cell = contention();
+    // Rerun: report AND the full obs render (per-link byte counters
+    // included) must not move by a byte.
+    let again = run_contention();
+    assert_eq!(cell.cell.report.to_json(), again.cell.report.to_json(), "rerun changed the report");
     assert_eq!(
-        snapshot.to_json(Render::Full),
-        again_snap.to_json(Render::Full),
+        cell.snapshot.to_json(Render::Full),
+        again.snapshot.to_json(Render::Full),
         "rerun changed the obs snapshot"
     );
     // Shard count is pure event-queue layout: the shared-fabric
     // contention context is gathered in job-index order from the pool's
-    // active set, so the report must be byte-identical at any shard
-    // count even though co-scheduled jobs price each other's traffic.
-    let run = |shards: usize| {
-        let mut config = fabric_demo_config(42);
-        config.shards = shards;
-        let mut campaign = Campaign::new(config, fabric_demo_pools());
-        for job in fabric_demo_jobs() {
-            campaign.submit(job);
-        }
-        campaign.run().to_json()
-    };
-    for shards in [2, 4] {
-        assert_eq!(*json, run(shards), "report changed at {shards} shards");
-    }
+    // active set, so the report is byte-identical at 1, 2 and 4 shards
+    // even though co-scheduled jobs price each other's traffic.
+    assert!(cell.shard_invariant, "report changed across 1/2/4 shards");
 }
 
 #[test]
 fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
-    let (report, _, snapshot) = fabric_demo();
-    assert_eq!(report.completed, 10, "reconciliation needs fault-free runs");
+    let cell = contention();
+    assert_eq!(cell.cell.report.completed, 10, "reconciliation needs fault-free runs");
 
-    // Independently rebuild the Eq. 9 graph for the demo's one prepared
+    // Independently rebuild the Eq. 9 graph for the cell's one prepared
     // shape (cyl10, 16 ranks, CSP-2 Small) and price a single step's
     // internodal bytes from its flows.
     let grid = CylinderSpec::default().with_resolution(10).build();
@@ -94,7 +78,7 @@ fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
         &Overheads::default(),
         CommModel::Routed(TopologyVariant::Spread),
     )
-    .expect("demo shape is feasible");
+    .expect("the cell's shape is feasible");
     let per_step_bytes: u64 = prepared
         .flows(&[0, 1], 0)
         .iter()
@@ -105,22 +89,27 @@ fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
         .sum();
     assert!(per_step_bytes > 0, "2-node cyl10 must cross the interconnect");
 
-    // Total steps actually delivered: all jobs honest (hidden factor 1)
-    // and fault-free, so each completes exactly its declared steps.
-    let expected: u64 = fabric_demo_jobs()
-        .iter()
-        .map(|j| j.workload.steps * per_step_bytes)
-        .sum();
+    // Total steps actually delivered: all ten jobs honest (hidden factor
+    // 1) and fault-free, so each completes exactly its declared
+    // 14M + 2M·(i mod 4) steps.
+    let steps: u64 = (0..10u64).map(|i| 14_000_000 + 2_000_000 * (i % 4)).sum();
+    let expected = steps * per_step_bytes;
 
+    let snapshot = &cell.snapshot;
     let delivered = snapshot.counter_family_total("fabric.pool0.link.delivered_bytes");
     assert_eq!(
         delivered, expected,
         "per-link delivered bytes must sum exactly to the Eq. 9 total"
     );
+    // The witnesses the evaluation report renders are these same totals.
+    let audit = &cell.cell.audit;
+    assert!(audit.eq9_checked);
+    assert_eq!((audit.eq9_expected_bytes, audit.eq9_delivered_bytes), (expected, delivered));
     // Forwarded counts every hop, delivered only the last: spread routes
     // are 2 hops same-rack and 4 hops cross-rack, so strictly more bytes
     // are forwarded than delivered whenever any flow crosses a rack.
     let forwarded = snapshot.counter_family_total("fabric.pool0.link.forwarded_bytes");
+    assert_eq!(cell.forwarded_bytes, forwarded);
     assert!(
         forwarded > delivered,
         "cross-rack routes must forward through intermediate links \
@@ -137,39 +126,36 @@ fn per_link_delivered_bytes_reconcile_exactly_with_eq9() {
 
 #[test]
 fn co_scheduled_jobs_run_measurably_slower_than_isolated() {
-    let (report, _, _) = fabric_demo();
-    // Solo baseline: the same first job, alone on the same pool, same
-    // seed — its noise stream (seeded by job index / attempt / slice) is
-    // identical, so any runtime difference is contention.
-    let mut solo = Campaign::new(fabric_demo_config(42), fabric_demo_pools());
-    solo.submit(fabric_demo_jobs().remove(0));
-    let solo_report = solo.run();
-    assert_eq!(solo_report.completed, 1);
-
-    let solo_job = &solo_report.job_reports[0];
-    let demo_job = report
-        .job_reports
-        .iter()
-        .find(|j| j.name == solo_job.name)
-        .expect("job 0 present in the demo report");
+    let cell = contention();
+    // The isolated run is the same first job, alone on the same pool,
+    // same seed — its noise stream (seeded by job index / attempt /
+    // slice) is identical, so any runtime difference is contention.
+    assert_eq!(cell.contended_run_s, cell.cell.report.job_reports[0].run_seconds);
     assert!(
-        demo_job.run_seconds > solo_job.run_seconds * 1.01,
+        cell.slowdown() > 1.01,
         "co-scheduled run {} s not measurably slower than isolated {} s",
-        demo_job.run_seconds,
-        solo_job.run_seconds
+        cell.contended_run_s,
+        cell.isolated_run_s
     );
+    // The ten jobs run as recurring pairs: contention is priced per
+    // distinct active set, so far fewer fabric exchanges than slices.
+    let counter = |name: &str| cell.snapshot.counter(name).unwrap_or(0);
+    assert_eq!(cell.priced_slices, counter("sched.contention.slices"));
+    assert_eq!(cell.exchanges, counter("sched.contention.exchanges"));
+    assert!(0 < cell.exchanges && cell.exchanges < cell.priced_slices);
 }
 
 #[test]
 fn calibration_closes_the_contention_gap() {
-    let (report, json, _) = fabric_demo();
+    let report = &contention().cell.report;
     let before = report
         .mape_first_quartile_uncalibrated_pct
         .expect("uncalibrated placements exist");
     let after = report.mape_calibrated_pct.expect("calibrated placements exist");
     assert!(
         after < before,
-        "calibrated MAPE {after}% must beat uncalibrated {before}%\n{json}"
+        "calibrated MAPE {after}% must beat uncalibrated {before}%\n{}",
+        report.to_json()
     );
     assert!(report.mape_calibrated_count > 0);
 }

@@ -21,9 +21,9 @@ use hemocloud::prelude::*;
 use hemocloud::sched::{cell_config, cell_jobs, mix_pools, SweepGrid};
 
 fn main() {
-    let grid = SweepGrid::smoke();
+    let grid = SweepGrid::full();
     let key = "s42/cyl8/scalar/f0.25/aa_stress";
-    let cell = grid.cells().into_iter().find(|c| c.key() == key).expect("smoke grid cell");
+    let cell = grid.cells().into_iter().find(|c| c.key() == key).expect("full grid cell");
     let pools = mix_pools(cell.mix);
     let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
 

@@ -8,7 +8,7 @@
 use hemocloud_cluster::exec::{Overheads, PreparedRun};
 use hemocloud_cluster::platform::Platform;
 use hemocloud_cluster::pricing::PriceSheet;
-use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
+use hemocloud_cluster::stream_bench::stream_sweep;
 use hemocloud_cluster::topology::{build_topology, routed_set_comm, CommModel, TopologyVariant};
 use hemocloud_core::characterize::{characterize, characterize_all};
 use hemocloud_core::dashboard::Dashboard;
@@ -19,16 +19,14 @@ use hemocloud_decomp::census::Census;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
-use hemocloud_fitting::two_line::fit_two_line;
+use hemocloud_fitting::sweep::fit_stream;
 use hemocloud_geometry::anatomy::{AortaSpec, CerebralSpec, CylinderSpec};
 use hemocloud_rt::bench::{Harness, Throughput};
 
 fn fitting(h: &mut Harness) {
     let platform = Platform::csp2();
-    let (ns, bs) = to_fit_arrays(&stream_sweep(&platform, 1));
-    h.bench_function("fit/two_line_36pt", |b| {
-        b.iter(|| fit_two_line(&ns, &bs).unwrap())
-    });
+    let sweep = stream_sweep(&platform, 1);
+    h.bench_function("fit/two_line_36pt", |b| b.iter(|| fit_stream(&sweep).unwrap()));
 
     let counts: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
     let zs: Vec<f64> = counts

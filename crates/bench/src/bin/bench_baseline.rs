@@ -41,6 +41,7 @@
 //! never recorded silently.
 
 use hemocloud_bench::{gates, provenance};
+use hemocloud_fitting::sweep::StreamSample;
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_lbm::access_profile::{average_solid_links, AccessProfile};
@@ -50,7 +51,7 @@ use hemocloud_lbm::kernel::{
 use hemocloud_lbm::mesh::FluidMesh;
 use hemocloud_lbm::ranked::{RankAssignment, RankedSolver};
 use hemocloud_lbm::solver::{Solver, SolverConfig};
-use hemocloud_microbench::stream::{stream_kernel, StreamKernel, StreamMeasurement};
+use hemocloud_microbench::stream::{stream_kernel, StreamKernel};
 use hemocloud_obs::json::{self, Value, Writer};
 use hemocloud_rt::bench::{fast_mode, sample_stats};
 use hemocloud_rt::{par, pool};
@@ -81,7 +82,9 @@ struct Baseline {
     mesh_cells: usize,
     mflups: f64,
     ns_per_step: f64,
-    stream: Vec<StreamMeasurement>,
+    /// STREAM Copy and Triad over `stream_elements`-long arrays.
+    stream: [(StreamKernel, StreamSample); 2],
+    stream_elements: usize,
     kernels: Vec<KernelRow>,
     /// Max component-wise moment difference between the AA solver's
     /// natural-order readout and the AB solver's post-stream readout.
@@ -288,12 +291,10 @@ fn measure() -> Baseline {
     let threads = par::max_threads();
     let elements = if fast { 1 << 21 } else { 1 << 24 };
     let reps = if fast { 2 } else { 5 };
-    let stream = vec![
-        stream_kernel(StreamKernel::Copy, threads, elements, reps),
-        stream_kernel(StreamKernel::Triad, threads, elements, reps),
-    ];
-    let copy_gb_s = stream[0].bandwidth_mb_s / 1e3;
-    let triad_gb_s = stream[1].bandwidth_mb_s / 1e3;
+    let stream = [StreamKernel::Copy, StreamKernel::Triad]
+        .map(|kernel| (kernel, stream_kernel(kernel, threads, elements, reps)));
+    let copy_gb_s = stream[0].1.bandwidth_mb_s / 1e3;
+    let triad_gb_s = stream[1].1.bandwidth_mb_s / 1e3;
 
     // Sweep every runtime kernel config (f64, then f32 storage), each row
     // timed by `best_pair_ns`. Row 0 stays the HARVEY default (AB/AoS/f64)
@@ -348,6 +349,7 @@ fn measure() -> Baseline {
         mflups,
         ns_per_step,
         stream,
+        stream_elements: elements,
         kernels,
         aa_ab_moment_max_diff: moment_diff,
         simd_bitwise_equal: simd_equal,
@@ -409,11 +411,11 @@ fn to_json(b: &Baseline) -> String {
     w.key("aa_ab_moment_max_diff").float(b.aa_ab_moment_max_diff);
     w.key("f32_f64_moment_max_diff").float(b.f32_f64_moment_max_diff);
     w.key("stream").begin_array(json::Layout::Block);
-    for m in &b.stream {
+    for (kernel, m) in &b.stream {
         w.begin_object(json::Layout::Inline);
-        w.key("kernel").string(m.kernel.name());
+        w.key("kernel").string(kernel.name());
         w.key("threads").uint(m.threads as u64);
-        w.key("elements").uint(m.elements as u64);
+        w.key("elements").uint(b.stream_elements as u64);
         w.key("gb_s").fixed(m.bandwidth_mb_s / 1e3, 3);
         w.end();
     }
@@ -439,7 +441,7 @@ fn main() {
         baseline
             .stream
             .iter()
-            .map(|m| format!("{} {:.2} GB/s", m.kernel.name(), m.bandwidth_mb_s / 1e3))
+            .map(|(kernel, m)| format!("{} {:.2} GB/s", kernel.name(), m.bandwidth_mb_s / 1e3))
             .collect::<Vec<_>>()
             .join(", "),
     );

@@ -9,8 +9,8 @@
 //!   `SMOKE_RUNS`; then gates the four committed artifacts in the current
 //!   directory, including the one-revision stamp gate, the
 //!   fresh-vs-committed perf gate, and the gate that holds the committed
-//!   `EVAL_campaign.json` equal to the fresh full-size run but for
-//!   `provenance.git_rev` and `provenance.rustc`.
+//!   `EVAL_campaign.json` and `REPRO.json` each equal to its fresh
+//!   full-size run but for `provenance.git_rev` and `provenance.rustc`.
 //! * `check --regen` — runs the four generators full-size into the
 //!   current directory in one sitting (`BENCH_lbm.json` at
 //!   `RT_POOL_THREADS=1`, so it stays comparable with the serial smoke
@@ -27,8 +27,8 @@ use hemocloud_obs::json::{self, Value};
 type GateFn = fn(&Value) -> Vec<String>;
 
 /// `(run directory under target/check, generator, environment)`.
-/// `eval_campaign` has no smoke size: its full run takes well under a
-/// second in release.
+/// `eval_campaign` and `repro` have no smoke size: their full runs take
+/// about 0.3 s and 2 s in release.
 #[rustfmt::skip]
 const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("bench_w1_a", "bench_baseline", "RT_BENCH_FAST=1 RT_POOL_THREADS=1"),
@@ -38,17 +38,19 @@ const SMOKE_RUNS: &[(&str, &str, &str)] = &[
     ("sched", "bench_sched", "RT_BENCH_FAST=1"),
     ("eval_a", "eval_campaign", ""),
     ("eval_b", "eval_campaign", ""),
-    ("repro_a", "repro", "RT_BENCH_FAST=1"),
-    ("repro_b", "repro", "RT_BENCH_FAST=1"),
+    ("repro_a", "repro", ""),
+    ("repro_b", "repro", ""),
 ];
 
 /// Fresh artifacts that are also the fresh side of a gate against
 /// `COMMITTED[i]`: the perf gate for `BENCH_lbm.json` (a serial smoke
-/// mesh), equality but for the stamp for the full-size evaluation.
+/// mesh), equality but for the stamp for the full-size evaluation and
+/// reproduction record.
 #[rustfmt::skip]
-const FRESH: [(&str, GateFn); 2] = [
+const FRESH: [(&str, GateFn); 3] = [
     ("bench_w1_a/BENCH_lbm.json", gate_bench_lbm),
     ("eval_a/EVAL_campaign.json", gate_eval),
+    ("repro_a/REPRO.json", gate_repro),
 ];
 
 /// What each other fresh artifact must satisfy.
@@ -59,7 +61,6 @@ const SMOKE_GATES: &[(&str, &[GateFn])] = &[
     ("bench_w8_a/OBS_bench.json", &[gate_obs]),
     ("eval_a/OBS_fabric.json", &[gate_obs]),
     ("sched/BENCH_sched.json", &[gate_bench_sched]),
-    ("repro_a/REPRO.json", &[gate_repro]),
 ];
 
 /// Fresh artifacts that must agree byte for byte: reruns at the same
@@ -78,13 +79,13 @@ const SMOKE_PAIRS: &[(&str, &str)] = &[
 
 /// The committed artifacts (in the current directory), their gates, and
 /// the environment `--regen` runs their generators with. The first
-/// two are the committed sides of the gates against `FRESH`.
+/// three are the committed sides of the gates against `FRESH`.
 #[rustfmt::skip]
 const COMMITTED: [(&str, GateFn, &str, &str); 4] = [
     ("BENCH_lbm.json", gate_bench_lbm, "bench_baseline", "RT_POOL_THREADS=1"),
     ("EVAL_campaign.json", gate_eval, "eval_campaign", ""),
-    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
     ("REPRO.json", gate_repro, "repro", ""),
+    ("BENCH_sched.json", gate_bench_sched, "bench_sched", ""),
 ];
 
 struct Check {
@@ -148,7 +149,7 @@ impl Check {
     /// Spawn every run of `SMOKE_RUNS`, gate and compare what they wrote, and
     /// return the `FRESH` documents for the gates against the committed
     /// ones.
-    fn smoke(&mut self) -> [Value; 2] {
+    fn smoke(&mut self) -> [Value; 3] {
         let root = Path::new("target/check");
         let _ = std::fs::remove_dir_all(root);
         for (run, bin, env) in SMOKE_RUNS {
@@ -166,7 +167,7 @@ impl Check {
     /// Gate the four committed artifacts, one by one and as a set, and
     /// against the `fresh` ones if given. A document that did not parse
     /// is already a failure and is compared with nothing.
-    fn committed(&mut self, fresh: Option<&[Value; 2]>) {
+    fn committed(&mut self, fresh: Option<&[Value; 3]>) {
         let docs = COMMITTED.map(|(file, gate, ..)| self.gated(Path::new(file), &[gate]));
         let set: Vec<(&str, &Value)> = COMMITTED.iter().map(|c| c.0).zip(&docs).collect();
         self.failures.extend(gate_committed_set(&set));

@@ -3,10 +3,10 @@
 //! or no argument like the other generators, prints every one and writes
 //! the gated, provenance-stamped `REPRO.json`.
 //!
-//! * `OUT_DIR=<dir>` is where `REPRO.json` goes (default: the current
-//!   directory, i.e. the committed record when run from the repo root).
-//! * `RT_BENCH_FAST=1` runs the smoke sizes `check` compares across
-//!   reruns; the committed record is full size.
+//! `OUT_DIR=<dir>` is where `REPRO.json` goes (default: the current
+//! directory, i.e. the committed record when run from the repo root).
+//! The binary always runs the full size (about 2 s in release); the smoke
+//! size is `Lab::new(true)`, which `tests/reproduction.rs` runs.
 //!
 //! Every number comes from the simulator at seed 2023, so the record is
 //! byte-identical across reruns and machines.
@@ -29,7 +29,7 @@ fn main() {
         eprintln!("usage: repro <id>|all   (ids: {})", ids.join(", "));
         std::process::exit(2);
     }
-    let lab = Lab::new(hemocloud_rt::bench::fast_mode());
+    let lab = Lab::new(false);
     let results = run(&lab, selected);
     for (_, outcome) in &results {
         outcome.print();

@@ -6,9 +6,8 @@
 //! smoke size, and say so (DESIGN.md §20).
 
 use hemocloud_cluster::network::LinkKind::{Internodal, Intranodal};
-use hemocloud_cluster::pingpong::{default_message_sizes, fit_pingpong, pingpong_sweep};
 use hemocloud_cluster::platform::Platform;
-use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
+use hemocloud_core::characterize::PlatformCharacterization;
 use hemocloud_core::composition::Prediction;
 use hemocloud_core::direct::DirectModel;
 use hemocloud_core::general::GeneralModel;
@@ -17,13 +16,14 @@ use hemocloud_core::value::{cost_weighted_matrix, relative_value_matrix, ValueMa
 use hemocloud_core::workload::Workload;
 use hemocloud_decomp::halo::DecompAnalysis;
 use hemocloud_decomp::partition::{BlockPartition, SlabPartition};
-use hemocloud_fitting::linear::{fit_line, fit_line_fixed_intercept, fit_proportional};
+use hemocloud_fitting::linear::{fit_line, fit_proportional};
 use hemocloud_fitting::metrics::{coefficient_of_variation, mape, mean, r_squared, std_dev};
+use hemocloud_fitting::sweep::StreamSample;
 use hemocloud_lbm::kernel::{KernelConfig, Layout, Propagation};
 
 use crate::report::Tolerance::{Abs, Rel};
 use crate::report::{Cell, Outcome, Series, Tolerance};
-use crate::repro::{Lab, SEED};
+use crate::repro::Lab;
 use crate::row;
 
 /// One table or figure of the paper.
@@ -100,6 +100,12 @@ fn platform(abbrev: &str) -> Platform {
     let mut all = platforms_with_hyperthreading().into_iter();
     all.find(|p| p.abbrev == abbrev)
         .expect("a Table I abbreviation")
+}
+
+/// A characterization's STREAM sweep as `(threads, MB/s)` columns.
+fn stream_columns(c: &PlatformCharacterization) -> (Vec<f64>, Vec<f64>) {
+    let sample = |s: &StreamSample| (s.threads as f64, s.bandwidth_mb_s);
+    c.sweeps.stream.iter().map(sample).unzip()
 }
 
 /// `(prefix: upper vs lower @ x, upper > lower)` at every x the curves share.
@@ -282,8 +288,8 @@ fn fig5(lab: &Lab) -> Outcome {
     let mut o = Outcome::default();
     let (mut measured, mut fitted, mut rows, mut r2s) = (vec![], vec![], vec![], vec![]);
     for p in platforms_with_hyperthreading() {
-        let (threads, bandwidths) = to_fit_arrays(&stream_sweep(&p, SEED));
-        let fit = lab.character(&p).memory_fit;
+        let c = lab.character(&p);
+        let ((threads, bandwidths), fit) = (stream_columns(&c), c.memory_fit);
         let predicted: Vec<f64> = threads.iter().map(|&n| fit.eval(n)).collect();
         let r2 = r_squared(&predicted, &bandwidths).unwrap_or(f64::NAN);
         let curve = |ys: &[f64]| threads.iter().copied().zip(ys.iter().copied()).collect();
@@ -361,38 +367,32 @@ fn table2(lab: &Lab) -> Outcome {
 
 fn fig6(lab: &Lab) -> Outcome {
     let mut o = Outcome::default();
-    let sizes = default_message_sizes();
     let (mut measured, mut rows, mut inter) = (Vec::new(), Vec::new(), Vec::new());
     let mut intra_cheaper = Cases::new();
     for (abbrev, .., link) in TABLE3 {
         let Some((paper_b, paper_l)) = link else {
             continue;
         };
-        let p = platform(abbrev);
-        for (kind, kname) in [(Internodal, "inter"), (Intranodal, "intra")] {
-            let sweep = pingpong_sweep(&p, kind, &sizes, SEED);
-            let fit = fit_pingpong(&sweep).expect("fittable sweep");
+        let c = lab.character(&platform(abbrev));
+        let links = [
+            ("inter", &c.sweeps.internodal, c.internodal_fit),
+            ("intra", &c.sweeps.intranodal, c.intranodal_fit),
+        ];
+        for (kname, sweep, fit) in links {
             let points = sweep.iter().map(|s| (s.bytes as f64, s.time_us)).collect();
             measured.push(Series::new(format!("{abbrev} {kname}"), points));
-            rows.push(row![
-                abbrev,
-                kname,
-                (fit.bandwidth_mb_s, 2),
-                (fit.latency_us, 2)
-            ]);
-            if kind == Internodal {
-                let (b, l) = (fit.bandwidth_mb_s, fit.latency_us);
-                o.compare(
-                    format!("{abbrev} internodal b, MB/s"),
-                    paper_b,
-                    b,
-                    Rel(0.15),
-                );
-                o.compare(format!("{abbrev} internodal l, us"), paper_l, l, Rel(0.2));
-                inter.push((b, l));
-            }
+            let (b, l) = (fit.bandwidth_mb_s, fit.latency_us);
+            rows.push(row![abbrev, kname, (b, 2), (l, 2)]);
         }
-        let c = lab.character(&p);
+        let (b, l) = (c.internodal_fit.bandwidth_mb_s, c.internodal_fit.latency_us);
+        o.compare(
+            format!("{abbrev} internodal b, MB/s"),
+            paper_b,
+            b,
+            Rel(0.15),
+        );
+        o.compare(format!("{abbrev} internodal l, us"), paper_l, l, Rel(0.2));
+        inter.push((b, l));
         let cheaper = c.message_time_s(Intranodal, 1e4) < c.message_time_s(Internodal, 1e4);
         intra_cheaper.push((abbrev.to_string(), cheaper));
     }
@@ -774,9 +774,10 @@ fn ablations(lab: &Lab) -> Outcome {
     // the full-node bandwidth estimate the models divide by.
     let (mut rows, mut knee) = (Vec::new(), Cases::new());
     for p in Platform::all() {
-        let (ns, bs) = to_fit_arrays(&stream_sweep(&p, SEED));
+        let c = lab.character(&p);
+        let (ns, bs) = stream_columns(&c);
         let (truth, cores) = (p.full_node_bandwidth(), p.cores_per_node as f64);
-        let two = lab.character(&p).memory_fit.eval(cores);
+        let two = c.memory_fit.eval(cores);
         let one = fit_proportional(&ns, &bs)
             .expect("fittable sweep")
             .eval(cores);
@@ -826,10 +827,10 @@ fn ablations(lab: &Lab) -> Outcome {
 
     // 3 — the paper pins latency to the zero-byte time; a free intercept
     // fits large messages as well but moves the small-message floor.
-    let samples = pingpong_sweep(&csp2, Internodal, &default_message_sizes(), SEED);
+    let samples = &character.sweeps.internodal;
     let xs: Vec<f64> = samples.iter().map(|s| s.bytes as f64).collect();
     let ys: Vec<f64> = samples.iter().map(|s| s.time_us).collect();
-    let pinned = fit_line_fixed_intercept(&xs, &ys, ys[0]).expect("fittable sweep");
+    let pinned = character.internodal_fit.line;
     let free = fit_line(&xs, &ys).expect("fittable sweep");
     // One boundary point's distributions; the sweep's largest message.
     let (halo, large) = (152.0 * 8.0, 4_194_304.0);
@@ -909,4 +910,49 @@ fn ablations(lab: &Lab) -> Outcome {
     let claim = "5: one fitted efficiency factor reduces the general model's error";
     o.check_one(claim, label, calibrated < raw);
     o
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::Block;
+
+    /// The rows of the table in `outcome` whose title starts with `prefix`.
+    fn rows<'a>(outcome: &'a Outcome, prefix: &str) -> &'a [Vec<Cell>] {
+        let table = outcome.blocks.iter().find_map(|block| match block {
+            Block::Table { title, rows, .. } if title.starts_with(prefix) => Some(rows),
+            _ => None,
+        });
+        table.unwrap_or_else(|| panic!("no table {prefix:?}"))
+    }
+
+    fn bits(cell: &Cell) -> u64 {
+        match cell {
+            Cell::Num(v, _) => v.to_bits(),
+            other => panic!("{other:?} is not a number"),
+        }
+    }
+
+    /// Fig. 6 reports the fits the models read: each internodal row is
+    /// its platform's Table III `b_inter` / `l_inter`, each intranodal row
+    /// its characterization's intranodal fit, bit for bit.
+    #[test]
+    fn fig6_and_table3_report_one_fit_per_link() {
+        let lab = Lab::new(true);
+        let (fig6, table3) = (fig6(&lab), table3(&lab));
+        let (links, table3) = (rows(&fig6, "Fig. 6 linear fits"), rows(&table3, "Table III"));
+        assert_eq!(links.len(), 6, "inter and intra on three platforms");
+        for row in links {
+            let (abbrev, link) = (row[0].to_string(), row[1].to_string());
+            let expected = if link == "inter" {
+                let t3 = table3.iter().find(|r| r[0].to_string() == abbrev);
+                let t3 = t3.expect("a Table III row");
+                (bits(&t3[4]), bits(&t3[5]))
+            } else {
+                let fit = lab.character(&platform(&abbrev)).intranodal_fit;
+                (fit.bandwidth_mb_s.to_bits(), fit.latency_us.to_bits())
+            };
+            assert_eq!((bits(&row[2]), bits(&row[3])), expected, "{abbrev} {link}");
+        }
+    }
 }

@@ -1023,6 +1023,33 @@ mod tests {
         }
     }
 
+    /// `check` holds the committed `REPRO.json` to a fresh full-size run:
+    /// a moved Fig. 6 number fails, a changed stamp alone passes.
+    #[test]
+    fn fresh_vs_committed_holds_repro_to_its_fig6_figures() {
+        let (file, committed) = ("REPRO.json", repro());
+        assert_eq!(text(&committed, "experiments.6.id"), "fig6");
+        let restamped = with(
+            with(repro(), "provenance.git_rev", Value::Str("f6312ea8bd42".into())),
+            "provenance.rustc",
+            Value::Str("rustc 0.0.0".into()),
+        );
+        assert_eq!(
+            gate_fresh_vs_committed(file, &restamped, &committed),
+            Vec::<String>::new()
+        );
+        // A point of the CSP-2 internodal curve, then its fitted `b`.
+        for path in [
+            "experiments.6.blocks.0.series.2.points.0.1",
+            "experiments.6.blocks.1.rows.2.2",
+        ] {
+            let old = committed.at(path).and_then(Value::as_f64).expect("a number");
+            let moved = with(repro(), path, Value::Float(old * (1.0 + 1e-12)));
+            let failures = gate_fresh_vs_committed(file, &moved, &committed);
+            assert_only_failure(&failures, "fresh_vs_committed", "REPRO.json: a fresh run");
+        }
+    }
+
     /// What the old `grep ': nan|inf'` caught: a non-finite number in a
     /// field no gate names, now a `null` there.
     #[test]

@@ -61,8 +61,8 @@ pub struct Lab {
 }
 
 impl Lab {
-    /// An empty lab; `fast` picks the smoke sizes
-    /// (`hemocloud_rt::bench::fast_mode()` in the binary).
+    /// An empty lab; `fast` picks the smoke sizes (the tests' choice; the
+    /// `repro` binary runs full size).
     pub fn new(fast: bool) -> Self {
         Self {
             fast,

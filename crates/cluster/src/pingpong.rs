@@ -3,23 +3,14 @@
 //!
 //! Generates round-trip-halved communication times over a message-size
 //! sweep for intranodal and internodal rank pairs, with measurement noise.
-//! The fitting pipeline then recovers the linear `t = m/b + l` model
-//! exactly the way the paper does: latency pinned to the zero-byte
-//! measurement, bandwidth fit to all points.
+//! `hemocloud_fitting::sweep::fit_pingpong` then recovers the linear
+//! `t = m/b + l` model exactly the way the paper does: latency pinned to
+//! the zero-byte measurement, bandwidth fit to all points.
 
 use crate::network::LinkKind;
 use crate::noise::NoiseProcess;
 use crate::platform::Platform;
-use hemocloud_fitting::linear::{fit_line_fixed_intercept, LineFit};
-
-/// One PingPong measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PingPongSample {
-    /// Message size, bytes.
-    pub bytes: usize,
-    /// One-way time, microseconds.
-    pub time_us: f64,
-}
+use hemocloud_fitting::sweep::PingPongSample;
 
 /// The IMB default message-size ladder: 0 plus powers of two through 4 MB.
 pub fn default_message_sizes() -> Vec<usize> {
@@ -50,42 +41,10 @@ pub fn pingpong_sweep(
         .collect()
 }
 
-/// Fitted communication parameters in the paper's units.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommFit {
-    /// Bandwidth, MB/s.
-    pub bandwidth_mb_s: f64,
-    /// Latency, microseconds (the zero-byte time, per the paper's
-    /// convention).
-    pub latency_us: f64,
-    /// The underlying line fit (time in µs vs. bytes).
-    pub line: LineFit,
-}
-
-/// Fit Eq. 12 to a PingPong sweep with the paper's convention: "latency is
-/// the communication time for 0 bytes and bandwidth depends on all data
-/// points".
-///
-/// Returns `None` if the sweep lacks a zero-byte sample or has no nonzero
-/// sizes.
-pub fn fit_pingpong(samples: &[PingPongSample]) -> Option<CommFit> {
-    let latency_us = samples.iter().find(|s| s.bytes == 0)?.time_us;
-    let xs: Vec<f64> = samples.iter().map(|s| s.bytes as f64).collect();
-    let ys: Vec<f64> = samples.iter().map(|s| s.time_us).collect();
-    let line = fit_line_fixed_intercept(&xs, &ys, latency_us)?;
-    if line.slope <= 0.0 {
-        return None;
-    }
-    Some(CommFit {
-        bandwidth_mb_s: 1.0 / line.slope, // µs/byte → bytes/µs == MB/s
-        latency_us,
-        line,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemocloud_fitting::sweep::fit_pingpong;
 
     #[test]
     fn ladder_starts_at_zero_and_doubles() {

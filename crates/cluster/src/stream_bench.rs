@@ -9,15 +9,7 @@
 
 use crate::noise::NoiseProcess;
 use crate::platform::Platform;
-
-/// One STREAM measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamSample {
-    /// OpenMP threads used (one per core, or per vCPU when hyperthreaded).
-    pub threads: usize,
-    /// Measured Copy bandwidth, MB/s.
-    pub bandwidth_mb_s: f64,
-}
+use hemocloud_fitting::sweep::StreamSample;
 
 /// Simulate a STREAM Copy sweep from 1 thread to every core on the node.
 pub fn stream_sweep(platform: &Platform, seed: u64) -> Vec<StreamSample> {
@@ -44,19 +36,10 @@ pub fn stream_sweep(platform: &Platform, seed: u64) -> Vec<StreamSample> {
         .collect()
 }
 
-/// Convert samples to the parallel `(threads, bandwidth)` arrays the
-/// fitting crate consumes.
-pub fn to_fit_arrays(samples: &[StreamSample]) -> (Vec<f64>, Vec<f64>) {
-    (
-        samples.iter().map(|s| s.threads as f64).collect(),
-        samples.iter().map(|s| s.bandwidth_mb_s).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hemocloud_fitting::two_line::fit_two_line;
+    use hemocloud_fitting::sweep::fit_stream;
 
     #[test]
     fn sweep_covers_all_cores() {
@@ -94,8 +77,7 @@ mod tests {
         // The full paper pipeline: simulate STREAM, fit Eq. 8, compare to
         // the generating parameters.
         let p = Platform::csp2();
-        let (ns, bs) = to_fit_arrays(&stream_sweep(&p, 42));
-        let fit = fit_two_line(&ns, &bs).expect("fit");
+        let fit = fit_stream(&stream_sweep(&p, 42)).expect("fit");
         assert!((fit.a1 - p.memory.a1).abs() / p.memory.a1 < 0.15, "a1 {}", fit.a1);
         assert!((fit.a3 - p.memory.a3).abs() < 3.0, "a3 {}", fit.a3);
         // Full-node bandwidth reproduced within a few percent.

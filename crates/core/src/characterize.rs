@@ -3,15 +3,26 @@
 //! and the Table III parameters).
 
 use hemocloud_cluster::network::LinkKind;
-use hemocloud_cluster::pingpong::{
-    default_message_sizes, fit_pingpong, pingpong_sweep, CommFit,
-};
+use hemocloud_cluster::pingpong::{default_message_sizes, pingpong_sweep};
 use hemocloud_cluster::platform::Platform;
-use hemocloud_cluster::stream_bench::{stream_sweep, to_fit_arrays};
-use hemocloud_fitting::two_line::{fit_two_line, TwoLineFit};
+use hemocloud_cluster::stream_bench::stream_sweep;
+use hemocloud_fitting::sweep::{fit_pingpong, fit_stream, CommFit, PingPongSample, StreamSample};
+use hemocloud_fitting::two_line::TwoLineFit;
+
+/// The microbenchmark sweeps a characterization is fitted from: Fig. 5's
+/// STREAM samples and Fig. 6's PingPong samples per link kind.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweeps {
+    /// STREAM Copy bandwidth from one thread to every core on the node.
+    pub stream: Vec<StreamSample>,
+    /// PingPong between two ranks on one node.
+    pub intranodal: Vec<PingPongSample>,
+    /// PingPong between two ranks on different nodes.
+    pub internodal: Vec<PingPongSample>,
+}
 
 /// Fitted hardware parameters of one platform — a row of the paper's
-/// Table III.
+/// Table III — and the sweeps they are the fits of.
 #[derive(Debug, Clone)]
 pub struct PlatformCharacterization {
     /// The platform measured.
@@ -22,6 +33,8 @@ pub struct PlatformCharacterization {
     pub internodal_fit: CommFit,
     /// Intranodal PingPong fit.
     pub intranodal_fit: CommFit,
+    /// The samples the three fits were fitted from.
+    pub sweeps: Sweeps,
 }
 
 impl PlatformCharacterization {
@@ -38,7 +51,7 @@ impl PlatformCharacterization {
     }
 
     /// Communication fit for a link kind.
-    pub fn link_fit(&self, kind: LinkKind) -> &CommFit {
+    fn link_fit(&self, kind: LinkKind) -> &CommFit {
         match kind {
             LinkKind::Internodal => &self.internodal_fit,
             LinkKind::Intranodal => &self.intranodal_fit,
@@ -61,30 +74,23 @@ impl PlatformCharacterization {
 /// Panics if any fit fails — on these platforms the sweeps are always
 /// fittable, so a failure indicates a broken measurement pipeline.
 pub fn characterize(platform: &Platform, seed: u64) -> PlatformCharacterization {
-    let (threads, bandwidths) = to_fit_arrays(&stream_sweep(platform, seed));
-    let memory_fit = fit_two_line(&threads, &bandwidths).expect("STREAM sweep is fittable");
-
     let sizes = default_message_sizes();
-    let internodal_fit = fit_pingpong(&pingpong_sweep(
-        platform,
-        LinkKind::Internodal,
-        &sizes,
-        seed ^ 0x1e7e,
-    ))
-    .expect("internodal PingPong is fittable");
-    let intranodal_fit = fit_pingpong(&pingpong_sweep(
-        platform,
-        LinkKind::Intranodal,
-        &sizes,
-        seed ^ 0x17a4,
-    ))
-    .expect("intranodal PingPong is fittable");
+    let sweeps = Sweeps {
+        stream: stream_sweep(platform, seed),
+        intranodal: pingpong_sweep(platform, LinkKind::Intranodal, &sizes, seed ^ 0x17a4),
+        internodal: pingpong_sweep(platform, LinkKind::Internodal, &sizes, seed ^ 0x1e7e),
+    };
+    fit(platform, sweeps)
+}
 
+/// The characterization of `platform` that `sweeps` measured.
+fn fit(platform: &Platform, sweeps: Sweeps) -> PlatformCharacterization {
     PlatformCharacterization {
         platform: platform.clone(),
-        memory_fit,
-        internodal_fit,
-        intranodal_fit,
+        memory_fit: fit_stream(&sweeps.stream).expect("STREAM sweep is fittable"),
+        internodal_fit: fit_pingpong(&sweeps.internodal).expect("internodal PingPong is fittable"),
+        intranodal_fit: fit_pingpong(&sweeps.intranodal).expect("intranodal PingPong is fittable"),
+        sweeps,
     }
 }
 
@@ -168,6 +174,51 @@ mod tests {
         let abbrevs: Vec<_> = all.iter().map(|c| c.platform.abbrev).collect();
         assert!(abbrevs.contains(&"TRC"));
         assert!(abbrevs.contains(&"CSP-2 EC"));
+    }
+
+    fn comm_bits(fit: &CommFit) -> [u64; 5] {
+        let line = fit.line;
+        [
+            fit.bandwidth_mb_s,
+            fit.latency_us,
+            line.slope,
+            line.intercept,
+            line.sse,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Table III's CSP-2 row at the record's seed, as `REPRO.json` holds
+    /// it: the sweeps and the fit arithmetic are the ones every model
+    /// reads.
+    #[test]
+    fn csp2_internodal_fit_is_the_committed_table3_row() {
+        let fit = characterize(&Platform::csp2(), 2023).internodal_fit;
+        assert_eq!(
+            fit.bandwidth_mb_s.to_bits(),
+            1764.7830809282168f64.to_bits()
+        );
+        assert_eq!(fit.latency_us.to_bits(), 24.00794245127288f64.to_bits());
+    }
+
+    /// A characterization is the fit of the samples it carries.
+    #[test]
+    fn refitting_the_carried_sweeps_reproduces_every_fit_bitwise() {
+        for platform in Platform::all() {
+            let c = characterize(&platform, 2023);
+            let refit = fit(&c.platform, c.sweeps.clone());
+            let two_line = |f: &TwoLineFit| [f.a1, f.a2, f.a3, f.sse].map(f64::to_bits);
+            assert_eq!(two_line(&refit.memory_fit), two_line(&c.memory_fit));
+            let links = [
+                (&refit.internodal_fit, &c.internodal_fit),
+                (&refit.intranodal_fit, &c.intranodal_fit),
+            ];
+            for (refit, fit) in links {
+                assert_eq!(comm_bits(refit), comm_bits(fit));
+            }
+            assert_eq!(refit.sweeps, c.sweeps);
+            assert_eq!(c.sweeps.stream.len(), platform.cores_per_node);
+        }
     }
 
     #[test]

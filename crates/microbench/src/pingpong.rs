@@ -8,27 +8,19 @@
 //! send), so large messages measure memcpy bandwidth and small ones
 //! measure synchronization latency.
 
+use hemocloud_fitting::sweep::PingPongSample;
 use std::sync::mpsc;
 
-/// One PingPong measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PingPongMeasurement {
-    /// Message size, bytes.
-    pub bytes: usize,
-    /// One-way time, microseconds (half the mean round trip).
-    pub time_us: f64,
-}
-
-/// Measure one-way message time for each size in `sizes`, averaging over
-/// `round_trips` bounces per size.
+/// Measure one-way message time for each size in `sizes`: half the mean
+/// round trip over `round_trips` bounces per size.
 ///
 /// # Panics
 /// Panics if `round_trips` is zero.
-pub fn pingpong_sweep(sizes: &[usize], round_trips: usize) -> Vec<PingPongMeasurement> {
+pub fn pingpong_sweep(sizes: &[usize], round_trips: usize) -> Vec<PingPongSample> {
     assert!(round_trips > 0, "need at least one round trip");
     sizes
         .iter()
-        .map(|&bytes| PingPongMeasurement {
+        .map(|&bytes| PingPongSample {
             bytes,
             time_us: one_way_time_us(bytes, round_trips),
         })
@@ -70,6 +62,7 @@ fn one_way_time_us(bytes: usize, round_trips: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemocloud_fitting::sweep::fit_pingpong;
 
     #[test]
     fn sweep_measures_all_sizes() {
@@ -83,11 +76,11 @@ mod tests {
     /// Each size's fastest one-way time over five sweeps: one preempted
     /// sweep on a loaded host cannot lift it, while a slope that holds on
     /// every quiet sweep survives.
-    fn min_over_sweeps(sizes: &[usize], round_trips: usize) -> Vec<f64> {
-        let mut best = vec![f64::INFINITY; sizes.len()];
-        for _ in 0..5 {
+    fn min_over_sweeps(sizes: &[usize], round_trips: usize) -> Vec<PingPongSample> {
+        let mut best = pingpong_sweep(sizes, round_trips);
+        for _ in 1..5 {
             for (b, m) in best.iter_mut().zip(pingpong_sweep(sizes, round_trips)) {
-                *b = b.min(m.time_us);
+                b.time_us = b.time_us.min(m.time_us);
             }
         }
         best
@@ -96,18 +89,17 @@ mod tests {
     #[test]
     fn large_messages_cost_more_than_small() {
         let t = min_over_sweeps(&[0, 4 * 1024 * 1024], 5);
-        assert!(t[1] > t[0], "4 MB {} µs !> 0 B {} µs", t[1], t[0]);
+        let (small, large) = (t[0].time_us, t[1].time_us);
+        assert!(large > small, "4 MB {large} µs !> 0 B {small} µs");
     }
 
     #[test]
     fn fits_the_linear_model() {
-        // The host measurement must be consumable by the same fit the
-        // simulated PingPong uses: latency pinned at the 0-byte time.
-        let sizes = [0, 4096, 65_536, 1_048_576];
-        let xs: Vec<f64> = sizes.iter().map(|&b| b as f64).collect();
-        let ys = min_over_sweeps(&sizes, 20);
-        let fit = hemocloud_fitting::linear::fit_line_fixed_intercept(&xs, &ys, ys[0])
-            .expect("finite samples with a nonzero size");
-        assert!(fit.slope > 0.0, "non-positive fitted slope {}", fit.slope);
+        // The host sweep is consumed by the fit the simulated PingPong
+        // uses: latency pinned at the 0-byte time, positive slope.
+        let samples = min_over_sweeps(&[0, 4096, 65_536, 1_048_576], 20);
+        let fit = fit_pingpong(&samples).expect("a zero-byte sample and a positive slope");
+        assert_eq!(fit.latency_us, samples[0].time_us);
+        assert!(fit.bandwidth_mb_s > 0.0, "{fit:?}");
     }
 }

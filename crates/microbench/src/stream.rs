@@ -21,6 +21,7 @@
 //! on the same pool.
 
 use crate::timing::best_of;
+use hemocloud_fitting::sweep::StreamSample;
 use hemocloud_rt::pool;
 use std::sync::Mutex;
 
@@ -57,21 +58,8 @@ impl StreamKernel {
     }
 }
 
-/// One measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamMeasurement {
-    /// Kernel measured.
-    pub kernel: StreamKernel,
-    /// Threads used.
-    pub threads: usize,
-    /// Array length (elements per array).
-    pub elements: usize,
-    /// Best-of-N bandwidth, MB/s.
-    pub bandwidth_mb_s: f64,
-}
-
 /// Run one STREAM kernel with `threads` threads over arrays of
-/// `elements` doubles, best of `reps` repetitions.
+/// `elements` doubles: the best-of-`reps` bandwidth.
 ///
 /// # Panics
 /// Panics for zero threads, zero reps, or arrays smaller than the thread
@@ -81,7 +69,7 @@ pub fn stream_kernel(
     threads: usize,
     elements: usize,
     reps: usize,
-) -> StreamMeasurement {
+) -> StreamSample {
     assert!(threads > 0, "zero threads");
     assert!(elements >= threads, "array smaller than thread count");
     let scalar = 3.0f64;
@@ -135,10 +123,8 @@ pub fn stream_kernel(
     std::hint::black_box((&a, &b, &c));
 
     let bytes = kernel.bytes_per_element() * elements;
-    StreamMeasurement {
-        kernel,
+    StreamSample {
         threads,
-        elements,
         bandwidth_mb_s: bytes as f64 / seconds / 1e6,
     }
 }
@@ -159,11 +145,7 @@ fn shares(mut data: &mut [f64], workers: usize) -> Vec<&mut [f64]> {
 
 /// Copy-kernel sweep over thread counts — the host-machine analog of the
 /// paper's Fig. 5 data collection, ready for the two-line fit.
-pub fn stream_sweep(
-    thread_counts: &[usize],
-    elements: usize,
-    reps: usize,
-) -> Vec<StreamMeasurement> {
+pub fn stream_sweep(thread_counts: &[usize], elements: usize, reps: usize) -> Vec<StreamSample> {
     thread_counts
         .iter()
         .map(|&t| stream_kernel(StreamKernel::Copy, t, elements, reps))
@@ -182,7 +164,7 @@ mod tests {
     fn copy_produces_positive_bandwidth() {
         let m = stream_kernel(StreamKernel::Copy, 1, N, 2);
         assert!(m.bandwidth_mb_s > 0.0);
-        assert_eq!(m.kernel, StreamKernel::Copy);
+        assert_eq!(m.threads, 1);
     }
 
     #[test]
@@ -206,10 +188,11 @@ mod tests {
 
     #[test]
     fn sweep_returns_requested_counts() {
-        let sweep = stream_sweep(&[1, 2], N, 1);
+        let sweep: Vec<StreamSample> = stream_sweep(&[1, 2], N, 1);
         assert_eq!(sweep.len(), 2);
         assert_eq!(sweep[0].threads, 1);
         assert_eq!(sweep[1].threads, 2);
+        assert!(sweep.iter().all(|s| s.bandwidth_mb_s > 0.0), "{sweep:?}");
     }
 
     #[test]

@@ -25,10 +25,11 @@ echo "== check: fresh artifacts, byte-identity pairs, committed artifacts"
 # Every artifact invariant lives in crates/bench/src/gates.rs (DESIGN.md
 # §18 has the table); `check` spawns the four generators (`repro`, the
 # paper's evaluation, among them) into target/check/<run>/, at
-# RT_BENCH_FAST=1 but for `eval_campaign`, which runs its full grid;
-# gates what they wrote and the committed BENCH_*/EVAL_*/REPRO files,
-# holds the committed EVAL_campaign.json equal to the fresh one but for
-# its stamp, and compares the pairs that must agree byte for byte.
+# RT_BENCH_FAST=1 but for `eval_campaign` and `repro`, which run full
+# size; gates what they wrote and the committed BENCH_*/EVAL_*/REPRO
+# files, holds the committed EVAL_campaign.json and REPRO.json equal to
+# the fresh ones but for their stamps, and compares the pairs that must
+# agree byte for byte.
 # Regenerate the committed set with `... --bin check -- --regen`.
 cargo run -q --release --offline -p hemocloud-bench --bin check
 

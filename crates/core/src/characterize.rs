@@ -2,6 +2,8 @@
 //! paper's Fig. 1 framework, producing the "CSP Option Dashboard" inputs
 //! and the Table III parameters).
 
+use std::sync::Arc;
+
 use hemocloud_cluster::network::LinkKind;
 use hemocloud_cluster::pingpong::{default_message_sizes, pingpong_sweep};
 use hemocloud_cluster::platform::Platform;
@@ -33,8 +35,9 @@ pub struct PlatformCharacterization {
     pub internodal_fit: CommFit,
     /// Intranodal PingPong fit.
     pub intranodal_fit: CommFit,
-    /// The samples the three fits were fitted from.
-    pub sweeps: Sweeps,
+    /// The samples the three fits were fitted from, shared by every clone
+    /// (each model and pool state keeps one).
+    pub sweeps: Arc<Sweeps>,
 }
 
 impl PlatformCharacterization {
@@ -80,11 +83,11 @@ pub fn characterize(platform: &Platform, seed: u64) -> PlatformCharacterization 
         intranodal: pingpong_sweep(platform, LinkKind::Intranodal, &sizes, seed ^ 0x17a4),
         internodal: pingpong_sweep(platform, LinkKind::Internodal, &sizes, seed ^ 0x1e7e),
     };
-    fit(platform, sweeps)
+    fit(platform, Arc::new(sweeps))
 }
 
 /// The characterization of `platform` that `sweeps` measured.
-fn fit(platform: &Platform, sweeps: Sweeps) -> PlatformCharacterization {
+fn fit(platform: &Platform, sweeps: Arc<Sweeps>) -> PlatformCharacterization {
     PlatformCharacterization {
         platform: platform.clone(),
         memory_fit: fit_stream(&sweeps.stream).expect("STREAM sweep is fittable"),

@@ -20,19 +20,26 @@
 //! * [`report`] — the [`CampaignReport`]: utilization, cost, SLO
 //!   attainment, guard/retry accounting, and the placement-MAPE
 //!   refinement trajectory, with deterministic JSON output.
-//! * [`sweep`] — the scenario-sweep evaluation harness: the campaign run
-//!   across seeds × geometries × platform mixes × fault rates × kernel
-//!   configurations, plus one routed-contention cell outside the grid
-//!   ([`run_contention`]), every finished campaign judged by the one
+//! * [`scenario`] — the [`Scenario`]: one campaign's key, config, pools
+//!   and jobs. Every campaign the repo runs is one — the sweep's grid
+//!   cells, its routed-contention cell ([`Scenario::contention`]) and
+//!   `bench_sched`'s million-job run ([`Scenario::scale`]) — and each is
+//!   run by [`Scenario::run`] and judged by [`Scenario::judge`]: the one
 //!   [`audit`] (budget/SLO/billing/Eq. 9/guard checkers over the
-//!   report's typed fields), aggregated into one deterministic JSON
-//!   report.
+//!   report's typed fields), the regret oracle and the pooled errors.
+//!   The million-job run is audited too.
+//! * [`sweep`] — the scenario-sweep evaluation harness: the grid's
+//!   scenarios across seeds × geometries × platform mixes × fault rates
+//!   × kernel configurations, plus the contention cell outside the grid
+//!   ([`run_contention`]), judged and aggregated into one deterministic
+//!   JSON report.
 //!
 //! Everything is reproducible: same seed, same report, byte for byte.
 
 pub mod events;
 pub mod job;
 pub mod report;
+pub mod scenario;
 pub mod scheduler;
 pub mod sweep;
 
@@ -44,7 +51,8 @@ pub use report::{
 pub use scheduler::{
     expected_faults, fault_probability, retry_backoff_s, Campaign, CampaignConfig, PoolSpec,
 };
+pub use scenario::Scenario;
 pub use sweep::{
-    audit, cell_config, cell_jobs, mix_pools, run_contention, run_sweep, Audit, AxisAggregate, Cell,
-    CellResult, ContentionCell, GeometryCase, SweepGrid, SweepReport, Violation, WorkloadCase,
+    audit, run_contention, run_sweep, Audit, AxisAggregate, CellResult, ContentionCell,
+    GeometryCase, SweepGrid, SweepReport, Violation, WorkloadCase,
 };

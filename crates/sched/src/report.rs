@@ -256,6 +256,43 @@ impl CampaignReport {
         self.error_p99_pct = percentile(&errs, 99.0);
     }
 
+    /// The campaign-wide figures the scheduler accumulates over every job
+    /// and placement whatever the log caps
+    /// ([`CampaignConfig::max_placement_log`],
+    /// [`CampaignConfig::max_job_reports`]): `(name, value)`, a float by
+    /// its bits, an undefined one `None`. Two runs of one scenario that
+    /// differ only in their caps agree on every entry. The error
+    /// percentiles are not among them: they are taken over the retained
+    /// log.
+    ///
+    /// [`CampaignConfig::max_placement_log`]: crate::CampaignConfig::max_placement_log
+    /// [`CampaignConfig::max_job_reports`]: crate::CampaignConfig::max_job_reports
+    pub fn exact_aggregates(&self) -> [(&'static str, Option<u64>); 19] {
+        let n = |v: usize| Some(v as u64);
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        [
+            ("jobs", n(self.jobs)),
+            ("events_processed", Some(self.events_processed)),
+            ("makespan_s", bits(Some(self.makespan_s))),
+            ("total_cost_dollars", bits(Some(self.total_cost_dollars))),
+            ("wasted_steps", Some(self.wasted_steps)),
+            ("completed", n(self.completed)),
+            ("guard_kills", n(self.guard_kills)),
+            ("failed", n(self.failed)),
+            ("rejected", n(self.rejected)),
+            ("faults", n(self.faults)),
+            ("retries", n(self.retries)),
+            ("retried_jobs_completed", n(self.retried_jobs_completed)),
+            ("slo_attained", n(self.slo_attained)),
+            ("slo_total", n(self.slo_total)),
+            ("placements_total", n(self.placements_total)),
+            ("mape_q1_uncalibrated_pct", bits(self.mape_first_quartile_uncalibrated_pct)),
+            ("mape_q1_uncalibrated_count", n(self.mape_first_quartile_uncalibrated_count)),
+            ("mape_calibrated_pct", bits(self.mape_calibrated_pct)),
+            ("mape_calibrated_count", n(self.mape_calibrated_count)),
+        ]
+    }
+
     /// Render the report as deterministic JSON.
     pub fn to_json(&self) -> String {
         self.to_json_stamped(&[])

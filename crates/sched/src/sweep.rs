@@ -5,24 +5,27 @@
 //!
 //! One campaign shows the control loop works *once*; the sweep is the
 //! evaluation harness that shows it keeps its promises everywhere in the
-//! configuration space the paper's Discussion cares about. Its stress
-//! cells are the scheduler's reference runs: `s42/cyl8/scalar/f0.25/aa_stress`
-//! (in the full grid) kills a runaway, rejects a doomed budget, retries a
-//! faulted job to completion and calibrates its placement error down —
-//! the example and the acceptance tests run it.
+//! configuration space the paper's Discussion cares about. The grid
+//! yields one [`Scenario`] per cell ([`SweepGrid::scenarios`]). Its
+//! stress cells are the scheduler's reference runs:
+//! `s42/cyl8/scalar/f0.25/aa_stress` (in the full grid) kills a runaway,
+//! rejects a doomed budget, retries a faulted job to completion and
+//! calibrates its placement error down — the example and the acceptance
+//! tests run it.
 //!
-//! One named cell sits outside the grid: [`run_contention`] runs ten
-//! identical 2-node jobs pairwise on one spread-topology pool, so
-//! co-scheduled jobs contend for the same rack trunks, and returns the
-//! witnesses that routed contention is exactly accounted (Eq. 9),
-//! measurable (a slowdown against the same job run alone), calibratable
-//! and shard-invariant. It renders as the report's `contention` block
-//! and stays out of every grid aggregate.
+//! One named cell sits outside the grid: [`run_contention`] runs
+//! [`Scenario::contention`] — ten identical 2-node jobs pairwise on one
+//! spread-topology pool, so co-scheduled jobs contend for the same rack
+//! trunks — and returns the witnesses that routed contention is exactly
+//! accounted (Eq. 9), measurable (a slowdown against the same job run
+//! alone), calibratable and shard-invariant. It renders as the report's
+//! `contention` block and stays out of every grid aggregate.
 //!
-//! Every cell's finished campaign goes through [`audit`]: one table of
-//! named checkers over the report's typed fields, the metrics snapshot
-//! and the submitted specs and pools (DESIGN.md §17 lists what each
-//! rebuilds from what):
+//! Every finished campaign — a grid cell, the contention cell or
+//! `bench_sched`'s million-job run — is judged by [`Scenario::judge`],
+//! which runs [`audit`]: one table of named checkers over the report's
+//! typed fields, the metrics snapshot and the scenario's jobs and pools
+//! (DESIGN.md §17 lists what each rebuilds from what):
 //!
 //! * **conservation** — every job ends in one outcome and one report row.
 //! * **books** — cost, fault and retry totals agree across views.
@@ -40,9 +43,10 @@
 //!   of every routed job, as exact `u64` equality.
 //! * **finite** — every statistic is finite and non-negative.
 //!
-//! On top of the audit the sweep scores **placement regret**: every
+//! On top of the audit the judge scores **placement regret**: every
 //! completed job's cost against an oracle that knows the noise-free step
-//! time of every feasible (pool, ranks) option, reported per axis.
+//! time of every feasible (pool, ranks) option for the job's own model,
+//! reported per axis.
 //!
 //! Violations are collected as strings, never panics, so one bad cell
 //! cannot hide the others; the committed artifact (`EVAL_campaign.json`)
@@ -66,7 +70,8 @@ use hemocloud_obs::Snapshot;
 
 use crate::job::{JobOutcome, JobSpec};
 use crate::report::{percentile, CampaignReport, JobReport, PlacementRecord};
-use crate::scheduler::{Campaign, CampaignConfig, PoolSpec};
+use crate::scenario::Scenario;
+use crate::scheduler::{CampaignConfig, PoolSpec};
 
 /// One geometry under sweep: a stable key and its voxelized grid.
 pub struct GeometryCase {
@@ -94,7 +99,7 @@ pub struct SweepGrid {
     pub seeds: Vec<u64>,
     /// Geometries.
     pub geometries: Vec<GeometryCase>,
-    /// Platform-mix keys, resolved through [`mix_pools`].
+    /// Platform-mix keys: `scalar`, `spread` or `clos`.
     pub mixes: Vec<&'static str>,
     /// Fault rates per node-hour.
     pub fault_rates: Vec<f64>,
@@ -153,51 +158,37 @@ impl SweepGrid {
         }
     }
 
-    /// The cross product, seeds outermost: the order cells run, render
-    /// and aggregate in.
-    pub fn cells(&self) -> Vec<Cell<'_>> {
-        let mut cells = Vec::new();
+    /// One scenario per point of the cross product, seeds outermost: the
+    /// order cells run, render and aggregate in. Each key is the point's
+    /// axis values in this order (`s42/cyl8/scalar/f0.25/aa_stress`), and
+    /// `by_axis` groups on them. Lazy, so finding one cell builds only
+    /// the cells before it; jobs of one geometry, kernel and step count
+    /// share one `Workload` across cells.
+    pub fn scenarios(&self) -> impl Iterator<Item = Scenario> + '_ {
+        let mut points = Vec::new();
         for &seed in &self.seeds {
             for geometry in &self.geometries {
                 for &mix in &self.mixes {
                     for &fault_rate in &self.fault_rates {
                         for workload in &self.workloads {
-                            cells.push(Cell { seed, geometry, mix, fault_rate, workload });
+                            points.push((seed, geometry, mix, fault_rate, workload));
                         }
                     }
                 }
             }
         }
-        cells
-    }
-}
-
-/// One point of a [`SweepGrid`]: a value on each axis.
-#[derive(Clone, Copy)]
-pub struct Cell<'g> {
-    /// Campaign seed.
-    pub seed: u64,
-    /// Geometry.
-    pub geometry: &'g GeometryCase,
-    /// Platform-mix key, resolved through [`mix_pools`].
-    pub mix: &'static str,
-    /// Fault rate per node-hour.
-    pub fault_rate: f64,
-    /// Kernel/job-mix configuration.
-    pub workload: &'g WorkloadCase,
-}
-
-impl Cell<'_> {
-    /// The stable cell key (`s42/cyl8/scalar/f0.25/aa_stress`): prefixes
-    /// violations and names the cell in JSON.
-    pub fn key(&self) -> String {
-        let Cell { seed, geometry, mix, fault_rate, workload } = self;
-        format!("s{seed}/{}/{mix}/f{fault_rate:.2}/{}", geometry.key, workload.key)
+        let mut workloads = BTreeMap::new();
+        points.into_iter().map(move |(seed, geometry, mix, fault_rate, workload)| Scenario {
+            key: format!("s{seed}/{}/{mix}/f{fault_rate:.2}/{}", geometry.key, workload.key),
+            config: grid_config(seed, fault_rate),
+            pools: grid_pools(mix),
+            jobs: grid_jobs(geometry, workload, &mut workloads),
+        })
     }
 }
 
 /// The capacity-limited pools behind a mix key.
-pub fn mix_pools(key: &str) -> Vec<PoolSpec> {
+fn grid_pools(key: &str) -> Vec<PoolSpec> {
     match key {
         // Scalar-priced comm on both pools (Eq. 12, no fabric).
         "scalar" => vec![
@@ -258,7 +249,7 @@ pub fn mix_pools(key: &str) -> Vec<PoolSpec> {
 }
 
 /// Campaign configuration for one cell.
-pub fn cell_config(seed: u64, fault_rate: f64) -> CampaignConfig {
+fn grid_config(seed: u64, fault_rate: f64) -> CampaignConfig {
     CampaignConfig {
         seed,
         characterization_seed: 2023,
@@ -282,7 +273,7 @@ pub fn cell_config(seed: u64, fault_rate: f64) -> CampaignConfig {
 /// model (generous tolerance), a calibrated-era stream, and — in stress
 /// cells — one runaway the guard must kill and one doomed-budget job
 /// admission must reject.
-pub fn cell_jobs(
+fn grid_jobs(
     geom: &GeometryCase,
     wk: &WorkloadCase,
     workloads: &mut BTreeMap<(String, u64), Arc<Workload>>,
@@ -339,25 +330,17 @@ pub fn cell_jobs(
     jobs.collect()
 }
 
-/// One cell's results: the axis coordinates, the campaign's report and
-/// audit, pooled placement errors, regret and utilization.
+/// One judged scenario ([`Scenario::judge`]): its key, the campaign's
+/// report and audit, pooled placement errors, regret and utilization.
 pub struct CellResult {
-    /// Stable cell key: prefixes violations, names the cell in JSON.
+    /// The scenario's key: prefixes violations, names the cell in JSON
+    /// and, for a grid cell, carries its axis values.
     pub key: String,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Geometry key.
-    pub geometry: String,
-    /// Platform-mix key.
-    pub mix: String,
-    /// Fault rate per node-hour.
-    pub fault_rate: f64,
-    /// Workload key.
-    pub workload: String,
     /// The cell's campaign report (outcome counts, makespan, cost and the
     /// p50/p99 absolute placement error are rendered from it).
     pub report: CampaignReport,
-    /// What [`audit`] found, the Eq. 9 reconciliation included.
+    /// What [`audit`] found, the Eq. 9 reconciliation included, followed
+    /// by what the regret oracle found (checker `regret`).
     pub audit: Audit,
     /// Campaign-wide utilization: Σ busy node-seconds over Σ pool
     /// capacity node-seconds at the cell makespan.
@@ -418,8 +401,8 @@ pub struct SweepReport {
 
 // ---- audit ------------------------------------------------------------
 
-/// One broken fact: which checker of the `CHECKERS` table found it, and
-/// what.
+/// One broken fact: which checker of the `CHECKERS` table (or the regret
+/// oracle, `regret`) found it, and what.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The checker's name in the table.
@@ -794,26 +777,28 @@ fn oracle_options(
 }
 
 /// Cost regret (%) of every completed job against the cheapest oracle
-/// option at the job's *true* step count; a completed job the oracle
-/// cannot price is a violation.
+/// option for its own model at the job's *true* step count; a completed
+/// job the oracle cannot price is a `regret` violation.
 fn regrets(
+    scenario: &Scenario,
     report: &CampaignReport,
-    specs: &[JobSpec],
-    pools: &[PoolSpec],
-    config: &CampaignConfig,
-    mut bad: impl FnMut(String),
+    violations: &mut Vec<Violation>,
 ) -> Vec<f64> {
-    // Jobs of one cell share a grid and a kernel: the first one's census
-    // serves the oracle for all of them.
-    let options = oracle_options(pools, &config.rank_options, &specs[0].workload);
+    // Jobs sharing a model key share a grid and a kernel: the first one's
+    // census serves the oracle for all of them.
+    let mut options: BTreeMap<&str, Vec<OracleOption>> = BTreeMap::new();
     let mut regrets = Vec::new();
-    for (spec, jr) in specs.iter().zip(&report.job_reports) {
+    let mut bad = |what| violations.push(Violation { checker: "regret", what });
+    for (spec, jr) in scenario.jobs.iter().zip(&report.job_reports) {
+        let options = options.entry(&spec.model_key).or_insert_with(|| {
+            oracle_options(&scenario.pools, &scenario.config.rank_options, &spec.workload)
+        });
         if jr.outcome != JobOutcome::Completed {
             continue;
         }
         let cost_of = |o: &OracleOption| {
             let seconds = o.step_nf_s * spec.true_steps() as f64;
-            config.prices.cost(&pools[o.pool].platform, o.nodes, seconds)
+            scenario.config.prices.cost(&scenario.pools[o.pool].platform, o.nodes, seconds)
         };
         match options.iter().map(cost_of).reduce(f64::min) {
             Some(oracle_cost) if oracle_cost > 0.0 => {
@@ -835,133 +820,61 @@ fn regrets(
 /// Run every cell of `grid` and aggregate. Deterministic: the same grid
 /// produces the same report, byte for byte, at any `RT_POOL_THREADS`.
 pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
-    let mut workloads: BTreeMap<(String, u64), Arc<Workload>> = BTreeMap::new();
-    let mut cells: Vec<CellResult> = Vec::new();
-    let mut violations = Vec::new();
-
-    for cell in grid.cells() {
-        let pools = mix_pools(cell.mix);
-        let config = cell_config(cell.seed, cell.fault_rate);
-        let specs = cell_jobs(cell.geometry, cell.workload, &mut workloads);
-        let (report, snapshot) = Campaign::run_jobs(config.clone(), pools.clone(), specs.clone());
-        cells.push(judge(cell, report, &snapshot, &config, &pools, &specs, &mut violations));
-    }
-
+    let judged = grid.scenarios().map(|scenario| {
+        let (report, snapshot) = scenario.run();
+        scenario.judge(report, &snapshot)
+    });
+    let cells: Vec<CellResult> = judged.collect();
     SweepReport {
         by_axis: aggregate_axes(&cells),
         overall: aggregate("overall", "all", cells.iter().collect()),
         eq9_cells_checked: cells.iter().filter(|c| c.audit.eq9_checked).count(),
         guard_exact_checks: cells.iter().map(|c| c.audit.guard_exact_checks).sum(),
-        violations,
+        violations: cells.iter().flat_map(CellResult::violations).collect(),
         cells,
         contention: None,
     }
 }
 
-/// Judge one finished campaign as `cell`: [`audit`] it, score its regret
-/// against the oracle and pool its placement errors. What the audit and
-/// the oracle find joins `violations`, prefixed by the cell's key.
-fn judge(
-    cell: Cell,
-    report: CampaignReport,
-    snapshot: &Snapshot,
-    config: &CampaignConfig,
-    pools: &[PoolSpec],
-    specs: &[JobSpec],
-    violations: &mut Vec<String>,
-) -> CellResult {
-    let key = cell.key();
-    let audit = audit(&report, specs, pools, snapshot);
-    let found = audit.violations.iter();
-    violations.extend(found.map(|v| format!("{key}: {}: {}", v.checker, v.what)));
+impl Scenario {
+    /// Judge this scenario's finished campaign: [`audit`] `report` and
+    /// `snapshot` against its jobs and pools, score each completed job's
+    /// regret against the oracle of its own model, and pool the
+    /// placement errors. The report's placement and job logs must be
+    /// uncapped.
+    pub fn judge(&self, report: CampaignReport, snapshot: &Snapshot) -> CellResult {
+        let mut audit = audit(&report, &self.jobs, &self.pools, snapshot);
+        let regrets = regrets(self, &report, &mut audit.violations);
+        let abs_errors: Vec<f64> =
+            report.placements.iter().filter_map(|r| r.abs_pct_error()).collect();
+        let capacity: f64 =
+            report.platforms.iter().map(|p| p.nodes_total as f64 * report.makespan_s).sum();
+        let busy: f64 = report.platforms.iter().map(|p| p.busy_node_seconds).sum();
+        CellResult {
+            key: self.key.clone(),
+            utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
+            mean_regret_pct: mean(&regrets),
+            abs_errors,
+            regrets,
+            report,
+            audit,
+        }
+    }
+}
 
-    let regrets = regrets(&report, specs, pools, config, |what| {
-        violations.push(format!("{key}: regret: {what}"))
-    });
-
-    let abs_errors: Vec<f64> = report.placements.iter().filter_map(|r| r.abs_pct_error()).collect();
-    let capacity: f64 =
-        report.platforms.iter().map(|p| p.nodes_total as f64 * report.makespan_s).sum();
-    let busy: f64 = report.platforms.iter().map(|p| p.busy_node_seconds).sum();
-    CellResult {
-        seed: cell.seed,
-        geometry: cell.geometry.key.clone(),
-        mix: cell.mix.to_string(),
-        fault_rate: cell.fault_rate,
-        workload: cell.workload.key.to_string(),
-        utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
-        mean_regret_pct: mean(&regrets),
-        key,
-        abs_errors,
-        regrets,
-        report,
-        audit,
+impl CellResult {
+    /// Every violation the judge found, as `"<key>: <checker>: <what>"`.
+    pub fn violations(&self) -> impl Iterator<Item = String> + '_ {
+        let found = self.audit.violations.iter();
+        found.map(|v| format!("{}: {}: {}", self.key, v.checker, v.what))
     }
 }
 
 // ---- the contention cell ----------------------------------------------
 
-/// The contention cell's pool: one 4-node CSP-2 Small allocation behind a
-/// **spread** topology (2 racks, oversubscribed trunks). Spread scatters
-/// consecutive node ids across racks (`rack = id % 2`), so the pool's
-/// lowest-free-first allocation gives every 2-node job one node in each
-/// rack — two co-scheduled jobs route all their internodal halo traffic
-/// over the *same* two trunk links and contend for them.
-fn contention_pools() -> Vec<PoolSpec> {
-    vec![PoolSpec {
-        platform: Platform::csp2_small(),
-        nodes: 4,
-        overheads: Overheads::default(),
-        topology: Some(TopologyVariant::Spread),
-    }]
-}
-
-/// The contention cell's configuration: faults off (the per-link byte
-/// accounting must reconcile exactly against the Eq. 9 graph, so no
-/// slice may be cut short) and a single 2-node rank option (every job
-/// has the same contention footprint).
-fn contention_config() -> CampaignConfig {
-    CampaignConfig {
-        seed: 42,
-        characterization_seed: 2023,
-        rank_options: vec![16],
-        slice_steps: 2_000_000,
-        fault_rate_per_node_hour: 0.0,
-        retry_backoff_s: 60.0,
-        max_retry_backoff_s: 3600.0,
-        min_calibration_obs: 6,
-        prices: Default::default(),
-        shards: 1,
-        max_placement_log: usize::MAX,
-        max_job_reports: usize::MAX,
-    }
-}
-
-/// The contention cell's jobs on `grid`: ten identical honest jobs at
-/// t = 0. The pool holds two at a time, so the campaign runs as
-/// concurrent contending pairs; the scalar-calibrated model has never
-/// seen routed-plus-contended comm, so the first placements mispredict
-/// and the calibrators close the gap — the MAPE trajectory under
-/// contention.
-fn contention_jobs(grid: &VoxelGrid) -> Vec<JobSpec> {
-    (0..10u64)
-        .map(|i| JobSpec {
-            name: format!("fabric-{i:02}-cyl10"),
-            workload: Arc::new(Workload::harvey(grid, 14_000_000 + 2_000_000 * (i % 4))),
-            model_key: "cyl10".to_string(),
-            objective: Objective::MinCost,
-            tolerance: 7.0,
-            budget_dollars: 200.0,
-            max_retries: 0,
-            checkpoint_steps: 4_000_000,
-            hidden_steps_factor: 1.0,
-            submit_s: 0.0,
-        })
-        .collect()
-}
-
-/// The contention cell, run and judged: its row as a grid cell carries
-/// it, its metrics snapshot, and the witnesses of routed contention.
+/// The contention cell ([`Scenario::contention`]), run and judged: its
+/// row as a grid cell carries it, its metrics snapshot, and the
+/// witnesses of routed contention.
 pub struct ContentionCell {
     /// The campaign's report, audit (Eq. 9 expected and delivered bytes
     /// included), utilization and regret, keyed
@@ -988,8 +901,6 @@ pub struct ContentionCell {
     /// Whether the report renders byte-identical at 1, 2 and 4
     /// event-queue shards.
     pub shard_invariant: bool,
-    /// What the audit and the regret oracle found, prefixed by the key.
-    pub violations: Vec<String>,
 }
 
 impl ContentionCell {
@@ -999,35 +910,17 @@ impl ContentionCell {
     }
 }
 
-/// Run the contention cell: the campaign at 1, 2 and 4 event-queue
-/// shards and its first job alone, judged like a grid cell.
+/// Run the contention cell: the campaign, its shard witness at 1, 2 and
+/// 4 event-queue shards and its first job alone, judged like a grid
+/// cell.
 pub fn run_contention() -> ContentionCell {
-    let geometry = GeometryCase {
-        key: "cyl10".to_string(),
-        grid: Arc::new(CylinderSpec::default().with_resolution(10).build()),
-    };
-    let workload = WorkloadCase {
-        key: "contention",
-        kernel: KernelConfig::harvey(),
-        stress: false,
-    };
-    let (seed, mix, fault_rate) = (42, "spread4", 0.0);
-    let cell = Cell { seed, geometry: &geometry, mix, fault_rate, workload: &workload };
-    let (config, pools) = (contention_config(), contention_pools());
-    let specs = contention_jobs(&geometry.grid);
-    let run = |config: CampaignConfig, specs: &[JobSpec]| {
-        Campaign::run_jobs(config, pools.clone(), specs.to_vec())
-    };
-
-    let (report, snapshot) = run(config.clone(), &specs);
-    let rendered = report.to_json();
-    let shard_invariant = [2, 4].into_iter().all(|shards| {
-        run(CampaignConfig { shards, ..config.clone() }, &specs).0.to_json() == rendered
-    });
-    let (solo, _) = run(config.clone(), &specs[..1]);
-
-    let mut violations = Vec::new();
-    let cell = judge(cell, report, &snapshot, &config, &pools, &specs, &mut violations);
+    let scenario = Scenario::contention();
+    let (report, snapshot) = scenario.run();
+    let shard_invariant = scenario.shard_invariant(&[1, 2, 4]);
+    let mut solo = scenario.clone();
+    solo.jobs.truncate(1);
+    let (solo, _) = solo.run();
+    let cell = scenario.judge(report, &snapshot);
     ContentionCell {
         forwarded_bytes: snapshot.counter_family_total("fabric.pool0.link.forwarded_bytes"),
         isolated_run_s: solo.job_reports[0].run_seconds,
@@ -1035,7 +928,6 @@ pub fn run_contention() -> ContentionCell {
         priced_slices: snapshot.counter("sched.contention.slices").unwrap_or(0),
         exchanges: snapshot.counter("sched.contention.exchanges").unwrap_or(0),
         shard_invariant,
-        violations,
         snapshot,
         cell,
     }
@@ -1077,32 +969,32 @@ fn aggregate(axis: &'static str, value: &str, cells: Vec<&CellResult>) -> AxisAg
     }
 }
 
-/// How a cell's value on one axis renders.
-type AxisValue = fn(&CellResult) -> String;
+/// The five axes, in the order a grid cell's key lists their values:
+/// each axis's name and the prefix its value carries in the key.
+const AXES: [(&str, &str); 5] =
+    [("seed", "s"), ("geometry", ""), ("mix", ""), ("fault_rate", "f"), ("workload", "")];
 
-/// The five axes.
-const AXES: [(&str, AxisValue); 5] = [
-    ("seed", |c| c.seed.to_string()),
-    ("geometry", |c| c.geometry.clone()),
-    ("mix", |c| c.mix.clone()),
-    ("fault_rate", |c| format!("{:.2}", c.fault_rate)),
-    ("workload", |c| c.workload.clone()),
-];
+/// A grid cell's value on axis `axis` (an index into [`AXES`]), read
+/// from its key.
+fn axis_value(cell: &CellResult, axis: usize) -> &str {
+    let segment = cell.key.split('/').nth(axis).unwrap_or_default();
+    segment.strip_prefix(AXES[axis].1).unwrap_or(segment)
+}
 
 /// One aggregate per value of each axis, values in the order cells first
 /// show them — the grid's own, since `cells` is in grid order.
 fn aggregate_axes(cells: &[CellResult]) -> Vec<AxisAggregate> {
     let mut out = Vec::new();
-    for (axis, value_of) in AXES {
-        let mut values: Vec<String> = Vec::new();
-        for value in cells.iter().map(value_of) {
+    for (i, (axis, _)) in AXES.into_iter().enumerate() {
+        let mut values: Vec<&str> = Vec::new();
+        for value in cells.iter().map(|c| axis_value(c, i)) {
             if !values.contains(&value) {
                 values.push(value);
             }
         }
         for value in values {
-            let subset = cells.iter().filter(|c| value_of(c) == value).collect();
-            out.push(aggregate(axis, &value, subset));
+            let subset = cells.iter().filter(|c| axis_value(c, i) == value).collect();
+            out.push(aggregate(axis, value, subset));
         }
     }
     out
@@ -1174,7 +1066,7 @@ impl SweepReport {
     /// Attach the contention cell run beside the grid: it renders as the
     /// `contention` block, and its violations join the list.
     pub fn with_contention(mut self, contention: ContentionCell) -> Self {
-        self.violations.extend(contention.violations.iter().cloned());
+        self.violations.extend(contention.cell.violations());
         self.contention = Some(contention);
         self
     }
@@ -1276,22 +1168,27 @@ mod tests {
         assert_eq!(doc.get("violations"), Some(&Value::UInt(0)));
     }
 
-    /// One micro-cell's finished campaign, as [`audit`] takes it.
+    /// The full grid's stress cell: a guard kill, a rejection, a retry.
+    const STRESS: &str = "s42/cyl8/scalar/f0.25/aa_stress";
+    /// A fault-free honest cell on a routed mix: Eq. 9 is armed.
+    const ROUTED: &str = "s42/cyl8/spread/f0.00/ab_honest";
+
+    /// The full grid's scenario of `key`.
+    fn scenario(key: &str) -> Scenario {
+        SweepGrid::full().scenarios().find(|s| s.key == key).expect("a full-grid cell")
+    }
+
+    /// One grid cell's finished campaign, as [`audit`] takes it.
     struct Case {
+        scenario: Scenario,
         report: CampaignReport,
-        specs: Vec<JobSpec>,
-        pools: Vec<PoolSpec>,
         snapshot: Snapshot,
     }
 
-    fn run_case(mix: &'static str, fault_rate: f64, wk_idx: usize) -> Case {
-        let grid = micro_grid(mix, fault_rate, wk_idx);
-        let cell = grid.cells()[0];
-        let pools = mix_pools(cell.mix);
-        let specs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
-        let config = cell_config(cell.seed, cell.fault_rate);
-        let (report, snapshot) = Campaign::run_jobs(config, pools.clone(), specs.clone());
-        Case { report, specs, pools, snapshot }
+    fn run_case(key: &str) -> Case {
+        let scenario = scenario(key);
+        let (report, snapshot) = scenario.run();
+        Case { scenario, report, snapshot }
     }
 
     /// `snapshot`'s counters, the first delivered byte withheld.
@@ -1323,7 +1220,7 @@ mod tests {
             ("books", false, |c| c.report.platforms[0].cost_dollars += 1.0),
             ("budget", false, |c| {
                 let (job, _) = last_of(c, JobOutcome::Completed);
-                c.specs[job].budget_dollars = c.report.job_reports[job].cost_dollars - 0.01;
+                c.scenario.jobs[job].budget_dollars = c.report.job_reports[job].cost_dollars - 0.01;
             }),
             ("slo", false, |c| c.report.slo_attained += 1),
             ("billing", false, |c| {
@@ -1336,8 +1233,9 @@ mod tests {
         ];
         assert_eq!(table.map(|row| row.0), CHECKERS.map(|row| row.0), "one breakage per checker");
         for (checker, stress, break_one_fact) in table {
-            let mut case = if stress { run_case("scalar", 0.25, 1) } else { run_case("spread", 0.0, 0) };
-            let judge = |c: &Case| audit(&c.report, &c.specs, &c.pools, &c.snapshot);
+            let mut case = run_case(if stress { STRESS } else { ROUTED });
+            let judge =
+                |c: &Case| audit(&c.report, &c.scenario.jobs, &c.scenario.pools, &c.snapshot);
             assert_eq!(judge(&case).violations, [], "{checker}: the unbroken cell is clean");
             break_one_fact(&mut case);
             let mut named: Vec<&str> = judge(&case).violations.iter().map(|v| v.checker).collect();
@@ -1348,8 +1246,8 @@ mod tests {
 
     #[test]
     fn last_placement_index_points_at_a_retried_jobs_final_attempt() {
-        let case = run_case("scalar", 0.25, 1);
-        let last = last_placements(&case.report, case.specs.len());
+        let case = run_case(STRESS);
+        let last = last_placements(&case.report, case.scenario.jobs.len());
         let rows = case.report.job_reports.iter();
         let (job, retried) = rows.enumerate().find(|(_, j)| j.attempts >= 2).expect("a retried job");
         let rec = last[job].expect("a retried job was placed");
@@ -1364,9 +1262,10 @@ mod tests {
     fn contention_cell_renders_as_one_block_outside_the_grid_aggregates() {
         let grid = micro_grid("spread", 0.0, 0);
         let mut contention = run_contention();
-        assert_eq!(contention.violations, Vec::<String>::new());
+        assert_eq!(contention.cell.audit.violations, []);
         let broken = format!("{}: eq9: planted", contention.cell.key);
-        contention.violations.push(broken.clone());
+        let planted = Violation { checker: "eq9", what: "planted".to_string() };
+        contention.cell.audit.violations.push(planted);
         let plain = json::parse(&run_sweep(&grid).to_json()).unwrap();
         let with = json::parse(&run_sweep(&grid).with_contention(contention).to_json()).unwrap();
         let block = with.get("contention").expect("the block renders");
@@ -1388,6 +1287,43 @@ mod tests {
             }
         }
         assert_eq!(with, plain);
+    }
+
+    #[test]
+    fn a_zero_job_scenario_judges_clean_without_regret() {
+        let mut empty = Scenario::contention();
+        empty.jobs.clear();
+        let (report, snapshot) = empty.run();
+        let cell = empty.judge(report, &snapshot);
+        assert_eq!(cell.violations().collect::<Vec<_>>(), Vec::<String>::new());
+        assert_eq!(cell.mean_regret_pct, None);
+    }
+
+    #[test]
+    fn each_job_is_priced_against_its_own_models_options() {
+        // One campaign over two geometries: each job's regret is the one
+        // it scores as the only job of its scenario.
+        let mut two = scenario("s42/cyl8/scalar/f0.00/ab_honest");
+        two.jobs.extend(scenario("s42/aorta8/scalar/f0.00/ab_honest").jobs);
+        let (report, snapshot) = two.run();
+        let cell = two.judge(report, &snapshot);
+        assert_eq!(cell.violations().collect::<Vec<_>>(), Vec::<String>::new());
+        let mut scored = cell.regrets.iter();
+        let mut models = Vec::new();
+        for (spec, row) in two.jobs.iter().zip(&cell.report.job_reports) {
+            if row.outcome != JobOutcome::Completed {
+                continue;
+            }
+            let alone = Scenario { jobs: vec![spec.clone()], ..two.clone() };
+            let report = CampaignReport { job_reports: vec![row.clone()], ..cell.report.clone() };
+            let own = regrets(&alone, &report, &mut Vec::new());
+            let own: Vec<u64> = own.iter().map(|r| r.to_bits()).collect();
+            assert_eq!(own, [scored.next().unwrap().to_bits()], "{}", spec.name);
+            models.push(&spec.model_key);
+        }
+        assert_eq!(scored.next(), None);
+        models.dedup();
+        assert_eq!(models.len(), 2, "both models complete jobs: {models:?}");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! retry machinery firing, and show placement error dropping once
 //! calibration kicks in.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use hemocloud_cluster::exec::Overheads;
@@ -13,8 +12,7 @@ use hemocloud_core::workload::Workload;
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_obs::Snapshot;
 use hemocloud_sched::{
-    audit, cell_config, cell_jobs, mix_pools, Campaign, CampaignConfig, CampaignReport, JobSpec,
-    PoolSpec, SweepGrid,
+    Campaign, CampaignConfig, CampaignReport, CellResult, JobSpec, PoolSpec, Scenario, SweepGrid,
 };
 
 /// The sweep's reference stress cell, in the full grid: a
@@ -22,18 +20,16 @@ use hemocloud_sched::{
 /// job retried to completion, and calibration on two scalar pools.
 const STRESS_CELL: &str = "s42/cyl8/scalar/f0.25/aa_stress";
 
-/// The stress cell's campaign inputs, its seed replaced by `seed`.
-fn stress_cell(seed: u64) -> (CampaignConfig, Vec<PoolSpec>, Vec<JobSpec>) {
-    let grid = SweepGrid::full();
-    let cell = grid.cells().into_iter().find(|c| c.key() == STRESS_CELL);
-    let cell = cell.expect("the full grid has the stress cell");
-    let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
-    (cell_config(seed, cell.fault_rate), mix_pools(cell.mix), jobs)
+/// The full grid's stress-cell scenario, its seed replaced by `seed`.
+fn stress_cell(seed: u64) -> Scenario {
+    let cell = SweepGrid::full().scenarios().find(|s| s.key == STRESS_CELL);
+    let mut scenario = cell.expect("the full grid has the stress cell");
+    scenario.config.seed = seed;
+    scenario
 }
 
 fn run_stress_cell(seed: u64) -> (CampaignReport, Snapshot) {
-    let (config, pools, jobs) = stress_cell(seed);
-    Campaign::run_jobs(config, pools, jobs)
+    stress_cell(seed).run()
 }
 
 /// Run the stress cell once and share the report, its JSON and its
@@ -128,10 +124,9 @@ fn stress_cell_is_byte_for_byte_reproducible() {
 fn stress_cell_passes_the_audit() {
     // It kills a runaway, so the guard-limit rebuild is armed.
     let (report, _, obs) = stress();
-    let (_, pools, jobs) = stress_cell(42);
-    let audit = audit(report, &jobs, &pools, obs);
-    assert!(audit.violations.is_empty(), "{:?}", audit.violations);
-    assert!(audit.guard_exact_checks >= 1, "no guard limit was rebuilt");
+    let cell = stress_cell(42).judge(report.clone(), obs);
+    assert_eq!(cell.violations().collect::<Vec<_>>(), Vec::<String>::new());
+    assert!(cell.audit.guard_exact_checks >= 1, "no guard limit was rebuilt");
 }
 
 #[test]
@@ -415,35 +410,48 @@ fn report_is_byte_identical_at_any_shard_count() {
     }
 }
 
+/// Run `scenario` with both logs capped at `cap` rows and uncapped: the
+/// retained vectors shrink, but every aggregate the scheduler computes
+/// online — MAPEs, costs, outcome counts — must not move by a bit. The
+/// uncapped run, judged, must be clean.
+fn capped_and_uncapped(scenario: &Scenario, cap: usize) -> CellResult {
+    let with_cap = |cap: usize| {
+        let config = CampaignConfig {
+            max_placement_log: cap,
+            max_job_reports: cap,
+            ..scenario.config.clone()
+        };
+        Scenario { config, ..scenario.clone() }
+    };
+    let (capped, _) = with_cap(cap).run();
+    let uncapped = with_cap(usize::MAX);
+    let (full, snapshot) = uncapped.run();
+    assert_eq!(capped.placements.len(), cap);
+    assert_eq!(capped.job_reports.len(), cap);
+    assert_eq!(capped.placements_total, full.placements.len());
+    assert_eq!(capped.exact_aggregates(), full.exact_aggregates(), "{}", scenario.key);
+    let cell = uncapped.judge(full, &snapshot);
+    assert_eq!(cell.violations().collect::<Vec<_>>(), Vec::<String>::new());
+    cell
+}
+
 #[test]
 fn capped_logs_keep_exact_campaign_aggregates() {
-    // Cap the retained placement/job logs far below the campaign size:
-    // the retained vectors shrink, but every aggregate — MAPEs, costs,
-    // outcome counts — is computed online and must not move.
-    let run = |max_log: usize| {
-        let mut config = tiny_config(3, 0.0);
-        config.max_placement_log = max_log;
-        config.max_job_reports = max_log;
-        let mut campaign = Campaign::new(config, one_pool(2));
-        for i in 0..8 {
-            campaign.submit(tiny_job(&format!("c{i}"), 400_000, 10.0, 1.0, i as f64 * 60.0));
-        }
-        campaign.run()
+    let tiny = Scenario {
+        key: "tiny".to_string(),
+        config: tiny_config(3, 0.0),
+        pools: one_pool(2),
+        jobs: (0..8)
+            .map(|i| tiny_job(&format!("c{i}"), 400_000, 10.0, 1.0, i as f64 * 60.0))
+            .collect(),
     };
-    let full = run(usize::MAX);
-    let capped = run(2);
-    assert_eq!(capped.placements.len(), 2);
-    assert_eq!(capped.job_reports.len(), 2);
-    assert_eq!(capped.placements_total, full.placements.len());
-    assert_eq!(capped.completed, full.completed);
-    assert_eq!(capped.events_processed, full.events_processed);
-    assert!((capped.total_cost_dollars - full.total_cost_dollars).abs() < 1e-9);
-    assert_eq!(
-        capped.mape_first_quartile_uncalibrated_pct,
-        full.mape_first_quartile_uncalibrated_pct
-    );
-    assert_eq!(capped.mape_calibrated_pct, full.mape_calibrated_pct);
-    assert_eq!(capped.mape_calibrated_count, full.mape_calibrated_count);
+    capped_and_uncapped(&tiny, 2);
+    // The scheduler-scale campaign at tier-1 size: the guard kills its
+    // runaways exactly at their rebuilt limits, admission rejects its
+    // doomed budgets.
+    let scale = capped_and_uncapped(&Scenario::scale(2_000), 500);
+    assert!(scale.audit.guard_exact_checks >= 1, "no guard limit was rebuilt");
+    assert!(scale.report.rejected >= 1, "no doomed budget was rejected");
 }
 
 #[test]

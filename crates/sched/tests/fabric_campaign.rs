@@ -26,7 +26,8 @@ fn contention() -> &'static ContentionCell {
 fn contention_cell_completes_cleanly_on_the_spread_pool() {
     let cell = contention();
     let report = &cell.cell.report;
-    assert_eq!(cell.violations, Vec::<String>::new(), "the audit finds nothing");
+    let violations: Vec<String> = cell.cell.violations().collect();
+    assert_eq!(violations, Vec::<String>::new(), "the audit finds nothing");
     assert_eq!(report.jobs, 10, "{}", report.to_json());
     assert_eq!(report.completed, 10, "every honest fault-free job lands");
     assert_eq!(report.faults, 0, "fault injection is off in the cell");

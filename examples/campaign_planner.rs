@@ -15,21 +15,16 @@
 //!
 //! Run: `cargo run --release --example campaign_planner`
 
-use std::collections::BTreeMap;
-
-use hemocloud::prelude::*;
-use hemocloud::sched::{cell_config, cell_jobs, mix_pools, SweepGrid};
+use hemocloud::sched::SweepGrid;
 
 fn main() {
-    let grid = SweepGrid::full();
     let key = "s42/cyl8/scalar/f0.25/aa_stress";
-    let cell = grid.cells().into_iter().find(|c| c.key() == key).expect("full grid cell");
-    let pools = mix_pools(cell.mix);
-    let jobs = cell_jobs(cell.geometry, cell.workload, &mut BTreeMap::new());
+    let scenario = SweepGrid::full().scenarios().find(|s| s.key == key).expect("full grid cell");
+    let (jobs, pools) = (scenario.jobs.len(), scenario.pools.len());
 
-    println!("Campaign {key}: {} jobs over {} platform pools\n", jobs.len(), pools.len());
+    println!("Campaign {key}: {jobs} jobs over {pools} platform pools\n");
     println!("{:<14} {:>6} {:>12}", "pool", "nodes", "$/node-hour");
-    for p in &pools {
+    for p in &scenario.pools {
         println!(
             "{:<14} {:>6} {:>12.2}",
             p.platform.abbrev,
@@ -38,11 +33,7 @@ fn main() {
         );
     }
 
-    let mut campaign = Campaign::new(cell_config(cell.seed, cell.fault_rate), pools);
-    for job in jobs {
-        campaign.submit(job);
-    }
-    let report = campaign.run();
+    let (report, _) = scenario.run();
 
     println!("\n{:<20} {:>12} {:>9} {:>8} {:>7} {:>10}", "job", "outcome", "run s", "$", "tries", "slo");
     for j in &report.job_reports {

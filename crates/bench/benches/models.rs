@@ -21,6 +21,9 @@ use hemocloud_decomp::rcb::RcbPartition;
 use hemocloud_fitting::models::fit_imbalance;
 use hemocloud_fitting::sweep::fit_stream;
 use hemocloud_geometry::anatomy::{AortaSpec, CerebralSpec, CylinderSpec};
+use hemocloud_geometry::classify::{classify_walls, measured_avg_solid_links};
+use hemocloud_geometry::voxel::CellType;
+use hemocloud_lbm::kernel::KernelConfig;
 use hemocloud_rt::bench::{Harness, Throughput};
 
 fn fitting(h: &mut Harness) {
@@ -134,6 +137,41 @@ fn dense_decomposition(h: &mut Harness) {
     });
     group.bench_function("census_fill_9_aorta", |b| {
         b.iter(|| Census::new(grid.clone(), 380.5, 301.25).entry(256))
+    });
+    // The neighbourhood scans beside the walk: the wall-link average
+    // `Workload::new` and `PreparedRun::new` read, and the wall pass that
+    // ends the voxelization (on the lumen before it, walls made bulk
+    // again; the copy is in the timing, ~1% of it).
+    group.bench_function("avg_solid_links_aorta", |b| {
+        b.iter(|| measured_avg_solid_links(&grid))
+    });
+    let mut lumen = (*grid).clone();
+    for i in 0..lumen.len() {
+        if lumen.cells()[i] == CellType::Wall {
+            lumen.set_linear(i, CellType::Bulk);
+        }
+    }
+    group.bench_function("classify_walls_aorta", |b| {
+        b.iter(|| {
+            let mut g = lumen.clone();
+            classify_walls(&mut g);
+            g
+        })
+    });
+    // What `plan_aorta`'s prepared run pays: the link average, its own
+    // tree and a one-level walk.
+    let platform = Platform::csp2();
+    group.bench_function("prepared_run_new_aorta_16", |b| {
+        b.iter(|| {
+            PreparedRun::new(
+                &platform,
+                &grid,
+                &KernelConfig::harvey(),
+                16,
+                &Overheads::default(),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }

@@ -30,7 +30,6 @@ use crate::composition::{Composition, Prediction};
 use crate::workload::Workload;
 use hemocloud_decomp::census::CALIBRATION_COUNTS;
 use hemocloud_decomp::events::{fit_event_sweep, EventSample};
-use hemocloud_decomp::imbalance::{fit_sweep, ImbalanceSample};
 use hemocloud_fitting::models::{EventModel, ImbalanceModel};
 
 /// The generalized model.
@@ -52,9 +51,10 @@ pub struct GeneralModel {
 impl GeneralModel {
     /// Build the model, calibrating `c1, c2, k1, k2` against the
     /// workload's own decomposition census (the "prior HARVEY
-    /// decomposition data" role). The census is a property of the
-    /// geometry; only the contiguous placement at `cores_per_node` behind
-    /// the event samples is this platform's.
+    /// decomposition data" role). The census and the Eq. 11 fit to it
+    /// are properties of the geometry, shared by every platform; only the
+    /// contiguous placement at `cores_per_node` behind the event samples,
+    /// and so the Eq. 15 fit, is this platform's.
     pub fn from_characterization(
         character: &PlatformCharacterization,
         workload: &Workload,
@@ -63,11 +63,7 @@ impl GeneralModel {
             .iter()
             .filter_map(|&n| workload.census(n).ok())
             .collect();
-        let imb_samples: Vec<_> = entries
-            .iter()
-            .map(|e| ImbalanceSample::of(&e.analysis))
-            .collect();
-        let imbalance = fit_sweep(&imb_samples).unwrap_or_else(ImbalanceModel::perfect);
+        let imbalance = workload.imbalance_model();
         let ev_samples: Vec<_> = entries
             .iter()
             .map(|e| EventSample::of(&e.analysis, character.platform.cores_per_node))

@@ -3,6 +3,7 @@
 
 use hemocloud_decomp::census::{Census, CensusEntry};
 use hemocloud_decomp::rcb::RcbError;
+use hemocloud_fitting::models::ImbalanceModel;
 use hemocloud_geometry::classify::measured_avg_solid_links;
 use hemocloud_geometry::stats::GeometryStats;
 use hemocloud_geometry::voxel::VoxelGrid;
@@ -69,11 +70,25 @@ impl Workload {
     /// # Panics
     /// Panics if `grid` was replaced after construction.
     pub fn census(&self, ranks: usize) -> Result<Arc<CensusEntry>, RcbError> {
+        self.checked_census().entry(ranks)
+    }
+
+    /// The Eq. 11 fit over the calibration censuses
+    /// ([`Census::imbalance_model`]): a property of the grid, made once
+    /// and shared like the censuses.
+    ///
+    /// # Panics
+    /// Panics if `grid` was replaced after construction.
+    pub fn imbalance_model(&self) -> ImbalanceModel {
+        self.checked_census().imbalance_model()
+    }
+
+    fn checked_census(&self) -> &Census {
         assert!(
             Arc::ptr_eq(&self.grid, self.census.grid()),
             "workload grid replaced under its census; build a new Workload"
         );
-        self.census.entry(ranks)
+        &self.census
     }
 
     /// A HARVEY-style workload (indirect AoS/AB, double precision).

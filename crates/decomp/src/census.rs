@@ -10,10 +10,12 @@
 //! bisection tree's row runs are dropped with it.
 
 use crate::halo::{self, DecompAnalysis};
+use crate::imbalance::{fit_sweep, ImbalanceSample};
 use crate::rcb::{self, RcbError};
+use hemocloud_fitting::models::ImbalanceModel;
 use hemocloud_geometry::voxel::VoxelGrid;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Task counts the generalized model calibrates against. They are powers
 /// of two, so one bisection tree yields all nine partitions.
@@ -59,13 +61,15 @@ type Entry = Result<Arc<CensusEntry>, RcbError>;
 
 /// The lazily filled, thread-safe `ranks → entry` map of one geometry
 /// under one kernel's Eq. 9 byte weights. A slot is filled under the map's lock
-/// by whichever thread asks first, so it is filled once.
+/// by whichever thread asks first, so it is filled once; so is the Eq. 11
+/// fit over the calibration entries.
 #[derive(Debug)]
 pub struct Census {
     grid: Arc<VoxelGrid>,
     bulk_bytes: f64,
     wall_bytes: f64,
     slots: Mutex<BTreeMap<usize, Entry>>,
+    imbalance: OnceLock<ImbalanceModel>,
 }
 
 impl Census {
@@ -76,6 +80,7 @@ impl Census {
             bulk_bytes,
             wall_bytes,
             slots: Mutex::default(),
+            imbalance: OnceLock::new(),
         }
     }
 
@@ -101,5 +106,50 @@ impl Census {
             }
         }
         slots[&ranks].clone()
+    }
+
+    /// `c1, c2` (Eq. 11) fitted to the `z` of every
+    /// [`CALIBRATION_COUNTS`] entry the grid can host, or
+    /// [`ImbalanceModel::perfect`] where no fit exists. `z` is the
+    /// geometry's, not a platform's: the fit is made on first request and
+    /// kept.
+    pub fn imbalance_model(&self) -> ImbalanceModel {
+        *self.imbalance.get_or_init(|| {
+            let samples: Vec<_> = CALIBRATION_COUNTS
+                .iter()
+                .filter_map(|&n| self.entry(n).ok())
+                .map(|e| ImbalanceSample::of(&e.analysis))
+                .collect();
+            fit_sweep(&samples).unwrap_or_else(ImbalanceModel::perfect)
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::imbalance::imbalance_sweep_rcb;
+    use hemocloud_geometry::anatomy::CylinderSpec;
+    use hemocloud_geometry::voxel::CellType;
+
+    #[test]
+    fn the_eq11_fit_is_the_sweeps_and_is_made_once() {
+        let grid = Arc::new(CylinderSpec::default().with_resolution(10).build());
+        let census = Census::new(Arc::clone(&grid), 380.5, 301.25);
+        assert!(census.imbalance.get().is_none());
+        let got = census.imbalance_model();
+        let want = fit_sweep(&imbalance_sweep_rcb(&grid, &CALIBRATION_COUNTS)).expect("a fit");
+        let bits = |m: ImbalanceModel| [m.c1, m.c2, m.sse].map(f64::to_bits);
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(census.imbalance.get(), Some(&got));
+        assert_eq!(bits(census.imbalance_model()), bits(want));
+    }
+
+    #[test]
+    fn a_grid_too_small_to_fit_is_perfectly_balanced() {
+        let mut grid = VoxelGrid::solid(3, 3, 3, 1.0);
+        grid.set(1, 1, 1, CellType::Bulk);
+        let census = Census::new(Arc::new(grid), 1.0, 1.0);
+        assert_eq!(census.imbalance_model(), ImbalanceModel::perfect());
     }
 }

@@ -15,10 +15,11 @@
 //! `n_point_comm_bytes` to the A→B message, sent once per timestep.
 
 use crate::census::CensusEntry;
-use crate::partition::Ownership;
+use crate::partition::{BoxRegion, Ownership};
 use hemocloud_geometry::classify::D3Q19_DIRECTIONS;
 use hemocloud_geometry::voxel::{CellType, VoxelGrid};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Full communication census of one decomposition.
 #[derive(Debug, Clone)]
@@ -96,17 +97,37 @@ impl DecompAnalysis {
 /// `wall_bytes` is not a whole number and `count × weight` would round
 /// differently.
 ///
-/// Only the directions that leave the point's own leaf box (and stay in
-/// the grid) are probed: a neighbour inside it has the point's task at
-/// every level. The distinct foreign *leaf* owners found, shifted by `s`,
-/// are the point's peers at level `s`, and once none is foreign none is
-/// further up (DESIGN.md §19). Only the rows that hold fluid are visited,
-/// and `partition.owner` is asked only where a box check cannot answer: a
-/// point's owner is kept along its row until `x` leaves that owner's box
-/// (a *segment*, whose task and byte sum at every level are taken once),
-/// a neighbour's is the owner last found in the same direction from the
-/// same task while its box contains the neighbour. Consecutive points of
-/// one task with the same foreign leaves are carried up the levels once.
+/// Only the rows that hold fluid are visited, a *segment* at a time: the
+/// row's stretch inside one leaf box, whose owner is asked once and whose
+/// point count, task and byte sum at every level are taken once. A
+/// neighbour inside the point's own leaf box has the point's task at every
+/// level, so only points on a face of that box can border another leaf;
+/// the distinct foreign *leaf* owners a point borders, shifted by `s`, are
+/// its peers at level `s`, and once none is foreign none is further up
+/// (DESIGN.md §19). Between a segment's two x-face points every point sits
+/// on the same y/z faces of its box, and the walk takes that *stretch*
+/// whole:
+///
+/// * on no box face but the grid's, no point borders another leaf, and
+///   none is probed;
+/// * on one y/z box face that is not a grid face, each box across is
+///   found once: the box last found straight across from the same task,
+///   or else `partition.owner` of the voxel across the face, which may be
+///   solid — an [`Ownership`] answers for every voxel of its grid. Where
+///   that box holds all five neighbours that cross the face, a point
+///   borders it alone iff one of them is fluid, and the stretch's count of
+///   such points is tallied in one step.
+///
+/// An x-face point on no other face of its box takes the same test
+/// alone. Every other point — on a box edge or corner, on a face cut by
+/// the grid, or beside a neighbour box narrower than the stencil — probes
+/// each direction that crosses a face of its box and stays in the grid.
+/// A neighbour's owner is first the one last found in that direction from
+/// the same task, taken while that task's box holds what is asked of it;
+/// only then is `owner` asked.
+///
+/// Boundary points are grouped per leaf by the foreign leaves they border,
+/// and each group is carried up the levels once, when the pass ends.
 ///
 /// # Panics
 /// Panics when `partition` was cut from a grid of another shape.
@@ -146,100 +167,68 @@ pub fn walk<P: Ownership>(
     // when the segment ends: every sum still adds its points in memory
     // order.
     let mut sums = vec![0.0; levels.len()];
-    // For every set of box faces a point can sit on (per axis a low bit,
-    // then a high bit), the directions (bits over `D3Q19_DIRECTIONS`)
-    // that cross one of them.
-    let crossing: Vec<u32> = (0..64)
-        .map(|faces: usize| {
-            let crosses =
-                |d: i32, axis: usize| d != 0 && faces >> (2 * axis + usize::from(d > 0)) & 1 == 1;
-            (0..D3Q19_DIRECTIONS.len())
-                .filter(|&d| {
-                    let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
-                    crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2)
-                })
-                .fold(0, |bits, d| bits | 1 << d)
-        })
-        .collect();
+    let mut probe = Probe::new(grid, partition, &regions);
+    let mut sets = PeerSets::new(leaves);
     let (nx, ny, nz) = grid.dims();
-    let offsets = D3Q19_DIRECTIONS
-        .map(|(dx, dy, dz)| dx as isize + nx as isize * (dy as isize + ny as isize * dz as isize));
-    // Per task and direction, the owner last found that way from a point
-    // of that task: its next point's neighbour that way is usually in the
-    // same box. (One hint per direction alone misses far more often: a
-    // row crosses several tasks, and each points it elsewhere.)
-    let mut hints = vec![[0usize; D3Q19_DIRECTIONS.len()]; leaves];
-    let mut run = PeerRun::default();
 
     for (y, z, cells) in grid.fluid_rows() {
-        let row = nx * (y + ny * z);
         let grid_yz = faces(y, 0, ny) << 2 | faces(z, 0, nz) << 4;
-        // The point's owner holds the row up to its box's `x1`.
-        let (mut me, mut me_x1, mut box_yz) = (0, 0, 0);
-        for (x, &c) in cells.iter().enumerate() {
-            if !c.is_fluid() {
-                continue;
+        let mut x = 0;
+        while let Some(solid) = cells[x..].iter().position(|c| c.is_fluid()) {
+            x += solid;
+            let me = partition.owner(x, y, z);
+            let r = regions[me];
+            for (level, sum) in levels.iter_mut().zip(&mut sums) {
+                level.bytes[level.task] = *sum;
+                level.task = me >> level.shift;
+                *sum = level.bytes[level.task];
             }
-            if x >= me_x1 {
-                me = partition.owner(x, y, z);
-                let r = &regions[me];
-                me_x1 = r.x1;
-                box_yz = faces(y, r.y0, r.y1) << 2 | faces(z, r.z0, r.z1) << 4;
-                for (level, sum) in levels.iter_mut().zip(&mut sums) {
-                    level.bytes[level.task] = *sum;
-                    level.task = me >> level.shift;
-                    *sum = level.bytes[level.task];
+            let mut points = 0;
+            for &c in &cells[x..r.x1] {
+                if c.is_fluid() {
+                    points += 1;
+                    let weight = match c {
+                        CellType::Bulk => bulk_bytes,
+                        _ => wall_bytes,
+                    };
+                    for sum in &mut sums {
+                        *sum += weight;
+                    }
                 }
             }
-            leaf_points[me] += 1;
-            let weight = match c {
-                CellType::Bulk => bulk_bytes,
-                _ => wall_bytes,
-            };
-            for sum in &mut sums {
-                *sum += weight;
-            }
+            leaf_points[me] += points;
 
-            // Which foreign leaves does this point border? A direction that
-            // leaves the grid has no neighbour, and the rest have an index.
-            let mut probe = crossing[box_yz | faces(x, regions[me].x0, me_x1)]
-                & !crossing[grid_yz | faces(x, 0, nx)];
-            let mut peers = [0usize; D3Q19_DIRECTIONS.len()];
-            let mut n_peers = 0;
-            while probe != 0 {
-                let d = probe.trailing_zeros() as usize;
-                probe &= probe - 1;
-                if grid.cells()[(row + x).wrapping_add_signed(offsets[d])].is_fluid() {
-                    let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
-                    let (qx, qy, qz) = (
-                        x.wrapping_add_signed(dx as isize),
-                        y.wrapping_add_signed(dy as isize),
-                        z.wrapping_add_signed(dz as isize),
-                    );
-                    let hint = &mut hints[me][d];
-                    if !regions[*hint].contains(qx, qy, qz) {
-                        *hint = partition.owner(qx, qy, qz);
-                    }
-                    let owner = *hint;
-                    if owner != me && !peers[..n_peers].contains(&owner) {
-                        peers[n_peers] = owner;
-                        n_peers += 1;
-                    }
+            let seg = Segment {
+                me,
+                r,
+                y,
+                z,
+                row: nx * (y + ny * z),
+                box_yz: faces(y, r.y0, r.y1) << 2 | faces(z, r.z0, r.z1) << 4,
+                grid_yz,
+            };
+            // The low x face, the stretch, the high x face.
+            if x == r.x0 {
+                probe.x_face(&seg, x, &mut sets, &mut levels);
+            }
+            let stretch = x.max(r.x0 + 1)..r.x1 - 1;
+            let own_faces = seg.box_yz & !grid_yz;
+            if own_faces == 0 || stretch.is_empty() {
+                // Nothing in the stretch crosses into another box.
+            } else if own_faces == seg.box_yz && own_faces.is_power_of_two() {
+                probe.face_stretch(&seg, stretch, &mut sets, &mut levels);
+            } else {
+                for x in stretch {
+                    probe.point(&seg, x, &mut sets, &mut levels);
                 }
             }
-            if n_peers == 0 {
-                continue;
+            if r.x1 - 1 > r.x0 {
+                probe.x_face(&seg, r.x1 - 1, &mut sets, &mut levels);
             }
-            // Along a box face, point after point borders the same leaves.
-            if run.me == me && run.peers[..run.n_peers] == peers[..n_peers] {
-                run.points += 1;
-            } else {
-                run.carry(&mut levels);
-                (run.me, run.peers, run.n_peers, run.points) = (me, peers, n_peers, 1);
-            }
+            x = r.x1;
         }
     }
-    run.carry(&mut levels);
+    sets.carry(&mut levels);
     for (level, sum) in levels.iter_mut().zip(&sums) {
         level.bytes[level.task] = *sum;
     }
@@ -273,6 +262,214 @@ fn faces(v: usize, lo: usize, hi: usize) -> usize {
     usize::from(v == lo) | usize::from(v + 1 == hi) << 1
 }
 
+/// The part of a row inside leaf `me`'s box `r`, with the y/z faces of the
+/// box and of the grid the row sits on (per axis a low bit, then a high
+/// bit; y at bit 2, z at bit 4).
+struct Segment {
+    me: usize,
+    r: BoxRegion,
+    y: usize,
+    z: usize,
+    /// Linear index of the row's `x = 0`.
+    row: usize,
+    box_yz: usize,
+    grid_yz: usize,
+}
+
+/// What finds a point's foreign leaves: the partition, its leaf boxes, and
+/// per task and direction the owner last found that way from a point of
+/// that task — its next point's neighbour that way is usually in the same
+/// box. (One hint per direction alone misses far more often: a row crosses
+/// several tasks, and each points it elsewhere.)
+struct Probe<'a, P> {
+    partition: &'a P,
+    regions: &'a [BoxRegion],
+    cells: &'a [CellType],
+    dims: (usize, usize, usize),
+    /// For every set of box faces a point can sit on, the directions (bits
+    /// over `D3Q19_DIRECTIONS`) that cross one of them.
+    crossing: [u32; 64],
+    /// Per direction, the step in linear index.
+    offsets: [isize; D3Q19_DIRECTIONS.len()],
+    hints: Vec<[usize; D3Q19_DIRECTIONS.len()]>,
+}
+
+impl<'a, P: Ownership> Probe<'a, P> {
+    fn new(grid: &'a VoxelGrid, partition: &'a P, regions: &'a [BoxRegion]) -> Self {
+        let crossing = std::array::from_fn(|faces: usize| {
+            let crosses =
+                |d: i32, axis: usize| d != 0 && faces >> (2 * axis + usize::from(d > 0)) & 1 == 1;
+            (0..D3Q19_DIRECTIONS.len())
+                .filter(|&d| {
+                    let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
+                    crosses(dx, 0) || crosses(dy, 1) || crosses(dz, 2)
+                })
+                .fold(0, |bits, d| bits | 1 << d)
+        });
+        let (nx, ny, _) = grid.dims();
+        let offsets = D3Q19_DIRECTIONS.map(|(dx, dy, dz)| {
+            dx as isize + nx as isize * (dy as isize + ny as isize * dz as isize)
+        });
+        Self {
+            partition,
+            regions,
+            cells: grid.cells(),
+            dims: grid.dims(),
+            crossing,
+            offsets,
+            hints: vec![[0; D3Q19_DIRECTIONS.len()]; regions.len()],
+        }
+    }
+
+    /// Tally the point at `x` of `seg`, if fluid, toward the foreign leaves
+    /// it borders: a direction is probed if it crosses a face of the box
+    /// and not one of the grid, so every probe has an index.
+    fn point(&mut self, seg: &Segment, x: usize, sets: &mut PeerSets, levels: &mut [Level]) {
+        let at = seg.row + x;
+        if !self.cells[at].is_fluid() {
+            return;
+        }
+        let mut probe = self.crossing[seg.box_yz | faces(x, seg.r.x0, seg.r.x1)]
+            & !self.crossing[seg.grid_yz | faces(x, 0, self.dims.0)];
+        let mut peers = [0usize; D3Q19_DIRECTIONS.len()];
+        let mut n_peers = 0;
+        while probe != 0 {
+            let d = probe.trailing_zeros() as usize;
+            probe &= probe - 1;
+            if self.cells[at.wrapping_add_signed(self.offsets[d])].is_fluid() {
+                let (dx, dy, dz) = D3Q19_DIRECTIONS[d];
+                let (qx, qy, qz) = (
+                    x.wrapping_add_signed(dx as isize),
+                    seg.y.wrapping_add_signed(dy as isize),
+                    seg.z.wrapping_add_signed(dz as isize),
+                );
+                let hint = &mut self.hints[seg.me][d];
+                if !self.regions[*hint].contains(qx, qy, qz) {
+                    *hint = self.partition.owner(qx, qy, qz);
+                }
+                let owner = *hint;
+                if owner != seg.me && !peers[..n_peers].contains(&owner) {
+                    peers[n_peers] = owner;
+                    n_peers += 1;
+                }
+            }
+        }
+        sets.add(seg.me, &peers[..n_peers], 1, levels);
+    }
+
+    /// Tally the point at `x` of `seg`, one of its box's x faces. On that
+    /// face alone, and it not a grid face, the box across holds the
+    /// point's five neighbours that cross it if it spans `y ± 1` and
+    /// `z ± 1`: the box last found across from the same task, or else the
+    /// owner of the voxel across. Then the point borders it alone iff one
+    /// of them is fluid; otherwise it is [`Probe::point`]'s.
+    fn x_face(&mut self, seg: &Segment, x: usize, sets: &mut PeerSets, levels: &mut [Level]) {
+        let low = x == seg.r.x0;
+        let across = if low { x.wrapping_sub(1) } else { x + 1 };
+        if seg.box_yz != 0 || low == (x + 1 == seg.r.x1) || across >= self.dims.0 {
+            return self.point(seg, x, sets, levels);
+        }
+        let at = seg.row + x;
+        if !self.cells[at].is_fluid() {
+            return;
+        }
+        let holds = |b: &BoxRegion| {
+            (b.x0..b.x1).contains(&across)
+                && b.y0 < seg.y
+                && seg.y + 1 < b.y1
+                && b.z0 < seg.z
+                && seg.z + 1 < b.z1
+        };
+        // `D3Q19_DIRECTIONS[0]` is +x, `[1]` is −x.
+        let d = usize::from(low);
+        let hint = &mut self.hints[seg.me][d];
+        if !holds(&self.regions[*hint]) {
+            *hint = self.partition.owner(across, seg.y, seg.z);
+            if !holds(&self.regions[*hint]) {
+                return self.point(seg, x, sets, levels);
+            }
+        }
+        let nb = *hint;
+        let (nx, plane) = (self.dims.0, self.dims.0 * self.dims.1);
+        let (i, c) = (at.wrapping_add_signed(self.offsets[d]), self.cells);
+        if c[i] as u8 | c[i - nx] as u8 | c[i + nx] as u8 | c[i - plane] as u8 | c[i + plane] as u8
+            != 0
+        {
+            sets.add(seg.me, &[nb], 1, levels);
+        }
+    }
+
+    /// Tally the points of `stretch` of `seg`, which sit on its box's one
+    /// y/z face, not a grid face, and on none of its x faces. Each box
+    /// across the face is found once — the one last found straight across
+    /// from the same task if it holds the voxel across, else its owner —
+    /// and where it holds all five neighbours across (`x − 1 ..= x + 1` on
+    /// the row across, and the rows beside that one on the face's other
+    /// axis), a fluid point borders that box iff one of them is fluid.
+    /// Points beside a narrower box are [`Probe::point`]'s.
+    fn face_stretch(
+        &mut self,
+        seg: &Segment,
+        stretch: Range<usize>,
+        sets: &mut PeerSets,
+        levels: &mut [Level],
+    ) {
+        let (nx, ny, _) = self.dims;
+        let plane = nx * ny;
+        // The direction straight across (`D3Q19_DIRECTIONS[2..6]` are ±y,
+        // ±z), the row across, and the step along the face's other axis.
+        let (d, (ay, az), side) = match seg.box_yz {
+            0b00_0100 => (3, (seg.y - 1, seg.z), plane),
+            0b00_1000 => (2, (seg.y + 1, seg.z), plane),
+            0b01_0000 => (5, (seg.y, seg.z - 1), nx),
+            _ => (4, (seg.y, seg.z + 1), nx),
+        };
+        let across = self.offsets[d];
+        let mut x = stretch.start;
+        while x < stretch.end {
+            let hint = &mut self.hints[seg.me][d];
+            if !self.regions[*hint].contains(x, ay, az) {
+                *hint = self.partition.owner(x, ay, az);
+            }
+            let nb = *hint;
+            let b = self.regions[nb];
+            let next = b.x1.min(stretch.end);
+            let spans = if side == plane {
+                b.z0 < seg.z && seg.z + 1 < b.z1
+            } else {
+                b.y0 < seg.y && seg.y + 1 < b.y1
+            };
+            let (from, to) = if spans {
+                let from = (b.x0 + 1).max(x);
+                (from, (b.x1 - 1).min(stretch.end).max(from))
+            } else {
+                (next, next)
+            };
+            for x in x..from {
+                self.point(seg, x, sets, levels);
+            }
+            let cells = self.cells;
+            let borders = (from..to)
+                .filter(|&x| {
+                    let i = (seg.row + x).wrapping_add_signed(across);
+                    cells[seg.row + x].is_fluid()
+                        && (cells[i - 1] as u8
+                            | cells[i] as u8
+                            | cells[i + 1] as u8
+                            | cells[i - side] as u8
+                            | cells[i + side] as u8)
+                            != 0
+                })
+                .count();
+            sets.add(seg.me, &[nb], borders, levels);
+            for x in to..next {
+                self.point(seg, x, sets, levels);
+            }
+            x = next;
+        }
+    }
+}
+
 /// One level of a [`walk`] in progress: its tasks' byte sums, boundary
 /// points and `(peer, points)` tallies.
 struct Level {
@@ -284,42 +481,90 @@ struct Level {
     tallies: Vec<Vec<(usize, usize)>>,
 }
 
-/// Consecutive boundary points of leaf `me` that border the same foreign
-/// leaves, in the order the walk found them.
-#[derive(Default)]
-struct PeerRun {
-    me: usize,
-    peers: [usize; D3Q19_DIRECTIONS.len()],
-    n_peers: usize,
-    points: usize,
+/// Per leaf, its boundary points so far, grouped by the set of foreign
+/// leaves they border: a group is carried up the levels once, where a
+/// carry per point (or per run of points with one set) would climb the
+/// same levels again and again. Sets of one leaf and of two to four
+/// (unused slots `usize::MAX`) are kept apart — the first are most of
+/// them and compare in one word; larger sets, rare, are carried at once.
+struct PeerSets {
+    ones: Vec<Vec<(usize, usize)>>,
+    few: Vec<Vec<([usize; 4], usize)>>,
 }
 
-impl PeerRun {
-    /// Count the run's points at every level where a peer is still
-    /// foreign, merging peers as they coincide.
-    fn carry(&mut self, levels: &mut [Level]) {
-        let (peers, mut n_peers, mut at) = (&mut self.peers, self.n_peers, 0);
-        for level in levels {
-            let me = self.me >> level.shift;
-            let mut kept = 0;
-            for i in 0..n_peers {
-                let peer = peers[i] >> (level.shift - at);
-                if peer != me && !peers[..kept].contains(&peer) {
-                    peers[kept] = peer;
-                    kept += 1;
+impl PeerSets {
+    fn new(leaves: usize) -> Self {
+        Self {
+            ones: vec![Vec::new(); leaves],
+            few: vec![Vec::new(); leaves],
+        }
+    }
+
+    /// Count `points` more boundary points of leaf `me` that border the
+    /// leaves `peers` (distinct, none of them `me`).
+    fn add(&mut self, me: usize, peers: &[usize], points: usize, levels: &mut [Level]) {
+        if points == 0 {
+            return;
+        }
+        match *peers {
+            [] => {}
+            [peer] => match self.ones[me].iter_mut().find(|(p, _)| *p == peer) {
+                Some((_, n)) => *n += points,
+                None => self.ones[me].push((peer, points)),
+            },
+            _ if peers.len() <= 4 => {
+                let mut key = [usize::MAX; 4];
+                key[..peers.len()].copy_from_slice(peers);
+                match self.few[me].iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += points,
+                    None => self.few[me].push((key, points)),
                 }
             }
-            (n_peers, at) = (kept, level.shift);
-            if n_peers == 0 {
-                break;
+            _ => carry(levels, me, peers, points),
+        }
+    }
+
+    /// Carry every group up the levels.
+    fn carry(self, levels: &mut [Level]) {
+        for (me, (ones, few)) in self.ones.into_iter().zip(self.few).enumerate() {
+            for (peer, points) in ones {
+                carry(levels, me, &[peer], points);
             }
-            level.boundary[me] += self.points;
-            for &peer in &peers[..n_peers] {
-                let tally = &mut level.tallies[me];
-                match tally.iter_mut().find(|(p, _)| *p == peer) {
-                    Some((_, points)) => *points += self.points,
-                    None => tally.push((peer, self.points)),
-                }
+            for (key, points) in few {
+                let n = key.iter().take_while(|&&p| p != usize::MAX).count();
+                carry(levels, me, &key[..n], points);
+            }
+        }
+    }
+}
+
+/// Count `points` boundary points of leaf `leaf` that border the leaves
+/// `peers` at every level where one of them is still foreign, merging
+/// peers as they coincide.
+fn carry(levels: &mut [Level], leaf: usize, peers: &[usize], points: usize) {
+    let mut merged = [0usize; D3Q19_DIRECTIONS.len()];
+    merged[..peers.len()].copy_from_slice(peers);
+    let (mut n_peers, mut at) = (peers.len(), 0);
+    for level in levels {
+        let me = leaf >> level.shift;
+        let mut kept = 0;
+        for i in 0..n_peers {
+            let peer = merged[i] >> (level.shift - at);
+            if peer != me && !merged[..kept].contains(&peer) {
+                merged[kept] = peer;
+                kept += 1;
+            }
+        }
+        (n_peers, at) = (kept, level.shift);
+        if n_peers == 0 {
+            break;
+        }
+        level.boundary[me] += points;
+        for &peer in &merged[..n_peers] {
+            let tally = &mut level.tallies[me];
+            match tally.iter_mut().find(|(p, _)| *p == peer) {
+                Some((_, p)) => *p += points,
+                None => tally.push((peer, points)),
             }
         }
     }
@@ -551,6 +796,164 @@ mod tests {
         let mut rng = Rng::new(40);
         assert_walk_matches_reference(&lumpy_grid(&mut rng, 0, true));
         assert_walk_matches_reference(&lumpy_grid(&mut rng, 50, true));
+    }
+
+    /// Boxes laid by hand or by [`guillotine`], numbered so that
+    /// `leaf >> shift` is the box `shift` cuts up — how an RCB tree's
+    /// views number theirs. `owner` searches the leaves.
+    struct Boxes {
+        dims: (usize, usize, usize),
+        leaves: Vec<BoxRegion>,
+        shift: u32,
+    }
+
+    impl Boxes {
+        fn view(&self, shift: u32) -> Self {
+            Self {
+                dims: self.dims,
+                leaves: self.leaves.clone(),
+                shift,
+            }
+        }
+    }
+
+    impl Ownership for Boxes {
+        fn owner(&self, x: usize, y: usize, z: usize) -> usize {
+            let leaf = self.leaves.iter().position(|b| b.contains(x, y, z));
+            leaf.expect("the boxes tile the grid") >> self.shift
+        }
+        fn task_count(&self) -> usize {
+            self.leaves.len() >> self.shift
+        }
+        fn dims(&self) -> (usize, usize, usize) {
+            self.dims
+        }
+        fn region(&self, task: usize) -> BoxRegion {
+            let n = 1 << self.shift;
+            let leaves = &self.leaves[task * n..(task + 1) * n];
+            leaves[1..].iter().fold(leaves[0], |hull, b| hull.hull(b))
+        }
+    }
+
+    /// The grid's box cut `depth` times over into `2^depth` leaves, each
+    /// cut at a random place along a random axis the box can be cut on:
+    /// slabs one voxel thick, neighbours narrower than a stencil and
+    /// faces on the grid's faces all come up. `None` where a box ran out
+    /// of voxels to cut.
+    fn guillotine(rng: &mut Rng, dims: (usize, usize, usize), depth: u32) -> Option<Boxes> {
+        fn cut(rng: &mut Rng, b: BoxRegion, depth: u32, out: &mut Vec<BoxRegion>) -> Option<()> {
+            if depth == 0 {
+                out.push(b);
+                return Some(());
+            }
+            let extents = [(b.x0, b.x1), (b.y0, b.y1), (b.z0, b.z1)];
+            let axes: Vec<usize> = (0..3)
+                .filter(|&a| extents[a].1 - extents[a].0 > 1)
+                .collect();
+            let axis = *axes.get(rng.range_usize(0, axes.len().max(1)))?;
+            let at = rng.range_usize(extents[axis].0 + 1, extents[axis].1);
+            let (mut lo, mut hi) = (b, b);
+            match axis {
+                0 => (lo.x1, hi.x0) = (at, at),
+                1 => (lo.y1, hi.y0) = (at, at),
+                _ => (lo.z1, hi.z0) = (at, at),
+            }
+            cut(rng, lo, depth - 1, out)?;
+            cut(rng, hi, depth - 1, out)
+        }
+        let mut leaves = Vec::new();
+        let (nx, ny, nz) = dims;
+        let whole = BoxRegion {
+            x0: 0,
+            x1: nx,
+            y0: 0,
+            y1: ny,
+            z0: 0,
+            z1: nz,
+        };
+        cut(rng, whole, depth, &mut leaves)?;
+        Some(Boxes {
+            dims,
+            leaves,
+            shift: 0,
+        })
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_random_guillotine_boxes() {
+        // Grids large enough for long stretches, mostly fluid so that the
+        // points across a face are, with fluid on the grid's faces half
+        // the time; every level of a random cut of up to 32 leaves.
+        let (bulk, wall) = WEIGHTS;
+        check::run(
+            "walk_matches_the_reference_on_random_guillotine_boxes",
+            Config::cases(48),
+            |rng| {
+                let mut side = || rng.range_usize(8, 15);
+                let (nx, ny, nz) = (side(), side(), side());
+                let fluid_pct = rng.range_u64(40, 101);
+                let shell = rng.range_u64(0, 2) == 0;
+                let mut g = VoxelGrid::solid(nx, ny, nz, 1.0);
+                for i in 0..g.len() {
+                    let (x, y, z) = g.coords(i);
+                    let on_face = x % (nx - 1) == 0 || y % (ny - 1) == 0 || z % (nz - 1) == 0;
+                    if shell && on_face || rng.range_u64(0, 100) < fluid_pct {
+                        let bulk = rng.range_u64(0, 4) != 0;
+                        g.set_linear(i, if bulk { CellType::Bulk } else { CellType::Wall });
+                    }
+                }
+                let depth = rng.range_u64(0, 6) as u32;
+                let Some(boxes) = guillotine(rng, g.dims(), depth) else {
+                    return;
+                };
+                let shifts: Vec<u32> = (0..=depth).collect();
+                for (got, &s) in walk(&g, &boxes, &shifts, bulk, wall).iter().zip(&shifts) {
+                    let want = reference(&g, &boxes.view(s), bulk, wall);
+                    assert_same(got, &want, &format!("{} leaves >> {s}", 1 << depth));
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn walk_matches_the_reference_beside_boxes_narrower_than_the_stencil() {
+        // A full 12-voxel cube cut at y = 6. Above the cut, x is cut at 5
+        // and 6 (a box one voxel wide) and, in the far half of z, at 7
+        // and 9 (two wide): the lower box's high-y stretch meets boxes
+        // that do not span x ± 1, and its z = 6 row meets a box that does
+        // not span z ± 1. The lower box's x and z faces at 0 and 12 are
+        // the grid's.
+        let g = full_box(12);
+        let b = |x0, x1, y0, y1, z0, z1| BoxRegion {
+            x0,
+            x1,
+            y0,
+            y1,
+            z0,
+            z1,
+        };
+        let boxes = Boxes {
+            dims: g.dims(),
+            leaves: vec![
+                b(0, 12, 0, 6, 0, 12),
+                b(0, 5, 6, 12, 0, 6),
+                b(5, 6, 6, 12, 0, 6),
+                b(6, 12, 6, 12, 0, 6),
+                b(0, 7, 6, 12, 6, 12),
+                b(7, 9, 6, 12, 6, 12),
+                b(9, 10, 6, 12, 6, 12),
+                b(10, 12, 6, 12, 6, 12),
+            ],
+            shift: 0,
+        };
+        let (bulk, wall) = WEIGHTS;
+        let got = walk(&g, &boxes, &[0], bulk, wall).remove(0);
+        assert_same(&got, &reference(&g, &boxes, bulk, wall), "hand-laid boxes");
+        // Every point of the lower box's top layer borders a box above;
+        // the one-wide box is reached from x = 4, 5 and 6 on its six
+        // rows, and from (5, 5, 6) across the z = 6 edge.
+        assert_eq!(got.analysis.boundary_points_per_task[0], 144);
+        assert_eq!(got.analysis.messages[0][&2], 3 * 6 + 1);
     }
 
     #[test]

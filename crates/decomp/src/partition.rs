@@ -12,7 +12,9 @@ use hemocloud_geometry::voxel::VoxelGrid;
 /// Anything that assigns the voxels of a `dims` box to tasks, each task a
 /// box of its own.
 pub trait Ownership {
-    /// Task owning voxel `(x, y, z)`.
+    /// Task owning voxel `(x, y, z)`: defined for every voxel of the
+    /// grid, solid ones included (`halo::walk` asks about the voxel
+    /// across a box face whatever it holds).
     fn owner(&self, x: usize, y: usize, z: usize) -> usize;
     /// Total number of tasks.
     fn task_count(&self) -> usize;

@@ -1,8 +1,7 @@
 //! Scheduler-scale record: drive `hemocloud-sched`'s synthetic campaign
-//! of up to one million jobs ([`Scenario::scale`]) and persist the
-//! throughput numbers to `BENCH_sched.json`, so every PR carries a
-//! comparable events/sec trajectory alongside `BENCH_lbm.json` (ROADMAP
-//! item 2: "scale the campaign" needs a number to hold it to).
+//! of up to one million jobs ([`Scenario::scale`]) and persist its
+//! throughput and refinement figures to `BENCH_sched.json`, the
+//! scheduler's record beside `BENCH_lbm.json`.
 //!
 //! The campaign is synthetic but exercises every subsystem at scale:
 //! four capacity-limited pools, 32 shared workloads over four vascular

@@ -1,6 +1,6 @@
 //! Campaign evaluation sweep: run the scheduler across the full grid of
 //! seeds × geometries × platform mixes × fault rates × kernel
-//! configurations with every invariant checker armed (DESIGN.md §17),
+//! configurations with every invariant checker armed (DESIGN.md §10),
 //! plus the routed-contention cell beside the grid, and persist the
 //! aggregated [`SweepReport`] as `EVAL_campaign.json` — the committed
 //! evidence that the control loop's budget, SLO, billing, guard and

@@ -1,9 +1,9 @@
 //! The table of experiments: one entry and one function per table or
-//! figure of the paper's evaluation (DESIGN.md §4), each turning what the
+//! figure of the paper's evaluation (DESIGN.md §13), each turning what the
 //! shared [`Lab`] collected into an [`Outcome`]. A paper constant is
 //! written once, where it is compared. A check claims only what the data
 //! supports; the two that need figure-scale grids are skipped at the
-//! smoke size, and say so (DESIGN.md §20).
+//! smoke size, and say so (DESIGN.md §13).
 
 use hemocloud_cluster::network::LinkKind::{Internodal, Intranodal};
 use hemocloud_cluster::platform::Platform;

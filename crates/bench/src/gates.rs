@@ -5,7 +5,7 @@
 //! A generator binary runs its gate on the document it is about to write;
 //! the `check` binary runs the same functions on fresh output (smoke-sized
 //! where a generator has a smoke size) and on the four committed
-//! artifacts (DESIGN.md §18 has the gate → invariant table).
+//! artifacts (DESIGN.md §13 has the gate → invariant table).
 //!
 //! The writer renders a non-finite float as `null`, so "no NaN/inf
 //! anywhere" is `Gate::finite`: every artifact gate walks its whole
@@ -297,8 +297,9 @@ pub fn gate_perf_vs_committed(fresh: &Value, committed: &Value) -> Vec<String> {
     g.failures
 }
 
-/// Any other document the generators write (the per-shard campaign
-/// reports): no `null` outside the `Option` statistics, nothing else.
+/// A document no record gate covers (`bench_sched`'s render of its
+/// headline campaign report): no `null` outside the `Option` statistics,
+/// nothing else.
 pub fn gate_finite(doc: &Value) -> Vec<String> {
     Gate::over("finite", doc).failures
 }
@@ -438,7 +439,7 @@ fn contention(g: &mut Gate, doc: &Value) {
 /// to show, every shape check holding, every toleranced comparison inside
 /// its tolerance. There is no waiver: a claim the data stops supporting
 /// fails here until the defect is fixed or the claim reworded (DESIGN.md
-/// §20).
+/// §13).
 pub fn gate_repro(doc: &Value) -> Vec<String> {
     let mut g = Gate::over("repro", doc);
     let experiments = g.rows(doc, "experiments", &[]);

@@ -3,7 +3,7 @@
 //!
 //! The paper's experiments ran on AWS/Azure HPC instances and an on-premise
 //! Intel cluster; none of that hardware is available here, so this crate
-//! *is* the substituted testbed (DESIGN.md §2). Each [`platform::Platform`]
+//! *is* the substituted testbed (DESIGN.md §0). Each [`platform::Platform`]
 //! carries the paper's own measured constants as ground truth — Table I
 //! (topology), Table II (sustained bandwidths) and Table III (two-line
 //! memory fits, interconnect bandwidth/latency) — so that simulated

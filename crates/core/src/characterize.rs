@@ -49,8 +49,7 @@ impl PlatformCharacterization {
     /// Fitted per-task bandwidth share with `tasks_on_node` tasks
     /// saturating the node (the paper's even-split assumption), MB/s.
     pub fn per_task_bandwidth(&self, tasks_on_node: usize) -> f64 {
-        assert!(tasks_on_node > 0);
-        self.node_bandwidth(tasks_on_node) / tasks_on_node as f64
+        per_task_bandwidth(&self.memory_fit, tasks_on_node)
     }
 
     /// Communication fit for a link kind.
@@ -67,6 +66,13 @@ impl PlatformCharacterization {
         let fit = self.link_fit(kind);
         (bytes / fit.bandwidth_mb_s + fit.latency_us) * 1e-6
     }
+}
+
+/// Each of `tasks_on_node` tasks' even share of the node bandwidth the
+/// Eq. 8 `fit` gives at that many threads, MB/s.
+pub(crate) fn per_task_bandwidth(fit: &TwoLineFit, tasks_on_node: usize) -> f64 {
+    assert!(tasks_on_node > 0);
+    fit.eval(tasks_on_node as f64) / tasks_on_node as f64
 }
 
 /// Characterize a platform by running its (simulated) microbenchmarks and

@@ -42,16 +42,6 @@ impl DirectModel {
         }
     }
 
-    /// The bound workload.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The bound characterization.
-    pub fn characterization(&self) -> &PlatformCharacterization {
-        &self.character
-    }
-
     /// The workload's census at `ranks`, or `None` when the rank count is
     /// zero, exceeds the platform allocation, or the grid cannot be split
     /// that far.

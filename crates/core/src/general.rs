@@ -25,9 +25,10 @@
 //! messages are neglected (its direct-model data shows they are
 //! negligible — our Fig. 9 reproduction confirms).
 
-use crate::characterize::PlatformCharacterization;
+use crate::characterize::{per_task_bandwidth, PlatformCharacterization};
 use crate::composition::{Composition, Prediction};
 use crate::workload::Workload;
+use hemocloud_cluster::platform::Platform;
 use hemocloud_decomp::census::CALIBRATION_COUNTS;
 use hemocloud_decomp::events::{fit_event_sweep, EventSample};
 use hemocloud_fitting::models::{EventModel, ImbalanceModel};
@@ -35,7 +36,11 @@ use hemocloud_fitting::models::{EventModel, ImbalanceModel};
 /// The generalized model.
 #[derive(Debug, Clone)]
 pub struct GeneralModel {
-    character: PlatformCharacterization,
+    platform: Platform,
+    /// The characterization's Eq. 8 fit (node bandwidth).
+    memory_fit: hemocloud_fitting::two_line::TwoLineFit,
+    /// The characterization's internodal Eq. 12 fit.
+    internodal_fit: hemocloud_fitting::sweep::CommFit,
     /// Fluid points of the workload (`N`).
     points: f64,
     /// Serial byte count per step (`n_bytes_serial`).
@@ -59,15 +64,12 @@ impl GeneralModel {
         character: &PlatformCharacterization,
         workload: &Workload,
     ) -> Self {
-        let entries: Vec<_> = CALIBRATION_COUNTS
+        let ev_samples: Vec<_> = CALIBRATION_COUNTS
             .iter()
             .filter_map(|&n| workload.census(n).ok())
-            .collect();
-        let imbalance = workload.imbalance_model();
-        let ev_samples: Vec<_> = entries
-            .iter()
             .map(|e| EventSample::of(&e.analysis, character.platform.cores_per_node))
             .collect();
+        let imbalance = workload.imbalance_model();
         let events = fit_event_sweep(&ev_samples).unwrap_or(EventModel {
             k1: 0.0,
             k2: 1.0,
@@ -84,7 +86,9 @@ impl GeneralModel {
         events: EventModel,
     ) -> Self {
         Self {
-            character: character.clone(),
+            platform: character.platform.clone(),
+            memory_fit: character.memory_fit,
+            internodal_fit: character.internodal_fit,
             points: workload.points() as f64,
             serial_bytes: workload.serial_bytes,
             point_comm_bytes: workload.profile.boundary_point_bytes,
@@ -112,14 +116,14 @@ impl GeneralModel {
     /// Panics at zero ranks.
     pub fn predict(&self, ranks: usize) -> Prediction {
         assert!(ranks > 0, "zero ranks");
-        let cores_per_node = self.character.platform.cores_per_node;
+        let cores_per_node = self.platform.cores_per_node;
         let n_nodes = ranks.div_ceil(cores_per_node);
         let tasks_per_node = ranks.min(cores_per_node);
 
         // Memory side: Eqs. 10-11 over the fitted Eq. 8 curve.
         let z = self.imbalance.eval(ranks);
         let max_bytes = z * self.serial_bytes / ranks as f64;
-        let bw = self.character.per_task_bandwidth(tasks_per_node); // MB/s
+        let bw = per_task_bandwidth(&self.memory_fit, tasks_per_node); // MB/s
         let mem_s = max_bytes / (bw * 1e6);
 
         // Communication side: Eqs. 13-16, internodal only.
@@ -130,7 +134,7 @@ impl GeneralModel {
                 * 2.0
                 * self.point_comm_bytes;
             let events = self.events.eval(ranks, n_nodes);
-            let fit = &self.character.internodal_fit;
+            let fit = &self.internodal_fit;
             (
                 m_max / fit.bandwidth_mb_s * 1e-6,
                 events * fit.latency_us * 1e-6,
@@ -159,7 +163,7 @@ impl GeneralModel {
         &'a self,
         rank_options: &'a [usize],
     ) -> impl Iterator<Item = (usize, Prediction)> + 'a {
-        let platform = &self.character.platform;
+        let platform = &self.platform;
         rank_options
             .iter()
             .filter(|&&ranks| (1..=platform.total_cores).contains(&ranks))
@@ -179,14 +183,14 @@ impl GeneralModel {
     pub fn predict_shared(&self, ranks: usize, cotenant_cores_per_node: usize) -> Prediction {
         assert!(ranks > 0, "zero ranks");
         let base = self.predict(ranks);
-        let cores_per_node = self.character.platform.cores_per_node;
+        let cores_per_node = self.platform.cores_per_node;
         let our_tasks = ranks.min(cores_per_node);
         let active = (our_tasks + cotenant_cores_per_node).min(cores_per_node);
         if active == our_tasks {
             return base;
         }
-        let dedicated_bw = self.character.per_task_bandwidth(our_tasks);
-        let shared_bw = self.character.per_task_bandwidth(active);
+        let dedicated_bw = per_task_bandwidth(&self.memory_fit, our_tasks);
+        let shared_bw = per_task_bandwidth(&self.memory_fit, active);
         let composition = Composition {
             mem_s: base.composition.mem_s * dedicated_bw / shared_bw,
             ..base.composition

@@ -104,7 +104,7 @@ impl DecompAnalysis {
 /// level, so only points on a face of that box can border another leaf;
 /// the distinct foreign *leaf* owners a point borders, shifted by `s`, are
 /// its peers at level `s`, and once none is foreign none is further up
-/// (DESIGN.md §19). Between a segment's two x-face points every point sits
+/// (DESIGN.md §4). Between a segment's two x-face points every point sits
 /// on the same y/z faces of its box, and the walk takes that *stretch*
 /// whole:
 ///

@@ -11,7 +11,7 @@
 //! runs and the boxes' extents, not the fluid points.
 //!
 //! The block partition remains available as the ablation baseline
-//! (DESIGN.md §5, "Block vs. slab decomposition" extends to RCB).
+//! (DESIGN.md §5, ablation 4).
 
 use crate::partition::{fluid_owners, BoxRegion, Ownership};
 use hemocloud_geometry::voxel::VoxelGrid;
@@ -53,7 +53,7 @@ impl std::error::Error for RcbError {}
 
 /// A fluid-balanced RCB partition. Ownership is kept per x-row of the grid
 /// as the runs of the leaf boxes the row crosses, so it costs the leaves'
-/// y–z footprints, never the bounding box (DESIGN.md §19); an owner query
+/// y–z footprints, never the bounding box (DESIGN.md §3); an owner query
 /// searches its row's few runs.
 #[derive(Debug, Clone)]
 pub struct RcbPartition {
@@ -181,7 +181,7 @@ impl RcbPartition {
     /// exactly what [`RcbPartition::new`] builds for `n_tasks >> halvings`
     /// tasks (a power-of-two count asks every node for exactly half its
     /// fluid, so the smaller tree is the larger one truncated — DESIGN.md
-    /// §19), as a view sharing this partition's row runs.
+    /// §3), as a view sharing this partition's row runs.
     ///
     /// # Panics
     /// Panics unless `halvings` is 0 or the task count is a power of two

@@ -12,7 +12,7 @@
 //!
 //! The original geometries come from the Vascular Model Repository, which
 //! is not available here; [`anatomy`] provides parametric synthetic
-//! equivalents tuned to land in the same regimes (see DESIGN.md §2). All
+//! equivalents tuned to land in the same regimes (see DESIGN.md §0). All
 //! geometries are represented as a [`voxel::VoxelGrid`] of cell types
 //! (solid, bulk fluid, wall fluid, inlet, outlet) built from signed
 //! distance fields ([`shapes`]) swept along centerlines ([`tube`]) and then

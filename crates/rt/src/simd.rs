@@ -24,7 +24,7 @@
 //! There is no run-time backend choice: [`backend`] only *reports* which of
 //! those two widths the build compiled to, for benchmark provenance.
 //! Hand-written intrinsics measured no faster than what LLVM emits for
-//! [`ArrLane`] on any benchmark row (DESIGN.md §16), so instruction
+//! [`ArrLane`] on any benchmark row (DESIGN.md §11), so instruction
 //! selection is left to the compiler.
 
 /// A pack of `WIDTH` elements of `T` supporting elementwise arithmetic.

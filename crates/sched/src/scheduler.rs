@@ -30,11 +30,9 @@
 //!   placements and guards run on the corrected predictions, which is
 //!   what drives the report's placement-MAPE trajectory down.
 //!
-//! # Scale: indexed state instead of per-event scans
+//! # Scale: indexed state, not per-event scans
 //!
-//! The original loop rescanned every job on every event — O(events ×
-//! jobs), fine for a 26-job demo, hopeless for the million-job campaigns
-//! ROADMAP item 2 asks for. The loop is now O(log n) per decision:
+//! No decision scans every job; each is O(log n) in the campaign's size:
 //!
 //! * **Intake** — submissions sit in a submit-time-sorted vector behind a
 //!   cursor (they never touch the event heap), and all events sharing one

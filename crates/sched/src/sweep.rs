@@ -1,7 +1,7 @@
 //! Scenario sweep: run the campaign scheduler across a grid of seeds ×
 //! geometries × platform mixes × fault rates × kernel configurations with
 //! every cross-cutting invariant armed, and aggregate the results into
-//! one deterministic JSON evaluation report (DESIGN.md §17).
+//! one deterministic JSON evaluation report (DESIGN.md §10).
 //!
 //! One campaign shows the control loop works *once*; the sweep is the
 //! evaluation harness that shows it keeps its promises everywhere in the
@@ -25,7 +25,7 @@
 //! `bench_sched`'s million-job run — is judged by [`Scenario::judge`],
 //! which runs [`audit`]: one table of named checkers over the report's
 //! typed fields, the metrics snapshot and the scenario's jobs and pools
-//! (DESIGN.md §17 lists what each rebuilds from what):
+//! (DESIGN.md §10 lists what each rebuilds from what):
 //!
 //! * **conservation** — every job ends in one outcome and one report row.
 //! * **books** — cost, fault and retry totals agree across views.
@@ -704,7 +704,7 @@ fn finite(b: &Books, audit: &mut Audit) {
 /// One invariant: reads the books, records what it finds broken.
 type Checker = fn(&Books, &mut Audit);
 
-/// The checker table [`audit`] runs, in order (DESIGN.md §17 says what
+/// The checker table [`audit`] runs, in order (DESIGN.md §10 says what
 /// each rebuilds from what). A new invariant is one more row.
 const CHECKERS: [(&str, Checker); 8] = [
     ("conservation", conservation),

@@ -16,7 +16,7 @@
 //! point — the raw input to the paper's Eq. 9 performance model. The
 //! [`ranked`] module runs the HARVEY analog as a set of communicating
 //! "ranks" with explicit halo exchange — the same body, with cross-rank
-//! reads routed through a halo snapshot — validating that the decomposed
+//! reads pointed at halo rows by the slot table — validating that the decomposed
 //! execution reproduces the global solution.
 
 pub mod access_profile;

@@ -127,6 +127,12 @@ impl FluidMesh {
         &self.neighbors[cell * Q19..(cell + 1) * Q19]
     }
 
+    /// Give up the neighbor rows (`neighbors[cell * 19 + q]`): the solver
+    /// rewrites them in place into its slot table.
+    pub(crate) fn into_neighbors(self) -> Vec<u32> {
+        self.neighbors
+    }
+
     /// Indices of all cells of the given type.
     pub fn cells_of_type(&self, t: CellType) -> Vec<usize> {
         self.cell_type

@@ -3,7 +3,7 @@
 //! HARVEY runs under MPI: the mesh is split among ranks, each rank updates
 //! its own cells, and boundary distributions are exchanged every step. This
 //! module reproduces that structure in-process: each rank owns a set of
-//! fluid cells, remote reads go through per-step halo snapshots, and the
+//! fluid cells, remote reads go through per-step halo copies, and the
 //! per-rank message ledger records exactly the bytes and events the
 //! performance model costs (paper Eqs. 5, 13, 15).
 //!
@@ -15,23 +15,25 @@
 //! * **AA**: the even step is purely cell-local, so *no exchange happens
 //!   at all* (the ledgers record zero traffic — AA halves the exchange
 //!   count on top of halving index traffic). Before an odd step the
-//!   boundary is snapshotted as usual; remote *reads* come from the
-//!   snapshot and remote *writes* (the scatter into `+c_q` neighbors)
-//!   land directly in the distribution array — the push half of the
-//!   exchange. This is MPI-faithful: the AA odd step's write set equals
-//!   its read set per cell and the sets are disjoint across cells
-//!   (see `crate::solver` module docs), so no rank can observe another
-//!   rank's current-step writes through its own reads.
+//!   boundary is copied as usual. A cell reads a remote slot from its
+//!   rank's copy and scatters into that same copy slot (per cell the AA
+//!   write set is the read set); after the sweep each such slot goes back
+//!   to the live array — the push half of the exchange. This is
+//!   MPI-faithful: the slot sets are disjoint across cells (see
+//!   `crate::solver` module docs), so no rank observes another rank's
+//!   current-step writes through its own reads.
 //!
 //! [`RankedSolver`] is a thin shell around a [`Solver`]: it keeps only what
-//! MPI adds — the ownership assignment, the receive sets, the per-rank
-//! ledgers and the `lbm.ranked.*` counters. The distributions, inlet data,
-//! configuration, step count and the collide–stream step are the solver's
-//! own; a ranked step is the solver's one step path given the owner
-//! vector, which routes every cross-rank read through the halo snapshot.
-//! That routing is what makes "ranked == global, bit for bit" (the oracle
-//! test at the bottom) a real check of the receive sets: a cell missing
-//! from one reads a stale snapshot slot and the bits diverge.
+//! MPI adds — the per-message schedule, the per-rank ledgers and the
+//! `lbm.ranked.*` counters. The distributions, inlet data, configuration,
+//! step count and the collide–stream step are the solver's own. The
+//! receive sets are taken from the mesh before the solver consumes it:
+//! each rank gets one halo row per remote cell it reads, and the solver's
+//! slot table points every cross-rank read at the reading rank's row. A
+//! ranked step is then the exchange plus the global step. A remote read
+//! with no halo row panics at construction, and "ranked == global, bit for
+//! bit" (the oracle test at the bottom) checks that the exchange fills the
+//! rows the table reads.
 
 use crate::kernel::Propagation;
 use crate::lattice::Q19;
@@ -76,16 +78,15 @@ pub struct CommLedger {
 /// A rank-decomposed solver over a shared mesh.
 ///
 /// Implementation note: distributions live in one global array (we are one
-/// process), but every cross-rank read goes through the solver's halo, a
-/// snapshot of boundary values taken during the exchange phase — so the
-/// information flow is exactly MPI-like.
+/// process), but every cross-rank read goes through the reading rank's
+/// halo copy, refreshed during the exchange phase — so the information
+/// flow is exactly MPI-like.
 pub struct RankedSolver {
     /// The solver whose state every rank updates.
     solver: Solver,
-    assignment: RankAssignment,
-    /// For each rank, the list of (remote cell) indices it must receive
-    /// before updating, grouped by sending rank for message accounting.
-    recv_sets: Vec<Vec<(u32, Vec<u32>)>>,
+    /// One `(sending rank, cells shipped)` entry per message of an
+    /// exchange: each (receiver, sender) pair with a nonempty receive set.
+    messages: Vec<(u32, u64)>,
     ledgers: Vec<CommLedger>,
     /// Cumulative halo traffic across all ranks and steps (the per-step
     /// ledgers reset every step; these observability counters never do).
@@ -104,43 +105,48 @@ impl RankedSolver {
     /// `lbm.ranked.*`.
     pub fn new(mesh: FluidMesh, assignment: RankAssignment, config: SolverConfig) -> Self {
         assert_eq!(assignment.owner.len(), mesh.len(), "assignment size");
-        let solver = Solver::new_in(mesh, config, &Registry::new());
+        let owner = &assignment.owner[..];
 
-        // Receive sets: for each rank, the remote cells read by its pull
-        // updates, grouped by owner. (The AA odd step reads the same
-        // neighbor cells — only the slot within the neighbor's row
-        // differs — so one receive-set construction serves both.)
-        let mesh = solver.mesh();
-        let mut recv: Vec<std::collections::BTreeMap<u32, std::collections::BTreeSet<u32>>> =
-            vec![Default::default(); assignment.n_ranks];
+        // Receive sets: for each rank, the remote cells its pull updates
+        // read, as `(owner, cell)` ascending. (The AA odd step reads the
+        // same neighbor cells — only the slot within the neighbor's row
+        // differs — so one construction serves both.)
+        let mut recv = vec![Vec::new(); assignment.n_ranks];
         for cell in 0..mesh.len() {
-            let me = assignment.owner[cell];
-            for q in 0..Q19 {
-                let nb = mesh.neighbor(cell, q);
-                if nb != SOLID {
-                    let owner = assignment.owner[nb as usize];
-                    if owner != me {
-                        recv[me as usize].entry(owner).or_default().insert(nb);
-                    }
+            let me = owner[cell];
+            for &nb in mesh.neighbor_row(cell) {
+                if nb != SOLID && owner[nb as usize] != me {
+                    recv[me as usize].push((owner[nb as usize], nb));
                 }
             }
         }
-        let recv_sets: Vec<Vec<(u32, Vec<u32>)>> = recv
-            .into_iter()
-            .map(|m| {
-                m.into_iter()
-                    .map(|(owner, cells)| (owner, cells.into_iter().collect()))
-                    .collect()
+        // Halo rows rank by rank; `starts[r]..starts[r + 1]` are rank r's.
+        let (mut rows, mut starts, mut messages) = (Vec::new(), vec![0], Vec::new());
+        for set in &mut recv {
+            set.sort_unstable();
+            set.dedup();
+            for group in set.chunk_by(|a, b| a.0 == b.0) {
+                messages.push((group[0].0, group.len() as u64));
+            }
+            rows.extend_from_slice(set);
+            starts.push(rows.len());
+        }
+        let copy_of = |cell: usize, from: usize| {
+            let (me, them) = (owner[cell], owner[from]);
+            (me != them).then(|| {
+                let mine = &rows[starts[me as usize]..starts[me as usize + 1]];
+                let row = mine.binary_search(&(them, from as u32));
+                starts[me as usize] + row.expect("every remote read has a halo row")
             })
-            .collect();
+        };
+        let copies = rows.iter().map(|&(_, cell)| cell).collect();
+        let solver = Solver::with_halo(mesh, config, &Registry::new(), copies, copy_of);
 
-        let ledgers = vec![CommLedger::default(); assignment.n_ranks];
         let reg = hemocloud_obs::global();
         Self {
             solver,
-            assignment,
-            recv_sets,
-            ledgers,
+            messages,
+            ledgers: vec![CommLedger::default(); assignment.n_ranks],
             obs_halo_bytes: reg.counter("lbm.ranked.halo_bytes"),
             obs_halo_messages: reg.counter("lbm.ranked.halo_messages"),
             obs_steps: reg.counter("lbm.ranked.steps"),
@@ -157,28 +163,23 @@ impl RankedSolver {
     }
 
     fn clear_ledgers(&mut self) {
-        for ledger in &mut self.ledgers {
-            ledger.bytes_sent = 0;
-            ledger.messages_sent = 0;
-        }
+        self.ledgers.fill(CommLedger::default());
     }
 
-    /// Exchange phase: snapshot every boundary distribution into the
-    /// solver's halo and charge each sending rank's ledger — 19 values per
-    /// shipped point at the storage precision.
+    /// Exchange phase: refresh every halo row and charge each sending
+    /// rank's ledger — 19 values per shipped point at the storage
+    /// precision.
     fn exchange(&mut self) {
         self.clear_ledgers();
+        self.solver.exchange();
         let point_bytes = (Q19 * self.solver.config().kernel.precision.bytes()) as u64;
-        for groups in &self.recv_sets {
-            for (sender, cells) in groups {
-                self.solver.snapshot(cells);
-                let bytes = cells.len() as u64 * point_bytes;
-                let ledger = &mut self.ledgers[*sender as usize];
-                ledger.bytes_sent += bytes;
-                ledger.messages_sent += 1;
-                self.obs_halo_bytes.add(bytes);
-                self.obs_halo_messages.inc();
-            }
+        for &(sender, points) in &self.messages {
+            let bytes = points * point_bytes;
+            let ledger = &mut self.ledgers[sender as usize];
+            ledger.bytes_sent += bytes;
+            ledger.messages_sent += 1;
+            self.obs_halo_bytes.add(bytes);
+            self.obs_halo_messages.inc();
         }
     }
 
@@ -201,7 +202,7 @@ impl RankedSolver {
         } else {
             self.exchange();
         }
-        self.solver.advance(workers, Some(&self.assignment.owner));
+        self.solver.advance(workers);
         self.obs_steps.inc();
     }
 
@@ -241,8 +242,12 @@ impl RankedSolver {
 mod tests {
     use super::*;
     use crate::kernel::{KernelConfig, Layout, Precision, SimdPath};
-    use crate::solver::tests::{oracle_execs, oracle_meshes, stored_bits, ORACLE_STEPS};
+    use crate::solver::tests::{
+        check_table, lumpy_mesh, oracle_execs, oracle_meshes, randomize, reference_step,
+        stored_bits, ORACLE_STEPS,
+    };
     use hemocloud_geometry::anatomy::CylinderSpec;
+    use hemocloud_rt::check::{self, Config};
 
     fn cylinder_mesh() -> FluidMesh {
         let g = CylinderSpec::default()
@@ -265,9 +270,9 @@ mod tests {
         // check between the LBM and decomposition machinery: for all eight
         // runtime kernel configs, halo-mediated execution at every lane
         // type and 1/2/3/8 logical workers stores exactly the bits of the
-        // global scalar, one-worker solver — remote reads from the
-        // snapshot see the pre-step values the global solver reads in
-        // place. The halo ledgers are a pure function of mesh, assignment
+        // global scalar, one-worker solver — remote reads from the halo
+        // rows see the pre-step values the global solver reads in place.
+        // The halo ledgers are a pure function of mesh, assignment
         // and kernel, so they must be *equal* across all of those, not
         // merely equivalent.
         for (name, mesh) in oracle_meshes() {
@@ -281,12 +286,12 @@ mod tests {
                             kernel: KernelConfig::sparse_with_precision(prop, layout, precision),
                             ..Default::default()
                         };
-                        let mut global = Solver::new(mesh.clone(), config);
-                        global.bump_first_cell(0.01);
+                        let mut global_solver = Solver::new(mesh.clone(), config);
+                        global_solver.bump_first_cell(0.01);
                         for _ in 0..ORACLE_STEPS {
-                            global.step_with_workers(1);
+                            global_solver.step_with_workers(1);
                         }
-                        let global = stored_bits(&global);
+                        let global = stored_bits(&global_solver);
                         let mut ledgers: Option<Vec<CommLedger>> = None;
                         for simd in oracle_execs() {
                             for workers in [1usize, 2, 3, 8] {
@@ -307,6 +312,17 @@ mod tests {
                                     global == stored_bits(ranked.solver()),
                                     "ranked diverged from global: {what}"
                                 );
+                                if prop == Propagation::Ab {
+                                    // Reads through the halo rows reach the
+                                    // live slots they copy.
+                                    for cell in 0..mesh.len() {
+                                        assert_eq!(
+                                            global_solver.post_stream_macroscopics(cell),
+                                            ranked.solver().post_stream_macroscopics(cell),
+                                            "post-stream moments at cell {cell}: {what}"
+                                        );
+                                    }
+                                }
                                 let reference =
                                     ledgers.get_or_insert_with(|| ranked.ledgers.clone());
                                 assert_eq!(
@@ -319,6 +335,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slot_table_and_halo_match_the_per_read_reference_on_random_lumpy_meshes() {
+        // For every kernel config, on a global solver and on a random rank
+        // assignment: the slot table, its halo redirects and the scatter
+        // targets equal the per-read reference gather it replaced, and two
+        // steps (both AA parities) from random states store exactly the
+        // reference step's bits.
+        check::run(
+            "slot_table_and_halo_match_the_per_read_reference_on_random_lumpy_meshes",
+            Config::cases(48),
+            |rng| {
+                let mesh = lumpy_mesh(rng);
+                let n_ranks = rng.range_usize(2, 5);
+                let owner: Vec<u32> = (0..mesh.len())
+                    .map(|_| rng.range_usize(0, n_ranks) as u32)
+                    .collect();
+                for precision in [Precision::Double, Precision::Single] {
+                    for prop in [Propagation::Ab, Propagation::Aa] {
+                        for layout in [Layout::Aos, Layout::Soa] {
+                            let kernel =
+                                KernelConfig::sparse_with_precision(prop, layout, precision);
+                            let config = SolverConfig {
+                                parallel: false,
+                                kernel,
+                                ..Default::default()
+                            };
+                            let mut global = Solver::new_in(mesh.clone(), config, &Registry::new());
+                            let assignment = RankAssignment::new(owner.clone(), n_ranks);
+                            let mut ranked = RankedSolver::new(mesh.clone(), assignment, config);
+                            check_table(&global, &mesh, None);
+                            check_table(&ranked.solver, &mesh, Some(&owner));
+                            for step in 0..2 {
+                                randomize(&mut global, rng);
+                                let expected = reference_step(&global, &mesh);
+                                global.step_with_workers(1);
+                                assert!(
+                                    stored_bits(&global) == expected,
+                                    "{}: global step {step} left the reference",
+                                    kernel.name()
+                                );
+                                randomize(&mut ranked.solver, rng);
+                                let expected = reference_step(&ranked.solver, &mesh);
+                                ranked.step_with_workers(1);
+                                assert!(
+                                    stored_bits(&ranked.solver) == expected,
+                                    "{}: ranked step {step} left the reference",
+                                    kernel.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            },
+        );
     }
 
     #[test]

@@ -16,40 +16,61 @@
 //! resident bytes; `Quad` remains model-only):
 //!
 //! * **AB** ([`Propagation::Ab`]): two distribution arrays, pull-stream
-//!   from `f` into `f_tmp`, swap. Every step reads the full streaming
-//!   index row.
+//!   from `f` into `f_tmp`, swap. Every step reads the full slot table.
 //! * **AA** ([`Propagation::Aa`], Bailey et al.): one resident array
 //!   updated in place. The **even** step is purely cell-local — read the
 //!   cell's own row, collide, write back to the *opposite* slots; no
 //!   `f_tmp`, no index traffic. The **odd** step gathers each arriving
-//!   value from the `-c_q` neighbor's opposite slot through the streaming
-//!   index, collides, and scatters forward into the `+c_q` neighbors'
+//!   value from the `-c_q` neighbor's opposite slot through the slot
+//!   table, collides, and scatters forward into the `+c_q` neighbors'
 //!   slots. Averaged over a step pair the index traffic halves and the
 //!   second array disappears — exactly what
 //!   [`crate::access_profile::AccessProfile`] prices (the paper's "AA
 //!   shifted upwards from AB", §III-D).
-//! * **AoS / SoA** ([`Layout`]): `f[cell][q]` vs `f[q][cell]` storage,
-//!   monomorphized through [`LayoutIdx`] so the hot loop carries no
-//!   layout branch.
+//! * **AoS / SoA** ([`Layout`]): `f[cell][q]` vs `f[q][cell]` storage.
+//!
+//! ## The slot table
+//!
+//! Every read a step makes is resolved once, when the solver is built:
+//! [`Solver::new_in`] consumes its [`FluidMesh`] and rewrites the mesh's
+//! neighbor rows in place into a table of `u32` flat slot indices. Entry
+//! `cell · 19 + q` is the slot the value arriving at `cell` along `q`
+//! sits in — for AB the `-c_q` neighbor's slot `q`, for AA's odd step its
+//! slot `opposite(q)` — with bounce-back (a solid link reads the cell's
+//! own slot `opposite(q)` for AB, `q` for AA) and the layout already
+//! applied. AA's odd step scatters its post-collision value `q` to the
+//! entry at `opposite(q)`: per cell the write set *is* the read set. The
+//! even step reads the cell's own row and no table, so the index bytes
+//! [`crate::access_profile::AccessProfile`] prices stay the ones read.
+//!
+//! A ranked run ([`crate::ranked::RankedSolver`]) adds one 19-value halo
+//! row per received (rank, remote cell) pair, numbered after the live
+//! slots — row `k`'s slot `q` is table index `19 · (n + k) + q` — and an
+//! entry that reads another rank's cell points at the reading rank's row.
+//! The exchange refreshes the rows before a step. AA keeps them behind the
+//! live slots of its one array: the odd step reads and writes its halo
+//! slots in place, and after the sweep each written one goes back to the
+//! live slot it copies. AB's two arrays swap every step, so they keep
+//! exactly `19 · n` slots (the size other solvers free) and a read past
+//! the source array falls through to a separate halo array, off the
+//! gather's fast path. So a ranked step is the global sweep, with no owner
+//! test on any read. Entries are `u32`: the solver refuses a mesh whose
+//! slots, halo rows included, do not fit.
 //!
 //! ## One collide–stream body
 //!
 //! Every configuration above, at every lane width, runs the same function
-//! (`Sweep`'s `sweep`): gather a row per cell, collide `WIDTH` rows at
-//! once, scatter them. One precision's state is one `Lattice<R>`, and one
-//! step path (`Solver::advance`) drives it for global and ranked runs
-//! alike — [`crate::ranked::RankedSolver`] owns a `Solver` and adds only
-//! the exchange. The body is generic over three small things:
+//! (`Sweep`'s `sweep`): gather `WIDTH` cells direction by direction from
+//! the table into lanes, collide the lanes together, scatter each lane's
+//! row. One precision's state is one `Lattice<R>`, and one step path
+//! (`Solver::advance`) drives it for global and ranked runs alike. The
+//! body is generic over two small things:
 //!
-//! * a `Stream` (`AbPull`, `AaEven`, `AaOdd`) — *where* the value
-//!   arriving along `q` lives; that one function also fixes where an
-//!   in-place stream scatters;
+//! * a `Stream` (`AbPull`, `AaEven`, `AaOdd`) — whether the step reads the
+//!   table or the cell's own row, and whether it writes in place;
 //! * a lane type `V: Lane<R>` — `R` itself (`WIDTH = 1`) is the scalar
 //!   kernel, so remainder cells and the few inlet/outlet cells simply run
-//!   the `V = R` instantiation of the same code;
-//! * a `Remote` policy — `NoRemote` for a global step (compiles to
-//!   nothing), `Halo` for a ranked one: a slot owned by another rank is
-//!   read from the lattice's halo snapshot.
+//!   the `V = R` instantiation of the same code.
 //!
 //! ## AA in-place safety (and why the parallel sweep is race-free)
 //!
@@ -63,11 +84,13 @@
 //! so the update is in-place safe serially and race-free under any
 //! partition of the cell range — the owner-computes contract of
 //! [`hemocloud_rt::pool::Pool::par_owner_mut_workers`], the primitive every
-//! parallel path here runs on. AB writes only the destination array's
-//! own row `(c, q)`, disjoint for the same reason. Within a run cells are
-//! visited in ascending order and each cell's arithmetic is a pure
-//! function of the pre-step state, so parallel and serial steps are
-//! bit-identical at any logical worker count.
+//! parallel path here runs on. A halo copy slot is in exactly one cell's
+//! set too, and the live slot it stands for is then in no set, so writing
+//! the copy back after the sweep gives the global step's bits. AB writes
+//! only the destination array's own row `(c, q)`, disjoint for the same
+//! reason. Within a run cells are visited in ascending order and each
+//! cell's arithmetic is a pure function of the pre-step state, so parallel
+//! and serial steps are bit-identical at any logical worker count.
 //!
 //! ## Wide lanes are bit-neutral too
 //!
@@ -92,7 +115,9 @@
 //!    movement.
 //!
 //! One table-driven oracle test per solver holds every kernel config ×
-//! lane type × worker count to the scalar, one-worker run.
+//! lane type × worker count to the scalar, one-worker run; a property test
+//! holds the table, its halo redirects and one step of every config to the
+//! per-read reference gather it replaced.
 
 use crate::equilibrium::{equilibrium_v, macroscopics_d3q19, macroscopics_v};
 use crate::kernel::{
@@ -174,95 +199,88 @@ pub struct RunStats {
 
 /// Everything a step reads or writes at element precision `R`.
 struct Lattice<R> {
-    /// Distributions, in the configured layout.
+    /// Distributions: the `19 · n` live slots in the configured layout;
+    /// for ranked AA, then the halo rows (module docs).
     f: Vec<R>,
-    /// Second distribution array — AB only; AA runs in place and this
-    /// stays empty (half the resident solver memory).
+    /// Second distribution array, `19 · n` slots — AB only; AA runs in
+    /// place and this stays empty (half the resident solver memory).
     f_tmp: Vec<R>,
+    /// Ranked AB's halo rows (module docs); empty otherwise.
+    halo: Vec<R>,
     /// Per-cell slot into `inlet_vel` (`u32::MAX` for non-inlet cells).
     inlet_slot: Vec<u32>,
     /// Prescribed velocity of each inlet cell: the f64 Poiseuille profile
     /// rounded once to `R`.
     inlet_vel: Vec<[R; 3]>,
-    /// The exchange-phase copy of the slots other ranks read, indexed like
-    /// `f`. Empty until a ranked run's first [`Solver::snapshot`].
-    halo: Vec<R>,
 }
 
 impl<R: Real> Lattice<R> {
-    /// The rest state (`ρ = 1`, `u = 0`) of `mesh` under `config`.
-    fn new(mesh: &FluidMesh, config: &SolverConfig) -> Self {
+    /// The rest state (`ρ = 1`, `u = 0`) of `mesh` under `config`, with
+    /// room for `copies` halo rows.
+    fn new(mesh: &FluidMesh, config: &SolverConfig, copies: usize) -> Self {
         // The distribution arrays first: allocating the small inlet vectors
         // ahead of them measured ~4x slower construction on a 42k-cell mesh.
-        let f = rest_distributions(config.kernel.layout, mesh.len());
-        let f_tmp = match config.kernel.propagation {
-            Propagation::Ab => f.clone(),
-            Propagation::Aa => Vec::new(),
-        };
+        // AA's halo rows follow its live slots; AB's two arrays swap every
+        // step, so theirs sit apart in `halo`.
+        let aa = config.kernel.propagation == Propagation::Aa;
+        let layout = config.kernel.layout;
+        let f = rest_distributions(layout, mesh.len(), if aa { copies } else { 0 });
+        let f_tmp = if aa { Vec::new() } else { f.clone() };
+        let halo = vec![R::ZERO; if aa { 0 } else { copies * Q19 }];
         let (inlet_slot, inlet_vel) = poiseuille_profile_for(mesh, config);
         Self {
             f,
             f_tmp,
+            halo,
             inlet_slot,
             inlet_vel: inlet_vel.iter().map(|v| v.map(R::from_f64)).collect(),
-            halo: Vec::new(),
         }
     }
 
-    /// Bytes held in `f` and `f_tmp`.
-    fn distribution_bytes(&self) -> usize {
-        (self.f.len() + self.f_tmp.len()) * std::mem::size_of::<R>()
+    /// Bytes of the live slots of `f` and `f_tmp` over `n` cells.
+    fn distribution_bytes(&self, n: usize) -> usize {
+        (1 + usize::from(!self.f_tmp.is_empty())) * n * Q19 * std::mem::size_of::<R>()
     }
 
-    /// One timestep (module docs), reading other ranks' slots from `halo`
-    /// when `owner` assigns cells to ranks.
+    /// One timestep (module docs) through `table`; after AA's odd sweep,
+    /// each `(copy, live)` slot pair of `write_backs` returns the copy.
     fn advance(
         &mut self,
-        mesh: &FluidMesh,
+        table: &[u32],
         kinds: &KindLists,
         config: &SolverConfig,
         even: bool,
         workers: usize,
-        owner: Option<&[u32]>,
+        write_backs: &[(u32, u32)],
     ) {
-        let (inlet_slot, inlet_vel) = (&self.inlet_slot[..], &self.inlet_vel[..]);
-        let omega = R::from_f64(1.0 / config.tau);
-        let (kernel, simd, f, f_tmp) = (&config.kernel, config.simd, &mut self.f, &mut self.f_tmp);
-        match owner {
-            None => Sweep {
-                mesh,
-                kinds,
-                omega,
-                inlet_slot,
-                inlet_vel,
-                remote: NoRemote,
+        let table = table.as_chunks().0;
+        let sweep = Sweep {
+            table,
+            n: table.len(),
+            halo: &self.halo,
+            kinds,
+            omega: R::from_f64(1.0 / config.tau),
+            inlet_slot: &self.inlet_slot,
+            inlet_vel: &self.inlet_vel,
+        };
+        let (kernel, simd) = (&config.kernel, config.simd);
+        sweep.advance(kernel, even, simd, &mut self.f, &mut self.f_tmp, workers);
+        if kernel.propagation == Propagation::Aa && !even {
+            for &(copy, live) in write_backs {
+                self.f[live as usize] = self.f[copy as usize];
             }
-            .advance(kernel, even, simd, f, f_tmp, workers),
-            Some(owner) => Sweep {
-                mesh,
-                kinds,
-                omega,
-                inlet_slot,
-                inlet_vel,
-                remote: Halo {
-                    owner,
-                    snapshot: &self.halo,
-                },
-            }
-            .advance(kernel, even, simd, f, f_tmp, workers),
         }
     }
 
-    /// Copy every distribution of `cells` from `f` into `halo`.
-    fn snapshot(&mut self, layout: Layout, n: usize, cells: &[u32]) {
-        if self.halo.is_empty() {
-            // Zeroed allocation: only the snapshotted rows ever get touched.
-            self.halo = vec![R::ZERO; self.f.len()];
-        }
-        for &cell in cells {
-            for q in 0..Q19 {
-                let i = flat_index(layout, cell as usize, q, n);
-                self.halo[i] = self.f[i];
+    /// Copy the row of `cells[k]` into halo row `k`, for every `k`.
+    fn exchange<L: LayoutIdx>(&mut self, n: usize, cells: &[u32]) {
+        let (live, rows) = match self.f_tmp.is_empty() {
+            true => self.f.split_at_mut(n * Q19),
+            false => (&mut self.f[..], &mut self.halo[..]),
+        };
+        for (row, &cell) in rows.chunks_exact_mut(Q19).zip(cells) {
+            for (q, v) in row.iter_mut().enumerate() {
+                *v = live[L::at(cell as usize, q, n)];
             }
         }
     }
@@ -276,7 +294,17 @@ enum Store {
 
 /// The flow solver.
 pub struct Solver {
-    mesh: FluidMesh,
+    /// Fluid cells; the live slots are `0..19 · n`.
+    n: usize,
+    /// The slot table (module docs): entry `cell · 19 + q` is the flat slot
+    /// AB and AA's odd step read for direction `q`.
+    table: Vec<u32>,
+    /// A ranked run's halo rows: row `k` copies cell `copies[k]`. Empty
+    /// for a global run.
+    copies: Vec<u32>,
+    /// Ranked AA only: the `(copy, live)` slot pair of every table entry
+    /// that points into a halo row.
+    write_backs: Vec<(u32, u32)>,
     /// Distributions and inlet data at the configured precision.
     store: Store,
     config: SolverConfig,
@@ -354,8 +382,9 @@ impl KindList {
 }
 
 /// Per-kind cell lists. `bulk` holds every cell that takes the plain BGK
-/// collide path (bulk *and* wall fluid — bounce-back is handled in the
-/// gather); `inlet` and `outlet` hold the Dirichlet/zero-pressure cells.
+/// collide path (bulk *and* wall fluid — bounce-back is resolved in the
+/// slot table); `inlet` and `outlet` hold the Dirichlet/zero-pressure
+/// cells.
 pub(crate) struct KindLists {
     pub(crate) bulk: KindList,
     pub(crate) inlet: KindList,
@@ -384,7 +413,7 @@ const PARALLEL_THRESHOLD: usize = 8192;
 
 /// Flat index of `(cell, q)` for a runtime [`Layout`] value — the
 /// non-monomorphized twin of [`LayoutIdx::at`], for cold paths
-/// (initialization, readouts, halo snapshots).
+/// (initialization and readouts).
 #[inline]
 fn flat_index(layout: Layout, cell: usize, q: usize, n: usize) -> usize {
     match layout {
@@ -395,9 +424,9 @@ fn flat_index(layout: Layout, cell: usize, q: usize, n: usize) -> usize {
 
 /// Rest-equilibrium initial distributions for an `n`-cell mesh in the
 /// given layout, at the element precision (f32 rests are the once-rounded
-/// weights).
-fn rest_distributions<R: Real>(layout: Layout, n: usize) -> Vec<R> {
-    let mut f = vec![R::ZERO; n * Q19];
+/// weights), followed by `copies` zeroed halo rows.
+fn rest_distributions<R: Real>(layout: Layout, n: usize, copies: usize) -> Vec<R> {
+    let mut f = vec![R::ZERO; (n + copies) * Q19];
     for cell in 0..n {
         for q in 0..Q19 {
             f[flat_index(layout, cell, q, n)] = R::W19[q];
@@ -406,8 +435,58 @@ fn rest_distributions<R: Real>(layout: Layout, n: usize) -> Vec<R> {
     f
 }
 
-/// Where one propagation step finds the value arriving at a cell — the
-/// whole difference between AB, AA-even and AA-odd.
+/// The slots a solver over `cells` fluid cells and `copies` halo rows
+/// addresses: every slot-table entry is below it.
+///
+/// # Panics
+/// When the count does not fit the table's `u32` entries; the message
+/// names it.
+fn slot_count(cells: usize, copies: usize) -> usize {
+    let (slots, most) = ((cells + copies) as u128 * Q19 as u128, u32::MAX);
+    assert!(
+        slots <= most.into(),
+        "{cells} cells and {copies} halo rows need {slots} slots; u32 entries address at most {most}"
+    );
+    slots as usize
+}
+
+/// Rewrite the neighbor rows in `table` in place into the slot table of
+/// `propagation` over `n` cells (module docs). `copy_of(cell, from)` names
+/// the halo row a read of `from`'s slots by `cell` takes, `None` for the
+/// live slot; halo row `k`'s slot `q` is entry `19 · (n + k) + q`. Returns,
+/// for AA, the `(copy, live)` pair of every entry sent to a halo row.
+fn resolve<L: LayoutIdx>(
+    table: &mut [u32],
+    n: usize,
+    propagation: Propagation,
+    copy_of: impl Fn(usize, usize) -> Option<usize>,
+) -> Vec<(u32, u32)> {
+    let aa = propagation == Propagation::Aa;
+    let mut write_backs = Vec::new();
+    for (cell, entries) in table.as_chunks_mut::<Q19>().0.iter_mut().enumerate() {
+        let row = *entries;
+        for (q, entry) in entries.iter_mut().enumerate() {
+            // AB pulls the `-c_q` neighbor's slot `q`, AA's odd step its
+            // slot `opposite(q)`; a solid link reflects the cell's own
+            // opposite value (AB) or folds onto its own slot `q` (AA).
+            let (from, dir) = match (row[opposite(q)], aa) {
+                (SOLID, false) => (cell, opposite(q)),
+                (SOLID, true) => (cell, q),
+                (nb, false) => (nb as usize, q),
+                (nb, true) => (nb as usize, opposite(q)),
+            };
+            let live = L::at(from, dir, n) as u32;
+            *entry = copy_of(cell, from).map_or(live, |k| ((n + k) * Q19 + dir) as u32);
+            if aa && *entry != live {
+                write_backs.push((*entry, live));
+            }
+        }
+    }
+    write_backs
+}
+
+/// Where one propagation step reads and writes — the whole difference
+/// between AB, AA-even and AA-odd.
 pub(crate) trait Stream {
     /// The step updates the one resident array in place (AA) instead of
     /// pulling from a source array into the cell's own row of a
@@ -415,23 +494,18 @@ pub(crate) trait Stream {
     /// the slot it gathered `opposite(q)` from: per cell the write set
     /// *is* the read set (module docs).
     const IN_PLACE: bool;
-    /// `(cell, direction)` of the slot holding the value that arrives at
-    /// `cell` along `q`, given the cell's neighbor row.
-    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize);
+    /// The flat slot holding the value that arrives at `cell` along `q`,
+    /// given the cell's slot-table row.
+    fn slot<L: LayoutIdx>(row: &[u32; Q19], n: usize, cell: usize, q: usize) -> usize;
 }
 
-/// AB pull: the value arriving along `q` sits in the `-c_q` neighbor's
-/// slot `q`; a solid link reflects the cell's own opposite-direction
-/// value from the previous step.
+/// AB pull: the slot-table entry, read from the source array.
 pub(crate) struct AbPull;
 impl Stream for AbPull {
     const IN_PLACE: bool = false;
     #[inline(always)]
-    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
-        match row[opposite(q)] {
-            SOLID => (cell, opposite(q)),
-            nb => (nb as usize, q),
-        }
+    fn slot<L: LayoutIdx>(row: &[u32; Q19], _n: usize, _cell: usize, q: usize) -> usize {
+        row[q] as usize
     }
 }
 
@@ -440,57 +514,18 @@ pub(crate) struct AaEven;
 impl Stream for AaEven {
     const IN_PLACE: bool = true;
     #[inline(always)]
-    fn source(_row: &[u32], cell: usize, q: usize) -> (usize, usize) {
-        (cell, q)
+    fn slot<L: LayoutIdx>(_row: &[u32; Q19], n: usize, cell: usize, q: usize) -> usize {
+        L::at(cell, q, n)
     }
 }
 
-/// AA odd step: the value arriving along `q` sits in the `-c_q` neighbor's
-/// *opposite* slot (where the even step left it); bounce-back folds onto
-/// the cell's own slot `q`.
+/// AA odd step: the slot-table entry, read and written in place.
 pub(crate) struct AaOdd;
 impl Stream for AaOdd {
     const IN_PLACE: bool = true;
     #[inline(always)]
-    fn source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
-        match row[opposite(q)] {
-            SOLID => (cell, q),
-            nb => (nb as usize, opposite(q)),
-        }
-    }
-}
-
-/// Which gathered slots a cell may not read from the live array.
-trait Remote<R>: Sync {
-    /// `Some(value)` when `cell` must take slot `idx` of cell `from` out
-    /// of a snapshot; `None` reads the live array.
-    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<R>;
-}
-
-/// A global step's policy: every read is live. Monomorphizes away.
-struct NoRemote;
-impl<R> Remote<R> for NoRemote {
-    #[inline(always)]
-    fn fetch(&self, _cell: usize, _from: usize, _idx: usize) -> Option<R> {
-        None
-    }
-}
-
-/// A ranked step's policy: a slot owned by another rank is read from the
-/// exchange-phase snapshot, never from the live array — so a rank cannot
-/// observe another rank's *current-step* writes.
-struct Halo<'a, R> {
-    /// Rank of each cell.
-    owner: &'a [u32],
-    /// Indexed like the distribution array; valid only for cells in some
-    /// rank's receive set.
-    snapshot: &'a [R],
-}
-
-impl<R: Copy + Sync> Remote<R> for Halo<'_, R> {
-    #[inline(always)]
-    fn fetch(&self, cell: usize, from: usize, idx: usize) -> Option<R> {
-        (self.owner[from] != self.owner[cell]).then(|| self.snapshot[idx])
+    fn slot<L: LayoutIdx>(row: &[u32; Q19], _n: usize, _cell: usize, q: usize) -> usize {
+        row[q] as usize
     }
 }
 
@@ -507,10 +542,12 @@ enum Kind {
     Outlet,
 }
 
-/// The distribution arrays of one sweep: [`AbPull`] reads `src` and writes
-/// `dst`; the in-place streams read and write `dst` and get an empty `src`.
+/// The distribution arrays of one sweep: [`AbPull`] reads `src` and, past
+/// its end, `halo`, and writes `dst`; the in-place streams read and write
+/// `dst` and get an empty `src` and `halo`.
 struct Arrays<'a, R> {
     src: &'a [R],
+    halo: &'a [R],
     dst: &'a DisjointMut<'a, R>,
 }
 
@@ -519,10 +556,20 @@ impl<R: Real> Arrays<'_, R> {
     fn read<S: Stream>(&self, idx: usize) -> R {
         if S::IN_PLACE {
             // SAFETY: `idx` is a slot of the gathering cell's own slot set,
-            // which no other cell reads or writes this step (module docs).
+            // which no other cell reads or writes this step (module docs);
+            // every table entry is below `slot_count`, the array's length.
             unsafe { self.dst.read(idx) }
         } else {
-            self.src[idx]
+            match self.src.get(idx) {
+                Some(&v) => v,
+                None => {
+                    // A ranked run's halo row: kept off the gather's fast
+                    // path (inline, it cost the AB rows a tenth of their
+                    // gain).
+                    std::hint::cold_path();
+                    self.halo[idx - self.src.len()]
+                }
+            }
         }
     }
 }
@@ -532,54 +579,30 @@ impl<R: Real> Arrays<'_, R> {
 const VEC_MAXW: usize = 8;
 
 /// Everything one collide–stream sweep reads besides the distribution
-/// arrays, plus the remote-read policy that tells a global step from a
-/// ranked one.
-struct Sweep<'a, R, Rm> {
-    mesh: &'a FluidMesh,
+/// arrays.
+struct Sweep<'a, R> {
+    /// The slot table, one row per cell.
+    table: &'a [[u32; Q19]],
+    /// Fluid cells.
+    n: usize,
+    /// Ranked AB's halo rows, read past the end of the source array.
+    halo: &'a [R],
     kinds: &'a KindLists,
     omega: R,
     inlet_slot: &'a [u32],
     inlet_vel: &'a [[R; 3]],
-    remote: Rm,
 }
 
-impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
-    /// The row arriving at `cell`: one [`Stream::source`] slot per
-    /// direction, remote ones through the [`Remote`] policy.
+impl<R: Real> Sweep<'_, R> {
+    /// The slot `cell`'s post-collision value `q` goes to: its own row of
+    /// the destination array for AB; for an in-place stream, the slot it
+    /// gathered `opposite(q)` from.
     #[inline(always)]
-    fn gather<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, cell: usize) -> [R; Q19] {
-        let n = self.mesh.len();
-        let row = self.mesh.neighbor_row(cell);
-        let mut fin = [R::ZERO; Q19];
-        for (q, v) in fin.iter_mut().enumerate() {
-            let (from, fq) = S::source(row, cell, q);
-            let idx = L::at(from, fq, n);
-            *v = match self.remote.fetch(cell, from, idx) {
-                Some(snapshot) => snapshot,
-                None => a.read::<S>(idx),
-            };
-        }
-        fin
-    }
-
-    /// Store `cell`'s post-update row: AB into its own row of the
-    /// destination array, in-place streams forward into the slots the
-    /// gather read (fully read before the first write).
-    #[inline(always)]
-    // `q` is the direction the destination slot is computed from, not just `out`'s index.
-    #[allow(clippy::needless_range_loop)]
-    fn scatter<S: Stream, L: LayoutIdx>(&self, a: &Arrays<'_, R>, cell: usize, out: &[R; Q19]) {
-        let n = self.mesh.len();
-        let row = self.mesh.neighbor_row(cell);
-        for q in 0..Q19 {
-            let (to, tq) = if S::IN_PLACE {
-                S::source(row, cell, opposite(q))
-            } else {
-                (cell, q)
-            };
-            // SAFETY: the slot belongs to `cell`'s slot set alone — its own
-            // destination row for AB, its gather set for AA (module docs).
-            unsafe { a.dst.write(L::at(to, tq, n), out[q]) };
+    fn target<S: Stream, L: LayoutIdx>(&self, row: &[u32; Q19], cell: usize, q: usize) -> usize {
+        if S::IN_PLACE {
+            S::slot::<L>(row, self.n, cell, opposite(q))
+        } else {
+            L::at(cell, q, self.n)
         }
     }
 
@@ -615,14 +638,16 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
     }
 
     /// **The** collide–stream body: from `list[start..]`, take `V::WIDTH`
-    /// cells at a time — gather each cell's row into a lane, collide the
-    /// lanes together, scatter each lane — and return the index of the
-    /// first cell left over (fewer than `WIDTH` remain).
+    /// cells at a time — gather them direction by direction into lanes,
+    /// collide the lanes together, scatter each lane's row — and return
+    /// the index of the first cell left over (fewer than `WIDTH` remain).
     ///
     /// Deferring a lane's scatter past another lane's gather cannot change
     /// what either observes: AB gathers never read the destination array,
     /// and distinct cells' AA slot sets are pairwise disjoint.
     #[inline(always)]
+    // `lane` indexes three arrays, not just the one the loop walks.
+    #[allow(clippy::needless_range_loop)]
     fn sweep<V: Lane<R>, S: Stream, L: LayoutIdx>(
         &self,
         a: &Arrays<'_, R>,
@@ -630,37 +655,36 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
         list: &[u32],
         start: usize,
     ) -> usize {
-        let w = V::WIDTH;
+        let (w, n) = (V::WIDTH, self.n);
         debug_assert!(w <= VEC_MAXW);
         let mut i = start;
         while i + w <= list.len() {
             let cells = &list[i..i + w];
-            // Staged lane-outer: `staged[q][lane]` is lane `lane`'s direction
-            // `q`. Staging moves bytes, never arithmetic. Transposing while
-            // gathering is deliberate: staging whole rows per lane and
-            // transposing at `V::load` measured −30% on the 8-lane f32 rows.
-            let mut staged = [[R::ZERO; VEC_MAXW]; Q19];
-            for (lane, &cell) in cells.iter().enumerate() {
-                let row = self.gather::<S, L>(a, cell as usize);
-                for q in 0..Q19 {
-                    staged[q][lane] = row[q];
+            let mut rows = [&[0u32; Q19]; VEC_MAXW];
+            for (row, &cell) in rows.iter_mut().zip(cells) {
+                *row = &self.table[cell as usize];
+            }
+            let fin: [V; Q19] = std::array::from_fn(|q| {
+                let mut lanes = [R::ZERO; VEC_MAXW];
+                for lane in 0..w {
+                    lanes[lane] = a.read::<S>(S::slot::<L>(rows[lane], n, cells[lane] as usize, q));
                 }
+                V::load(&lanes)
+            });
+            let mut fout = [[R::ZERO; VEC_MAXW]; Q19];
+            for (out, v) in fout.iter_mut().zip(self.collide::<V>(kind, cells, &fin)) {
+                v.store(out);
             }
-            let mut fin = [V::splat(R::ZERO); Q19];
-            for q in 0..Q19 {
-                fin[q] = V::load(&staged[q]);
-            }
-            let fout = self.collide::<V>(kind, cells, &fin);
-            let mut staged = [[R::ZERO; VEC_MAXW]; Q19];
-            for q in 0..Q19 {
-                fout[q].store(&mut staged[q]);
-            }
-            for (lane, &cell) in cells.iter().enumerate() {
-                let mut row = [R::ZERO; Q19];
-                for q in 0..Q19 {
-                    row[q] = staged[q][lane];
+            // Each lane's row in turn: measured 4-5% faster than direction
+            // by direction on the AB rows beyond L3, no slower in cache.
+            for lane in 0..w {
+                for (q, out) in fout.iter().enumerate() {
+                    let to = self.target::<S, L>(rows[lane], cells[lane] as usize, q);
+                    // SAFETY: the slot belongs to `cell`'s slot set alone —
+                    // its own destination row for AB, its gather set for AA
+                    // (module docs) — and is below `slot_count`.
+                    unsafe { a.dst.write(to, out[lane]) };
                 }
-                self.scatter::<S, L>(a, cell as usize, &row);
             }
             i += w;
         }
@@ -695,8 +719,12 @@ impl<R: Real, Rm: Remote<R>> Sweep<'_, R, Rm> {
         dst: &mut [R],
         workers: usize,
     ) {
-        pool::global().par_owner_mut_workers(dst, self.mesh.len(), workers, |cells, dst| {
-            let a = Arrays { src, dst };
+        pool::global().par_owner_mut_workers(dst, self.n, workers, |cells, dst| {
+            let a = Arrays {
+                src,
+                halo: self.halo,
+                dst,
+            };
             match simd {
                 SimdPath::Scalar => self.update_range::<R, S, L>(&a, cells),
                 SimdPath::Vector => self.update_range::<R::Wide, S, L>(&a, cells),
@@ -754,22 +782,52 @@ impl Solver {
         Self::new_in(mesh, config, hemocloud_obs::global())
     }
 
-    /// [`Solver::new`] with an explicit metrics registry.
+    /// [`Solver::new`] with an explicit metrics registry. The mesh's
+    /// neighbor rows become the slot table (module docs).
+    ///
+    /// # Panics
+    /// On a bad `config`, or when the mesh's slots do not fit `u32`
+    /// table entries.
     pub fn new_in(mesh: FluidMesh, config: SolverConfig, registry: &Registry) -> Self {
+        Self::with_halo(mesh, config, registry, Vec::new(), |_, _| None)
+    }
+
+    /// [`Solver::new_in`] for a ranked run: halo row `k` copies cell
+    /// `copies[k]`, and `copy_of(cell, from)` names the halo row `cell`
+    /// reads `from`'s slots through (`None` reads them live).
+    pub(crate) fn with_halo(
+        mesh: FluidMesh,
+        config: SolverConfig,
+        registry: &Registry,
+        copies: Vec<u32>,
+        copy_of: impl Fn(usize, usize) -> Option<usize>,
+    ) -> Self {
         config.check();
         assert!(
             config.kernel.precision != Precision::Quad,
             "Quad precision is model-only; runtime storage is f32 or f64"
         );
+        let n = mesh.len();
+        slot_count(n, copies.len());
         let store = match config.kernel.precision {
-            Precision::Single => Store::F32(Lattice::new(&mesh, &config)),
-            _ => Store::F64(Lattice::new(&mesh, &config)),
+            Precision::Single => Store::F32(Lattice::new(&mesh, &config, copies.len())),
+            _ => Store::F64(Lattice::new(&mesh, &config, copies.len())),
+        };
+        let kinds = KindLists::build(&mesh);
+        let mut table = mesh.into_neighbors();
+        let propagation = config.kernel.propagation;
+        let write_backs = match config.kernel.layout {
+            Layout::Aos => resolve::<AosIdx>(&mut table, n, propagation, copy_of),
+            Layout::Soa => resolve::<SoaIdx>(&mut table, n, propagation, copy_of),
         };
         Self {
-            kinds: KindLists::build(&mesh),
-            mesh,
+            n,
+            table,
+            copies,
+            write_backs,
             store,
             config,
+            kinds,
             steps_taken: 0,
             obs: SolverObs::from_registry(registry),
         }
@@ -837,11 +895,6 @@ fn poiseuille_profile_for(mesh: &FluidMesh, config: &SolverConfig) -> (Vec<u32>,
 }
 
 impl Solver {
-    /// The mesh being simulated.
-    pub fn mesh(&self) -> &FluidMesh {
-        &self.mesh
-    }
-
     /// Solver configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
@@ -864,13 +917,13 @@ impl Solver {
 
     /// Bytes resident in distribution arrays (`f` plus `f_tmp` when the
     /// propagation pattern allocates it), at the configured storage
-    /// precision. AA configs hold exactly one array — the "halved solver
-    /// memory" the per-task accounting in
-    /// `hemocloud_decomp::halo::resident_bytes_per_task` prices.
+    /// precision. AA configs hold exactly one array — the "halved solver memory" the per-task
+    /// accounting in `hemocloud_decomp::halo::resident_bytes_per_task`
+    /// prices.
     pub fn distribution_bytes(&self) -> usize {
         match &self.store {
-            Store::F64(lattice) => lattice.distribution_bytes(),
-            Store::F32(lattice) => lattice.distribution_bytes(),
+            Store::F64(lattice) => lattice.distribution_bytes(self.n),
+            Store::F32(lattice) => lattice.distribution_bytes(self.n),
         }
     }
 
@@ -884,7 +937,7 @@ impl Solver {
     /// when parallelism is enabled and the mesh is large enough to amortize
     /// the dispatch, else one.
     pub(crate) fn default_workers(&self) -> usize {
-        if self.config.parallel && self.mesh.len() >= PARALLEL_THRESHOLD {
+        if self.config.parallel && self.n >= PARALLEL_THRESHOLD {
             pool::global().threads()
         } else {
             1
@@ -902,31 +955,33 @@ impl Solver {
     /// tests can pin the schedule without a host-width pool.
     pub fn step_with_workers(&mut self, workers: usize) {
         let start = std::time::Instant::now();
-        self.advance(workers, None);
+        self.advance(workers);
         self.obs.record_step(&self.kinds, start.elapsed().as_secs_f64());
     }
 
     /// The one step path of global and ranked runs, recording no metrics.
-    /// With `owner` (the rank of each cell), a read of another rank's slot
-    /// comes from the halo [`Solver::snapshot`] took, not the live array.
-    pub(crate) fn advance(&mut self, workers: usize, owner: Option<&[u32]>) {
+    /// A ranked step reads other ranks' cells from the halo copies
+    /// [`Solver::exchange`] refreshed.
+    pub(crate) fn advance(&mut self, workers: usize) {
         let even = self.steps_taken.is_multiple_of(2);
-        let (mesh, kinds, config) = (&self.mesh, &self.kinds, &self.config);
+        let (table, kinds, config) = (&self.table[..], &self.kinds, &self.config);
+        let write_backs = &self.write_backs[..];
         match &mut self.store {
-            Store::F64(lattice) => lattice.advance(mesh, kinds, config, even, workers, owner),
-            Store::F32(lattice) => lattice.advance(mesh, kinds, config, even, workers, owner),
+            Store::F64(l) => l.advance(table, kinds, config, even, workers, write_backs),
+            Store::F32(l) => l.advance(table, kinds, config, even, workers, write_backs),
         }
         self.steps_taken += 1;
     }
 
-    /// The exchange phase of a ranked step: copy every distribution of
-    /// `cells` into the halo snapshot that [`Solver::advance`] reads other
-    /// ranks' slots from.
-    pub(crate) fn snapshot(&mut self, cells: &[u32]) {
-        let (layout, n) = (self.config.kernel.layout, self.mesh.len());
-        match &mut self.store {
-            Store::F64(lattice) => lattice.snapshot(layout, n, cells),
-            Store::F32(lattice) => lattice.snapshot(layout, n, cells),
+    /// The exchange phase of a ranked step: copy every halo row's cell
+    /// into it, so [`Solver::advance`] reads the values of the exchange.
+    pub(crate) fn exchange(&mut self) {
+        let (n, cells) = (self.n, &self.copies[..]);
+        match (&mut self.store, self.config.kernel.layout) {
+            (Store::F64(l), Layout::Aos) => l.exchange::<AosIdx>(n, cells),
+            (Store::F64(l), Layout::Soa) => l.exchange::<SoaIdx>(n, cells),
+            (Store::F32(l), Layout::Aos) => l.exchange::<AosIdx>(n, cells),
+            (Store::F32(l), Layout::Soa) => l.exchange::<SoaIdx>(n, cells),
         }
     }
 
@@ -937,7 +992,7 @@ impl Solver {
             self.step();
         }
         let seconds = start.elapsed().as_secs_f64();
-        let updates = steps * self.mesh.len() as u64;
+        let updates = steps * self.n as u64;
         RunStats {
             updates,
             seconds,
@@ -959,12 +1014,13 @@ impl Solver {
             self.in_natural_order(),
             "AA state is only readable after an even number of steps"
         );
-        let (layout, n) = (self.config.kernel.layout, self.mesh.len());
+        let (layout, n) = (self.config.kernel.layout, self.n);
         // Widen the stored row once; the moment arithmetic then runs in f64
         // so readout roundoff never stacks on f32 storage roundoff.
+        let slot = |q| flat_index(layout, cell, q, n);
         let row = match &self.store {
-            Store::F64(lattice) => widen_row(&lattice.f, layout, cell, n),
-            Store::F32(lattice) => widen_row(&lattice.f, layout, cell, n),
+            Store::F64(lattice) => widen(&lattice.f, slot),
+            Store::F32(lattice) => widen(&lattice.f, slot),
         };
         macroscopics_d3q19(&row)
     }
@@ -987,23 +1043,27 @@ impl Solver {
             matches!(self.config.kernel.propagation, Propagation::Ab),
             "post-stream readout is defined for AB configs"
         );
-        let n = self.mesh.len();
-        let layout = self.config.kernel.layout;
+        let (layout, n) = (self.config.kernel.layout, self.n);
+        // A halo row is read through to the live slots it copies.
+        let slot = |q| match self.table[cell * Q19 + q] as usize {
+            live if live < n * Q19 => live,
+            copy => flat_index(layout, self.copies[copy / Q19 - n] as usize, copy % Q19, n),
+        };
         let fin = match &self.store {
-            Store::F64(lattice) => widen_gather(&self.mesh, &lattice.f, layout, cell, n),
-            Store::F32(lattice) => widen_gather(&self.mesh, &lattice.f, layout, cell, n),
+            Store::F64(lattice) => widen(&lattice.f, slot),
+            Store::F32(lattice) => widen(&lattice.f, slot),
         };
         macroscopics_d3q19(&fin)
     }
 
     /// Total mass (sum of densities over all cells).
     pub fn total_mass(&self) -> f64 {
-        (0..self.mesh.len()).map(|c| self.macroscopics(c).0).sum()
+        (0..self.n).map(|c| self.macroscopics(c).0).sum()
     }
 
     /// Maximum velocity magnitude over all cells.
     pub fn max_velocity(&self) -> f64 {
-        (0..self.mesh.len())
+        (0..self.n)
             .map(|c| {
                 let (_, ux, uy, uz) = self.macroscopics(c);
                 (ux * ux + uy * uy + uz * uz).sqrt()
@@ -1020,7 +1080,7 @@ impl Solver {
     /// [`Solver::distributions_f32`].
     pub fn distributions(&self) -> &[f64] {
         match &self.store {
-            Store::F64(lattice) => &lattice.f,
+            Store::F64(lattice) => &lattice.f[..self.n * Q19],
             Store::F32(_) => {
                 panic!("distributions() is f64; this solver stores f32 — use distributions_f32()")
             }
@@ -1034,7 +1094,7 @@ impl Solver {
     /// Panics for f64 solvers.
     pub fn distributions_f32(&self) -> &[f32] {
         match &self.store {
-            Store::F32(lattice) => &lattice.f,
+            Store::F32(lattice) => &lattice.f[..self.n * Q19],
             Store::F64(_) => {
                 panic!("distributions_f32() is f32; this solver stores f64 — use distributions()")
             }
@@ -1057,26 +1117,9 @@ impl Solver {
     }
 }
 
-/// One cell's stored row in natural direction order, widened to f64.
-fn widen_row<R: Real>(f: &[R], layout: Layout, cell: usize, n: usize) -> [f64; Q19] {
-    std::array::from_fn(|q| f[flat_index(layout, cell, q, n)].to_f64())
-}
-
-/// Post-stream gather of one cell's row, widened to f64 for readout.
-fn widen_gather<R: Real>(
-    mesh: &FluidMesh,
-    f: &[R],
-    layout: Layout,
-    cell: usize,
-    n: usize,
-) -> [f64; Q19] {
-    let row = mesh.neighbor_row(cell);
-    let mut fin = [0.0f64; Q19];
-    for (q, v) in fin.iter_mut().enumerate() {
-        let (from, fq) = AbPull::source(row, cell, q);
-        *v = f[flat_index(layout, from, fq, n)].to_f64();
-    }
-    fin
+/// The 19 values at `slot(q)`, widened to f64 for readout.
+fn widen<R: Real>(f: &[R], slot: impl Fn(usize) -> usize) -> [f64; Q19] {
+    std::array::from_fn(|q| f[slot(q)].to_f64())
 }
 
 #[cfg(test)]
@@ -1136,7 +1179,7 @@ pub(crate) mod tests {
                 for _ in 0..4 {
                     s.step();
                 }
-                for cell in 0..s.mesh().len() {
+                for cell in 0..mesh.len() {
                     let (rho, ux, uy, uz) = s.macroscopics(cell);
                     assert!((rho - 1.0).abs() < 1e-13, "{prop:?}/{layout:?}");
                     assert!(ux.abs() < 1e-13 && uy.abs() < 1e-13 && uz.abs() < 1e-13);
@@ -1504,8 +1547,12 @@ pub(crate) mod tests {
     /// The raw stored distributions, whatever the precision.
     pub(crate) fn stored_bits(s: &Solver) -> Vec<u64> {
         match &s.store {
-            Store::F64(lattice) => lattice.f.iter().map(|v| v.to_bits()).collect(),
-            Store::F32(lattice) => lattice.f.iter().map(|v| u64::from(v.to_bits())).collect(),
+            Store::F64(_) => s.distributions().iter().map(|v| v.to_bits()).collect(),
+            Store::F32(_) => s
+                .distributions_f32()
+                .iter()
+                .map(|v| u64::from(v.to_bits()))
+                .collect(),
         }
     }
 
@@ -1648,5 +1695,230 @@ pub(crate) mod tests {
                 Precision::Quad,
             )),
         );
+    }
+
+    #[test]
+    fn slot_count_admits_every_mesh_u32_entries_address() {
+        let most = u32::MAX as usize / Q19;
+        assert_eq!(slot_count(most, 0), most * Q19);
+        assert_eq!(slot_count(most - 7, 7), most * Q19);
+        assert_eq!(slot_count(1, 0), Q19);
+    }
+
+    #[test]
+    #[should_panic(expected = "226050910 cells and 1 halo rows need 4294967309 slots")]
+    fn slot_count_refuses_one_row_past_u32_naming_the_count() {
+        slot_count(u32::MAX as usize / Q19, 1);
+    }
+
+    // ---- the per-read reference the slot table replaced -----------------
+
+    /// AB pull as the sweep read it before the slot table: the value
+    /// arriving along `q` sits in the `-c_q` neighbor's slot `q`; a solid
+    /// link reflects the cell's own opposite-direction value.
+    fn ab_source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
+        match row[opposite(q)] {
+            SOLID => (cell, opposite(q)),
+            nb => (nb as usize, q),
+        }
+    }
+
+    /// AA odd step as the sweep read it before the slot table: the
+    /// `-c_q` neighbor's *opposite* slot; bounce-back folds onto the
+    /// cell's own slot `q`.
+    fn aa_odd_source(row: &[u32], cell: usize, q: usize) -> (usize, usize) {
+        match row[opposite(q)] {
+            SOLID => (cell, q),
+            nb => (nb as usize, opposite(q)),
+        }
+    }
+
+    /// `(cell, direction)` a step of `s` reads for `q` at `cell`, and the
+    /// one it writes the post-collision value `q` to, from the mesh's
+    /// neighbor row on every access.
+    fn reference_access(
+        s: &Solver,
+        mesh: &FluidMesh,
+        cell: usize,
+        q: usize,
+    ) -> ((usize, usize), (usize, usize)) {
+        let row = mesh.neighbor_row(cell);
+        match (s.config.kernel.propagation, s.in_natural_order()) {
+            (Propagation::Ab, _) => (ab_source(row, cell, q), (cell, q)),
+            (Propagation::Aa, true) => ((cell, q), (cell, opposite(q))),
+            (Propagation::Aa, false) => (
+                aa_odd_source(row, cell, q),
+                aa_odd_source(row, cell, opposite(q)),
+            ),
+        }
+    }
+
+    /// A random grid: one-voxel axes, full boxes (fluid on every face of
+    /// the grid), solid slabs or random lumps, with walls classified and
+    /// some fluid cells turned inlet or outlet.
+    pub(crate) fn lumpy_mesh(rng: &mut hemocloud_rt::rng::Rng) -> FluidMesh {
+        loop {
+            let [nx, ny, nz] = [(); 3].map(|_| rng.range_usize(1, 7));
+            let mut g = VoxelGrid::filled(nx, ny, nz, 1.0, CellType::Bulk);
+            let shape = rng.range_usize(0, 3);
+            let (axis, at) = (rng.range_usize(0, 3), rng.range_usize(0, 6));
+            let solid_p = rng.range_f64(0.1, 0.6);
+            for i in 0..g.len() {
+                let solid = match shape {
+                    0 => false,
+                    1 => [i % nx, i / nx % ny, i / (nx * ny)][axis] == at,
+                    _ => rng.next_f64() < solid_p,
+                };
+                if solid {
+                    g.set_linear(i, CellType::Solid);
+                }
+            }
+            classify_walls(&mut g);
+            for i in 0..g.len() {
+                let u = rng.next_f64();
+                if g.cells()[i].is_fluid() && u < 0.2 {
+                    let kind = [CellType::Inlet, CellType::Outlet][usize::from(u >= 0.1)];
+                    g.set_linear(i, kind);
+                }
+            }
+            if g.fluid_count() > 0 {
+                return FluidMesh::build(&g);
+            }
+        }
+    }
+
+    /// Hold the slot table of `s`, built from `mesh` with the rank of each
+    /// cell in `owner` (`None`: a global run), to the per-read reference:
+    /// every entry, every halo redirect, every scatter target and AA's
+    /// write-backs. A redirect must point at a halo row that copies the
+    /// cell read, in the slot of the direction read, and no row may serve
+    /// two ranks.
+    pub(crate) fn check_table(s: &Solver, mesh: &FluidMesh, owner: Option<&[u32]>) {
+        let (n, layout) = (s.n, s.config.kernel.layout);
+        let aa = s.config.kernel.propagation == Propagation::Aa;
+        let sweep = Sweep {
+            table: s.table.as_chunks().0,
+            n,
+            halo: &[],
+            kinds: &s.kinds,
+            omega: 1.0,
+            inlet_slot: &[],
+            inlet_vel: &[],
+        };
+        let at = |(c, d): (usize, usize)| flat_index(layout, c, d, n);
+        // The live slot a table slot stands for.
+        let live = |slot: usize| match slot.checked_sub(n * Q19) {
+            None => slot,
+            Some(copy) => at((s.copies[copy / Q19] as usize, copy % Q19)),
+        };
+        let (mut row_rank, mut write_backs) = (vec![None; s.copies.len()], Vec::new());
+        for cell in 0..n {
+            let row = mesh.neighbor_row(cell);
+            let entries = &s.table.as_chunks::<Q19>().0[cell];
+            for q in 0..Q19 {
+                let what = format!("{} cell {cell} q {q}", s.config.kernel.name());
+                let (from, dir) = if aa {
+                    aa_odd_source(row, cell, q)
+                } else {
+                    ab_source(row, cell, q)
+                };
+                let entry = entries[q] as usize;
+                assert_eq!(live(entry), at((from, dir)), "{what}");
+                let remote = owner.filter(|o| o[from] != o[cell]);
+                assert_eq!(entry >= n * Q19, remote.is_some(), "{what}: halo redirect");
+                if let Some(o) = remote {
+                    let rank = row_rank[(entry - n * Q19) / Q19].get_or_insert(o[cell]);
+                    assert_eq!(*rank, o[cell], "{what}: a halo row serves two ranks");
+                    if aa {
+                        write_backs.push((entry as u32, live(entry) as u32));
+                    }
+                }
+                let targets = match layout {
+                    Layout::Aos => [
+                        sweep.target::<AbPull, AosIdx>(entries, cell, q),
+                        sweep.target::<AaEven, AosIdx>(entries, cell, q),
+                        sweep.target::<AaOdd, AosIdx>(entries, cell, q),
+                    ],
+                    Layout::Soa => [
+                        sweep.target::<AbPull, SoaIdx>(entries, cell, q),
+                        sweep.target::<AaEven, SoaIdx>(entries, cell, q),
+                        sweep.target::<AaOdd, SoaIdx>(entries, cell, q),
+                    ],
+                };
+                let expected = [
+                    at((cell, q)),
+                    at((cell, opposite(q))),
+                    at(aa_odd_source(row, cell, opposite(q))),
+                ];
+                let checked = if aa { 1..3 } else { 0..1 };
+                for i in checked {
+                    assert_eq!(live(targets[i]), expected[i], "{what}: scatter target {i}");
+                }
+            }
+        }
+        assert!(
+            row_rank.iter().all(Option::is_some),
+            "a halo row no read uses"
+        );
+        let mut got = s.write_backs.clone();
+        got.sort_unstable();
+        write_backs.sort_unstable();
+        assert_eq!(got, write_backs, "AA write-backs");
+    }
+
+    /// Set every distribution of `s` to a random positive value.
+    pub(crate) fn randomize(s: &mut Solver, rng: &mut hemocloud_rt::rng::Rng) {
+        match &mut s.store {
+            Store::F64(l) => l.f.iter_mut().for_each(|v| *v = rng.range_f64(0.01, 0.1)),
+            Store::F32(l) => {
+                l.f.iter_mut()
+                    .for_each(|v| *v = rng.range_f64(0.01, 0.1) as f32)
+            }
+        }
+    }
+
+    /// The stored bits one step of `s` from its current state leaves, by
+    /// the per-read reference gather and scatter and the sweep's collision.
+    pub(crate) fn reference_step(s: &Solver, mesh: &FluidMesh) -> Vec<u64> {
+        fn step<R: Real>(s: &Solver, mesh: &FluidMesh, l: &Lattice<R>) -> Vec<R> {
+            let (n, layout) = (s.n, s.config.kernel.layout);
+            let sweep = Sweep {
+                table: &[],
+                n,
+                halo: &[],
+                kinds: &s.kinds,
+                omega: R::from_f64(1.0 / s.config.tau),
+                inlet_slot: &l.inlet_slot,
+                inlet_vel: &l.inlet_vel,
+            };
+            let mut out = l.f[..n * Q19].to_vec();
+            let kinds = [
+                (Kind::Bulk, &s.kinds.bulk),
+                (Kind::Inlet, &s.kinds.inlet),
+                (Kind::Outlet, &s.kinds.outlet),
+            ];
+            for (kind, list) in kinds {
+                for &cell in &list.cells {
+                    let access = |q| reference_access(s, mesh, cell as usize, q);
+                    let fin = std::array::from_fn(|q| {
+                        let (from, dir) = access(q).0;
+                        l.f[flat_index(layout, from, dir, n)]
+                    });
+                    let fout = sweep.collide::<R>(kind, &[cell], &fin);
+                    for (q, v) in fout.into_iter().enumerate() {
+                        let (to, dir) = access(q).1;
+                        out[flat_index(layout, to, dir, n)] = v;
+                    }
+                }
+            }
+            out
+        }
+        match &s.store {
+            Store::F64(l) => step(s, mesh, l).iter().map(|v| v.to_bits()).collect(),
+            Store::F32(l) => step(s, mesh, l)
+                .iter()
+                .map(|v| u64::from(v.to_bits()))
+                .collect(),
+        }
     }
 }

@@ -23,7 +23,7 @@ cargo build --release --offline --benches -p hemocloud-bench
 
 echo "== check: fresh artifacts, byte-identity pairs, committed artifacts"
 # Every artifact invariant lives in crates/bench/src/gates.rs (DESIGN.md
-# §18 has the table); `check` spawns the four generators (`repro`, the
+# §13 has the table); `check` spawns the four generators (`repro`, the
 # paper's evaluation, among them) into target/check/<run>/, at
 # RT_BENCH_FAST=1 but for `eval_campaign` and `repro`, which run full
 # size; gates what they wrote and the committed BENCH_*/EVAL_*/REPRO

@@ -1,8 +1,8 @@
 //! The repo's perf trajectory baseline: measure the real LBM solver step
-//! and the real STREAM kernels on this host through `hemocloud_rt::bench`
-//! and persist the numbers to `BENCH_lbm.json` so every PR has comparable
-//! throughput data (the paper's whole premise — Eqs. 6/9 — is that these
-//! two numbers are linked by memory bandwidth).
+//! (the median of timed batches, `median_ns`) and the real STREAM kernels
+//! on this host and persist the numbers to `BENCH_lbm.json` so every PR
+//! has comparable throughput data (the paper's whole premise — Eqs. 6/9 —
+//! is that these two numbers are linked by memory bandwidth).
 //!
 //! Beyond the headline solver number, the baseline sweeps every runtime
 //! kernel configuration of the sparse solver (AB/AA × AoS/SoA × f64/f32)
@@ -40,7 +40,10 @@
 //! throughput, a broken bitwise witness, …), so a broken baseline is
 //! never recorded silently.
 
-use hemocloud_bench::{gates, provenance};
+use std::time::{Duration, Instant};
+
+use hemocloud_bench::gates;
+use hemocloud_bench::provenance::{self, fast_mode};
 use hemocloud_fitting::sweep::StreamSample;
 use hemocloud_geometry::anatomy::CylinderSpec;
 use hemocloud_geometry::stats::GeometryStats;
@@ -53,7 +56,6 @@ use hemocloud_lbm::ranked::{RankAssignment, RankedSolver};
 use hemocloud_lbm::solver::{Solver, SolverConfig};
 use hemocloud_microbench::stream::{stream_kernel, StreamKernel};
 use hemocloud_obs::json::{self, Value, Writer};
-use hemocloud_rt::bench::{fast_mode, sample_stats};
 use hemocloud_rt::{par, pool};
 
 /// One measured kernel configuration of the sparse solver.
@@ -184,15 +186,51 @@ fn best_pair_ns(solver: &mut Solver, samples: usize) -> f64 {
     solver.run(2); // warm: touch every resident array
     let mut best_ns = f64::INFINITY;
     for _ in 0..3 {
-        let st = sample_stats(samples, |b| {
-            b.iter(|| {
-                solver.step();
-                solver.step();
-            })
+        let median = median_ns(samples, fast_mode(), || {
+            solver.step();
+            solver.step();
         });
-        best_ns = best_ns.min(st.median_ns);
+        best_ns = best_ns.min(median);
     }
     best_ns
+}
+
+/// Median ns per call of `f` over `samples` (at least 2) timed batches.
+/// A warm-up window doubles as calibration — it counts the calls that fit
+/// in it — and sizes each batch to fill the sample window: 300 ms and
+/// 100 ms, or 20 ms and 20 ms when `fast`.
+fn median_ns(samples: usize, fast: bool, mut f: impl FnMut()) -> f64 {
+    let sample_size = samples.max(2);
+    let (warmup, target_sample) = if fast {
+        (Duration::from_millis(20), Duration::from_millis(20))
+    } else {
+        (Duration::from_millis(300), Duration::from_millis(100))
+    };
+
+    // Warmup doubles as calibration: count iterations in the window.
+    let deadline = Instant::now() + warmup;
+    let mut calibrated = 0u64;
+    while Instant::now() < deadline {
+        f();
+        calibrated += 1;
+    }
+    let per_iter = warmup.as_secs_f64() / calibrated.max(1) as f64;
+    let iters_per_sample = ((target_sample.as_secs_f64() / per_iter).ceil() as u64).max(1);
+
+    let mut per_iter_ns: Vec<f64> = Vec::with_capacity(sample_size);
+    for _ in 0..sample_size {
+        let start = Instant::now();
+        for _ in 0..iters_per_sample {
+            f();
+        }
+        per_iter_ns.push(start.elapsed().as_nanos() as f64 / iters_per_sample as f64);
+    }
+    per_iter_ns.sort_by(|a, b| a.total_cmp(b));
+    if per_iter_ns.len() % 2 == 1 {
+        per_iter_ns[per_iter_ns.len() / 2]
+    } else {
+        0.5 * (per_iter_ns[per_iter_ns.len() / 2 - 1] + per_iter_ns[per_iter_ns.len() / 2])
+    }
 }
 
 /// Scalar step time over wide-lane step time on AA/AoS f64 — the pair
@@ -483,4 +521,29 @@ fn main() {
     );
 
     gates::exit_on_failures(&failures);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hint::black_box;
+
+    #[test]
+    fn measures_a_trivial_closure() {
+        let median = median_ns(5, true, || {
+            black_box(1u64 + 1);
+        });
+        assert!(median > 0.0 && median.is_finite(), "{median}");
+    }
+
+    #[test]
+    fn slower_work_measures_slower() {
+        let fast = median_ns(5, true, || {
+            black_box((0..10u64).sum::<u64>());
+        });
+        let slow = median_ns(5, true, || {
+            black_box((0..100_000u64).fold(0u64, |a, x| a ^ x.wrapping_mul(31)));
+        });
+        assert!(slow > 5.0 * fast, "slow {slow} vs fast {fast}");
+    }
 }

@@ -44,7 +44,6 @@ use std::time::Instant;
 
 use hemocloud_bench::{gates, provenance};
 use hemocloud_obs::json::{Layout, Writer};
-use hemocloud_rt::bench::fast_mode;
 use hemocloud_sched::Scenario;
 
 /// Peak resident set (VmHWM) in MiB from `/proc/self/status`; `None` off
@@ -61,7 +60,7 @@ fn mib(rss: Option<f64>) -> String {
 }
 
 fn main() {
-    let n_jobs = if fast_mode() { 20_000 } else { 1_000_000 };
+    let n_jobs = if provenance::fast_mode() { 20_000 } else { 1_000_000 };
     let mut scenario = Scenario::scale(n_jobs);
     let (seed, shards) = (scenario.config.seed, scenario.config.shards);
 

@@ -1,11 +1,12 @@
-//! Run provenance for persisted benchmark artifacts, and where they go.
+//! Run provenance for persisted benchmark artifacts, where they go, and
+//! how big the generators run.
 //!
 //! The four committed artifacts (`BENCH_lbm.json`, `BENCH_sched.json`,
 //! `EVAL_campaign.json`, `REPRO.json`) are compared across commits; a
 //! number without the commit and toolchain that produced it is
 //! unreviewable. These helpers shell out to `git`/`rustc` and degrade
 //! to `"unknown"` when either is unavailable (e.g. an unpacked source
-//! tarball), so the benches never fail on missing provenance.
+//! tarball), so the generators never fail on missing provenance.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -51,6 +52,12 @@ pub fn stamp() -> Vec<(&'static str, Value)> {
         ("git_rev", Value::Str(git_rev())),
         ("rustc", Value::Str(rustc_version())),
     ]
+}
+
+/// Whether `RT_BENCH_FAST` asks the generators for smoke-sized runs: set,
+/// and not `0`.
+pub fn fast_mode() -> bool {
+    std::env::var("RT_BENCH_FAST").is_ok_and(|v| v != "0")
 }
 
 /// Write `contents` to `$OUT_DIR/<file>` (`OUT_DIR` defaults to the

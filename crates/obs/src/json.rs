@@ -269,6 +269,9 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+/// Object members that select an array item by value in [`Value::at`].
+const SELECTORS: [&str; 2] = ["id", "label"];
+
 impl Value {
     /// Member `key` of an object (the first, if repeated).
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -278,10 +281,25 @@ impl Value {
             .map(|(_, v)| v)
     }
 
-    /// Follow a `.`-separated path of object keys and array indices.
+    /// Follow a `.`-separated path of object keys and array selectors. In
+    /// an array a numeric segment is an index; any other picks the one item
+    /// whose first cell (an array row) or `id` / `label` member (an object)
+    /// is that string, and none when no item or several match.
     pub fn at(&self, path: &str) -> Option<&Value> {
         path.split('.').try_fold(self, |v, key| match v {
-            Value::Array(items) => items.get(key.parse::<usize>().ok()?),
+            Value::Array(items) => match key.parse::<usize>() {
+                Ok(i) => items.get(i),
+                Err(_) => {
+                    let mut hits = items.iter().filter(|item| match item {
+                        Value::Array(cells) => cells.first().and_then(Value::as_str) == Some(key),
+                        _ => SELECTORS
+                            .iter()
+                            .any(|k| item.get(k).and_then(Value::as_str) == Some(key)),
+                    });
+                    let hit = hits.next()?;
+                    hits.next().is_none().then_some(hit)
+                }
+            },
             _ => v.get(key),
         })
     }
@@ -669,5 +687,26 @@ mod tests {
         assert!(v.at("a.b.2").is_none());
         assert!(v.at("a.c").is_none());
         assert!(v.at("a.b.c").is_none());
+    }
+
+    #[test]
+    fn path_lookup_selects_array_items_by_value() {
+        let v = parse(
+            "{\"rows\": [[\"csp1\", 1], [\"csp2\", 2]], \
+             \"cells\": [{\"id\": \"x\", \"n\": 3}, {\"label\": \"y\", \"n\": 4}], \
+             \"twins\": [{\"id\": \"z\"}, {\"label\": \"z\"}], \
+             \"named\": [[\"1\", 5], [\"0\", 6]]}",
+        )
+        .unwrap();
+        // An array row is picked by its first cell, an object by `id` or `label`.
+        assert_eq!(v.at("rows.csp2.1"), Some(&Value::UInt(2)));
+        assert_eq!(v.at("cells.x.n"), Some(&Value::UInt(3)));
+        assert_eq!(v.at("cells.y.n"), Some(&Value::UInt(4)));
+        // No match, or more than one, is no value.
+        assert!(v.at("rows.csp3").is_none());
+        assert!(v.at("twins.z").is_none());
+        // A numeric segment is an index, even where a first cell reads the same.
+        assert_eq!(v.at("named.1.1"), Some(&Value::UInt(6)));
+        assert_eq!(v.at("named.0.0").and_then(Value::as_str), Some("1"));
     }
 }

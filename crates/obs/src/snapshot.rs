@@ -106,20 +106,6 @@ impl Snapshot {
             .sum()
     }
 
-    /// Merge `other` into this snapshot (e.g. the scheduler's private
-    /// registry alongside the process-global one).
-    ///
-    /// # Panics
-    /// On a name collision — the workspace namespaces instruments by
-    /// layer (`pool.`, `lbm.`, `sched.`), so a collision is a bug.
-    pub fn merged_with(mut self, other: Snapshot) -> Snapshot {
-        for (name, sample) in other.entries {
-            let prior = self.entries.insert(name.clone(), sample);
-            assert!(prior.is_none(), "obs snapshot merge collision on {name:?}");
-        }
-        self
-    }
-
     /// Render as a JSON object with sorted keys, one metric per line.
     pub fn to_json(&self, render: Render) -> String {
         let mut w = Writer::new();
@@ -289,24 +275,6 @@ mod tests {
             a.to_json(Render::Deterministic),
             b.to_json(Render::Deterministic)
         );
-    }
-
-    #[test]
-    fn merged_with_combines_disjoint_namespaces() {
-        let a = sample_registry().snapshot();
-        let r = Registry::new();
-        r.counter("sched.faults").add(3);
-        let merged = a.merged_with(r.snapshot());
-        assert_eq!(merged.counter("pool.jobs"), Some(7));
-        assert_eq!(merged.counter("sched.faults"), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "merge collision")]
-    fn merged_with_rejects_collisions() {
-        let r = Registry::new();
-        r.counter("pool.jobs").inc();
-        let _ = sample_registry().snapshot().merged_with(r.snapshot());
     }
 
     #[test]

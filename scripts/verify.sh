@@ -15,12 +15,6 @@ cargo build --release --offline
 echo "== cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "== cargo build --release --offline --benches -p hemocloud-bench"
-# `cargo test` skips `harness = false` bench targets, so nothing above
-# compiles crates/bench/benches/*.rs; this does, on the release artifacts
-# the build step just made.
-cargo build --release --offline --benches -p hemocloud-bench
-
 echo "== check: fresh artifacts, byte-identity pairs, committed artifacts"
 # Every artifact invariant lives in crates/bench/src/gates.rs (DESIGN.md
 # §13 has the table); `check` spawns the four generators (`repro`, the

@@ -45,8 +45,6 @@ const EXTS: [&str; 7] = ["rs", "json", "md", "sh", "toml", "lock", "txt"];
 const TOP_DIRS: [&str; 7] = [
     "crates", "src", "tests", "examples", "scripts", ".claude", ".cargo",
 ];
-/// Object keys that select an array element by value in a figure link.
-const SELECTORS: [&str; 2] = ["id", "label"];
 
 /// One unresolved reference.
 #[derive(Debug, PartialEq)]
@@ -557,37 +555,9 @@ impl Tree {
         !path.contains('/') && self.generators.contains(&format!("\"{path}\""))
     }
 
-    /// The record value a figure link points at: `.`-separated object keys;
-    /// in an array, an index, the item whose first cell is that string, or
-    /// the one item whose `id` or `label` holds it.
+    /// The record value a figure link points at (`Value::at`'s path syntax).
     fn figure(&self, record: &str, pointer: &str) -> Option<&Value> {
-        let mut v = self.records.get(record)?;
-        for seg in pointer.split('.') {
-            v = match v {
-                Value::Array(items) => match seg.parse::<usize>() {
-                    Ok(i) => items.get(i)?,
-                    Err(_) => {
-                        let hits: Vec<_> = items
-                            .iter()
-                            .filter(|item| match item {
-                                Value::Array(cells) => {
-                                    cells.first().and_then(Value::as_str) == Some(seg)
-                                }
-                                _ => SELECTORS
-                                    .iter()
-                                    .any(|k| item.get(k).and_then(Value::as_str) == Some(seg)),
-                            })
-                            .collect();
-                        if hits.len() != 1 {
-                            return None;
-                        }
-                        hits[0]
-                    }
-                },
-                _ => v.get(seg)?,
-            };
-        }
-        Some(v)
+        self.records.get(record)?.at(pointer)
     }
 
     /// Problems with one `[figure](RECORD#pointer)` link.
